@@ -7,13 +7,14 @@ use crate::stats::{GenieStats, GenieStatsSnapshot};
 use crate::strict::StrictTxnManager;
 use crate::triggers::build_triggers;
 use genie_cache::{CacheCluster, CacheHandle, CacheOrigin, Payload};
-use genie_orm::{InterceptOutcome, ModelRegistry, OrmSession, QueryInterceptor};
+use genie_orm::{InterceptOutcome, ModelRegistry, OrmSession, PreparedQuery, QueryInterceptor};
 use genie_storage::{
     CommitHook, CostReport, Database, DeferredPublish, QueryResult, Result, Row, Select,
-    StorageError, Value,
+    ShapeCache, StorageError, Value,
 };
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// CacheGenie tuning knobs.
@@ -65,6 +66,20 @@ struct GenieShared {
     by_name: RwLock<HashMap<String, Arc<ObjectInner>>>,
     /// Tables with at least one cached object (fast reject for Pass).
     tables: RwLock<HashSet<String>>,
+    /// Bumped by every `cacheable()`: the stamp of [`Resolution`]s.
+    generation: AtomicU64,
+    /// What each prepared query of the session resolved to.
+    resolved: ShapeCache<Resolution>,
+}
+
+/// Which cached object (if any) serves one [`PreparedQuery`], as of one
+/// declaration generation — so the SQL text is matched against the
+/// declared templates once per query shape, not once per call.
+#[derive(Clone)]
+struct Resolution {
+    query_id: u64,
+    generation: u64,
+    object: Option<Arc<ObjectInner>>,
 }
 
 /// Per-key flush gate: a committing transaction *reserves* a ticket on
@@ -331,6 +346,8 @@ impl CacheGenie {
                 by_fingerprint: RwLock::new(HashMap::new()),
                 by_name: RwLock::new(HashMap::new()),
                 tables: RwLock::new(HashSet::new()),
+                generation: AtomicU64::new(0),
+                resolved: ShapeCache::default(),
             }),
         }
     }
@@ -380,6 +397,9 @@ impl CacheGenie {
             .by_name
             .write()
             .insert(obj.def.name.clone(), obj);
+        // After the maps: a resolution stamped with the new generation
+        // has seen this object.
+        self.shared.generation.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -461,7 +481,7 @@ impl CacheGenie {
         };
         match &obj.def.kind {
             CacheClassKind::Count => {
-                let out = self.shared.db.select(&obj.template, params)?;
+                let out = self.shared.db.execute_prepared(&obj.template, params)?;
                 let n = out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0);
                 Ok(matches!(cached, Payload::Count(c) if c == n))
             }
@@ -475,7 +495,7 @@ impl CacheGenie {
                     return Ok(true);
                 }
                 let fill = obj.fill_template.as_ref().expect("TopK has fill template");
-                let out = self.shared.db.select(fill, params)?;
+                let out = self.shared.db.execute_prepared(fill, params)?;
                 let want: Vec<Row> = out.result.rows.into_iter().take(k).collect();
                 let got: Vec<Row> = rows.into_iter().take(k).collect();
                 Ok(got == want)
@@ -484,7 +504,7 @@ impl CacheGenie {
                 let Payload::Rows(rows) = cached else {
                     return Ok(false);
                 };
-                let out = self.shared.db.select(&obj.template, params)?;
+                let out = self.shared.db.execute_prepared(&obj.template, params)?;
                 Ok(rows == out.result.rows)
             }
         }
@@ -568,7 +588,7 @@ impl GenieShared {
         // publishes the effects when — and only when — the COMMIT lands.
         if self.db.in_transaction() {
             self.stats.bump(&self.stats.txn_bypasses);
-            let out = self.db.select(&obj.template, params)?;
+            let out = self.db.execute_prepared(&obj.template, params)?;
             let result = match &obj.def.kind {
                 CacheClassKind::Count => {
                     count_result(out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0))
@@ -615,7 +635,8 @@ impl GenieShared {
                 // lease taken after a publish always reads fresh state
                 // (docs/ISOLATION.md, core/tests/mvcc_fill.rs).
                 let lease = self.cluster.lease(&key);
-                let out = self.lease_read(&key, lease, self.db.select(&obj.template, params))?;
+                let out =
+                    self.lease_read(&key, lease, self.db.execute_prepared(&obj.template, params))?;
                 let n = out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0);
                 cache_ops += 1;
                 self.record_fill(self.app_cache.fill_payload(
@@ -651,7 +672,8 @@ impl GenieShared {
                 }
                 self.stats.bump(&self.stats.cache_misses);
                 let lease = self.cluster.lease(&key);
-                let out = self.lease_read(&key, lease, self.db.select(&obj.template, params))?;
+                let out =
+                    self.lease_read(&key, lease, self.db.execute_prepared(&obj.template, params))?;
                 cache_ops += 1;
                 self.record_fill(self.app_cache.fill_payload(
                     &key,
@@ -699,7 +721,7 @@ impl GenieShared {
         // Over-fetch K + reserve for incremental delete headroom (§3.2).
         let lease = self.cluster.lease(key);
         let fill = obj.fill_template.as_ref().expect("TopK has fill template");
-        let out = self.lease_read(key, lease, self.db.select(fill, params))?;
+        let out = self.lease_read(key, lease, self.db.execute_prepared(fill, params))?;
         let rows = out.result.rows;
         let complete = rows.len() < obj.capacity;
         cache_ops += 1;
@@ -738,29 +760,59 @@ fn count_result(n: i64) -> QueryResult {
     }
 }
 
-impl QueryInterceptor for CacheGenie {
-    fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome {
+impl GenieShared {
+    /// The transparently served object whose template is `fingerprint`
+    /// (a query on `table`).
+    fn object_for(
+        &self,
+        table: &str,
+        fingerprint: impl FnOnce() -> String,
+    ) -> Option<Arc<ObjectInner>> {
         // Fast reject: no cached object involves this base table.
-        if !self.shared.tables.read().contains(&select.from.table) {
-            return InterceptOutcome::Pass;
+        if !self.tables.read().contains(table) {
+            return None;
         }
-        let fingerprint = select.to_string();
-        let Some(obj) = self.shared.by_fingerprint.read().get(&fingerprint).cloned() else {
-            return InterceptOutcome::Pass;
-        };
-        if !obj.def.use_transparently {
-            return InterceptOutcome::Pass;
-        }
-        match self.shared.serve(&obj, params) {
-            Ok(out) => InterceptOutcome::Served {
+        let obj = self.by_fingerprint.read().get(&fingerprint()).cloned()?;
+        obj.def.use_transparently.then_some(obj)
+    }
+
+    fn intercept(&self, obj: Option<Arc<ObjectInner>>, params: &[Value]) -> InterceptOutcome {
+        match obj.map(|obj| self.serve(&obj, params)) {
+            Some(Ok(out)) => InterceptOutcome::Served {
                 result: out.result,
                 cache_ops: out.cache_ops,
                 db_cost: out.db_cost,
                 from_cache: out.from_cache,
             },
             // Serving errors fall back to the plain database path.
-            Err(_) => InterceptOutcome::Pass,
+            Some(Err(_)) | None => InterceptOutcome::Pass,
         }
+    }
+}
+
+impl QueryInterceptor for CacheGenie {
+    fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome {
+        let obj = self
+            .shared
+            .object_for(&select.from.table, || select.to_string());
+        self.shared.intercept(obj, params)
+    }
+
+    fn try_serve_prepared(&self, query: &PreparedQuery, params: &[Value]) -> InterceptOutcome {
+        let shared = &*self.shared;
+        let generation = shared.generation.load(Ordering::SeqCst);
+        let resolution = shared.resolved.get_or_insert_with(
+            &query.id(),
+            |r| r.query_id == query.id() && r.generation == generation,
+            || Resolution {
+                query_id: query.id(),
+                generation,
+                object: shared.object_for(&query.select().from.table, || {
+                    query.fingerprint().to_owned()
+                }),
+            },
+        );
+        shared.intercept(resolution.object, params)
     }
 
     fn fill(&self, _fill_key: &str, _result: &QueryResult) -> u64 {

@@ -8,7 +8,7 @@
 
 use crate::def::{CacheClassKind, CacheableDef, SortOrder};
 use genie_orm::{ModelRegistry, QuerySet};
-use genie_storage::{Result, Row, Select, StorageError, Value};
+use genie_storage::{PreparedSelect, Result, Row, StorageError, Value};
 
 /// Link-class compilation products.
 #[derive(Debug, Clone)]
@@ -17,10 +17,10 @@ pub(crate) struct LinkInfo {
     pub target_table: String,
     /// Template: joined rows contributed by one base row
     /// (`... WHERE base.id = $1`).
-    pub by_pk_template: Select,
+    pub by_pk_template: PreparedSelect,
     /// Template: base rows joining a given target column value
     /// (`SELECT * FROM base WHERE base.<base_column> = $1`).
-    pub reverse_template: Select,
+    pub reverse_template: PreparedSelect,
     /// Position of the join column in the *target* row.
     pub target_column_pos: usize,
 }
@@ -36,9 +36,10 @@ pub(crate) struct ObjectInner {
     pub key_positions: Vec<usize>,
     /// Number of columns in the main table.
     pub base_arity: usize,
-    /// The canonical query template this object intercepts.
-    pub template: Select,
-    /// `template.to_string()` — the interception fingerprint.
+    /// The canonical query template this object intercepts, prepared:
+    /// fills, coherence checks and in-transaction bypass reads run it.
+    pub template: PreparedSelect,
+    /// The template's SQL text — the interception fingerprint.
     pub fingerprint: String,
     /// Output column names for served results.
     pub columns: Vec<String>,
@@ -47,7 +48,7 @@ pub(crate) struct ObjectInner {
     /// Top-K: `k + reserve`.
     pub capacity: usize,
     /// Top-K: template fetching `k + reserve` rows for fills.
-    pub fill_template: Option<Select>,
+    pub fill_template: Option<PreparedSelect>,
     /// Link-class extras.
     pub link: Option<LinkInfo>,
 }
@@ -112,8 +113,8 @@ impl ObjectInner {
                 .compile();
             link_info = Some(LinkInfo {
                 target_table: target.table().to_owned(),
-                by_pk_template,
-                reverse_template,
+                by_pk_template: PreparedSelect::new(by_pk_template),
+                reverse_template: PreparedSelect::new(reverse_template),
                 target_column_pos,
             });
         }
@@ -148,7 +149,7 @@ impl ObjectInner {
                 };
                 let (sel, _) = qs.clone().order_by(&spec).limit(*k as u64).compile();
                 let (fill, _) = qs.order_by(&spec).limit(capacity as u64).compile();
-                fill_template = Some(fill);
+                fill_template = Some(PreparedSelect::new(fill));
                 (sel, columns)
             }
             _ => {
@@ -161,7 +162,7 @@ impl ObjectInner {
             table: model.table().to_owned(),
             key_positions,
             base_arity: base_cols.len(),
-            template,
+            template: PreparedSelect::new(template),
             fingerprint,
             columns,
             sort_position,
@@ -365,7 +366,7 @@ mod tests {
         .unwrap();
         assert_eq!(obj.capacity, 25);
         assert_eq!(obj.sort_position, Some(3));
-        let fill = obj.fill_template.as_ref().unwrap();
+        let fill = obj.fill_template.as_ref().unwrap().select();
         assert!(fill.to_string().ends_with("LIMIT 25"), "{fill}");
         assert!(obj.fingerprint.ends_with("LIMIT 20"));
     }
@@ -387,10 +388,11 @@ mod tests {
         assert_eq!(link.target_table, "groups");
         assert!(link
             .by_pk_template
+            .select()
             .to_string()
             .contains("WHERE (membership.id = $1)"));
         assert_eq!(
-            link.reverse_template.to_string(),
+            link.reverse_template.select().to_string(),
             "SELECT * FROM membership WHERE (membership.group_id = $1)"
         );
         assert_eq!(obj.columns.len(), 3 + 2); // membership(id,user_id,group_id) + groups(id,title)

@@ -501,7 +501,7 @@ fn link_rows_for_base(
     base_pk: &Value,
 ) -> Result<Vec<Row>> {
     let link = obj.link.as_ref().expect("link object");
-    let result = ctx.query(&link.by_pk_template, std::slice::from_ref(base_pk))?;
+    let result = ctx.query_prepared(&link.by_pk_template, std::slice::from_ref(base_pk))?;
     Ok(result.rows)
 }
 
@@ -608,7 +608,8 @@ fn fire_link_target(
     let base_arity = obj.base_arity;
 
     let affected_keys = |ctx: &mut TriggerCtx<'_>, join_value: &Value| -> Result<Vec<String>> {
-        let result = ctx.query(&link.reverse_template, std::slice::from_ref(join_value))?;
+        let result =
+            ctx.query_prepared(&link.reverse_template, std::slice::from_ref(join_value))?;
         let mut keys: Vec<String> = result.rows.iter().map(|r| obj.key_from_row(r)).collect();
         keys.sort();
         keys.dedup();
@@ -635,7 +636,7 @@ fn fire_link_target(
             // affected base row's key, append base ++ new.
             let new = ctx.new.expect("NEW").clone();
             let v = new.get(tc).clone();
-            let bases = ctx.query(&link.reverse_template, &[v])?;
+            let bases = ctx.query_prepared(&link.reverse_template, &[v])?;
             for base in &bases.rows {
                 let key = obj.key_from_row(base);
                 let combined: Vec<Value> =
@@ -690,7 +691,7 @@ fn fire_link_target(
                     });
                 }
                 let v_new = new.get(tc).clone();
-                let bases = ctx.query(&link.reverse_template, &[v_new])?;
+                let bases = ctx.query_prepared(&link.reverse_template, &[v_new])?;
                 for base in &bases.rows {
                     let key = obj.key_from_row(base);
                     let combined: Vec<Value> =
@@ -783,7 +784,7 @@ pub(crate) fn render_source(
             "base_rows = plpy.execute(\"{}\", [row[{}]])\n",
             obj.link
                 .as_ref()
-                .map(|l| l.reverse_template.to_string())
+                .map(|l| l.reverse_template.select().to_string())
                 .unwrap_or_default(),
             obj.link.as_ref().map(|l| l.target_column_pos).unwrap_or(0),
         ));

@@ -782,3 +782,109 @@ fn dropped_txn_releases_locks() {
     }
     assert_eq!(mgr.locked_keys(), 0);
 }
+
+// ---- prepared queries: what is resolved once must follow declarations
+// and transactions ----
+
+#[test]
+fn object_declared_after_its_shape_ran_as_pass_starts_serving_it() {
+    let e = env();
+    e.session
+        .create("Profile", &[("user_id", 1i64.into()), ("bio", "hi".into())])
+        .unwrap();
+    let qs = || {
+        e.session
+            .objects("Profile")
+            .unwrap()
+            .filter_eq("user_id", 1i64)
+    };
+    // No object matches yet: the shape resolves to "pass", repeatedly.
+    for _ in 0..3 {
+        let out = e.session.all(&qs()).unwrap();
+        assert!(!out.from_cache);
+        assert_eq!(out.cache_ops, 0, "not intercepted");
+    }
+    // An unrelated declaration must not make it cacheable either.
+    e.genie
+        .cacheable(CacheableDef::count("wall_count", "WallPost").where_fields(&["user_id"]))
+        .unwrap();
+    assert_eq!(e.session.all(&qs()).unwrap().cache_ops, 0);
+
+    e.genie
+        .cacheable(CacheableDef::feature("profile_by_user", "Profile").where_fields(&["user_id"]))
+        .unwrap();
+    let miss = e.session.all(&qs()).unwrap();
+    assert!(
+        !miss.from_cache && miss.cache_ops > 0,
+        "fills on first read"
+    );
+    let hit = e.session.all(&qs()).unwrap();
+    assert!(hit.from_cache);
+    assert_eq!(hit.rows, miss.rows);
+    // The count of the same filter is a different shape: still a pass.
+    let (n, out) = e.session.count(&qs()).unwrap();
+    assert_eq!((n, out.cache_ops), (1, 0));
+}
+
+#[test]
+fn shape_first_run_inside_begin_bypasses_the_cache_then_and_is_served_after() {
+    let e = env();
+    e.genie
+        .cacheable(CacheableDef::count("wall_count", "WallPost").where_fields(&["user_id"]))
+        .unwrap();
+    let db = e.session.database();
+    let count = || {
+        let qs = e
+            .session
+            .objects("WallPost")
+            .unwrap()
+            .filter_eq("user_id", 2i64);
+        e.session.count(&qs).unwrap()
+    };
+    let post = |ts: i64| {
+        e.session
+            .create(
+                "WallPost",
+                &[
+                    ("user_id", 2i64.into()),
+                    ("sender_id", 3i64.into()),
+                    ("content", "x".into()),
+                    ("date_posted", Value::Timestamp(ts)),
+                ],
+            )
+            .unwrap();
+    };
+    let bypasses = || e.genie.stats().txn_bypasses;
+
+    // The shape's very first execution happens inside a transaction.
+    db.execute_sql("BEGIN", &[]).unwrap();
+    post(1);
+    let (n, out) = count();
+    assert_eq!(n, 1, "reads its own uncommitted write");
+    assert!(!out.from_cache);
+    assert_eq!(out.cache_ops, 0, "neither probed nor filled");
+    assert_eq!(bypasses(), 1);
+    db.execute_sql("ROLLBACK", &[]).unwrap();
+
+    // Outside: the same prepared shape is served through the cache.
+    let (n, miss) = count();
+    assert_eq!(
+        n, 0,
+        "the rollback left nothing behind, in cache or database"
+    );
+    assert!(!miss.from_cache && miss.cache_ops > 0);
+    assert!(count().1.from_cache);
+
+    // And a later transaction on the now-cached shape still bypasses.
+    db.execute_sql("BEGIN", &[]).unwrap();
+    post(2);
+    let (n, out) = count();
+    assert_eq!((n, out.from_cache, out.cache_ops), (1, false, 0));
+    assert_eq!(bypasses(), 2);
+    db.execute_sql("COMMIT", &[]).unwrap();
+    assert_eq!(count().0, 1);
+    assert!(e
+        .genie
+        .verify_coherence("wall_count", &[Value::Int(2)])
+        .unwrap());
+}

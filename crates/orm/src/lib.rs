@@ -46,4 +46,6 @@ pub mod session;
 
 pub use model::{FieldDef, ForeignKeyField, ModelDef, ModelDefBuilder, ModelRegistry};
 pub use queryset::{FilterOp, OrmRow, QuerySet};
-pub use session::{InterceptOutcome, OrmSession, QueryInterceptor, ReadOutcome, WriteOutcome};
+pub use session::{
+    InterceptOutcome, OrmSession, PreparedQuery, QueryInterceptor, ReadOutcome, WriteOutcome,
+};

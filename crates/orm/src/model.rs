@@ -7,6 +7,7 @@
 
 use genie_storage::{ColumnDef, Database, IndexDef, Result, StorageError, TableSchema, ValueType};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One scalar field of a model (the implicit `id` is not listed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,7 +219,9 @@ impl ModelDefBuilder {
 /// A set of models that sync together (one Django "app", or several).
 #[derive(Debug, Clone, Default)]
 pub struct ModelRegistry {
-    models: BTreeMap<String, ModelDef>,
+    /// Shared, so a query set over a model holds a reference instead of
+    /// a copy of the definition.
+    models: BTreeMap<String, Arc<ModelDef>>,
 }
 
 impl ModelRegistry {
@@ -236,7 +239,7 @@ impl ModelRegistry {
         if self.models.contains_key(model.name()) {
             return Err(StorageError::AlreadyExists(model.name().to_owned()));
         }
-        self.models.insert(model.name().to_owned(), model);
+        self.models.insert(model.name().to_owned(), Arc::new(model));
         Ok(())
     }
 
@@ -246,6 +249,15 @@ impl ModelRegistry {
     ///
     /// [`StorageError::UnknownTable`] if absent.
     pub fn model(&self, name: &str) -> Result<&ModelDef> {
+        self.shared_model(name).map(|m| &**m)
+    }
+
+    /// [`ModelRegistry::model`], as the shared handle.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::UnknownTable`] if absent.
+    pub fn shared_model(&self, name: &str) -> Result<&Arc<ModelDef>> {
         self.models
             .get(name)
             .ok_or_else(|| StorageError::UnknownTable(format!("model {name}")))
@@ -253,7 +265,7 @@ impl ModelRegistry {
 
     /// All registered models, sorted by name.
     pub fn models(&self) -> impl Iterator<Item = &ModelDef> {
-        self.models.values()
+        self.models.values().map(|m| &**m)
     }
 
     /// Creates every model's table, foreign keys, and indexes in `db`

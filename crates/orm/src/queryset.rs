@@ -10,6 +10,8 @@
 
 use crate::model::ModelDef;
 use genie_storage::{CmpOp, Expr, OrderKey, QueryResult, Row, Select, SelectItem, TableRef, Value};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A filter operator (Django lookup).
 #[derive(Debug, Clone, PartialEq)]
@@ -34,16 +36,27 @@ pub enum FilterOp {
     IsNull(bool),
 }
 
-#[derive(Debug, Clone)]
+/// A filter's structural part. Its values — one for a comparison, the
+/// list for `IN` — live in [`QuerySet::params`], in filter order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Lookup {
+    Cmp(CmpOp),
+    /// `IN` over this many values (the length is part of the shape).
+    In(usize),
+    Like(String),
+    /// `IS NULL` (true) / `IS NOT NULL` (false).
+    IsNull(bool),
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Filter {
     /// Binding (table or alias) the field lives on.
     binding: String,
     field: String,
-    op: FilterOp,
-    value: Option<Value>,
+    lookup: Lookup,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct RelationJoin {
     /// Table being joined.
     table: String,
@@ -58,23 +71,24 @@ struct RelationJoin {
 /// One result row with named access.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrmRow {
-    columns: std::sync::Arc<Vec<String>>,
+    columns: Arc<Vec<String>>,
     row: Row,
 }
 
 impl OrmRow {
     /// Wraps executor output.
-    pub fn new(columns: std::sync::Arc<Vec<String>>, row: Row) -> Self {
+    pub fn new(columns: Arc<Vec<String>>, row: Row) -> Self {
         OrmRow { columns, row }
     }
 
-    /// Converts a whole [`QueryResult`] into rows.
-    pub fn from_result(result: &QueryResult) -> Vec<OrmRow> {
-        let cols = std::sync::Arc::new(result.columns.clone());
+    /// Converts a whole [`QueryResult`] into rows: the rows move in, and
+    /// all of them share the one list of column names.
+    pub fn from_result(result: QueryResult) -> Vec<OrmRow> {
+        let cols = Arc::new(result.columns);
         result
             .rows
-            .iter()
-            .map(|r| OrmRow::new(std::sync::Arc::clone(&cols), r.clone()))
+            .into_iter()
+            .map(|r| OrmRow::new(Arc::clone(&cols), r))
             .collect()
     }
 
@@ -120,8 +134,11 @@ impl OrmRow {
 /// interception.
 #[derive(Debug, Clone)]
 pub struct QuerySet {
-    model: ModelDef,
+    model: Arc<ModelDef>,
     filters: Vec<Filter>,
+    /// The filters' values, in `$n` order. Everything else in the query
+    /// set is its *shape*.
+    params: Vec<Value>,
     joins: Vec<RelationJoin>,
     order: Vec<(String, bool)>,
     limit: Option<u64>,
@@ -132,10 +149,11 @@ pub struct QuerySet {
 
 impl QuerySet {
     /// A query over every row of `model`.
-    pub fn new(model: ModelDef) -> Self {
+    pub fn new(model: impl Into<Arc<ModelDef>>) -> Self {
         QuerySet {
-            model,
+            model: model.into(),
             filters: Vec::new(),
+            params: Vec::new(),
             joins: Vec::new(),
             order: Vec::new(),
             limit: None,
@@ -147,6 +165,64 @@ impl QuerySet {
     /// The base model.
     pub fn model(&self) -> &ModelDef {
         &self.model
+    }
+
+    /// The filter values, in the order [`QuerySet::compile`] numbers its
+    /// `$n` parameters.
+    pub fn params(&self) -> &[Value] {
+        &self.params
+    }
+
+    /// Feeds the query set's shape — everything but the filter values —
+    /// to `state`.
+    pub(crate) fn hash_shape<H: Hasher>(&self, state: &mut H) {
+        self.model.table().hash(state);
+        self.filters.hash(state);
+        self.joins.hash(state);
+        self.order.hash(state);
+        self.limit.hash(state);
+        self.offset.hash(state);
+        self.projection.hash(state);
+    }
+
+    /// True when `other` differs from `self` in filter values at most.
+    pub(crate) fn same_shape(&self, other: &QuerySet) -> bool {
+        (Arc::ptr_eq(&self.model, &other.model) || self.model == other.model)
+            && self.filters == other.filters
+            && self.joins == other.joins
+            && self.order == other.order
+            && self.limit == other.limit
+            && self.offset == other.offset
+            && self.projection == other.projection
+    }
+
+    fn push_filter(&mut self, binding: String, field: String, op: FilterOp, value: Option<Value>) {
+        let lookup = match op {
+            FilterOp::Eq => Lookup::Cmp(CmpOp::Eq),
+            FilterOp::Ne => Lookup::Cmp(CmpOp::Ne),
+            FilterOp::Lt => Lookup::Cmp(CmpOp::Lt),
+            FilterOp::Lte => Lookup::Cmp(CmpOp::Le),
+            FilterOp::Gt => Lookup::Cmp(CmpOp::Gt),
+            FilterOp::Gte => Lookup::Cmp(CmpOp::Ge),
+            FilterOp::In(values) => {
+                // IN lists are structural (length matters); their items
+                // are parameters one by one.
+                let n = values.len();
+                self.params.extend(values);
+                Lookup::In(n)
+            }
+            FilterOp::Like(pattern) => Lookup::Like(pattern),
+            FilterOp::IsNull(is_null) => Lookup::IsNull(is_null),
+        };
+        if matches!(lookup, Lookup::Cmp(_)) {
+            self.params
+                .push(value.expect("comparison filter carries a value"));
+        }
+        self.filters.push(Filter {
+            binding,
+            field,
+            lookup,
+        });
     }
 
     fn current_binding(&self) -> String {
@@ -163,12 +239,8 @@ impl QuerySet {
         op: FilterOp,
         value: impl Into<Value>,
     ) -> Self {
-        self.filters.push(Filter {
-            binding: self.model.table().to_owned(),
-            field: field.into(),
-            op,
-            value: Some(value.into()),
-        });
+        let binding = self.model.table().to_owned();
+        self.push_filter(binding, field.into(), op, Some(value.into()));
         self
     }
 
@@ -184,23 +256,15 @@ impl QuerySet {
         op: FilterOp,
         value: impl Into<Value>,
     ) -> Self {
-        self.filters.push(Filter {
-            binding: self.current_binding(),
-            field: field.into(),
-            op,
-            value: Some(value.into()),
-        });
+        let binding = self.current_binding();
+        self.push_filter(binding, field.into(), op, Some(value.into()));
         self
     }
 
     /// Adds a valueless filter (IN / LIKE / IS NULL carry their own data).
     pub fn filter_where(mut self, field: impl Into<String>, op: FilterOp) -> Self {
-        self.filters.push(Filter {
-            binding: self.model.table().to_owned(),
-            field: field.into(),
-            op,
-            value: None,
-        });
+        let binding = self.model.table().to_owned();
+        self.push_filter(binding, field.into(), op, None);
         self
     }
 
@@ -284,50 +348,29 @@ impl QuerySet {
             sel = sel.join(TableRef::new(&j.table), on);
         }
         // Filters.
-        let mut params = Vec::new();
+        let mut next_param = 0;
         let mut pred: Option<Expr> = None;
         for f in &self.filters {
-            let col = Expr::qcol(&f.binding, &f.field);
-            let e = match &f.op {
-                FilterOp::Eq
-                | FilterOp::Ne
-                | FilterOp::Lt
-                | FilterOp::Lte
-                | FilterOp::Gt
-                | FilterOp::Gte => {
-                    let v = f.value.clone().expect("comparison filter carries a value");
-                    params.push(v);
-                    let op = match f.op {
-                        FilterOp::Eq => CmpOp::Eq,
-                        FilterOp::Ne => CmpOp::Ne,
-                        FilterOp::Lt => CmpOp::Lt,
-                        FilterOp::Lte => CmpOp::Le,
-                        FilterOp::Gt => CmpOp::Gt,
-                        FilterOp::Gte => CmpOp::Ge,
-                        _ => unreachable!(),
-                    };
-                    Expr::Cmp(Box::new(col), op, Box::new(Expr::Param(params.len() - 1)))
+            let col = Box::new(Expr::qcol(&f.binding, &f.field));
+            let e = match &f.lookup {
+                Lookup::Cmp(op) => {
+                    next_param += 1;
+                    Expr::Cmp(col, *op, Box::new(Expr::Param(next_param - 1)))
                 }
-                FilterOp::In(vals) => {
-                    // IN lists are structural (length matters), so inline
-                    // as parameters one by one.
-                    let mut list = Vec::with_capacity(vals.len());
-                    for v in vals {
-                        params.push(v.clone());
-                        list.push(Expr::Param(params.len() - 1));
-                    }
+                Lookup::In(n) => {
+                    next_param += n;
                     Expr::InList {
-                        expr: Box::new(col),
-                        list,
+                        expr: col,
+                        list: (next_param - n..next_param).map(Expr::Param).collect(),
                     }
                 }
-                FilterOp::Like(pattern) => Expr::Like {
-                    expr: Box::new(col),
+                Lookup::Like(pattern) => Expr::Like {
+                    expr: col,
                     pattern: pattern.clone(),
                 },
-                FilterOp::IsNull(negated_is_not) => Expr::IsNull {
-                    expr: Box::new(col),
-                    negated: !negated_is_not,
+                Lookup::IsNull(is_null) => Expr::IsNull {
+                    expr: col,
+                    negated: !is_null,
                 },
             };
             pred = Some(match pred {
@@ -364,7 +407,7 @@ impl QuerySet {
             sel = sel.limit(l);
         }
         sel.offset = self.offset;
-        (sel, params)
+        (sel, self.params.clone())
     }
 
     /// Compiles to a `SELECT COUNT(*)` with the same FROM/WHERE.

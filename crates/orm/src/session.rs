@@ -5,11 +5,13 @@
 use crate::model::{ModelDef, ModelRegistry};
 use crate::queryset::{OrmRow, QuerySet};
 use genie_storage::{
-    CostReport, Database, Delete, Expr, Insert, QueryResult, Result, Select, Statement,
-    StorageError, Update, Value,
+    CostReport, Database, Delete, ExecOutcome, Expr, Insert, PreparedSelect, QueryResult, Result,
+    Select, ShapeCache, Statement, StorageError, Update, Value,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What an interceptor decided about a read.
@@ -42,10 +44,84 @@ pub enum InterceptOutcome {
     Pass,
 }
 
+/// A query set's shape, compiled once: the parameterized [`Select`], its
+/// canonical SQL text, and the engine's prepared statement for it. The
+/// session memoises one per shape, so running a query set whose shape has
+/// been seen builds no statement, no SQL text and no string.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    id: u64,
+    /// The query set this was compiled from (its filter values are not
+    /// part of the shape) and whether as a `COUNT(*)`.
+    shape: QuerySet,
+    count: bool,
+    fingerprint: String,
+    statement: PreparedSelect,
+}
+
+impl PreparedQuery {
+    fn compile(db: &Database, qs: &QuerySet, count: bool) -> PreparedQuery {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let (select, _) = if count {
+            qs.compile_count()
+        } else {
+            qs.compile()
+        };
+        PreparedQuery {
+            // A label, publishing nothing.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            shape: qs.clone(),
+            count,
+            fingerprint: select.to_string(),
+            statement: db.prepare(&select),
+        }
+    }
+
+    /// Process-unique identity: interceptors key what they resolve per
+    /// query shape by it.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The compiled, parameterized statement.
+    pub fn select(&self) -> &Select {
+        self.statement.select()
+    }
+
+    /// `select().to_string()`: the canonical SQL template.
+    pub fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+
+    /// The engine's prepared form of the statement.
+    pub fn statement(&self) -> &PreparedSelect {
+        &self.statement
+    }
+}
+
+/// The hashed view of a query: its shape and the count flag.
+struct ShapeOf<'a>(&'a QuerySet, bool);
+
+impl Hash for ShapeOf<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash_shape(state);
+        self.1.hash(state);
+    }
+}
+
 /// Cache middleware hook. Implemented by CacheGenie's registry.
 pub trait QueryInterceptor: Send + Sync {
     /// Inspects a compiled query before execution.
     fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome;
+
+    /// [`QueryInterceptor::try_serve`] for a query the session holds
+    /// prepared — the path every query set takes. An interceptor that
+    /// keeps per-shape state overrides it and keys that state by
+    /// [`PreparedQuery::id`]; the default hands the statement to
+    /// `try_serve`.
+    fn try_serve_prepared(&self, query: &PreparedQuery, params: &[Value]) -> InterceptOutcome {
+        self.try_serve(query.select(), params)
+    }
 
     /// Receives the database result for a miss, for read-through fill.
     /// Returns the number of cache operations performed.
@@ -85,6 +161,8 @@ pub struct OrmSession {
     registry: Arc<ModelRegistry>,
     interceptor: Arc<RwLock<Option<Arc<dyn QueryInterceptor>>>>,
     next_ids: Arc<Mutex<HashMap<String, i64>>>,
+    /// One [`PreparedQuery`] per query-set shape seen.
+    prepared: Arc<ShapeCache<Arc<PreparedQuery>>>,
 }
 
 impl std::fmt::Debug for OrmSession {
@@ -103,6 +181,7 @@ impl OrmSession {
             registry,
             interceptor: Arc::new(RwLock::new(None)),
             next_ids: Arc::new(Mutex::new(HashMap::new())),
+            prepared: Arc::new(ShapeCache::default()),
         }
     }
 
@@ -132,18 +211,32 @@ impl OrmSession {
     ///
     /// [`StorageError::UnknownTable`] for unregistered models.
     pub fn objects(&self, model: &str) -> Result<QuerySet> {
-        Ok(QuerySet::new(self.registry.model(model)?.clone()))
+        Ok(QuerySet::new(Arc::clone(
+            self.registry.shared_model(model)?,
+        )))
     }
 
-    /// Executes a compiled select through the interception path.
-    ///
-    /// # Errors
-    ///
-    /// Database execution errors.
-    pub fn run_select(&self, select: &Select, params: &[Value]) -> Result<ReadOutcome> {
-        let interceptor = self.interceptor.read().clone();
-        if let Some(ic) = interceptor {
-            match ic.try_serve(select, params) {
+    /// The prepared form of `qs` (as a `COUNT(*)` when `count`),
+    /// compiled on the first sight of its shape.
+    pub fn prepare(&self, qs: &QuerySet, count: bool) -> Arc<PreparedQuery> {
+        self.prepared.get_or_insert_with(
+            &ShapeOf(qs, count),
+            |hit| hit.count == count && hit.shape.same_shape(qs),
+            || Arc::new(PreparedQuery::compile(&self.db, qs, count)),
+        )
+    }
+
+    /// The read path: the interceptor (if any) serves the query, or the
+    /// database does and a missing interceptor fills from its answer.
+    fn read_through(
+        &self,
+        serve: impl FnOnce(&dyn QueryInterceptor) -> InterceptOutcome,
+        run: impl FnOnce() -> Result<ExecOutcome>,
+    ) -> Result<ReadOutcome> {
+        let interceptor = self.interceptor.read();
+        let mut fill = None;
+        if let Some(ic) = interceptor.as_deref() {
+            match serve(ic) {
                 InterceptOutcome::Served {
                     result,
                     cache_ops,
@@ -151,7 +244,7 @@ impl OrmSession {
                     from_cache,
                 } => {
                     return Ok(ReadOutcome {
-                        rows: OrmRow::from_result(&result),
+                        rows: OrmRow::from_result(result),
                         db_cost,
                         cache_ops,
                         from_cache,
@@ -160,26 +253,45 @@ impl OrmSession {
                 InterceptOutcome::Miss {
                     fill_key,
                     cache_ops,
-                } => {
-                    let out = self.db.select(select, params)?;
-                    let fill_ops = ic.fill(&fill_key, &out.result);
-                    return Ok(ReadOutcome {
-                        rows: OrmRow::from_result(&out.result),
-                        db_cost: out.cost,
-                        cache_ops: cache_ops + fill_ops,
-                        from_cache: false,
-                    });
-                }
+                } => fill = Some((ic, fill_key, cache_ops)),
                 InterceptOutcome::Pass => {}
             }
         }
-        let out = self.db.select(select, params)?;
+        let out = run()?;
+        let cache_ops = match fill {
+            Some((ic, fill_key, probe_ops)) => probe_ops + ic.fill(&fill_key, &out.result),
+            None => 0,
+        };
         Ok(ReadOutcome {
-            rows: OrmRow::from_result(&out.result),
+            rows: OrmRow::from_result(out.result),
             db_cost: out.cost,
-            cache_ops: 0,
+            cache_ops,
             from_cache: false,
         })
+    }
+
+    /// Executes a prepared query through the interception path.
+    ///
+    /// # Errors
+    ///
+    /// Database execution errors.
+    pub fn run_prepared(&self, query: &PreparedQuery, params: &[Value]) -> Result<ReadOutcome> {
+        self.read_through(
+            |ic| ic.try_serve_prepared(query, params),
+            || self.db.execute_prepared(query.statement(), params),
+        )
+    }
+
+    /// Executes a compiled select through the interception path.
+    ///
+    /// # Errors
+    ///
+    /// Database execution errors.
+    pub fn run_select(&self, select: &Select, params: &[Value]) -> Result<ReadOutcome> {
+        self.read_through(
+            |ic| ic.try_serve(select, params),
+            || self.db.select(select, params),
+        )
     }
 
     /// Runs a query set, returning all rows.
@@ -188,8 +300,7 @@ impl OrmSession {
     ///
     /// Database execution errors.
     pub fn all(&self, qs: &QuerySet) -> Result<ReadOutcome> {
-        let (sel, params) = qs.compile();
-        self.run_select(&sel, &params)
+        self.run_prepared(&self.prepare(qs, false), qs.params())
     }
 
     /// Runs a query set, returning the first row if any.
@@ -213,8 +324,7 @@ impl OrmSession {
     ///
     /// Database execution errors.
     pub fn count(&self, qs: &QuerySet) -> Result<(i64, ReadOutcome)> {
-        let (sel, params) = qs.compile_count();
-        let out = self.run_select(&sel, &params)?;
+        let out = self.run_prepared(&self.prepare(qs, true), qs.params())?;
         let n = out
             .rows
             .first()
@@ -230,8 +340,8 @@ impl OrmSession {
     ///
     /// Constraint violations and unknown models/columns.
     pub fn create(&self, model: &str, values: &[(&str, Value)]) -> Result<WriteOutcome> {
-        let def = self.registry.model(model)?.clone();
-        let id = self.allocate_id(&def)?;
+        let def = self.registry.model(model)?;
+        let id = self.allocate_id(def)?;
         let mut columns = vec!["id".to_owned()];
         let mut exprs = vec![vec![Expr::Literal(Value::Int(id))]];
         for (c, v) in values {
@@ -583,6 +693,78 @@ mod tests {
         assert!(!out.from_cache);
         assert_eq!(out.cache_ops, 2, "probe + fill");
         assert_eq!(ic.filled_rows.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_shape_is_prepared_once_whatever_its_filter_values() {
+        use crate::queryset::FilterOp;
+        let s = session();
+        let users = || s.objects("User").unwrap();
+        let by_age = s.prepare(&users().filter_eq("age", 1i64), false);
+        assert!(Arc::ptr_eq(
+            &by_age,
+            &s.prepare(&users().filter_eq("age", 99i64), false)
+        ));
+        assert_eq!(
+            by_age.fingerprint(),
+            "SELECT * FROM users WHERE (users.age = $1)"
+        );
+        assert_eq!(by_age.select().to_string(), by_age.fingerprint());
+        // Everything but the values is shape.
+        let in_list =
+            |n: i64| users().filter_where("age", FilterOp::In((0..n).map(Value::Int).collect()));
+        let different = [
+            s.prepare(&users().filter_eq("age", 1i64), true),
+            s.prepare(&users().filter_eq("name", 1i64), false),
+            s.prepare(&users().filter("age", FilterOp::Gt, 1i64), false),
+            s.prepare(&users().filter_eq("age", 1i64).limit(5), false),
+            s.prepare(&users().filter_eq("age", 1i64).order_by("-age"), false),
+            s.prepare(&in_list(2), false),
+            s.prepare(&in_list(3), false),
+            s.prepare(
+                &s.objects("Bookmark").unwrap().filter_eq("user_id", 1i64),
+                false,
+            ),
+        ];
+        for (i, q) in different.iter().enumerate() {
+            assert_ne!(q.id(), by_age.id(), "shape {i}");
+            for other in &different[..i] {
+                assert_ne!(q.id(), other.id(), "shape {i}");
+            }
+        }
+        assert!(Arc::ptr_eq(&different[5], &s.prepare(&in_list(2), false)));
+        // Clones of the session share the memo.
+        assert!(Arc::ptr_eq(
+            &by_age,
+            &s.clone().prepare(&users().filter_eq("age", 7i64), false)
+        ));
+    }
+
+    #[test]
+    fn default_prepared_interception_falls_back_to_the_statement() {
+        struct OnlySelect;
+        impl QueryInterceptor for OnlySelect {
+            fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome {
+                assert_eq!(
+                    select.to_string(),
+                    "SELECT * FROM users WHERE (users.id = $1)"
+                );
+                assert_eq!(params, [Value::Int(5)]);
+                InterceptOutcome::Served {
+                    result: QueryResult::default(),
+                    cache_ops: 3,
+                    db_cost: CostReport::new(),
+                    from_cache: true,
+                }
+            }
+            fn fill(&self, _k: &str, _r: &QueryResult) -> u64 {
+                0
+            }
+        }
+        let s = session();
+        s.set_interceptor(Arc::new(OnlySelect));
+        let out = s.get_by_id("User", 5).unwrap().1;
+        assert_eq!((out.from_cache, out.cache_ops), (true, 3));
     }
 
     #[test]

@@ -130,19 +130,19 @@ impl SocialApp {
 
     /// `user_bookmarks` link shape.
     pub fn user_bookmarks_qs(&self, user: i64) -> Result<QuerySet> {
-        let bookmark = self.session.registry().model("Bookmark")?.clone();
+        let bookmark = self.session.registry().model("Bookmark")?;
         Ok(self
             .qs("BookmarkInstance")?
-            .join_on(&bookmark, "bookmark_id", "id")
+            .join_on(bookmark, "bookmark_id", "id")
             .filter_eq("user_id", user))
     }
 
     /// `friend_bookmarks` link shape (join on a non-PK column pair).
     pub fn friend_bookmarks_qs(&self, user: i64) -> Result<QuerySet> {
-        let bmi = self.session.registry().model("BookmarkInstance")?.clone();
+        let bmi = self.session.registry().model("BookmarkInstance")?;
         Ok(self
             .qs("Friendship")?
-            .join_on(&bmi, "friend_id", "user_id")
+            .join_on(bmi, "friend_id", "user_id")
             .filter_eq("user_id", user))
     }
 
@@ -157,10 +157,10 @@ impl SocialApp {
 
     /// `user_groups` link shape.
     pub fn user_groups_qs(&self, user: i64) -> Result<QuerySet> {
-        let group = self.session.registry().model("Group")?.clone();
+        let group = self.session.registry().model("Group")?;
         Ok(self
             .qs("GroupMembership")?
-            .join_on(&group, "group_id", "id")
+            .join_on(group, "group_id", "id")
             .filter_eq("user_id", user))
     }
 

@@ -13,12 +13,30 @@ use crate::schema::{IndexDef, TableSchema};
 use crate::table::Table;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// All tables in a database, each behind its own latch cell.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Catalog {
     tables: BTreeMap<String, RwLock<Table>>,
     next_id: u32,
+    /// Bumped by every structural change (new table, new index): the
+    /// validity stamp of prepared statements' bound layouts. Starts in a
+    /// range of its own per catalog, so a statement prepared against one
+    /// database is never taken for bound when run on another.
+    version: u64,
+}
+
+impl Default for Catalog {
+    fn default() -> Self {
+        // A label: it orders nothing and publishes nothing.
+        static CATALOGS: AtomicU64 = AtomicU64::new(0);
+        Catalog {
+            tables: BTreeMap::new(),
+            next_id: 0,
+            version: CATALOGS.fetch_add(1, Ordering::Relaxed) << 32,
+        }
+    }
 }
 
 impl Catalog {
@@ -52,6 +70,7 @@ impl Catalog {
             }
         }
         self.tables.insert(name, RwLock::new(table));
+        self.version += 1;
         Ok(())
     }
 
@@ -61,7 +80,25 @@ impl Catalog {
     ///
     /// Unknown-table or index errors from [`Table::create_index`].
     pub fn create_index(&mut self, table: &str, def: IndexDef) -> Result<()> {
-        self.table_mut(table)?.create_index(def)
+        self.table_mut(table)?.create_index(def)?;
+        self.version += 1;
+        Ok(())
+    }
+
+    /// The catalog's structural version: changes with every successful
+    /// DDL. Prepared statements stamp what they resolved against the
+    /// catalog (column positions, output names) with it.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The latch cell for `name` together with the catalog's own copy of
+    /// the name (which outlives any statement-scoped string).
+    pub(crate) fn latch_entry(&self, name: &str) -> Result<(&str, &RwLock<Table>)> {
+        self.tables
+            .get_key_value(name)
+            .map(|(n, t)| (n.as_str(), t))
+            .ok_or_else(|| StorageError::UnknownTable(name.to_owned()))
     }
 
     /// The latch cell for `name`. Callers latch it in canonical (sorted

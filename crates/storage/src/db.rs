@@ -78,6 +78,7 @@ use crate::error::{Result, StorageError};
 use crate::exec::{self, ExecView, RowChange, ScanOpts, UndoOp};
 use crate::latch::{LatchPlan, TableSet};
 use crate::lockmgr::{LatchCounters, LatchStats, LockManager, LockMode, LockStats, TxnId};
+use crate::prepared::{PreparedSelect, StatementCache};
 use crate::query::{QueryResult, Select, Statement};
 use crate::row::RowId;
 use crate::schema::{IndexDef, TableSchema};
@@ -288,6 +289,8 @@ struct Engine {
     batch_scan: AtomicBool,
     /// Worker threads for morsel-driven parallel scans (1 = serial).
     scan_workers: AtomicUsize,
+    /// Prepared form of every SELECT that arrived as a bare statement.
+    statements: StatementCache,
 }
 
 impl Engine {
@@ -322,13 +325,81 @@ impl Engine {
     }
 }
 
+/// The thread-keyed table of open transactions, with a count beside it
+/// that statements read first: while no transaction is open anywhere —
+/// the whole life of a read-only deployment — nobody touches the mutex.
+///
+/// `open` counts transactions begun and not yet ended, whether their
+/// state sits in `states` or is checked out by a running statement of
+/// the owner. Only the owner's own view of it matters (does *this*
+/// thread have a transaction?), and a thread's own `BEGIN` precedes its
+/// later statements in program order, so a zero read is never wrong for
+/// the reader; the count publishes no data — the states stay behind the
+/// mutex.
+struct TxnTable {
+    states: Mutex<HashMap<ThreadId, TxnState>>,
+    open: AtomicUsize,
+}
+
+impl TxnTable {
+    fn new() -> Self {
+        TxnTable {
+            states: Mutex::new(HashMap::new()),
+            open: AtomicUsize::new(0),
+        }
+    }
+
+    /// Whether `thread` has a transaction whose state is not checked out.
+    fn has(&self, thread: ThreadId) -> bool {
+        self.open.load(Ordering::SeqCst) != 0 && self.states.lock().contains_key(&thread)
+    }
+
+    /// Registers `thread`'s new transaction; `states` is the caller's
+    /// guard (BEGIN holds it across its nesting check and snapshot pin).
+    fn begin(&self, states: &mut HashMap<ThreadId, TxnState>, thread: ThreadId, state: TxnState) {
+        states.insert(thread, state);
+        self.open.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Ends `thread`'s transaction (only if it is `tid`, when given),
+    /// handing its state to the commit or rollback that called.
+    fn end(&self, thread: ThreadId, tid: Option<TxnId>) -> Option<TxnState> {
+        let mut states = self.states.lock();
+        let open = states.get(&thread)?;
+        if tid.is_some_and(|tid| open.tid != tid) {
+            return None;
+        }
+        self.open.fetch_sub(1, Ordering::SeqCst);
+        states.remove(&thread)
+    }
+
+    /// Takes `thread`'s state out for the duration of one statement.
+    fn checkout(&self, thread: ThreadId) -> Option<TxnState> {
+        if self.open.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        self.states.lock().remove(&thread)
+    }
+
+    /// Puts a checked-out state back.
+    fn checkin(&self, thread: ThreadId, state: TxnState) {
+        self.states.lock().insert(thread, state);
+    }
+
+    /// A checked-out transaction ended (its owner honoured a doom mark)
+    /// instead of being put back.
+    fn ended_checked_out(&self) {
+        self.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// State shared outside the latches: the lock manager and the
 /// thread-keyed transaction map. Taking these leaf mutexes while holding
 /// a latch is allowed; the reverse order (blocking on a latch while
 /// holding one of them) is not, and no code path does it.
 struct EngineShared {
     locks: LockManager,
-    txns: Mutex<HashMap<ThreadId, TxnState>>,
+    txns: TxnTable,
     /// Transactions killed cross-thread (a [`ConcurrentTxn`] guard
     /// committed/rolled back/dropped on another thread while the owner
     /// thread had the state checked out for an in-flight statement).
@@ -469,10 +540,11 @@ impl Database {
                 serial_latch: AtomicBool::new(false),
                 batch_scan: AtomicBool::new(true),
                 scan_workers: AtomicUsize::new(1),
+                statements: StatementCache::default(),
             }),
             shared: Arc::new(EngineShared {
                 locks: LockManager::new(),
-                txns: Mutex::new(HashMap::new()),
+                txns: TxnTable::new(),
                 doomed: Mutex::new(HashMap::new()),
                 next_tid: AtomicU64::new(1),
                 ctrl_statements: AtomicU64::new(0),
@@ -750,10 +822,7 @@ impl Database {
     /// other clients); other threads' transactions do not affect the
     /// answer.
     pub fn in_transaction(&self) -> bool {
-        self.shared
-            .txns
-            .lock()
-            .contains_key(&std::thread::current().id())
+        self.shared.txns.has(std::thread::current().id())
     }
 
     /// Total lines of generated trigger source attached to registered
@@ -827,6 +896,27 @@ impl Database {
                 self.rollback_txn()?;
                 Ok(ExecOutcome::default())
             }
+            Statement::Select(select) => self.select(select, params),
+            Statement::Explain(select) => {
+                let plan = self.explain(select, params)?;
+                self.engine
+                    .counters
+                    .statements
+                    .fetch_add(1, Ordering::Relaxed);
+                let rows = plan
+                    .lines()
+                    .into_iter()
+                    .map(|l| crate::row::Row::new(vec![Value::Text(l)]))
+                    .collect();
+                Ok(ExecOutcome {
+                    result: QueryResult {
+                        columns: vec!["QUERY PLAN".to_owned()],
+                        rows,
+                        rows_affected: 0,
+                    },
+                    cost: CostReport::new(),
+                })
+            }
             other => self.run_statement(other, params),
         }
     }
@@ -841,13 +931,127 @@ impl Database {
         self.execute(&stmt, params)
     }
 
-    /// Convenience wrapper for SELECT statements.
+    /// Runs a SELECT: [`Database::prepare`] + [`Database::execute_prepared`].
     ///
     /// # Errors
     ///
     /// Same as [`Database::execute`].
     pub fn select(&self, select: &Select, params: &[Value]) -> Result<ExecOutcome> {
-        self.execute(&Statement::Select(select.clone()), params)
+        self.execute_prepared(&self.prepare(select), params)
+    }
+
+    /// The prepared form of `select`, from the engine's statement cache —
+    /// the same handle for every structurally identical statement, so
+    /// everything that depends on the statement's shape alone (latch set,
+    /// bound layouts and expressions, and while the data allows it the
+    /// plan) is computed once. Callers that run one statement many times
+    /// keep the handle and skip even the cache lookup. See
+    /// [`crate::prepared`].
+    pub fn prepare(&self, select: &Select) -> PreparedSelect {
+        self.engine.statements.get(select)
+    }
+
+    /// Statements currently held by the statement cache (bounded; see
+    /// [`crate::prepared`]).
+    pub fn statement_cache_len(&self) -> usize {
+        self.engine.statements.len()
+    }
+
+    /// Executes a prepared SELECT with positional parameters — the one
+    /// way a SELECT runs. Joins the calling thread's open transaction if
+    /// one exists (reading its pinned snapshot plus its own writes);
+    /// otherwise reads the latest committed epoch. Takes no
+    /// lock-manager locks (unless the legacy reader-lock baseline is
+    /// on) and, while no transaction is open on the engine, no mutex.
+    ///
+    /// # Errors
+    ///
+    /// Unknown tables and columns, expression evaluation errors.
+    pub fn execute_prepared(
+        &self,
+        prepared: &PreparedSelect,
+        params: &[Value],
+    ) -> Result<ExecOutcome> {
+        let mut slot = self.checkout_txn();
+        let mut txn = slot.state.as_mut();
+        let engine = &*self.engine;
+        let mut catalog = engine.catalog_read();
+
+        // Legacy pre-MVCC baseline: table-level shared locks for reads.
+        let mut read_locks: Option<(AutoRelease<'_>, Vec<LockReq>)> = None;
+        if self.shared.reader_locks.load(Ordering::Relaxed) {
+            let tid = match &txn {
+                Some(t) => t.tid,
+                None => self.shared.alloc_tid(),
+            };
+            let auto_release = AutoRelease {
+                locks: &self.shared.locks,
+                tid,
+                armed: txn.is_none(),
+            };
+            let reqs = prepared
+                .tables()
+                .iter()
+                .map(|t| {
+                    catalog.latch(t)?;
+                    Ok((t.clone(), None, LockMode::Shared))
+                })
+                .collect::<Result<Vec<LockReq>>>()?;
+            let locks = read_locks.insert((auto_release, reqs));
+            catalog = self.acquire_locks(catalog, tid, &locks.1, txn.as_deref_mut())?;
+        }
+
+        let mut cost = CostReport::new();
+        let mut run = |tables: &TableSet<'_>| {
+            engine.counters.statements.fetch_add(1, Ordering::Relaxed);
+            engine.counters.selects.fetch_add(1, Ordering::Relaxed);
+            // Autocommit reads the latest committed epoch, loaded *after*
+            // latching so the epoch's versions are fully visible on every
+            // latched table.
+            let snap = match &txn {
+                Some(t) => Snapshot {
+                    epoch: t.snap,
+                    writer: Some(t.tid),
+                },
+                None => Snapshot {
+                    epoch: self.shared.commit_epoch.load(Ordering::Acquire),
+                    writer: None,
+                },
+            };
+            exec::run_prepared(
+                tables,
+                &engine.pool,
+                prepared,
+                params,
+                &mut cost,
+                &snap,
+                &engine.scan_opts(),
+            )
+        };
+        let result = if engine.serial_latch.load(Ordering::Relaxed) {
+            drop(catalog);
+            let mut guard = engine.catalog_write();
+            let tables = TableSet::exclusive(&mut guard);
+            run(&tables)
+        } else {
+            let r = TableSet::latch_reads(&catalog, prepared.tables(), &engine.latches)
+                .and_then(|tables| run(&tables));
+            drop(catalog);
+            r
+        }?;
+
+        if let Some((mut auto_release, reqs)) = read_locks {
+            if auto_release.armed {
+                // The statement's lock set is known exactly: release just
+                // those resources instead of sweeping every shard.
+                auto_release.armed = false;
+                self.shared.locks.release_resources(
+                    auto_release.tid,
+                    reqs.iter().map(|(t, pk, _)| (t.as_str(), pk.as_ref())),
+                );
+            }
+        }
+        Ok(ExecOutcome { result, cost })
     }
 
     /// Runs `f` inside a transaction on the calling thread, committing on
@@ -958,6 +1162,7 @@ impl Database {
         let tid = self
             .shared
             .txns
+            .states
             .lock()
             .get(&thread)
             .map(|t| t.tid)
@@ -983,15 +1188,24 @@ impl Database {
     /// [`StorageError::UnknownTable`] for an unknown FROM/JOIN table, plus
     /// any predicate-evaluation error (e.g. a missing parameter).
     pub fn explain(&self, select: &Select, params: &[Value]) -> Result<crate::plan::QueryPlan> {
+        self.explain_prepared(&self.prepare(select), params)
+    }
+
+    /// [`Database::explain`] for a statement the caller holds prepared:
+    /// the plan [`Database::execute_prepared`] would run for `params`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Database::explain`].
+    pub fn explain_prepared(
+        &self,
+        prepared: &PreparedSelect,
+        params: &[Value],
+    ) -> Result<crate::plan::QueryPlan> {
         let engine = &*self.engine;
         let catalog = engine.catalog_read();
-        let mut names = BTreeSet::new();
-        names.insert(select.from.table.clone());
-        for j in &select.joins {
-            names.insert(j.table.table.clone());
-        }
-        let tables = TableSet::latch(&catalog, &LatchPlan::reads(names), &engine.latches)?;
-        crate::plan::plan_query(&tables, select, params)
+        let tables = TableSet::latch_reads(&catalog, prepared.tables(), &engine.latches)?;
+        prepared.explain(&tables, params)
     }
 
     /// Parses `sql` (a SELECT, or an `EXPLAIN SELECT`) and explains it.
@@ -1338,7 +1552,7 @@ impl Database {
 
     fn begin_txn(&self) -> Result<()> {
         let thread = std::thread::current().id();
-        let mut txns = self.shared.txns.lock();
+        let mut txns = self.shared.txns.states.lock();
         if txns.contains_key(&thread) {
             return Err(StorageError::TransactionAborted(
                 "nested transactions are not supported".into(),
@@ -1363,7 +1577,8 @@ impl Database {
             self.release_snapshot(snap);
             snap = now;
         }
-        txns.insert(
+        self.shared.txns.begin(
+            &mut txns,
             thread,
             TxnState {
                 tid: self.shared.alloc_tid(),
@@ -1389,7 +1604,7 @@ impl Database {
     }
 
     fn commit_txn(&self) -> Result<CostReport> {
-        self.commit_txn_for(std::thread::current().id())
+        self.commit_txn_for(std::thread::current().id(), None)
     }
 
     /// Commits `thread`'s transaction: write-latches the tables it
@@ -1400,7 +1615,11 @@ impl Database {
     /// deferred cache effects and releases the transaction's locks (2PL
     /// shrinking phase). A failing trigger body or hook rejection aborts
     /// the whole transaction instead — undo applied, nothing published.
-    fn commit_txn_for(&self, thread: ThreadId) -> Result<CostReport> {
+    ///
+    /// With `tid`, commits only if the open transaction is still that
+    /// one — the guard-facing variant, so a stale [`ConcurrentTxn`] can
+    /// never commit a later, unrelated transaction on the same thread.
+    fn commit_txn_for(&self, thread: ThreadId, tid: Option<TxnId>) -> Result<CostReport> {
         let TxnState {
             tid,
             snap,
@@ -1412,8 +1631,7 @@ impl Database {
             let txn = self
                 .shared
                 .txns
-                .lock()
-                .remove(&thread)
+                .end(thread, tid)
                 .ok_or(StorageError::NoTransaction)?;
             // Honor a cross-thread kill that raced an earlier statement:
             // the killer was promised a rollback, so the commit loses.
@@ -1706,8 +1924,7 @@ impl Database {
         let txn = self
             .shared
             .txns
-            .lock()
-            .remove(&thread)
+            .end(thread, None)
             .ok_or(StorageError::NoTransaction)?;
         self.rollback_state(thread, txn)
     }
@@ -1770,6 +1987,7 @@ impl Database {
             let present = self
                 .shared
                 .txns
+                .states
                 .lock()
                 .get(&thread)
                 .is_some_and(|t| t.tid == tid);
@@ -1789,132 +2007,49 @@ impl Database {
 
     /// Rolls back `thread`'s transaction only if it is still `tid`.
     fn rollback_named(&self, thread: ThreadId, tid: TxnId) -> Result<()> {
-        let txn = {
-            let mut txns = self.shared.txns.lock();
-            match txns.get(&thread) {
-                Some(t) if t.tid == tid => txns.remove(&thread),
-                _ => None,
-            }
-        };
-        let Some(txn) = txn else {
-            return Err(StorageError::NoTransaction);
-        };
+        let txn = self
+            .shared
+            .txns
+            .end(thread, Some(tid))
+            .ok_or(StorageError::NoTransaction)?;
         self.rollback_state(thread, txn)
-    }
-
-    /// Commits `thread`'s transaction only if it is still `tid` — the
-    /// guard-facing variant, so a stale [`ConcurrentTxn`] can never
-    /// commit a later, unrelated transaction on the same thread.
-    fn commit_txn_named(&self, thread: ThreadId, tid: TxnId) -> Result<CostReport> {
-        {
-            let txns = self.shared.txns.lock();
-            match txns.get(&thread) {
-                Some(t) if t.tid == tid => {}
-                _ => return Err(StorageError::NoTransaction),
-            }
-        }
-        // The tid matched moments ago; commit_txn_for re-removes it. A
-        // racing SQL COMMIT/ROLLBACK on the owner thread between the two
-        // locks surfaces as NoTransaction, which is the right answer.
-        self.commit_txn_for(thread)
     }
 
     // ----- statement execution -----
 
-    /// Executes one non-transaction-control statement: plans its lock
-    /// set, acquires it (fast path under the shared catalog latch;
-    /// blocking path with every latch released), latches the statement's
-    /// tables, runs the statement body, then publishes deferred effects
-    /// and releases statement-duration locks.
-    ///
-    /// The calling thread's [`TxnState`] (if any) is *removed* from the
-    /// transaction map for the statement's duration and reinstated at
-    /// the end — so a [`ConcurrentTxn::commit`]/`rollback` racing an
-    /// in-flight statement from another thread fails cleanly with
-    /// [`StorageError::NoTransaction`] instead of corrupting the
-    /// transaction mid-statement.
+    /// Executes one write or DDL statement: plans its lock set, acquires
+    /// it, latches the statement's tables, runs the statement body, then
+    /// publishes deferred effects and releases statement-duration locks.
+    /// The calling thread's transaction state rides along in a
+    /// [`TxnSlot`].
     fn run_statement(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
-        let thread = std::thread::current().id();
-        // The slot guard reinstates the checked-out state on every exit —
-        // normal return, error, or unwind — unless a cross-thread kill
-        // doomed the transaction meanwhile, in which case it rolls the
-        // transaction back instead of orphaning its locks.
-        struct TxnSlot<'a> {
-            db: &'a Database,
-            thread: ThreadId,
-            state: Option<TxnState>,
-        }
-        impl Drop for TxnSlot<'_> {
-            fn drop(&mut self) {
-                let Some(state) = self.state.take() else {
-                    return;
-                };
-                let doomed = {
-                    let mut d = self.db.shared.doomed.lock();
-                    if d.get(&self.thread) == Some(&state.tid) {
-                        d.remove(&self.thread);
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if doomed {
-                    let _ = self.db.rollback_state(self.thread, state);
-                } else {
-                    self.db.shared.txns.lock().insert(self.thread, state);
-                }
-            }
-        }
-        let mut slot = TxnSlot {
-            db: self,
-            thread,
-            state: self.shared.txns.lock().remove(&thread),
-        };
+        let mut slot = self.checkout_txn();
         self.run_statement_locked(stmt, params, slot.state.as_mut())
     }
 
-    fn run_statement_locked(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-        mut txn: Option<&mut TxnState>,
-    ) -> Result<ExecOutcome> {
-        let autocommit = txn.is_none();
-        let tid = match &txn {
-            Some(t) => t.tid,
-            None => self.shared.alloc_tid(),
-        };
-        // Statement-duration (autocommit) locks must release on every
-        // exit, including a panic unwinding out of the executor — leaked
-        // locks block other threads forever.
-        struct AutoRelease<'a> {
-            locks: &'a LockManager,
-            tid: TxnId,
-            armed: bool,
+    /// Checks the calling thread's transaction state (if any) out of the
+    /// transaction table for one statement.
+    fn checkout_txn(&self) -> TxnSlot<'_> {
+        let thread = std::thread::current().id();
+        TxnSlot {
+            db: self,
+            thread,
+            state: self.shared.txns.checkout(thread),
         }
-        impl Drop for AutoRelease<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    self.locks.release_all(self.tid);
-                }
-            }
-        }
-        let mut auto_release = AutoRelease {
-            locks: &self.shared.locks,
-            tid,
-            armed: autocommit,
-        };
+    }
 
-        let engine = &*self.engine;
-        let mut catalog = engine.catalog_read();
-        let reqs = plan_locks(
-            &catalog,
-            stmt,
-            params,
-            self.shared.reader_locks.load(Ordering::Relaxed),
-            &engine.latches,
-        )?;
-        if let Some(t) = txn.as_deref_mut() {
+    /// Acquires a statement's lock requests for `tid`, recording them in
+    /// the transaction first. Uncontended locks are granted under the
+    /// shared catalog latch; on the first conflict the latch is released
+    /// for the wait and re-taken afterwards.
+    fn acquire_locks<'e>(
+        &'e self,
+        mut catalog: RwLockReadGuard<'e, Catalog>,
+        tid: TxnId,
+        reqs: &[LockReq],
+        txn: Option<&mut TxnState>,
+    ) -> Result<RwLockReadGuard<'e, Catalog>> {
+        if let Some(t) = txn {
             // Record before acquiring: even an acquisition aborted by
             // deadlock leaves its partial grants covered at release.
             t.targets
@@ -1934,13 +2069,37 @@ impl Database {
             // blockingly, then the catalog latch is re-taken.
             drop(catalog);
             for (t, pk, m) in &reqs[first..] {
-                // On failure, `auto_release` (autocommit) frees the
-                // partial grants; a transaction keeps its locks until
-                // its own rollback.
+                // On failure, the caller's `AutoRelease` (autocommit)
+                // frees the partial grants; a transaction keeps its
+                // locks until its own rollback.
                 self.shared.locks.acquire(tid, t, pk.as_ref(), *m)?;
             }
-            catalog = engine.catalog_read();
+            catalog = self.engine.catalog_read();
         }
+        Ok(catalog)
+    }
+
+    fn run_statement_locked(
+        &self,
+        stmt: &Statement,
+        params: &[Value],
+        mut txn: Option<&mut TxnState>,
+    ) -> Result<ExecOutcome> {
+        let autocommit = txn.is_none();
+        let tid = match &txn {
+            Some(t) => t.tid,
+            None => self.shared.alloc_tid(),
+        };
+        let mut auto_release = AutoRelease {
+            locks: &self.shared.locks,
+            tid,
+            armed: autocommit,
+        };
+
+        let engine = &*self.engine;
+        let catalog = engine.catalog_read();
+        let reqs = plan_locks(&catalog, stmt, params, &engine.latches)?;
+        let catalog = self.acquire_locks(catalog, tid, &reqs, txn.as_deref_mut())?;
 
         // Escalate to the exclusive catalog latch when per-table
         // latching cannot carry the statement: DDL restructures the
@@ -2035,14 +2194,13 @@ impl Database {
         }
     }
 
-    /// The latched portion of statement execution, running against the
-    /// statement's [`TableSet`]. Reads resolve against the transaction's
-    /// pinned snapshot (or the latest committed epoch for autocommit —
-    /// loaded *after* latching, so the epoch's versions are fully
-    /// visible on every latched table); writes carry an [`ExecView`]
-    /// pairing that snapshot with the latest epoch for constraint
-    /// probes. `fire` says whether autocommit triggers may fire here
-    /// (true only on the exclusive-latch path).
+    /// The latched portion of a write statement's execution, running
+    /// against the statement's [`TableSet`]. Writes carry an [`ExecView`]
+    /// pairing the transaction's pinned snapshot (or the latest committed
+    /// epoch for autocommit — loaded *after* latching, so the epoch's
+    /// versions are fully visible on every latched table) with the latest
+    /// epoch for constraint probes. `fire` says whether autocommit
+    /// triggers may fire here (true only on the exclusive-latch path).
     fn execute_body(
         &self,
         tables: &mut TableSet<'_>,
@@ -2055,65 +2213,15 @@ impl Database {
         let engine = &*self.engine;
         engine.counters.statements.fetch_add(1, Ordering::Relaxed);
         let latest = self.shared.commit_epoch.load(Ordering::Acquire);
-        let (read_snap, txn_snap_epoch) = match &txn {
-            Some(t) => (
-                Snapshot {
-                    epoch: t.snap,
-                    writer: Some(t.tid),
-                },
-                t.snap,
-            ),
-            None => (
-                Snapshot {
-                    epoch: latest,
-                    writer: None,
-                },
-                latest,
-            ),
-        };
         let view = ExecView {
             snap: Snapshot {
-                epoch: txn_snap_epoch,
+                epoch: txn.as_ref().map_or(latest, |t| t.snap),
                 writer: Some(tid),
             },
             latest_epoch: latest,
         };
         let mut cost = CostReport::new();
         match stmt {
-            Statement::Select(sel) => {
-                engine.counters.selects.fetch_add(1, Ordering::Relaxed);
-                let result = exec::run_select(
-                    tables,
-                    &engine.pool,
-                    sel,
-                    params,
-                    &mut cost,
-                    &read_snap,
-                    &engine.scan_opts(),
-                )?;
-                Ok((ExecOutcome { result, cost }, None, false, None))
-            }
-            Statement::Explain(sel) => {
-                let plan = crate::plan::plan_query(tables, sel, params)?;
-                let rows = plan
-                    .lines()
-                    .into_iter()
-                    .map(|l| crate::row::Row::new(vec![Value::Text(l)]))
-                    .collect();
-                Ok((
-                    ExecOutcome {
-                        result: QueryResult {
-                            columns: vec!["QUERY PLAN".to_owned()],
-                            rows,
-                            rows_affected: 0,
-                        },
-                        cost,
-                    },
-                    None,
-                    false,
-                    None,
-                ))
-            }
             Statement::Insert(ins) => {
                 engine.counters.writes.fetch_add(1, Ordering::Relaxed);
                 let effect = exec::run_insert(tables, &engine.pool, ins, params, &mut cost, &view)?;
@@ -2132,8 +2240,12 @@ impl Database {
             Statement::CreateTable(_) | Statement::CreateIndex { .. } => {
                 unreachable!("DDL runs under the exclusive catalog latch")
             }
-            Statement::Begin | Statement::Commit | Statement::Rollback => {
-                unreachable!("transaction control handled in execute()")
+            Statement::Select(_)
+            | Statement::Explain(_)
+            | Statement::Begin
+            | Statement::Commit
+            | Statement::Rollback => {
+                unreachable!("reads and transaction control handled in execute()")
             }
         }
     }
@@ -2292,11 +2404,11 @@ impl Database {
                 let mut query_cost = CostReport::new();
                 {
                     let pool = &engine.pool;
-                    let mut query_fn = |sel: &Select, params: &[Value]| {
-                        exec::run_select(
+                    let mut query_fn = |prepared: &PreparedSelect, params: &[Value]| {
+                        exec::run_prepared(
                             tables,
                             pool,
-                            sel,
+                            prepared,
                             params,
                             &mut query_cost,
                             trigger_snap,
@@ -2309,6 +2421,7 @@ impl Database {
                         old: change.old.as_ref(),
                         new: change.new.as_ref(),
                         query_fn: &mut query_fn,
+                        statements: &engine.statements,
                         cost,
                     };
                     trigger
@@ -2332,37 +2445,77 @@ impl Database {
     }
 }
 
+/// The calling thread's [`TxnState`], *removed* from the transaction
+/// table for one statement's duration — so a [`ConcurrentTxn::commit`] /
+/// `rollback` racing an in-flight statement from another thread fails
+/// cleanly with [`StorageError::NoTransaction`] instead of corrupting the
+/// transaction mid-statement. Drop reinstates it on every exit — normal
+/// return, error, or unwind — unless a cross-thread kill doomed the
+/// transaction meanwhile, in which case it rolls the transaction back
+/// instead of orphaning its locks.
+struct TxnSlot<'a> {
+    db: &'a Database,
+    thread: ThreadId,
+    state: Option<TxnState>,
+}
+
+impl Drop for TxnSlot<'_> {
+    fn drop(&mut self) {
+        let Some(state) = self.state.take() else {
+            return;
+        };
+        let shared = &self.db.shared;
+        let doomed = {
+            let mut d = shared.doomed.lock();
+            if d.get(&self.thread) == Some(&state.tid) {
+                d.remove(&self.thread);
+                true
+            } else {
+                false
+            }
+        };
+        if doomed {
+            shared.txns.ended_checked_out();
+            let _ = self.db.rollback_state(self.thread, state);
+        } else {
+            shared.txns.checkin(self.thread, state);
+        }
+    }
+}
+
+/// Statement-duration (autocommit) locks must release on every exit,
+/// including a panic unwinding out of the executor — leaked locks block
+/// other threads forever.
+struct AutoRelease<'a> {
+    locks: &'a LockManager,
+    tid: TxnId,
+    armed: bool,
+}
+
+impl Drop for AutoRelease<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            self.locks.release_all(self.tid);
+        }
+    }
+}
+
 /// Plans the lock set a statement needs, in canonical order (table name,
 /// then table-level before row-level, then row key): pk-targeted writes
 /// take a table intent lock plus exclusive row locks; writes whose
 /// predicate does not pin primary keys escalate to a table-level
-/// exclusive lock. **Scans take no locks at all** — they read a version
-/// snapshot — unless `lock_reads` re-enables the legacy table-shared
-/// lock behaviour (the measurable pre-MVCC baseline). DDL relies on the
-/// exclusive catalog latch alone. Runs under the shared catalog latch,
-/// taking brief counted per-table read latches to extract primary keys.
+/// exclusive lock. DDL relies on the exclusive catalog latch alone, and
+/// SELECTs never come here (see [`Database::execute_prepared`]). Runs
+/// under the shared catalog latch, taking brief counted per-table read
+/// latches to extract primary keys.
 fn plan_locks(
     catalog: &Catalog,
     stmt: &Statement,
     params: &[Value],
-    lock_reads: bool,
     counters: &LatchCounters,
 ) -> Result<Vec<LockReq>> {
     let mut reqs: Vec<LockReq> = Vec::new();
     match stmt {
-        Statement::Select(sel) => {
-            let mut tables: BTreeSet<&str> = BTreeSet::new();
-            tables.insert(sel.from.table.as_str());
-            for j in &sel.joins {
-                tables.insert(j.table.table.as_str());
-            }
-            for t in tables {
-                catalog.latch(t)?;
-                if lock_reads {
-                    reqs.push((t.to_owned(), None, LockMode::Shared));
-                }
-            }
-        }
         Statement::Insert(ins) => {
             let guard = crate::latch::read_counted(catalog.latch(&ins.table)?, counters);
             let table = &*guard;
@@ -2426,8 +2579,9 @@ fn plan_locks(
                 crate::plan::pk_target_keys(table, &del.table, del.predicate.as_ref(), params)?;
             push_write_locks(&mut reqs, &del.table, keys);
         }
-        // EXPLAIN only plans; DDL and transaction control use the latch.
-        Statement::Explain(_)
+        // DDL and transaction control use the latch; reads take no locks.
+        Statement::Select(_)
+        | Statement::Explain(_)
         | Statement::CreateTable(_)
         | Statement::CreateIndex { .. }
         | Statement::Begin
@@ -2510,7 +2664,7 @@ impl ConcurrentTxn {
     /// hook aborts the transaction (already rolled back).
     pub fn commit(mut self) -> Result<CostReport> {
         self.open = false;
-        let r = self.db.commit_txn_named(self.thread, self.tid);
+        let r = self.db.commit_txn_for(self.thread, Some(self.tid));
         if matches!(r, Err(StorageError::NoTransaction)) {
             // Raced a statement in flight on the owner thread: the state
             // is checked out of the map. Doom the transaction so the

@@ -1,34 +1,38 @@
 //! The executor: mechanically walks whatever the planner chose.
 //!
-//! SELECTs ask the planner (`crate::plan::plan_query`) for a [`QueryPlan`] — driving
-//! table access path, join steps in cost-chosen order, ORDER BY / LIMIT
-//! handling. Join queries pump base rows one at a time through the join
-//! pipeline and the residual WHERE; row-at-a-time pumping is what makes
-//! plans with `fetch_limit` (ORDER BY satisfied by an index scan, or no
-//! ORDER BY at all) stop scanning as soon as `LIMIT + OFFSET` output rows
-//! exist, instead of materializing every match.
+//! A SELECT runs in prepared form ([`crate::prepared`]): `BoundSelect`
+//! is what the statement resolves to against the catalog (layouts, bound
+//! WHERE / ORDER BY / projection), `ExecPlan` is the planner's
+//! [`QueryPlan`] — driving table access path, join steps in cost-chosen
+//! order, ORDER BY / LIMIT handling — with its join steps bound, and
+//! `run_prepared` walks the plan for one parameter vector. Join queries
+//! pump base rows one at a time through the join pipeline and the
+//! residual WHERE; row-at-a-time pumping is what makes plans with
+//! `fetch_limit` (ORDER BY satisfied by an index scan, or no ORDER BY at
+//! all) stop scanning as soon as `LIMIT + OFFSET` output rows exist,
+//! instead of materializing every match.
 //!
-//! Join-free scans instead run **vectorized**: rids are processed in
-//! `BATCH_ROWS`-sized morsels, the WHERE clause is compiled into a
-//! `CompiledPred` of column-vs-constant atoms evaluated column-at-a-time
-//! over a `RowBatch`, and only surviving rows are materialized (cloned).
-//! With [`ScanOpts::workers`] > 1 and a large enough rid list, morsels are
-//! claimed by worker threads from a shared atomic cursor (morsel-driven
-//! parallelism) and outputs are merged back in morsel order, so results
-//! are identical to the serial scan. `SELECT COUNT(*) ... WHERE` counts
-//! survivors without materializing anything.
+//! Join-free scans instead run **vectorized**: candidates are processed
+//! in `BATCH_ROWS`-sized morsels, the WHERE clause is compiled into a
+//! `CompiledPred` of column-vs-constant atoms evaluated over a
+//! `RowBatch`, and only surviving rows are materialized (cloned). With
+//! [`ScanOpts::workers`] > 1 and a large enough candidate list, morsels
+//! are claimed by worker threads from a shared atomic cursor
+//! (morsel-driven parallelism) and outputs are merged back in morsel
+//! order, so results are identical to the serial scan. `SELECT COUNT(*)
+//! ... WHERE` counts survivors without materializing anything.
 //!
 //! Every physical decision (page touch, index probe, sort) is recorded in
 //! the statement's [`CostReport`] so the benchmark harness can price it.
-//! Scans charge a page touch for every rid they *examine* — including
+//! Scans charge a page touch for every row id they *examine* — including
 //! versions invisible to the snapshot — because a real heap scan reads the
-//! page before it can decide visibility.
+//! page before it can decide visibility. An access path hands each
+//! candidate over together with the version it resolved, so a row is
+//! looked up once however many stages see it.
 //!
 //! The executor reaches tables only through a `TableSet` — the latched
 //! view assembled by the engine (see `crate::latch`) — never through the
 //! catalog directly.
-
-use crate::plan::{JoinMethod, QueryPlan};
 
 use crate::bufferpool::{BufferPool, PageId};
 use crate::cost::CostReport;
@@ -36,11 +40,14 @@ use crate::error::{Result, StorageError};
 use crate::expr::{CmpOp, ColumnRef, Expr};
 use crate::latch::TableSet;
 use crate::lockmgr::TxnId;
+use crate::plan::{eval_const, AccessPath, JoinMethod, KeyGuard, QueryPlan};
+use crate::prepared::PreparedSelect;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
 use crate::row::{Row, RowId};
-use crate::table::{Snapshot, Table};
+use crate::table::{RowRef, Snapshot, Table};
 use crate::trigger::TriggerEvent;
 use crate::value::Value;
+use std::borrow::Cow;
 
 /// The read/write view a statement executes under: `snap` is the
 /// snapshot its reads resolve against (a transaction's pinned snapshot,
@@ -225,8 +232,6 @@ impl Layout {
 // for a Plan and mechanically walks whatever path it chose.
 // ---------------------------------------------------------------------
 
-use crate::plan::eval_const;
-
 /// Plans and runs the base-table access for a write statement's
 /// predicate against the statement's snapshot. Charges probes to
 /// `cost`; `None` means full heap scan.
@@ -240,9 +245,10 @@ fn plan_write_rids(
 ) -> Result<Option<Vec<RowId>>> {
     let plan = crate::plan::plan_access(table, binding, pred, &[], params)?;
     Ok(
-        crate::plan::execute_path(table, &plan, cost, snap).map(|mut rids| {
+        crate::plan::execute_path(table, &plan.path, plan.reverse, cost, snap).map(|rows| {
             // Writes process rows in heap order whatever path found them, so
             // trigger firing order matches the pre-planner engine.
+            let mut rids: Vec<RowId> = rows.into_iter().map(|(rid, _)| rid).collect();
             rids.sort_unstable();
             rids
         }),
@@ -301,26 +307,354 @@ impl ScanOpts {
     }
 }
 
-/// One prepared join step: the plan's probe method and residual ON
-/// conditions, bound against the execution-order layout.
-struct JoinStep<'a> {
-    jt: &'a Table,
-    kind: JoinKind,
-    on: Vec<Expr>,
-    method: BoundMethod<'a>,
+/// One output column of a non-aggregate projection.
+enum Out {
+    /// `*`: every column of the combined row.
+    All,
+    Expr(Expr),
 }
 
-enum BoundMethod<'a> {
+/// One output column of an aggregate projection.
+enum AggItem {
+    Agg {
+        func: AggFunc,
+        arg: Option<Expr>,
+    },
+    /// A grouped column, evaluated on the group's first row.
+    Expr(Expr),
+}
+
+/// The projection, bound: output column names plus how to produce them.
+enum Output {
+    /// Bare `SELECT *`: rows pass through.
+    Star,
+    Exprs(Vec<Out>),
+    Aggregate {
+        group_pos: Vec<usize>,
+        items: Vec<AggItem>,
+    },
+}
+
+/// Everything a SELECT resolves to against the catalog alone — column
+/// positions, output names, the compiled WHERE clause. Valid for as long
+/// as the catalog version it was bound under (DDL is the only thing that
+/// changes a schema), whatever the data and the parameters.
+pub(crate) struct BoundSelect {
+    pub catalog_version: u64,
+    /// Syntactic layout: the column namespace WHERE / ORDER BY /
+    /// projection bind against, and the output column order.
+    layout: Layout,
+    /// WHERE, for the row-at-a-time join pipeline.
+    pred: Option<Expr>,
+    /// WHERE, as conjunct atoms for the vectorized scans.
+    compiled: CompiledPred,
+    order_keys: Vec<(Expr, bool)>,
+    columns: Vec<String>,
+    output: Output,
+    /// See [`crate::plan::KeyGuard`]: a plan is shared between parameter
+    /// vectors only while all of these hold.
+    pub guards: Vec<KeyGuard>,
+}
+
+fn output_name(expr: &Expr, alias: &Option<String>) -> String {
+    alias.clone().unwrap_or_else(|| match expr {
+        Expr::Column(c) => c.column.clone(),
+        other => other.to_string(),
+    })
+}
+
+impl BoundSelect {
+    /// Binds `sel` against the latched tables.
+    ///
+    /// # Errors
+    ///
+    /// Unknown tables and columns, and the projection shapes the executor
+    /// does not support.
+    pub fn bind(tables: &TableSet<'_>, sel: &Select) -> Result<BoundSelect> {
+        let mut layout = Layout::default();
+        let mut slots = Vec::with_capacity(1 + sel.joins.len());
+        for tref in std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)) {
+            let table = tables.table(&tref.table)?;
+            layout.push_table(tref.binding_name(), table);
+            slots.push((tref.binding_name(), table));
+        }
+        let bind = |e: &Expr| e.bind(&layout.binder());
+        let pred = sel.predicate.as_ref().map(bind).transpose()?;
+        let order_keys = sel
+            .order_by
+            .iter()
+            .map(|k| Ok((bind(&k.expr)?, k.desc)))
+            .collect::<Result<Vec<_>>>()?;
+
+        let mut columns = Vec::new();
+        let output = if sel.is_aggregate() || !sel.group_by.is_empty() {
+            if !sel.order_by.is_empty() {
+                return Err(StorageError::Unsupported(
+                    "ORDER BY combined with aggregates".into(),
+                ));
+            }
+            let group_pos = sel
+                .group_by
+                .iter()
+                .map(|c| layout.resolve(c))
+                .collect::<Result<_>>()?;
+            let mut items = Vec::with_capacity(sel.projection.len());
+            for item in &sel.projection {
+                match item {
+                    SelectItem::Aggregate { func, arg, alias } => {
+                        columns.push(
+                            alias
+                                .clone()
+                                .unwrap_or_else(|| func.to_string().to_lowercase()),
+                        );
+                        items.push(AggItem::Agg {
+                            func: *func,
+                            arg: arg.as_ref().map(bind).transpose()?,
+                        });
+                    }
+                    SelectItem::Expr { expr, alias } => {
+                        columns.push(output_name(expr, alias));
+                        items.push(AggItem::Expr(bind(expr)?));
+                    }
+                    SelectItem::Wildcard => {
+                        return Err(StorageError::Unsupported(
+                            "wildcard in aggregate projection".into(),
+                        ))
+                    }
+                }
+            }
+            Output::Aggregate { group_pos, items }
+        } else if matches!(sel.projection[..], [SelectItem::Wildcard]) {
+            columns = layout.all_column_names();
+            Output::Star
+        } else {
+            let mut outs = Vec::with_capacity(sel.projection.len());
+            for item in &sel.projection {
+                match item {
+                    SelectItem::Wildcard => {
+                        columns.extend(layout.all_column_names());
+                        outs.push(Out::All);
+                    }
+                    SelectItem::Expr { expr, alias } => {
+                        columns.push(output_name(expr, alias));
+                        outs.push(Out::Expr(bind(expr)?));
+                    }
+                    SelectItem::Aggregate { .. } => {
+                        unreachable!("is_aggregate() routes aggregates above")
+                    }
+                }
+            }
+            Output::Exprs(outs)
+        };
+        Ok(BoundSelect {
+            catalog_version: tables.catalog_version(),
+            compiled: CompiledPred::compile(pred.as_ref()),
+            guards: crate::plan::key_guards(sel.predicate.as_ref(), &slots),
+            layout,
+            pred,
+            order_keys,
+            columns,
+            output,
+        })
+    }
+}
+
+/// One join step of a plan, bound against the execution-order layout:
+/// the probe expressions read the already-joined prefix, the ON residue
+/// reads the row once this step's table is appended.
+struct BoundJoin {
+    table: String,
+    kind: JoinKind,
+    on: Vec<Expr>,
+    method: BoundMethod,
+}
+
+enum BoundMethod {
     Pk(Expr),
-    Index(&'a crate::table::Index, Vec<Expr>),
+    /// Position in [`Table::indexes`] (stable while the catalog version
+    /// holds) and one key expression per index column.
+    Index(usize, Vec<Expr>),
     Scan,
+}
+
+/// A [`QueryPlan`] made executable: join steps bound, the output
+/// permutation computed, and — when the plan is to be shared between
+/// parameter vectors — where its key values come from. Stamped with what
+/// it was derived from, so a holder can tell when it stops being the plan
+/// the planner would choose.
+pub(crate) struct ExecPlan {
+    qplan: QueryPlan,
+    /// Parameter sources of `qplan.base.path`'s key values; empty when
+    /// the plan is only ever run with the parameters it was planned for.
+    key_sources: Vec<Option<KeyGuard>>,
+    joins: Vec<BoundJoin>,
+    /// Execution-order → syntactic column order, when the planner rotated
+    /// the join order.
+    perm: Option<Vec<usize>>,
+    /// [`BoundSelect::catalog_version`] the steps were bound under.
+    pub catalog_version: u64,
+    /// [`Table::version`] of each FROM/JOIN table (in the statement's
+    /// sorted table order) the planner read.
+    pub table_versions: Vec<u64>,
+}
+
+impl ExecPlan {
+    /// Plans `sel` for `params` and binds the result. `sorted_tables` is
+    /// the statement's latch set; `shared` says whether the plan will be
+    /// reused for other parameter vectors.
+    pub fn plan(
+        tables: &TableSet<'_>,
+        sel: &Select,
+        bound: &BoundSelect,
+        sorted_tables: &[String],
+        params: &[Value],
+        shared: bool,
+    ) -> Result<ExecPlan> {
+        let qplan = crate::plan::plan_query(tables, sel, params)?;
+        let base = tables.table(&qplan.base.table)?;
+        let key_sources = if shared {
+            crate::plan::key_sources(
+                base,
+                &qplan.base_binding,
+                sel.predicate.as_ref(),
+                &qplan.base.path,
+                params,
+            )?
+        } else {
+            Vec::new()
+        };
+
+        // Execution-order layout: driving table first, joins in plan
+        // order. Probe expressions bind against the prefix layout; ON
+        // residues bind once the step's table is pushed.
+        let mut exec_layout = Layout::default();
+        exec_layout.push_table(&qplan.base_binding, base);
+        let mut joins = Vec::with_capacity(qplan.joins.len());
+        for jp in &qplan.joins {
+            let jt = tables.table(&jp.table)?;
+            let bind = |e: &Expr| e.bind(&exec_layout.binder());
+            let method = match &jp.method {
+                JoinMethod::PkProbe { outer } => BoundMethod::Pk(bind(outer)?),
+                JoinMethod::IndexProbe { index, outers } => {
+                    let pos = jt
+                        .indexes()
+                        .iter()
+                        .position(|i| &i.def().name == index)
+                        .expect("planned index exists");
+                    BoundMethod::Index(pos, outers.iter().map(bind).collect::<Result<_>>()?)
+                }
+                JoinMethod::NestedScan => BoundMethod::Scan,
+            };
+            exec_layout.push_table(&jp.binding, jt);
+            let on = jp
+                .on
+                .iter()
+                .map(|e| e.bind(&exec_layout.binder()))
+                .collect::<Result<_>>()?;
+            joins.push(BoundJoin {
+                table: jp.table.clone(),
+                kind: jp.kind,
+                on,
+                method,
+            });
+        }
+        let perm = if joins.is_empty() {
+            None
+        } else {
+            exec_layout.permutation_to(&bound.layout)
+        };
+        let table_versions = sorted_tables
+            .iter()
+            .map(|t| Ok(tables.table(t)?.version()))
+            .collect::<Result<_>>()?;
+        Ok(ExecPlan {
+            qplan,
+            key_sources,
+            joins,
+            perm,
+            catalog_version: bound.catalog_version,
+            table_versions,
+        })
+    }
+
+    /// The driving table's access path with this call's key values.
+    fn base_path(&self, params: &[Value]) -> Cow<'_, AccessPath> {
+        if self.key_sources.iter().all(Option::is_none) {
+            return Cow::Borrowed(&self.qplan.base.path);
+        }
+        let mut path = self.qplan.base.path.clone();
+        crate::plan::rebind_keys(&mut path, &self.key_sources, params);
+        Cow::Owned(path)
+    }
+
+    /// The plan as the planner would report it for `params`.
+    pub fn query_plan(&self, params: &[Value]) -> QueryPlan {
+        let mut qplan = self.qplan.clone();
+        crate::plan::rebind_keys(&mut qplan.base.path, &self.key_sources, params);
+        qplan
+    }
+}
+
+/// The rows a scan is about to examine: what an access path resolved
+/// (each id with its visible version), or bare heap ids that are
+/// resolved as the scan reaches them.
+enum Candidates<'t> {
+    Resolved(Vec<RowRef<'t>>),
+    Heap(Vec<RowId>),
+}
+
+impl<'t> Candidates<'t> {
+    fn heap(table: &Table) -> Self {
+        Candidates::Heap(table.scan_rids())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Candidates::Resolved(v) => v.len(),
+            Candidates::Heap(v) => v.len(),
+        }
+    }
+
+    /// Candidates `lo..hi`, each with its version when already resolved.
+    fn range(&self, lo: usize, hi: usize) -> impl Iterator<Item = (RowId, Option<&'t Row>)> + '_ {
+        let (resolved, heap): (&[RowRef<'t>], &[RowId]) = match self {
+            Candidates::Resolved(v) => (&v[lo..hi], &[]),
+            Candidates::Heap(v) => (&[], &v[lo..hi]),
+        };
+        resolved
+            .iter()
+            .map(|&(rid, row)| (rid, Some(row)))
+            .chain(heap.iter().map(|&rid| (rid, None)))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (RowId, Option<&'t Row>)> + '_ {
+        self.range(0, self.len())
+    }
+}
+
+/// Examines one candidate: charges its page touch — before the
+/// visibility check, because a scan reads the page before it can decide
+/// whether the version is visible — and yields the version `snap` sees.
+fn examine<'t>(
+    table: &'t Table,
+    (rid, resolved): (RowId, Option<&'t Row>),
+    pool: &BufferPool,
+    cost: &mut CostReport,
+    snap: &Snapshot,
+) -> Option<&'t Row> {
+    touch_read(pool, table, rid, cost);
+    let row = resolved.or_else(|| table.visible(rid, snap))?;
+    cost.rows_scanned += 1;
+    Some(row)
 }
 
 /// Runs one left row through a join step, appending combined rows. All
 /// probes and fetches resolve against `snap`, so every joined table is
 /// read at the same point in time as the driving table.
+#[allow(clippy::too_many_arguments)]
 fn join_step(
-    step: &JoinStep<'_>,
+    jt: &Table,
+    step: &BoundJoin,
     left: &Row,
     params: &[Value],
     pool: &BufferPool,
@@ -328,48 +662,42 @@ fn join_step(
     out: &mut Vec<Row>,
     snap: &Snapshot,
 ) -> Result<()> {
-    let jt = step.jt;
-    let candidates: Vec<RowId> = match &step.method {
+    let candidates = match &step.method {
         BoundMethod::Pk(outer) => {
             cost.index_probes += 1;
             let v = outer.eval(left, params)?;
-            if v.is_null() {
+            Candidates::Resolved(if v.is_null() {
                 Vec::new()
             } else {
                 let v = coerce_for(jt, jt.schema().primary_key(), &v);
-                jt.find_pk_visible(&v, snap).into_iter().collect()
-            }
+                jt.find_pk_visible_row(&v, snap).into_iter().collect()
+            })
         }
-        BoundMethod::Index(idx, outers) => {
+        BoundMethod::Index(pos, outers) => {
             cost.index_probes += 1;
+            let idx = &jt.indexes()[*pos];
             let mut key = Vec::with_capacity(outers.len());
-            let mut null_key = false;
             for (col, e) in idx.def().columns.iter().zip(outers) {
                 let v = e.eval(left, params)?;
                 if v.is_null() {
                     // SQL equality never matches NULL.
-                    null_key = true;
                     break;
                 }
                 key.push(coerce_for(jt, col, &v));
             }
-            if null_key {
+            Candidates::Resolved(if key.len() < outers.len() {
                 Vec::new()
             } else {
                 jt.index_lookup_visible(idx, &key, snap)
-            }
+            })
         }
-        BoundMethod::Scan => jt.scan_rids(),
+        BoundMethod::Scan => Candidates::heap(jt),
     };
     let mut matched = false;
-    for rid in candidates {
-        // Page touch precedes the visibility check: a scan reads the
-        // page before it can decide whether the version is visible.
-        touch_read(pool, jt, rid, cost);
-        let Some(r) = jt.visible(rid, snap) else {
+    for cand in candidates.iter() {
+        let Some(r) = examine(jt, cand, pool, cost, snap) else {
             continue;
         };
-        cost.rows_scanned += 1;
         let mut combined = Vec::with_capacity(left.arity() + r.arity());
         combined.extend_from_slice(left.values());
         combined.extend_from_slice(r.values());
@@ -395,93 +723,54 @@ fn join_step(
     Ok(())
 }
 
-/// Executes a SELECT at the given read snapshot. Never takes or waits
-/// for any lock-manager lock: visibility comes entirely from the version
-/// metadata, so readers proceed while writer transactions hold row locks.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_select(
+/// Executes a prepared SELECT at the given read snapshot. Never takes or
+/// waits for any lock-manager lock: visibility comes entirely from the
+/// version metadata, so readers proceed while writer transactions hold
+/// row locks.
+pub(crate) fn run_prepared(
     tables: &TableSet<'_>,
     pool: &BufferPool,
-    sel: &Select,
+    prepared: &PreparedSelect,
     params: &[Value],
     cost: &mut CostReport,
     snap: &Snapshot,
     opts: &ScanOpts,
 ) -> Result<QueryResult> {
-    let qplan: QueryPlan = crate::plan::plan_query(tables, sel, params)?;
+    let (bound, plan) = prepared.resolve(tables, params)?;
+    let sel = prepared.select();
+    let qplan = &plan.qplan;
     let base = tables.table(&qplan.base.table)?;
+    let path = plan.base_path(params);
 
     // COUNT(*) pushdown: the planner proved the path yields exactly the
     // matching rows, so answer from pk-map / posting-list sizes without
     // touching the heap (entries resolve against the snapshot).
     if qplan.count_only {
-        return run_count_only(base, sel, &qplan, cost, snap);
+        let n = run_count_only(base, &path, cost, snap);
+        cost.rows_returned += 1;
+        return Ok(count_result(&bound, n));
     }
 
-    // Execution-order layout (driving table first, joins in plan order)
-    // plus the prepared join steps. Probe expressions bind against the
-    // prefix layout; ON residues bind once the step's table is pushed.
-    let mut exec_layout = Layout::default();
-    exec_layout.push_table(&qplan.base_binding, base);
-    let mut steps: Vec<JoinStep<'_>> = Vec::with_capacity(qplan.joins.len());
-    for jp in &qplan.joins {
-        let jt = tables.table(&jp.table)?;
-        let method = match &jp.method {
-            JoinMethod::PkProbe { outer } => BoundMethod::Pk(outer.bind(&exec_layout.binder())?),
-            JoinMethod::IndexProbe { index, outers } => {
-                let idx = jt.index_by_name(index).expect("planned index exists");
-                let bound = outers
-                    .iter()
-                    .map(|e| e.bind(&exec_layout.binder()))
-                    .collect::<Result<Vec<_>>>()?;
-                BoundMethod::Index(idx, bound)
-            }
-            JoinMethod::NestedScan => BoundMethod::Scan,
-        };
-        exec_layout.push_table(&jp.binding, jt);
-        let on = jp
-            .on
-            .iter()
-            .map(|e| e.bind(&exec_layout.binder()))
-            .collect::<Result<Vec<_>>>()?;
-        steps.push(JoinStep {
-            jt,
-            kind: jp.kind,
-            on,
-            method,
-        });
-    }
-
-    // Syntactic layout: the column namespace WHERE / ORDER BY /
-    // projection bind against, and the output column order. When the
-    // planner rotated the join order, combined rows are remapped into it.
-    let mut syn_layout = Layout::default();
-    syn_layout.push_table(sel.from.binding_name(), tables.table(&sel.from.table)?);
-    for j in &sel.joins {
-        syn_layout.push_table(j.table.binding_name(), tables.table(&j.table.table)?);
-    }
-    let perm = exec_layout.permutation_to(&syn_layout);
-    let layout = syn_layout;
-
-    let bound_pred = match &sel.predicate {
-        Some(p) => Some(p.bind(&layout.binder())?),
-        None => None,
-    };
+    let join_tables = plan
+        .joins
+        .iter()
+        .map(|j| tables.table(&j.table))
+        .collect::<Result<Vec<_>>>()?;
 
     // --- base scan + pipeline ---
-    let mut rids = crate::plan::execute_path(base, &qplan.base, cost, snap);
-    if let Some(r) = rids.as_mut() {
-        if !qplan.order_satisfied {
-            // Path order only matters when the executor keeps it (sort
-            // skipped). Otherwise restore heap order so the stable sort
-            // breaks ties identically with and without indexes — and
-            // unordered queries return heap order like a full scan.
-            r.sort_unstable();
+    let candidates = match crate::plan::execute_path(base, &path, qplan.base.reverse, cost, snap) {
+        Some(mut rows) => {
+            if !qplan.order_satisfied {
+                // Path order only matters when the executor keeps it
+                // (sort skipped). Otherwise restore heap order so the
+                // stable sort breaks ties identically with and without
+                // indexes — and unordered queries return heap order like
+                // a full scan.
+                rows.sort_unstable_by_key(|&(rid, _)| rid);
+            }
+            Candidates::Resolved(rows)
         }
-    }
-    let rid_list: Vec<RowId> = match rids {
-        Some(rids) => rids,
-        None => base.scan_rids(),
+        None => Candidates::heap(base),
     };
 
     // With `fetch_limit` the pipeline's output order is final, so the
@@ -489,76 +778,46 @@ pub(crate) fn run_select(
     // Top-K page-query tail latency from O(matches) to O(k).
     let target = qplan.fetch_limit.map(|k| k as usize);
 
+    let aggregate = matches!(bound.output, Output::Aggregate { .. });
+
     // Bounded top-k: when the ORDER BY is not index-satisfied but LIMIT k
     // is present, keep only the best `LIMIT + OFFSET` rows during the
     // scan instead of materializing every match and fully sorting it.
-    let mut topk: Option<TopK> = if !sel.order_by.is_empty()
-        && !qplan.order_satisfied
-        && !sel.is_aggregate()
-        && sel.group_by.is_empty()
-    {
-        match sel.limit {
-            Some(limit) => {
-                let keys: Vec<(Expr, bool)> = sel
-                    .order_by
-                    .iter()
-                    .map(|k| Ok((k.expr.bind(&layout.binder())?, k.desc)))
-                    .collect::<Result<_>>()?;
-                let cap = (limit.saturating_add(sel.offset.unwrap_or(0))) as usize;
-                Some(TopK::new(keys, cap))
-            }
-            None => None,
+    let sorts = !bound.order_keys.is_empty() && !qplan.order_satisfied;
+    let mut topk: Option<TopK<'_>> = match sel.limit {
+        Some(limit) if sorts && !aggregate => {
+            let cap = limit.saturating_add(sel.offset.unwrap_or(0)) as usize;
+            Some(TopK::new(&bound.order_keys, cap))
         }
-    } else {
-        None
+        _ => None,
     };
 
-    let vectorized = opts.batch && steps.is_empty();
+    let vectorized = opts.batch && plan.joins.is_empty();
 
     // COUNT(*) with a residual predicate: count batch survivors without
     // materializing a single row. Plain COUNT(*) (no predicate or an
     // index-exact one) never reaches here — `count_only` answered it.
-    if vectorized
-        && target.is_none()
-        && sel.group_by.is_empty()
-        && sel.order_by.is_empty()
-        && matches!(
-            &sel.projection[..],
-            [SelectItem::Aggregate {
-                func: AggFunc::Count,
-                arg: None,
-                ..
-            }]
-        )
-    {
+    if vectorized && target.is_none() && crate::plan::is_count_star_shape(sel) {
         let n = count_matching(
             base,
-            &rid_list,
-            bound_pred.as_ref(),
+            &candidates,
+            &bound.compiled,
             params,
             pool,
             cost,
             snap,
             opts.workers,
         )?;
-        let alias = match &sel.projection[..] {
-            [SelectItem::Aggregate { alias, .. }] => alias.clone(),
-            _ => None,
-        };
         cost.rows_returned += 1;
-        return Ok(QueryResult {
-            columns: vec![alias.unwrap_or_else(|| "count".to_owned())],
-            rows: vec![Row::new(vec![Value::Int(n)])],
-            rows_affected: 0,
-        });
+        return Ok(count_result(&bound, n));
     }
 
     let mut current: Vec<Row> = Vec::new();
     if vectorized {
         scan_vectorized(
             base,
-            &rid_list,
-            bound_pred.as_ref(),
+            &candidates,
+            &bound.compiled,
             params,
             pool,
             cost,
@@ -569,29 +828,27 @@ pub(crate) fn run_select(
             opts,
         )?;
     } else {
-        'scan: for rid in rid_list {
-            touch_read(pool, base, rid, cost);
-            let Some(r0) = base.visible(rid, snap) else {
+        'scan: for cand in candidates.iter() {
+            let Some(r0) = examine(base, cand, pool, cost, snap) else {
                 continue;
             };
-            cost.rows_scanned += 1;
             let mut batch: Vec<Row> = vec![r0.clone()];
-            for step in &steps {
+            for (step, jt) in plan.joins.iter().zip(&join_tables) {
                 if batch.is_empty() {
                     break;
                 }
                 let mut next = Vec::new();
                 for left in &batch {
-                    join_step(step, left, params, pool, cost, &mut next, snap)?;
+                    join_step(jt, step, left, params, pool, cost, &mut next, snap)?;
                 }
                 batch = next;
             }
             for row in batch {
-                let row = match &perm {
+                let row = match &plan.perm {
                     Some(p) => Row::new(p.iter().map(|&i| row.get(i).clone()).collect()),
                     None => row,
                 };
-                let keep = match &bound_pred {
+                let keep = match &bound.pred {
                     Some(pred) => pred.matches(&row, params)?,
                     None => true,
                 };
@@ -600,10 +857,8 @@ pub(crate) fn run_select(
                         Some(tk) => tk.offer(row, params)?,
                         None => {
                             current.push(row);
-                            if let Some(t) = target {
-                                if current.len() >= t {
-                                    break 'scan;
-                                }
+                            if target.is_some_and(|t| current.len() >= t) {
+                                break 'scan;
                             }
                         }
                     }
@@ -622,25 +877,22 @@ pub(crate) fn run_select(
     }
 
     // --- aggregates ---
-    if sel.is_aggregate() || !sel.group_by.is_empty() {
-        if !sel.order_by.is_empty() {
-            return Err(StorageError::Unsupported(
-                "ORDER BY combined with aggregates".into(),
-            ));
-        }
-        return run_aggregate(sel, &layout, current, params, cost);
+    if let Output::Aggregate { group_pos, items } = &bound.output {
+        let rows = run_aggregate(group_pos, items, current, params)?;
+        cost.rows_returned += rows.len() as u64;
+        return Ok(QueryResult {
+            columns: bound.columns.clone(),
+            rows,
+            rows_affected: 0,
+        });
     }
 
     // --- ORDER BY ---
     // When the pipeline already yields the requested order (ordered base
     // scan surviving single-row joins), the sort — and its cost — is
     // skipped entirely.
-    if !sel.order_by.is_empty() && !qplan.order_satisfied && !topk_sorted {
-        let keys: Vec<(Expr, bool)> = sel
-            .order_by
-            .iter()
-            .map(|k| Ok((k.expr.bind(&layout.binder())?, k.desc)))
-            .collect::<Result<_>>()?;
+    if sorts && !topk_sorted {
+        let keys = &bound.order_keys;
         cost.sorts += 1;
         cost.sort_rows += current.len() as u64;
         let mut decorated: Vec<(Vec<Value>, Row)> = current
@@ -653,7 +905,7 @@ pub(crate) fn run_select(
                 Ok((kv, r))
             })
             .collect::<Result<_>>()?;
-        decorated.sort_by(|(ka, _), (kb, _)| cmp_order_keys(&keys, ka, kb));
+        decorated.sort_by(|(ka, _), (kb, _)| cmp_order_keys(keys, ka, kb));
         current = decorated.into_iter().map(|(_, r)| r).collect();
     }
 
@@ -667,13 +919,25 @@ pub(crate) fn run_select(
     }
 
     // --- projection ---
-    let (columns, rows) = project(sel, &layout, current, params)?;
+    let rows = match &bound.output {
+        Output::Exprs(outs) => project(outs, bound.columns.len(), current, params)?,
+        Output::Star | Output::Aggregate { .. } => current,
+    };
     cost.rows_returned += rows.len() as u64;
     Ok(QueryResult {
-        columns,
+        columns: bound.columns.clone(),
         rows,
         rows_affected: 0,
     })
+}
+
+/// The one-row result of a `COUNT(*)` answered without materializing.
+fn count_result(bound: &BoundSelect, n: i64) -> QueryResult {
+    QueryResult {
+        columns: bound.columns.clone(),
+        rows: vec![Row::new(vec![Value::Int(n)])],
+        rows_affected: 0,
+    }
 }
 
 /// Compares two ORDER BY key tuples under the keys' ASC/DESC directions.
@@ -699,11 +963,33 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// Minimum rid-list size before a parallel scan pays for its threads.
 const PARALLEL_MIN_RIDS: usize = 4096;
 
+/// The constant side of a compiled comparison: a literal, or a parameter
+/// looked up per call — so one compiled predicate serves every parameter
+/// vector.
+enum Operand {
+    Literal(Value),
+    Param(usize),
+}
+
+impl Operand {
+    /// # Errors
+    ///
+    /// The error evaluating a missing `$n` reports.
+    fn value<'a>(&'a self, params: &'a [Value]) -> Result<&'a Value> {
+        match self {
+            Operand::Literal(v) => Ok(v),
+            Operand::Param(i) => params
+                .get(*i)
+                .ok_or_else(|| StorageError::Eval(format!("missing parameter ${}", i + 1))),
+        }
+    }
+}
+
 /// One WHERE conjunct, pre-compiled for the vectorized path.
 enum Atom {
     /// `column <op> constant` — the shape ORM filters overwhelmingly
     /// take. Evaluated column-at-a-time with zero per-row allocation.
-    Cmp { pos: usize, op: CmpOp, val: Value },
+    Cmp { pos: usize, op: CmpOp, val: Operand },
     /// Anything else falls back to the interpreted expression.
     Generic(Expr),
 }
@@ -718,7 +1004,7 @@ enum Truth {
 impl Atom {
     fn truth(&self, row: &Row, params: &[Value]) -> Result<Truth> {
         match self {
-            Atom::Cmp { pos, op, val } => Ok(match row.get(*pos).sql_cmp(val) {
+            Atom::Cmp { pos, op, val } => Ok(match row.get(*pos).sql_cmp(val.value(params)?) {
                 Some(ord) if op.holds(ord) => Truth::True,
                 Some(_) => Truth::False,
                 None => Truth::Null,
@@ -741,13 +1027,11 @@ struct CompiledPred {
 }
 
 impl CompiledPred {
-    fn compile(pred: Option<&Expr>, params: &[Value]) -> CompiledPred {
-        let mut atoms = Vec::new();
-        if let Some(p) = pred {
-            for c in p.conjuncts() {
-                atoms.push(compile_atom(c, params));
-            }
-        }
+    fn compile(pred: Option<&Expr>) -> CompiledPred {
+        let atoms = match pred {
+            Some(p) => p.conjuncts().into_iter().map(compile_atom).collect(),
+            None => Vec::new(),
+        };
         CompiledPred { atoms }
     }
 
@@ -764,9 +1048,14 @@ impl CompiledPred {
     }
 }
 
-fn compile_atom(e: &Expr, params: &[Value]) -> Atom {
+fn compile_atom(e: &Expr) -> Atom {
     if let Expr::Cmp(a, op, b) = e {
-        if let (Expr::BoundColumn(pos), Some(val)) = (&**a, const_operand(b, params)) {
+        let val = match &**b {
+            Expr::Literal(v) => Some(Operand::Literal(v.clone())),
+            Expr::Param(i) => Some(Operand::Param(*i)),
+            _ => None,
+        };
+        if let (Expr::BoundColumn(pos), Some(val)) = (&**a, val) {
             return Atom::Cmp {
                 pos: *pos,
                 op: *op,
@@ -775,15 +1064,6 @@ fn compile_atom(e: &Expr, params: &[Value]) -> Atom {
         }
     }
     Atom::Generic(e.clone())
-}
-
-fn const_operand(e: &Expr, params: &[Value]) -> Option<Value> {
-    match e {
-        Expr::Literal(v) => Some(v.clone()),
-        // A missing parameter stays Generic so evaluation reports it.
-        Expr::Param(i) => params.get(*i).cloned(),
-        _ => None,
-    }
 }
 
 /// One morsel of visible rows with a survivor bitmap. Rows are borrowed
@@ -801,22 +1081,18 @@ struct RowBatch<'a> {
 }
 
 impl<'a> RowBatch<'a> {
-    /// Touches every examined rid's page and collects the visible rows.
+    /// Touches every examined candidate's page and collects the visible
+    /// rows.
     fn gather(
         table: &'a Table,
-        rids: &[RowId],
+        candidates: impl Iterator<Item = (RowId, Option<&'a Row>)>,
         pool: &BufferPool,
         cost: &mut CostReport,
         snap: &Snapshot,
     ) -> RowBatch<'a> {
-        let mut rows = Vec::with_capacity(rids.len());
-        for &rid in rids {
-            touch_read(pool, table, rid, cost);
-            if let Some(r) = table.visible(rid, snap) {
-                rows.push(r);
-            }
-        }
-        cost.rows_scanned += rows.len() as u64;
+        let rows: Vec<&'a Row> = candidates
+            .filter_map(|cand| examine(table, cand, pool, cost, snap))
+            .collect();
         let n = rows.len();
         RowBatch {
             rows,
@@ -825,42 +1101,18 @@ impl<'a> RowBatch<'a> {
         }
     }
 
-    /// The batch's values of one column, contiguous (column-major view).
-    fn column(&self, pos: usize) -> Vec<&'a Value> {
-        self.rows.iter().map(|r| r.get(pos)).collect()
-    }
-
     /// Applies every predicate atom across the batch, column-at-a-time.
     fn filter(&mut self, pred: &CompiledPred, params: &[Value]) -> Result<()> {
         for atom in &pred.atoms {
-            match atom {
-                Atom::Cmp { pos, op, val } => {
-                    let col = self.column(*pos);
-                    for (i, v) in col.iter().enumerate() {
-                        if self.live[i] {
-                            match v.sql_cmp(val) {
-                                Some(ord) if op.holds(ord) => {}
-                                Some(_) => {
-                                    self.sel[i] = false;
-                                    self.live[i] = false;
-                                }
-                                None => self.sel[i] = false,
-                            }
+            for i in 0..self.rows.len() {
+                if self.live[i] {
+                    match atom.truth(self.rows[i], params)? {
+                        Truth::True => {}
+                        Truth::False => {
+                            self.sel[i] = false;
+                            self.live[i] = false;
                         }
-                    }
-                }
-                Atom::Generic(e) => {
-                    for i in 0..self.rows.len() {
-                        if self.live[i] {
-                            match e.eval(self.rows[i], params)? {
-                                Value::Bool(true) => {}
-                                Value::Bool(false) => {
-                                    self.sel[i] = false;
-                                    self.live[i] = false;
-                                }
-                                _ => self.sel[i] = false,
-                            }
-                        }
+                        Truth::Null => self.sel[i] = false,
                     }
                 }
             }
@@ -879,28 +1131,27 @@ impl<'a> RowBatch<'a> {
 }
 
 /// The vectorized join-free scan. Serial by default; with `workers > 1`
-/// and a large enough rid list (and no early-exit target), morsels are
-/// distributed to worker threads.
+/// and a large enough candidate list (and no early-exit target), morsels
+/// are distributed to worker threads.
 #[allow(clippy::too_many_arguments)]
-fn scan_vectorized(
-    base: &Table,
-    rid_list: &[RowId],
-    pred: Option<&Expr>,
+fn scan_vectorized<'t>(
+    base: &'t Table,
+    candidates: &Candidates<'t>,
+    compiled: &CompiledPred,
     params: &[Value],
     pool: &BufferPool,
     cost: &mut CostReport,
     snap: &Snapshot,
     target: Option<usize>,
-    topk: &mut Option<TopK>,
+    topk: &mut Option<TopK<'_>>,
     out: &mut Vec<Row>,
     opts: &ScanOpts,
 ) -> Result<()> {
-    let compiled = CompiledPred::compile(pred, params);
-    if opts.workers > 1 && rid_list.len() >= PARALLEL_MIN_RIDS && target.is_none() {
+    if opts.workers > 1 && candidates.len() >= PARALLEL_MIN_RIDS && target.is_none() {
         return scan_parallel(
             base,
-            rid_list,
-            &compiled,
+            candidates,
+            compiled,
             params,
             pool,
             cost,
@@ -911,17 +1162,15 @@ fn scan_vectorized(
         );
     }
     if let Some(t) = target {
-        // Early-exit shape: rid-at-a-time so the scan stops at exactly
+        // Early-exit shape: row-at-a-time so the scan stops at exactly
         // the same row — and the same cost — as the row engine. The win
         // here is the compiled predicate on the borrowed row: no clone
         // unless the row matches.
         debug_assert!(topk.is_none(), "fetch_limit implies no late sort");
-        for &rid in rid_list {
-            touch_read(pool, base, rid, cost);
-            let Some(r) = base.visible(rid, snap) else {
+        for cand in candidates.iter() {
+            let Some(r) = examine(base, cand, pool, cost, snap) else {
                 continue;
             };
-            cost.rows_scanned += 1;
             if compiled.matches(r, params)? {
                 out.push(r.clone());
                 if out.len() >= t {
@@ -931,9 +1180,10 @@ fn scan_vectorized(
         }
         return Ok(());
     }
-    for chunk in rid_list.chunks(BATCH_ROWS) {
-        let mut batch = RowBatch::gather(base, chunk, pool, cost, snap);
-        batch.filter(&compiled, params)?;
+    for lo in (0..candidates.len()).step_by(BATCH_ROWS) {
+        let hi = (lo + BATCH_ROWS).min(candidates.len());
+        let mut batch = RowBatch::gather(base, candidates.range(lo, hi), pool, cost, snap);
+        batch.filter(compiled, params)?;
         for r in batch.selected() {
             match topk.as_mut() {
                 Some(tk) => tk.offer(r.clone(), params)?,
@@ -945,23 +1195,23 @@ fn scan_vectorized(
 }
 
 /// `COUNT(*) WHERE ...` without materialization: batch survivors are
-/// counted, never cloned. Scans every rid (counts cannot early-exit), so
-/// serial cost equals the row engine's.
+/// counted, never cloned. Scans every candidate (counts cannot
+/// early-exit), so serial cost equals the row engine's.
 #[allow(clippy::too_many_arguments)]
-fn count_matching(
-    base: &Table,
-    rid_list: &[RowId],
-    pred: Option<&Expr>,
+fn count_matching<'t>(
+    base: &'t Table,
+    candidates: &Candidates<'t>,
+    compiled: &CompiledPred,
     params: &[Value],
     pool: &BufferPool,
     cost: &mut CostReport,
     snap: &Snapshot,
     workers: usize,
 ) -> Result<i64> {
-    let compiled = CompiledPred::compile(pred, params);
-    if workers > 1 && rid_list.len() >= PARALLEL_MIN_RIDS {
+    let total = candidates.len();
+    if workers > 1 && total >= PARALLEL_MIN_RIDS {
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let n_morsels = rid_list.len().div_ceil(BATCH_ROWS);
+        let n_morsels = total.div_ceil(BATCH_ROWS);
         let worker_results: Vec<Result<(CostReport, i64)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers.min(n_morsels))
                 .map(|_| {
@@ -974,10 +1224,15 @@ fn count_matching(
                                 break;
                             }
                             let lo = m * BATCH_ROWS;
-                            let hi = (lo + BATCH_ROWS).min(rid_list.len());
-                            let mut batch =
-                                RowBatch::gather(base, &rid_list[lo..hi], pool, &mut wcost, snap);
-                            batch.filter(&compiled, params)?;
+                            let hi = (lo + BATCH_ROWS).min(total);
+                            let mut batch = RowBatch::gather(
+                                base,
+                                candidates.range(lo, hi),
+                                pool,
+                                &mut wcost,
+                                snap,
+                            );
+                            batch.filter(compiled, params)?;
                             n += batch.selected().count() as i64;
                         }
                         Ok((wcost, n))
@@ -989,18 +1244,19 @@ fn count_matching(
                 .map(|h| h.join().expect("scan worker panicked"))
                 .collect()
         });
-        let mut total = 0i64;
+        let mut sum = 0i64;
         for r in worker_results {
             let (wcost, n) = r?;
             *cost += wcost;
-            total += n;
+            sum += n;
         }
-        return Ok(total);
+        return Ok(sum);
     }
     let mut n = 0i64;
-    for chunk in rid_list.chunks(BATCH_ROWS) {
-        let mut batch = RowBatch::gather(base, chunk, pool, cost, snap);
-        batch.filter(&compiled, params)?;
+    for lo in (0..total).step_by(BATCH_ROWS) {
+        let hi = (lo + BATCH_ROWS).min(total);
+        let mut batch = RowBatch::gather(base, candidates.range(lo, hi), pool, cost, snap);
+        batch.filter(compiled, params)?;
         n += batch.selected().count() as i64;
     }
     Ok(n)
@@ -1019,21 +1275,22 @@ fn count_matching(
 /// touches interleave nondeterministically: totals still add up, but
 /// hit/miss splits can differ run to run.
 #[allow(clippy::too_many_arguments)]
-fn scan_parallel(
-    base: &Table,
-    rid_list: &[RowId],
+fn scan_parallel<'t>(
+    base: &'t Table,
+    candidates: &Candidates<'t>,
     compiled: &CompiledPred,
     params: &[Value],
     pool: &BufferPool,
     cost: &mut CostReport,
     snap: &Snapshot,
-    topk: &mut Option<TopK>,
+    topk: &mut Option<TopK<'_>>,
     out: &mut Vec<Row>,
     workers: usize,
 ) -> Result<()> {
-    let spec: Option<(&[(Expr, bool)], usize)> = topk.as_ref().map(|tk| (&tk.keys[..], tk.cap));
+    let spec: Option<(&[(Expr, bool)], usize)> = topk.as_ref().map(|tk| (tk.keys, tk.cap));
     let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let n_morsels = rid_list.len().div_ceil(BATCH_ROWS);
+    let total = candidates.len();
+    let n_morsels = total.div_ceil(BATCH_ROWS);
     type Tagged = (u64, Row);
     let worker_results: Vec<Result<(CostReport, Vec<Tagged>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers.min(n_morsels))
@@ -1049,9 +1306,14 @@ fn scan_parallel(
                             break;
                         }
                         let lo = m * BATCH_ROWS;
-                        let hi = (lo + BATCH_ROWS).min(rid_list.len());
-                        let mut batch =
-                            RowBatch::gather(base, &rid_list[lo..hi], pool, &mut wcost, snap);
+                        let hi = (lo + BATCH_ROWS).min(total);
+                        let mut batch = RowBatch::gather(
+                            base,
+                            candidates.range(lo, hi),
+                            pool,
+                            &mut wcost,
+                            snap,
+                        );
                         batch.filter(compiled, params)?;
                         for (seq, r) in batch.selected().enumerate() {
                             let rank = ((m as u64) << 32) | seq as u64;
@@ -1110,8 +1372,8 @@ fn scan_parallel(
 /// index order: a sorted vector of at most `cap` rows. Ties keep arrival
 /// (heap) order — exactly what the executor's stable sort produces — so
 /// results are identical to sort-then-truncate.
-struct TopK {
-    keys: Vec<(Expr, bool)>,
+struct TopK<'k> {
+    keys: &'k [(Expr, bool)],
     cap: usize,
     /// (sort key values, row), kept sorted per the ORDER BY.
     entries: Vec<(Vec<Value>, Row)>,
@@ -1119,8 +1381,8 @@ struct TopK {
     insertions: u64,
 }
 
-impl TopK {
-    fn new(keys: Vec<(Expr, bool)>, cap: usize) -> Self {
+impl<'k> TopK<'k> {
+    fn new(keys: &'k [(Expr, bool)], cap: usize) -> Self {
         TopK {
             keys,
             cap,
@@ -1141,7 +1403,7 @@ impl TopK {
         // First slot that sorts strictly after the candidate; equal keys
         // land before it (the candidate arrived later — stable order).
         let pos = self.entries.partition_point(|(ek, _)| {
-            cmp_order_keys(&self.keys, ek, &kv) != std::cmp::Ordering::Greater
+            cmp_order_keys(self.keys, ek, &kv) != std::cmp::Ordering::Greater
         });
         if pos >= self.cap {
             return Ok(()); // worse than every kept row
@@ -1162,121 +1424,18 @@ impl TopK {
 /// the visible row count for a predicate-free scan. No heap page is
 /// touched; entries resolve against the snapshot so counts agree with
 /// what a full scan at the same snapshot would return.
-fn run_count_only(
-    base: &Table,
-    sel: &Select,
-    qplan: &QueryPlan,
-    cost: &mut CostReport,
-    snap: &Snapshot,
-) -> Result<QueryResult> {
-    use crate::plan::AccessPath;
-    let n = match &qplan.base.path {
-        AccessPath::TableScan => base.visible_len(snap) as i64,
-        AccessPath::PkEq { key } => {
-            cost.index_probes += 1;
-            i64::from(base.find_pk_visible(key, snap).is_some())
-        }
-        AccessPath::IndexEq { index, key } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_lookup_visible(idx, key, snap).len() as i64
-        }
-        AccessPath::IndexPrefixRange { index, prefix } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_prefix_scan_visible(idx, prefix, false, snap)
-                .len() as i64
-        }
-        AccessPath::PkOr { keys } => {
-            cost.index_probes += keys.len() as u64;
-            keys.iter()
-                .filter(|k| base.find_pk_visible(k, snap).is_some())
-                .count() as i64
-        }
-        AccessPath::PkRange { from, to } => {
-            cost.index_probes += 1;
-            base.pk_range_scan_visible(from, to, false, snap).len() as i64
-        }
-        AccessPath::IndexRange {
-            index,
-            eq_prefix,
-            from,
-            to,
-        } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_range_scan_visible(idx, eq_prefix, from, to, false, snap)
-                .len() as i64
-        }
-        AccessPath::IndexOr { index, keys } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_multi_lookup_visible(idx, keys, false, snap)
-                .len() as i64
-        }
-        AccessPath::IndexInList {
-            index,
-            eq_prefix,
-            keys,
-        } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_in_scan_visible(idx, eq_prefix, keys, false, snap)
-                .len() as i64
-        }
-    };
-    let alias = match &sel.projection[..] {
-        [crate::query::SelectItem::Aggregate { alias, .. }] => alias.clone(),
-        _ => None,
-    };
-    cost.rows_returned += 1;
-    Ok(QueryResult {
-        columns: vec![alias.unwrap_or_else(|| "count".to_owned())],
-        rows: vec![Row::new(vec![Value::Int(n)])],
-        rows_affected: 0,
-    })
+fn run_count_only(base: &Table, path: &AccessPath, cost: &mut CostReport, snap: &Snapshot) -> i64 {
+    match crate::plan::execute_path(base, path, false, cost, snap) {
+        Some(rows) => rows.len() as i64,
+        None => base.visible_len(snap) as i64,
+    }
 }
 
-fn project(
-    sel: &Select,
-    layout: &Layout,
-    input: Vec<Row>,
-    params: &[Value],
-) -> Result<(Vec<String>, Vec<Row>)> {
-    // Fast path: bare `SELECT *`.
-    if sel.projection.len() == 1 && matches!(sel.projection[0], SelectItem::Wildcard) {
-        return Ok((layout.all_column_names(), input));
-    }
-    let mut columns = Vec::new();
-    enum Out {
-        All,
-        Expr(Expr),
-    }
-    let mut outs = Vec::new();
-    for item in &sel.projection {
-        match item {
-            SelectItem::Wildcard => {
-                columns.extend(layout.all_column_names());
-                outs.push(Out::All);
-            }
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column(c) => c.column.clone(),
-                    other => other.to_string(),
-                }));
-                outs.push(Out::Expr(expr.bind(&layout.binder())?));
-            }
-            SelectItem::Aggregate { .. } => {
-                return Err(StorageError::Unsupported(
-                    "aggregate mixed into a non-aggregate projection".into(),
-                ))
-            }
-        }
-    }
+fn project(outs: &[Out], width: usize, input: Vec<Row>, params: &[Value]) -> Result<Vec<Row>> {
     let mut rows = Vec::with_capacity(input.len());
     for r in input {
-        let mut vals = Vec::with_capacity(columns.len());
-        for out in &outs {
+        let mut vals = Vec::with_capacity(width);
+        for out in outs {
             match out {
                 Out::All => vals.extend_from_slice(r.values()),
                 Out::Expr(e) => vals.push(e.eval(&r, params)?),
@@ -1284,91 +1443,52 @@ fn project(
         }
         rows.push(Row::new(vals));
     }
-    Ok((columns, rows))
+    Ok(rows)
 }
 
 fn run_aggregate(
-    sel: &Select,
-    layout: &Layout,
+    group_pos: &[usize],
+    items: &[AggItem],
     input: Vec<Row>,
     params: &[Value],
-    cost: &mut CostReport,
-) -> Result<QueryResult> {
+) -> Result<Vec<Row>> {
     // Group rows.
-    let group_pos: Vec<usize> = sel
-        .group_by
-        .iter()
-        .map(|c| layout.resolve(c))
-        .collect::<Result<_>>()?;
-    let mut groups: Vec<(Vec<Value>, Vec<Row>)> = Vec::new();
+    let mut groups: Vec<Vec<Row>> = Vec::new();
     if group_pos.is_empty() {
-        groups.push((Vec::new(), input));
+        groups.push(input);
     } else {
         use std::collections::HashMap;
         let mut map: HashMap<Vec<Value>, usize> = HashMap::new();
         for r in input {
             let key: Vec<Value> = group_pos.iter().map(|&p| r.get(p).clone()).collect();
             match map.get(&key) {
-                Some(&i) => groups[i].1.push(r),
+                Some(&i) => groups[i].push(r),
                 None => {
-                    map.insert(key.clone(), groups.len());
-                    groups.push((key, vec![r]));
+                    map.insert(key, groups.len());
+                    groups.push(vec![r]);
                 }
-            }
-        }
-    }
-
-    let mut columns = Vec::new();
-    for item in &sel.projection {
-        match item {
-            SelectItem::Aggregate { func, alias, .. } => columns.push(
-                alias
-                    .clone()
-                    .unwrap_or_else(|| func.to_string().to_lowercase()),
-            ),
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column(c) => c.column.clone(),
-                    other => other.to_string(),
-                }))
-            }
-            SelectItem::Wildcard => {
-                return Err(StorageError::Unsupported(
-                    "wildcard in aggregate projection".into(),
-                ))
             }
         }
     }
 
     let mut out_rows = Vec::with_capacity(groups.len());
-    for (_key, rows) in &groups {
-        let mut vals = Vec::with_capacity(sel.projection.len());
-        for item in &sel.projection {
+    for rows in &groups {
+        let mut vals = Vec::with_capacity(items.len());
+        for item in items {
             match item {
-                SelectItem::Aggregate { func, arg, .. } => {
-                    let bound = match arg {
-                        Some(e) => Some(e.bind(&layout.binder())?),
-                        None => None,
-                    };
-                    vals.push(aggregate(*func, bound.as_ref(), rows, params)?);
+                AggItem::Agg { func, arg } => {
+                    vals.push(aggregate(*func, arg.as_ref(), rows, params)?);
                 }
-                SelectItem::Expr { expr, .. } => {
+                AggItem::Expr(e) => {
                     // Must be a grouped column: evaluate on the first row.
-                    let bound = expr.bind(&layout.binder())?;
                     let rep = rows.first().cloned().unwrap_or_default();
-                    vals.push(bound.eval(&rep, params)?);
+                    vals.push(e.eval(&rep, params)?);
                 }
-                SelectItem::Wildcard => unreachable!("rejected above"),
             }
         }
         out_rows.push(Row::new(vals));
     }
-    cost.rows_returned += out_rows.len() as u64;
-    Ok(QueryResult {
-        columns,
-        rows: out_rows,
-        rows_affected: 0,
-    })
+    Ok(out_rows)
 }
 
 fn aggregate(func: AggFunc, arg: Option<&Expr>, rows: &[Row], params: &[Value]) -> Result<Value> {

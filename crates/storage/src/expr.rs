@@ -122,7 +122,7 @@ impl fmt::Display for ArithOp {
 }
 
 /// A scalar expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Expr {
     /// A constant value.
     Literal(Value),

@@ -25,7 +25,7 @@ use crate::lockmgr::LatchCounters;
 use crate::query::Statement;
 use crate::table::Table;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The tables a statement may touch, split by access mode. Computed
 /// before execution from the statement shape alone — FROM/JOIN tables
@@ -40,14 +40,6 @@ pub(crate) struct LatchPlan {
 }
 
 impl LatchPlan {
-    /// A plan reading exactly `tables`.
-    pub fn reads<I: IntoIterator<Item = String>>(tables: I) -> Self {
-        LatchPlan {
-            read: tables.into_iter().collect(),
-            write: BTreeSet::new(),
-        }
-    }
-
     /// A plan writing exactly `tables`.
     pub fn writes<I: IntoIterator<Item = String>>(tables: I) -> Self {
         LatchPlan {
@@ -56,7 +48,7 @@ impl LatchPlan {
         }
     }
 
-    /// The latch set for one statement. Verifies every named table
+    /// The latch set for one write statement. Verifies every named table
     /// exists (the same [`StorageError::UnknownTable`] a statement would
     /// raise) and collects write targets' foreign-key parents, which
     /// constraint probes read during execution. Takes only brief
@@ -68,15 +60,6 @@ impl LatchPlan {
     ) -> Result<LatchPlan> {
         let mut plan = LatchPlan::default();
         match stmt {
-            Statement::Select(sel) | Statement::Explain(sel) => {
-                plan.read.insert(sel.from.table.clone());
-                for j in &sel.joins {
-                    plan.read.insert(j.table.table.clone());
-                }
-                for t in &plan.read {
-                    catalog.latch(t)?;
-                }
-            }
             Statement::Insert(ins) => {
                 plan.write.insert(ins.table.clone());
                 collect_fk_parents(catalog, &ins.table, &mut plan.read, counters)?;
@@ -89,9 +72,13 @@ impl LatchPlan {
                 plan.write.insert(del.table.clone());
                 catalog.latch(&del.table)?;
             }
-            // DDL runs under the exclusive catalog latch; transaction
-            // control never reaches statement execution.
-            Statement::CreateTable(_)
+            // Reads latch their prepared table list
+            // ([`TableSet::latch_reads`]); DDL runs under the exclusive
+            // catalog latch; transaction control never reaches statement
+            // execution.
+            Statement::Select(_)
+            | Statement::Explain(_)
+            | Statement::CreateTable(_)
             | Statement::CreateIndex { .. }
             | Statement::Begin
             | Statement::Commit
@@ -162,7 +149,12 @@ enum Slot<'a> {
 /// latches; drop releases them. Lookup mirrors the old `Catalog` API
 /// (`table` / `table_mut`) so executor code reads the same either way.
 pub(crate) struct TableSet<'a> {
-    slots: BTreeMap<String, Slot<'a>>,
+    /// Sorted by name; names borrow the catalog's keys, so building a
+    /// set allocates nothing per table.
+    slots: Vec<(&'a str, Slot<'a>)>,
+    /// [`Catalog::version`] of the catalog the set was latched from —
+    /// what prepared statements stamp their bound layouts with.
+    catalog_version: u64,
 }
 
 impl<'a> TableSet<'a> {
@@ -174,39 +166,71 @@ impl<'a> TableSet<'a> {
         plan: &LatchPlan,
         counters: &LatchCounters,
     ) -> Result<TableSet<'a>> {
-        let mut slots = BTreeMap::new();
+        let mut slots = Vec::with_capacity(plan.write.len() + plan.read.len());
         // BTreeSet union iterates in sorted order.
         for name in plan.write.union(&plan.read) {
-            let cell = catalog.latch(name)?;
+            let (name, cell) = catalog.latch_entry(name)?;
             let slot = if plan.write.contains(name) {
                 Slot::Write(write_counted(cell, counters))
             } else {
                 Slot::Read(read_counted(cell, counters))
             };
-            slots.insert(name.clone(), slot);
+            slots.push((name, slot));
         }
-        Ok(TableSet { slots })
+        Ok(TableSet {
+            slots,
+            catalog_version: catalog.version(),
+        })
+    }
+
+    /// Read-latches `tables` — already sorted and deduplicated, as a
+    /// prepared SELECT keeps its FROM/JOIN set — in that (canonical)
+    /// order.
+    pub fn latch_reads(
+        catalog: &'a Catalog,
+        tables: &[String],
+        counters: &LatchCounters,
+    ) -> Result<TableSet<'a>> {
+        debug_assert!(tables.windows(2).all(|w| w[0] < w[1]));
+        let mut slots = Vec::with_capacity(tables.len());
+        for name in tables {
+            let (name, cell) = catalog.latch_entry(name)?;
+            slots.push((name, Slot::Read(read_counted(cell, counters))));
+        }
+        Ok(TableSet {
+            slots,
+            catalog_version: catalog.version(),
+        })
     }
 
     /// Every table as a [`Slot::Mut`] borrow — the exclusive-mode view
     /// used under the catalog write latch (DDL-adjacent statements,
     /// trigger-firing commits, the serial-latch baseline).
     pub fn exclusive(catalog: &'a mut Catalog) -> TableSet<'a> {
+        let catalog_version = catalog.version();
         TableSet {
             slots: catalog
                 .tables_mut_named()
-                .map(|(n, t)| (n.to_owned(), Slot::Mut(t)))
+                .map(|(n, t)| (n, Slot::Mut(t)))
                 .collect(),
+            catalog_version,
         }
+    }
+
+    /// The structural version of the catalog these tables belong to.
+    pub fn catalog_version(&self) -> u64 {
+        self.catalog_version
     }
 
     /// Shared lookup.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        match self.slots.get(name) {
-            Some(Slot::Read(g)) => Ok(g),
-            Some(Slot::Write(g)) => Ok(g),
-            Some(Slot::Mut(t)) => Ok(t),
-            None => Err(StorageError::UnknownTable(name.to_owned())),
+        match self.slots.binary_search_by(|(n, _)| (*n).cmp(name)) {
+            Ok(i) => Ok(match &self.slots[i].1 {
+                Slot::Read(g) => g,
+                Slot::Write(g) => g,
+                Slot::Mut(t) => t,
+            }),
+            Err(_) => Err(StorageError::UnknownTable(name.to_owned())),
         }
     }
 
@@ -214,20 +238,22 @@ impl<'a> TableSet<'a> {
     /// read-only slot here means the [`LatchPlan`] missed a write target
     /// — an engine bug, surfaced loudly instead of racing).
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        match self.slots.get_mut(name) {
-            Some(Slot::Write(g)) => Ok(g),
-            Some(Slot::Mut(t)) => Ok(t),
-            Some(Slot::Read(_)) => Err(StorageError::Unsupported(format!(
-                "internal: table '{name}' latched shared but written"
-            ))),
-            None => Err(StorageError::UnknownTable(name.to_owned())),
+        match self.slots.binary_search_by(|(n, _)| (*n).cmp(name)) {
+            Ok(i) => match &mut self.slots[i].1 {
+                Slot::Write(g) => Ok(g),
+                Slot::Mut(t) => Ok(t),
+                Slot::Read(_) => Err(StorageError::Unsupported(format!(
+                    "internal: table '{name}' latched shared but written"
+                ))),
+            },
+            Err(_) => Err(StorageError::UnknownTable(name.to_owned())),
         }
     }
 
     /// Latched table names in sorted order (diagnostics).
     #[cfg(test)]
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.slots.keys().map(String::as_str)
+        self.slots.iter().map(|(n, _)| *n)
     }
 }
 
@@ -290,9 +316,13 @@ mod tests {
     fn unknown_table_fails_planning() {
         let c = catalog();
         let counters = LatchCounters::default();
-        let stmt = crate::sql::parse("SELECT * FROM ghost").unwrap();
+        let stmt = crate::sql::parse("DELETE FROM ghost").unwrap();
         assert!(matches!(
             LatchPlan::for_statement(&c, &stmt, &counters),
+            Err(StorageError::UnknownTable(_))
+        ));
+        assert!(matches!(
+            TableSet::latch_reads(&c, &["ghost".to_owned()], &counters),
             Err(StorageError::UnknownTable(_))
         ));
     }

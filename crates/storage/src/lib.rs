@@ -70,6 +70,7 @@ pub mod expr;
 pub(crate) mod latch;
 pub mod lockmgr;
 pub mod plan;
+pub mod prepared;
 pub mod query;
 pub mod row;
 pub mod schema;
@@ -90,6 +91,7 @@ pub use error::{Result, StorageError};
 pub use expr::{ArithOp, CmpOp, ColumnRef, Expr};
 pub use lockmgr::{LatchStats, LockManager, LockMode, LockStats, TxnId};
 pub use plan::{AccessPath, Bound, JoinMethod, JoinPlan, Plan, QueryPlan};
+pub use prepared::{PreparedSelect, ShapeCache};
 pub use query::{
     AggFunc, Delete, Insert, Join, JoinKind, OrderKey, QueryResult, Select, SelectItem, Statement,
     TableRef, Update,

@@ -53,8 +53,8 @@ use crate::latch::TableSet;
 use crate::query::{AggFunc, JoinKind, OrderKey, Select, SelectItem};
 use crate::row::Row;
 use crate::stats::ColumnStats;
-use crate::table::Table;
-use crate::value::Value;
+use crate::table::{RowRef, Table};
+use crate::value::{Value, ValueType};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -168,6 +168,37 @@ impl AccessPath {
             AccessPath::IndexPrefixRange { .. } => "IndexPrefixRange",
             AccessPath::IndexOr { .. } => "IndexOr",
             AccessPath::IndexInList { .. } => "IndexInList",
+        }
+    }
+
+    /// The path's equality key values — the point-lookup key, or the
+    /// equality prefix of a prefix / range / IN scan — one per leading
+    /// key column.
+    fn eq_values(&self) -> &[Value] {
+        match self {
+            AccessPath::PkEq { key } => std::slice::from_ref(key),
+            AccessPath::IndexEq { key, .. } => key,
+            AccessPath::IndexPrefixRange { prefix, .. } => prefix,
+            AccessPath::IndexRange { eq_prefix, .. }
+            | AccessPath::IndexInList { eq_prefix, .. } => eq_prefix,
+            AccessPath::TableScan
+            | AccessPath::PkOr { .. }
+            | AccessPath::PkRange { .. }
+            | AccessPath::IndexOr { .. } => &[],
+        }
+    }
+
+    fn eq_values_mut(&mut self) -> &mut [Value] {
+        match self {
+            AccessPath::PkEq { key } => std::slice::from_mut(key),
+            AccessPath::IndexEq { key, .. } => key,
+            AccessPath::IndexPrefixRange { prefix, .. } => prefix,
+            AccessPath::IndexRange { eq_prefix, .. }
+            | AccessPath::IndexInList { eq_prefix, .. } => eq_prefix,
+            AccessPath::TableScan
+            | AccessPath::PkOr { .. }
+            | AccessPath::PkRange { .. }
+            | AccessPath::IndexOr { .. } => &mut [],
         }
     }
 
@@ -349,6 +380,9 @@ fn sort_cost(rows: f64) -> f64 {
 #[derive(Debug, Default, Clone)]
 struct ColumnConstraint {
     eq: Option<Value>,
+    /// The parameter `eq` was read from (`col = $n`); `None` for a
+    /// literal. Lets the join planner keep a folded probe key symbolic.
+    eq_param: Option<usize>,
     lower: Option<Bound>,
     upper: Option<Bound>,
     /// Sorted, deduplicated `IN` / OR-equality key set.
@@ -415,14 +449,17 @@ pub(crate) fn pk_target_keys(
 /// caller then skips the index candidate; the residual filter keeps
 /// semantics).
 pub(crate) fn coerce_for_column(table: &Table, column: &str, v: &Value) -> Option<Value> {
-    let col = table.schema().column(column)?;
-    if let Some(cv) = v.coerce_to(col.ty) {
+    coerce_for_type(table.schema().column(column)?.ty, v)
+}
+
+/// [`coerce_for_column`] on the column's type alone.
+fn coerce_for_type(ty: ValueType, v: &Value) -> Option<Value> {
+    if let Some(cv) = v.coerce_to(ty) {
         return Some(cv);
     }
     // Numerics interleave in the storage total order, so an uncoercible
     // float bound (e.g. `int_col > 10.5`) still ranges correctly raw.
-    use crate::value::ValueType;
-    let numeric_col = matches!(col.ty, ValueType::Int | ValueType::Float);
+    let numeric_col = matches!(ty, ValueType::Int | ValueType::Float);
     let numeric_val = matches!(v, Value::Int(_) | Value::Float(_));
     if numeric_col && numeric_val {
         return Some(v.clone());
@@ -456,7 +493,12 @@ fn extract_constraints(
             if binds_to(cref, binding, table) {
                 let v = eval_const(vexpr, params)?;
                 if let Some(cv) = coerce_for_column(table, &cref.column, &v) {
-                    out.entry(&cref.column).eq = Some(cv);
+                    let c = out.entry(&cref.column);
+                    c.eq = Some(cv);
+                    c.eq_param = match vexpr {
+                        Expr::Param(i) => Some(*i),
+                        _ => None,
+                    };
                 }
             }
             continue;
@@ -548,6 +590,154 @@ fn tighten_upper(slot: &mut Option<Bound>, candidate: Bound) {
     };
     if replace {
         *slot = Some(candidate);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Plan reuse across parameter vectors
+// ---------------------------------------------------------------------
+//
+// A prepared statement keeps the plan the planner chose for one parameter
+// vector and reuses it for the next. That is sound exactly when the
+// planner, run afresh on the new vector, would choose the same plan with
+// the new key values in it. The planner reads parameter values in three
+// places only, all through the sargable conjuncts of the WHERE clause
+// (`col = v`, `col < v` and friends, `col IN (..)`, same-column OR
+// chains): [`extract_constraints`] coerces each value for its column and
+// keeps it as a key or bound, range costing feeds bounds to the
+// histograms, and [`path_absorbs_predicate`] compares values with each
+// other. Equality costing reads distinct counts, never the value.
+
+/// True when parameter values cannot change which plan the planner picks
+/// for a statement with this WHERE clause, as long as every parameter
+/// passes its [`KeyGuard`]: every conjunct that feeds a parameter to the
+/// planner is a plain `col = $n`, and no other sargable conjunct
+/// constrains that column (a second one would make key choice and
+/// count-pushdown compare the two values). Ranges, IN lists and OR
+/// chains over parameters are value-dependent: their selectivity, key
+/// count and emptiness move with the values. Literals are part of the
+/// statement, so conjuncts without parameters never matter here.
+pub(crate) fn value_independent(pred: Option<&Expr>) -> bool {
+    let Some(pred) = pred else {
+        return true;
+    };
+    let is_param = |e: &Expr| matches!(e, Expr::Param(_));
+    // (column, reads a parameter, is a plain equality) per sargable conjunct.
+    let mut sargable: Vec<(&crate::expr::ColumnRef, bool, bool)> = Vec::new();
+    for conjunct in pred.conjuncts() {
+        if let Some((c, v)) = conjunct.as_column_eq() {
+            sargable.push((c, is_param(v), true));
+        } else if let Some((c, op, v)) = conjunct.as_column_cmp() {
+            if matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) {
+                sargable.push((c, is_param(v), false));
+            }
+        } else if let Some((c, items)) = conjunct.as_column_in() {
+            sargable.push((c, items.iter().any(is_param), false));
+        } else if let Some((c, items)) = conjunct.as_or_column_eqs() {
+            sargable.push((c, items.into_iter().any(is_param), false));
+        }
+    }
+    // Unqualified names attribute to whichever table carries the column,
+    // so they may name the same column as any qualified spelling.
+    let may_alias = |a: &crate::expr::ColumnRef, b: &crate::expr::ColumnRef| {
+        a.column == b.column && (a.table == b.table || a.table.is_none() || b.table.is_none())
+    };
+    sargable.iter().enumerate().all(|(i, (col, param, eq))| {
+        !param
+            || (*eq
+                && sargable
+                    .iter()
+                    .enumerate()
+                    .all(|(j, (other, _, _))| i == j || !may_alias(col, other)))
+    })
+}
+
+/// The condition under which a `col = $n` conjunct contributes a key to
+/// the plan: the parameter is present, not NULL (a NULL key switches
+/// count-pushdown off) and coercible to the column's type (otherwise the
+/// planner drops the constraint). A cached plan is reused only for
+/// parameter vectors passing every guard of the statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyGuard {
+    param: usize,
+    ty: ValueType,
+}
+
+impl KeyGuard {
+    pub(crate) fn holds(&self, params: &[Value]) -> bool {
+        params
+            .get(self.param)
+            .is_some_and(|v| !v.is_null() && coerce_for_type(self.ty, v).is_some())
+    }
+}
+
+/// The guards of every `col = $n` conjunct of `pred`, one per table
+/// (`slots`: binding name and table) the column attributes to.
+pub(crate) fn key_guards(pred: Option<&Expr>, slots: &[(&str, &Table)]) -> Vec<KeyGuard> {
+    let mut out = Vec::new();
+    let Some(pred) = pred else {
+        return out;
+    };
+    for conjunct in pred.conjuncts() {
+        let Some((cref, Expr::Param(param))) = conjunct.as_column_eq() else {
+            continue;
+        };
+        for (binding, table) in slots {
+            if binds_to(cref, binding, table) {
+                let ty = table
+                    .schema()
+                    .column(&cref.column)
+                    .expect("binds_to found the column")
+                    .ty;
+                let guard = KeyGuard { param: *param, ty };
+                if !out.contains(&guard) {
+                    out.push(guard);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// For each of `path`'s [`AccessPath::eq_values`], the parameter (and key
+/// column type) the planner read it from — `None` for a literal.
+pub(crate) fn key_sources(
+    table: &Table,
+    binding: &str,
+    pred: Option<&Expr>,
+    path: &AccessPath,
+    params: &[Value],
+) -> Result<Vec<Option<KeyGuard>>> {
+    let n = path.eq_values().len();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let cons = extract_constraints(pred, binding, table, params)?;
+    let columns: Vec<&str> = match path.index_name() {
+        Some(index) => {
+            let idx = table.index_by_name(index).expect("planned index exists");
+            idx.def().columns[..n].iter().map(String::as_str).collect()
+        }
+        None => vec![table.schema().primary_key()],
+    };
+    Ok(columns
+        .into_iter()
+        .map(|col| {
+            let param = cons.get(col)?.eq_param?;
+            let ty = table.schema().column(col)?.ty;
+            Some(KeyGuard { param, ty })
+        })
+        .collect())
+}
+
+/// Rewrites `path`'s equality values from `params` — the cached plan's
+/// keys become the keys the planner would have extracted from this
+/// parameter vector. Every source must pass its guard.
+pub(crate) fn rebind_keys(path: &mut AccessPath, sources: &[Option<KeyGuard>], params: &[Value]) {
+    for (slot, source) in path.eq_values_mut().iter_mut().zip(sources) {
+        if let Some(s) = source {
+            *slot = coerce_for_type(s.ty, &params[s.param]).expect("key guard held");
+        }
     }
 }
 
@@ -968,37 +1158,39 @@ fn plan_access_impl(
         .expect("TableScan is always a candidate"))
 }
 
-/// Executes a plan's access path against the read `snap`shot, returning
-/// candidate row ids in path order (`None` means full heap scan — the
+/// Executes an access path against the read `snap`shot, returning the
+/// candidate rows in path order (`None` means full heap scan — the
 /// executor drives it via [`Table::scan_rids`]). Charges probes to
-/// `cost`. Every id returned resolves to a version visible at the
-/// snapshot that actually carries the probed key.
-pub(crate) fn execute_path(
-    table: &Table,
-    plan: &Plan,
+/// `cost`. Every id returned comes with the version visible at the
+/// snapshot, which actually carries the probed key — consumers use that
+/// row instead of resolving the id again.
+pub(crate) fn execute_path<'t>(
+    table: &'t Table,
+    path: &AccessPath,
+    reverse: bool,
     cost: &mut CostReport,
     snap: &crate::table::Snapshot,
-) -> Option<Vec<crate::row::RowId>> {
-    match &plan.path {
+) -> Option<Vec<RowRef<'t>>> {
+    match path {
         AccessPath::TableScan => None,
         AccessPath::PkEq { key } => {
             cost.index_probes += 1;
-            Some(table.find_pk_visible(key, snap).into_iter().collect())
+            Some(table.find_pk_visible_row(key, snap).into_iter().collect())
         }
         AccessPath::PkOr { keys } => {
             cost.index_probes += keys.len() as u64;
-            let mut rids: Vec<crate::row::RowId> = keys
+            let mut rows: Vec<RowRef<'t>> = keys
                 .iter()
-                .filter_map(|k| table.find_pk_visible(k, snap))
+                .filter_map(|k| table.find_pk_visible_row(k, snap))
                 .collect();
-            if plan.reverse {
-                rids.reverse();
+            if reverse {
+                rows.reverse();
             }
-            Some(rids)
+            Some(rows)
         }
         AccessPath::PkRange { from, to } => {
             cost.index_probes += 1;
-            Some(table.pk_range_scan_visible(from, to, plan.reverse, snap))
+            Some(table.pk_range_scan_visible(from, to, reverse, snap))
         }
         AccessPath::IndexEq { index, key } => {
             cost.index_probes += 1;
@@ -1013,17 +1205,17 @@ pub(crate) fn execute_path(
         } => {
             cost.index_probes += 1;
             let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_range_scan_visible(idx, eq_prefix, from, to, plan.reverse, snap))
+            Some(table.index_range_scan_visible(idx, eq_prefix, from, to, reverse, snap))
         }
         AccessPath::IndexPrefixRange { index, prefix } => {
             cost.index_probes += 1;
             let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_prefix_scan_visible(idx, prefix, plan.reverse, snap))
+            Some(table.index_prefix_scan_visible(idx, prefix, reverse, snap))
         }
         AccessPath::IndexOr { index, keys } => {
             cost.index_probes += keys.len() as u64;
             let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_multi_lookup_visible(idx, keys, plan.reverse, snap))
+            Some(table.index_multi_lookup_visible(idx, keys, reverse, snap))
         }
         AccessPath::IndexInList {
             index,
@@ -1032,7 +1224,7 @@ pub(crate) fn execute_path(
         } => {
             cost.index_probes += keys.len() as u64;
             let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_in_scan_visible(idx, eq_prefix, keys, plan.reverse, snap))
+            Some(table.index_in_scan_visible(idx, eq_prefix, keys, reverse, snap))
         }
     }
 }
@@ -1464,7 +1656,7 @@ impl ColSpec<'_> {
 /// table, ungrouped, unordered (the executor rejects ORDER BY for
 /// aggregates, and the fast path must not make that malformed shape
 /// silently succeed)?
-fn is_count_star_shape(sel: &Select) -> bool {
+pub(crate) fn is_count_star_shape(sel: &Select) -> bool {
     if !sel.joins.is_empty() || !sel.group_by.is_empty() || !sel.order_by.is_empty() {
         return false;
     }
@@ -1785,7 +1977,16 @@ fn plan_one_order(
             for (col, c) in &cons.cols {
                 if let Some(v) = &c.eq {
                     if !key_cols.iter().any(|(kc, _)| kc == col) {
-                        key_cols.push((col.clone(), Expr::Literal(v.clone())));
+                        // A parameter stays a parameter: the probe
+                        // coerces whatever it evaluates to for the key
+                        // column, so the step is the same for every
+                        // parameter vector and a cached plan needs no
+                        // per-call rewrite here.
+                        let outer = match c.eq_param {
+                            Some(i) => Expr::Param(i),
+                            None => Expr::Literal(v.clone()),
+                        };
+                        key_cols.push((col.clone(), outer));
                     }
                 }
             }

@@ -13,7 +13,7 @@ use crate::value::Value;
 use std::fmt;
 
 /// A table reference with an optional alias.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableRef {
     /// Table name in the catalog.
     pub table: String,
@@ -54,7 +54,7 @@ impl fmt::Display for TableRef {
 }
 
 /// Join flavour. Only the two the ORM generates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     /// INNER JOIN.
     Inner,
@@ -63,7 +63,7 @@ pub enum JoinKind {
 }
 
 /// One join step in a SELECT.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Join {
     /// Join flavour.
     pub kind: JoinKind,
@@ -74,7 +74,7 @@ pub struct Join {
 }
 
 /// Aggregate functions supported by the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` or `COUNT(col)`.
     Count,
@@ -102,7 +102,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// One item of a SELECT projection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum SelectItem {
     /// `*` — every column of the FROM chain, in join order.
     Wildcard,
@@ -166,7 +166,7 @@ impl fmt::Display for SelectItem {
 }
 
 /// A sort key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct OrderKey {
     /// Sort expression (usually a column).
     pub expr: Expr,
@@ -185,8 +185,9 @@ impl fmt::Display for OrderKey {
     }
 }
 
-/// A SELECT statement.
-#[derive(Debug, Clone, PartialEq)]
+/// A SELECT statement. Hashing is structural and consistent with `==`:
+/// the engine's statement cache keys prepared statements by it.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Select {
     /// Base table.
     pub from: TableRef,

@@ -63,6 +63,11 @@ impl Snapshot {
     }
 }
 
+/// A row id together with the version of it a snapshot resolved — what
+/// the snapshot-aware lookups return, so each candidate row is resolved
+/// exactly once per scan.
+pub type RowRef<'a> = (RowId, &'a Row);
+
 /// When a superseded version stopped being current.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VersionEnd {
@@ -174,7 +179,7 @@ impl Index {
 /// order, which is the tie order the executor's stable sort produces —
 /// so ordered index scans and scan+sort return identical row sequences,
 /// with or without the index.
-fn flatten_key_blocks(blocks: Vec<Vec<RowId>>, reverse: bool) -> Vec<RowId> {
+fn flatten_key_blocks<T>(blocks: Vec<Vec<T>>, reverse: bool) -> Vec<T> {
     let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
     if reverse {
         for block in blocks.into_iter().rev() {
@@ -225,6 +230,9 @@ pub struct Table {
     /// (queue overflow, statement/commit boundaries, planner reads)
     /// instead of on every row write.
     stats: Mutex<TableStats>,
+    /// Bumped by every mutation the planner could observe (row count,
+    /// index key sets, statistics): the validity stamp of cached plans.
+    version: u64,
 }
 
 impl Clone for Table {
@@ -245,6 +253,7 @@ impl Clone for Table {
                     pending: s.pending.clone(),
                 }
             }),
+            version: self.version,
         }
     }
 }
@@ -270,15 +279,30 @@ impl Table {
                 cols,
                 pending: Vec::new(),
             }),
+            version: 0,
         }
     }
 
+    /// Every row that enters or leaves the heap passes through here (or
+    /// [`Table::stats_remove`]), so these two carry the version bump for
+    /// all row-level writes.
     fn stats_add(&mut self, row: &Row) {
+        self.version += 1;
         self.stats.get_mut().queue(true, row);
     }
 
     fn stats_remove(&mut self, row: &Row) {
+        self.version += 1;
         self.stats.get_mut().queue(false, row);
+    }
+
+    /// The table's write version: changes whenever anything the planner
+    /// reads from this table may have changed — row count, index key
+    /// sets (including vacuum's entry retirement), statistics, the index
+    /// list. A plan built at version `v` is exactly what the planner
+    /// would build again while the version is still `v`.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Applies every queued statistics delta now. The engine calls this at
@@ -780,13 +804,18 @@ impl Table {
     /// Snapshot-aware primary-key probe: the row id whose visible
     /// version carries `pk`, if any (at most one can).
     pub fn find_pk_visible(&self, pk: &Value, snap: &Snapshot) -> Option<RowId> {
+        self.find_pk_visible_row(pk, snap).map(|(rid, _)| rid)
+    }
+
+    /// [`Table::find_pk_visible`] returning the resolved version too, so
+    /// the executor does not resolve the same row id a second time.
+    pub fn find_pk_visible_row(&self, pk: &Value, snap: &Snapshot) -> Option<RowRef<'_>> {
         let pos = self.schema.primary_key_pos();
-        self.pk_index
-            .get(pk)?
-            .iter()
-            .rev()
-            .copied()
-            .find(|&rid| self.visible(rid, snap).is_some_and(|r| r.get(pos) == pk))
+        self.pk_index.get(pk)?.iter().rev().find_map(|&rid| {
+            self.visible(rid, snap)
+                .filter(|r| r.get(pos) == pk)
+                .map(|r| (rid, r))
+        })
     }
 
     /// Candidate row ids for a snapshot full scan, in heap (row-id)
@@ -886,18 +915,22 @@ impl Table {
         })
     }
 
-    /// Entry filter shared by the snapshot scan variants: keep `rid`
-    /// only when its visible version actually carries the index `key`
-    /// the entry promised. This drops stale entries (the version moved
-    /// away from the key, or is invisible to the snapshot) and
-    /// guarantees a row is returned at most once per scan.
-    fn vis_keep_idx(&self, vis: Option<&Snapshot>, idx: &Index, key: &[Value], rid: RowId) -> bool {
-        match vis {
-            None => true,
-            Some(s) => self
-                .visible(rid, s)
-                .is_some_and(|r| idx.key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv)),
-        }
+    /// Entry filter of the snapshot scan variants: the version of `rid`
+    /// visible to `snap`, kept only when it actually carries the index
+    /// `key` the entry promised. This drops stale entries (the version
+    /// moved away from the key, or is invisible to the snapshot) and
+    /// guarantees a row is returned at most once per scan. The resolved
+    /// row travels with the id: the consumer never resolves it again.
+    fn vis_row_idx<'a>(
+        &'a self,
+        snap: &Snapshot,
+        idx: &Index,
+        key: &[Value],
+        rid: RowId,
+    ) -> Option<RowRef<'a>> {
+        self.visible(rid, snap)
+            .filter(|r| idx.key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv))
+            .map(|r| (rid, r))
     }
 
     // ----- MVCC: versioned writes (engine path) -----
@@ -1242,6 +1275,7 @@ impl Table {
         keep_heap: bool,
         also_keep: Option<&Row>,
     ) {
+        self.version += 1;
         let hist = self.history.get(&rid);
         let heap = if keep_heap { self.rows.get(&rid) } else { None };
         let also_keep = also_keep.or(heap);
@@ -1373,6 +1407,7 @@ impl Table {
             }
         }
         self.indexes.push(idx);
+        self.version += 1;
         Ok(())
     }
 
@@ -1415,24 +1450,33 @@ impl Table {
 
     /// Row ids matching an exact key on `idx` (newest-version view).
     pub fn index_lookup(&self, idx: &Index, key: &[Value]) -> Vec<RowId> {
-        self.index_lookup_impl(idx, key, None)
+        self.index_lookup_impl(idx, key, &|_, rid| Some(rid))
     }
 
     /// Snapshot-aware [`Table::index_lookup`]: only rows whose version
-    /// visible to `snap` carries `key`.
-    pub fn index_lookup_visible(&self, idx: &Index, key: &[Value], snap: &Snapshot) -> Vec<RowId> {
-        self.index_lookup_impl(idx, key, Some(snap))
+    /// visible to `snap` carries `key`, each with that version.
+    pub fn index_lookup_visible(
+        &self,
+        idx: &Index,
+        key: &[Value],
+        snap: &Snapshot,
+    ) -> Vec<RowRef<'_>> {
+        self.index_lookup_impl(idx, key, &|k, rid| self.vis_row_idx(snap, idx, k, rid))
     }
 
-    fn index_lookup_impl(&self, idx: &Index, key: &[Value], vis: Option<&Snapshot>) -> Vec<RowId> {
+    /// The scan cores below are generic over what one index entry
+    /// becomes: `keep(key, rid)` maps the entry to an output item or
+    /// drops it. The newest-version view keeps every id; the snapshot
+    /// view resolves the visible version ([`Table::vis_row_idx`]).
+    fn index_lookup_impl<T>(
+        &self,
+        idx: &Index,
+        key: &[Value],
+        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
+    ) -> Vec<T> {
         idx.map
             .get(key)
-            .map(|s| {
-                s.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect()
-            })
+            .map(|s| s.iter().filter_map(|&rid| keep(key, rid)).collect())
             .unwrap_or_default()
     }
 
@@ -1444,7 +1488,13 @@ impl Table {
         to: &crate::plan::Bound,
         reverse: bool,
     ) -> Vec<RowId> {
-        self.pk_range_scan_impl(from, to, reverse, None)
+        let pos = self.schema.primary_key_pos();
+        self.pk_range_scan_impl(from, to, reverse, &|pk, rid| {
+            self.rows
+                .get(&rid)
+                .is_some_and(|r| r.get(pos) == pk)
+                .then_some(rid)
+        })
     }
 
     /// Snapshot-aware [`Table::pk_range_scan`].
@@ -1454,17 +1504,22 @@ impl Table {
         to: &crate::plan::Bound,
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.pk_range_scan_impl(from, to, reverse, Some(snap))
+    ) -> Vec<RowRef<'_>> {
+        let pos = self.schema.primary_key_pos();
+        self.pk_range_scan_impl(from, to, reverse, &|pk, rid| {
+            self.visible(rid, snap)
+                .filter(|r| r.get(pos) == pk)
+                .map(|r| (rid, r))
+        })
     }
 
-    fn pk_range_scan_impl(
+    fn pk_range_scan_impl<T>(
         &self,
         from: &crate::plan::Bound,
         to: &crate::plan::Bound,
         reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
+        keep: &dyn Fn(&Value, RowId) -> Option<T>,
+    ) -> Vec<T> {
         use std::ops::Bound as B;
         let lo = match from {
             crate::plan::Bound::Unbounded => B::Unbounded,
@@ -1479,16 +1534,11 @@ impl Table {
         if range_is_empty(&lo, &hi) {
             return Vec::new();
         }
-        let pos = self.schema.primary_key_pos();
-        let mut out: Vec<RowId> = Vec::new();
+        let mut out: Vec<T> = Vec::new();
         // At most one id per key can match its entry: the live one (no
         // snapshot) or the one whose visible version carries the key.
         for (pk, rids) in self.pk_index.range((lo, hi)) {
-            let hit = rids.iter().rev().copied().find(|&rid| match vis {
-                None => self.rows.get(&rid).is_some_and(|r| r.get(pos) == pk),
-                Some(s) => self.visible(rid, s).is_some_and(|r| r.get(pos) == pk),
-            });
-            out.extend(hit);
+            out.extend(rids.iter().rev().find_map(|&rid| keep(pk, rid)));
         }
         if reverse {
             out.reverse();
@@ -1507,7 +1557,7 @@ impl Table {
         to: &crate::plan::Bound,
         reverse: bool,
     ) -> Vec<RowId> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, None)
+        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, &|_, rid| Some(rid))
     }
 
     /// Snapshot-aware [`Table::index_range_scan`].
@@ -1519,20 +1569,21 @@ impl Table {
         to: &crate::plan::Bound,
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, Some(snap))
+    ) -> Vec<RowRef<'_>> {
+        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, &|k, rid| {
+            self.vis_row_idx(snap, idx, k, rid)
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn index_range_scan_impl(
+    fn index_range_scan_impl<T>(
         &self,
         idx: &Index,
         eq_prefix: &[Value],
         from: &crate::plan::Bound,
         to: &crate::plan::Bound,
         reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
+        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
+    ) -> Vec<T> {
         use std::ops::Bound as B;
         let p = eq_prefix.len();
         debug_assert!(p < idx.def.columns.len(), "range column must exist");
@@ -1555,7 +1606,7 @@ impl Table {
                 B::Included(k)
             }
         };
-        let mut blocks: Vec<Vec<RowId>> = Vec::new();
+        let mut blocks: Vec<Vec<T>> = Vec::new();
         for (key, rids) in idx.map.range((start, B::Unbounded)) {
             if key.len() <= p || key[..p] != eq_prefix[..] {
                 break;
@@ -1579,12 +1630,7 @@ impl Table {
                 }
                 crate::plan::Bound::Unbounded => {}
             }
-            blocks.push(
-                rids.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect(),
-            );
+            blocks.push(rids.iter().filter_map(|&rid| keep(key, rid)).collect());
         }
         flatten_key_blocks(blocks, reverse)
     }
@@ -1592,7 +1638,7 @@ impl Table {
     /// Row ids from `idx` whose key starts with `prefix` (a proper prefix
     /// of the key columns), in full key order (reversed when `reverse`).
     pub fn index_prefix_scan(&self, idx: &Index, prefix: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, None)
+        self.index_prefix_scan_impl(idx, prefix, reverse, &|_, rid| Some(rid))
     }
 
     /// Snapshot-aware [`Table::index_prefix_scan`].
@@ -1602,17 +1648,19 @@ impl Table {
         prefix: &[Value],
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, Some(snap))
+    ) -> Vec<RowRef<'_>> {
+        self.index_prefix_scan_impl(idx, prefix, reverse, &|k, rid| {
+            self.vis_row_idx(snap, idx, k, rid)
+        })
     }
 
-    fn index_prefix_scan_impl(
+    fn index_prefix_scan_impl<T>(
         &self,
         idx: &Index,
         prefix: &[Value],
         reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
+        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
+    ) -> Vec<T> {
         use std::ops::Bound as B;
         let p = prefix.len();
         let start: B<Vec<Value>> = if p == 0 {
@@ -1620,17 +1668,12 @@ impl Table {
         } else {
             B::Included(prefix.to_vec())
         };
-        let mut blocks: Vec<Vec<RowId>> = Vec::new();
+        let mut blocks: Vec<Vec<T>> = Vec::new();
         for (key, rids) in idx.map.range((start, B::Unbounded)) {
             if key.len() < p || key[..p] != prefix[..] {
                 break;
             }
-            blocks.push(
-                rids.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect(),
-            );
+            blocks.push(rids.iter().filter_map(|&rid| keep(key, rid)).collect());
         }
         flatten_key_blocks(blocks, reverse)
     }
@@ -1639,7 +1682,7 @@ impl Table {
     /// key order (`keys` must be sorted; reversed when `reverse`). Used
     /// for `IN (...)` and OR-equality chains.
     pub fn index_multi_lookup(&self, idx: &Index, keys: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_multi_lookup_impl(idx, keys, reverse, None)
+        self.index_multi_lookup_impl(idx, keys, reverse, &|_, rid| Some(rid))
     }
 
     /// Snapshot-aware [`Table::index_multi_lookup`].
@@ -1649,17 +1692,19 @@ impl Table {
         keys: &[Value],
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_multi_lookup_impl(idx, keys, reverse, Some(snap))
+    ) -> Vec<RowRef<'_>> {
+        self.index_multi_lookup_impl(idx, keys, reverse, &|k, rid| {
+            self.vis_row_idx(snap, idx, k, rid)
+        })
     }
 
-    fn index_multi_lookup_impl(
+    fn index_multi_lookup_impl<T>(
         &self,
         idx: &Index,
         keys: &[Value],
         reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
+        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
+    ) -> Vec<T> {
         let mut out = Vec::new();
         let ordered_keys: Vec<&Value> = if reverse {
             keys.iter().rev().collect()
@@ -1670,10 +1715,9 @@ impl Table {
             // Within one key, postings stay in rid (heap) order even when
             // the key order is reversed — see flatten_key_blocks.
             for key in ordered_keys {
-                if let Some(set) = idx.map.get(std::slice::from_ref(key)) {
-                    out.extend(set.iter().copied().filter(|&rid| {
-                        self.vis_keep_idx(vis, idx, std::slice::from_ref(key), rid)
-                    }));
+                let key = std::slice::from_ref(key);
+                if let Some(set) = idx.map.get(key) {
+                    out.extend(set.iter().filter_map(|&rid| keep(key, rid)));
                 }
             }
         } else {
@@ -1682,7 +1726,7 @@ impl Table {
                     idx,
                     std::slice::from_ref(key),
                     reverse,
-                    vis,
+                    keep,
                 ));
             }
         }
@@ -1701,7 +1745,7 @@ impl Table {
         keys: &[Value],
         reverse: bool,
     ) -> Vec<RowId> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, None)
+        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, &|_, rid| Some(rid))
     }
 
     /// Snapshot-aware [`Table::index_in_scan`].
@@ -1712,18 +1756,20 @@ impl Table {
         keys: &[Value],
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, Some(snap))
+    ) -> Vec<RowRef<'_>> {
+        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, &|k, rid| {
+            self.vis_row_idx(snap, idx, k, rid)
+        })
     }
 
-    fn index_in_scan_impl(
+    fn index_in_scan_impl<T>(
         &self,
         idx: &Index,
         eq_prefix: &[Value],
         keys: &[Value],
         reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
+        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
+    ) -> Vec<T> {
         let p = eq_prefix.len();
         debug_assert!(p < idx.def.columns.len(), "IN column must exist");
         let full = p + 1 == idx.def.columns.len();
@@ -1741,14 +1787,10 @@ impl Table {
             if full {
                 if let Some(set) = idx.map.get(&probe) {
                     // Postings stay in rid (heap) order within one key.
-                    out.extend(
-                        set.iter()
-                            .copied()
-                            .filter(|&rid| self.vis_keep_idx(vis, idx, &probe, rid)),
-                    );
+                    out.extend(set.iter().filter_map(|&rid| keep(&probe, rid)));
                 }
             } else {
-                out.extend(self.index_prefix_scan_impl(idx, &probe, reverse, vis));
+                out.extend(self.index_prefix_scan_impl(idx, &probe, reverse, keep));
             }
         }
         out
@@ -1762,6 +1804,7 @@ impl Table {
     /// Removes every row (used by tests and reseeding); indexes are kept
     /// but emptied, and row ids are *not* reused.
     pub fn truncate(&mut self) {
+        self.version += 1;
         self.rows.clear();
         self.pk_index.clear();
         self.meta.clear();
@@ -2136,15 +2179,14 @@ mod tests {
         // The stale age-30 index entry filters out per snapshot.
         let idx_name = "users_age".to_owned();
         let idx = t.index_by_name(&idx_name).unwrap();
-        assert_eq!(
-            t.index_lookup_visible(idx, &[Value::Int(30)], &snap(1)),
-            vec![]
-        );
+        assert!(t
+            .index_lookup_visible(idx, &[Value::Int(30)], &snap(1))
+            .is_empty());
         let idx = t.index_by_name(&idx_name).unwrap();
-        assert_eq!(
-            t.index_lookup_visible(idx, &[Value::Int(30)], &snap(0)),
-            vec![rid]
-        );
+        let hits = t.index_lookup_visible(idx, &[Value::Int(30)], &snap(0));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, rid);
+        assert_eq!(hits[0].1.get(3), &Value::Int(30), "the snapshot's version");
     }
 
     #[test]

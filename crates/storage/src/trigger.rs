@@ -14,6 +14,7 @@
 
 use crate::cost::CostReport;
 use crate::error::Result;
+use crate::prepared::{PreparedSelect, StatementCache};
 use crate::query::{QueryResult, Select};
 use crate::row::Row;
 use crate::value::Value;
@@ -56,7 +57,9 @@ pub struct TriggerCtx<'a> {
     pub new: Option<&'a Row>,
     /// Read-only query callback into the engine. Boxed so `trigger.rs`
     /// stays decoupled from the executor internals.
-    pub(crate) query_fn: &'a mut dyn FnMut(&Select, &[Value]) -> Result<QueryResult>,
+    pub(crate) query_fn: &'a mut dyn FnMut(&PreparedSelect, &[Value]) -> Result<QueryResult>,
+    /// The engine's statement cache, for bodies that query by [`Select`].
+    pub(crate) statements: &'a StatementCache,
     /// Cost sink for work done inside the trigger.
     pub(crate) cost: &'a mut CostReport,
 }
@@ -80,7 +83,23 @@ impl TriggerCtx<'_> {
     ///
     /// Propagates executor errors; an error aborts the outer statement.
     pub fn query(&mut self, select: &Select, params: &[Value]) -> Result<QueryResult> {
-        (self.query_fn)(select, params)
+        let prepared = self.statements.get(select);
+        self.query_prepared(&prepared, params)
+    }
+
+    /// [`TriggerCtx::query`] for a body that keeps its statements
+    /// prepared (generated triggers run the same few templates on every
+    /// firing).
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor errors; an error aborts the outer statement.
+    pub fn query_prepared(
+        &mut self,
+        prepared: &PreparedSelect,
+        params: &[Value],
+    ) -> Result<QueryResult> {
+        (self.query_fn)(prepared, params)
     }
 
     /// Records `n` cache operations performed by this trigger body. The
@@ -342,13 +361,14 @@ mod tests {
         };
         let t = Trigger::new("t", "a", TriggerEvent::Insert, body);
         let mut cost = CostReport::new();
-        let mut qf = |_: &Select, _: &[Value]| Ok(QueryResult::default());
+        let mut qf = |_: &PreparedSelect, _: &[Value]| Ok(QueryResult::default());
         let mut ctx = TriggerCtx {
             event: TriggerEvent::Insert,
             table: "a",
             old: None,
             new: None,
             query_fn: &mut qf,
+            statements: &StatementCache::default(),
             cost: &mut cost,
         };
         t.body.fire(&mut ctx).unwrap();
@@ -364,13 +384,14 @@ mod tests {
         let r_new = Row::new(vec![Value::Int(1)]);
         let r_old = Row::new(vec![Value::Int(0)]);
         let mut cost = CostReport::new();
-        let mut qf = |_: &Select, _: &[Value]| Ok(QueryResult::default());
+        let mut qf = |_: &PreparedSelect, _: &[Value]| Ok(QueryResult::default());
         let ctx = TriggerCtx {
             event: TriggerEvent::Update,
             table: "a",
             old: Some(&r_old),
             new: Some(&r_new),
             query_fn: &mut qf,
+            statements: &StatementCache::default(),
             cost: &mut cost,
         };
         assert_eq!(ctx.effective_row().unwrap().get(0), &Value::Int(1));

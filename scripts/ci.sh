@@ -49,4 +49,10 @@ cargo run --release -q -p genie-bench --bin exp_wal -- --check --quick > /dev/nu
 echo "==> exp_serve --check (serving path: paced loopback fleet holds the per-page p99 ceiling with zero shed below the admission threshold, overload sheds retryably, drains drop nothing, zero snapshot/coherence violations)"
 cargo run --release -q -p genie-bench --bin exp_serve -- --check --quick > /dev/null
 
+echo "==> serving benchmark: self-check (its own tests; compiles against the public API unchanged)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> serving benchmark: --smoke (correctness gate on all four workloads at 1/50 length)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+
 echo "ci.sh: all green"
