@@ -1,23 +1,17 @@
-//! Vectorized / parallel scan experiment: row-at-a-time vs morsel-driven
-//! batch execution.
+//! Parallel scan experiment: the vectorized scan under a worker-count
+//! sweep (morsel-driven parallelism).
 //!
 //! Builds one wide table (large enough to clear the engine's parallel
 //! morsel threshold), then times the same scan-heavy query pair — a
 //! predicated `COUNT(*)` (the count-pushdown path) and a filtered
 //! `ORDER BY ... LIMIT` top-k (the per-worker partial-merge path) —
-//! under three engine shapes:
+//! with 1, 2 and 4 scan workers.
 //!
-//! 1. row-at-a-time (`set_batch_scan(false)`), the pre-vectorization
-//!    interpreter;
-//! 2. batched execution, one worker (`set_batch_scan(true)`);
-//! 3. batched execution with a worker-count sweep (morsel-driven
-//!    parallelism).
-//!
-//! `--check` turns the report into a CI gate: batched execution must
-//! not lose to row-at-a-time, and with 4 workers the combined speedup
-//! over row-at-a-time must reach 1.5x — the parallel leg is skipped
-//! when the host lacks 4 hardware threads, since a morsel scheduler
-//! cannot beat the clock on cores it does not have.
+//! `--check` turns the report into a CI gate: 4 workers must not be
+//! slower than 1. The gate is skipped when the host lacks 4 hardware
+//! threads, since a morsel scheduler cannot beat the clock on cores it
+//! does not have. (That the worker counts return identical rows is
+//! tier-1's job: `crates/storage/tests/parallel_scan.rs`.)
 //!
 //! ```text
 //! cargo run --release -p genie-bench --bin exp_parallel_scan
@@ -27,14 +21,6 @@
 use genie_bench::{write_result, BenchJson, TextTable};
 use genie_storage::{Database, DbConfig, Value};
 use std::time::Instant;
-
-/// Batched single-worker execution must stay at least this fraction of
-/// row-at-a-time throughput (i.e. batching never regresses; in practice
-/// it wins comfortably and the gate just guards the sign).
-const BATCH_FLOOR: f64 = 1.0;
-
-/// Required combined speedup of batch + 4 workers over row-at-a-time.
-const PARALLEL_TARGET: f64 = 1.5;
 
 fn arg_after(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -98,7 +84,7 @@ fn measure(db: &Database, rows: i64, reps: usize, expect_count: &mut Option<i64>
             v => panic!("COUNT(*) returned {v:?}"),
         };
         match expect_count {
-            Some(e) => assert_eq!(*e, got, "scan modes disagree on COUNT(*)"),
+            Some(e) => assert_eq!(*e, got, "worker counts disagree on COUNT(*)"),
             None => *expect_count = Some(got),
         }
         let topk = db
@@ -127,47 +113,37 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
-    println!("Parallel scan experiment: row-at-a-time vs vectorized morsels");
+    println!("Parallel scan experiment: vectorized morsels, 1/2/4 workers");
     println!("({rows} rows x {reps} reps, {hw} hardware threads)\n");
     let db = build_db(rows);
     let mut expect = None;
 
-    // Warm the buffer pool so mode one is not charged for cold misses.
-    db.set_batch_scan(false);
+    // Warm the buffer pool so the first leg is not charged for cold misses.
     db.set_scan_workers(1);
     measure(&db, rows, 2, &mut expect);
 
-    let row_tp = measure(&db, rows, reps, &mut expect);
-    db.set_batch_scan(true);
-    let workers: Vec<usize> = [1usize, 2, 4].into_iter().collect();
-    let mut batch_tp = Vec::new();
-    let mut table = TextTable::new(&["mode", "rows/s", "vs_row"]);
-    table.row(vec![
-        "row-at-a-time".into(),
-        format!("{row_tp:.0}"),
-        "1.00x".into(),
-    ]);
+    let workers = [1usize, 2, 4];
+    let mut tps = Vec::new();
+    let mut table = TextTable::new(&["workers", "rows/s", "vs_x1"]);
     for &w in &workers {
         db.set_scan_workers(w);
         let tp = measure(&db, rows, reps, &mut expect);
+        tps.push(tp);
         table.row(vec![
-            format!("batch x{w}"),
+            format!("x{w}"),
             format!("{tp:.0}"),
-            format!("{:.2}x", tp / row_tp),
+            format!("{:.2}x", tp / tps[0]),
         ]);
-        batch_tp.push(tp);
     }
     println!("{}", table.render());
 
-    let batch1_speedup = batch_tp[0] / row_tp;
-    let batch4_speedup = batch_tp[2] / row_tp;
+    let x4_speedup = tps[2] / tps[0];
     let parallel_gate = hw >= 4;
-    println!("batch x1 vs row: {batch1_speedup:.2}x (floor {BATCH_FLOOR:.2}x)");
     if parallel_gate {
-        println!("batch x4 vs row: {batch4_speedup:.2}x (target {PARALLEL_TARGET:.1}x)");
+        println!("x4 vs x1: {x4_speedup:.2}x (must not be below 1.00x)");
     } else {
         println!(
-            "batch x4 vs row: {batch4_speedup:.2}x (informational: {hw} hardware \
+            "x4 vs x1: {x4_speedup:.2}x (informational: {hw} hardware \
              thread(s), parallel gate needs 4)"
         );
     }
@@ -177,36 +153,16 @@ fn main() {
         .int("rows", rows as u64)
         .int("reps", reps as u64)
         .int("hardware_threads", hw as u64)
-        .num("row_at_a_time_rows_per_sec", row_tp)
-        .ints(
-            "workers",
-            &workers.iter().map(|&w| w as u64).collect::<Vec<_>>(),
-        )
-        .nums("batch_rows_per_sec", &batch_tp)
-        .num("speedup_batch_x1", batch1_speedup)
-        .num("speedup_batch_x4", batch4_speedup)
+        .ints("workers", &workers.map(|w| w as u64))
+        .nums("rows_per_sec", &tps)
+        .num("speedup_x4_over_x1", x4_speedup)
         .write();
 
     if check {
-        let mut failures = Vec::new();
-        if batch1_speedup < BATCH_FLOOR {
-            failures.push(format!(
-                "batched execution lost to row-at-a-time: {batch1_speedup:.2}x < {BATCH_FLOOR:.2}x"
-            ));
-        }
-        if parallel_gate && batch4_speedup < PARALLEL_TARGET {
-            failures.push(format!(
-                "batch x4 speedup {batch4_speedup:.2}x below target {PARALLEL_TARGET:.1}x"
-            ));
-        }
-        if failures.is_empty() {
-            println!("\nexp_parallel_scan: all checks passed");
-        } else {
-            eprintln!("\nexp_parallel_scan: {} failure(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
+        if parallel_gate && x4_speedup < 1.0 {
+            eprintln!("\nexp_parallel_scan: 4 workers slower than 1: {x4_speedup:.2}x");
             std::process::exit(1);
         }
+        println!("\nexp_parallel_scan: all checks passed");
     }
 }

@@ -12,7 +12,7 @@ use crate::error::Result;
 use crate::hotkey::{HotKeyConfig, HotKeyDetector};
 use crate::replica::ReplicaTable;
 use crate::shard::{split_capacity, ShardedStore};
-use crate::store::{CacheOrigin, CacheStore, EvictionPolicy, StoreStats, ValueWithCas};
+use crate::store::{CacheOrigin, CacheStore, StoreStats, ValueWithCas};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -37,12 +37,8 @@ pub struct ClusterConfig {
     /// modified policy (`false`) which we expose for the ablation bench.
     pub bump_lru_on_trigger: bool,
     /// Lock stripes per server (rounded up to a power of two). With 1,
-    /// a server degenerates to the pre-shard single-mutex store.
+    /// a server is a single store behind one mutex.
     pub shards_per_server: usize,
-    /// Eviction policy for every shard ([`EvictionPolicy::Clock`] keeps
-    /// GETs off the eviction structure; `LruStamp` is the exact-order
-    /// legacy baseline).
-    pub eviction: EvictionPolicy,
     /// Copies of each hot key, counting the primary. `1` disables
     /// hot-key replication entirely.
     pub hot_key_replicas: usize,
@@ -60,7 +56,6 @@ impl Default for ClusterConfig {
             vnodes: 64,
             bump_lru_on_trigger: true,
             shards_per_server: 8,
-            eviction: EvictionPolicy::Clock,
             hot_key_replicas: 1,
             hot_key_threshold: 64,
         }
@@ -304,12 +299,7 @@ impl CacheCluster {
         let servers: Vec<ServerNode> = caps
             .into_iter()
             .map(|cap| ServerNode {
-                store: ShardedStore::new(
-                    cap,
-                    config.item_limit_bytes,
-                    config.shards_per_server,
-                    config.eviction,
-                ),
+                store: ShardedStore::new(cap, config.item_limit_bytes, config.shards_per_server),
                 alive: AtomicBool::new(true),
             })
             .collect();

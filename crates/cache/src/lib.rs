@@ -36,4 +36,4 @@ pub use hotkey::{HotKeyConfig, HotKeyDetector};
 pub use lock::{KeyLockTable, LockOutcome, TxnId};
 pub use replica::ReplicaTable;
 pub use shard::{split_capacity, ShardedStore};
-pub use store::{CacheOrigin, CacheStore, EvictionPolicy, StoreConfig, StoreStats, ValueWithCas};
+pub use store::{CacheOrigin, CacheStore, StoreConfig, StoreStats, ValueWithCas};

@@ -8,7 +8,7 @@
 //! shards with [`split_capacity`], which never drops remainder bytes.
 
 use crate::codec::hash_key;
-use crate::store::{CacheStore, EvictionPolicy, StoreConfig, StoreStats};
+use crate::store::{CacheStore, StoreConfig, StoreStats};
 use parking_lot::Mutex;
 
 /// Splits `total` bytes across `parts` buckets without losing the
@@ -34,12 +34,7 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Builds a server of `shards` stripes (rounded up to a power of
     /// two) sharing `capacity_bytes` between them.
-    pub fn new(
-        capacity_bytes: usize,
-        item_limit_bytes: usize,
-        shards: usize,
-        eviction: EvictionPolicy,
-    ) -> Self {
+    pub fn new(capacity_bytes: usize, item_limit_bytes: usize, shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         let caps = split_capacity(capacity_bytes, n);
         let shards = caps
@@ -48,7 +43,6 @@ impl ShardedStore {
                 Mutex::new(CacheStore::new(StoreConfig {
                     capacity_bytes: cap,
                     item_limit_bytes,
-                    eviction,
                 }))
             })
             .collect();
@@ -151,7 +145,7 @@ mod tests {
 
     #[test]
     fn sharded_roundtrip_and_totals() {
-        let s = ShardedStore::new(1_000_000, 1024, 8, EvictionPolicy::Clock);
+        let s = ShardedStore::new(1_000_000, 1024, 8);
         assert_eq!(s.shard_count(), 8);
         assert_eq!(s.capacity_bytes(), 1_000_000);
         for i in 0..100 {
@@ -177,9 +171,9 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        let s = ShardedStore::new(1000, 100, 5, EvictionPolicy::Clock);
+        let s = ShardedStore::new(1000, 100, 5);
         assert_eq!(s.shard_count(), 8);
-        let s1 = ShardedStore::new(1000, 100, 0, EvictionPolicy::Clock);
+        let s1 = ShardedStore::new(1000, 100, 0);
         assert_eq!(s1.shard_count(), 1);
     }
 }

@@ -1,25 +1,17 @@
 //! A single cache server shard: byte-accurate memory accounting, TTL
-//! expiry, CAS, and a pluggable eviction policy — the feature set
-//! memcached 1.4.5 offers the paper, plus the CLOCK read path the
-//! scale-out tier needs.
+//! expiry, CAS, and CLOCK eviction — the feature set memcached 1.4.5
+//! offers the paper, plus the read path the scale-out tier needs.
 //!
-//! Two eviction policies are provided:
-//!
-//! * [`EvictionPolicy::Clock`] (default) — a CLOCK ring with one
-//!   reference bit per entry. A GET only sets the bit; it never touches
-//!   the eviction structure, so concurrent readers of a sharded store
-//!   spend no time maintaining global recency order and allocate
-//!   nothing. Eviction sweeps the ring, clearing bits until it finds an
-//!   unreferenced victim (second-chance LRU approximation).
-//! * [`EvictionPolicy::LruStamp`] — the exact-order legacy policy: a
-//!   `stamp -> key` BTreeMap where every bumped GET re-inserts the key
-//!   under a fresh stamp (a `String` clone and two tree writes per
-//!   read). Kept as the measured pre-shard baseline for
-//!   `exp_cache_scale` and for workloads that want exact LRU.
+//! Eviction is a CLOCK ring with one reference bit per entry. A GET only
+//! sets the bit; it never touches the eviction structure, so concurrent
+//! readers of a sharded store spend no time maintaining global recency
+//! order and allocate nothing. Eviction sweeps the ring, clearing bits
+//! until it finds an unreferenced victim (second-chance LRU
+//! approximation).
 
 use crate::error::{CacheError, Result};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Per-item bookkeeping overhead we model (hash entry, LRU link, CAS).
 const ITEM_OVERHEAD: usize = 60;
@@ -35,18 +27,6 @@ pub enum CacheOrigin {
     Trigger,
 }
 
-/// How a store picks eviction victims.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// CLOCK / second-chance: GETs set a per-entry reference bit and
-    /// never write the eviction structure.
-    #[default]
-    Clock,
-    /// Exact LRU via a global stamp map: every bumped GET rewrites the
-    /// order BTreeMap (the pre-shard behaviour, kept as a baseline).
-    LruStamp,
-}
-
 /// Configuration of one cache server shard.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -54,8 +34,6 @@ pub struct StoreConfig {
     pub capacity_bytes: usize,
     /// Per-item size limit (memcached defaults to 1 MiB).
     pub item_limit_bytes: usize,
-    /// Eviction victim selection policy.
-    pub eviction: EvictionPolicy,
 }
 
 impl Default for StoreConfig {
@@ -63,7 +41,6 @@ impl Default for StoreConfig {
         StoreConfig {
             capacity_bytes: 64 * 1024 * 1024,
             item_limit_bytes: 1024 * 1024,
-            eviction: EvictionPolicy::Clock,
         }
     }
 }
@@ -121,11 +98,9 @@ impl StoreStats {
 #[derive(Debug, Clone)]
 struct Entry {
     data: Bytes,
-    /// LruStamp policy: position in the order map. Unique.
-    stamp: u64,
-    /// Clock policy: index of this key in the ring vector.
+    /// Index of this key in the ring vector.
     ring: usize,
-    /// Clock policy: second-chance reference bit, set by bumped GETs.
+    /// Second-chance reference bit, set by bumped GETs.
     referenced: bool,
     cas: u64,
     /// Absolute expiry instant (same unit as the caller's `now`), if any.
@@ -148,12 +123,9 @@ impl Entry {
 pub struct CacheStore {
     config: StoreConfig,
     map: HashMap<String, Entry>,
-    /// LruStamp policy: stamp -> key, oldest first.
-    lru: BTreeMap<u64, String>,
-    /// Clock policy: the ring of live keys; `hand` is the sweep cursor.
+    /// The CLOCK ring of live keys; `hand` is the sweep cursor.
     ring: Vec<String>,
     hand: usize,
-    next_stamp: u64,
     next_cas: u64,
     bytes: usize,
     stats: StoreStats,
@@ -174,10 +146,8 @@ impl CacheStore {
         CacheStore {
             config,
             map: HashMap::new(),
-            lru: BTreeMap::new(),
             ring: Vec::new(),
             hand: 0,
-            next_stamp: 0,
             next_cas: 1,
             bytes: 0,
             stats: StoreStats::default(),
@@ -238,8 +208,6 @@ impl CacheStore {
             self.count_miss(origin);
             return None;
         }
-        // Split borrow: compute new stamp first.
-        let stamp = self.next_stamp;
         match self.map.get_mut(key) {
             Some(e) => {
                 let out = ValueWithCas {
@@ -247,18 +215,9 @@ impl CacheStore {
                     cas: e.cas,
                 };
                 if bump {
-                    match self.config.eviction {
-                        // CLOCK: a read only flips the reference bit —
-                        // no order-map write, no allocation.
-                        EvictionPolicy::Clock => e.referenced = true,
-                        EvictionPolicy::LruStamp => {
-                            let old = e.stamp;
-                            e.stamp = stamp;
-                            self.next_stamp += 1;
-                            self.lru.remove(&old);
-                            self.lru.insert(stamp, key.to_owned());
-                        }
-                    }
+                    // A read only flips the reference bit — no write to
+                    // the ring, no allocation.
+                    e.referenced = true;
                 }
                 self.count_hit(origin);
                 Some(out)
@@ -392,7 +351,6 @@ impl CacheStore {
     /// Removes everything (memcached `flush_all`).
     pub fn flush_all(&mut self) {
         self.map.clear();
-        self.lru.clear();
         self.ring.clear();
         self.hand = 0;
         self.bytes = 0;
@@ -473,13 +431,10 @@ impl CacheStore {
     }
 
     fn insert_entry(&mut self, key: &str, data: Bytes, ttl: Option<u64>, now: u64) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
         let cas = self.next_cas;
         self.next_cas += 1;
         let entry = Entry {
             data,
-            stamp,
             // New entries start unreferenced: a key inserted and never
             // read again is the first CLOCK victim, matching LRU for
             // the insert-then-bump test traces.
@@ -489,37 +444,25 @@ impl CacheStore {
             expires_at: ttl.map(|d| now.saturating_add(d)),
         };
         self.bytes += entry.size(key);
-        match self.config.eviction {
-            EvictionPolicy::Clock => self.ring.push(key.to_owned()),
-            EvictionPolicy::LruStamp => {
-                self.lru.insert(stamp, key.to_owned());
-            }
-        }
+        self.ring.push(key.to_owned());
         self.map.insert(key.to_owned(), entry);
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {
         if let Some(e) = self.map.remove(key) {
             self.bytes -= e.size(key);
-            match self.config.eviction {
-                EvictionPolicy::Clock => {
-                    // swap_remove keeps the ring dense; the entry that
-                    // moved into the hole needs its index patched.
-                    let idx = e.ring;
-                    self.ring.swap_remove(idx);
-                    if idx < self.ring.len() {
-                        let moved = self.ring[idx].clone();
-                        if let Some(m) = self.map.get_mut(&moved) {
-                            m.ring = idx;
-                        }
-                    }
-                    if self.hand >= self.ring.len() {
-                        self.hand = 0;
-                    }
+            // swap_remove keeps the ring dense; the entry that moved
+            // into the hole needs its index patched.
+            let idx = e.ring;
+            self.ring.swap_remove(idx);
+            if idx < self.ring.len() {
+                let moved = self.ring[idx].clone();
+                if let Some(m) = self.map.get_mut(&moved) {
+                    m.ring = idx;
                 }
-                EvictionPolicy::LruStamp => {
-                    self.lru.remove(&e.stamp);
-                }
+            }
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
             }
             true
         } else {
@@ -527,14 +470,8 @@ impl CacheStore {
         }
     }
 
+    /// CLOCK sweep until usage is back under capacity.
     fn evict_to_capacity(&mut self) {
-        match self.config.eviction {
-            EvictionPolicy::Clock => self.evict_clock(),
-            EvictionPolicy::LruStamp => self.evict_lru(),
-        }
-    }
-
-    fn evict_clock(&mut self) {
         while self.bytes > self.config.capacity_bytes {
             if self.ring.is_empty() {
                 break;
@@ -561,19 +498,6 @@ impl CacheStore {
             }
         }
     }
-
-    fn evict_lru(&mut self) {
-        while self.bytes > self.config.capacity_bytes {
-            let Some((&stamp, _)) = self.lru.iter().next() else {
-                break;
-            };
-            let key = self.lru.remove(&stamp).expect("stamp present");
-            if let Some(e) = self.map.remove(&key) {
-                self.bytes -= e.size(&key);
-                self.stats.evictions += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -582,14 +506,9 @@ mod tests {
     use crate::Payload;
 
     fn small_store(capacity: usize) -> CacheStore {
-        store_with_policy(capacity, EvictionPolicy::Clock)
-    }
-
-    fn store_with_policy(capacity: usize, eviction: EvictionPolicy) -> CacheStore {
         CacheStore::new(StoreConfig {
             capacity_bytes: capacity,
             item_limit_bytes: 1024,
-            eviction,
         })
     }
 
@@ -609,46 +528,33 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_first() {
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::LruStamp] {
-            // Each entry ~ key(2) + data(10) + 60 ≈ 72 bytes; room for ~3.
-            let mut s = store_with_policy(220, policy);
-            for i in 0..3 {
-                s.set(&format!("k{i}"), Bytes::from(vec![0u8; 10]), None, 0)
-                    .unwrap();
-            }
-            // Touch k0 so k1 becomes coldest.
-            s.get("k0", 0, true);
-            s.set("k3", Bytes::from(vec![0u8; 10]), None, 0).unwrap();
-            assert!(
-                s.get("k0", 0, true).is_some(),
-                "{policy:?}: k0 was touched, survives"
-            );
-            assert!(
-                s.get("k1", 0, true).is_none(),
-                "{policy:?}: k1 was coldest, evicted"
-            );
-            assert!(s.stats().evictions >= 1);
-            assert!(s.bytes_used() <= s.capacity_bytes());
+        // Each entry ~ key(2) + data(10) + 60 ≈ 72 bytes; room for ~3.
+        let mut s = small_store(220);
+        for i in 0..3 {
+            s.set(&format!("k{i}"), Bytes::from(vec![0u8; 10]), None, 0)
+                .unwrap();
         }
+        // Touch k0 so k1 becomes coldest.
+        s.get("k0", 0, true);
+        s.set("k3", Bytes::from(vec![0u8; 10]), None, 0).unwrap();
+        assert!(s.get("k0", 0, true).is_some(), "k0 was touched, survives");
+        assert!(s.get("k1", 0, true).is_none(), "k1 was coldest, evicted");
+        assert!(s.stats().evictions >= 1);
+        assert!(s.bytes_used() <= s.capacity_bytes());
     }
 
     #[test]
     fn no_bump_get_leaves_lru_order() {
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::LruStamp] {
-            let mut s = store_with_policy(220, policy);
-            for i in 0..3 {
-                s.set(&format!("k{i}"), Bytes::from(vec![0u8; 10]), None, 0)
-                    .unwrap();
-            }
-            // Touch k0 WITHOUT bump: k0 stays coldest and is evicted next.
-            s.get("k0", 0, false);
-            s.set("k3", Bytes::from(vec![0u8; 10]), None, 0).unwrap();
-            assert!(
-                s.get("k0", 0, false).is_none(),
-                "{policy:?}: k0 not bumped, evicted"
-            );
-            assert!(s.get("k1", 0, false).is_some(), "{policy:?}");
+        let mut s = small_store(220);
+        for i in 0..3 {
+            s.set(&format!("k{i}"), Bytes::from(vec![0u8; 10]), None, 0)
+                .unwrap();
         }
+        // Touch k0 WITHOUT bump: k0 stays coldest and is evicted next.
+        s.get("k0", 0, false);
+        s.set("k3", Bytes::from(vec![0u8; 10]), None, 0).unwrap();
+        assert!(s.get("k0", 0, false).is_none(), "k0 not bumped, evicted");
+        assert!(s.get("k1", 0, false).is_some());
     }
 
     #[test]
@@ -768,17 +674,15 @@ mod tests {
 
     #[test]
     fn flush_all_clears() {
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::LruStamp] {
-            let mut s = store_with_policy(10_000, policy);
-            s.set("a", bytes_of("1"), None, 0).unwrap();
-            s.set("b", bytes_of("2"), None, 0).unwrap();
-            s.flush_all();
-            assert!(s.is_empty());
-            assert_eq!(s.bytes_used(), 0);
-            // The store keeps working after a flush.
-            s.set("c", bytes_of("3"), None, 0).unwrap();
-            assert!(s.get("c", 0, true).is_some());
-        }
+        let mut s = small_store(10_000);
+        s.set("a", bytes_of("1"), None, 0).unwrap();
+        s.set("b", bytes_of("2"), None, 0).unwrap();
+        s.flush_all();
+        assert!(s.is_empty());
+        assert_eq!(s.bytes_used(), 0);
+        // The store keeps working after a flush.
+        s.set("c", bytes_of("3"), None, 0).unwrap();
+        assert!(s.get("c", 0, true).is_some());
     }
 
     #[test]
@@ -793,23 +697,21 @@ mod tests {
 
     #[test]
     fn memory_bound_never_exceeded_under_churn() {
-        for policy in [EvictionPolicy::Clock, EvictionPolicy::LruStamp] {
-            let mut s = store_with_policy(500, policy);
-            for i in 0..200 {
-                s.set(
-                    &format!("key{i}"),
-                    Bytes::from(vec![0u8; (i % 40) as usize]),
-                    None,
-                    0,
-                )
-                .unwrap();
-                assert!(
-                    s.bytes_used() <= s.capacity_bytes(),
-                    "{policy:?} iteration {i}: {} > {}",
-                    s.bytes_used(),
-                    s.capacity_bytes()
-                );
-            }
+        let mut s = small_store(500);
+        for i in 0..200 {
+            s.set(
+                &format!("key{i}"),
+                Bytes::from(vec![0u8; (i % 40) as usize]),
+                None,
+                0,
+            )
+            .unwrap();
+            assert!(
+                s.bytes_used() <= s.capacity_bytes(),
+                "iteration {i}: {} > {}",
+                s.bytes_used(),
+                s.capacity_bytes()
+            );
         }
     }
 

@@ -69,7 +69,6 @@ proptest! {
         let mut s = CacheStore::new(StoreConfig {
             capacity_bytes: 700,
             item_limit_bytes: 400,
-            ..Default::default()
         });
         for (key, size, del) in &ops {
             if *del {

@@ -36,10 +36,10 @@ pub struct CostReport {
     /// measured from the log writer, `0` without a durable log.
     pub wal_bytes: u64,
     /// Physical log syncs **this thread performed** while waiting for
-    /// durability. Under group commit most committers ride a leader's
-    /// batch and report `0`; the per-commit baseline reports `1` per
-    /// writing commit. Summed across threads this equals the log
-    /// writer's sync count exactly.
+    /// durability. Most committers ride a leader's batch and report
+    /// `0`; a lone committer leads its own batch and reports `1`.
+    /// Summed across threads this equals the log writer's sync count
+    /// exactly.
     pub wal_syncs: u64,
     /// Number of trigger bodies fired.
     pub triggers_fired: u64,

@@ -75,7 +75,7 @@ use crate::bufferpool::{BufferPool, PoolStats};
 use crate::catalog::Catalog;
 use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
-use crate::exec::{self, ExecView, RowChange, ScanOpts, UndoOp};
+use crate::exec::{self, ExecView, RowChange, UndoOp};
 use crate::latch::{LatchPlan, TableSet};
 use crate::lockmgr::{LatchCounters, LatchStats, LockManager, LockMode, LockStats, TxnId};
 use crate::prepared::{PreparedSelect, StatementCache};
@@ -92,7 +92,7 @@ use crate::wal::{
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 
@@ -279,15 +279,8 @@ struct Engine {
     /// below every other latch, held only for the stamp-and-publish
     /// instant.
     epoch_mutex: Mutex<()>,
-    /// Forces every statement and commit onto the exclusive catalog
-    /// latch — the measurable single-latch baseline the concurrency
-    /// experiments compare per-table latching against.
-    serial_latch: AtomicBool,
-    /// Vectorized (batch-at-a-time) scan execution; on by default. Off
-    /// reverts to row-at-a-time interpretation, the measurable baseline
-    /// for `exp_parallel_scan`.
-    batch_scan: AtomicBool,
-    /// Worker threads for morsel-driven parallel scans (1 = serial).
+    /// Worker threads for morsel-driven parallel scans (1 = serial; the
+    /// setter keeps it at least 1).
     scan_workers: AtomicUsize,
     /// Prepared form of every SELECT that arrived as a bare statement.
     statements: StatementCache,
@@ -314,13 +307,6 @@ impl Engine {
                 self.latches.note_catalog_write_wait();
                 self.catalog.write()
             }
-        }
-    }
-
-    fn scan_opts(&self) -> ScanOpts {
-        ScanOpts {
-            batch: self.batch_scan.load(Ordering::Relaxed),
-            workers: self.scan_workers.load(Ordering::Relaxed).max(1),
         }
     }
 }
@@ -438,11 +424,6 @@ struct EngineShared {
     live_snaps: Mutex<BTreeMap<u64, u64>>,
     /// Write commits since the last inline vacuum sweep.
     commits_since_vacuum: AtomicU64,
-    /// Legacy PR-4 reader behaviour: SELECT statements take table-level
-    /// shared locks (and therefore block behind writer transactions).
-    /// Kept as the measurable baseline for the MVCC experiments; off by
-    /// default.
-    reader_locks: AtomicBool,
 }
 
 impl EngineShared {
@@ -537,8 +518,6 @@ impl Database {
                 counters: DbCounters::default(),
                 latches: LatchCounters::default(),
                 epoch_mutex: Mutex::new(()),
-                serial_latch: AtomicBool::new(false),
-                batch_scan: AtomicBool::new(true),
                 scan_workers: AtomicUsize::new(1),
                 statements: StatementCache::default(),
             }),
@@ -553,7 +532,6 @@ impl Database {
                 wal,
                 live_snaps: Mutex::new(BTreeMap::new()),
                 commits_since_vacuum: AtomicU64::new(0),
-                reader_locks: AtomicBool::new(false),
             }),
         }
     }
@@ -833,21 +811,6 @@ impl Database {
 
     // ----- execution tuning knobs -----
 
-    /// Forces every statement and commit onto the exclusive catalog
-    /// latch, reproducing the old single-engine-mutex behaviour. This is
-    /// the measurable baseline for the latch-sharding experiments; off
-    /// by default.
-    pub fn set_serial_latch(&self, enabled: bool) {
-        self.engine.serial_latch.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Toggles vectorized (batch-at-a-time) scan execution. On by
-    /// default; off reverts to row-at-a-time interpretation, the
-    /// measurable baseline for `exp_parallel_scan`.
-    pub fn set_batch_scan(&self, enabled: bool) {
-        self.engine.batch_scan.store(enabled, Ordering::Relaxed);
-    }
-
     /// Sets the number of worker threads morsel-driven parallel scans
     /// may use (1 = serial; values above 1 only engage on scans large
     /// enough to amortize thread startup).
@@ -961,8 +924,8 @@ impl Database {
     /// way a SELECT runs. Joins the calling thread's open transaction if
     /// one exists (reading its pinned snapshot plus its own writes);
     /// otherwise reads the latest committed epoch. Takes no
-    /// lock-manager locks (unless the legacy reader-lock baseline is
-    /// on) and, while no transaction is open on the engine, no mutex.
+    /// lock-manager locks and, while no transaction is open on the
+    /// engine, no mutex.
     ///
     /// # Errors
     ///
@@ -972,85 +935,36 @@ impl Database {
         prepared: &PreparedSelect,
         params: &[Value],
     ) -> Result<ExecOutcome> {
-        let mut slot = self.checkout_txn();
-        let mut txn = slot.state.as_mut();
+        let slot = self.checkout_txn();
+        let txn = slot.state.as_ref();
         let engine = &*self.engine;
-        let mut catalog = engine.catalog_read();
-
-        // Legacy pre-MVCC baseline: table-level shared locks for reads.
-        let mut read_locks: Option<(AutoRelease<'_>, Vec<LockReq>)> = None;
-        if self.shared.reader_locks.load(Ordering::Relaxed) {
-            let tid = match &txn {
-                Some(t) => t.tid,
-                None => self.shared.alloc_tid(),
-            };
-            let auto_release = AutoRelease {
-                locks: &self.shared.locks,
-                tid,
-                armed: txn.is_none(),
-            };
-            let reqs = prepared
-                .tables()
-                .iter()
-                .map(|t| {
-                    catalog.latch(t)?;
-                    Ok((t.clone(), None, LockMode::Shared))
-                })
-                .collect::<Result<Vec<LockReq>>>()?;
-            let locks = read_locks.insert((auto_release, reqs));
-            catalog = self.acquire_locks(catalog, tid, &locks.1, txn.as_deref_mut())?;
-        }
-
-        let mut cost = CostReport::new();
-        let mut run = |tables: &TableSet<'_>| {
-            engine.counters.statements.fetch_add(1, Ordering::Relaxed);
-            engine.counters.selects.fetch_add(1, Ordering::Relaxed);
-            // Autocommit reads the latest committed epoch, loaded *after*
-            // latching so the epoch's versions are fully visible on every
-            // latched table.
-            let snap = match &txn {
-                Some(t) => Snapshot {
-                    epoch: t.snap,
-                    writer: Some(t.tid),
-                },
-                None => Snapshot {
-                    epoch: self.shared.commit_epoch.load(Ordering::Acquire),
-                    writer: None,
-                },
-            };
-            exec::run_prepared(
-                tables,
-                &engine.pool,
-                prepared,
-                params,
-                &mut cost,
-                &snap,
-                &engine.scan_opts(),
-            )
+        let catalog = engine.catalog_read();
+        let tables = TableSet::latch_reads(&catalog, prepared.tables(), &engine.latches)?;
+        engine.counters.statements.fetch_add(1, Ordering::Relaxed);
+        engine.counters.selects.fetch_add(1, Ordering::Relaxed);
+        // Autocommit reads the latest committed epoch, loaded *after*
+        // latching so the epoch's versions are fully visible on every
+        // latched table.
+        let snap = match txn {
+            Some(t) => Snapshot {
+                epoch: t.snap,
+                writer: Some(t.tid),
+            },
+            None => Snapshot {
+                epoch: self.shared.commit_epoch.load(Ordering::Acquire),
+                writer: None,
+            },
         };
-        let result = if engine.serial_latch.load(Ordering::Relaxed) {
-            drop(catalog);
-            let mut guard = engine.catalog_write();
-            let tables = TableSet::exclusive(&mut guard);
-            run(&tables)
-        } else {
-            let r = TableSet::latch_reads(&catalog, prepared.tables(), &engine.latches)
-                .and_then(|tables| run(&tables));
-            drop(catalog);
-            r
-        }?;
-
-        if let Some((mut auto_release, reqs)) = read_locks {
-            if auto_release.armed {
-                // The statement's lock set is known exactly: release just
-                // those resources instead of sweeping every shard.
-                auto_release.armed = false;
-                self.shared.locks.release_resources(
-                    auto_release.tid,
-                    reqs.iter().map(|(t, pk, _)| (t.as_str(), pk.as_ref())),
-                );
-            }
-        }
+        let mut cost = CostReport::new();
+        let result = exec::run_prepared(
+            &tables,
+            &engine.pool,
+            prepared,
+            params,
+            &mut cost,
+            &snap,
+            engine.scan_workers.load(Ordering::Relaxed),
+        )?;
         Ok(ExecOutcome { result, cost })
     }
 
@@ -1303,16 +1217,6 @@ impl Database {
             v.versioned_rows += t.versioned_rows() as u64;
         }
         v
-    }
-
-    /// Re-enables the legacy (pre-MVCC) reader behaviour: SELECT
-    /// statements take table-level shared locks and therefore block
-    /// behind writer transactions' intent locks. Readers still return
-    /// correct results either way — this exists solely so the MVCC
-    /// experiments can measure snapshot reads against the old blocking
-    /// baseline on the same binary.
-    pub fn set_reader_table_locks(&self, enabled: bool) {
-        self.shared.reader_locks.store(enabled, Ordering::Relaxed);
     }
 
     // ----- durability -----
@@ -1657,8 +1561,7 @@ impl Database {
             let trg = engine.triggers.read();
             trg.is_enabled() && changes.iter().any(|c| trg.has_for_table(&c.table))
         };
-        let exclusive = fire || engine.serial_latch.load(Ordering::Relaxed);
-        let result = if exclusive {
+        let result = if fire {
             let mut guard = engine.catalog_write();
             let mut tables = TableSet::exclusive(&mut guard);
             self.commit_latched(&mut tables, tid, undo, changes, wrote, &mut cost, fire)
@@ -1941,23 +1844,15 @@ impl Database {
             }
         }
         let engine = &*self.engine;
-        let undone = if engine.serial_latch.load(Ordering::Relaxed) {
-            let mut guard = engine.catalog_write();
-            let mut tables = TableSet::exclusive(&mut guard);
-            exec::apply_undo(&mut tables, txn.undo, txn.tid)
-        } else {
+        let undone = {
             let catalog = engine.catalog_read();
             let names: BTreeSet<String> = txn
                 .undo
                 .iter()
                 .map(|op| undo_table(op).to_owned())
                 .collect();
-            let applied =
-                match TableSet::latch(&catalog, &LatchPlan::writes(names), &engine.latches) {
-                    Ok(mut tables) => exec::apply_undo(&mut tables, txn.undo, txn.tid),
-                    Err(e) => Err(e),
-                };
-            applied
+            TableSet::latch(&catalog, &LatchPlan::writes(names), &engine.latches)
+                .and_then(|mut tables| exec::apply_undo(&mut tables, txn.undo, txn.tid))
         };
         engine.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
         self.release_snapshot(txn.snap);
@@ -2103,8 +1998,7 @@ impl Database {
 
         // Escalate to the exclusive catalog latch when per-table
         // latching cannot carry the statement: DDL restructures the
-        // catalog itself; the serial-latch baseline serializes
-        // everything by design; and an autocommit write whose target
+        // catalog itself, and an autocommit write whose target
         // table has an enabled trigger fires that trigger immediately —
         // trigger queries may read arbitrary tables, and the commit
         // hook's effect batch must not interleave with another firing
@@ -2112,11 +2006,10 @@ impl Database {
         let exclusive = matches!(
             stmt,
             Statement::CreateTable(_) | Statement::CreateIndex { .. }
-        ) || engine.serial_latch.load(Ordering::Relaxed)
-            || (autocommit && stmt.is_write() && {
-                let trg = engine.triggers.read();
-                trg.is_enabled() && write_target(stmt).is_some_and(|t| trg.has_for_table(t))
-            });
+        ) || (autocommit && stmt.is_write() && {
+            let trg = engine.triggers.read();
+            trg.is_enabled() && write_target(stmt).is_some_and(|t| trg.has_for_table(t))
+        });
 
         let result = if exclusive {
             drop(catalog);
@@ -2173,7 +2066,7 @@ impl Database {
                 if autocommit {
                     // The statement's lock set is known exactly: release
                     // just those resources instead of sweeping every
-                    // shard (the read path runs this per SELECT).
+                    // shard.
                     auto_release.armed = false;
                     if !reqs.is_empty() {
                         self.shared.locks.release_resources(
@@ -2392,7 +2285,6 @@ impl Database {
         if changes.is_empty() || !triggers.is_enabled() {
             return Ok(());
         }
-        let opts = ScanOpts::serial();
         for change in changes {
             let matching = triggers.matching(&change.table, change.event);
             for trigger in matching {
@@ -2412,7 +2304,7 @@ impl Database {
                             params,
                             &mut query_cost,
                             trigger_snap,
-                            &opts,
+                            1, // trigger-body queries already run inside a commit: serial
                         )
                     };
                     let mut ctx = TriggerCtx {

@@ -16,7 +16,7 @@
 //! in `BATCH_ROWS`-sized morsels, the WHERE clause is compiled into a
 //! `CompiledPred` of column-vs-constant atoms evaluated over a
 //! `RowBatch`, and only surviving rows are materialized (cloned). With
-//! [`ScanOpts::workers`] > 1 and a large enough candidate list, morsels
+//! more than one scan worker and a large enough candidate list, morsels
 //! are claimed by worker threads from a shared atomic cursor
 //! (morsel-driven parallelism) and outputs are merged back in morsel
 //! order, so results are identical to the serial scan. `SELECT COUNT(*)
@@ -279,33 +279,6 @@ fn touch_read(pool: &BufferPool, table: &Table, rid: RowId, cost: &mut CostRepor
 // ---------------------------------------------------------------------
 // SELECT
 // ---------------------------------------------------------------------
-
-/// Per-statement scan tuning, snapshotted from the `Database` knobs at
-/// statement start.
-#[derive(Debug, Clone, Copy)]
-pub struct ScanOpts {
-    /// Vectorized batch execution for join-free scans (default on).
-    pub batch: bool,
-    /// Worker threads for morsel-driven parallel scans; 1 means serial.
-    pub workers: usize,
-}
-
-impl Default for ScanOpts {
-    fn default() -> Self {
-        ScanOpts {
-            batch: true,
-            workers: 1,
-        }
-    }
-}
-
-impl ScanOpts {
-    /// Serial vectorized execution — used for trigger-body queries,
-    /// which already run inside a commit.
-    pub(crate) fn serial() -> Self {
-        ScanOpts::default()
-    }
-}
 
 /// One output column of a non-aggregate projection.
 enum Out {
@@ -734,7 +707,7 @@ pub(crate) fn run_prepared(
     params: &[Value],
     cost: &mut CostReport,
     snap: &Snapshot,
-    opts: &ScanOpts,
+    workers: usize,
 ) -> Result<QueryResult> {
     let (bound, plan) = prepared.resolve(tables, params)?;
     let sel = prepared.select();
@@ -792,7 +765,7 @@ pub(crate) fn run_prepared(
         _ => None,
     };
 
-    let vectorized = opts.batch && plan.joins.is_empty();
+    let vectorized = plan.joins.is_empty();
 
     // COUNT(*) with a residual predicate: count batch survivors without
     // materializing a single row. Plain COUNT(*) (no predicate or an
@@ -806,7 +779,7 @@ pub(crate) fn run_prepared(
             pool,
             cost,
             snap,
-            opts.workers,
+            workers,
         )?;
         cost.rows_returned += 1;
         return Ok(count_result(&bound, n));
@@ -825,7 +798,7 @@ pub(crate) fn run_prepared(
             target,
             &mut topk,
             &mut current,
-            opts,
+            workers,
         )?;
     } else {
         'scan: for cand in candidates.iter() {
@@ -1145,27 +1118,18 @@ fn scan_vectorized<'t>(
     target: Option<usize>,
     topk: &mut Option<TopK<'_>>,
     out: &mut Vec<Row>,
-    opts: &ScanOpts,
+    workers: usize,
 ) -> Result<()> {
-    if opts.workers > 1 && candidates.len() >= PARALLEL_MIN_RIDS && target.is_none() {
+    if workers > 1 && candidates.len() >= PARALLEL_MIN_RIDS && target.is_none() {
         return scan_parallel(
-            base,
-            candidates,
-            compiled,
-            params,
-            pool,
-            cost,
-            snap,
-            topk,
-            out,
-            opts.workers,
+            base, candidates, compiled, params, pool, cost, snap, topk, out, workers,
         );
     }
     if let Some(t) = target {
         // Early-exit shape: row-at-a-time so the scan stops at exactly
-        // the same row — and the same cost — as the row engine. The win
-        // here is the compiled predicate on the borrowed row: no clone
-        // unless the row matches.
+        // the row that completes the output — and charges exactly the
+        // rows it examined. The compiled predicate runs on the borrowed
+        // row: no clone unless the row matches.
         debug_assert!(topk.is_none(), "fetch_limit implies no late sort");
         for cand in candidates.iter() {
             let Some(r) = examine(base, cand, pool, cost, snap) else {
@@ -1196,7 +1160,7 @@ fn scan_vectorized<'t>(
 
 /// `COUNT(*) WHERE ...` without materialization: batch survivors are
 /// counted, never cloned. Scans every candidate (counts cannot
-/// early-exit), so serial cost equals the row engine's.
+/// early-exit).
 #[allow(clippy::too_many_arguments)]
 fn count_matching<'t>(
     base: &'t Table,

@@ -205,7 +205,7 @@ impl<'a> TableSet<'a> {
 
     /// Every table as a [`Slot::Mut`] borrow — the exclusive-mode view
     /// used under the catalog write latch (DDL-adjacent statements,
-    /// trigger-firing commits, the serial-latch baseline).
+    /// trigger-firing commits).
     pub fn exclusive(catalog: &'a mut Catalog) -> TableSet<'a> {
         let catalog_version = catalog.version();
         TableSet {

@@ -11,8 +11,7 @@
 //!   joins, aggregates, `ORDER BY ... LIMIT` ([`sql`], [`Select`]) —
 //!   with scan-shaped plans executed vectorized (~1024-row batches over
 //!   a compiled predicate, optionally morsel-parallel across worker
-//!   threads; [`Database::set_batch_scan`],
-//!   [`Database::set_scan_workers`]);
+//!   threads; [`Database::set_scan_workers`]);
 //! * **row-level AFTER triggers** fired synchronously inside write
 //!   statements — the primitive CacheGenie uses to keep the cache
 //!   consistent ([`Trigger`], [`TriggerCtx`]);
@@ -102,4 +101,4 @@ pub use stats::ColumnStats;
 pub use table::{Snapshot, Table};
 pub use trigger::{Trigger, TriggerBody, TriggerCtx, TriggerEvent, TriggerManager};
 pub use value::{Value, ValueType};
-pub use wal::{CheckpointStats, RecoveryReport, SyncPolicy, WalConfig, WalStats};
+pub use wal::{CheckpointStats, RecoveryReport, WalConfig, WalStats};

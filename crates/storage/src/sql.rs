@@ -780,9 +780,9 @@ impl Parser {
                     "NULL" => Ok(Expr::Literal(Value::Null)),
                     "TRUE" => Ok(Expr::Literal(Value::Bool(true))),
                     "FALSE" => Ok(Expr::Literal(Value::Bool(false))),
-                    "TS" => {
-                        // TS(<int>) renders Timestamp literals round-trippably.
-                        self.expect_sym("(")?;
+                    // TS(<int>) renders Timestamp literals round-trippably;
+                    // a bare `ts` is an ordinary column name.
+                    "TS" if self.eat_sym("(") => {
                         let v = match self.next() {
                             Some(Tok::Int(v)) => v,
                             other => {
@@ -968,6 +968,49 @@ mod tests {
     fn timestamp_literal_roundtrip() {
         let e = parse_expr("TS(12345)").unwrap();
         assert_eq!(e, Expr::lit(Value::Timestamp(12345)));
+    }
+
+    #[test]
+    fn ts_is_a_column_name_unless_called() {
+        assert_eq!(
+            parse_expr("ts").unwrap(),
+            Expr::Column(ColumnRef::bare("ts"))
+        );
+        assert_eq!(
+            parse_expr("t.ts").unwrap(),
+            Expr::Column(ColumnRef::qualified("t", "ts"))
+        );
+        // The literal constructor still wins when called.
+        assert_eq!(
+            parse_expr("ts >= TS(7)").unwrap().to_string(),
+            "(ts >= TS(7))"
+        );
+        roundtrip("SELECT ts, t.ts FROM t WHERE ((ts > 5) AND (t.ts < TS(9))) ORDER BY ts DESC");
+
+        let db = crate::Database::default();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, ts INT NOT NULL)", &[])
+            .unwrap();
+        db.execute_sql("INSERT INTO t VALUES (1, 3), (2, 9), (3, 7)", &[])
+            .unwrap();
+        let out = db
+            .execute_sql(
+                "SELECT ts, t.ts FROM t WHERE ts > 5 AND t.ts < 100 ORDER BY t.ts DESC",
+                &[],
+            )
+            .unwrap();
+        let got: Vec<Vec<Value>> = out
+            .result
+            .rows
+            .iter()
+            .map(|r| r.values().to_vec())
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                vec![Value::Int(9), Value::Int(9)],
+                vec![Value::Int(7), Value::Int(7)]
+            ]
+        );
     }
 
     #[test]

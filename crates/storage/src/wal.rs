@@ -26,9 +26,7 @@
 //! `Wal::wait_durable`. The first parked committer becomes the
 //! *leader*: it drains the whole pending queue, writes the batch with a
 //! single `write` + `fdatasync`, and wakes every member. N concurrent
-//! committers therefore pay ~1 sync, not N. `SyncPolicy::PerCommit`
-//! keeps the same protocol but drains one record per sync — the
-//! baseline the `exp_wal` bench compares against.
+//! committers therefore pay ~1 sync, not N.
 //!
 //! # Checkpoints and truncation
 //!
@@ -513,32 +511,14 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 // Configuration, tickets, stats
 // ---------------------------------------------------------------------------
 
-/// How the log writer turns pending records into durable bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Group commit: the leader drains the whole pending queue and pays
-    /// one append + one sync for the batch (the default).
-    #[default]
-    GroupCommit,
-    /// One append + one sync per record — the naive baseline that pays
-    /// a full sync for every committer.
-    PerCommit,
-}
-
 /// Tuning for a durable database's log writer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
-    /// Batch policy for the log writer.
-    pub sync: SyncPolicy,
-    /// Extra microseconds the group-commit leader holds the batch open
-    /// before draining, letting concurrent committers join. `0` drains
-    /// immediately (arrivals during the in-flight sync still batch).
-    pub group_window_us: u64,
     /// Simulated device flush latency in microseconds, slept after every
     /// sync. In-memory page caches (tmpfs, dev laptops) make `fdatasync`
     /// nearly free, which would hide exactly the cost group commit
-    /// amortizes; benches set this to a realistic device latency so the
-    /// group-vs-per-commit comparison measures the protocol.
+    /// amortizes; benches and the concurrency audit set this to a
+    /// realistic device latency so committers actually overlap a sync.
     pub sync_delay_us: u64,
     /// Take an automatic fuzzy checkpoint every this many commits
     /// (`0` = manual checkpoints only).
@@ -548,8 +528,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
-            sync: SyncPolicy::GroupCommit,
-            group_window_us: 0,
             sync_delay_us: 0,
             checkpoint_every: 4096,
         }
@@ -816,17 +794,7 @@ impl Wal {
             }
             // Become the leader for the next batch.
             inner.leader = true;
-            if self.cfg.sync == SyncPolicy::GroupCommit && self.cfg.group_window_us > 0 {
-                // Hold the leader slot (not the mutex) open briefly so
-                // concurrent committers can join this batch.
-                drop(inner);
-                std::thread::sleep(Duration::from_micros(self.cfg.group_window_us));
-                inner = self.inner.lock().expect("wal mutex");
-            }
-            let batch: Vec<(u64, Vec<u8>)> = match self.cfg.sync {
-                SyncPolicy::GroupCommit => inner.pending.drain(..).collect(),
-                SyncPolicy::PerCommit => inner.pending.pop_front().into_iter().collect(),
-            };
+            let batch: Vec<(u64, Vec<u8>)> = inner.pending.drain(..).collect();
             let Some(&(high, _)) = batch.last() else {
                 // Unreachable: an unflushed ticket implies a pending
                 // record whenever no leader is in flight.
@@ -1515,29 +1483,9 @@ mod tests {
     }
 
     #[test]
-    fn per_commit_policy_pays_one_sync_per_record() {
-        let s = Scratch::new("percommit");
-        let cfg = WalConfig {
-            sync: SyncPolicy::PerCommit,
-            ..WalConfig::default()
-        };
-        let wal = Wal::create(&s.0, cfg).unwrap();
-        flush_records(
-            &wal,
-            &[commit_payload(1), commit_payload(2), commit_payload(3)],
-            0,
-        );
-        let stats = wal.stats();
-        assert_eq!(stats.records, 3);
-        assert_eq!(stats.syncs, 3, "per-commit: one sync each");
-        assert_eq!(stats.batches, 3);
-    }
-
-    #[test]
     fn group_commit_batches_concurrent_committers() {
         let s = Scratch::new("group");
         let cfg = WalConfig {
-            sync: SyncPolicy::GroupCommit,
             sync_delay_us: 500,
             ..WalConfig::default()
         };

@@ -14,7 +14,7 @@
 //! The crash matrix in `docs/DURABILITY.md` maps each failure mode to the
 //! test covering it.
 
-use genie_storage::{Database, DbConfig, StorageError, SyncPolicy, Value, WalConfig};
+use genie_storage::{Database, DbConfig, StorageError, Value, WalConfig};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -416,27 +416,6 @@ fn read_only_commits_append_nothing() {
     assert!(out.cost.wal_bytes > 0);
     let final_stats = db.wal_stats().unwrap();
     assert_eq!(final_stats.bytes - after.bytes, out.cost.wal_bytes);
-}
-
-#[test]
-fn per_commit_policy_recovers_identically() {
-    let s = Scratch::new("percommit");
-    let cfg = WalConfig {
-        sync: SyncPolicy::PerCommit,
-        checkpoint_every: 0,
-        ..WalConfig::default()
-    };
-    let db = Database::create_durable(s.path(), DbConfig::default(), cfg).unwrap();
-    seed(&db, 12);
-    let digest = db.content_digest();
-    let stats = db.wal_stats().unwrap();
-    assert_eq!(
-        stats.syncs, stats.batches,
-        "per-commit: one sync per batch of one"
-    );
-    drop(db);
-    let recovered = Database::open_with_recovery(s.path()).unwrap();
-    assert_eq!(recovered.content_digest(), digest);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 //! [`CacheCluster`] directly — no database, no triggers — with a
 //! Zipf-skewed get/set mix, measuring aggregate cache-op throughput and
 //! GET latency percentiles. This isolates the store's lock-striping and
-//! eviction-policy cost from everything else in the stack, which is what
-//! the `exp_cache_scale` experiment sweeps:
+//! eviction cost from everything else in the stack, which is what the
+//! `exp_cache_scale` experiment sweeps:
 //!
-//! * **threads 1→8, one server**: sharded CLOCK stores vs the legacy
-//!   single-mutex stamp-LRU baseline (the ≥2× throughput gate);
+//! * **threads 1→8, one server**: throughput of the sharded CLOCK
+//!   stores as client threads grow;
 //! * **servers 1→8, fixed load**: p99 GET latency must stay near-flat
 //!   as the ring grows;
 //! * **kill/rejoin**: the same mix with a node failure schedule must
@@ -18,7 +18,7 @@
 //! threads interleaved. A miss is always legal (eviction, node death).
 
 use bytes::Bytes;
-use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, EvictionPolicy};
+use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig};
 use genie_sim::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,9 +35,6 @@ pub struct CacheScaleConfig {
     pub servers: usize,
     /// Lock-striped shards per server (1 = a single mutex per server).
     pub shards_per_server: usize,
-    /// Store eviction policy ([`EvictionPolicy::LruStamp`] is the
-    /// pre-shard baseline shape).
-    pub eviction: EvictionPolicy,
     /// Copies per hot key (1 = replication off).
     pub hot_key_replicas: usize,
     /// Accesses before a key counts as hot.
@@ -67,7 +64,6 @@ impl Default for CacheScaleConfig {
             client_threads: 4,
             servers: 1,
             shards_per_server: 16,
-            eviction: EvictionPolicy::Clock,
             hot_key_replicas: 1,
             hot_key_threshold: 64,
             keys: 8192,
@@ -167,7 +163,6 @@ pub fn run_cache_scale(cfg: &CacheScaleConfig) -> CacheScaleResult {
         servers: cfg.servers.max(1),
         capacity_bytes: cfg.capacity_bytes,
         shards_per_server: cfg.shards_per_server.max(1),
-        eviction: cfg.eviction,
         hot_key_replicas: cfg.hot_key_replicas.max(1),
         hot_key_threshold: cfg.hot_key_threshold,
         ..Default::default()
@@ -368,11 +363,11 @@ mod tests {
         assert!(r.get_p99_us >= r.get_p50_us);
     }
 
+    /// One stripe per server: every key behind a single mutex.
     #[test]
     fn baseline_shape_is_clean_too() {
         let r = run_cache_scale(&CacheScaleConfig {
             shards_per_server: 1,
-            eviction: EvictionPolicy::LruStamp,
             ..quick(2)
         });
         assert_eq!(r.value_violations, 0, "{r:?}");

@@ -12,9 +12,6 @@
 //! they must never deadlock and never observe a torn state — each
 //! reader transaction re-runs its first query at the end and any
 //! difference is counted as a `snapshot_violations` (must stay zero).
-//! Setting `reader_locking` re-enables the legacy PR-4 behaviour
-//! (SELECTs take table shared locks and block behind writers), which is
-//! the measurable baseline the MVCC experiment compares against.
 //!
 //! Unlike [`crate::driver::run`] (which measures the paper's saturation
 //! curves deterministically in simulated time), this driver measures the
@@ -30,7 +27,7 @@ use genie_storage::{Database, Result, StorageError, Value, WalConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Rows seeded into each `shard_<t>` scratch table for the
@@ -59,13 +56,10 @@ pub struct ConcurrencyConfig {
     pub seed: SeedConfig,
     /// RNG seed (per-thread streams derive from it).
     pub rng_seed: u64,
-    /// Serialize every transaction on one global mutex — the engine's
-    /// pre-row-lock behaviour, kept as the scaling baseline.
-    pub single_lock: bool,
     /// Simulated application-server time (microseconds) spent between a
     /// transaction's statements — the round-trip window a real web stack
-    /// has while its transaction is open. A global lock serializes this
-    /// window across all clients; row locks overlap it. 0 disables.
+    /// has while its transaction is open; row locks overlap it across
+    /// clients. 0 disables.
     pub think_us: u64,
     /// Dedicated reader threads running read-only transactions (wall +
     /// user scans with an intra-transaction repeat-read consistency
@@ -74,9 +68,6 @@ pub struct ConcurrencyConfig {
     /// SELECT statements per reader transaction (at least 2: the first
     /// query is re-run at the end as the snapshot-consistency check).
     pub reads_per_reader_txn: usize,
-    /// Legacy baseline: readers take table-level shared locks (and block
-    /// behind writer transactions) instead of MVCC snapshot reads.
-    pub reader_locking: bool,
     /// Pin every writer thread to its own scratch table (`shard_<t>`,
     /// created and seeded before the measured phase) instead of the
     /// shared social mix. With per-table latching, disjoint writers
@@ -84,11 +75,6 @@ pub struct ConcurrencyConfig {
     /// **zero table-latch waits** — the latch-sharding gate. Ignores
     /// `poke_pct` / `abort_pct` / `read_every`.
     pub disjoint_tables: bool,
-    /// Force the pre-sharding engine shape: every statement and commit
-    /// takes the catalog latch exclusively, exactly one statement in
-    /// flight engine-wide. The measurable baseline latch sharding is
-    /// compared against.
-    pub serial_latch: bool,
     /// Cache-cluster shape for the deployment (servers, shards per
     /// server, hot-key replication). The default single-server shape
     /// keeps the legacy mixes unchanged; the cache-tier scenarios set
@@ -132,13 +118,10 @@ impl Default for ConcurrencyConfig {
             read_every: 5,
             seed: SeedConfig::tiny(),
             rng_seed: 42,
-            single_lock: false,
             think_us: 0,
             reader_threads: 0,
             reads_per_reader_txn: 4,
-            reader_locking: false,
             disjoint_tables: false,
-            serial_latch: false,
             cluster: ClusterConfig::default(),
             hot_read_pct: 0,
             node_kill: false,
@@ -412,8 +395,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
         !cfg.node_kill || cfg.cluster.servers >= 2,
         "node_kill needs at least two cache servers"
     );
-    env.db.set_reader_table_locks(cfg.reader_locking);
-    env.db.set_serial_latch(cfg.serial_latch);
     let users = cfg.seed.users.max(2) as i64;
     let threads = cfg.threads.max(1);
     if cfg.disjoint_tables {
@@ -437,7 +418,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
     // Readers share the start barrier so reads tallied against the
     // measured window cannot begin before the writers do.
     let barrier = Arc::new(Barrier::new(threads + cfg.reader_threads));
-    let global = Arc::new(Mutex::new(()));
     let writers_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
     // Dedicated readers: read-only transactions scanning walls and
@@ -483,7 +463,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
             let db = env.db.clone();
             let cluster = env.genie.cluster().clone();
             let barrier = Arc::clone(&barrier);
-            let global = Arc::clone(&global);
             let cfg = cfg.clone();
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(cfg.rng_seed.wrapping_add(t as u64 * 6151));
@@ -510,9 +489,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                             tally.crash_copy_taken = true;
                         }
                     }
-                    // The baseline holds one global mutex across the whole
-                    // transaction — exactly the old engine-wide lock.
-                    let _serial = cfg.single_lock.then(|| global.lock().unwrap());
                     let wall = rng.gen_range(1..=users as usize) as i64;
                     let sender = rng.gen_range(1..=users as usize) as i64;
                     let think = || {
@@ -556,7 +532,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                         | Err(StorageError::LockTimeout { .. }) => tally.lock_aborts += 1,
                         Err(_) => tally.errors += 1,
                     }
-                    drop(_serial);
                     if !cfg.disjoint_tables && cfg.read_every > 0 && i % cfg.read_every == 0 {
                         // Autocommit cached read interleaving with other
                         // threads' open transactions. A multi-table read
@@ -801,32 +776,18 @@ fn reader_txn(db: &genie_storage::Database, wall: i64, stmts: usize) -> Result<(
 mod tests {
     use super::*;
 
-    fn small(threads: usize, single_lock: bool) -> ConcurrencyConfig {
-        ConcurrencyConfig {
-            threads,
-            txns_per_thread: 40,
-            single_lock,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn four_writers_complete_with_zero_violations() {
-        let r = run_concurrent(&small(4, false)).unwrap();
+        let r = run_concurrent(&ConcurrencyConfig {
+            threads: 4,
+            txns_per_thread: 40,
+            ..Default::default()
+        })
+        .unwrap();
         assert_eq!(r.errors, 0, "unexpected errors: {r:?}");
         assert!(r.committed > 0);
         assert_eq!(r.coherence_violations, 0, "stale cache entries: {r:?}");
         assert!(r.checked_objects > 0);
-    }
-
-    #[test]
-    fn single_lock_baseline_still_coherent() {
-        let r = run_concurrent(&small(3, true)).unwrap();
-        assert_eq!(r.errors, 0);
-        assert_eq!(r.coherence_violations, 0);
-        // The global mutex serializes whole transactions: the engine can
-        // never even see a conflict, so nothing ever aborts.
-        assert_eq!(r.deadlock_aborts + r.lock_aborts, 0);
     }
 
     #[test]
@@ -873,20 +834,6 @@ mod tests {
             "threads pinned to disjoint tables must never meet on a table latch: {r:?}"
         );
         assert_eq!(r.lock_stats_deadlocks, 0, "{r:?}");
-        assert_eq!(r.coherence_violations, 0, "{r:?}");
-    }
-
-    #[test]
-    fn serial_latch_baseline_still_correct() {
-        let r = run_concurrent(&ConcurrencyConfig {
-            threads: 3,
-            txns_per_thread: 30,
-            serial_latch: true,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(r.errors, 0, "{r:?}");
-        assert!(r.committed > 0);
         assert_eq!(r.coherence_violations, 0, "{r:?}");
     }
 

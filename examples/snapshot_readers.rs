@@ -2,12 +2,8 @@
 //! while BatchPost writer threads commit bursts underneath it — the
 //! scan never blocks, never deadlocks, and every read inside it agrees
 //! with the snapshot it pinned at BEGIN, no matter how many commits
-//! land meanwhile.
-//!
-//! Under the pre-MVCC engine (table-shared reader locks), the analytics
-//! transaction would stall behind every open writer transaction and
-//! hold its own shared locks against them; you can watch that world by
-//! flipping `db.set_reader_table_locks(true)` below.
+//! land meanwhile. SELECTs take no lock-manager locks, so the scan has
+//! nothing to wait on behind the writers' open transactions.
 //!
 //! Run with: `cargo run --example snapshot_readers`
 
@@ -27,9 +23,6 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..Default::default()
     })?;
     let db = env.db.clone();
-    // Flip to `true` to feel the PR-4 baseline: the analytics scan
-    // below will wait behind every writer transaction's intent locks.
-    db.set_reader_table_locks(false);
 
     // --- writers: BatchPost bursts with application think time -------
     let stop = Arc::new(AtomicBool::new(false));

@@ -34,16 +34,13 @@ cargo run --release -q -p genie-bench --bin trigger_audit -- --check > /dev/null
 echo "==> concurrency_audit --check (multi-writer thread sweep + MVCC reader gate + disjoint-table latch gate + cache-tier kill/rejoin gate: no livelock, abort/conflict ceilings, zero reader blocking, zero table-latch waits, cache coherence through node failure)"
 cargo run --release -q -p genie-bench --bin concurrency_audit -- --check > /dev/null
 
-echo "==> exp_parallel_scan --check (vectorized scans: batch >= row-at-a-time, 4-worker scaling on multi-core hosts)"
+echo "==> exp_parallel_scan --check (morsel-parallel scans: x4 workers not slower than x1 on >= 4-thread hosts)"
 cargo run --release -q -p genie-bench --bin exp_parallel_scan -- --check --quick > /dev/null
 
-echo "==> exp_mvcc (snapshot readers vs table-S-lock baseline: zero lock waits, >= baseline read throughput, zero violations)"
-cargo run --release -q -p genie-bench --bin exp_mvcc -- --readers 1,4 --txns 80 > /dev/null
-
-echo "==> exp_cache_scale --check (cache tier: sharded stores >= 2x single-mutex baseline at 8 threads, near-flat p99 across 1-8 servers, zero violations through node kill/rejoin)"
+echo "==> exp_cache_scale --check (cache tier: near-flat p99 across 1-8 servers, zero violations through node kill/rejoin)"
 cargo run --release -q -p genie-bench --bin exp_cache_scale -- --check --quick > /dev/null
 
-echo "==> exp_wal --check (durability: group commit >= 2x per-commit sync at 8 threads, 10k-commit crash recovery to the exact committed state with zero in-flight leakage)"
+echo "==> exp_wal --check (durability: 10k-commit crash recovery to the exact committed state with zero in-flight leakage)"
 cargo run --release -q -p genie-bench --bin exp_wal -- --check --quick > /dev/null
 
 echo "==> exp_serve --check (serving path: paced loopback fleet holds the per-page p99 ceiling with zero shed below the admission threshold, overload sheds retryably, drains drop nothing, zero snapshot/coherence violations)"
