@@ -12,8 +12,10 @@
 //!   servers ([`CacheCluster`]), with distinct application/trigger origins
 //!   so the "triggers bump LRU" behaviour called out in §4 of the paper
 //!   can be toggled;
-//! * a typed, checksummed payload codec ([`Payload`]) so trigger bodies do
-//!   real decode–modify–encode work, as the Python triggers do;
+//! * a typed, checksummed, row-framed payload codec ([`Payload`]) whose
+//!   list shapes triggers splice in place ([`EncodedList`]) — the same
+//!   `gets` → modify → `cas` round trip as the Python triggers, at the
+//!   cost of the rows changed;
 //! * the §3.3 strict-consistency **key lock table** ([`KeyLockTable`]) —
 //!   designed but not built in the paper; implemented here as an extension.
 
@@ -30,7 +32,7 @@ pub use cluster::{
     CacheCluster, CacheHandle, ClusterConfig, ClusterStats, EffectBatchSummary,
     PreparedEffectBatch, ServerStats,
 };
-pub use codec::{hash_key, Payload};
+pub use codec::{hash_key, Edit, EncodedList, Frame, Payload, RowView};
 pub use error::{CacheError, Result};
 pub use hotkey::{HotKeyConfig, HotKeyDetector};
 pub use lock::{KeyLockTable, LockOutcome, TxnId};

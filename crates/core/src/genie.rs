@@ -590,9 +590,10 @@ impl GenieShared {
             self.stats.bump(&self.stats.txn_bypasses);
             let out = self.db.execute_prepared(&obj.template, params)?;
             let result = match &obj.def.kind {
-                CacheClassKind::Count => {
-                    count_result(out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0))
-                }
+                CacheClassKind::Count => count_result(
+                    obj,
+                    out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0),
+                ),
                 _ => rows_result(obj, out.result.rows),
             };
             return Ok(EvalOutcome {
@@ -611,7 +612,7 @@ impl GenieShared {
                     Ok(Some(Payload::Count(n))) => {
                         self.stats.bump(&self.stats.cache_hits);
                         return Ok(EvalOutcome {
-                            result: count_result(n),
+                            result: count_result(obj, n),
                             from_cache: true,
                             cache_ops,
                             db_cost: CostReport::new(),
@@ -646,7 +647,7 @@ impl GenieShared {
                     lease,
                 ));
                 Ok(EvalOutcome {
-                    result: count_result(n),
+                    result: count_result(obj, n),
                     from_cache: false,
                     cache_ops,
                     db_cost: out.cost,
@@ -746,15 +747,15 @@ impl GenieShared {
 
 fn rows_result(obj: &ObjectInner, rows: Vec<Row>) -> QueryResult {
     QueryResult {
-        columns: obj.columns.clone(),
+        columns: Arc::clone(&obj.columns),
         rows,
         rows_affected: 0,
     }
 }
 
-fn count_result(n: i64) -> QueryResult {
+fn count_result(obj: &ObjectInner, n: i64) -> QueryResult {
     QueryResult {
-        columns: vec!["count".to_owned()],
+        columns: Arc::clone(&obj.columns),
         rows: vec![Row::new(vec![Value::Int(n)])],
         rows_affected: 0,
     }

@@ -27,6 +27,7 @@
 
 pub mod def;
 pub mod genie;
+mod mutation;
 pub mod object;
 pub mod stats;
 pub mod strict;

@@ -9,6 +9,7 @@
 use crate::def::{CacheClassKind, CacheableDef, SortOrder};
 use genie_orm::{ModelRegistry, QuerySet};
 use genie_storage::{PreparedSelect, Result, Row, StorageError, Value};
+use std::sync::Arc;
 
 /// Link-class compilation products.
 #[derive(Debug, Clone)]
@@ -42,7 +43,7 @@ pub(crate) struct ObjectInner {
     /// The template's SQL text — the interception fingerprint.
     pub fingerprint: String,
     /// Output column names for served results.
-    pub columns: Vec<String>,
+    pub columns: Arc<[String]>,
     /// Top-K: position of the sort field in main rows.
     pub sort_position: Option<usize>,
     /// Top-K: `k + reserve`.
@@ -164,7 +165,7 @@ impl ObjectInner {
             base_arity: base_cols.len(),
             template: PreparedSelect::new(template),
             fingerprint,
-            columns,
+            columns: columns.into(),
             sort_position,
             capacity,
             fill_template,
@@ -216,21 +217,15 @@ impl ObjectInner {
         }
     }
 
-    /// Compares two main-table rows by the Top-K sort order; `Less` means
-    /// `a` ranks ahead of `b` in the cached list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-TopK objects (internal misuse).
-    pub fn rank_cmp(&self, a: &Row, b: &Row) -> std::cmp::Ordering {
-        let pos = self.sort_position.expect("rank_cmp on TopK objects only");
-        let ord = a.get(pos).cmp(b.get(pos));
+    /// Compares two values of the Top-K sort field; `Less` means a row
+    /// holding `a` ranks ahead of one holding `b` in the cached list.
+    pub fn rank_cmp(&self, a: &Value, b: &Value) -> std::cmp::Ordering {
         match self.def.kind {
             CacheClassKind::TopK {
                 order: SortOrder::Descending,
                 ..
-            } => ord.reverse(),
-            _ => ord,
+            } => b.cmp(a),
+            _ => a.cmp(b),
         }
     }
 }
@@ -305,7 +300,7 @@ mod tests {
             "SELECT * FROM wall WHERE (wall.user_id = $1)"
         );
         assert_eq!(obj.key_positions, vec![1]);
-        assert_eq!(obj.columns, vec!["id", "user_id", "content", "date_posted"]);
+        assert_eq!(*obj.columns, ["id", "user_id", "content", "date_posted"]);
     }
 
     #[test]
@@ -346,7 +341,7 @@ mod tests {
             obj.fingerprint,
             "SELECT COUNT(*) FROM wall WHERE (wall.user_id = $1)"
         );
-        assert_eq!(obj.columns, vec!["count"]);
+        assert_eq!(*obj.columns, ["count"]);
     }
 
     #[test]
@@ -459,8 +454,7 @@ mod tests {
             &reg,
         )
         .unwrap();
-        let newer = row![1i64, 1i64, "a", Value::Timestamp(100)];
-        let older = row![2i64, 1i64, "b", Value::Timestamp(50)];
+        let (newer, older) = (Value::Timestamp(100), Value::Timestamp(50));
         assert_eq!(obj.rank_cmp(&newer, &older), std::cmp::Ordering::Less);
     }
 

@@ -13,9 +13,10 @@
 
 use crate::def::{CacheClassKind, ConsistencyStrategy};
 use crate::genie::GenieConfig;
+use crate::mutation::{self, Mutation};
 use crate::object::ObjectInner;
 use crate::stats::GenieStats;
-use genie_cache::{CacheError, CacheHandle, Payload};
+use genie_cache::{CacheError, CacheHandle, EncodedList};
 use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value};
 use std::sync::Arc;
 
@@ -100,23 +101,19 @@ fn make_trigger(
 // Shared gets/modify/cas machinery
 // ---------------------------------------------------------------------
 
-enum Mutation {
-    /// Store the new payload (CAS).
-    Keep(Payload),
-    /// Remove the key (reserve exhausted, corruption, wrong shape).
-    Drop,
-    /// Nothing to do.
-    Noop,
-}
-
 /// The gets → modify → cas loop from the paper's generated trigger, with
 /// bounded retries; exhaustion falls back to invalidation (always safe).
+/// `f` splices the encoded list ([`crate::mutation`]); a payload that is
+/// not the list shape this object caches (`top_k`) is dropped, and one
+/// the codec refuses — in its header, or in any frame `f` had to read —
+/// is deleted so the next read recomputes it.
 fn mutate_key(
     cache: &CacheHandle,
     stats: &GenieStats,
     retries: usize,
     key: &str,
-    mut f: impl FnMut(Payload) -> Mutation,
+    top_k: bool,
+    mut f: impl FnMut(&EncodedList) -> genie_cache::Result<Mutation>,
 ) -> u64 {
     let mut ops = 0;
     for _ in 0..retries.max(1) {
@@ -125,29 +122,31 @@ fn mutate_key(
             stats.bump(&stats.trigger_noops);
             return ops;
         };
-        let payload = match Payload::decode(&got.data) {
-            Ok(p) => p,
+        let mutation = match EncodedList::parse(got.data) {
+            Ok(Some(list)) if list.is_top_k() == top_k => f(&list),
+            Ok(_) => Ok(Mutation::Drop),
+            Err(e) => Err(e),
+        };
+        match mutation {
             Err(_) => {
                 ops += 1;
                 cache.delete(key);
                 stats.bump(&stats.invalidations);
                 return ops;
             }
-        };
-        match f(payload) {
-            Mutation::Noop => {
+            Ok(Mutation::Noop) => {
                 stats.bump(&stats.trigger_noops);
                 return ops;
             }
-            Mutation::Drop => {
+            Ok(Mutation::Drop) => {
                 ops += 1;
                 cache.delete(key);
                 stats.bump(&stats.key_drops);
                 return ops;
             }
-            Mutation::Keep(p) => {
+            Ok(Mutation::Keep(list)) => {
                 ops += 1;
-                match cache.cas(key, p.encode(), got.cas, None) {
+                match cache.cas(key, list.into_bytes(), got.cas, None) {
                     Ok(()) => {
                         stats.bump(&stats.inplace_updates);
                         return ops;
@@ -230,88 +229,34 @@ fn fire_feature(
 ) -> u64 {
     match ctx.event {
         TriggerEvent::Insert => {
-            let new = ctx.new.expect("insert has NEW").clone();
-            mutate_key(
-                cache,
-                stats,
-                retries,
-                &obj.key_from_row(&new),
-                move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.push(new.clone());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                },
-            )
+            let new = ctx.new.expect("insert has NEW");
+            mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+                mutation::append(l, std::slice::from_ref(new))
+            })
         }
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("delete has OLD").clone();
-            mutate_key(
-                cache,
-                stats,
-                retries,
-                &obj.key_from_row(&old),
-                move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        let before = rows.len();
-                        rows.retain(|r| pk_of(r) != pk_of(&old));
-                        if rows.len() == before {
-                            Mutation::Noop
-                        } else {
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                    }
-                    _ => Mutation::Drop,
-                },
-            )
+            let old = ctx.old.expect("delete has OLD");
+            mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
+                mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
+            })
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("update has OLD").clone();
-            let new = ctx.new.expect("update has NEW").clone();
-            if obj.key_fields_changed(&old, &new) {
+            let old = ctx.old.expect("update has OLD");
+            let new = ctx.new.expect("update has NEW");
+            if obj.key_fields_changed(old, new) {
                 // The row moved between keys: remove then add.
-                let mut ops = mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&old),
-                    |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.retain(|r| pk_of(r) != pk_of(&old));
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                let new2 = new.clone();
-                ops += mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&new),
-                    move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.push(new2.clone());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                ops
+                let removed =
+                    mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
+                        mutation::remove_pk(l, pk_of(old))
+                            .map(|edited| mutation::keep_or_rewrite(edited, l))
+                    });
+                removed
+                    + mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+                        mutation::append(l, std::slice::from_ref(new))
+                    })
             } else {
-                mutate_key(cache, stats, retries, &obj.key_from_row(&new), move |p| {
-                    match p {
-                        Payload::Rows(mut rows) => {
-                            match rows.iter_mut().find(|r| pk_of(r) == pk_of(&new)) {
-                                Some(slot) => *slot = new.clone(),
-                                // Heal: the row should have been present.
-                                None => rows.push(new.clone()),
-                            }
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    }
+                mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+                    mutation::replace_pk_or_append(l, new)
                 })
             }
         }
@@ -357,35 +302,6 @@ fn fire_count(
     }
 }
 
-/// Inserts `row` into a Top-K list per the paper's §3.2 algorithm,
-/// honouring the completeness flag.
-fn top_k_insert(obj: &ObjectInner, mut rows: Vec<Row>, mut complete: bool, row: &Row) -> Mutation {
-    let pos = rows
-        .iter()
-        .position(|r| obj.rank_cmp(row, r) == std::cmp::Ordering::Less)
-        .unwrap_or(rows.len());
-    if pos < rows.len() || complete {
-        rows.insert(pos, row.clone());
-        if rows.len() > obj.capacity {
-            rows.truncate(obj.capacity);
-            complete = false;
-        }
-        Mutation::Keep(Payload::TopK { rows, complete })
-    } else {
-        // Row ranks below everything cached and coverage is incomplete:
-        // it may or may not belong at the tail, so leave the list alone
-        // (same as the paper's `insert_pos == len` early exit).
-        Mutation::Noop
-    }
-}
-
-fn top_k_remove(obj: &ObjectInner, rows: &mut Vec<Row>, pk: &Value) -> bool {
-    let before = rows.len();
-    rows.retain(|r| pk_of(r) != pk);
-    let _ = obj;
-    rows.len() != before
-}
-
 fn fire_top_k(
     obj: &ObjectInner,
     cache: &CacheHandle,
@@ -393,96 +309,29 @@ fn fire_top_k(
     retries: usize,
     ctx: &TriggerCtx<'_>,
 ) -> u64 {
-    let k = obj.k();
+    let insert = |new: &Row| {
+        mutate_key(cache, stats, retries, &obj.key_from_row(new), true, |l| {
+            mutation::top_k_insert(obj, l, new).map(mutation::keep_if_changed)
+        })
+    };
+    let remove = |old: &Row| {
+        mutate_key(cache, stats, retries, &obj.key_from_row(old), true, |l| {
+            mutation::top_k_remove(obj, l, pk_of(old))
+        })
+    };
     match ctx.event {
-        TriggerEvent::Insert => {
-            let new = ctx.new.expect("NEW").clone();
-            mutate_key(
-                cache,
-                stats,
-                retries,
-                &obj.key_from_row(&new),
-                move |p| match p {
-                    Payload::TopK { rows, complete } => top_k_insert(obj, rows, complete, &new),
-                    _ => Mutation::Drop,
-                },
-            )
-        }
-        TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            mutate_key(cache, stats, retries, &obj.key_from_row(&old), move |p| {
-                match p {
-                    Payload::TopK { mut rows, complete } => {
-                        if !top_k_remove(obj, &mut rows, pk_of(&old)) {
-                            return Mutation::Noop;
-                        }
-                        if rows.len() < k && !complete {
-                            // Reserve exhausted: recompute on next read.
-                            Mutation::Drop
-                        } else {
-                            Mutation::Keep(Payload::TopK { rows, complete })
-                        }
-                    }
-                    _ => Mutation::Drop,
-                }
-            })
-        }
+        TriggerEvent::Insert => insert(ctx.new.expect("NEW")),
+        TriggerEvent::Delete => remove(ctx.old.expect("OLD")),
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
-            if obj.key_fields_changed(&old, &new) {
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
+            if obj.key_fields_changed(old, new) {
                 // Moved between lists: delete from old, insert into new.
-                let old2 = old.clone();
-                let mut ops = mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&old),
-                    move |p| match p {
-                        Payload::TopK { mut rows, complete } => {
-                            if !top_k_remove(obj, &mut rows, pk_of(&old2)) {
-                                return Mutation::Noop;
-                            }
-                            if rows.len() < k && !complete {
-                                Mutation::Drop
-                            } else {
-                                Mutation::Keep(Payload::TopK { rows, complete })
-                            }
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                let new2 = new.clone();
-                ops += mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&new),
-                    move |p| match p {
-                        Payload::TopK { rows, complete } => {
-                            top_k_insert(obj, rows, complete, &new2)
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                ops
+                remove(old) + insert(new)
             } else {
                 // Same list: reposition (sort value may have changed).
-                mutate_key(cache, stats, retries, &obj.key_from_row(&new), move |p| {
-                    match p {
-                        Payload::TopK { mut rows, complete } => {
-                            let was_cached = top_k_remove(obj, &mut rows, pk_of(&old));
-                            match top_k_insert(obj, rows, complete, &new) {
-                                Mutation::Noop if was_cached => {
-                                    // Row fell out of the cached range;
-                                    // the remaining prefix is still right.
-                                    Mutation::Noop
-                                }
-                                other => other,
-                            }
-                        }
-                        _ => Mutation::Drop,
-                    }
+                mutate_key(cache, stats, retries, &obj.key_from_row(new), true, |l| {
+                    mutation::top_k_reposition(obj, l, pk_of(old), new)
                 })
             }
         }
@@ -514,78 +363,43 @@ fn fire_link_main(
 ) -> Result<u64> {
     match ctx.event {
         TriggerEvent::Insert => {
-            let new = ctx.new.expect("NEW").clone();
-            let key = obj.key_from_row(&new);
+            let new = ctx.new.expect("NEW");
+            let key = obj.key_from_row(new);
             // Probe first: skip the DB work when nothing is cached.
             if !cache.contains(&key) {
                 stats.bump(&stats.trigger_noops);
                 return Ok(1);
             }
-            let fresh = link_rows_for_base(obj, ctx, pk_of(&new))?;
-            let ops = 1 + mutate_key(cache, stats, retries, &key, move |p| match p {
-                Payload::Rows(mut rows) => {
-                    rows.extend(fresh.iter().cloned());
-                    Mutation::Keep(Payload::Rows(rows))
-                }
-                _ => Mutation::Drop,
-            });
-            Ok(ops)
+            let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
+            Ok(1 + mutate_key(cache, stats, retries, &key, false, |l| {
+                mutation::append(l, &fresh)
+            }))
         }
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            let key = obj.key_from_row(&old);
-            Ok(mutate_key(cache, stats, retries, &key, move |p| match p {
-                Payload::Rows(mut rows) => {
-                    let before = rows.len();
-                    rows.retain(|r| pk_of(r) != pk_of(&old));
-                    if rows.len() == before {
-                        Mutation::Noop
-                    } else {
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                }
-                _ => Mutation::Drop,
+            let old = ctx.old.expect("OLD");
+            let key = obj.key_from_row(old);
+            Ok(mutate_key(cache, stats, retries, &key, false, |l| {
+                mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
             }))
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
-            let old_key = obj.key_from_row(&old);
-            let new_key = obj.key_from_row(&new);
-            let mut ops = 0;
-            if old_key != new_key {
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &old_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.retain(|r| pk_of(r) != pk_of(&old2));
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            } else {
-                // Same key: drop stale combined rows for this base row.
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &old_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.retain(|r| pk_of(r) != pk_of(&old2));
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            }
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
+            let new_key = obj.key_from_row(new);
+            // Drop the stale combined rows for this base row from the key
+            // it was under (the same key, unless a key field moved).
+            let mut ops = mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
+                mutation::remove_pk(l, pk_of(old))
+                    .map(|edited| mutation::keep_or_rewrite(edited, l))
+            });
             // Add the fresh join image under the new key if it is cached.
+            ops += 1;
             if cache.contains(&new_key) {
-                ops += 1;
-                let fresh = link_rows_for_base(obj, ctx, pk_of(&new))?;
-                ops += mutate_key(cache, stats, retries, &new_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.extend(fresh.iter().cloned());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
+                let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
+                ops += mutate_key(cache, stats, retries, &new_key, false, |l| {
+                    mutation::append(l, &fresh)
                 });
             } else {
-                ops += 1;
                 stats.bump(&stats.trigger_noops);
             }
             Ok(ops)
@@ -619,120 +433,70 @@ fn fire_link_target(
     if obj.def.strategy == ConsistencyStrategy::Invalidate {
         let mut keys = Vec::new();
         if let Some(old) = ctx.old {
-            let v = old.get(tc).clone();
-            keys.extend(affected_keys(ctx, &v)?);
+            keys.extend(affected_keys(ctx, old.get(tc))?);
         }
         if let Some(new) = ctx.new {
-            let v = new.get(tc).clone();
-            keys.extend(affected_keys(ctx, &v)?);
+            keys.extend(affected_keys(ctx, new.get(tc))?);
         }
         return Ok(invalidate_keys(cache, stats, &keys));
     }
 
+    // A target row joins every base row holding its join value: each of
+    // those keys gains `base ++ target` on the tail.
+    let append_joined = |ctx: &mut TriggerCtx<'_>, target: &Row| -> Result<u64> {
+        let bases =
+            ctx.query_prepared(&link.reverse_template, std::slice::from_ref(target.get(tc)))?;
+        let mut ops = 0;
+        for base in &bases.rows {
+            let joined: Vec<Value> = base
+                .values()
+                .iter()
+                .chain(target.values())
+                .cloned()
+                .collect();
+            let joined = [Row::new(joined)];
+            ops += mutate_key(cache, stats, retries, &obj.key_from_row(base), false, |l| {
+                mutation::append(l, &joined)
+            });
+        }
+        Ok(ops)
+    };
+
     let mut ops = 0;
     match ctx.event {
-        TriggerEvent::Insert => {
-            // A new target row may extend cached join results: for every
-            // affected base row's key, append base ++ new.
-            let new = ctx.new.expect("NEW").clone();
-            let v = new.get(tc).clone();
-            let bases = ctx.query_prepared(&link.reverse_template, &[v])?;
-            for base in &bases.rows {
-                let key = obj.key_from_row(base);
-                let combined: Vec<Value> =
-                    base.values().iter().chain(new.values()).cloned().collect();
-                let combined = Row::new(combined);
-                ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.push(combined.clone());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            }
-            Ok(ops)
-        }
+        TriggerEvent::Insert => append_joined(ctx, ctx.new.expect("NEW")),
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            let v = old.get(tc).clone();
-            let keys = affected_keys(ctx, &v)?;
-            for key in keys {
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        let before = rows.len();
-                        rows.retain(|r| r.values()[base_arity..] != *old2.values());
-                        if rows.len() == before {
-                            Mutation::Noop
-                        } else {
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                    }
-                    _ => Mutation::Drop,
+            let old = ctx.old.expect("OLD");
+            for key in affected_keys(ctx, old.get(tc))? {
+                ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                    mutation::remove_target(l, base_arity, old).map(mutation::keep_if_changed)
                 });
             }
             Ok(ops)
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
             if old.get(tc) != new.get(tc) {
                 // The join column moved: old joiners lose the row, new
                 // joiners gain it.
-                let v_old = old.get(tc).clone();
-                for key in affected_keys(ctx, &v_old)? {
-                    let old2 = old.clone();
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.retain(|r| r.values()[base_arity..] != *old2.values());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
+                for key in affected_keys(ctx, old.get(tc))? {
+                    ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                        mutation::remove_target(l, base_arity, old)
+                            .map(|edited| mutation::keep_or_rewrite(edited, l))
                     });
                 }
-                let v_new = new.get(tc).clone();
-                let bases = ctx.query_prepared(&link.reverse_template, &[v_new])?;
-                for base in &bases.rows {
-                    let key = obj.key_from_row(base);
-                    let combined: Vec<Value> =
-                        base.values().iter().chain(new.values()).cloned().collect();
-                    let combined = Row::new(combined);
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.push(combined.clone());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    });
-                }
+                Ok(ops + append_joined(ctx, new)?)
             } else {
                 // In-place: replace the target portion of matching rows.
-                let v = new.get(tc).clone();
-                for key in affected_keys(ctx, &v)? {
-                    let old2 = old.clone();
-                    let new2 = new.clone();
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            let mut touched = false;
-                            for r in &mut rows {
-                                if r.values()[base_arity..] == *old2.values() {
-                                    let mut vals = r.values()[..base_arity].to_vec();
-                                    vals.extend(new2.values().iter().cloned());
-                                    *r = Row::new(vals);
-                                    touched = true;
-                                }
-                            }
-                            if touched {
-                                Mutation::Keep(Payload::Rows(rows))
-                            } else {
-                                Mutation::Noop
-                            }
-                        }
-                        _ => Mutation::Drop,
+                for key in affected_keys(ctx, new.get(tc))? {
+                    ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                        mutation::replace_target(l, base_arity, old, new)
+                            .map(mutation::keep_if_changed)
                     });
                 }
+                Ok(ops)
             }
-            Ok(ops)
         }
     }
 }
@@ -877,48 +641,29 @@ pub(crate) fn render_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::def::{CacheableDef, SortOrder};
-    use genie_orm::{FieldDef, ModelDef, ModelRegistry};
-    use genie_storage::ValueType;
-
-    fn registry() -> ModelRegistry {
-        let mut reg = ModelRegistry::new();
-        reg.register(
-            ModelDef::builder("User", "users")
-                .field(FieldDef::new("name", ValueType::Text))
-                .build(),
-        )
-        .unwrap();
-        reg.register(
-            ModelDef::builder("WallPost", "wall")
-                .foreign_key("user_id", "User")
-                .field(FieldDef::new("date_posted", ValueType::Timestamp))
-                .build(),
-        )
-        .unwrap();
-        reg
-    }
-
-    fn top_k_obj() -> Arc<ObjectInner> {
-        Arc::new(
-            ObjectInner::compile(
-                CacheableDef::top_k(
-                    "latest",
-                    "WallPost",
-                    "date_posted",
-                    SortOrder::Descending,
-                    3,
-                )
-                .where_fields(&["user_id"])
-                .reserve(2),
-                &registry(),
-            )
-            .unwrap(),
-        )
-    }
+    use crate::def::CacheableDef;
+    use crate::mutation::tests::{registry, top_k_obj};
+    use genie_cache::Payload;
 
     fn post(id: i64, user: i64, ts: i64) -> Row {
         genie_storage::row![id, user, Value::Timestamp(ts)]
+    }
+
+    /// `mutation::top_k_insert` on the encoded list, decoded again.
+    fn top_k_insert(
+        obj: &ObjectInner,
+        rows: Vec<Row>,
+        complete: bool,
+        row: &Row,
+    ) -> Option<(Vec<Row>, bool)> {
+        let list = EncodedList::parse(Payload::TopK { rows, complete }.encode())
+            .unwrap()
+            .unwrap();
+        let inserted = mutation::top_k_insert(obj, &list, row).unwrap()?;
+        match Payload::decode(&inserted.into_bytes()).unwrap() {
+            Payload::TopK { rows, complete } => Some((rows, complete)),
+            other => panic!("expected a Top-K payload, got {other:?}"),
+        }
     }
 
     #[test]
@@ -926,40 +671,29 @@ mod tests {
         let obj = top_k_obj();
         // Complete list of 2: insert in the middle and at the tail.
         let rows = vec![post(1, 7, 100), post(2, 7, 50)];
-        let m = top_k_insert(&obj, rows.clone(), true, &post(3, 7, 75));
-        match m {
-            Mutation::Keep(Payload::TopK { rows, complete }) => {
-                assert!(complete);
-                let ts: Vec<i64> = rows
-                    .iter()
-                    .map(|r| r.get(2).as_timestamp().unwrap())
-                    .collect();
-                assert_eq!(ts, vec![100, 75, 50]);
-            }
-            _ => panic!("expected keep"),
-        }
+        let (mid, complete) = top_k_insert(&obj, rows.clone(), true, &post(3, 7, 75)).unwrap();
+        assert!(complete);
+        let ts: Vec<i64> = mid
+            .iter()
+            .map(|r| r.get(2).as_timestamp().unwrap())
+            .collect();
+        assert_eq!(ts, vec![100, 75, 50]);
         // Tail insert allowed only when complete.
-        match top_k_insert(&obj, rows.clone(), true, &post(4, 7, 10)) {
-            Mutation::Keep(Payload::TopK { rows, .. }) => assert_eq!(rows.len(), 3),
-            _ => panic!(),
-        }
-        match top_k_insert(&obj, rows, false, &post(4, 7, 10)) {
-            Mutation::Noop => {}
-            _ => panic!("tail insert into incomplete list must be a no-op"),
-        }
+        let (tail, _) = top_k_insert(&obj, rows.clone(), true, &post(4, 7, 10)).unwrap();
+        assert_eq!(tail.len(), 3);
+        assert!(
+            top_k_insert(&obj, rows, false, &post(4, 7, 10)).is_none(),
+            "tail insert into incomplete list must be a no-op"
+        );
     }
 
     #[test]
     fn top_k_insert_truncates_at_capacity() {
         let obj = top_k_obj(); // capacity 5
         let rows: Vec<Row> = (0..5).map(|i| post(i, 7, 100 - i)).collect();
-        match top_k_insert(&obj, rows, true, &post(99, 7, 98)) {
-            Mutation::Keep(Payload::TopK { rows, complete }) => {
-                assert_eq!(rows.len(), 5);
-                assert!(!complete, "truncation loses coverage");
-            }
-            _ => panic!(),
-        }
+        let (rows, complete) = top_k_insert(&obj, rows, true, &post(99, 7, 98)).unwrap();
+        assert_eq!(rows.len(), 5);
+        assert!(!complete, "truncation loses coverage");
     }
 
     #[test]
@@ -1011,7 +745,7 @@ mod tests {
 
     #[test]
     fn non_link_objects_get_three_triggers() {
-        let obj = top_k_obj();
+        let obj = Arc::new(top_k_obj());
         let cluster = genie_cache::CacheCluster::new(Default::default());
         let handle = cluster.handle(genie_cache::CacheOrigin::Trigger);
         let stats = Arc::new(GenieStats::new());

@@ -6,7 +6,7 @@ use cachegenie::{
     CacheGenie, CacheableDef, ConsistencyStrategy, GenieConfig, SortOrder, StrictTxnManager,
     TxnOutcome,
 };
-use genie_cache::{CacheCluster, ClusterConfig};
+use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
 use genie_orm::{FieldDef, ModelDef, ModelRegistry, OrmSession};
 use genie_storage::{Database, StorageError, Value, ValueType};
 use std::sync::Arc;
@@ -887,4 +887,122 @@ fn shape_first_run_inside_begin_bypasses_the_cache_then_and_is_served_after() {
         .genie
         .verify_coherence("wall_count", &[Value::Int(2)])
         .unwrap());
+}
+
+#[test]
+fn top_k_update_that_sinks_a_cached_row_below_the_list_leaves_no_stale_copy() {
+    let e = env();
+    e.genie.cacheable(wall_def(3)).unwrap(); // capacity 5
+    let ids: Vec<i64> = (1..=8).map(|ts| post(&e, 1, ts * 10)).collect();
+    let qs = wall_qs(&e, 1, 3);
+    e.session.all(&qs).unwrap(); // cache holds ts 80,70,60,50,40 (incomplete)
+
+    // The second-newest post is re-dated to below everything cached.
+    e.session
+        .update_by_id("WallPost", ids[6], &[("date_posted", Value::Timestamp(5))])
+        .unwrap();
+    let after = e.session.all(&qs).unwrap();
+    let ts: Vec<i64> = after
+        .rows
+        .iter()
+        .map(|r| r.get("date_posted").as_timestamp().unwrap())
+        .collect();
+    assert_eq!(ts, vec![80, 60, 50]);
+    assert!(e
+        .genie
+        .verify_coherence("latest_wall_posts", &[Value::Int(1)])
+        .unwrap());
+}
+
+/// Flips one bit of the bytes cached under `key`, `offset` bytes in
+/// (the payload header is the first 13; frames follow).
+fn corrupt_cached(e: &Env, key: &str, offset: usize) -> Vec<u8> {
+    let cache = e.genie.cluster().handle(CacheOrigin::Application);
+    let mut bytes = cache.get(key).expect("key is cached").to_vec();
+    bytes[offset] ^= 0x04;
+    cache.set(key, bytes.clone().into(), None).unwrap();
+    bytes
+}
+
+/// A trigger's append copies the frames it does not change without
+/// reading them — so it succeeds over a corrupt frame, re-stamps
+/// nothing, and the next read still refuses the payload, drops the key
+/// and recomputes from the database.
+#[test]
+fn append_over_a_corrupt_frame_is_refused_by_the_next_read() {
+    let e = env();
+    e.genie
+        .cacheable(CacheableDef::feature("posts_of", "WallPost").where_fields(&["user_id"]))
+        .unwrap();
+    for ts in [10i64, 20, 30, 40] {
+        post(&e, 1, ts);
+    }
+    let qs = e
+        .session
+        .objects("WallPost")
+        .unwrap()
+        .filter_eq("user_id", 1i64);
+    assert_eq!(e.session.all(&qs).unwrap().rows.len(), 4);
+    let key = e.genie.key_for("posts_of", &[Value::Int(1)]).unwrap();
+    let bad = corrupt_cached(&e, &key, 13 + 40); // inside the second frame
+    assert!(Payload::decode(&bad).is_err());
+
+    let before = e.genie.stats();
+    post(&e, 1, 50);
+    let after = e.genie.stats();
+    assert_eq!(after.inplace_updates, before.inplace_updates + 1);
+    assert_eq!(after.invalidations, before.invalidations);
+    let cache = e.genie.cluster().handle(CacheOrigin::Application);
+    let spliced = cache.get(&key).expect("append kept the key");
+    assert!(spliced.len() > bad.len());
+    assert_eq!(
+        spliced[13..bad.len()],
+        bad[13..],
+        "old frames copied verbatim"
+    );
+    assert!(Payload::decode(&spliced).is_err(), "not laundered");
+
+    let refill = e.session.all(&qs).unwrap();
+    assert!(!refill.from_cache, "corrupt payload is dropped, not served");
+    assert_eq!(refill.rows.len(), 5);
+    assert!(e.session.all(&qs).unwrap().from_cache);
+    assert!(e
+        .genie
+        .verify_coherence("posts_of", &[Value::Int(1)])
+        .unwrap());
+}
+
+/// A Top-K insert has to compare against cached rows; when one of those
+/// fails its checksum the splice itself errors and the trigger deletes
+/// the key.
+#[test]
+fn top_k_insert_that_must_read_a_corrupt_frame_deletes_the_key() {
+    let e = env();
+    e.genie.cacheable(wall_def(3)).unwrap();
+    for ts in [10i64, 20, 30, 40] {
+        post(&e, 1, ts);
+    }
+    let qs = wall_qs(&e, 1, 3);
+    e.session.all(&qs).unwrap();
+    let key = e
+        .genie
+        .key_for("latest_wall_posts", &[Value::Int(1)])
+        .unwrap();
+    corrupt_cached(&e, &key, 13 + 6); // inside the first frame
+
+    let before = e.genie.stats();
+    post(&e, 1, 35); // ranks below the corrupt head row
+    let after = e.genie.stats();
+    assert_eq!(after.invalidations, before.invalidations + 1);
+    assert_eq!(after.inplace_updates, before.inplace_updates);
+    let cache = e.genie.cluster().handle(CacheOrigin::Application);
+    assert!(cache.get(&key).is_none(), "trigger deleted the key");
+    let refill = e.session.all(&qs).unwrap();
+    assert!(!refill.from_cache);
+    let ts: Vec<i64> = refill
+        .rows
+        .iter()
+        .map(|r| r.get("date_posted").as_timestamp().unwrap())
+        .collect();
+    assert_eq!(ts, vec![40, 35, 30]);
 }

@@ -71,24 +71,23 @@ struct RelationJoin {
 /// One result row with named access.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrmRow {
-    columns: Arc<Vec<String>>,
+    columns: Arc<[String]>,
     row: Row,
 }
 
 impl OrmRow {
     /// Wraps executor output.
-    pub fn new(columns: Arc<Vec<String>>, row: Row) -> Self {
+    pub fn new(columns: Arc<[String]>, row: Row) -> Self {
         OrmRow { columns, row }
     }
 
     /// Converts a whole [`QueryResult`] into rows: the rows move in, and
     /// all of them share the one list of column names.
     pub fn from_result(result: QueryResult) -> Vec<OrmRow> {
-        let cols = Arc::new(result.columns);
         result
             .rows
             .into_iter()
-            .map(|r| OrmRow::new(Arc::clone(&cols), r))
+            .map(|r| OrmRow::new(Arc::clone(&result.columns), r))
             .collect()
     }
 
@@ -554,7 +553,7 @@ mod tests {
 
     #[test]
     fn orm_row_named_access() {
-        let cols = std::sync::Arc::new(vec!["id".to_owned(), "name".to_owned()]);
+        let cols = ["id".to_owned(), "name".to_owned()].into();
         let r = OrmRow::new(cols, genie_storage::row![7i64, "bob"]);
         assert_eq!(r.id(), 7);
         assert_eq!(r.get("name"), &Value::Text("bob".into()));

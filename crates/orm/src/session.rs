@@ -636,7 +636,7 @@ mod tests {
             fn try_serve(&self, _s: &Select, _p: &[Value]) -> InterceptOutcome {
                 InterceptOutcome::Served {
                     result: QueryResult {
-                        columns: vec!["id".into()],
+                        columns: ["id".to_owned()].into(),
                         rows: vec![genie_storage::row![777i64]],
                         rows_affected: 0,
                     },

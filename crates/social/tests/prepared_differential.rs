@@ -142,7 +142,7 @@ fn kept_plans_equal_fresh_ones_for_every_app_shape() {
                 if let Some(first) = through_session.rows.first() {
                     assert_eq!(
                         first.columns(),
-                        from_scratch.result.columns,
+                        &from_scratch.result.columns[..],
                         "columns: {what}"
                     );
                 }

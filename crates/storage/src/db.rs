@@ -873,7 +873,7 @@ impl Database {
                     .collect();
                 Ok(ExecOutcome {
                     result: QueryResult {
-                        columns: vec!["QUERY PLAN".to_owned()],
+                        columns: ["QUERY PLAN".to_owned()].into(),
                         rows,
                         rows_affected: 0,
                     },

@@ -48,6 +48,7 @@ use crate::table::{RowRef, Snapshot, Table};
 use crate::trigger::TriggerEvent;
 use crate::value::Value;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The read/write view a statement executes under: `snap` is the
 /// snapshot its reads resolve against (a transaction's pinned snapshot,
@@ -322,7 +323,7 @@ pub(crate) struct BoundSelect {
     /// WHERE, as conjunct atoms for the vectorized scans.
     compiled: CompiledPred,
     order_keys: Vec<(Expr, bool)>,
-    columns: Vec<String>,
+    columns: Arc<[String]>,
     output: Output,
     /// See [`crate::plan::KeyGuard`]: a plan is shared between parameter
     /// vectors only while all of these hold.
@@ -426,7 +427,7 @@ impl BoundSelect {
             layout,
             pred,
             order_keys,
-            columns,
+            columns: columns.into(),
             output,
         })
     }

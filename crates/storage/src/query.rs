@@ -11,6 +11,7 @@ use crate::row::Row;
 use crate::schema::{IndexDef, TableSchema};
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A table reference with an optional alias.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -440,8 +441,9 @@ impl Statement {
 /// Result of executing a statement.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
-    /// Output column names (empty for writes).
-    pub columns: Vec<String>,
+    /// Output column names (empty for writes), shared with the prepared
+    /// statement or cached object that produced the result.
+    pub columns: Arc<[String]>,
     /// Output rows (empty for writes).
     pub rows: Vec<Row>,
     /// Rows affected by a write.
@@ -545,7 +547,7 @@ mod tests {
     #[test]
     fn scalar_result_shape() {
         let r = QueryResult {
-            columns: vec!["count".into()],
+            columns: ["count".to_owned()].into(),
             rows: vec![Row::new(vec![Value::Int(3)])],
             rows_affected: 0,
         };

@@ -131,7 +131,7 @@ fn join_wall_with_users() {
         ])
         .order("post_id", false);
     let out = db.select(&sel, &[Value::Int(2)]).unwrap();
-    assert_eq!(out.result.columns, vec!["content", "sender_name"]);
+    assert_eq!(*out.result.columns, ["content", "sender_name"]);
     assert_eq!(out.result.rows.len(), 2);
     assert_eq!(out.result.rows[0].get(1), &Value::Text("user3".into()));
     assert_eq!(out.result.rows[1].get(1), &Value::Text("user4".into()));

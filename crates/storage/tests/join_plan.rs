@@ -396,7 +396,7 @@ fn explain_statement_returns_plan_rows() {
             &[],
         )
         .unwrap();
-    assert_eq!(out.result.columns, vec!["QUERY PLAN".to_string()]);
+    assert_eq!(*out.result.columns, ["QUERY PLAN"]);
     let text: Vec<String> = out
         .result
         .rows

@@ -244,7 +244,7 @@ fn one_handle_on_two_threads_while_a_third_runs_ddl() {
                     while !stop.load(Ordering::SeqCst) || runs < 200 {
                         let owner = (runs as i64 + t) % 23;
                         let out = db.execute_prepared(kept, &[Value::Int(owner)]).unwrap();
-                        assert_eq!(out.result.columns, ["id", "note"]);
+                        assert_eq!(*out.result.columns, ["id", "note"]);
                         let ids: Vec<i64> = out
                             .result
                             .rows
