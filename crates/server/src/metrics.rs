@@ -150,6 +150,8 @@ pub struct ServerMetrics {
     pub drained_in_flight: AtomicU64,
     /// `snapshot` pages whose repeat-read disagreed (must stay 0).
     pub snapshot_violations: AtomicU64,
+    /// Page requests whose execution panicked (answered `ERR 500`).
+    pub requests_panicked: AtomicU64,
 }
 
 impl ServerMetrics {
@@ -233,6 +235,10 @@ impl ServerMetrics {
             (
                 "serve_snapshot_violations",
                 self.snapshot_violations.load(Ordering::Relaxed),
+            ),
+            (
+                "serve_requests_panicked",
+                self.requests_panicked.load(Ordering::Relaxed),
             ),
         ];
         for (name, v) in counters {

@@ -35,6 +35,7 @@ use genie_social::AppEnv;
 use genie_storage::{Database, StorageError, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -594,9 +595,30 @@ fn handle_page(
         };
     };
     let t0 = Instant::now();
-    let result = run_page(shared, &session, kind, user, arg);
+    // A panicking page costs its request, not the worker: the lease and
+    // admission slot return on unwind, and the worker answers and keeps
+    // serving. What the closure can leave behind is `shared` (atomics
+    // and non-poisoning locks) and an open transaction, handled below.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        run_page(shared, &session, kind, user, arg)
+    }));
     let nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     shared.metrics.record_page(kind, nanos);
+    let Ok(result) = result else {
+        // A page that panicked between BEGIN and COMMIT would leave this
+        // worker thread's transaction, and its locks, open.
+        if shared.db.in_transaction() {
+            let _ = shared.db.execute_sql("ROLLBACK", &[]);
+        }
+        shared
+            .metrics
+            .requests_panicked
+            .fetch_add(1, Ordering::Relaxed);
+        return Response::Err {
+            code: INTERNAL,
+            reason: "internal:panic".to_owned(),
+        };
+    };
     match result {
         Ok(payload) => Response::Ok(payload),
         Err(

@@ -3,9 +3,11 @@
 //! panic, never wedge a worker, never leak a session, and leave the
 //! cache coherent and the WAL recoverable.
 
+use cachegenie::CacheGenie;
+use genie_orm::{InterceptOutcome, PreparedQuery, QueryInterceptor};
 use genie_server::{Page, Response, ServeClient, Server, ServerConfig};
 use genie_social::{build_app, build_app_on, AppConfig, AppEnv, SeedConfig};
-use genie_storage::{Database, Value, WalConfig};
+use genie_storage::{Database, QueryResult, Select, Value, WalConfig};
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -387,4 +389,98 @@ fn shutdown_under_load_flushes_a_recoverable_wal() {
     );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CacheGenie, except that any query whose first parameter is `user`
+/// panics — a page bug that strikes one user's requests.
+struct PanicsFor {
+    genie: CacheGenie,
+    user: i64,
+}
+
+impl PanicsFor {
+    fn check(&self, params: &[Value]) {
+        if params.first() == Some(&Value::Int(self.user)) {
+            panic!("injected page panic for user {}", self.user);
+        }
+    }
+}
+
+impl QueryInterceptor for PanicsFor {
+    fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome {
+        self.check(params);
+        self.genie.try_serve(select, params)
+    }
+
+    fn try_serve_prepared(&self, query: &PreparedQuery, params: &[Value]) -> InterceptOutcome {
+        self.check(params);
+        self.genie.try_serve_prepared(query, params)
+    }
+
+    fn fill(&self, fill_key: &str, result: &QueryResult) -> u64 {
+        self.genie.fill(fill_key, result)
+    }
+}
+
+#[test]
+fn panicking_page_answers_500_and_keeps_its_worker() {
+    const WORKERS: usize = 2;
+    const POISON: i64 = 7;
+    let cfg = ServerConfig {
+        workers: WORKERS,
+        ..ServerConfig::default()
+    };
+    let read_timeout = cfg.request_read_timeout;
+    let (env, server) = start(cfg);
+    env.app.session().set_interceptor(Arc::new(PanicsFor {
+        genie: env.genie.clone(),
+        user: POISON,
+    }));
+    // One connection per worker, all open at once, so every worker
+    // serves a poisoned request.
+    let mut poisoned: Vec<ServeClient> = (0..WORKERS)
+        .map(|_| ServeClient::connect(server.addr()).unwrap())
+        .collect();
+    for c in &mut poisoned {
+        assert!(matches!(c.health().unwrap(), Response::Ok(_)));
+    }
+    for c in &mut poisoned {
+        match c.page(Page::Wall, POISON, None).unwrap() {
+            Response::Err { code: 500, reason } => assert_eq!(reason, "internal:panic"),
+            other => panic!("expected ERR 500 internal:panic, got {other:?}"),
+        }
+        // The connection survives its panicked request.
+        assert!(matches!(
+            c.page(Page::Wall, 1, None).unwrap(),
+            Response::Ok(_)
+        ));
+    }
+    for mut c in poisoned {
+        assert!(matches!(c.quit().unwrap(), Response::Ok(_)));
+    }
+    // Every worker has panicked once; a fresh connection is still served.
+    let mut fresh = ServeClient::connect(server.addr()).unwrap();
+    fresh.set_read_timeout(read_timeout).unwrap();
+    let t0 = Instant::now();
+    assert!(matches!(
+        fresh.page(Page::Wall, 2, None).unwrap(),
+        Response::Ok(_)
+    ));
+    assert!(
+        t0.elapsed() < read_timeout,
+        "served after {:?}",
+        t0.elapsed()
+    );
+    let metrics = match fresh.metrics().unwrap() {
+        Response::Ok(text) => text,
+        other => panic!("METRICS failed: {other:?}"),
+    };
+    assert!(
+        metrics.contains(&format!("serve_requests_panicked {WORKERS}")),
+        "{metrics}"
+    );
+    drop(fresh);
+    let report = server.shutdown();
+    assert_eq!(report.dropped_in_flight, 0, "{report:?}");
+    assert_eq!(report.leaked_sessions, 0, "{report:?}");
 }

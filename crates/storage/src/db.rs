@@ -73,6 +73,7 @@
 
 use crate::bufferpool::{BufferPool, PoolStats};
 use crate::catalog::Catalog;
+use crate::coalesce::coalesce_changes;
 use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
 use crate::exec::{self, ExecView, RowChange, UndoOp};
@@ -83,7 +84,7 @@ use crate::query::{QueryResult, Select, Statement};
 use crate::row::RowId;
 use crate::schema::{IndexDef, TableSchema};
 use crate::table::Snapshot;
-use crate::trigger::{Trigger, TriggerCtx, TriggerEvent, TriggerManager};
+use crate::trigger::{Trigger, TriggerCtx, TriggerManager};
 use crate::value::Value;
 use crate::wal::{
     self, CheckpointImage, CheckpointStats, RecoveryReport, TableImage, Wal, WalConfig, WalStats,
@@ -1567,25 +1568,15 @@ impl Database {
             self.commit_latched(&mut tables, tid, undo, changes, wrote, &mut cost, fire)
         } else {
             let catalog = engine.catalog_read();
-            let names: BTreeSet<String> = undo
+            let names: BTreeSet<&str> = undo
                 .iter()
-                .map(|op| undo_table(op).to_owned())
-                .chain(changes.iter().map(|c| c.table.clone()))
+                .map(undo_table)
+                .chain(changes.iter().map(|c| c.table.as_str()))
                 .collect();
-            let latched =
-                match TableSet::latch(&catalog, &LatchPlan::writes(names), &engine.latches) {
-                    Ok(mut tables) => self.commit_latched(
-                        &mut tables,
-                        tid,
-                        undo,
-                        changes,
-                        wrote,
-                        &mut cost,
-                        false,
-                    ),
-                    Err(e) => Err(e),
-                };
-            latched
+            let plan = LatchPlan::writes(names.into_iter().map(str::to_owned));
+            TableSet::latch(&catalog, &plan, &engine.latches).and_then(|mut tables| {
+                self.commit_latched(&mut tables, tid, undo, changes, wrote, &mut cost, false)
+            })
         };
         match result {
             Ok((publish, ticket, vacuum_due)) => {
@@ -1846,12 +1837,9 @@ impl Database {
         let engine = &*self.engine;
         let undone = {
             let catalog = engine.catalog_read();
-            let names: BTreeSet<String> = txn
-                .undo
-                .iter()
-                .map(|op| undo_table(op).to_owned())
-                .collect();
-            TableSet::latch(&catalog, &LatchPlan::writes(names), &engine.latches)
+            let names: BTreeSet<&str> = txn.undo.iter().map(undo_table).collect();
+            let plan = LatchPlan::writes(names.into_iter().map(str::to_owned));
+            TableSet::latch(&catalog, &plan, &engine.latches)
                 .and_then(|mut tables| exec::apply_undo(&mut tables, txn.undo, txn.tid))
         };
         engine.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
@@ -2652,118 +2640,6 @@ fn flush_stats_for(tables: &TableSet<'_>, changes: &[RowChange]) {
     for t in names {
         if let Ok(table) = tables.table(t) {
             table.flush_stats();
-        }
-    }
-}
-
-/// Coalesces a transaction's row changes to one net change per
-/// (table, primary key), preserving first-touch order — N statements
-/// touching the same row fire that row's triggers once at commit, and a
-/// row inserted then deleted inside the transaction publishes nothing.
-fn coalesce_changes(tables: &TableSet<'_>, changes: Vec<RowChange>) -> Vec<RowChange> {
-    if changes.len() <= 1 {
-        return changes;
-    }
-    // (table, pk) -> net change; Vec keeps first-touch order and txn
-    // change lists are small enough for linear lookup.
-    let mut net: Vec<((String, Value), Option<RowChange>)> = Vec::with_capacity(changes.len());
-    for change in changes {
-        let Ok(pk_pos) = tables
-            .table(&change.table)
-            .map(|t| t.schema().primary_key_pos())
-        else {
-            net.push(((change.table.clone(), Value::Null), Some(change)));
-            continue;
-        };
-        let row_pk = |row: &Option<crate::row::Row>| {
-            row.as_ref()
-                .map(|r| r.get(pk_pos).clone())
-                .unwrap_or(Value::Null)
-        };
-        // The key a previous change to this row lives under (its current
-        // image's pk); an update may then move the row to a new key.
-        let old_key = (
-            change.table.clone(),
-            match change.event {
-                TriggerEvent::Insert => row_pk(&change.new),
-                _ => row_pk(&change.old),
-            },
-        );
-        let new_key = (
-            change.table.clone(),
-            match change.event {
-                TriggerEvent::Delete => row_pk(&change.old),
-                _ => row_pk(&change.new),
-            },
-        );
-        // Look up the MOST RECENT entry under the key: a pk can carry two
-        // histories in one transaction (row deleted at pk, another row
-        // moved onto it), and only the latest entry is the live one — the
-        // older Delete must survive untouched so its trigger still fires.
-        let prior = net
-            .iter_mut()
-            .rev()
-            .find(|(k, slot)| *k == old_key && slot.is_some())
-            .and_then(|(_, slot)| slot.take());
-        let merged = match prior {
-            None => Some(change),
-            Some(p) => merge_changes(p, change),
-        };
-        match net
-            .iter_mut()
-            .rev()
-            .find(|(k, slot)| *k == new_key && slot.is_none())
-        {
-            Some((_, slot)) if merged.is_some() => *slot = merged,
-            _ => net.push((new_key, merged)),
-        }
-    }
-    net.into_iter().filter_map(|(_, c)| c).collect()
-}
-
-/// Nets two consecutive changes to the same row. `None` means the pair
-/// cancels (insert followed by delete).
-fn merge_changes(first: RowChange, second: RowChange) -> Option<RowChange> {
-    use TriggerEvent as E;
-    let table = first.table.clone();
-    match (first.event, second.event) {
-        (E::Insert, E::Update) => Some(RowChange {
-            table,
-            event: E::Insert,
-            old: None,
-            new: second.new,
-        }),
-        (E::Insert, E::Delete) => None,
-        (E::Update, E::Update) => Some(RowChange {
-            table,
-            event: E::Update,
-            old: first.old,
-            new: second.new,
-        }),
-        (E::Update, E::Delete) => Some(RowChange {
-            table,
-            event: E::Delete,
-            old: first.old,
-            new: None,
-        }),
-        (E::Delete, E::Insert) => Some(RowChange {
-            table,
-            event: E::Update,
-            old: first.old,
-            new: second.new,
-        }),
-        // Remaining pairs (insert+insert, delete+update, ...) cannot arise
-        // for one primary key; keep both defensively.
-        _ => {
-            // `first` was already taken out of the net list; re-emitting
-            // only `second` would drop it. Fall back to the second change
-            // with the first's pre-image where one exists.
-            Some(RowChange {
-                table,
-                event: second.event,
-                old: second.old.or(first.old),
-                new: second.new,
-            })
         }
     }
 }

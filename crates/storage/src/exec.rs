@@ -82,7 +82,7 @@ impl ExecView {
 }
 
 /// One row-level change produced by a write statement; drives triggers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RowChange {
     /// Affected table.
     pub table: String,

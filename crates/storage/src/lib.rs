@@ -61,6 +61,7 @@
 
 pub mod bufferpool;
 pub mod catalog;
+mod coalesce;
 pub mod cost;
 pub mod db;
 pub mod error;
