@@ -23,6 +23,7 @@
 //! cargo run --release -p genie-bench --bin concurrency_audit -- --check # CI gate
 //! ```
 
+use genie_bench::finish_checks;
 use genie_social::SeedConfig;
 use genie_workload::{run_concurrent, run_serve, ConcurrencyConfig, ServeConfig};
 
@@ -524,15 +525,11 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&base);
 
-    if failures.is_empty() {
-        println!("\nconcurrency_audit: all checks passed");
-    } else {
-        eprintln!("\nconcurrency_audit: {} failure(s):", failures.len());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        if check {
-            std::process::exit(1);
-        }
-    }
+    finish_checks(
+        "concurrency_audit",
+        "all checks passed",
+        "failure",
+        &failures,
+        check,
+    );
 }

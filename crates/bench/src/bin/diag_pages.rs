@@ -14,7 +14,6 @@ fn main() {
         },
         db: DbConfig {
             buffer_pool_bytes: 640 * 1024,
-            ..Default::default()
         },
         strategy: None,
         ..Default::default()

@@ -21,7 +21,7 @@
 //! cargo run --release -p genie-bench --bin exp_cache_scale -- --check --quick
 //! ```
 
-use genie_bench::{write_result, BenchJson, TextTable};
+use genie_bench::{finish_checks, write_result, BenchJson, TextTable};
 use genie_cache::ClusterConfig;
 use genie_workload::{run_cache_scale, run_concurrent, CacheScaleConfig, ConcurrencyConfig};
 
@@ -180,14 +180,12 @@ fn main() {
     json.write();
 
     if check {
-        if failures.is_empty() {
-            println!("\nexp_cache_scale: all checks passed");
-        } else {
-            eprintln!("\nexp_cache_scale: {} failure(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
+        finish_checks(
+            "exp_cache_scale",
+            "all checks passed",
+            "failure",
+            &failures,
+            true,
+        );
     }
 }

@@ -35,7 +35,6 @@ fn arg_after(args: &[String], flag: &str) -> Option<String> {
 fn build_db(rows: i64) -> Database {
     let db = Database::new(DbConfig {
         buffer_pool_bytes: 8 * 1024 * 1024,
-        ..Default::default()
     });
     db.execute_sql(
         "CREATE TABLE scan_t (id INT PRIMARY KEY, grp INT NOT NULL, val INT NOT NULL)",

@@ -23,7 +23,7 @@
 //! cargo run --release -p genie-bench --bin exp_serve -- --check --quick
 //! ```
 
-use genie_bench::{write_result, BenchJson, TextTable};
+use genie_bench::{finish_checks, write_result, BenchJson, TextTable};
 use genie_server::ServerConfig;
 use genie_social::SeedConfig;
 use genie_workload::{run_serve, ServeConfig, ServeResult};
@@ -246,14 +246,6 @@ fn main() {
         .write();
 
     if check {
-        if failures.is_empty() {
-            println!("exp_serve: all checks passed");
-        } else {
-            eprintln!("exp_serve: {} failure(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
+        finish_checks("exp_serve", "all checks passed", "failure", &failures, true);
     }
 }

@@ -21,7 +21,7 @@
 //! cargo run --release -p genie-bench --bin exp_wal -- --check --quick
 //! ```
 
-use genie_bench::{write_result, BenchJson, TextTable};
+use genie_bench::{finish_checks, write_result, BenchJson, TextTable};
 use genie_storage::{Database, DbConfig, Value, WalConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
@@ -267,14 +267,6 @@ fn main() {
     json.write();
 
     if check {
-        if failures.is_empty() {
-            println!("\nexp_wal: all checks passed");
-        } else {
-            eprintln!("\nexp_wal: {} failure(s):", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
+        finish_checks("exp_wal", "all checks passed", "failure", &failures, true);
     }
 }

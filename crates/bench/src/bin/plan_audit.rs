@@ -20,6 +20,7 @@
 //! worsens — the definition of a plan regression for the social-app
 //! page queries.
 
+use genie_bench::finish_checks;
 use genie_social::{build_app, AppConfig, SeedConfig};
 use genie_storage::{QueryResult, Select, Value};
 
@@ -187,15 +188,13 @@ fn main() {
         match std::fs::read_to_string(BASELINE_PATH) {
             Ok(baseline) => {
                 let failures = check_against(&audits, &baseline);
-                if failures.is_empty() {
-                    println!("\nplan_audit --check: all plans match the baseline");
-                } else {
-                    eprintln!("\nplan_audit --check: {} regression(s):", failures.len());
-                    for f in &failures {
-                        eprintln!("  {f}");
-                    }
-                    std::process::exit(1);
-                }
+                finish_checks(
+                    "plan_audit --check",
+                    "all plans match the baseline",
+                    "regression",
+                    &failures,
+                    true,
+                );
             }
             Err(e) => {
                 eprintln!("plan_audit --check: cannot read {BASELINE_PATH}: {e}");

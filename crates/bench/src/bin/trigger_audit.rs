@@ -18,6 +18,7 @@
 //! commit/rollback counts drift (the workload changed — regenerate), or
 //! when coalesced ops exceed the naive baseline (coalescing is broken).
 
+use genie_bench::finish_checks;
 use genie_social::SeedConfig;
 use genie_workload::{run, CacheMode, WorkloadConfig};
 
@@ -108,15 +109,13 @@ fn main() {
         match std::fs::read_to_string(BASELINE_PATH) {
             Ok(baseline) => {
                 let failures = check_against(&audits, &baseline);
-                if failures.is_empty() {
-                    println!("\ntrigger_audit --check: all effect counters within baseline");
-                } else {
-                    eprintln!("\ntrigger_audit --check: {} regression(s):", failures.len());
-                    for f in &failures {
-                        eprintln!("  {f}");
-                    }
-                    std::process::exit(1);
-                }
+                finish_checks(
+                    "trigger_audit --check",
+                    "all effect counters within baseline",
+                    "regression",
+                    &failures,
+                    true,
+                );
             }
             Err(e) => {
                 eprintln!("trigger_audit --check: cannot read {BASELINE_PATH}: {e}");

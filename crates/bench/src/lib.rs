@@ -95,6 +95,24 @@ pub fn write_result(name: &str, content: &str) {
     }
 }
 
+/// The epilogue of a gated binary: with no `failures`, prints
+/// `{label}: {ok}`; otherwise prints `{label}: N {noun}(s):` and one line
+/// per failure to stderr, then exits with status 1 when `fatal` (the
+/// `--check` runs).
+pub fn finish_checks(label: &str, ok: &str, noun: &str, failures: &[String], fatal: bool) {
+    if failures.is_empty() {
+        println!("\n{label}: {ok}");
+        return;
+    }
+    eprintln!("\n{label}: {} {noun}(s):", failures.len());
+    for f in failures {
+        eprintln!("  {f}");
+    }
+    if fatal {
+        std::process::exit(1);
+    }
+}
+
 /// Machine-readable benchmark summary: a flat, ordered JSON object
 /// written as `results/BENCH_<name>.json` next to the human-readable
 /// output. Built field by field so every experiment binary emits the

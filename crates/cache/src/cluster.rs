@@ -19,6 +19,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Virtual nodes per server on the consistent-hash ring.
+const VNODES: usize = 64;
+
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -30,8 +33,6 @@ pub struct ClusterConfig {
     pub capacity_bytes: usize,
     /// Per-item size limit.
     pub item_limit_bytes: usize,
-    /// Virtual nodes per server on the hash ring.
-    pub vnodes: usize,
     /// Whether trigger-originated reads refresh LRU recency. Unmodified
     /// memcached bumps on every touch (`true`); §4 of the paper proposes a
     /// modified policy (`false`) which we expose for the ablation bench.
@@ -53,7 +54,6 @@ impl Default for ClusterConfig {
             servers: 1,
             capacity_bytes: 512 * 1024 * 1024,
             item_limit_bytes: 1024 * 1024,
-            vnodes: 64,
             bump_lru_on_trigger: true,
             shards_per_server: 8,
             hot_key_replicas: 1,
@@ -288,11 +288,10 @@ impl CacheCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `config.servers` or `config.vnodes` is zero — a cluster
-    /// with no placement targets cannot exist.
+    /// Panics if `config.servers` is zero — a cluster with no placement
+    /// targets cannot exist.
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.servers > 0, "cluster needs at least one server");
-        assert!(config.vnodes > 0, "cluster needs at least one vnode");
         // Remainder-preserving split: per-server budgets sum to exactly
         // the configured total.
         let caps = split_capacity(config.capacity_bytes, config.servers);
@@ -303,9 +302,9 @@ impl CacheCluster {
                 alive: AtomicBool::new(true),
             })
             .collect();
-        let mut ring = Vec::with_capacity(config.servers * config.vnodes);
+        let mut ring = Vec::with_capacity(config.servers * VNODES);
         for s in 0..config.servers {
-            for v in 0..config.vnodes {
+            for v in 0..VNODES {
                 ring.push((hash_key(&format!("server{s}#vnode{v}")), s));
             }
         }
@@ -1575,7 +1574,6 @@ mod tests {
             servers: 1,
             capacity_bytes: 230,
             item_limit_bytes: 1024,
-            vnodes: 8,
             bump_lru_on_trigger: false,
             // One stripe: all three keys share one eviction domain.
             shards_per_server: 1,

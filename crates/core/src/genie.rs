@@ -18,24 +18,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// CacheGenie tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GenieConfig {
     /// Model the paper's proposed optimization of reusing memcached
     /// connections across trigger firings (§5.3/§5.5 future work). When
     /// true, triggers charge no connection-open cost.
     pub reuse_trigger_connections: bool,
-    /// Bounded retries for the gets/cas loop before falling back to
-    /// invalidation.
-    pub cas_retry_limit: usize,
-}
-
-impl Default for GenieConfig {
-    fn default() -> Self {
-        GenieConfig {
-            reuse_trigger_connections: false,
-            cas_retry_limit: 8,
-        }
-    }
 }
 
 /// Result of a manual [`CacheGenie::evaluate`] call.

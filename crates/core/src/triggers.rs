@@ -20,6 +20,10 @@ use genie_cache::{CacheError, CacheHandle, EncodedList};
 use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value};
 use std::sync::Arc;
 
+/// Attempts of a trigger's gets → modify → cas loop on one key before it
+/// falls back to invalidating the key.
+const CAS_RETRY_LIMIT: usize = 8;
+
 /// Builds all triggers for one compiled object (none for `Expire`).
 pub(crate) fn build_triggers(
     obj: &Arc<ObjectInner>,
@@ -79,7 +83,6 @@ fn make_trigger(
     let c = cache.clone();
     let s = Arc::clone(stats);
     let reuse_conn = config.reuse_trigger_connections;
-    let retries = config.cas_retry_limit;
     let body = move |ctx: &mut TriggerCtx<'_>| -> Result<()> {
         // The paper's generated Python triggers open a remote memcached
         // connection on every firing — the dominant trigger cost in §5.3.
@@ -87,9 +90,9 @@ fn make_trigger(
             ctx.charge_connection_open();
         }
         let ops = if on_link_target {
-            fire_link_target(&o, &c, &s, retries, ctx)?
+            fire_link_target(&o, &c, &s, ctx)?
         } else {
-            fire_main(&o, &c, &s, retries, ctx)?
+            fire_main(&o, &c, &s, ctx)?
         };
         ctx.charge_cache_ops(ops);
         Ok(())
@@ -102,7 +105,7 @@ fn make_trigger(
 // ---------------------------------------------------------------------
 
 /// The gets → modify → cas loop from the paper's generated trigger, with
-/// bounded retries; exhaustion falls back to invalidation (always safe).
+/// [`CAS_RETRY_LIMIT`] attempts; exhaustion falls back to invalidation (always safe).
 /// `f` splices the encoded list ([`crate::mutation`]); a payload that is
 /// not the list shape this object caches (`top_k`) is dropped, and one
 /// the codec refuses — in its header, or in any frame `f` had to read —
@@ -110,13 +113,12 @@ fn make_trigger(
 fn mutate_key(
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     key: &str,
     top_k: bool,
     mut f: impl FnMut(&EncodedList) -> genie_cache::Result<Mutation>,
 ) -> u64 {
     let mut ops = 0;
-    for _ in 0..retries.max(1) {
+    for _ in 0..CAS_RETRY_LIMIT {
         ops += 1;
         let Some(got) = cache.gets(key) else {
             stats.bump(&stats.trigger_noops);
@@ -198,7 +200,6 @@ fn fire_main(
     obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     ctx: &mut TriggerCtx<'_>,
 ) -> Result<u64> {
     // Invalidate strategy: per-key precise deletion, all classes alike.
@@ -213,10 +214,10 @@ fn fire_main(
         return Ok(invalidate_keys(cache, stats, &keys));
     }
     match &obj.def.kind {
-        CacheClassKind::Feature => Ok(fire_feature(obj, cache, stats, retries, ctx)),
+        CacheClassKind::Feature => Ok(fire_feature(obj, cache, stats, ctx)),
         CacheClassKind::Count => Ok(fire_count(obj, cache, stats, ctx)),
-        CacheClassKind::TopK { .. } => Ok(fire_top_k(obj, cache, stats, retries, ctx)),
-        CacheClassKind::Link { .. } => fire_link_main(obj, cache, stats, retries, ctx),
+        CacheClassKind::TopK { .. } => Ok(fire_top_k(obj, cache, stats, ctx)),
+        CacheClassKind::Link { .. } => fire_link_main(obj, cache, stats, ctx),
     }
 }
 
@@ -224,19 +225,18 @@ fn fire_feature(
     obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     ctx: &TriggerCtx<'_>,
 ) -> u64 {
     match ctx.event {
         TriggerEvent::Insert => {
             let new = ctx.new.expect("insert has NEW");
-            mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+            mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
                 mutation::append(l, std::slice::from_ref(new))
             })
         }
         TriggerEvent::Delete => {
             let old = ctx.old.expect("delete has OLD");
-            mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
+            mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
                 mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
             })
         }
@@ -245,17 +245,16 @@ fn fire_feature(
             let new = ctx.new.expect("update has NEW");
             if obj.key_fields_changed(old, new) {
                 // The row moved between keys: remove then add.
-                let removed =
-                    mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
-                        mutation::remove_pk(l, pk_of(old))
-                            .map(|edited| mutation::keep_or_rewrite(edited, l))
-                    });
+                let removed = mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
+                    mutation::remove_pk(l, pk_of(old))
+                        .map(|edited| mutation::keep_or_rewrite(edited, l))
+                });
                 removed
-                    + mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+                    + mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
                         mutation::append(l, std::slice::from_ref(new))
                     })
             } else {
-                mutate_key(cache, stats, retries, &obj.key_from_row(new), false, |l| {
+                mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
                     mutation::replace_pk_or_append(l, new)
                 })
             }
@@ -306,16 +305,15 @@ fn fire_top_k(
     obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     ctx: &TriggerCtx<'_>,
 ) -> u64 {
     let insert = |new: &Row| {
-        mutate_key(cache, stats, retries, &obj.key_from_row(new), true, |l| {
+        mutate_key(cache, stats, &obj.key_from_row(new), true, |l| {
             mutation::top_k_insert(obj, l, new).map(mutation::keep_if_changed)
         })
     };
     let remove = |old: &Row| {
-        mutate_key(cache, stats, retries, &obj.key_from_row(old), true, |l| {
+        mutate_key(cache, stats, &obj.key_from_row(old), true, |l| {
             mutation::top_k_remove(obj, l, pk_of(old))
         })
     };
@@ -330,7 +328,7 @@ fn fire_top_k(
                 remove(old) + insert(new)
             } else {
                 // Same list: reposition (sort value may have changed).
-                mutate_key(cache, stats, retries, &obj.key_from_row(new), true, |l| {
+                mutate_key(cache, stats, &obj.key_from_row(new), true, |l| {
                     mutation::top_k_reposition(obj, l, pk_of(old), new)
                 })
             }
@@ -358,7 +356,6 @@ fn fire_link_main(
     obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     ctx: &mut TriggerCtx<'_>,
 ) -> Result<u64> {
     match ctx.event {
@@ -371,14 +368,12 @@ fn fire_link_main(
                 return Ok(1);
             }
             let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
-            Ok(1 + mutate_key(cache, stats, retries, &key, false, |l| {
-                mutation::append(l, &fresh)
-            }))
+            Ok(1 + mutate_key(cache, stats, &key, false, |l| mutation::append(l, &fresh)))
         }
         TriggerEvent::Delete => {
             let old = ctx.old.expect("OLD");
             let key = obj.key_from_row(old);
-            Ok(mutate_key(cache, stats, retries, &key, false, |l| {
+            Ok(mutate_key(cache, stats, &key, false, |l| {
                 mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
             }))
         }
@@ -388,7 +383,7 @@ fn fire_link_main(
             let new_key = obj.key_from_row(new);
             // Drop the stale combined rows for this base row from the key
             // it was under (the same key, unless a key field moved).
-            let mut ops = mutate_key(cache, stats, retries, &obj.key_from_row(old), false, |l| {
+            let mut ops = mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
                 mutation::remove_pk(l, pk_of(old))
                     .map(|edited| mutation::keep_or_rewrite(edited, l))
             });
@@ -396,7 +391,7 @@ fn fire_link_main(
             ops += 1;
             if cache.contains(&new_key) {
                 let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
-                ops += mutate_key(cache, stats, retries, &new_key, false, |l| {
+                ops += mutate_key(cache, stats, &new_key, false, |l| {
                     mutation::append(l, &fresh)
                 });
             } else {
@@ -414,7 +409,6 @@ fn fire_link_target(
     obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
-    retries: usize,
     ctx: &mut TriggerCtx<'_>,
 ) -> Result<u64> {
     let link = obj.link.as_ref().expect("link object");
@@ -455,7 +449,7 @@ fn fire_link_target(
                 .cloned()
                 .collect();
             let joined = [Row::new(joined)];
-            ops += mutate_key(cache, stats, retries, &obj.key_from_row(base), false, |l| {
+            ops += mutate_key(cache, stats, &obj.key_from_row(base), false, |l| {
                 mutation::append(l, &joined)
             });
         }
@@ -468,7 +462,7 @@ fn fire_link_target(
         TriggerEvent::Delete => {
             let old = ctx.old.expect("OLD");
             for key in affected_keys(ctx, old.get(tc))? {
-                ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                ops += mutate_key(cache, stats, &key, false, |l| {
                     mutation::remove_target(l, base_arity, old).map(mutation::keep_if_changed)
                 });
             }
@@ -481,7 +475,7 @@ fn fire_link_target(
                 // The join column moved: old joiners lose the row, new
                 // joiners gain it.
                 for key in affected_keys(ctx, old.get(tc))? {
-                    ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                    ops += mutate_key(cache, stats, &key, false, |l| {
                         mutation::remove_target(l, base_arity, old)
                             .map(|edited| mutation::keep_or_rewrite(edited, l))
                     });
@@ -490,7 +484,7 @@ fn fire_link_target(
             } else {
                 // In-place: replace the target portion of matching rows.
                 for key in affected_keys(ctx, new.get(tc))? {
-                    ops += mutate_key(cache, stats, retries, &key, false, |l| {
+                    ops += mutate_key(cache, stats, &key, false, |l| {
                         mutation::replace_target(l, base_arity, old, new)
                             .map(mutation::keep_if_changed)
                     });

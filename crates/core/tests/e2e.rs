@@ -695,7 +695,6 @@ fn reuse_connection_config_removes_connection_cost() {
     assert_eq!(
         run(GenieConfig {
             reuse_trigger_connections: true,
-            ..Default::default()
         }),
         0
     );

@@ -44,6 +44,9 @@ use std::time::{Duration, Instant};
 const STATE_RUNNING: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 
+/// Wall posts per `batch_post` page transaction.
+const BATCH_POSTS: usize = 4;
+
 /// Tuning for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -59,8 +62,6 @@ pub struct ServerConfig {
     pub rate_per_sec: f64,
     /// Token-bucket burst capacity.
     pub rate_burst: f64,
-    /// Wall posts per `batch_post` page transaction.
-    pub batch_posts: usize,
     /// Socket read-timeout granularity: how often a blocked worker
     /// wakes to check deadlines and the drain flag.
     pub read_tick: Duration,
@@ -79,7 +80,6 @@ impl Default for ServerConfig {
             max_inflight: 0,
             rate_per_sec: 0.0,
             rate_burst: 32.0,
-            batch_posts: 4,
             read_tick: Duration::from_millis(20),
             idle_timeout: Duration::from_secs(10),
             request_read_timeout: Duration::from_millis(500),
@@ -671,7 +671,7 @@ fn run_page(
         }
         Page::BatchPost => {
             let wall = arg.unwrap_or(user);
-            session.post_wall_batch(wall, user, shared.cfg.batch_posts, false)?
+            session.post_wall_batch(wall, user, BATCH_POSTS, false)?
         }
         Page::Groups => session.view_groups(user)?,
         Page::Snapshot => return run_snapshot_page(shared, user, arg),

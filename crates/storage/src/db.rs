@@ -6,6 +6,21 @@
 //! and the physical [`CostReport`], which the benchmark harness prices into
 //! simulated time.
 //!
+//! This file holds the facade — `Database`, the latched `Engine` core and
+//! the lock-side `EngineShared` state — with the statement API and the
+//! statistics. The rest of the engine sits in submodules, along the write
+//! path's seams:
+//!
+//! * `db/txn.rs` — open transactions, BEGIN and ROLLBACK, and the
+//!   [`ConcurrentTxn`] / [`TxnHandle`] guards;
+//! * `db/locks.rs` — 2PL lock planning and acquisition for writes;
+//! * `db/commit.rs` — the one commit path, shared by COMMIT and every
+//!   autocommitted write: the fire predicate, the latch escalation, the
+//!   latched commit step (trigger bracket, epoch stamp, redo record,
+//!   vacuum cadence) and the post-latch epilogue;
+//! * `db/recovery.rs` — durable open, log replay, checkpoints and
+//!   [`Database::content_digest`].
+//!
 //! # Concurrency model (latch hierarchy + MVCC + 2PL writers)
 //!
 //! The engine distinguishes **latches** (short-duration protection of
@@ -14,17 +29,15 @@
 //! for the isolation model and `docs/ARCHITECTURE.md` for the full
 //! latch-vs-lock discussion):
 //!
-//! * Latches form a three-level hierarchy replacing the old single
-//!   engine mutex: a **catalog read-write latch** (DDL and vacuum take
-//!   it exclusively; every statement takes it shared), **per-table
+//! * Latches form a three-level hierarchy: a **catalog read-write
+//!   latch** (DDL, vacuum and trigger-firing commits take it
+//!   exclusively; every other statement takes it shared), **per-table
 //!   latches** acquired in canonical sorted-name order from the
 //!   statement's planned table set ([`crate::catalog::Catalog`]), and an
 //!   **epoch mutex** serializing commit-epoch allocation. Statements on
-//!   disjoint tables execute fully in parallel; two statements touching
-//!   the same table exclude each other exactly as the old mutex did.
-//!   Every thread acquires strictly downward in that order and never
-//!   blocks on a lock-manager lock while holding any latch, so the
-//!   hierarchy cannot deadlock.
+//!   disjoint tables execute fully in parallel. Every thread acquires
+//!   strictly downward in that order and never blocks on a lock-manager
+//!   lock while holding any latch, so the hierarchy cannot deadlock.
 //! * **Reads are lock-free snapshot reads.** Every transaction pins the
 //!   current commit epoch at `BEGIN`; every autocommit statement pins
 //!   the latest committed epoch *after* latching its tables. Scans and
@@ -43,24 +56,26 @@
 //! * Transactions are **thread-scoped**: `BEGIN` binds a transaction to
 //!   the calling thread, and subsequent statements from that thread join
 //!   it, so N threads drive N concurrent transactions through one shared
-//!   [`Database`] handle (see [`Database::begin_concurrent`]).
-//! * COMMIT write-latches exactly the tables the transaction touched,
-//!   fires the transaction's coalesced triggers (when any match, under
-//!   the exclusive catalog latch) against the *commit-point snapshot*
-//!   (latest committed state plus the transaction's own writes — never
-//!   another transaction's in-flight rows), stamps every written version
-//!   with the new commit epoch under the epoch mutex, publishes the
-//!   epoch, and only then — after releasing its latches — runs the
-//!   [`CommitHook`]'s deferred cache publication; the hook serializes
-//!   per-key publication so two committing writers can never interleave
-//!   physical cache operations on one key.
+//!   [`Database`] handle (see [`Database::begin_concurrent`], whose guard
+//!   cannot leave its thread).
+//! * **One commit path.** An autocommitted write is a one-statement
+//!   transaction: it and COMMIT write-latch exactly the tables written
+//!   (the whole catalog when a trigger fires), fire the coalesced
+//!   triggers against the *commit-point snapshot* (latest committed
+//!   state plus the commit's own writes — never another transaction's
+//!   in-flight rows), stamp every written version with the new commit
+//!   epoch under the epoch mutex, publish the epoch, and only then —
+//!   after releasing the latches — run the [`CommitHook`]'s deferred
+//!   cache publication; the hook serializes per-key publication so two
+//!   committing writers can never interleave physical cache operations
+//!   on one key.
 //! * Old row versions are reclaimed by [`Database::vacuum`] (also run
 //!   inline every few hundred commits, after the committing statement
 //!   has dropped all latches and locks): only versions invisible to the
 //!   oldest live snapshot are pruned, so a long-running reader pins the
 //!   horizon instead of ever seeing a row disappear.
-//! * **Durability is optional** and changes the commit pipeline's tail:
-//!   a database opened with [`Database::create_durable`] /
+//! * **Durability is optional** and changes the commit path's tail: a
+//!   database opened with [`Database::create_durable`] /
 //!   [`Database::open_with_recovery`] serializes each writing commit's
 //!   net row changes into a redo record, enqueues it on the group-commit
 //!   log writer *under the epoch mutex* (so log order equals epoch
@@ -71,37 +86,33 @@
 //!   durability. See `docs/DURABILITY.md` for the log format, the
 //!   checkpoint/truncation protocol, and the recovery invariants.
 
+mod commit;
+mod locks;
+mod recovery;
+mod txn;
+
+pub use txn::{ConcurrentTxn, TxnHandle};
+
 use crate::bufferpool::{BufferPool, PoolStats};
 use crate::catalog::Catalog;
-use crate::coalesce::coalesce_changes;
 use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
-use crate::exec::{self, ExecView, RowChange, UndoOp};
+use crate::exec::{self, ExecView, WriteEffect};
 use crate::latch::{LatchPlan, TableSet};
-use crate::lockmgr::{LatchCounters, LatchStats, LockManager, LockMode, LockStats, TxnId};
+use crate::lockmgr::{LatchCounters, LatchStats, LockManager, LockStats, TxnId};
 use crate::prepared::{PreparedSelect, StatementCache};
 use crate::query::{QueryResult, Select, Statement};
-use crate::row::RowId;
 use crate::schema::{IndexDef, TableSchema};
 use crate::table::Snapshot;
-use crate::trigger::{Trigger, TriggerCtx, TriggerManager};
+use crate::trigger::{Trigger, TriggerManager};
 use crate::value::Value;
-use crate::wal::{
-    self, CheckpointImage, CheckpointStats, RecoveryReport, TableImage, Wal, WalConfig, WalStats,
-    WalTicket,
-};
+use crate::wal::{self, Wal};
+use locks::{plan_locks, AutoRelease};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::Path;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
-
-/// Inline vacuum cadence: after this many write commits the committing
-/// statement sweeps all tables for versions older than the oldest live
-/// snapshot (cheap when there is no history). Explicit
-/// [`Database::vacuum`] calls are always available on top.
-const VACUUM_COMMIT_INTERVAL: u64 = 256;
+use txn::TxnTable;
 
 /// Deferred cache-publication step returned by [`CommitHook::commit_apply`].
 /// The engine runs it after releasing its latches (but before releasing
@@ -145,16 +156,14 @@ pub trait CommitHook: Send + Sync {
 pub struct DbConfig {
     /// Buffer-pool capacity in bytes (the paper's DB machine has 2 GB for
     /// a 10 GB dataset; scaled-down experiments shrink both).
+    /// Pages are [`BufferPool::DEFAULT_PAGE_BYTES`] each.
     pub buffer_pool_bytes: usize,
-    /// Modelled page size in bytes.
-    pub page_bytes: usize,
 }
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             buffer_pool_bytes: 64 * 1024 * 1024,
-            page_bytes: BufferPool::DEFAULT_PAGE_BYTES,
         }
     }
 }
@@ -231,34 +240,6 @@ pub struct ExecOutcome {
     pub cost: CostReport,
 }
 
-/// Per-transaction state. Lives in the engine's thread-keyed transaction
-/// map, so each writer thread buffers privately — nothing here is shared
-/// between concurrent transactions.
-struct TxnState {
-    /// Lock-manager identity (monotonic; doubles as transaction age for
-    /// youngest-victim deadlock resolution).
-    tid: TxnId,
-    /// Commit epoch pinned at BEGIN: every read in this transaction
-    /// resolves row versions at this snapshot (plus its own writes),
-    /// and writes first-updater-wins-check against it. Registered in
-    /// [`EngineShared::live_snaps`] so vacuum never prunes a version
-    /// this transaction can still see.
-    snap: u64,
-    /// Every lock target this transaction's statements requested
-    /// (recorded before acquisition, so an aborted acquisition is still
-    /// covered; deduplicated — statements revisit the same tables and
-    /// rows). Commit/rollback release exactly these resources instead of
-    /// sweeping every lock-manager shard.
-    targets: BTreeSet<(String, Option<Value>)>,
-    undo: Vec<UndoOp>,
-    /// Row changes buffered for commit-time trigger firing, in statement
-    /// order. Coalesced per (table, pk) when the transaction commits.
-    changes: Vec<RowChange>,
-    /// True once any statement modified rows; commit charges its single
-    /// group WAL append only then (read-only transactions write nothing).
-    wrote: bool,
-}
-
 /// The latched engine core: catalog (tables behind per-table latch
 /// cells), buffer pool (internally synchronized), triggers and the
 /// commit hook (read-mostly registries behind their own `RwLock`s), and
@@ -312,74 +293,6 @@ impl Engine {
     }
 }
 
-/// The thread-keyed table of open transactions, with a count beside it
-/// that statements read first: while no transaction is open anywhere —
-/// the whole life of a read-only deployment — nobody touches the mutex.
-///
-/// `open` counts transactions begun and not yet ended, whether their
-/// state sits in `states` or is checked out by a running statement of
-/// the owner. Only the owner's own view of it matters (does *this*
-/// thread have a transaction?), and a thread's own `BEGIN` precedes its
-/// later statements in program order, so a zero read is never wrong for
-/// the reader; the count publishes no data — the states stay behind the
-/// mutex.
-struct TxnTable {
-    states: Mutex<HashMap<ThreadId, TxnState>>,
-    open: AtomicUsize,
-}
-
-impl TxnTable {
-    fn new() -> Self {
-        TxnTable {
-            states: Mutex::new(HashMap::new()),
-            open: AtomicUsize::new(0),
-        }
-    }
-
-    /// Whether `thread` has a transaction whose state is not checked out.
-    fn has(&self, thread: ThreadId) -> bool {
-        self.open.load(Ordering::SeqCst) != 0 && self.states.lock().contains_key(&thread)
-    }
-
-    /// Registers `thread`'s new transaction; `states` is the caller's
-    /// guard (BEGIN holds it across its nesting check and snapshot pin).
-    fn begin(&self, states: &mut HashMap<ThreadId, TxnState>, thread: ThreadId, state: TxnState) {
-        states.insert(thread, state);
-        self.open.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Ends `thread`'s transaction (only if it is `tid`, when given),
-    /// handing its state to the commit or rollback that called.
-    fn end(&self, thread: ThreadId, tid: Option<TxnId>) -> Option<TxnState> {
-        let mut states = self.states.lock();
-        let open = states.get(&thread)?;
-        if tid.is_some_and(|tid| open.tid != tid) {
-            return None;
-        }
-        self.open.fetch_sub(1, Ordering::SeqCst);
-        states.remove(&thread)
-    }
-
-    /// Takes `thread`'s state out for the duration of one statement.
-    fn checkout(&self, thread: ThreadId) -> Option<TxnState> {
-        if self.open.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        self.states.lock().remove(&thread)
-    }
-
-    /// Puts a checked-out state back.
-    fn checkin(&self, thread: ThreadId, state: TxnState) {
-        self.states.lock().insert(thread, state);
-    }
-
-    /// A checked-out transaction ended (its owner honoured a doom mark)
-    /// instead of being put back.
-    fn ended_checked_out(&self) {
-        self.open.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// State shared outside the latches: the lock manager and the
 /// thread-keyed transaction map. Taking these leaf mutexes while holding
 /// a latch is allowed; the reverse order (blocking on a latch while
@@ -387,13 +300,6 @@ impl TxnTable {
 struct EngineShared {
     locks: LockManager,
     txns: TxnTable,
-    /// Transactions killed cross-thread (a [`ConcurrentTxn`] guard
-    /// committed/rolled back/dropped on another thread while the owner
-    /// thread had the state checked out for an in-flight statement).
-    /// Keyed by owner thread, valued by the doomed tid so a stale mark
-    /// can never kill a later transaction on the same thread; the owner
-    /// rolls the transaction back when its statement completes.
-    doomed: Mutex<HashMap<ThreadId, TxnId>>,
     next_tid: AtomicU64,
     /// BEGIN/COMMIT/ROLLBACK statements executed — counted outside the
     /// latches so transaction control never serializes behind an
@@ -433,9 +339,6 @@ impl EngineShared {
     }
 }
 
-/// One lock request a statement needs before executing.
-type LockReq = (String, Option<Value>, LockMode);
-
 /// The table a write statement targets, if it is a write.
 fn write_target(stmt: &Statement) -> Option<&str> {
     match stmt {
@@ -443,15 +346,6 @@ fn write_target(stmt: &Statement) -> Option<&str> {
         Statement::Update(u) => Some(&u.table),
         Statement::Delete(d) => Some(&d.table),
         _ => None,
-    }
-}
-
-/// The table an undo record belongs to.
-fn undo_table(op: &UndoOp) -> &str {
-    match op {
-        UndoOp::Insert { table, .. }
-        | UndoOp::Delete { table, .. }
-        | UndoOp::Update { table, .. } => table,
     }
 }
 
@@ -513,7 +407,7 @@ impl Database {
         Database {
             engine: Arc::new(Engine {
                 catalog: RwLock::new(Catalog::new()),
-                pool: BufferPool::new(config.buffer_pool_bytes, config.page_bytes),
+                pool: BufferPool::new(config.buffer_pool_bytes, BufferPool::DEFAULT_PAGE_BYTES),
                 triggers: RwLock::new(TriggerManager::new()),
                 commit_hook: RwLock::new(None),
                 counters: DbCounters::default(),
@@ -525,7 +419,6 @@ impl Database {
             shared: Arc::new(EngineShared {
                 locks: LockManager::new(),
                 txns: TxnTable::new(),
-                doomed: Mutex::new(HashMap::new()),
                 next_tid: AtomicU64::new(1),
                 ctrl_statements: AtomicU64::new(0),
                 commit_epoch: AtomicU64::new(0),
@@ -535,173 +428,6 @@ impl Database {
                 commits_since_vacuum: AtomicU64::new(0),
             }),
         }
-    }
-
-    // ----- durable open / recovery -----
-
-    /// Creates a **durable** database whose commits are backed by a
-    /// write-ahead log in `dir` (created if absent). Every writing
-    /// commit becomes durable — crash-safe — before it is reported
-    /// committed or becomes visible to other snapshots.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Wal`] when `dir` already contains a log (an
-    /// existing store must go through [`Database::open_with_recovery`],
-    /// never be silently overwritten) or on log I/O failure.
-    pub fn create_durable(
-        dir: impl AsRef<Path>,
-        config: DbConfig,
-        wal_config: WalConfig,
-    ) -> Result<Database> {
-        let wal = Wal::create(dir.as_ref(), wal_config)?;
-        Ok(Database::build(config, Some(Arc::new(wal))))
-    }
-
-    /// Opens the durable database in `dir`, running crash recovery with
-    /// default configuration: replay the checkpoint image plus every
-    /// durable committed record, discard a torn tail, and resume
-    /// logging. An empty or absent `dir` is a valid fresh start.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Wal`] on log I/O failure or an unrecoverable
-    /// (non-prefix) corruption.
-    pub fn open_with_recovery(dir: impl AsRef<Path>) -> Result<Database> {
-        Ok(Database::open_with(dir, DbConfig::default(), WalConfig::default())?.0)
-    }
-
-    /// [`Database::open_with_recovery`] with explicit configuration,
-    /// also returning the [`RecoveryReport`] describing what replay did.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Wal`] on log I/O failure or an unrecoverable
-    /// (non-prefix) corruption; replaying a valid log never fails.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        config: DbConfig,
-        wal_config: WalConfig,
-    ) -> Result<(Database, RecoveryReport)> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| {
-            StorageError::Wal(format!("create log directory {}: {e}", dir.display()))
-        })?;
-        let scan = wal::read_log(dir)?;
-        // Make the torn-tail truncation durable *before* appending
-        // anything new: a crash during recovery must replay to the same
-        // prefix.
-        wal::cleanup_log(&scan)?;
-        let wal = Wal::resume(dir, wal_config, scan.next_segment)?;
-        let db = Database::build(config, Some(Arc::new(wal)));
-        let report = db.replay(scan)?;
-        Ok((db, report))
-    }
-
-    /// Installs a recovered log scan into this freshly built (still
-    /// unshared) database: the checkpoint image first, then every
-    /// committed record in epoch order. Replay performs **no logging**
-    /// — the surviving log already describes exactly this state, so
-    /// recovery is idempotent across repeated crashes.
-    fn replay(&self, scan: wal::LogScan) -> Result<RecoveryReport> {
-        let mut report = RecoveryReport {
-            segments_scanned: scan.segments_scanned,
-            bytes_scanned: scan.bytes_scanned,
-            truncated: scan
-                .truncate
-                .as_ref()
-                .map(|t| (t.segment, t.offset, t.reason.clone())),
-            ..RecoveryReport::default()
-        };
-        let mut catalog = self.engine.catalog_write();
-        let mut cursor = 0u64;
-        if let Some(image) = scan.checkpoint {
-            cursor = image.epoch;
-            report.checkpoint_epoch = image.epoch;
-            for img in image.tables {
-                let name = img.schema.name().to_owned();
-                catalog.create_table(img.schema)?;
-                for def in img.indexes {
-                    match catalog.create_index(&name, def) {
-                        // Implicit unique indexes were re-derived from
-                        // the schema by create_table; skip them.
-                        Ok(()) | Err(StorageError::AlreadyExists(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                let table = catalog.table_mut(&name)?;
-                for row in img.rows {
-                    table.recover_insert(row)?;
-                }
-            }
-        }
-        for rec in scan.records {
-            match rec {
-                // DDL may predate the checkpoint that captured its table
-                // (the record lands in the post-rotation segment while
-                // the capture still sees the table) — idempotent.
-                wal::WalRecord::CreateTable(schema) => {
-                    report.ddl_records += 1;
-                    match catalog.create_table(schema) {
-                        Ok(()) | Err(StorageError::AlreadyExists(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                wal::WalRecord::CreateIndex { table, def } => {
-                    report.ddl_records += 1;
-                    match catalog.create_index(&table, def) {
-                        Ok(()) | Err(StorageError::AlreadyExists(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                wal::WalRecord::Commit { epoch, changes } => {
-                    if epoch <= cursor {
-                        // Folded into the checkpoint image already; the
-                        // record survives in the post-rotation segment.
-                        report.skipped_commits += 1;
-                        continue;
-                    }
-                    if epoch != cursor + 1 {
-                        // Records are enqueued in epoch order and the
-                        // log is prefix-durable, so committed epochs are
-                        // dense. A gap means the store is damaged.
-                        return Err(StorageError::Wal(format!(
-                            "commit-epoch gap in log: expected {}, found {epoch}",
-                            cursor + 1
-                        )));
-                    }
-                    // Two-phase redo: delete every pre-image, then
-                    // insert every post-image. Within one committed
-                    // record the pre-image pks are unique (they existed
-                    // together before the commit) and so are the
-                    // post-image pks — but interleaving them can trip
-                    // spurious unique-violations (two rows swapping
-                    // pks), so each phase runs to completion first.
-                    for ch in &changes {
-                        if let Some(old) = &ch.old {
-                            catalog.table_mut(&ch.table)?.recover_delete(old)?;
-                        }
-                    }
-                    for ch in &changes {
-                        if let Some(new) = &ch.new {
-                            catalog.table_mut(&ch.table)?.recover_insert(new.clone())?;
-                        }
-                    }
-                    cursor = epoch;
-                    report.replayed_commits += 1;
-                }
-            }
-        }
-        // Planner statistics accumulate deltas during replay; settle them
-        // so the first post-recovery query plans like the pre-crash one.
-        for name in catalog.table_names() {
-            catalog.table_mut(&name)?.flush_stats();
-        }
-        drop(catalog);
-        self.shared.commit_epoch.store(cursor, Ordering::Release);
-        self.shared.next_epoch.store(cursor, Ordering::Release);
-        report.recovered_epoch = cursor;
-        Ok(report)
     }
 
     // ----- DDL -----
@@ -718,23 +444,7 @@ impl Database {
     /// [`StorageError::AlreadyExists`] for duplicate names;
     /// [`StorageError::Wal`] if the log rejects the append (fail-stop).
     pub fn create_table(&self, schema: TableSchema) -> Result<()> {
-        let ticket = {
-            let mut guard = self.engine.catalog_write();
-            let payload = self
-                .shared
-                .wal
-                .as_ref()
-                .map(|_| wal::encode_create_table(&schema));
-            guard.create_table(schema)?;
-            match (&self.shared.wal, payload) {
-                (Some(w), Some(p)) => Some(w.enqueue(p, 0)?),
-                _ => None,
-            }
-        };
-        match ticket {
-            Some(t) => self.wait_ticket(&t).map(|_| ()),
-            None => Ok(()),
-        }
+        self.run_ddl(Ddl::Table(schema), false).map(|_| ())
     }
 
     /// Creates a secondary index (exclusive catalog latch, like all DDL;
@@ -745,18 +455,47 @@ impl Database {
     /// See [`crate::Table::create_index`]; [`StorageError::Wal`] if the
     /// log rejects the append (fail-stop).
     pub fn create_index(&self, table: &str, def: IndexDef) -> Result<()> {
+        self.run_ddl(Ddl::Index(table, def), false).map(|_| ())
+    }
+
+    /// The one DDL path, behind the `create_*` methods and the `CREATE`
+    /// statements: apply the change and enqueue its log record under the
+    /// exclusive catalog latch, then wait for the record to be durable.
+    /// A `statement` counts toward [`DbStats::statements`]; a method call
+    /// does not.
+    fn run_ddl(&self, ddl: Ddl<'_>, statement: bool) -> Result<ExecOutcome> {
+        if statement {
+            self.engine
+                .counters
+                .statements
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let wal = self.shared.wal.as_ref();
         let ticket = {
-            let mut guard = self.engine.catalog_write();
-            guard.create_index(table, def.clone())?;
-            match &self.shared.wal {
-                Some(w) => Some(w.enqueue(wal::encode_create_index(table, &def), 0)?),
-                None => None,
+            let mut catalog = self.engine.catalog_write();
+            let record = match ddl {
+                Ddl::Table(schema) => {
+                    let record = wal.map(|_| wal::encode_create_table(&schema));
+                    catalog.create_table(schema)?;
+                    record
+                }
+                Ddl::Index(table, def) => {
+                    let record = wal.map(|_| wal::encode_create_index(table, &def));
+                    catalog.create_index(table, def)?;
+                    record
+                }
+            };
+            match (wal, record) {
+                (Some(w), Some(r)) => Some(w.enqueue(r, 0)?),
+                _ => None,
             }
         };
-        match ticket {
-            Some(t) => self.wait_ticket(&t).map(|_| ()),
-            None => Ok(()),
+        let mut out = ExecOutcome::default();
+        if let Some(t) = ticket {
+            out.cost.wal_syncs += self.wait_ticket(&t)?;
+            out.cost.wal_bytes += t.bytes;
         }
+        Ok(out)
     }
 
     /// Registers a trigger.
@@ -841,6 +580,7 @@ impl Database {
     /// [`StorageError::Deadlock`] means this transaction was chosen as a
     /// deadlock victim — roll it back and retry it.
     pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
+        let thread = std::thread::current().id();
         match stmt {
             Statement::Begin => {
                 self.shared.ctrl_statements.fetch_add(1, Ordering::Relaxed);
@@ -849,7 +589,7 @@ impl Database {
             }
             Statement::Commit => {
                 self.shared.ctrl_statements.fetch_add(1, Ordering::Relaxed);
-                let cost = self.commit_txn()?;
+                let cost = self.commit_txn_for(thread, None)?;
                 Ok(ExecOutcome {
                     result: QueryResult::default(),
                     cost,
@@ -857,8 +597,12 @@ impl Database {
             }
             Statement::Rollback => {
                 self.shared.ctrl_statements.fetch_add(1, Ordering::Relaxed);
-                self.rollback_txn()?;
+                self.rollback_txn_for(thread, None)?;
                 Ok(ExecOutcome::default())
+            }
+            Statement::CreateTable(schema) => self.run_ddl(Ddl::Table(schema.clone()), true),
+            Statement::CreateIndex { table, def } => {
+                self.run_ddl(Ddl::Index(table, def.clone()), true)
             }
             Statement::Select(select) => self.select(select, params),
             Statement::Explain(select) => {
@@ -881,7 +625,9 @@ impl Database {
                     cost: CostReport::new(),
                 })
             }
-            other => self.run_statement(other, params),
+            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
+                self.run_write(stmt, params)
+            }
         }
     }
 
@@ -1007,40 +753,15 @@ impl Database {
     /// [`StorageError::Deadlock`] and [`StorageError::WriteConflict`]
     /// mean the transaction lost a race — retry it on a fresh snapshot.
     pub fn transaction<T>(&self, f: impl FnOnce(&mut TxnHandle<'_>) -> Result<T>) -> Result<T> {
-        self.begin_txn()?;
-        // A panicking closure must not leak the transaction's 2PL locks:
-        // other threads would block on them forever (lock waits have no
-        // timeout). Roll back on unwind.
-        struct RollbackOnUnwind<'a> {
-            db: &'a Database,
-            armed: bool,
-        }
-        impl Drop for RollbackOnUnwind<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    let _ = self.db.rollback_txn();
-                }
-            }
-        }
-        let mut guard = RollbackOnUnwind {
-            db: self,
-            armed: true,
-        };
-        let result = {
-            let mut handle = TxnHandle {
-                db: self,
-                cost: CostReport::new(),
-            };
-            f(&mut handle)
-        };
-        guard.armed = false;
+        // The guard rolls back when dropped — also when `f` panics, so
+        // the transaction's 2PL locks never outlive it (lock waits have
+        // no timeout).
+        let txn = self.begin_concurrent()?;
+        let result = f(&mut TxnHandle::new(self));
         match result {
-            Ok(v) => {
-                self.commit_txn()?;
-                Ok(v)
-            }
+            Ok(v) => txn.commit().map(|_| v),
             Err(e) => {
-                self.rollback_txn()?;
+                txn.rollback()?;
                 Err(e)
             }
         }
@@ -1072,22 +793,8 @@ impl Database {
     /// [`StorageError::TransactionAborted`] if this thread already has a
     /// transaction open.
     pub fn begin_concurrent(&self) -> Result<ConcurrentTxn> {
-        self.begin_txn()?;
-        let thread = std::thread::current().id();
-        let tid = self
-            .shared
-            .txns
-            .states
-            .lock()
-            .get(&thread)
-            .map(|t| t.tid)
-            .expect("begin_txn just inserted");
-        Ok(ConcurrentTxn {
-            db: self.clone(),
-            thread,
-            tid,
-            open: true,
-        })
+        let tid = self.begin_txn()?;
+        Ok(ConcurrentTxn::new(self.clone(), tid))
     }
 
     // ----- introspection -----
@@ -1220,197 +927,6 @@ impl Database {
         v
     }
 
-    // ----- durability -----
-
-    /// True when commits are backed by a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.shared.wal.is_some()
-    }
-
-    /// Cumulative log-writer counters (records, bytes, syncs, leader
-    /// batches, rotations, checkpoints), when the database is durable.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.shared.wal.as_ref().map(|w| w.stats())
-    }
-
-    /// Drains and syncs every enqueued log record (shutdown/test aid —
-    /// commits already wait for their own records).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Wal`] once the log is poisoned.
-    pub fn wal_flush(&self) -> Result<()> {
-        if let Some(w) = &self.shared.wal {
-            w.flush_all()?;
-        }
-        Ok(())
-    }
-
-    /// Takes a fuzzy checkpoint now, blocking if another is in flight:
-    /// captures every table's committed state at a pinned epoch, writes
-    /// it to the checkpoint file atomically, then truncates the log
-    /// prefix the image makes redundant. Concurrent commits proceed
-    /// throughout (the capture latches one table at a time).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Wal`] if the database has no durable log, or on
-    /// snapshot/truncation I/O failure.
-    pub fn checkpoint(&self) -> Result<CheckpointStats> {
-        match self.checkpoint_with(true)? {
-            Some(stats) => Ok(stats),
-            None => unreachable!("a blocking checkpoint always claims the slot"),
-        }
-    }
-
-    /// Runs an automatic fuzzy checkpoint when the log's commit budget
-    /// is spent. Non-blocking: skips silently when another thread's
-    /// checkpoint is in flight. A failed auto-checkpoint is swallowed —
-    /// it leaves the previous checkpoint and the untruncated log in
-    /// place, costing recovery time, never correctness (and an actual
-    /// log poisoning resurfaces at the very next commit).
-    fn maybe_auto_checkpoint(&self) {
-        if let Some(w) = &self.shared.wal {
-            if w.checkpoint_due() {
-                let _ = self.checkpoint_with(false);
-            }
-        }
-    }
-
-    /// The checkpoint protocol. The ordering is what makes truncating
-    /// the log safe:
-    ///
-    /// 1. **Rotate first.** Everything at or below the sealed segment is
-    ///    on disk; every *later* enqueue lands in the new segment, which
-    ///    truncation keeps.
-    /// 2. **Pin the capture epoch `c = next_epoch` under the epoch
-    ///    mutex.** Epoch allocation and log enqueue happen inside one
-    ///    epoch-mutex section, so every commit whose record could live
-    ///    in a sealed (about-to-be-deleted) segment has epoch `<= c` —
-    ///    reading `c` without the mutex could miss a commit that is
-    ///    flushed to an old segment but not yet visible in the counter,
-    ///    and truncation would delete its only durable copy. The pin in
-    ///    `live_snaps` keeps vacuum from pruning versions out from
-    ///    under the capture.
-    /// 3. **Fuzzy capture** at `Snapshot{c, None}`, one table read
-    ///    latch at a time — commits keep flowing; each is either
-    ///    `<= c` (inside the image) or `> c` (replayed from the
-    ///    surviving log).
-    /// 4. **Publish, then truncate.** The image replaces the checkpoint
-    ///    file atomically (tmp + fsync + rename + dir fsync); only then
-    ///    are sealed segments deleted.
-    fn checkpoint_with(&self, blocking: bool) -> Result<Option<CheckpointStats>> {
-        let Some(w) = self.shared.wal.clone() else {
-            return Err(StorageError::Wal(
-                "checkpoint requires a durable database (Database::create_durable)".into(),
-            ));
-        };
-        let Some(_slot) = w.checkpoint_begin(blocking) else {
-            return Ok(None);
-        };
-        let keep_from = w.rotate()?;
-        let epoch = {
-            let _serialize = self.engine.epoch_mutex.lock();
-            let c = self.shared.next_epoch.load(Ordering::Acquire);
-            *self.shared.live_snaps.lock().entry(c).or_insert(0) += 1;
-            c
-        };
-        let result = self.capture_checkpoint(epoch, &w, keep_from);
-        self.release_snapshot(epoch);
-        result.map(Some)
-    }
-
-    /// Capture + publish + truncate (steps 3–4 above), with the capture
-    /// epoch already pinned by the caller.
-    fn capture_checkpoint(
-        &self,
-        epoch: u64,
-        wal_handle: &Wal,
-        keep_from: u64,
-    ) -> Result<CheckpointStats> {
-        let snap = Snapshot {
-            epoch,
-            writer: None,
-        };
-        let names = self.engine.catalog_read().table_names();
-        let mut tables = Vec::with_capacity(names.len());
-        let (mut total_rows, mut total_tables) = (0u64, 0u64);
-        for name in names {
-            // Re-take the shared catalog latch per table: the capture
-            // never holds more than one table read latch (plus the
-            // catalog latch) at a time, so it cannot participate in a
-            // hold-and-wait cycle with committing writers.
-            let catalog = self.engine.catalog_read();
-            let Ok(cell) = catalog.latch(&name) else {
-                continue;
-            };
-            let t = cell.read();
-            let rows = t.snapshot_rows(&snap);
-            total_tables += 1;
-            total_rows += rows.len() as u64;
-            tables.push(TableImage {
-                schema: t.schema().clone(),
-                indexes: t.indexes().iter().map(|i| i.def().clone()).collect(),
-                rows,
-            });
-        }
-        let image = CheckpointImage { epoch, tables };
-        let bytes = wal::write_checkpoint(wal_handle.dir(), &image)?;
-        let segments_deleted = wal_handle.delete_segments_below(keep_from)?;
-        wal_handle.note_checkpoint();
-        Ok(CheckpointStats {
-            epoch,
-            bytes,
-            segments_deleted,
-            tables: total_tables,
-            rows: total_rows,
-        })
-    }
-
-    /// An order-insensitive digest of the full **published** committed
-    /// state: `commit_epoch`, every table's schema, its index
-    /// definitions (sorted by name), and every visible row in
-    /// primary-key order — FNV-1a over the log codec's canonical byte
-    /// forms. Equal digests mean byte-identical committed states; the
-    /// crash-recovery suite compares a recovered store against the
-    /// pre-crash original's committed prefix.
-    pub fn content_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(hash: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *hash ^= u64::from(b);
-                *hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        let mut hash = FNV_OFFSET;
-        let epoch = self.shared.commit_epoch.load(Ordering::Acquire);
-        mix(&mut hash, &epoch.to_le_bytes());
-        let snap = Snapshot {
-            epoch,
-            writer: None,
-        };
-        for name in self.engine.catalog_read().table_names() {
-            let catalog = self.engine.catalog_read();
-            let Ok(cell) = catalog.latch(&name) else {
-                continue;
-            };
-            let t = cell.read();
-            let mut buf = Vec::new();
-            wal::put_schema(&mut buf, t.schema());
-            let mut defs: Vec<&IndexDef> = t.indexes().iter().map(|i| i.def()).collect();
-            defs.sort_by(|a, b| a.name.cmp(&b.name));
-            for def in defs {
-                wal::put_index_def(&mut buf, def);
-            }
-            for row in t.snapshot_rows(&snap) {
-                wal::put_row(&mut buf, &row);
-            }
-            mix(&mut hash, &buf);
-        }
-        hash
-    }
-
     /// Buffer-pool statistics.
     pub fn pool_stats(&self) -> PoolStats {
         self.engine.pool.stats()
@@ -1453,521 +969,18 @@ impl Database {
         Ok(schema)
     }
 
-    // ----- transaction control (thread-scoped) -----
+    // ----- write statements -----
 
-    fn begin_txn(&self) -> Result<()> {
-        let thread = std::thread::current().id();
-        let mut txns = self.shared.txns.states.lock();
-        if txns.contains_key(&thread) {
-            return Err(StorageError::TransactionAborted(
-                "nested transactions are not supported".into(),
-            ));
-        }
-        // Pin the snapshot and register it as live: vacuum prunes only
-        // below the minimum registered epoch, so everything this
-        // transaction can see stays reachable until it ends. Register,
-        // then re-check the epoch: a commit (and its inline vacuum) can
-        // land between the lock-free epoch read and the registration,
-        // in which case versions the stale epoch needs may already be
-        // gone — moving the snapshot forward to the epoch that was
-        // current *after* our registration became visible makes it safe
-        // (a BEGIN may linearize anywhere within its call).
-        let mut snap = self.shared.commit_epoch.load(Ordering::Acquire);
-        loop {
-            *self.shared.live_snaps.lock().entry(snap).or_insert(0) += 1;
-            let now = self.shared.commit_epoch.load(Ordering::Acquire);
-            if now == snap {
-                break;
-            }
-            self.release_snapshot(snap);
-            snap = now;
-        }
-        self.shared.txns.begin(
-            &mut txns,
-            thread,
-            TxnState {
-                tid: self.shared.alloc_tid(),
-                snap,
-                targets: BTreeSet::new(),
-                undo: Vec::new(),
-                changes: Vec::new(),
-                wrote: false,
-            },
-        );
-        Ok(())
-    }
-
-    /// Drops one reference to a pinned snapshot epoch (transaction end).
-    fn release_snapshot(&self, epoch: u64) {
-        let mut snaps = self.shared.live_snaps.lock();
-        if let Some(n) = snaps.get_mut(&epoch) {
-            *n -= 1;
-            if *n == 0 {
-                snaps.remove(&epoch);
-            }
-        }
-    }
-
-    fn commit_txn(&self) -> Result<CostReport> {
-        self.commit_txn_for(std::thread::current().id(), None)
-    }
-
-    /// Commits `thread`'s transaction: write-latches the tables it
-    /// touched (or the whole catalog when its triggers must fire),
-    /// coalesces its buffered row changes, fires triggers once per net
-    /// change inside the commit-hook bracket, stamps and publishes the
-    /// commit epoch, then — latches released — publishes the hook's
-    /// deferred cache effects and releases the transaction's locks (2PL
-    /// shrinking phase). A failing trigger body or hook rejection aborts
-    /// the whole transaction instead — undo applied, nothing published.
-    ///
-    /// With `tid`, commits only if the open transaction is still that
-    /// one — the guard-facing variant, so a stale [`ConcurrentTxn`] can
-    /// never commit a later, unrelated transaction on the same thread.
-    fn commit_txn_for(&self, thread: ThreadId, tid: Option<TxnId>) -> Result<CostReport> {
-        let TxnState {
-            tid,
-            snap,
-            targets,
-            undo,
-            changes,
-            wrote,
-        } = {
-            let txn = self
-                .shared
-                .txns
-                .end(thread, tid)
-                .ok_or(StorageError::NoTransaction)?;
-            // Honor a cross-thread kill that raced an earlier statement:
-            // the killer was promised a rollback, so the commit loses.
-            let killed = self.shared.doomed.lock().get(&thread) == Some(&txn.tid);
-            if killed {
-                self.rollback_state(thread, txn)?;
-                return Err(StorageError::TransactionAborted(
-                    "transaction was rolled back from another thread".into(),
-                ));
-            }
-            txn
-        };
-        let engine = &*self.engine;
-        let mut cost = CostReport::new();
-        // Decide up front whether any enabled trigger watches a changed
-        // table; only then must the commit run under the exclusive
-        // catalog latch (trigger queries may read arbitrary tables, and
-        // the hook's effect batch must not interleave with another
-        // firing commit). A trigger registered concurrently with this
-        // commit does not apply to it — registration linearizes at the
-        // registry lock, before or after this read.
-        let fire = {
-            let trg = engine.triggers.read();
-            trg.is_enabled() && changes.iter().any(|c| trg.has_for_table(&c.table))
-        };
-        let result = if fire {
-            let mut guard = engine.catalog_write();
-            let mut tables = TableSet::exclusive(&mut guard);
-            self.commit_latched(&mut tables, tid, undo, changes, wrote, &mut cost, fire)
-        } else {
-            let catalog = engine.catalog_read();
-            let names: BTreeSet<&str> = undo
-                .iter()
-                .map(undo_table)
-                .chain(changes.iter().map(|c| c.table.as_str()))
-                .collect();
-            let plan = LatchPlan::writes(names.into_iter().map(str::to_owned));
-            TableSet::latch(&catalog, &plan, &engine.latches).and_then(|mut tables| {
-                self.commit_latched(&mut tables, tid, undo, changes, wrote, &mut cost, false)
-            })
-        };
-        match result {
-            Ok((publish, ticket, vacuum_due)) => {
-                self.release_snapshot(snap);
-                if let Some(t) = &ticket {
-                    match self.wait_ticket(t) {
-                        Ok(syncs) => {
-                            cost.wal_bytes += t.bytes;
-                            cost.wal_syncs += syncs;
-                        }
-                        Err(e) => {
-                            // The log poisoned mid-batch: this commit's
-                            // durability is unknown and its epoch stays
-                            // unpublished (invisible to every snapshot).
-                            // Release the locks so other threads hit the
-                            // same fail-stop error instead of hanging.
-                            self.release_txn_locks(tid, &targets);
-                            return Err(e);
-                        }
-                    }
-                }
-                if let Some(p) = publish {
-                    p();
-                }
-                self.release_txn_locks(tid, &targets);
-                if vacuum_due {
-                    self.vacuum();
-                }
-                if ticket.is_some() {
-                    self.maybe_auto_checkpoint();
-                }
-                Ok(cost)
-            }
-            Err(e) => {
-                // commit_latched already applied the undo log; finish
-                // the abort bookkeeping (mirrors rollback_state).
-                {
-                    let mut d = self.shared.doomed.lock();
-                    if d.get(&thread) == Some(&tid) {
-                        d.remove(&thread);
-                    }
-                }
-                engine.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
-                self.release_snapshot(snap);
-                self.release_txn_locks(tid, &targets);
-                Err(e)
-            }
-        }
-    }
-
-    /// The latched portion of COMMIT, shared by the per-table and
-    /// exclusive paths. Returns the deferred publication step and
-    /// whether an inline vacuum is due (run by the caller after all
-    /// latches drop — vacuum needs the exclusive catalog latch).
-    #[allow(clippy::too_many_arguments)] // the full TxnState payload plus latch context
-    fn commit_latched(
-        &self,
-        tables: &mut TableSet<'_>,
-        tid: TxnId,
-        undo: Vec<UndoOp>,
-        changes: Vec<RowChange>,
-        wrote: bool,
-        cost: &mut CostReport,
-        fire: bool,
-    ) -> Result<(DeferredPublish, Option<WalTicket>, bool)> {
-        let engine = &*self.engine;
-        let mut publish: DeferredPublish = None;
-        let changes = coalesce_changes(tables, changes);
-        if !changes.is_empty() {
-            // Commit-point snapshot: triggers see every committed state
-            // plus this transaction's own (still uncommitted) writes —
-            // never another transaction's in-flight rows. The commit is
-            // the transaction's serialization point, so cache effects
-            // computed here agree with the post-commit database. The
-            // snapshot reads at `next_epoch`, not the published
-            // `commit_epoch`: an earlier commit on these tables may be
-            // stamped but still waiting on the log, and its rows are
-            // committed state this commit must see (safe — this commit's
-            // record can only become durable after that one, log order
-            // being epoch order).
-            let trigger_snap = Snapshot {
-                epoch: self.shared.next_epoch.load(Ordering::Acquire),
-                writer: Some(tid),
-            };
-            match self.run_commit_bracket(tables, &changes, cost, true, &trigger_snap, fire) {
-                Ok(p) => publish = p,
-                Err(e) => {
-                    exec::apply_undo(tables, undo, tid)?;
-                    return Err(StorageError::TransactionAborted(e.to_string()));
-                }
-            }
-        }
-        let mut vacuum_due = false;
-        let mut ticket = None;
-        if wrote {
-            cost.wal_appends += 1;
-            // Install every version this transaction wrote at the next
-            // epoch — all while this commit still write-latches every
-            // table it touched, so readers (who latch per statement)
-            // see the flip atomically. Without a log the epoch is
-            // published here too; with one, publication waits for the
-            // redo record (enqueued inside stamp_commit) to be durable.
-            let redo = self
-                .shared
-                .wal
-                .as_ref()
-                .map(|_| wal::encode_commit(&changes));
-            match self.stamp_commit(tables, &undo, tid, redo) {
-                Ok(t) => ticket = t,
-                Err(e) => {
-                    // The log rejected the append (fail-stop poison):
-                    // nothing was stamped — abort cleanly. The sealed
-                    // cache publication is dropped unpublished.
-                    exec::apply_undo(tables, undo, tid)?;
-                    return Err(StorageError::TransactionAborted(e.to_string()));
-                }
-            }
-            vacuum_due = self.note_commit_for_vacuum();
-        }
-        flush_stats_for(tables, &changes);
-        engine.counters.commits.fetch_add(1, Ordering::Relaxed);
-        Ok((publish, ticket, vacuum_due))
-    }
-
-    /// Stamps every row version `tid` wrote (derived from its undo log)
-    /// with the next commit epoch. On a durable database the redo
-    /// record is enqueued **first**, while nothing is stamped yet — a
-    /// rejected append is then a clean abort — and the caller publishes
-    /// the epoch only after [`Database::wait_ticket`] reports the
-    /// record durable. Without a log the epoch publishes immediately.
-    /// The caller write-latches every touched table; the epoch mutex
-    /// serializes epoch allocation (and log-append order) against
-    /// commits on disjoint tables.
-    fn stamp_commit(
-        &self,
-        tables: &mut TableSet<'_>,
-        undo: &[UndoOp],
-        tid: TxnId,
-        redo: Option<Vec<u8>>,
-    ) -> Result<Option<WalTicket>> {
-        let _serialize = self.engine.epoch_mutex.lock();
-        let epoch = self.shared.next_epoch.load(Ordering::Acquire) + 1;
-        let ticket = match (&self.shared.wal, redo) {
-            (Some(w), Some(mut payload)) => {
-                wal::patch_epoch(&mut payload, epoch);
-                // Pure memory (the enqueue never blocks on I/O); holding
-                // the epoch mutex across it makes log order = epoch
-                // order, which is what lets recovery treat any durable
-                // prefix as a dense epoch prefix.
-                Some(w.enqueue(payload, epoch)?)
-            }
-            _ => None,
-        };
-        let mut touched: BTreeMap<&str, Vec<RowId>> = BTreeMap::new();
-        for op in undo {
-            let (table, rid) = match op {
-                UndoOp::Insert { table, rid } => (table.as_str(), *rid),
-                UndoOp::Delete { table, rid, .. } => (table.as_str(), *rid),
-                UndoOp::Update { table, rid, .. } => (table.as_str(), *rid),
-            };
-            touched.entry(table).or_default().push(rid);
-        }
-        for (table, mut rids) in touched {
-            rids.sort_unstable();
-            rids.dedup();
-            if let Ok(t) = tables.table_mut(table) {
-                t.commit_rows(rids, tid, epoch);
-            }
-        }
-        self.shared.next_epoch.store(epoch, Ordering::Release);
-        if ticket.is_none() {
-            self.shared.commit_epoch.store(epoch, Ordering::Release);
-        }
-        Ok(ticket)
-    }
-
-    /// Parks on the log until `ticket`'s record is durable, then (for a
-    /// commit record) publishes its epoch to readers. Returns the
-    /// physical syncs this thread performed — `0` when it rode another
-    /// leader's batch, the amortization group commit exists for.
-    fn wait_ticket(&self, ticket: &WalTicket) -> Result<u64> {
-        let wal = self.shared.wal.as_ref().expect("wal ticket without a log");
-        let syncs = wal.wait_durable(ticket)?;
-        if ticket.epoch > 0 {
-            // fetch_max, not store: a later commit's waiter may already
-            // have published past this epoch (group commit wakes a whole
-            // batch at once). Log-prefix durability means every epoch up
-            // to the maximum published one is durable.
-            self.shared
-                .commit_epoch
-                .fetch_max(ticket.epoch, Ordering::AcqRel);
-        }
-        Ok(syncs)
-    }
-
-    /// Books one write commit toward the inline-vacuum cadence; true
-    /// when the caller should run [`Database::vacuum`] after dropping
-    /// its latches and locks.
-    fn note_commit_for_vacuum(&self) -> bool {
-        let n = self
-            .shared
-            .commits_since_vacuum
-            .fetch_add(1, Ordering::Relaxed)
-            + 1;
-        if n < VACUUM_COMMIT_INTERVAL {
-            return false;
-        }
-        self.shared.commits_since_vacuum.store(0, Ordering::Relaxed);
-        true
-    }
-
-    /// The oldest epoch any live snapshot still reads at (the newest
-    /// committed epoch when no transaction is open).
-    fn vacuum_horizon(&self) -> u64 {
-        let snaps = self.shared.live_snaps.lock();
-        snaps
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.shared.commit_epoch.load(Ordering::Acquire))
-    }
-
-    /// 2PL shrinking phase: releases exactly the resources the
-    /// transaction's statements requested (tracked in
-    /// [`TxnState::targets`]) plus its wait-graph residue, instead of
-    /// sweeping every lock-manager shard.
-    fn release_txn_locks(&self, tid: TxnId, targets: &BTreeSet<(String, Option<Value>)>) {
-        self.shared
-            .locks
-            .release_resources(tid, targets.iter().map(|(t, pk)| (t.as_str(), pk.as_ref())));
-        self.shared.locks.clear_waiter(tid);
-    }
-
-    fn rollback_txn(&self) -> Result<()> {
-        self.rollback_txn_for(std::thread::current().id())
-    }
-
-    fn rollback_txn_for(&self, thread: ThreadId) -> Result<()> {
-        let txn = self
-            .shared
-            .txns
-            .end(thread, None)
-            .ok_or(StorageError::NoTransaction)?;
-        self.rollback_state(thread, txn)
-    }
-
-    /// The one rollback sequence: applies the undo log under write
-    /// latches on the written tables, books the rollback, releases the
-    /// transaction's locks, and clears a matching cross-thread doom
-    /// mark. Every abort path funnels here.
-    fn rollback_state(&self, thread: ThreadId, txn: TxnState) -> Result<()> {
-        {
-            let mut d = self.shared.doomed.lock();
-            if d.get(&thread) == Some(&txn.tid) {
-                d.remove(&thread);
-            }
-        }
-        let engine = &*self.engine;
-        let undone = {
-            let catalog = engine.catalog_read();
-            let names: BTreeSet<&str> = txn.undo.iter().map(undo_table).collect();
-            let plan = LatchPlan::writes(names.into_iter().map(str::to_owned));
-            TableSet::latch(&catalog, &plan, &engine.latches)
-                .and_then(|mut tables| exec::apply_undo(&mut tables, txn.undo, txn.tid))
-        };
-        engine.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
-        self.release_snapshot(txn.snap);
-        self.release_txn_locks(txn.tid, &txn.targets);
-        undone
-    }
-
-    /// Marks `tid` (owned by `thread`, currently checked out for an
-    /// in-flight statement) for rollback by its owner; see
-    /// [`EngineShared::doomed`]. No-op if the transaction meanwhile
-    /// completed — tids are unique, so a stale mark can never kill a
-    /// later transaction.
-    fn doom_txn(&self, thread: ThreadId, tid: TxnId) {
-        loop {
-            // Fast path: the state is (back) in the map — take it down
-            // directly.
-            if self.rollback_named(thread, tid).is_ok() {
-                return;
-            }
-            // Checked out (or already gone): leave the mark and
-            // re-check. The owner's TxnSlot drop may have read the
-            // doomed map *before* our insert and reinstated the state —
-            // in that case retract the mark and retry the direct
-            // rollback, so the transaction can never stay open with the
-            // mark unseen.
-            self.shared.doomed.lock().insert(thread, tid);
-            let present = self
-                .shared
-                .txns
-                .states
-                .lock()
-                .get(&thread)
-                .is_some_and(|t| t.tid == tid);
-            if !present {
-                // Mark stands: either the owner will honor it at
-                // statement completion, or the transaction is already
-                // finished (unique tids make a stale mark inert).
-                return;
-            }
-            let mut d = self.shared.doomed.lock();
-            if d.get(&thread) == Some(&tid) {
-                d.remove(&thread);
-            }
-            drop(d);
-        }
-    }
-
-    /// Rolls back `thread`'s transaction only if it is still `tid`.
-    fn rollback_named(&self, thread: ThreadId, tid: TxnId) -> Result<()> {
-        let txn = self
-            .shared
-            .txns
-            .end(thread, Some(tid))
-            .ok_or(StorageError::NoTransaction)?;
-        self.rollback_state(thread, txn)
-    }
-
-    // ----- statement execution -----
-
-    /// Executes one write or DDL statement: plans its lock set, acquires
-    /// it, latches the statement's tables, runs the statement body, then
-    /// publishes deferred effects and releases statement-duration locks.
-    /// The calling thread's transaction state rides along in a
-    /// [`TxnSlot`].
-    fn run_statement(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
+    /// Executes one write statement: plans its lock set and acquires it,
+    /// latches the statement's tables and runs it. Inside a transaction
+    /// the undo records and row changes buffer in its `TxnState` until
+    /// COMMIT. An autocommitted write is a one-statement transaction: it
+    /// commits right here, through the same commit step and epilogue as
+    /// COMMIT (`db/commit.rs`), with its changes as they are and its
+    /// statement-duration locks.
+    fn run_write(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
         let mut slot = self.checkout_txn();
-        self.run_statement_locked(stmt, params, slot.state.as_mut())
-    }
-
-    /// Checks the calling thread's transaction state (if any) out of the
-    /// transaction table for one statement.
-    fn checkout_txn(&self) -> TxnSlot<'_> {
-        let thread = std::thread::current().id();
-        TxnSlot {
-            db: self,
-            thread,
-            state: self.shared.txns.checkout(thread),
-        }
-    }
-
-    /// Acquires a statement's lock requests for `tid`, recording them in
-    /// the transaction first. Uncontended locks are granted under the
-    /// shared catalog latch; on the first conflict the latch is released
-    /// for the wait and re-taken afterwards.
-    fn acquire_locks<'e>(
-        &'e self,
-        mut catalog: RwLockReadGuard<'e, Catalog>,
-        tid: TxnId,
-        reqs: &[LockReq],
-        txn: Option<&mut TxnState>,
-    ) -> Result<RwLockReadGuard<'e, Catalog>> {
-        if let Some(t) = txn {
-            // Record before acquiring: even an acquisition aborted by
-            // deadlock leaves its partial grants covered at release.
-            t.targets
-                .extend(reqs.iter().map(|(tb, pk, _)| (tb.clone(), pk.clone())));
-        }
-        let blocked_from = reqs.iter().position(|(t, pk, m)| {
-            self.shared
-                .locks
-                .try_acquire(tid, t, pk.as_ref(), *m)
-                .is_none()
-        });
-        if let Some(first) = blocked_from {
-            // Contended: never wait on a lock while holding any latch
-            // (the lock holder may need our tables' latches to finish
-            // its own commit). The granted prefix stays held; only the
-            // remainder (still in canonical order) is acquired
-            // blockingly, then the catalog latch is re-taken.
-            drop(catalog);
-            for (t, pk, m) in &reqs[first..] {
-                // On failure, the caller's `AutoRelease` (autocommit)
-                // frees the partial grants; a transaction keeps its
-                // locks until its own rollback.
-                self.shared.locks.acquire(tid, t, pk.as_ref(), *m)?;
-            }
-            catalog = self.engine.catalog_read();
-        }
-        Ok(catalog)
-    }
-
-    fn run_statement_locked(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-        mut txn: Option<&mut TxnState>,
-    ) -> Result<ExecOutcome> {
+        let mut txn = slot.state.as_mut();
         let autocommit = txn.is_none();
         let tid = match &txn {
             Some(t) => t.tid,
@@ -1978,670 +991,85 @@ impl Database {
             tid,
             armed: autocommit,
         };
-
         let engine = &*self.engine;
         let catalog = engine.catalog_read();
         let reqs = plan_locks(&catalog, stmt, params, &engine.latches)?;
         let catalog = self.acquire_locks(catalog, tid, &reqs, txn.as_deref_mut())?;
-
-        // Escalate to the exclusive catalog latch when per-table
-        // latching cannot carry the statement: DDL restructures the
-        // catalog itself, and an autocommit write whose target
-        // table has an enabled trigger fires that trigger immediately —
-        // trigger queries may read arbitrary tables, and the commit
-        // hook's effect batch must not interleave with another firing
-        // statement.
-        let exclusive = matches!(
-            stmt,
-            Statement::CreateTable(_) | Statement::CreateIndex { .. }
-        ) || (autocommit && stmt.is_write() && {
-            let trg = engine.triggers.read();
-            trg.is_enabled() && write_target(stmt).is_some_and(|t| trg.has_for_table(t))
-        });
-
-        let result = if exclusive {
-            drop(catalog);
-            let mut guard = engine.catalog_write();
-            match stmt {
-                Statement::CreateTable(schema) => {
-                    engine.counters.statements.fetch_add(1, Ordering::Relaxed);
-                    guard.create_table(schema.clone()).and_then(|()| {
-                        let ticket = match &self.shared.wal {
-                            Some(w) => Some(w.enqueue(wal::encode_create_table(schema), 0)?),
-                            None => None,
-                        };
-                        Ok((ExecOutcome::default(), None, false, ticket))
-                    })
+        let fire = autocommit && self.fires(write_target(stmt));
+        let mut cost = CostReport::new();
+        let mut affected = 0;
+        let plan = |catalog: &Catalog| LatchPlan::for_statement(catalog, stmt, &engine.latches);
+        let committed = self.latched(Some(catalog), fire, plan, |tables| {
+            let snap = txn.as_deref().map(|t| t.snap);
+            let effect = self.execute_write(tables, stmt, params, snap, tid, &mut cost)?;
+            affected = effect.affected;
+            match txn {
+                Some(t) => {
+                    t.undo.extend(effect.undo);
+                    t.changes.extend(effect.changes);
+                    Ok(None)
                 }
-                Statement::CreateIndex { table, def } => {
-                    engine.counters.statements.fetch_add(1, Ordering::Relaxed);
-                    guard.create_index(table, def.clone()).and_then(|()| {
-                        let ticket = match &self.shared.wal {
-                            Some(w) => Some(w.enqueue(wal::encode_create_index(table, def), 0)?),
-                            None => None,
-                        };
-                        Ok((ExecOutcome::default(), None, false, ticket))
-                    })
-                }
-                _ => {
-                    let mut tables = TableSet::exclusive(&mut guard);
-                    self.execute_body(&mut tables, stmt, params, txn, tid, true)
-                }
+                None => self
+                    .commit_latched(
+                        tables,
+                        tid,
+                        effect.undo,
+                        &effect.changes,
+                        &mut cost,
+                        false,
+                        fire,
+                    )
+                    .map(Some),
             }
-        } else {
-            let r = LatchPlan::for_statement(&catalog, stmt, &engine.latches).and_then(|plan| {
-                let mut tables = TableSet::latch(&catalog, &plan, &engine.latches)?;
-                self.execute_body(&mut tables, stmt, params, txn, tid, false)
-            });
-            drop(catalog);
-            r
-        };
-
-        match result {
-            Ok((mut outcome, publish, vacuum_due, ticket)) => {
-                if let Some(t) = &ticket {
-                    // Durability wait, strictly after every latch above
-                    // dropped — an fsync must never serialize unrelated
-                    // statements. An error here fail-stops the statement
-                    // (autocommit locks release via the drop guard).
-                    let syncs = self.wait_ticket(t)?;
-                    outcome.cost.wal_bytes += t.bytes;
-                    outcome.cost.wal_syncs += syncs;
-                }
-                if let Some(p) = publish {
-                    p();
-                }
-                if autocommit {
-                    // The statement's lock set is known exactly: release
-                    // just those resources instead of sweeping every
-                    // shard.
-                    auto_release.armed = false;
-                    if !reqs.is_empty() {
-                        self.shared.locks.release_resources(
-                            tid,
-                            reqs.iter().map(|(t, pk, _)| (t.as_str(), pk.as_ref())),
-                        );
-                    }
-                }
-                if vacuum_due {
-                    self.vacuum();
-                }
-                if ticket.is_some() {
-                    self.maybe_auto_checkpoint();
-                }
-                Ok(outcome)
-            }
-            Err(e) => Err(e),
+        })?;
+        if let Some(done) = committed {
+            self.finish_commit(done, &mut cost, || auto_release.release(&reqs))?;
         }
+        Ok(ExecOutcome {
+            result: QueryResult::affected(affected),
+            cost,
+        })
     }
 
-    /// The latched portion of a write statement's execution, running
-    /// against the statement's [`TableSet`]. Writes carry an [`ExecView`]
-    /// pairing the transaction's pinned snapshot (or the latest committed
-    /// epoch for autocommit — loaded *after* latching, so the epoch's
-    /// versions are fully visible on every latched table) with the latest
-    /// epoch for constraint probes. `fire` says whether autocommit
-    /// triggers may fire here (true only on the exclusive-latch path).
-    fn execute_body(
+    /// Runs a write statement's body against its latched `tables`,
+    /// reading at the transaction's pinned `snap` — or, autocommitted, at
+    /// the latest committed epoch, loaded *after* latching so its
+    /// versions are fully visible on every latched table. Constraint
+    /// probes read the latest epoch either way (see [`ExecView`]).
+    fn execute_write(
         &self,
         tables: &mut TableSet<'_>,
         stmt: &Statement,
         params: &[Value],
-        txn: Option<&mut TxnState>,
+        snap: Option<u64>,
         tid: TxnId,
-        fire: bool,
-    ) -> Result<(ExecOutcome, DeferredPublish, bool, Option<WalTicket>)> {
+        cost: &mut CostReport,
+    ) -> Result<WriteEffect> {
         let engine = &*self.engine;
         engine.counters.statements.fetch_add(1, Ordering::Relaxed);
+        engine.counters.writes.fetch_add(1, Ordering::Relaxed);
         let latest = self.shared.commit_epoch.load(Ordering::Acquire);
         let view = ExecView {
             snap: Snapshot {
-                epoch: txn.as_ref().map_or(latest, |t| t.snap),
+                epoch: snap.unwrap_or(latest),
                 writer: Some(tid),
             },
             latest_epoch: latest,
         };
-        let mut cost = CostReport::new();
+        let pool = &engine.pool;
         match stmt {
-            Statement::Insert(ins) => {
-                engine.counters.writes.fetch_add(1, Ordering::Relaxed);
-                let effect = exec::run_insert(tables, &engine.pool, ins, params, &mut cost, &view)?;
-                self.finish_write(tables, effect, &mut cost, txn, &view, fire)
-            }
-            Statement::Update(upd) => {
-                engine.counters.writes.fetch_add(1, Ordering::Relaxed);
-                let effect = exec::run_update(tables, &engine.pool, upd, params, &mut cost, &view)?;
-                self.finish_write(tables, effect, &mut cost, txn, &view, fire)
-            }
-            Statement::Delete(del) => {
-                engine.counters.writes.fetch_add(1, Ordering::Relaxed);
-                let effect = exec::run_delete(tables, &engine.pool, del, params, &mut cost, &view)?;
-                self.finish_write(tables, effect, &mut cost, txn, &view, fire)
-            }
-            Statement::CreateTable(_) | Statement::CreateIndex { .. } => {
-                unreachable!("DDL runs under the exclusive catalog latch")
-            }
-            Statement::Select(_)
-            | Statement::Explain(_)
-            | Statement::Begin
-            | Statement::Commit
-            | Statement::Rollback => {
-                unreachable!("reads and transaction control handled in execute()")
-            }
-        }
-    }
-
-    /// Completes a write statement. Inside a transaction the row changes
-    /// and undo log buffer in [`TxnState`] — triggers fire (coalesced) at
-    /// COMMIT, so an aborted transaction publishes no cache effects and
-    /// the WAL sees one group append per transaction. Autocommit keeps the
-    /// immediate path: the hook bracket runs now (with triggers firing
-    /// when `fire` — the exclusive-latch path — otherwise provably no
-    /// trigger matches), and the statement pays its own WAL append — but
-    /// only when it actually changed rows; a write matching nothing
-    /// appends nothing.
-    fn finish_write(
-        &self,
-        tables: &mut TableSet<'_>,
-        effect: exec::WriteEffect,
-        cost: &mut CostReport,
-        txn: Option<&mut TxnState>,
-        view: &ExecView,
-        fire: bool,
-    ) -> Result<(ExecOutcome, DeferredPublish, bool, Option<WalTicket>)> {
-        if let Some(txn) = txn {
-            txn.undo.extend(effect.undo);
-            txn.wrote |= !effect.changes.is_empty();
-            txn.changes.extend(effect.changes);
-            return Ok((
-                ExecOutcome {
-                    result: QueryResult::affected(effect.affected),
-                    cost: *cost,
-                },
-                None,
-                false,
-                None,
-            ));
-        }
-        // Autocommit: triggers fire now, against the latest committed
-        // state plus this statement's own rows (the statement is its own
-        // commit point). `next_epoch`, not `commit_epoch`: a stamped but
-        // not-yet-durable commit on these tables is committed state this
-        // statement must see (see commit_latched).
-        let trigger_snap = Snapshot {
-            epoch: self.shared.next_epoch.load(Ordering::Acquire),
-            writer: view.snap.writer,
-        };
-        match self.run_commit_bracket(tables, &effect.changes, cost, false, &trigger_snap, fire) {
-            Ok(publish) => {
-                let mut vacuum_due = false;
-                let mut ticket = None;
-                if !effect.undo.is_empty() {
-                    cost.wal_appends += 1; // the statement is its own commit point
-                    let redo = self
-                        .shared
-                        .wal
-                        .as_ref()
-                        .map(|_| wal::encode_commit(&effect.changes));
-                    match self.stamp_commit(tables, &effect.undo, view.tid(), redo) {
-                        Ok(t) => ticket = t,
-                        Err(e) => {
-                            // Poisoned log: nothing stamped, roll the
-                            // statement's rows back, publish nothing.
-                            exec::apply_undo(tables, effect.undo, view.tid())?;
-                            return Err(e);
-                        }
-                    }
-                    vacuum_due = self.note_commit_for_vacuum();
-                }
-                flush_stats_for(tables, &effect.changes);
-                Ok((
-                    ExecOutcome {
-                        result: QueryResult::affected(effect.affected),
-                        cost: *cost,
-                    },
-                    publish,
-                    vacuum_due,
-                    ticket,
-                ))
-            }
-            Err(e) => {
-                // A failing trigger (or hook rejection) aborts the
-                // statement: undo its row changes, publish nothing.
-                exec::apply_undo(tables, effect.undo, view.tid())?;
-                Err(e)
-            }
-        }
-    }
-
-    /// The commit-hook bracket shared by transaction COMMIT and
-    /// autocommitted write statements: open the effect buffer, fire
-    /// triggers over `changes` (when `fire`; per-table-latched commits
-    /// run with `fire == false` because no enabled trigger matches any
-    /// changed table, so the bracket is empty and interleaving with a
-    /// concurrent firing commit is harmless), then either seal the
-    /// buffered effects (returning the deferred publication step) or
-    /// discard them on a trigger failure. The caller handles undo and
-    /// error wrapping.
-    fn run_commit_bracket(
-        &self,
-        tables: &TableSet<'_>,
-        changes: &[RowChange],
-        cost: &mut CostReport,
-        txn_commit: bool,
-        trigger_snap: &Snapshot,
-        fire: bool,
-    ) -> Result<DeferredPublish> {
-        let hook = self.engine.commit_hook.read().clone();
-        if let Some(h) = &hook {
-            h.begin_apply();
-        }
-        let fired = if fire {
-            self.fire_triggers(tables, changes, cost, trigger_snap)
-        } else {
-            Ok(())
-        };
-        match fired {
-            Ok(()) => match &hook {
-                Some(h) => h.commit_apply(cost, txn_commit),
-                None => Ok(None),
-            },
-            Err(e) => {
-                if let Some(h) = &hook {
-                    h.abort_apply();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Fires commit-time triggers. Their queries read `trigger_snap`:
-    /// the latest committed state plus the committing transaction's own
-    /// writes — never another transaction's uncommitted rows. Runs only
-    /// on the exclusive-latch path, where `tables` covers every table a
-    /// trigger query might read; trigger queries run serially (no
-    /// vectorized parallel scans inside a commit).
-    fn fire_triggers(
-        &self,
-        tables: &TableSet<'_>,
-        changes: &[RowChange],
-        cost: &mut CostReport,
-        trigger_snap: &Snapshot,
-    ) -> Result<()> {
-        let engine = &*self.engine;
-        let triggers = engine.triggers.read();
-        if changes.is_empty() || !triggers.is_enabled() {
-            return Ok(());
-        }
-        for change in changes {
-            let matching = triggers.matching(&change.table, change.event);
-            for trigger in matching {
-                engine
-                    .counters
-                    .triggers_fired
-                    .fetch_add(1, Ordering::Relaxed);
-                cost.triggers_fired += 1;
-                let mut query_cost = CostReport::new();
-                {
-                    let pool = &engine.pool;
-                    let mut query_fn = |prepared: &PreparedSelect, params: &[Value]| {
-                        exec::run_prepared(
-                            tables,
-                            pool,
-                            prepared,
-                            params,
-                            &mut query_cost,
-                            trigger_snap,
-                            1, // trigger-body queries already run inside a commit: serial
-                        )
-                    };
-                    let mut ctx = TriggerCtx {
-                        event: change.event,
-                        table: &change.table,
-                        old: change.old.as_ref(),
-                        new: change.new.as_ref(),
-                        query_fn: &mut query_fn,
-                        statements: &engine.statements,
-                        cost,
-                    };
-                    trigger
-                        .body
-                        .fire(&mut ctx)
-                        .map_err(|e| StorageError::TriggerFailed {
-                            trigger: trigger.name.clone(),
-                            detail: e.to_string(),
-                        })?;
-                }
-                // Work done by trigger-issued queries counts as trigger
-                // work plus real page traffic.
-                cost.trigger_rows_scanned += query_cost.rows_scanned;
-                cost.index_probes += query_cost.index_probes;
-                cost.page_hits += query_cost.page_hits;
-                cost.page_misses += query_cost.page_misses;
-                cost.page_writebacks += query_cost.page_writebacks;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The calling thread's [`TxnState`], *removed* from the transaction
-/// table for one statement's duration — so a [`ConcurrentTxn::commit`] /
-/// `rollback` racing an in-flight statement from another thread fails
-/// cleanly with [`StorageError::NoTransaction`] instead of corrupting the
-/// transaction mid-statement. Drop reinstates it on every exit — normal
-/// return, error, or unwind — unless a cross-thread kill doomed the
-/// transaction meanwhile, in which case it rolls the transaction back
-/// instead of orphaning its locks.
-struct TxnSlot<'a> {
-    db: &'a Database,
-    thread: ThreadId,
-    state: Option<TxnState>,
-}
-
-impl Drop for TxnSlot<'_> {
-    fn drop(&mut self) {
-        let Some(state) = self.state.take() else {
-            return;
-        };
-        let shared = &self.db.shared;
-        let doomed = {
-            let mut d = shared.doomed.lock();
-            if d.get(&self.thread) == Some(&state.tid) {
-                d.remove(&self.thread);
-                true
-            } else {
-                false
-            }
-        };
-        if doomed {
-            shared.txns.ended_checked_out();
-            let _ = self.db.rollback_state(self.thread, state);
-        } else {
-            shared.txns.checkin(self.thread, state);
+            Statement::Insert(ins) => exec::run_insert(tables, pool, ins, params, cost, &view),
+            Statement::Update(upd) => exec::run_update(tables, pool, upd, params, cost, &view),
+            Statement::Delete(del) => exec::run_delete(tables, pool, del, params, cost, &view),
+            _ => unreachable!("execute() routes reads, DDL and transaction control elsewhere"),
         }
     }
 }
 
-/// Statement-duration (autocommit) locks must release on every exit,
-/// including a panic unwinding out of the executor — leaked locks block
-/// other threads forever.
-struct AutoRelease<'a> {
-    locks: &'a LockManager,
-    tid: TxnId,
-    armed: bool,
-}
-
-impl Drop for AutoRelease<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.locks.release_all(self.tid);
-        }
-    }
-}
-
-/// Plans the lock set a statement needs, in canonical order (table name,
-/// then table-level before row-level, then row key): pk-targeted writes
-/// take a table intent lock plus exclusive row locks; writes whose
-/// predicate does not pin primary keys escalate to a table-level
-/// exclusive lock. DDL relies on the exclusive catalog latch alone, and
-/// SELECTs never come here (see [`Database::execute_prepared`]). Runs
-/// under the shared catalog latch, taking brief counted per-table read
-/// latches to extract primary keys.
-fn plan_locks(
-    catalog: &Catalog,
-    stmt: &Statement,
-    params: &[Value],
-    counters: &LatchCounters,
-) -> Result<Vec<LockReq>> {
-    let mut reqs: Vec<LockReq> = Vec::new();
-    match stmt {
-        Statement::Insert(ins) => {
-            let guard = crate::latch::read_counted(catalog.latch(&ins.table)?, counters);
-            let table = &*guard;
-            let schema = table.schema();
-            let pk_pos = if ins.columns.is_empty() {
-                Some(schema.primary_key_pos())
-            } else {
-                ins.columns.iter().position(|c| c == schema.primary_key())
-            };
-            let mut keys = Vec::with_capacity(ins.rows.len());
-            let mut resolved = true;
-            for row in &ins.rows {
-                let key = pk_pos
-                    .and_then(|p| row.get(p))
-                    .and_then(|e| crate::plan::eval_const(e, params).ok())
-                    .and_then(|v| crate::plan::coerce_for_column(table, schema.primary_key(), &v));
-                match key {
-                    Some(k) => keys.push(k),
-                    None => {
-                        resolved = false;
-                        break;
-                    }
-                }
-            }
-            push_write_locks(
-                &mut reqs,
-                &ins.table,
-                if resolved { Some(keys) } else { None },
-            );
-        }
-        Statement::Update(upd) => {
-            let guard = crate::latch::read_counted(catalog.latch(&upd.table)?, counters);
-            let table = &*guard;
-            let mut keys =
-                crate::plan::pk_target_keys(table, &upd.table, upd.predicate.as_ref(), params)?;
-            // An assignment to the pk column moves the row; lock the
-            // destination key too (escalate when it is not constant).
-            if let Some(ks) = &mut keys {
-                let pk = table.schema().primary_key();
-                for (col, e) in &upd.sets {
-                    if col == pk {
-                        match crate::plan::eval_const(e, params)
-                            .ok()
-                            .and_then(|v| crate::plan::coerce_for_column(table, pk, &v))
-                        {
-                            Some(v) => ks.push(v),
-                            None => {
-                                keys = None;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            push_write_locks(&mut reqs, &upd.table, keys);
-        }
-        Statement::Delete(del) => {
-            let guard = crate::latch::read_counted(catalog.latch(&del.table)?, counters);
-            let table = &*guard;
-            let keys =
-                crate::plan::pk_target_keys(table, &del.table, del.predicate.as_ref(), params)?;
-            push_write_locks(&mut reqs, &del.table, keys);
-        }
-        // DDL and transaction control use the latch; reads take no locks.
-        Statement::Select(_)
-        | Statement::Explain(_)
-        | Statement::CreateTable(_)
-        | Statement::CreateIndex { .. }
-        | Statement::Begin
-        | Statement::Commit
-        | Statement::Rollback => {}
-    }
-    reqs.sort_by(|a, b| (&a.0, &a.1, a.2).cmp(&(&b.0, &b.1, b.2)));
-    reqs.dedup();
-    Ok(reqs)
-}
-
-fn push_write_locks(reqs: &mut Vec<LockReq>, table: &str, keys: Option<Vec<Value>>) {
-    match keys {
-        Some(keys) => {
-            reqs.push((table.to_owned(), None, LockMode::IntentExclusive));
-            for k in keys {
-                reqs.push((table.to_owned(), Some(k), LockMode::Exclusive));
-            }
-        }
-        None => reqs.push((table.to_owned(), None, LockMode::Exclusive)),
-    }
-}
-
-/// Guard for one thread-scoped concurrent transaction (see
-/// [`Database::begin_concurrent`]). All methods must be called on the
-/// thread that opened it.
-pub struct ConcurrentTxn {
-    db: Database,
-    thread: ThreadId,
-    tid: TxnId,
-    open: bool,
-}
-
-impl std::fmt::Debug for ConcurrentTxn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentTxn")
-            .field("open", &self.open)
-            .finish()
-    }
-}
-
-impl ConcurrentTxn {
-    fn check_thread(&self) -> Result<()> {
-        if std::thread::current().id() != self.thread {
-            return Err(StorageError::Unsupported(
-                "ConcurrentTxn used from a thread other than its owner".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Executes a statement inside this transaction.
-    ///
-    /// # Errors
-    ///
-    /// Engine errors; on [`StorageError::Deadlock`] call
-    /// [`ConcurrentTxn::rollback`] and retry the whole transaction.
-    pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
-        self.check_thread()?;
-        self.db.execute(stmt, params)
-    }
-
-    /// Parses and executes SQL inside this transaction.
-    ///
-    /// # Errors
-    ///
-    /// Parse and engine errors.
-    pub fn execute_sql(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
-        self.check_thread()?;
-        self.db.execute_sql(sql, params)
-    }
-
-    /// Commits; returns the commit-time cost (trigger firing, WAL).
-    /// Works from any thread — the transaction's state is keyed by its
-    /// owner thread, which this guard remembers.
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::TransactionAborted`] when a commit-time trigger or
-    /// hook aborts the transaction (already rolled back).
-    pub fn commit(mut self) -> Result<CostReport> {
-        self.open = false;
-        let r = self.db.commit_txn_for(self.thread, Some(self.tid));
-        if matches!(r, Err(StorageError::NoTransaction)) {
-            // Raced a statement in flight on the owner thread: the state
-            // is checked out of the map. Doom the transaction so the
-            // owner rolls it back (releasing its locks) when the
-            // statement completes; the commit itself fails.
-            self.db.doom_txn(self.thread, self.tid);
-        }
-        r
-    }
-
-    /// Rolls back explicitly (dropping the guard does the same). Works
-    /// from any thread.
-    ///
-    /// # Errors
-    ///
-    /// Undo-application errors (engine corruption; should not happen).
-    pub fn rollback(mut self) -> Result<()> {
-        self.open = false;
-        let r = self.db.rollback_named(self.thread, self.tid);
-        if matches!(r, Err(StorageError::NoTransaction)) {
-            self.db.doom_txn(self.thread, self.tid);
-            return Ok(()); // the owner thread completes the rollback
-        }
-        r
-    }
-}
-
-impl Drop for ConcurrentTxn {
-    fn drop(&mut self) {
-        if self.open {
-            // Keyed by the owner thread, so a guard dropped on another
-            // thread still rolls back — never leaking the transaction's
-            // locks. If a statement holds the state checked out right
-            // now, doom the transaction instead: the owner thread rolls
-            // it back the moment the statement completes.
-            if matches!(
-                self.db.rollback_named(self.thread, self.tid),
-                Err(StorageError::NoTransaction)
-            ) {
-                self.db.doom_txn(self.thread, self.tid);
-            }
-        }
-    }
-}
-
-/// Handle passed to [`Database::transaction`] closures.
-pub struct TxnHandle<'a> {
-    db: &'a Database,
-    cost: CostReport,
-}
-
-impl TxnHandle<'_> {
-    /// Executes a statement inside the transaction.
-    ///
-    /// # Errors
-    ///
-    /// Engine errors; the caller's closure should propagate them so the
-    /// transaction rolls back.
-    pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
-        let out = self.db.execute(stmt, params)?;
-        self.cost += out.cost;
-        Ok(out.result)
-    }
-
-    /// Parses and executes SQL inside the transaction.
-    ///
-    /// # Errors
-    ///
-    /// Parse and engine errors.
-    pub fn execute_sql(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let stmt = crate::sql::parse(sql)?;
-        self.execute(&stmt, params)
-    }
-
-    /// Physical cost accumulated by this transaction so far.
-    pub fn cost(&self) -> CostReport {
-        self.cost
-    }
-}
-
-impl std::fmt::Debug for TxnHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TxnHandle")
-            .field("cost", &self.cost)
-            .finish()
-    }
-}
-
-/// Applies pending (statement/commit-batched) statistics deltas for
-/// every table named in `changes`.
-fn flush_stats_for(tables: &TableSet<'_>, changes: &[RowChange]) {
-    let names: BTreeSet<&str> = changes.iter().map(|c| c.table.as_str()).collect();
-    for t in names {
-        if let Ok(table) = tables.table(t) {
-            table.flush_stats();
-        }
-    }
+/// A schema change, as [`Database::run_ddl`] takes it.
+enum Ddl<'a> {
+    Table(TableSchema),
+    Index(&'a str, IndexDef),
 }
 
 /// Internal invariants that need access to engine private state: the
@@ -2649,6 +1077,7 @@ fn flush_stats_for(tables: &TableSet<'_>, changes: &[RowChange]) {
 /// live transaction snapshot does.
 #[cfg(test)]
 mod durability_internal_tests {
+    use super::commit::VACUUM_COMMIT_INTERVAL;
     use super::*;
 
     #[test]

@@ -1,10 +1,10 @@
 //! The sharded row/table lock manager behind multi-writer concurrency.
 //!
 //! Transactions follow strict two-phase locking over *logical* resources:
-//! per-`(table, pk)` exclusive row locks for pk-targeted writes,
-//! table-level locks for everything coarser (shared for scans,
-//! intent-exclusive alongside row locks, exclusive for non-pk-targeted
-//! writes). The engine's internal mutex remains only a short-duration
+//! per-`(table, pk)` exclusive row locks for pk-targeted writes, and a
+//! table-level lock beside them: intent-exclusive alongside row locks,
+//! exclusive for non-pk-targeted writes. Readers take no locks (they read
+//! MVCC snapshots). The engine's internal mutex remains only a short-duration
 //! *latch* protecting the physical data structures; it is never held
 //! while waiting for a lock here, so statement execution from many
 //! threads interleaves at lock granularity.
@@ -30,7 +30,7 @@
 //! the X's arrival cuts the line — later IX requesters queue up behind
 //! it, the in-flight IX holders drain, and the X proceeds. One
 //! exception: a transaction that already holds any lock on the resource
-//! jumps the queue (lock *upgrades* such as Shared → IntentExclusive
+//! jumps the queue (lock *upgrades* such as IntentExclusive → Exclusive
 //! must not wait behind a queued stranger, which would manufacture
 //! deadlocks); genuine upgrade deadlocks are still caught by the
 //! wait-for graph, because blocked requests list earlier incompatible
@@ -76,30 +76,22 @@ const SHARDS: usize = 16;
 const WAIT_TICK: Duration = Duration::from_millis(2);
 
 /// Requested lock strength. Row-level requests (`pk = Some(..)`) only
-/// ever use [`LockMode::Exclusive`]; table-level requests use all three.
+/// ever use [`LockMode::Exclusive`]; table-level requests use both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockMode {
-    /// Shared: concurrent with other shared and intent holders' rows —
-    /// taken table-wide by scans so they never observe in-flight writes.
-    Shared,
     /// Intent-exclusive: the holder writes individual rows (which it
     /// row-locks); compatible with other intent writers, conflicts with
-    /// whole-table shared or exclusive use.
+    /// whole-table exclusive use.
     IntentExclusive,
     /// Exclusive: sole access (non-pk-targeted write statements).
     Exclusive,
 }
 
 impl LockMode {
-    /// Table-level compatibility matrix (`self` held vs `other`
-    /// requested). Row-level locks are always exclusive–exclusive.
+    /// Compatibility matrix (`self` held vs `other` requested): intent
+    /// writers share a table; everything else conflicts.
     fn compatible(self, other: LockMode) -> bool {
-        use LockMode::{Exclusive, IntentExclusive, Shared};
-        match (self, other) {
-            (Shared, Shared) | (IntentExclusive, IntentExclusive) => true,
-            (Exclusive, _) | (_, Exclusive) => false,
-            (Shared, IntentExclusive) | (IntentExclusive, Shared) => false,
-        }
+        self == LockMode::IntentExclusive && other == LockMode::IntentExclusive
     }
 }
 
@@ -109,8 +101,8 @@ type Target = (String, Option<Value>);
 #[derive(Default)]
 struct Shard {
     /// Resource -> current holders. A transaction may hold several modes
-    /// on one resource (e.g. `Shared` from a scan plus
-    /// `IntentExclusive` from a later write) — each is kept.
+    /// on one resource (e.g. `IntentExclusive` from a pk-targeted write
+    /// plus `Exclusive` from a later whole-table write) — each is kept.
     holders: BTreeMap<Target, Vec<(TxnId, LockMode)>>,
     /// Resource -> blocked requests in arrival order (the fairness
     /// queue). Entries carry a globally increasing sequence number; a
@@ -612,7 +604,7 @@ impl LockManager {
 
     /// Other transactions holding `target` in a mode incompatible with
     /// `(tid, mode)`. A transaction never conflicts with itself, so lock
-    /// upgrades (Shared -> IntentExclusive on one table) only wait for
+    /// upgrades (IntentExclusive -> Exclusive on one table) only wait for
     /// *other* holders.
     fn conflicts(s: &Shard, target: &Target, tid: TxnId, mode: LockMode) -> Vec<TxnId> {
         let mut out = Vec::new();
@@ -654,24 +646,26 @@ mod tests {
         assert_eq!(m.locked_resources(), 0);
     }
 
+    /// A table-exclusive request — a write that scans the table — waits
+    /// for every intent writer to leave.
     #[test]
     fn intent_writers_share_a_table_but_scans_exclude_them() {
         let m = LockManager::new();
         m.acquire(1, "t", None, LockMode::IntentExclusive).unwrap();
         m.acquire(2, "t", None, LockMode::IntentExclusive).unwrap();
-        assert!(m.try_acquire(3, "t", None, LockMode::Shared).is_none());
+        assert!(m.try_acquire(3, "t", None, LockMode::Exclusive).is_none());
         m.release_all(1);
-        assert!(m.try_acquire(3, "t", None, LockMode::Shared).is_none());
+        assert!(m.try_acquire(3, "t", None, LockMode::Exclusive).is_none());
         m.release_all(2);
-        assert!(m.try_acquire(3, "t", None, LockMode::Shared).is_some());
+        assert!(m.try_acquire(3, "t", None, LockMode::Exclusive).is_some());
         m.release_all(3);
     }
 
     #[test]
-    fn shared_scans_coexist() {
+    fn intent_writers_coexist() {
         let m = LockManager::new();
-        m.acquire(1, "t", None, LockMode::Shared).unwrap();
-        m.acquire(2, "t", None, LockMode::Shared).unwrap();
+        m.acquire(1, "t", None, LockMode::IntentExclusive).unwrap();
+        m.acquire(2, "t", None, LockMode::IntentExclusive).unwrap();
         assert!(m.try_acquire(3, "t", None, LockMode::Exclusive).is_none());
         m.release_all(1);
         m.release_all(2);
@@ -681,9 +675,9 @@ mod tests {
     #[test]
     fn upgrade_does_not_self_conflict() {
         let m = LockManager::new();
-        m.acquire(1, "t", None, LockMode::Shared).unwrap();
-        // Same txn escalates to intent-exclusive: no self-deadlock.
         m.acquire(1, "t", None, LockMode::IntentExclusive).unwrap();
+        // Same txn escalates to exclusive: no self-deadlock.
+        m.acquire(1, "t", None, LockMode::Exclusive).unwrap();
         m.release_all(1);
     }
 
@@ -785,11 +779,12 @@ mod tests {
 
     #[test]
     fn blocking_requests_are_granted_fifo() {
-        // Holder S; queue X (txn 2) then S (txn 3). The later S is
-        // incompatible with the queued X, so it must not overtake it:
-        // txn 3 finishes only after txn 2 got (and released) the lock.
+        // Holder IX; queue X (txn 2) then IX (txn 3). The later IX is
+        // compatible with the holder but not with the queued X, so it
+        // must not overtake it: txn 3 finishes only after txn 2 got (and
+        // released) the lock.
         let m = Arc::new(LockManager::new());
-        m.acquire(1, "t", None, LockMode::Shared).unwrap();
+        m.acquire(1, "t", None, LockMode::IntentExclusive).unwrap();
         let m2 = Arc::clone(&m);
         let x_order = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let xo2 = Arc::clone(&x_order);
@@ -816,23 +811,23 @@ mod tests {
         let m3 = Arc::clone(&m);
         let xo3 = Arc::clone(&x_order);
         let h3 = std::thread::spawn(move || {
-            m3.acquire(3, "t", None, LockMode::Shared).unwrap();
+            m3.acquire(3, "t", None, LockMode::IntentExclusive).unwrap();
             let first = xo3.load(Ordering::SeqCst);
             m3.release_all(3);
             first
         });
         std::thread::sleep(Duration::from_millis(5));
-        m.release_all(1); // X's turn first, then the S
+        m.release_all(1); // X's turn first, then the IX
         h2.join().unwrap();
-        let seen_by_s = h3.join().unwrap();
-        assert_eq!(seen_by_s, 2, "the queued X ran before the later S");
+        let seen_by_ix = h3.join().unwrap();
+        assert_eq!(seen_by_ix, 2, "the queued X ran before the later IX");
         assert_eq!(m.locked_resources(), 0);
     }
 
     #[test]
     fn stats_reset() {
         let m = LockManager::new();
-        m.acquire(1, "t", None, LockMode::Shared).unwrap();
+        m.acquire(1, "t", None, LockMode::IntentExclusive).unwrap();
         assert_eq!(m.stats().immediate_grants, 1);
         m.reset_stats();
         assert_eq!(m.stats(), LockStats::default());

@@ -206,24 +206,6 @@ fn deadlock_aborts_exactly_one_youngest_victim() {
     assert_eq!(db.row_count("audit").unwrap(), 0, "victim's insert undone");
 }
 
-/// A `ConcurrentTxn` guard moved to (and dropped on) another thread
-/// still rolls back — its locks must not leak, or later writers on the
-/// same rows would block forever.
-#[test]
-fn concurrent_txn_dropped_on_other_thread_releases_locks() {
-    let db = bank(1, 100);
-    let mut txn = db.begin_concurrent().unwrap();
-    txn.execute_sql("UPDATE accounts SET bal = 0 WHERE id = 1", &[])
-        .unwrap();
-    std::thread::spawn(move || drop(txn)).join().unwrap();
-    // The rollback ran despite the foreign thread: state restored and
-    // the row lock free for the next writer.
-    assert_eq!(balance(&db, 1), 100);
-    db.execute_sql("UPDATE accounts SET bal = 7 WHERE id = 1", &[])
-        .unwrap();
-    assert_eq!(balance(&db, 1), 7);
-}
-
 /// A panicking `transaction` closure must roll back on unwind —
 /// leaked 2PL locks would block every later writer forever.
 #[test]

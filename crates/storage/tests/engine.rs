@@ -787,10 +787,9 @@ fn stat_deltas_cancel_on_rollback() {
 
 #[test]
 fn buffer_pool_pressure_creates_misses() {
-    // Tiny pool: 4 pages of 1 KiB.
+    // Tiny pool: 4 pages.
     let db = Database::new(DbConfig {
-        buffer_pool_bytes: 4 * 1024,
-        page_bytes: 1024,
+        buffer_pool_bytes: 4 * genie_storage::BufferPool::DEFAULT_PAGE_BYTES,
     });
     db.create_table(
         TableSchema::builder("t")

@@ -235,7 +235,6 @@ fn deploy(config: &WorkloadConfig) -> Result<AppEnv> {
     build_app(&AppConfig {
         db: DbConfig {
             buffer_pool_bytes: config.db_buffer_pool_bytes,
-            ..Default::default()
         },
         cluster: ClusterConfig {
             servers: config.cache_servers.max(1),
@@ -245,7 +244,6 @@ fn deploy(config: &WorkloadConfig) -> Result<AppEnv> {
         },
         genie: cachegenie::GenieConfig {
             reuse_trigger_connections: config.reuse_trigger_connections,
-            ..Default::default()
         },
         seed: config.seed.clone(),
         strategy,
