@@ -1,11 +1,14 @@
 //! Criterion micro-bench: INSERT cost with 0, 1 no-op, and CacheGenie
 //! triggers attached (the engine-level counterpart of §5.3's trigger
-//! overhead measurement), and the trigger's `gets` → splice → `cas`
-//! round trip against cached lists of 10 / 100 / 1 000 rows.
+//! overhead measurement), and a trigger's list edit — recorded, then
+//! applied where the value lives — against cached lists of 10 / 100 /
+//! 1 000 rows.
 
 use cachegenie::{CacheGenie, CacheableDef, SortOrder};
 use criterion::{criterion_group, criterion_main, Criterion};
-use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, EncodedList, Payload};
+use genie_cache::{
+    CacheCluster, CacheOrigin, ClusterConfig, Delta, EncodedList, Mutation, Payload,
+};
 use genie_orm::{FieldDef, ModelDef, ModelRegistry};
 use genie_storage::{row, Database, Row, Trigger, TriggerCtx, TriggerEvent, Value};
 use std::hint::black_box;
@@ -115,38 +118,43 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cache half of an in-place trigger — `gets` → splice → `cas`, the
-/// calls `core/mutation.rs` makes — against a cached list held at `len`
-/// rows (the key is put back to its `len`-row bytes before every round
-/// trip). The splice copies the frames it does not change, so the line
-/// across list lengths stays near flat where decode → edit → encode grew
-/// with every row.
+/// The cache half of an in-place trigger — record the splice
+/// `core/mutation.rs` builds, publish the batch, which applies it on the
+/// node — against a cached list held at `len` rows (the key is put back
+/// to its `len`-row bytes before every round). The splice copies the
+/// frames it does not change, so the line across list lengths stays near
+/// flat where decode → edit → encode grew with every row.
 fn bench_list_length(c: &mut Criterion) {
     let mut group = c.benchmark_group("splice_cached_list");
     let cluster = CacheCluster::new(ClusterConfig::default());
-    let cache = cluster.handle(CacheOrigin::Trigger);
+    let cache = cluster.handle(CacheOrigin::Application);
     // Wall posts as `bench_insert` stores them, newest first.
     let post = |id: i64| row![id, 1i64, Value::Timestamp(id)];
     for len in [10i64, 100, 1000] {
         let rows: Vec<Row> = (0..len).rev().map(post).collect();
         let newest = post(len);
         let mut round_trip =
-            |name: &str, list: Payload, splice: &dyn Fn(EncodedList) -> EncodedList| {
+            |name: &str, list: Payload, splice: fn(&EncodedList, &Row, usize) -> EncodedList| {
                 let list = list.encode();
                 group.bench_function(format!("{name}/{len}"), |b| {
                     b.iter(|| {
                         cache.set("k", list.clone(), None).unwrap();
-                        let got = cache.gets("k").expect("just set");
-                        let cached = EncodedList::parse(got.data).unwrap().expect("a list");
-                        cache
-                            .cas("k", splice(cached).into_bytes(), got.cas, None)
-                            .unwrap();
+                        let top_k = name == "top_k_insert";
+                        let newest = newest.clone();
+                        cluster.begin_effect_batch();
+                        cluster.record(
+                            "k",
+                            Delta::edit(top_k, move |l| {
+                                Ok(Mutation::Keep(splice(l, &newest, len as usize)))
+                            }),
+                        );
+                        assert_eq!(cluster.commit_effect_batch().applied.in_place, 1);
                     })
                 });
             };
         // Feature/Link insert: the row goes on the tail.
-        round_trip("append", Payload::Rows(rows.clone()), &|l| {
-            l.append(std::slice::from_ref(&newest)).unwrap()
+        round_trip("append", Payload::Rows(rows.clone()), |l, newest, _| {
+            l.append(std::slice::from_ref(newest)).unwrap()
         });
         // Top-K insert into a list at capacity: in at the head, trimmed at
         // the tail.
@@ -154,12 +162,10 @@ fn bench_list_length(c: &mut Criterion) {
             rows,
             complete: false,
         };
-        round_trip("top_k_insert", full, &|l| {
-            l.insert_ranked(&newest, len as usize, |cached| {
-                Ok(*newest.get(2) > cached.get(2)?)
-            })
-            .unwrap()
-            .expect("ranks first")
+        round_trip("top_k_insert", full, |l, newest, len| {
+            l.insert_ranked(newest, len, |cached| Ok(*newest.get(2) > cached.get(2)?))
+                .unwrap()
+                .expect("ranks first")
         });
     }
     group.finish();

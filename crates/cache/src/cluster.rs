@@ -8,6 +8,7 @@
 //! sees the same data.
 
 use crate::codec::{hash_key, Payload};
+use crate::delta::{fold, Applied, Delta};
 use crate::error::Result;
 use crate::hotkey::{HotKeyConfig, HotKeyDetector};
 use crate::replica::ReplicaTable;
@@ -123,29 +124,14 @@ struct ClusterInner {
     /// unless a TTL of 0 is used).
     now: AtomicU64,
     bump_on_trigger: bool,
-    /// The active transactional effect batch, if any. While present,
-    /// trigger-origin operations buffer here instead of hitting the
-    /// stores; [`CacheCluster::commit_effect_batch`] publishes one final
-    /// operation per touched key. Buffering is serialized by the engine
-    /// latch (triggers fire one commit at a time), but *publication* may
-    /// run concurrently with the next commit's buffering — which is why
-    /// [`CacheCluster::take_effect_batch`] hands ownership out.
+    /// The open effect batch, if any: the deltas trigger bodies record
+    /// during one commit's firing ([`CacheCluster::record`]). Firing
+    /// commits hold the engine's exclusive catalog latch, so one slot
+    /// serves them all; [`CacheCluster::take_effect_batch`] hands the
+    /// sealed batch out so its publication can overlap the next commit.
     batch: Mutex<Option<EffectBatch>>,
-    /// Last *sealed but not yet published* pending op per key (see
-    /// [`CacheCluster::take_effect_batch`]): batches are sealed under the
-    /// engine latch in commit order, and published after it. A later
-    /// commit's trigger reads must see the previous commit's sealed
-    /// value — reading the store alone would lose updates (read-modify-
-    /// write counts and lists computed from a stale base). Entries are
-    /// removed after the store write they describe lands.
-    in_flight: Mutex<HashMap<String, (u64, PendingOp)>>,
-    /// Seal sequence source for `in_flight` entries.
-    next_seal: AtomicU64,
-    /// Outstanding read-through fill leases, sharded by key hash so
-    /// fills on distinct keys never serialize on one mutex: key -> lease
-    /// token. Any mutation of the key through a handle or a batch flush
-    /// revokes the lease, so a racing fill computed from pre-commit
-    /// database state is dropped instead of caching a stale value.
+    /// Per-key fill leases and fences, sharded by key hash so fills on
+    /// distinct keys never serialize on one mutex (see [`LeaseTable`]).
     leases: Vec<Mutex<LeaseTable>>,
     /// Global lease-token mint: tokens are unique and monotonic across
     /// every lease shard, so a token minted for one key can never
@@ -167,91 +153,81 @@ struct ClusterInner {
 /// are per-key, so per-shard mutual exclusion suffices).
 const LEASE_SHARDS: usize = 16;
 
+/// One lease shard's keys. A read-through fill needs the key's lease
+/// still outstanding and the key unfenced: any mutation revokes the
+/// lease, and a batch that names a key fences it until the batch's
+/// deltas on it are applied (or the batch is dropped), so a fill
+/// computed from pre-commit database state can never land.
 #[derive(Debug, Default)]
 struct LeaseTable {
+    /// key -> outstanding fill-lease token.
     outstanding: HashMap<String, u64>,
+    /// key -> batches that named it and have not applied or dropped its
+    /// deltas yet. A count: a later commit may name a key before an
+    /// earlier one publishes.
+    pending: HashMap<String, u32>,
 }
 
-/// CAS tokens handed out for buffered (not yet published) values. Kept in
-/// a range real stores never reach so a stale store token can't
-/// accidentally match a buffered entry.
-const BATCH_TOKEN_BASE: u64 = 1 << 62;
-
-/// CAS token for reads served from a *sealed* (in-flight) pending op.
-/// Batch-context CAS against a first-touch key is accepted blindly (the
-/// engine latch serializes commit-time writers), so the value only needs
-/// to stay out of the real stores' range.
-const SEALED_TOKEN: u64 = BATCH_TOKEN_BASE - 1;
-
-#[derive(Debug, Clone)]
-enum PendingOp {
-    /// Publish these bytes at flush.
-    Set { data: Bytes, ttl: Option<u64> },
-    /// Remove the key at flush.
-    Delete,
-}
-
-/// Per-transaction overlay over the cluster: trigger effects buffer here
-/// during commit-time firing, reads see buffered state first, and the
-/// flush publishes exactly one physical operation per touched key —
-/// that's the per-cache-key coalescing of the commit pipeline, and the
-/// reason an aborted transaction can publish nothing at all.
+/// The deltas one commit recorded: each named key with its deltas in
+/// record order, keys in first-naming order.
 #[derive(Debug, Default)]
 struct EffectBatch {
-    /// Key -> pending final op, in first-touch order.
-    entries: Vec<(String, PendingOp, u64)>,
-    /// Reads that had to fall through to a real store.
-    backend_reads: u64,
-    /// Logical mutations buffered (what a per-statement pipeline would
-    /// have sent to the cache one by one — the "naive" op count).
-    buffered_mutations: u64,
-    next_token: u64,
+    keys: Vec<(String, Vec<Delta>)>,
+    /// key -> position in `keys`.
+    index: HashMap<String, usize>,
+    deltas: u64,
 }
 
 impl EffectBatch {
-    fn entry(&self, key: &str) -> Option<(&PendingOp, u64)> {
-        self.entries
-            .iter()
-            .find(|(k, _, _)| k == key)
-            .map(|(_, op, t)| (op, *t))
+    /// The delta list of `key`, naming (and so fencing) the key the
+    /// first time the batch meets it.
+    fn named(&mut self, inner: &ClusterInner, key: &str) -> &mut Vec<Delta> {
+        let at = match self.index.get(key) {
+            Some(&at) => at,
+            None => {
+                inner.fence(key);
+                self.index.insert(key.to_owned(), self.keys.len());
+                self.keys.push((key.to_owned(), Vec::new()));
+                self.keys.len() - 1
+            }
+        };
+        &mut self.keys[at].1
     }
 
-    fn put(&mut self, key: &str, op: PendingOp) -> u64 {
-        self.buffered_mutations += 1;
-        let token = BATCH_TOKEN_BASE + self.next_token;
-        self.next_token += 1;
-        match self.entries.iter_mut().find(|(k, _, _)| k == key) {
-            Some(slot) => {
-                slot.1 = op;
-                slot.2 = token;
-            }
-            None => self.entries.push((key.to_owned(), op, token)),
+    fn record(&mut self, inner: &ClusterInner, key: &str, delta: Delta) {
+        self.named(inner, key).push(delta);
+        self.deltas += 1;
+    }
+
+    fn seal(self, inner: &Arc<ClusterInner>) -> PreparedEffectBatch {
+        PreparedEffectBatch {
+            inner: Arc::clone(inner),
+            keys: self.keys,
+            deltas: self.deltas,
         }
-        token
     }
 }
 
 /// What publishing (or discarding) an effect batch amounted to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EffectBatchSummary {
-    /// Distinct keys published — one physical cache op each.
+    /// Keys with deltas to apply — one node-side read-modify-write each.
     pub keys_flushed: u64,
-    /// Reads served by a real store during the buffered phase.
-    pub backend_reads: u64,
-    /// Logical mutations buffered (the per-statement "naive" op count the
-    /// coalescing saved against).
-    pub buffered_mutations: u64,
+    /// Deltas recorded (what a client applying them one by one sends).
+    pub deltas: u64,
+    /// How the deltas turned out; zero until the batch is published.
+    pub applied: Applied,
 }
 
 impl EffectBatchSummary {
-    /// Physical cache operations the transaction actually performed.
+    /// Physical cache operations the batch performs.
     pub fn physical_ops(&self) -> u64 {
-        self.keys_flushed + self.backend_reads
+        self.keys_flushed
     }
 
     /// What the same effects would have cost applied one by one.
     pub fn naive_ops(&self) -> u64 {
-        self.buffered_mutations + self.backend_reads
+        self.deltas
     }
 }
 
@@ -316,8 +292,6 @@ impl CacheCluster {
                 now: AtomicU64::new(0),
                 bump_on_trigger: config.bump_lru_on_trigger,
                 batch: Mutex::new(None),
-                in_flight: Mutex::new(HashMap::new()),
-                next_seal: AtomicU64::new(0),
                 leases: (0..LEASE_SHARDS)
                     .map(|_| Mutex::new(LeaseTable::default()))
                     .collect(),
@@ -347,31 +321,60 @@ impl CacheCluster {
         }
     }
 
-    /// Opens a transactional effect batch: until the matching
-    /// [`CacheCluster::commit_effect_batch`] or
-    /// [`CacheCluster::discard_effect_batch`], trigger-origin operations
-    /// buffer in an overlay instead of touching the stores. Replaces any
-    /// batch left open (callers bracket it under the engine's commit
-    /// lock, so nesting cannot arise).
+    /// Opens an effect batch: until the matching
+    /// [`CacheCluster::take_effect_batch`] or
+    /// [`CacheCluster::discard_effect_batch`], [`CacheCluster::record`]
+    /// collects deltas instead of applying them. Replaces (and drops)
+    /// any batch left open; callers bracket it under the engine's
+    /// commit latch, so nesting cannot arise.
     pub fn begin_effect_batch(&self) {
-        *self.inner.batch.lock() = Some(EffectBatch::default());
+        let left = self.inner.batch.lock().replace(EffectBatch::default());
+        drop(left.map(|b| b.seal(&self.inner)));
     }
 
-    /// Keys the active batch would publish, in first-touch order (the
+    /// Keys the open batch names, in first-naming order (the
     /// strict-consistency extension write-locks these before the flush).
     pub fn effect_batch_keys(&self) -> Vec<String> {
         self.inner
             .batch
             .lock()
             .as_ref()
-            .map(|b| b.entries.iter().map(|(k, _, _)| k.clone()).collect())
+            .map(|b| b.keys.iter().map(|(k, _)| k.clone()).collect())
             .unwrap_or_default()
     }
 
-    /// Publishes the active batch immediately: one physical set/delete
-    /// per touched key, in first-touch order. A no-op (zero summary)
-    /// without an open batch. Equivalent to
-    /// [`CacheCluster::take_effect_batch`] + [`PreparedEffectBatch::publish`].
+    /// Records `delta` on `key` in the open batch, naming the key on
+    /// first touch: naming revokes the key's outstanding fill lease and
+    /// fences it, so no fill lands until the batch's deltas on it are
+    /// applied or dropped. Without an open batch the delta applies at
+    /// once.
+    pub fn record(&self, key: &str, delta: Delta) {
+        let mut slot = self.inner.batch.lock();
+        match slot.as_mut() {
+            Some(batch) => batch.record(&self.inner, key, delta),
+            None => {
+                drop(slot);
+                let mut one = EffectBatch::default();
+                one.record(&self.inner, key, delta);
+                one.seal(&self.inner).publish();
+            }
+        }
+    }
+
+    /// True if `key` currently holds a live entry. With a batch open the
+    /// probe also names the key (see [`CacheCluster::record`]): a key
+    /// found absent stays absent until the batch publishes, so a trigger
+    /// may skip work for it.
+    pub fn probe(&self, key: &str) -> bool {
+        if let Some(batch) = self.inner.batch.lock().as_mut() {
+            batch.named(&self.inner, key);
+        }
+        self.inner.with_primary(key, |s, now| s.contains(key, now))
+    }
+
+    /// Applies the open batch immediately; a zero summary without one.
+    /// Equivalent to [`CacheCluster::take_effect_batch`] +
+    /// [`PreparedEffectBatch::publish`].
     pub fn commit_effect_batch(&self) -> EffectBatchSummary {
         match self.take_effect_batch() {
             Some(prepared) => prepared.publish(),
@@ -379,43 +382,22 @@ impl CacheCluster {
         }
     }
 
-    /// Seals and removes the active batch, handing ownership of its
-    /// pending operations out — the commit pipeline takes the batch under
-    /// the engine latch (fixing its contents and summary) and publishes
-    /// it after the latch is released, so slow publication never blocks
-    /// the next transaction's trigger firing.
+    /// Seals and removes the open batch, handing it out: the commit
+    /// pipeline takes it under the engine latch and publishes it after
+    /// the latch is released, so publication never blocks the next
+    /// transaction's trigger firing. Its keys stay fenced until then.
     pub fn take_effect_batch(&self) -> Option<PreparedEffectBatch> {
         let batch = self.inner.batch.lock().take()?;
-        // Seal: expose the pending ops to later commits' trigger reads
-        // until the physical store writes land (publication may overlap
-        // the next transaction's firing).
-        let seal = self.inner.next_seal.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut in_flight = self.inner.in_flight.lock();
-            for (key, op, _) in &batch.entries {
-                in_flight.insert(key.clone(), (seal, op.clone()));
-            }
-        }
-        Some(PreparedEffectBatch {
-            inner: Arc::clone(&self.inner),
-            seal,
-            entries: batch.entries,
-            backend_reads: batch.backend_reads,
-            buffered_mutations: batch.buffered_mutations,
-        })
+        Some(batch.seal(&self.inner))
     }
 
-    /// Drops the active batch without publishing anything — the aborted
-    /// transaction leaves the cache byte-identical. Returns what was
-    /// discarded.
+    /// Drops the open batch without applying anything — the aborted
+    /// transaction leaves the cache byte-identical — and lifts its
+    /// fences. Returns what was discarded.
     pub fn discard_effect_batch(&self) -> EffectBatchSummary {
-        let Some(batch) = self.inner.batch.lock().take() else {
-            return EffectBatchSummary::default();
-        };
-        EffectBatchSummary {
-            keys_flushed: 0,
-            backend_reads: batch.backend_reads,
-            buffered_mutations: batch.buffered_mutations,
+        match self.take_effect_batch() {
+            Some(dropped) => dropped.summary(),
+            None => EffectBatchSummary::default(),
         }
     }
 
@@ -628,113 +610,140 @@ impl CacheCluster {
 }
 
 /// A sealed effect batch removed from the cluster by
-/// [`CacheCluster::take_effect_batch`], ready to publish. The summary is
-/// fixed at take time, so accounting can settle under the engine latch
-/// while the physical stores are touched after it drops.
+/// [`CacheCluster::take_effect_batch`], ready to publish. Its keys stay
+/// fenced until published; dropping it unpublished (an aborted or
+/// log-rejected commit) lifts the fences of every key it still holds.
 pub struct PreparedEffectBatch {
     inner: Arc<ClusterInner>,
-    /// This batch's `in_flight` seal sequence (entries are cleared after
-    /// their store writes, unless a later seal already replaced them).
-    seal: u64,
-    entries: Vec<(String, PendingOp, u64)>,
-    backend_reads: u64,
-    buffered_mutations: u64,
+    /// Keys not yet applied, with their deltas, in first-naming order.
+    keys: Vec<(String, Vec<Delta>)>,
+    deltas: u64,
 }
 
 impl std::fmt::Debug for PreparedEffectBatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedEffectBatch")
-            .field("keys", &self.entries.len())
+            .field("keys", &self.keys.len())
             .finish()
     }
 }
 
 impl PreparedEffectBatch {
-    /// The keys this batch will publish, in first-touch order. The
-    /// commit pipeline locks these (sorted canonically) before the flush.
+    /// The keys this batch names, in first-naming order. The commit
+    /// pipeline orders publication on these.
     pub fn keys(&self) -> Vec<String> {
-        self.entries.iter().map(|(k, _, _)| k.clone()).collect()
+        self.keys.iter().map(|(k, _)| k.clone()).collect()
     }
 
-    /// True when nothing was buffered (read-only or trigger-less commit).
+    /// True when the batch names no key (read-only or trigger-less
+    /// commit).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.backend_reads == 0 && self.buffered_mutations == 0
+        self.keys.is_empty()
     }
 
-    /// What publishing will amount to (known before it happens).
+    /// What publishing will amount to, before the outcomes are known.
     pub fn summary(&self) -> EffectBatchSummary {
         EffectBatchSummary {
-            keys_flushed: self.entries.len() as u64,
-            backend_reads: self.backend_reads,
-            buffered_mutations: self.buffered_mutations,
+            keys_flushed: self.keys.iter().filter(|(_, d)| !d.is_empty()).count() as u64,
+            deltas: self.deltas,
+            applied: Applied::default(),
         }
     }
 
-    /// Publishes: one physical set/delete per touched key, in first-touch
-    /// order. Each key's fill lease is revoked *before* its store write,
-    /// so a concurrent read-through fill computed from pre-commit state
-    /// loses the race instead of resurrecting stale data.
+    /// Publishes: for each key, under its lease shard, reads the primary
+    /// copy once, folds the key's deltas over it in record order, writes
+    /// every alive replica once (or deletes the key), then lifts the
+    /// key's fence. Callers publish batches touching one key in commit
+    /// order, so each key's deltas land on the value its previous
+    /// commit left.
     ///
     /// Ownership rule: keys a commit pipeline maintains belong to the
     /// pipeline — application code must reach them only through
-    /// lease-checked fills ([`CacheHandle::fill`]) or CAS. A plain
-    /// application `set`/`delete` landing in the seal-to-publish window
-    /// would be overwritten by the sealed value (the engine's view of
-    /// the latest commit); the shipped middleware respects this
-    /// everywhere.
-    pub fn publish(self) -> EffectBatchSummary {
-        let summary = self.summary();
-        for (key, op, _) in self.entries {
-            // store_set/store_delete revoke the key's fill lease and
-            // update *every* replica while holding the key's lease-shard
-            // mutex — the publication is atomic per key with respect to
-            // fills, other writers, and replica-set changes.
-            match op {
-                PendingOp::Set { data, ttl } => {
-                    if self.inner.store_set(&key, data, ttl).is_err() {
-                        // Mirror the trigger fallback: when a value cannot
-                        // be stored, invalidate rather than leave staleness.
-                        self.inner.store_delete(&key);
-                    }
-                }
-                PendingOp::Delete => {
-                    self.inner.store_delete(&key);
-                }
-            }
-            // The store now holds this batch's value; retire the sealed
-            // entry unless a later commit already replaced it.
-            let mut in_flight = self.inner.in_flight.lock();
-            if in_flight.get(&key).map(|(s, _)| *s) == Some(self.seal) {
-                in_flight.remove(&key);
-            }
+    /// lease-checked fills ([`CacheHandle::fill`]); a plain application
+    /// `set` between a commit and its publication would have the
+    /// commit's deltas applied on top of it.
+    pub fn publish(mut self) -> EffectBatchSummary {
+        let mut summary = self.summary();
+        // Back to front, so that a key leaves `keys` only as it is applied
+        // and `Drop` lifts exactly the fences still held.
+        self.keys.reverse();
+        while let Some((key, deltas)) = self.keys.pop() {
+            self.inner.apply(&key, deltas, &mut summary.applied);
         }
         summary
     }
 }
 
+impl Drop for PreparedEffectBatch {
+    fn drop(&mut self) {
+        for (key, _) in &self.keys {
+            self.inner.lease_shard(key).lock().unfence(key);
+        }
+    }
+}
+
+impl LeaseTable {
+    /// Lowers one batch's fence on `key` and revokes its fill lease: a
+    /// lease taken while the key was fenced read the database before
+    /// the batch's commit became visible.
+    fn unfence(&mut self, key: &str) {
+        self.outstanding.remove(key);
+        if let Some(n) = self.pending.get_mut(key) {
+            *n -= 1;
+            if *n == 0 {
+                self.pending.remove(key);
+            }
+        }
+    }
+}
+
 impl ClusterInner {
-    /// The latest sealed-but-unpublished pending op for `key`, if any —
-    /// what commit-time trigger reads must observe instead of the store.
-    fn sealed_pending(&self, key: &str) -> Option<PendingOp> {
-        self.in_flight.lock().get(key).map(|(_, op)| op.clone())
+    /// Names `key` for a batch: revokes its outstanding fill lease and
+    /// raises its pending count, so [`CacheHandle::fill`] refuses it
+    /// until the batch applies or drops its deltas.
+    fn fence(&self, key: &str) {
+        let mut shard = self.lease_shard(key).lock();
+        shard.outstanding.remove(key);
+        *shard.pending.entry(key.to_owned()).or_insert(0) += 1;
     }
 
-    /// Runs a trigger-origin fall-through store read; on a miss, revokes
-    /// any outstanding fill lease for the key *atomically with the miss
-    /// observation* (the read and the revocation share the key's
-    /// lease-shard lock, which fills also hold across their
-    /// validate-and-write). A trigger that finds the key absent makes no
-    /// cache update for it, so a read-through fill computed from the
-    /// pre-commit database must not be allowed to land afterwards —
-    /// without this, the fill resurrects a stale value no later
-    /// publication ever repairs.
-    fn read_with_miss_revoke<T>(&self, key: &str, read: impl FnOnce() -> Option<T>) -> Option<T> {
+    /// Applies one key's deltas where the value lives, atomically with
+    /// respect to fills, other writers and replica-set changes (all of
+    /// them hold the key's lease shard): one untracked read of the
+    /// primary copy, the fold, one write per alive replica or a delete,
+    /// and the key's fence lifted. The rewritten value keeps the entry's
+    /// remaining TTL.
+    fn apply(&self, key: &str, deltas: Vec<Delta>, applied: &mut Applied) {
         let mut shard = self.lease_shard(key).lock();
-        let v = read();
-        if v.is_none() {
-            shard.outstanding.remove(key);
+        if !deltas.is_empty() {
+            let now = self.now();
+            let targets = self.write_targets(key);
+            let current = self.servers[targets[0]]
+                .store
+                .with(key, |s| s.read_for_update(key, now, self.bump_on_trigger));
+            let ttl = current.as_ref().and_then(|(_, ttl)| *ttl);
+            let evicted = current.is_none();
+            match fold(current.map(|(data, _)| data), deltas, applied) {
+                // The primary's copy is gone, so the deltas were no-ops;
+                // a replica's copy would miss them and must not be served.
+                None if evicted => {
+                    self.delete_on(&targets[1..], key);
+                }
+                None => {}
+                Some(Some(data)) => {
+                    let fits = self.set_on(&targets, key, data, ttl).is_ok();
+                    if !fits {
+                        // Oversized: invalidate rather than leave staleness.
+                        applied.invalidations += 1;
+                        self.delete_on(&targets, key);
+                    }
+                }
+                Some(None) => {
+                    self.delete_on(&targets, key);
+                }
+            }
         }
-        v
+        shard.unfence(key);
     }
 
     fn lease_shard(&self, key: &str) -> &Mutex<LeaseTable> {
@@ -827,7 +836,7 @@ impl ClusterInner {
     }
 
     /// Runs `f` against `key`'s primary store shard (CAS-token reads and
-    /// trigger fall-through reads need the authoritative copy).
+    /// presence probes need the authoritative copy).
     fn with_primary<T>(&self, key: &str, f: impl FnOnce(&mut CacheStore, u64) -> T) -> T {
         let idx = self.server_for(key);
         let now = self.now();
@@ -855,17 +864,7 @@ impl ClusterInner {
     fn store_set(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
         let mut shard = self.lease_shard(key).lock();
         shard.outstanding.remove(key);
-        let now = self.now();
-        let mut first: Option<Result<()>> = None;
-        for idx in self.write_targets(key) {
-            let r = self.servers[idx]
-                .store
-                .with(key, |s| s.set(key, data.clone(), ttl, now));
-            if first.is_none() {
-                first = Some(r);
-            }
-        }
-        first.unwrap_or(Ok(()))
+        self.set_on(&self.write_targets(key), key, data, ttl)
     }
 
     /// Deletes `key` from every replica; returns whether the primary
@@ -873,12 +872,31 @@ impl ClusterInner {
     fn store_delete(&self, key: &str) -> bool {
         let mut shard = self.lease_shard(key).lock();
         shard.outstanding.remove(key);
-        let mut first: Option<bool> = None;
-        for idx in self.write_targets(key) {
+        self.delete_on(&self.write_targets(key), key)
+    }
+
+    /// Stores `data` on each of `targets` (primary first) and returns the
+    /// primary's result. The caller holds `key`'s lease shard.
+    fn set_on(&self, targets: &[usize], key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
+        let now = self.now();
+        let mut first = None;
+        for &idx in targets {
+            let r = self.servers[idx]
+                .store
+                .with(key, |s| s.set(key, data.clone(), ttl, now));
+            first.get_or_insert(r);
+        }
+        first.unwrap_or(Ok(()))
+    }
+
+    /// Deletes `key` from each of `targets` (primary first); returns
+    /// whether the primary's copy existed. The caller holds `key`'s
+    /// lease shard.
+    fn delete_on(&self, targets: &[usize], key: &str) -> bool {
+        let mut first = None;
+        for &idx in targets {
             let r = self.servers[idx].store.with(key, |s| s.delete(key));
-            if first.is_none() {
-                first = Some(r);
-            }
+            first.get_or_insert(r);
         }
         first.unwrap_or(false)
     }
@@ -1068,14 +1086,6 @@ impl ClusterInner {
     }
 }
 
-/// How a batched [`CacheHandle`] operation routed: resolved entirely
-/// from the overlay (`Done`), or falling through to a real store with
-/// optional carry-over context (`Fallthrough`).
-enum Routed<T, F = ()> {
-    Done(T),
-    Fallthrough(F),
-}
-
 /// A client handle bound to an origin (application or trigger).
 #[derive(Clone)]
 pub struct CacheHandle {
@@ -1094,66 +1104,20 @@ impl std::fmt::Debug for CacheHandle {
 }
 
 impl CacheHandle {
-    /// Runs `f` against the active effect batch when this handle's
-    /// operations are subject to buffering (trigger origin, batch open);
-    /// otherwise returns `None` and the caller goes to the stores.
-    fn with_batch<T>(&self, f: impl FnOnce(&mut EffectBatch) -> T) -> Option<T> {
-        if self.origin != CacheOrigin::Trigger {
-            return None;
-        }
-        let mut guard = self.inner.batch.lock();
-        guard.as_mut().map(f)
-    }
-
-    /// Fetches raw bytes. Application-origin reads feed the hot-key
-    /// sketch and may be served by any replica of a hot key;
-    /// trigger-origin reads go through [`CacheHandle::gets`] so they
-    /// observe batch overlays and sealed in-flight values.
+    /// Fetches raw bytes. Reads feed the hot-key sketch and may be
+    /// served by any replica of a hot key.
     pub fn get(&self, key: &str) -> Option<Bytes> {
-        if self.origin == CacheOrigin::Trigger {
-            return self.gets(key).map(|v| v.data);
-        }
         self.inner.record_access(key);
         self.inner
             .with_read(key, |s, now| s.get_as(key, now, self.bump, self.origin))
     }
 
-    /// Fetches raw bytes plus the CAS token (memcached `gets`). During a
-    /// transactional effect batch, trigger reads see their own buffered
-    /// writes first and fall through to a real store otherwise.
+    /// Fetches raw bytes plus the CAS token (memcached `gets`). CAS
+    /// tokens are per-store, so this reads the primary, where the token
+    /// validates.
     pub fn gets(&self, key: &str) -> Option<ValueWithCas> {
-        let routed = self.with_batch(|b| match b.entry(key) {
-            Some((PendingOp::Set { data, .. }, token)) => Routed::Done(Some(ValueWithCas {
-                data: data.clone(),
-                cas: token,
-            })),
-            Some((PendingOp::Delete, _)) => Routed::Done(None),
-            None => {
-                b.backend_reads += 1;
-                Routed::Fallthrough(())
-            }
-        });
-        match routed {
-            Some(Routed::Done(v)) => v,
-            Some(Routed::Fallthrough(())) => match self.inner.sealed_pending(key) {
-                // A prior commit sealed this key but its store write is
-                // still in flight: its value is the one to read.
-                Some(PendingOp::Set { data, .. }) => Some(ValueWithCas {
-                    data,
-                    cas: SEALED_TOKEN,
-                }),
-                Some(PendingOp::Delete) => None,
-                None => self.inner.read_with_miss_revoke(key, || {
-                    self.inner
-                        .with_primary(key, |s, now| s.gets_as(key, now, self.bump, self.origin))
-                }),
-            },
-            // CAS tokens are per-store: a `gets` outside any batch reads
-            // the primary so the token always validates there.
-            None => self
-                .inner
-                .with_primary(key, |s, now| s.gets_as(key, now, self.bump, self.origin)),
-        }
+        self.inner
+            .with_primary(key, |s, now| s.gets_as(key, now, self.bump, self.origin))
     }
 
     /// Stores raw bytes.
@@ -1162,20 +1126,6 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::ValueTooLarge`] for oversized values.
     pub fn set(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        if self
-            .with_batch(|b| {
-                b.put(
-                    key,
-                    PendingOp::Set {
-                        data: data.clone(),
-                        ttl,
-                    },
-                );
-            })
-            .is_some()
-        {
-            return Ok(());
-        }
         self.inner.store_set(key, data, ttl)
     }
 
@@ -1185,95 +1135,21 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::AlreadyStored`] if present.
     pub fn add(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        let routed: Option<Routed<Result<()>, bool>> = self.with_batch(|b| match b.entry(key) {
-            Some((PendingOp::Set { .. }, _)) => Routed::Done(Err(crate::CacheError::AlreadyStored)),
-            Some((PendingOp::Delete, _)) => Routed::Fallthrough(true),
-            None => {
-                b.backend_reads += 1;
-                Routed::Fallthrough(false)
-            }
-        });
-        match routed {
-            Some(Routed::Done(r)) => r,
-            Some(Routed::Fallthrough(deleted)) => {
-                let exists = match self.inner.sealed_pending(key) {
-                    Some(PendingOp::Set { .. }) => true,
-                    Some(PendingOp::Delete) => false,
-                    None => self.inner.with_primary(key, |s, now| s.contains(key, now)),
-                };
-                if !deleted && exists {
-                    return Err(crate::CacheError::AlreadyStored);
-                }
-                self.with_batch(|b| {
-                    b.put(key, PendingOp::Set { data, ttl });
-                });
-                Ok(())
-            }
-            None => self.inner.store_add(key, data, ttl),
-        }
+        self.inner.store_add(key, data, ttl)
     }
 
     /// Compare-and-swap store.
-    ///
-    /// During a transactional effect batch, a CAS against a buffered
-    /// entry checks the buffered token; a CAS against a store-read token
-    /// is accepted blindly — the engine's commit lock serializes every
-    /// writer, so the token a trigger just read cannot have gone stale.
     ///
     /// # Errors
     ///
     /// [`crate::CacheError::CasConflict`] when the token is stale.
     pub fn cas(&self, key: &str, data: Bytes, token: u64, ttl: Option<u64>) -> Result<()> {
-        let routed = self.with_batch(|b| {
-            match b.entry(key) {
-                Some((_, buffered_token)) if buffered_token != token => {
-                    return Err(crate::CacheError::CasConflict);
-                }
-                _ => {}
-            }
-            b.put(
-                key,
-                PendingOp::Set {
-                    data: data.clone(),
-                    ttl,
-                },
-            );
-            Ok(())
-        });
-        match routed {
-            Some(r) => r,
-            None => self.inner.store_cas(key, data, token, ttl),
-        }
+        self.inner.store_cas(key, data, token, ttl)
     }
 
     /// Deletes a key; returns whether it existed.
     pub fn delete(&self, key: &str) -> bool {
-        let routed = self.with_batch(|b| match b.entry(key) {
-            Some((PendingOp::Set { .. }, _)) => {
-                b.put(key, PendingOp::Delete);
-                Routed::Done(true)
-            }
-            Some((PendingOp::Delete, _)) => Routed::Done(false),
-            None => {
-                b.backend_reads += 1;
-                Routed::Fallthrough(())
-            }
-        });
-        match routed {
-            Some(Routed::Done(existed)) => existed,
-            Some(Routed::Fallthrough(())) => {
-                let existed = match self.inner.sealed_pending(key) {
-                    Some(PendingOp::Set { .. }) => true,
-                    Some(PendingOp::Delete) => false,
-                    None => self.inner.with_primary(key, |s, now| s.contains(key, now)),
-                };
-                self.with_batch(|b| {
-                    b.put(key, PendingOp::Delete);
-                });
-                existed
-            }
-            None => self.inner.store_delete(key),
-        }
+        self.inner.store_delete(key)
     }
 
     /// Increments a count payload; `None` on miss.
@@ -1282,93 +1158,12 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::Codec`] if the entry is not a count.
     pub fn incr(&self, key: &str, delta: i64) -> Result<Option<i64>> {
-        let routed = self.with_batch(|b| match b.entry(key) {
-            Some((PendingOp::Set { data, ttl }, _)) => {
-                let ttl = *ttl;
-                let payload = match Payload::decode(data) {
-                    Ok(p) => p,
-                    Err(e) => return Routed::Done(Err(e)),
-                };
-                let Some(n) = payload.as_count() else {
-                    return Routed::Done(Err(crate::CacheError::Codec(
-                        "incr target is not a count".into(),
-                    )));
-                };
-                let new = n + delta;
-                b.put(
-                    key,
-                    PendingOp::Set {
-                        data: Payload::Count(new).encode(),
-                        ttl,
-                    },
-                );
-                Routed::Done(Ok(Some(new)))
-            }
-            Some((PendingOp::Delete, _)) => Routed::Done(Ok(None)),
-            None => {
-                b.backend_reads += 1;
-                Routed::Fallthrough(())
-            }
-        });
-        match routed {
-            Some(Routed::Done(r)) => r,
-            Some(Routed::Fallthrough(())) => {
-                let current = match self.inner.sealed_pending(key) {
-                    Some(PendingOp::Set { data, ttl }) => Some((data, ttl)),
-                    Some(PendingOp::Delete) => None,
-                    None => self.inner.read_with_miss_revoke(key, || {
-                        self.inner
-                            .with_primary(key, |s, now| s.get_with_ttl(key, now, self.bump))
-                    }),
-                };
-                let Some((data, ttl)) = current else {
-                    return Ok(None);
-                };
-                let n = Payload::decode(&data)?
-                    .as_count()
-                    .ok_or_else(|| crate::CacheError::Codec("incr target is not a count".into()))?;
-                let new = n + delta;
-                self.with_batch(|b| {
-                    b.put(
-                        key,
-                        PendingOp::Set {
-                            data: Payload::Count(new).encode(),
-                            ttl,
-                        },
-                    );
-                });
-                Ok(Some(new))
-            }
-            None => self.inner.store_incr(key, delta),
-        }
+        self.inner.store_incr(key, delta)
     }
 
     /// True if the key currently holds a live entry.
     pub fn contains(&self, key: &str) -> bool {
-        let routed = self.with_batch(|b| match b.entry(key) {
-            Some((PendingOp::Set { .. }, _)) => Routed::Done(true),
-            Some((PendingOp::Delete, _)) => Routed::Done(false),
-            None => {
-                b.backend_reads += 1;
-                Routed::Fallthrough(())
-            }
-        });
-        match routed {
-            Some(Routed::Done(v)) => v,
-            Some(Routed::Fallthrough(())) => match self.inner.sealed_pending(key) {
-                Some(PendingOp::Set { .. }) => true,
-                Some(PendingOp::Delete) => false,
-                None => self
-                    .inner
-                    .read_with_miss_revoke(key, || {
-                        self.inner
-                            .with_primary(key, |s, now| s.contains(key, now))
-                            .then_some(())
-                    })
-                    .is_some(),
-            },
-            None => self.inner.with_primary(key, |s, now| s.contains(key, now)),
-        }
+        self.inner.with_primary(key, |s, now| s.contains(key, now))
     }
 
     /// Fetches and decodes a typed payload.
@@ -1406,9 +1201,10 @@ impl CacheHandle {
 
     /// Completes a read-through fill under `lease` (from
     /// [`CacheCluster::lease`]): stores `data` only if no mutation of the
-    /// key revoked the lease since it was issued. Returns whether the
-    /// fill landed — `false` means a concurrent writer published fresher
-    /// data and the stale fill was dropped.
+    /// key revoked the lease since it was issued and no unpublished
+    /// commit fences the key. Returns whether the fill landed — `false`
+    /// means a concurrent writer committed fresher data and the stale
+    /// fill was dropped.
     ///
     /// # Errors
     ///
@@ -1420,22 +1216,18 @@ impl CacheHandle {
             return Ok(false);
         }
         leases.outstanding.remove(key);
+        if leases.pending.contains_key(key) {
+            // A commit named the key and has not published: the
+            // database read behind this fill may predate it.
+            return Ok(false);
+        }
         // The store writes happen under the key's lease-shard lock: a
         // mutation of this key arriving later must first revoke (waiting
         // on the same shard), so its store writes are ordered after this
         // fill and win. Hot keys fill every alive replica, so a replica
         // read after the fill cannot miss what the primary has.
-        let now = self.inner.now();
-        let mut first: Option<Result<()>> = None;
-        for idx in self.inner.write_targets(key) {
-            let r = self.inner.servers[idx]
-                .store
-                .with(key, |s| s.set(key, data.clone(), ttl, now));
-            if first.is_none() {
-                first = Some(r);
-            }
-        }
-        first.unwrap_or(Ok(()))?;
+        self.inner
+            .set_on(&self.inner.write_targets(key), key, data, ttl)?;
         Ok(true)
     }
 
@@ -1473,7 +1265,7 @@ impl CacheHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheError;
+    use crate::{CacheError, Mutation};
     use genie_storage::row;
 
     fn cluster(servers: usize, capacity: usize) -> CacheCluster {
@@ -1649,32 +1441,46 @@ mod tests {
         });
     }
 
+    /// An edit appending `row` to a `Rows` list.
+    fn append(row: genie_storage::Row) -> Delta {
+        Delta::edit(false, move |l| {
+            l.append(std::slice::from_ref(&row)).map(Mutation::Keep)
+        })
+    }
+
+    fn rows_of(h: &CacheHandle, key: &str) -> Vec<i64> {
+        let p = h.get_payload(key).unwrap().unwrap();
+        p.as_rows()
+            .unwrap()
+            .iter()
+            .map(|r| r.get(0).as_int().unwrap())
+            .collect()
+    }
+
     #[test]
     fn effect_batch_coalesces_same_key_to_one_store_op() {
         let c = cluster(2, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
-        let trig = c.handle(CacheOrigin::Trigger);
         app.set_payload("k", &Payload::Count(0), None).unwrap();
         c.reset_stats();
         c.begin_effect_batch();
-        // Five buffered mutations of the same key...
+        // Five recorded increments of the same key...
         for _ in 0..5 {
-            let got = trig.gets("k").unwrap();
-            let n = Payload::decode(&got.data).unwrap().as_count().unwrap();
-            trig.cas("k", Payload::Count(n + 1).encode(), got.cas, None)
-                .unwrap();
+            c.record("k", Delta::Incr(1));
         }
         let summary = c.commit_effect_batch();
-        // ...publish as ONE physical set; only the first gets hit a store.
+        // ...apply as ONE read-modify-write on the node, with no client
+        // read at all.
         assert_eq!(summary.keys_flushed, 1);
-        assert_eq!(summary.backend_reads, 1);
-        assert_eq!(summary.buffered_mutations, 5);
+        assert_eq!(summary.deltas, 5);
+        assert_eq!(summary.applied.in_place, 5);
         assert!(summary.physical_ops() < summary.naive_ops());
         assert_eq!(c.stats().store.sets, 1);
+        assert_eq!(c.stats().store.gets, 0, "apply counts no hit or miss");
         assert_eq!(
             app.get_payload("k").unwrap().unwrap().as_count(),
             Some(5),
-            "buffered increments all landed"
+            "recorded increments all landed"
         );
     }
 
@@ -1682,16 +1488,14 @@ mod tests {
     fn discarded_batch_publishes_nothing() {
         let c = cluster(1, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
-        let trig = c.handle(CacheOrigin::Trigger);
         app.set_payload("k", &Payload::Count(7), None).unwrap();
         c.begin_effect_batch();
-        let got = trig.gets("k").unwrap();
-        trig.cas("k", Payload::Count(99).encode(), got.cas, None)
-            .unwrap();
-        trig.delete("other");
+        c.record("k", Delta::Incr(92));
+        c.record("other", Delta::Delete);
         let summary = c.discard_effect_batch();
-        assert_eq!(summary.keys_flushed, 0);
-        assert!(summary.buffered_mutations >= 2);
+        assert_eq!(summary.keys_flushed, 2);
+        assert_eq!(summary.deltas, 2);
+        assert_eq!(summary.applied, Applied::default());
         assert_eq!(
             app.get_payload("k").unwrap().unwrap().as_count(),
             Some(7),
@@ -1699,51 +1503,75 @@ mod tests {
         );
     }
 
+    /// Handle verbs of either origin go straight to the stores while a
+    /// batch is open; only recorded deltas wait for publication.
     #[test]
     fn batch_only_intercepts_trigger_origin() {
         let c = cluster(1, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
+        let trig = c.handle(CacheOrigin::Trigger);
         c.begin_effect_batch();
         app.set_payload("a", &Payload::Count(1), None).unwrap();
+        trig.set_payload("b", &Payload::Count(2), None).unwrap();
+        assert_eq!(app.get_payload("a").unwrap().unwrap().as_count(), Some(1));
+        assert_eq!(app.get_payload("b").unwrap().unwrap().as_count(), Some(2));
+        c.record("a", Delta::Incr(1));
         assert_eq!(
             app.get_payload("a").unwrap().unwrap().as_count(),
             Some(1),
-            "application writes go straight to the store"
+            "a recorded delta waits for publication"
         );
         let summary = c.commit_effect_batch();
-        assert_eq!(summary.buffered_mutations, 0);
+        assert_eq!(summary.deltas, 1);
+        assert_eq!(app.get_payload("a").unwrap().unwrap().as_count(), Some(2));
     }
 
+    /// A key's deltas fold in record order: each sees what the ones
+    /// before it wrote or deleted, and none is visible before publish.
     #[test]
     fn batch_reads_see_buffered_deletes_and_writes() {
         let c = cluster(1, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
-        let trig = c.handle(CacheOrigin::Trigger);
         app.set_payload("k", &Payload::Count(1), None).unwrap();
+        app.set_payload("n", &Payload::Count(1), None).unwrap();
+        app.set_payload("l", &Payload::Rows(vec![row![1i64]]), None)
+            .unwrap();
         c.begin_effect_batch();
-        assert!(trig.contains("k"));
-        trig.delete("k");
-        assert!(!trig.contains("k"), "buffered delete visible to triggers");
-        assert!(trig.gets("k").is_none());
+        c.record("k", Delta::Incr(2));
+        c.record("k", Delta::Delete);
+        c.record("k", Delta::Incr(5));
+        c.record("n", Delta::Incr(2));
+        c.record("n", Delta::Incr(5));
+        c.record("l", append(row![2i64]));
+        c.record("l", append(row![3i64]));
+        assert!(app.contains("k"), "unpublished delete invisible");
+        let summary = c.commit_effect_batch();
         assert!(
-            app.contains("k"),
-            "unpublished delete invisible to the application"
+            app.get("k").is_none(),
+            "the increment after the delete is a no-op"
         );
-        trig.set("k", Payload::Count(5).encode(), None).unwrap();
-        assert_eq!(trig.incr("k", 2).unwrap(), Some(7));
-        c.commit_effect_batch();
-        assert_eq!(app.get_payload("k").unwrap().unwrap().as_count(), Some(7));
+        assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(8));
+        assert_eq!(rows_of(&app, "l"), vec![1, 2, 3]);
+        assert_eq!(
+            summary.applied,
+            Applied {
+                in_place: 5,
+                noops: 1,
+                drops: 0,
+                invalidations: 1,
+                round_trips: 9,
+            }
+        );
     }
 
     #[test]
     fn batched_incr_preserves_remaining_ttl() {
         let c = cluster(1, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
-        let trig = c.handle(CacheOrigin::Trigger);
         c.set_now(1_000);
         app.set_payload("n", &Payload::Count(1), Some(500)).unwrap();
         c.begin_effect_batch();
-        assert_eq!(trig.incr("n", 1).unwrap(), Some(2));
+        c.record("n", Delta::Incr(1));
         c.commit_effect_batch();
         c.set_now(1_400);
         assert_eq!(
@@ -1758,45 +1586,171 @@ mod tests {
         );
     }
 
+    /// Commit A and then commit B record on one key, both seal before
+    /// either publishes; publishing in commit order applies A's deltas
+    /// and then B's on top — for a count and for a list.
     #[test]
-    fn batch_cas_conflicts_on_stale_buffered_token() {
-        let c = cluster(1, 1024 * 1024);
-        let trig = c.handle(CacheOrigin::Trigger);
-        c.begin_effect_batch();
-        trig.set("k", Payload::Count(1).encode(), None).unwrap();
-        let t1 = trig.gets("k").unwrap().cas;
-        trig.cas("k", Payload::Count(2).encode(), t1, None).unwrap();
-        assert!(matches!(
-            trig.cas("k", Payload::Count(3).encode(), t1, None),
-            Err(CacheError::CasConflict)
-        ));
-        c.discard_effect_batch();
-    }
-
-    #[test]
-    fn sealed_batch_visible_to_next_batch_reads_until_published() {
-        // Commit A seals count=1 but has not published; commit B's
-        // trigger read must see 1 (not the store's 0), or B's increment
-        // would be computed from a stale base and lost.
+    fn sealed_batches_apply_in_publish_order() {
         let c = cluster(1, 1024 * 1024);
         let app = c.handle(CacheOrigin::Application);
-        let trig = c.handle(CacheOrigin::Trigger);
         app.set_payload("n", &Payload::Count(0), None).unwrap();
+        app.set_payload("l", &Payload::Rows(vec![row![1i64]]), None)
+            .unwrap();
         c.begin_effect_batch();
-        assert_eq!(trig.incr("n", 1).unwrap(), Some(1));
-        let a = c.take_effect_batch().unwrap(); // sealed, unpublished
+        c.record("n", Delta::Incr(1));
+        c.record("l", append(row![2i64]));
+        let a = c.take_effect_batch().unwrap();
         c.begin_effect_batch();
-        assert_eq!(
-            trig.incr("n", 1).unwrap(),
-            Some(2),
-            "B reads A's sealed value, not the stale store"
-        );
+        c.record("n", Delta::Incr(10));
+        c.record("l", append(row![3i64]));
         let b = c.take_effect_batch().unwrap();
+        assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(0));
         a.publish();
-        // Application reads hit the store (transient: B unpublished).
         assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(1));
+        assert_eq!(rows_of(&app, "l"), vec![1, 2]);
         b.publish();
-        assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(2));
+        assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(11));
+        assert_eq!(rows_of(&app, "l"), vec![1, 2, 3]);
+    }
+
+    /// Naming a key revokes its lease, and a fill refuses the key while
+    /// any unpublished batch names it — two here — and lands after.
+    #[test]
+    fn fill_of_a_pending_key_is_refused_until_apply() {
+        let c = cluster(1, 1024 * 1024);
+        let app = c.handle(CacheOrigin::Application);
+        let early = c.lease("n");
+        c.begin_effect_batch();
+        c.record("n", Delta::Incr(1));
+        let a = c.take_effect_batch().unwrap();
+        c.begin_effect_batch();
+        assert!(!c.probe("n"), "a probe miss still names the key");
+        let b = c.take_effect_batch().unwrap();
+        let fill = |lease| app.fill_payload("n", &Payload::Count(0), None, lease);
+        assert!(!fill(early).unwrap(), "naming revoked the earlier lease");
+        assert!(!fill(c.lease("n")).unwrap(), "fenced by two batches");
+        let during = c.lease("n");
+        a.publish();
+        assert!(!fill(during).unwrap(), "publishing revoked the lease");
+        assert!(!fill(c.lease("n")).unwrap(), "still fenced by b");
+        b.publish();
+        assert!(fill(c.lease("n")).unwrap(), "unfenced after the last apply");
+        assert_eq!(c.outstanding_leases(), 0);
+    }
+
+    /// Why the fence exists: a fill whose database read already saw a
+    /// commit, landing before that commit's deltas apply, would have
+    /// them applied a second time.
+    #[test]
+    fn a_fill_cannot_land_between_commit_and_apply() {
+        let c = cluster(1, 1024 * 1024);
+        let app = c.handle(CacheOrigin::Application);
+        c.begin_effect_batch();
+        c.record("n", Delta::Incr(1)); // the commit: the count goes 0 -> 1
+        let sealed = c.take_effect_batch().unwrap();
+        // Its epoch is visible: a read-through computes the count as 1.
+        let lease = c.lease("n");
+        assert!(!app
+            .fill_payload("n", &Payload::Count(1), None, lease)
+            .unwrap());
+        sealed.publish();
+        assert!(app.get("n").is_none(), "and never a count of 2");
+    }
+
+    /// An aborted batch and a sealed one dropped unpublished both lift
+    /// their fences.
+    #[test]
+    fn discard_and_unpublished_drop_clear_the_fence() {
+        let c = cluster(1, 1024 * 1024);
+        let app = c.handle(CacheOrigin::Application);
+        let fill = |key| {
+            app.fill_payload(key, &Payload::Count(0), None, c.lease(key))
+                .unwrap()
+        };
+        c.begin_effect_batch();
+        c.record("a", Delta::Incr(1));
+        c.discard_effect_batch();
+        assert!(fill("a"));
+        c.begin_effect_batch();
+        c.record("b", append(row![1i64]));
+        c.probe("c");
+        let sealed = c.take_effect_batch().unwrap();
+        assert!(!fill("b") && !fill("c"));
+        drop(sealed);
+        assert!(fill("b") && fill("c"));
+    }
+
+    /// A delta recorded with no batch open applies at once.
+    #[test]
+    fn record_without_a_batch_applies_at_once() {
+        let c = cluster(2, 1024 * 1024);
+        let app = c.handle(CacheOrigin::Application);
+        app.set_payload("n", &Payload::Count(3), None).unwrap();
+        c.record("n", Delta::Incr(4));
+        assert_eq!(app.get_payload("n").unwrap().unwrap().as_count(), Some(7));
+        assert!(fill_lands(&c, "n"));
+    }
+
+    fn fill_lands(c: &CacheCluster, key: &str) -> bool {
+        c.handle(CacheOrigin::Application)
+            .fill_payload(key, &Payload::Count(0), None, c.lease(key))
+            .unwrap()
+    }
+
+    /// Codec refusals and results the store will not take delete the
+    /// key; a wrong-shape list is dropped.
+    #[test]
+    fn refused_and_oversized_results_delete_the_key() {
+        let c = CacheCluster::new(ClusterConfig {
+            servers: 1,
+            item_limit_bytes: 64,
+            ..Default::default()
+        });
+        let app = c.handle(CacheOrigin::Application);
+        app.set_payload("count", &Payload::Rows(vec![]), None)
+            .unwrap();
+        app.set_payload("big", &Payload::Rows(vec![row![1i64]]), None)
+            .unwrap();
+        app.set_payload("shape", &Payload::Rows(vec![]), None)
+            .unwrap();
+        app.set("junk", Bytes::from_static(b"not a payload"), None)
+            .unwrap();
+        c.begin_effect_batch();
+        c.record("count", Delta::Incr(1));
+        c.record("big", append(row![2i64, "x".repeat(64)]));
+        c.record("shape", Delta::edit(true, |_| Ok(Mutation::Noop)));
+        c.record("junk", append(row![1i64]));
+        let summary = c.commit_effect_batch();
+        for key in ["count", "big", "shape", "junk"] {
+            assert!(app.get(key).is_none(), "{key} survived");
+        }
+        assert_eq!(summary.applied.drops, 1);
+        assert_eq!(summary.applied.invalidations, 3);
+    }
+
+    /// A hot key whose primary copy was evicted: the deltas are no-ops,
+    /// and the replicas' copies, which they cannot reach, are dropped.
+    #[test]
+    fn apply_drops_replicas_when_the_primary_copy_is_gone() {
+        let c = CacheCluster::new(ClusterConfig {
+            servers: 3,
+            hot_key_replicas: 3,
+            hot_key_threshold: 4,
+            ..Default::default()
+        });
+        let app = c.handle(CacheOrigin::Application);
+        app.set_payload("hot", &Payload::Count(1), None).unwrap();
+        for _ in 0..10 {
+            app.get("hot");
+        }
+        let set = c.replica_set("hot").expect("promoted");
+        c.inner.servers[set[0]]
+            .store
+            .with("hot", |s| s.delete("hot"));
+        c.record("hot", Delta::Incr(1));
+        for _ in 0..6 {
+            assert!(app.get("hot").is_none(), "a replica served a stale count");
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! Splicing bytes instead of unpickling the list is still
 //! memcached-faithful: `append` is a native memcached verb, the other
-//! edits are the same `gets` → modify → `cas` round trip the paper's
-//! generated triggers make, and the virtual-time cost model prices that
-//! round trip as cache operations, not as a pickle.
+//! edits do what the paper's generated triggers do with `gets` → modify
+//! → `cas` (run where the value lives, [`crate::Delta`]), and the
+//! virtual-time cost model prices that round trip as cache operations,
+//! not as a pickle.
 //!
 //! # Wire format (version 2)
 //!

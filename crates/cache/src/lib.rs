@@ -6,21 +6,24 @@
 //!
 //! * per-server LRU stores with byte-accurate memory accounting and TTL
 //!   expiry ([`CacheStore`]);
-//! * `get`/`gets`/`set`/`add`/`cas`/`delete`/`incr` — including the CAS
-//!   loop the paper's generated Top-K trigger relies on;
+//! * `get`/`gets`/`set`/`add`/`cas`/`delete`/`incr`;
 //! * a consistent-hash **cluster** presenting one logical cache across
 //!   servers ([`CacheCluster`]), with distinct application/trigger origins
 //!   so the "triggers bump LRU" behaviour called out in §4 of the paper
 //!   can be toggled;
 //! * a typed, checksummed, row-framed payload codec ([`Payload`]) whose
-//!   list shapes triggers splice in place ([`EncodedList`]) — the same
-//!   `gets` → modify → `cas` round trip as the Python triggers, at the
-//!   cost of the rows changed;
+//!   list shapes are spliced in place ([`EncodedList`]), at the cost of
+//!   the rows changed;
+//! * transactional effect batches: triggers record per-key [`Delta`]s
+//!   during a commit, and publication applies them where the value
+//!   lives — the Python triggers' `gets` → modify → `cas`, without the
+//!   client read;
 //! * the §3.3 strict-consistency **key lock table** ([`KeyLockTable`]) —
 //!   designed but not built in the paper; implemented here as an extension.
 
 pub mod cluster;
 pub mod codec;
+pub mod delta;
 pub mod error;
 pub mod hotkey;
 pub mod lock;
@@ -33,6 +36,7 @@ pub use cluster::{
     PreparedEffectBatch, ServerStats,
 };
 pub use codec::{hash_key, Edit, EncodedList, Frame, Payload, RowView};
+pub use delta::{Applied, Delta, ListEdit, Mutation};
 pub use error::{CacheError, Result};
 pub use hotkey::{HotKeyConfig, HotKeyDetector};
 pub use lock::{KeyLockTable, LockOutcome, TxnId};

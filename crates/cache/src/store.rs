@@ -172,22 +172,23 @@ impl CacheStore {
         self.gets_as(key, now, bump, origin).map(|v| v.data)
     }
 
-    /// Like [`CacheStore::get`] but also returns the entry's remaining
-    /// TTL (`None` = no expiry) — for callers that must re-store the
-    /// value later without extending or shortening its life.
-    pub fn get_with_ttl(
+    /// Reads `key` and its remaining TTL (`None` = no expiry) for an
+    /// in-place update of the value: no hit or miss is counted, and
+    /// `bump` sets the recency bit as a bumped get does.
+    pub fn read_for_update(
         &mut self,
         key: &str,
         now: u64,
         bump: bool,
     ) -> Option<(Bytes, Option<u64>)> {
-        let v = self.gets(key, now, bump)?;
-        let ttl = self
-            .map
-            .get(key)
-            .and_then(|e| e.expires_at)
-            .map(|t| t.saturating_sub(now));
-        Some((v.data, ttl))
+        if self.purge_if_expired(key, now) {
+            return None;
+        }
+        let e = self.map.get_mut(key)?;
+        if bump {
+            e.referenced = true;
+        }
+        Some((e.data.clone(), e.expires_at.map(|t| t.saturating_sub(now))))
     }
 
     /// Like [`CacheStore::get`] but also returns the CAS token.

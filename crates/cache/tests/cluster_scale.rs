@@ -3,7 +3,7 @@
 //! failure/rejoin.
 
 use bytes::Bytes;
-use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
+use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Delta, Payload};
 use proptest::prelude::*;
 
 fn cluster(servers: usize) -> CacheCluster {
@@ -220,15 +220,14 @@ fn writes_update_every_replica_atomically() {
 fn trigger_batch_publish_reaches_every_replica() {
     let c = hot_cluster(4, 3, 4);
     let app = c.handle(CacheOrigin::Application);
-    let trig = c.handle(CacheOrigin::Trigger);
     app.set_payload("wall", &Payload::Count(0), None).unwrap();
     for _ in 0..10 {
         app.get("wall");
     }
     assert!(c.replica_set("wall").is_some());
-    // A commit-pipeline batch: buffered trigger increment, then publish.
+    // A commit-pipeline batch: a recorded increment, then publish.
     c.begin_effect_batch();
-    assert_eq!(trig.incr("wall", 5).unwrap(), Some(5));
+    c.record("wall", Delta::Incr(5));
     c.commit_effect_batch();
     assert!(c.replicas_coherent("wall"));
     for _ in 0..8 {

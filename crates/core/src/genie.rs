@@ -15,7 +15,7 @@ use genie_storage::{
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 
 /// CacheGenie tuning knobs.
 #[derive(Debug, Clone, Default)]
@@ -122,8 +122,11 @@ impl FlushGate {
     }
 
     /// Pops `ticket` off every key's queue and wakes waiting publishers.
+    /// Runs from [`GateTurn`]'s `Drop`, so it must not panic: every
+    /// update of the queues leaves them valid, and a poisoned lock is
+    /// recovered.
     fn release(&self, keys: &BTreeSet<String>, ticket: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         for key in keys {
             if let Some(q) = st.queues.get_mut(key) {
                 if let Some(pos) = q.iter().position(|&t| t == ticket) {
@@ -139,17 +142,37 @@ impl FlushGate {
     }
 }
 
+/// One commit's place in the [`FlushGate`] queues of its keys, plus its
+/// strict-mode key locks: released when dropped, so a publication the
+/// engine drops unrun (the log rejected the commit, or its sync failed)
+/// cannot leave later commits on those keys waiting forever.
+struct GateTurn {
+    gate: Arc<FlushGate>,
+    keys: BTreeSet<String>,
+    ticket: u64,
+    strict: Option<(StrictTxnManager, genie_cache::TxnId)>,
+}
+
+impl Drop for GateTurn {
+    fn drop(&mut self) {
+        self.gate.release(&self.keys, self.ticket);
+        if let Some((mgr, tid)) = self.strict.take() {
+            mgr.release(tid);
+        }
+    }
+}
+
 /// The database-side half of the transactional consistency guarantee:
 /// registered as the engine's [`CommitHook`], it brackets commit-time
-/// trigger firing with a cluster effect batch so a transaction's cache
-/// effects publish atomically (per-key coalesced) on COMMIT and never on
-/// abort. Publication itself is deferred: `commit_apply` seals the batch
-/// and reserves the touched keys' publication slots in the [`FlushGate`]
-/// under the engine latch (non-blocking), and the returned closure waits
-/// for its turn and performs the store writes after the latch drops.
-/// With a [`StrictTxnManager`] wired in, the flush additionally runs
-/// under §3.3 2PL write locks on the touched keys — lock timeout aborts
-/// the transaction.
+/// trigger firing with a cluster effect batch, so a transaction's cache
+/// effects publish on COMMIT and never on abort. Trigger bodies record
+/// deltas into the batch; `commit_apply` seals it and reserves the
+/// named keys' publication slots in the [`FlushGate`] under the engine
+/// latch (non-blocking), and the returned closure waits for its turn
+/// and applies the deltas after the latch drops. With a
+/// [`StrictTxnManager`] wired in, the flush additionally runs under
+/// §3.3 2PL write locks on the touched keys — lock timeout aborts the
+/// transaction.
 ///
 /// Deliberately holds no reference back to the [`Database`] (which owns
 /// the hook) — only the cluster, stats, gate, and lock table.
@@ -168,7 +191,7 @@ impl EffectPipeline {
         let naive = cost.trigger_cache_ops.max(summary.naive_ops());
         let physical = summary.physical_ops();
         if naive == 0 && physical == 0 {
-            return; // nothing buffered (e.g. NoCache mode / no triggers)
+            return; // nothing recorded (e.g. NoCache mode / no triggers)
         }
         self.stats.bump(&self.stats.commit_batches);
         self.stats.add(&self.stats.commit_cache_ops, physical);
@@ -219,18 +242,28 @@ impl CommitHook for EffectPipeline {
         if prepared.is_empty() && strict_pair.is_none() {
             return Ok(None);
         }
-        let keys: BTreeSet<String> = prepared.keys().into_iter().collect();
         // Reservation (non-blocking, under the latch) pins this commit's
         // per-key publication slot; the wait happens in the deferred
-        // step, after the engine releases its latch.
-        let ticket = self.flush_gate.reserve(&keys);
-        let gate = Arc::clone(&self.flush_gate);
+        // step, after the engine releases its latch. Dropping the step
+        // unrun drops the batch (lifting its fences) and the turn.
+        let keys: BTreeSet<String> = prepared.keys().into_iter().collect();
+        let turn = GateTurn {
+            ticket: self.flush_gate.reserve(&keys),
+            gate: Arc::clone(&self.flush_gate),
+            keys,
+            strict: strict_pair,
+        };
+        let stats = Arc::clone(&self.stats);
         Ok(Some(Box::new(move || {
-            gate.await_turn(&keys, ticket);
-            prepared.publish();
-            gate.release(&keys, ticket);
-            if let Some((mgr, tid)) = strict_pair {
-                mgr.release(tid);
+            turn.gate.await_turn(&turn.keys, turn.ticket);
+            let applied = prepared.publish().applied;
+            drop(turn);
+            stats.add_applied(&applied);
+            // A COMMIT's cost already carries the coalesced count.
+            if txn_commit {
+                0
+            } else {
+                applied.round_trips
             }
         })))
     }
@@ -367,10 +400,9 @@ impl CacheGenie {
             return Err(StorageError::AlreadyExists(def.name));
         }
         let obj = Arc::new(ObjectInner::compile(def, &self.shared.registry)?);
-        let trigger_handle = self.shared.cluster.handle(CacheOrigin::Trigger);
         for trigger in build_triggers(
             &obj,
-            &trigger_handle,
+            &self.shared.cluster,
             &self.shared.stats,
             &self.shared.config,
         ) {
@@ -809,5 +841,51 @@ impl QueryInterceptor for CacheGenie {
         // database query when needed), so the session-level fill path is
         // never used by CacheGenie.
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use genie_cache::Delta;
+
+    fn pipeline(cluster: &CacheCluster, strict: Option<StrictTxnManager>) -> EffectPipeline {
+        EffectPipeline {
+            cluster: cluster.clone(),
+            stats: Arc::new(GenieStats::new()),
+            strict: RwLock::new(strict),
+            flush_gate: Arc::new(FlushGate::default()),
+        }
+    }
+
+    /// A publication the engine drops unrun — its commit's log append or
+    /// sync failed — releases its gate turn, its strict locks and its
+    /// fences, so the next commit on the key publishes and fills land.
+    #[test]
+    fn an_unrun_publication_releases_its_turn_locks_and_fences() {
+        let cluster = CacheCluster::new(Default::default());
+        let mgr = StrictTxnManager::new();
+        let p = pipeline(&cluster, Some(mgr.clone()));
+        let app = cluster.handle(CacheOrigin::Application);
+        app.set_payload("k", &Payload::Count(1), None).unwrap();
+
+        p.begin_apply();
+        cluster.record("k", Delta::Incr(1));
+        let dropped = p.commit_apply(&mut CostReport::new(), false).unwrap();
+        assert_eq!(mgr.locked_keys(), 1);
+        drop(dropped);
+        assert!(p.flush_gate.state.lock().unwrap().queues.is_empty());
+        assert_eq!(mgr.locked_keys(), 0);
+
+        p.begin_apply();
+        cluster.record("k", Delta::Incr(5));
+        let publish = p.commit_apply(&mut CostReport::new(), false).unwrap();
+        assert_eq!(publish.expect("a publication")(), 1, "one incr round trip");
+        assert_eq!(app.get_payload("k").unwrap().unwrap().as_count(), Some(6));
+        assert_eq!(p.stats.snapshot().inplace_updates, 1);
+        let lease = cluster.lease("k");
+        assert!(app
+            .fill_payload("k", &Payload::Count(6), None, lease)
+            .unwrap());
     }
 }

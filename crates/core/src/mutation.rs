@@ -1,24 +1,14 @@
-//! The list mutations a generated trigger applies between `gets` and
-//! `cas` (§3.2), as splices of the encoded payload: each one copies the
-//! frames it does not change and builds only the rows it does
-//! ([`EncodedList`]). `triggers.rs` picks the keys and the mutation;
-//! nothing here touches the cache.
+//! The list edits a generated trigger records (§3.2), as splices of the
+//! encoded payload: each one copies the frames it does not change and
+//! builds only the rows it does ([`EncodedList`]). `triggers.rs` picks
+//! the keys and records the edit as a [`genie_cache::Delta`]; the cache
+//! runs it on the cached list at publication. Nothing here touches the
+//! cache.
 
 use crate::object::ObjectInner;
-use genie_cache::{Edit, EncodedList, Result, RowView};
+use genie_cache::{Edit, EncodedList, Mutation, Result, RowView};
 use genie_storage::{Row, Value};
 use std::cmp::Ordering;
-
-/// What the `gets`/`cas` loop does with a key.
-#[derive(Debug)]
-pub(crate) enum Mutation {
-    /// Store the new payload (CAS).
-    Keep(EncodedList),
-    /// Remove the key (reserve exhausted, wrong shape).
-    Drop,
-    /// Nothing to do.
-    Noop,
-}
 
 /// Stores the edited list, or does nothing when the edit matched no row.
 pub(crate) fn keep_if_changed(edited: Option<EncodedList>) -> Mutation {
@@ -161,10 +151,11 @@ pub(crate) fn top_k_reposition(
 pub(crate) mod tests {
     use super::*;
     use crate::def::{CacheableDef, SortOrder};
-    use genie_cache::Payload;
+    use genie_cache::{CacheCluster, CacheOrigin, Delta, Payload};
     use genie_orm::{FieldDef, ModelDef, ModelRegistry};
     use genie_storage::ValueType;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     pub(crate) fn registry() -> ModelRegistry {
         let mut reg = ModelRegistry::new();
@@ -465,7 +456,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// What `mutate_key` does between `gets` and `cas` — shape check, then
+    /// What a recorded edit does at publication — shape check, then
     /// the splice — with the spliced bytes decoded for comparison.
     fn run_splice(op: &Op, obj: &ObjectInner, encoded: &Payload) -> reference::Mutation {
         let spliced = match EncodedList::parse(encoded.encode()).unwrap() {
@@ -556,6 +547,190 @@ pub(crate) mod tests {
                 prop_assert_eq!(&got, &want, "{:?} on {:?}", op, current);
                 if let reference::Mutation::Keep(next) = want {
                     current = next;
+                }
+            }
+        }
+    }
+
+    /// One delta a commit records, on cache key 0 or 1.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Edit(usize, Op),
+        Incr(usize, i64),
+        Delete(usize),
+        /// A Feature update that moves `new` to the other key: remove by
+        /// pk on `from` (writing the list back unconditionally), append
+        /// on the other key — as `triggers.rs` records it.
+        Move {
+            from: usize,
+            new: Row,
+        },
+    }
+
+    impl Step {
+        /// The deltas this step records, with the key each goes to.
+        fn deltas(&self, obj: &Arc<ObjectInner>) -> Vec<(usize, Delta)> {
+            let edit = |key: usize, op: Op| {
+                let obj = Arc::clone(obj);
+                (
+                    key,
+                    Delta::edit(op.wants_top_k(), move |l| op.splice(&obj, l)),
+                )
+            };
+            match self.clone() {
+                Step::Edit(key, op) => vec![edit(key, op)],
+                Step::Incr(key, n) => vec![(key, Delta::Incr(n))],
+                Step::Delete(key) => vec![(key, Delta::Delete)],
+                Step::Move { from, new } => {
+                    let pk = new.get(0).clone();
+                    vec![
+                        edit(
+                            from,
+                            Op::RemovePk {
+                                pk,
+                                noop_if_absent: false,
+                            },
+                        ),
+                        edit(1 - from, Op::Append(vec![new])),
+                    ]
+                }
+            }
+        }
+
+        /// The same step on decoded payloads (`None` = absent key).
+        fn reference(&self, obj: &ObjectInner, keys: &mut [Option<Payload>; 2]) {
+            let edit = |state: &mut Option<Payload>, op: &Op| {
+                if let Some(p) = state.take() {
+                    *state = match op.reference(obj, p.clone()) {
+                        reference::Mutation::Keep(next) => Some(next),
+                        reference::Mutation::Drop => None,
+                        reference::Mutation::Noop => Some(p),
+                    };
+                }
+            };
+            match self {
+                Step::Edit(key, op) => edit(&mut keys[*key], op),
+                Step::Incr(key, n) => {
+                    keys[*key] = match keys[*key].take() {
+                        Some(Payload::Count(c)) => Some(Payload::Count(c + n)),
+                        _ => None,
+                    }
+                }
+                Step::Delete(key) => keys[*key] = None,
+                Step::Move { from, new } => {
+                    let pk = new.get(0).clone();
+                    edit(
+                        &mut keys[*from],
+                        &Op::RemovePk {
+                            pk,
+                            noop_if_absent: false,
+                        },
+                    );
+                    edit(&mut keys[1 - from], &Op::Append(vec![new.clone()]));
+                }
+            }
+        }
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0usize..2, op()).prop_map(|(key, op)| Step::Edit(key, op)),
+            (0usize..2, op()).prop_map(|(key, op)| Step::Edit(key, op)),
+            (0usize..2, op()).prop_map(|(key, op)| Step::Edit(key, op)),
+            (0usize..2, -3i64..4).prop_map(|(key, n)| Step::Incr(key, n)),
+            (0usize..2).prop_map(Step::Delete),
+            (0usize..2, row_of(BASE_ARITY..6)).prop_map(|(from, new)| Step::Move { from, new }),
+        ]
+    }
+
+    /// A key's starting value: absent, or a payload (counts kept far
+    /// from overflow).
+    fn start() -> impl Strategy<Value = Option<Payload>> {
+        prop_oneof![
+            Just(None),
+            payload().prop_map(|p| Some(match p {
+                Payload::Count(n) => Payload::Count(n % 1_000),
+                p => p,
+            })),
+        ]
+    }
+
+    /// Flips one byte inside the first frame of an encoded list (past
+    /// the 13-byte header), so the frame's own checksum refuses it.
+    fn corrupt_first_frame(p: &Payload) -> Option<Vec<u8>> {
+        let rows = p.as_rows().or(p.as_top_k().map(|t| t.0))?;
+        if rows.is_empty() {
+            return None;
+        }
+        let mut bytes = p.encode().to_vec();
+        bytes[13 + 4] ^= 0x40;
+        Some(bytes)
+    }
+
+    /// Records `steps` as deltas in one effect batch over keys holding
+    /// `starts` (key 0 corrupt when `corrupt`), publishes, and returns
+    /// what each key holds: `None` absent, `Some(Err)` undecodable.
+    fn node_side_apply(
+        obj: &Arc<ObjectInner>,
+        starts: &[Option<Payload>; 2],
+        corrupt: bool,
+        steps: &[Step],
+    ) -> Vec<Option<std::result::Result<Payload, genie_cache::CacheError>>> {
+        let cluster = CacheCluster::new(Default::default());
+        let app = cluster.handle(CacheOrigin::Application);
+        let keys = ["k0", "k1"];
+        for (key, start) in keys.iter().zip(starts) {
+            if let Some(p) = start {
+                app.set_payload(key, p, None).unwrap();
+            }
+        }
+        if corrupt {
+            if let Some(bytes) = starts[0].as_ref().and_then(corrupt_first_frame) {
+                app.set(keys[0], bytes.into(), None).unwrap();
+            }
+        }
+        cluster.begin_effect_batch();
+        for step in steps {
+            for (key, delta) in step.deltas(obj) {
+                cluster.record(keys[key], delta);
+            }
+        }
+        cluster.commit_effect_batch();
+        keys.iter()
+            .map(|k| app.get(k).map(|b| Payload::decode(&b)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Publishing a batch of recorded deltas — node-side, one
+        /// read-modify-write per key — leaves each key exactly where
+        /// folding the materialising reference over the decoded payload
+        /// does: absent keys, drops (Top-K reserve exhaustion, wrong
+        /// shapes), counts and key-moving updates included. With a
+        /// corrupt frame in key 0, the key is deleted or stays refused
+        /// (never laundered), or the splices never read the bad frame
+        /// and the result is the reference's on the intact payload.
+        #[test]
+        fn node_side_apply_matches_the_reference_fold(
+            starts in (start(), start()),
+            corrupt in any::<bool>(),
+            steps in prop::collection::vec(step(), 1..10),
+        ) {
+            let obj = Arc::new(top_k_obj());
+            let starts = [starts.0, starts.1];
+            let mut want = starts.clone();
+            for step in &steps {
+                step.reference(&obj, &mut want);
+            }
+            let got = node_side_apply(&obj, &starts, corrupt, &steps);
+            let was_corrupt = corrupt && starts[0].as_ref().and_then(corrupt_first_frame).is_some();
+            for (key, (got, want)) in got.into_iter().zip(want).enumerate() {
+                match got {
+                    None if key == 0 && was_corrupt => {}
+                    Some(Err(_)) => prop_assert!(key == 0 && was_corrupt, "key {} undecodable", key),
+                    got => prop_assert_eq!(got.map(|r| r.unwrap()), want, "key {} after {:?}", key, steps),
                 }
             }
         }

@@ -2,8 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic counters, updated by the interception path and by
-/// trigger bodies.
+/// Shared atomic counters, updated by the interception path, by trigger
+/// bodies, and by the commit pipeline's publication.
 #[derive(Debug, Default)]
 pub struct GenieStats {
     pub(crate) cache_hits: AtomicU64,
@@ -12,7 +12,6 @@ pub struct GenieStats {
     pub(crate) inplace_updates: AtomicU64,
     pub(crate) invalidations: AtomicU64,
     pub(crate) key_drops: AtomicU64,
-    pub(crate) cas_conflicts: AtomicU64,
     pub(crate) trigger_noops: AtomicU64,
     pub(crate) commit_batches: AtomicU64,
     pub(crate) commit_cache_ops: AtomicU64,
@@ -31,22 +30,24 @@ pub struct GenieStatsSnapshot {
     pub cache_misses: u64,
     /// Read-through fills performed.
     pub fills: u64,
-    /// Trigger-driven incremental updates applied in place.
+    /// Trigger deltas applied in place at publication.
     pub inplace_updates: u64,
     /// Trigger-driven key invalidations (Invalidate strategy, payload
     /// corruption, or class-specific fallbacks).
     pub invalidations: u64,
-    /// Top-K keys dropped because the delete reserve was exhausted.
+    /// Keys a trigger delta dropped (Top-K delete reserve exhausted, or
+    /// a payload of the wrong shape).
     pub key_drops: u64,
-    /// CAS attempts that lost their race and retried.
+    /// Always 0: trigger deltas are applied where the value lives, so no
+    /// CAS can lose a race. Kept for readers of the counter set.
     pub cas_conflicts: u64,
-    /// Trigger firings that found nothing cached to maintain.
+    /// Trigger firings and deltas that found nothing cached to maintain.
     pub trigger_noops: u64,
     /// Transactions whose cache effects were published through the
     /// commit-time batch pipeline.
     pub commit_batches: u64,
     /// Physical cache operations those commits performed (coalesced: one
-    /// op per touched key plus backend reads during firing).
+    /// node-side read-modify-write per key with recorded deltas).
     pub commit_cache_ops: u64,
     /// What the same effects would have cost applied per statement — the
     /// naive baseline the coalescing saves against.
@@ -90,7 +91,6 @@ impl GenieStats {
             inplace_updates: self.inplace_updates.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             key_drops: self.key_drops.load(Ordering::Relaxed),
-            cas_conflicts: self.cas_conflicts.load(Ordering::Relaxed),
             trigger_noops: self.trigger_noops.load(Ordering::Relaxed),
             commit_batches: self.commit_batches.load(Ordering::Relaxed),
             commit_cache_ops: self.commit_cache_ops.load(Ordering::Relaxed),
@@ -113,7 +113,6 @@ impl GenieStats {
             &self.inplace_updates,
             &self.invalidations,
             &self.key_drops,
-            &self.cas_conflicts,
             &self.trigger_noops,
             &self.commit_batches,
             &self.commit_cache_ops,
@@ -132,6 +131,14 @@ impl GenieStats {
 
     pub(crate) fn add(&self, counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Books the outcomes of a published effect batch.
+    pub(crate) fn add_applied(&self, applied: &genie_cache::Applied) {
+        self.add(&self.inplace_updates, applied.in_place);
+        self.add(&self.trigger_noops, applied.noops);
+        self.add(&self.key_drops, applied.drops);
+        self.add(&self.invalidations, applied.invalidations);
     }
 }
 

@@ -8,26 +8,25 @@
 //!
 //! Trigger bodies follow the paper's four-step recipe: receive the
 //! modified row, derive the affected cache key(s), compute the incremental
-//! update (or pick invalidation), and apply it with `gets`/`cas`, retrying
-//! on CAS conflicts.
+//! update (or pick invalidation), and apply it. The last step is split in
+//! two: a body records the update as a [`Delta`] on the commit's effect
+//! batch without reading the cache, and the commit's publication applies
+//! it where the cached value lives — the paper's `gets` → modify → `cas`
+//! without the client read, so without a CAS retry loop.
 
 use crate::def::{CacheClassKind, ConsistencyStrategy};
 use crate::genie::GenieConfig;
-use crate::mutation::{self, Mutation};
+use crate::mutation;
 use crate::object::ObjectInner;
 use crate::stats::GenieStats;
-use genie_cache::{CacheError, CacheHandle, EncodedList};
+use genie_cache::{CacheCluster, Delta, EncodedList, Mutation};
 use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value};
 use std::sync::Arc;
-
-/// Attempts of a trigger's gets → modify → cas loop on one key before it
-/// falls back to invalidating the key.
-const CAS_RETRY_LIMIT: usize = 8;
 
 /// Builds all triggers for one compiled object (none for `Expire`).
 pub(crate) fn build_triggers(
     obj: &Arc<ObjectInner>,
-    cache: &CacheHandle,
+    cache: &CacheCluster,
     stats: &Arc<GenieStats>,
     config: &GenieConfig,
 ) -> Vec<Trigger> {
@@ -65,7 +64,7 @@ pub(crate) fn build_triggers(
 #[allow(clippy::too_many_arguments)]
 fn make_trigger(
     obj: &Arc<ObjectInner>,
-    cache: &CacheHandle,
+    cache: &CacheCluster,
     stats: &Arc<GenieStats>,
     config: &GenieConfig,
     table: &str,
@@ -89,103 +88,47 @@ fn make_trigger(
         if !reuse_conn {
             ctx.charge_connection_open();
         }
-        let ops = if on_link_target {
-            fire_link_target(&o, &c, &s, ctx)?
+        // The body's own cache round trips are its probes; publication
+        // prices the recorded deltas.
+        let probes = if on_link_target {
+            fire_link_target(&o, &c, ctx)?;
+            0
         } else {
             fire_main(&o, &c, &s, ctx)?
         };
-        ctx.charge_cache_ops(ops);
+        ctx.charge_cache_ops(probes);
         Ok(())
     };
     Trigger::new(name, table, event, body).with_source(source)
 }
 
 // ---------------------------------------------------------------------
-// Shared gets/modify/cas machinery
+// Recording
 // ---------------------------------------------------------------------
 
-/// The gets → modify → cas loop from the paper's generated trigger, with
-/// [`CAS_RETRY_LIMIT`] attempts; exhaustion falls back to invalidation (always safe).
-/// `f` splices the encoded list ([`crate::mutation`]); a payload that is
-/// not the list shape this object caches (`top_k`) is dropped, and one
-/// the codec refuses — in its header, or in any frame `f` had to read —
-/// is deleted so the next read recomputes it.
-fn mutate_key(
-    cache: &CacheHandle,
-    stats: &GenieStats,
+/// Records a splice of `key`'s cached list ([`crate::mutation`]), to run
+/// on the list the key holds at publication. A payload that is not the
+/// list shape this object caches (`top_k`) is dropped there, and one the
+/// codec refuses — in its header, or in any frame `f` had to read — is
+/// deleted so the next read recomputes it.
+fn edit(
+    cache: &CacheCluster,
     key: &str,
     top_k: bool,
-    mut f: impl FnMut(&EncodedList) -> genie_cache::Result<Mutation>,
-) -> u64 {
-    let mut ops = 0;
-    for _ in 0..CAS_RETRY_LIMIT {
-        ops += 1;
-        let Some(got) = cache.gets(key) else {
-            stats.bump(&stats.trigger_noops);
-            return ops;
-        };
-        let mutation = match EncodedList::parse(got.data) {
-            Ok(Some(list)) if list.is_top_k() == top_k => f(&list),
-            Ok(_) => Ok(Mutation::Drop),
-            Err(e) => Err(e),
-        };
-        match mutation {
-            Err(_) => {
-                ops += 1;
-                cache.delete(key);
-                stats.bump(&stats.invalidations);
-                return ops;
-            }
-            Ok(Mutation::Noop) => {
-                stats.bump(&stats.trigger_noops);
-                return ops;
-            }
-            Ok(Mutation::Drop) => {
-                ops += 1;
-                cache.delete(key);
-                stats.bump(&stats.key_drops);
-                return ops;
-            }
-            Ok(Mutation::Keep(list)) => {
-                ops += 1;
-                match cache.cas(key, list.into_bytes(), got.cas, None) {
-                    Ok(()) => {
-                        stats.bump(&stats.inplace_updates);
-                        return ops;
-                    }
-                    Err(CacheError::CasConflict) => {
-                        stats.bump(&stats.cas_conflicts);
-                        continue;
-                    }
-                    Err(_) => {
-                        ops += 1;
-                        cache.delete(key);
-                        stats.bump(&stats.invalidations);
-                        return ops;
-                    }
-                }
-            }
-        }
-    }
-    // Retry budget exhausted: invalidate rather than risk staleness.
-    cache.delete(key);
-    stats.bump(&stats.invalidations);
-    ops + 1
+    f: impl FnOnce(&EncodedList) -> genie_cache::Result<Mutation> + Send + 'static,
+) {
+    cache.record(key, Delta::edit(top_k, f));
 }
 
-fn invalidate_keys(cache: &CacheHandle, stats: &GenieStats, keys: &[String]) -> u64 {
-    let mut ops = 0;
+fn invalidate_keys(cache: &CacheCluster, keys: &[String]) {
     let mut seen: Vec<&String> = Vec::new();
     for key in keys {
         if seen.contains(&key) {
             continue;
         }
         seen.push(key);
-        ops += 1;
-        cache.delete(key);
-        stats.bump(&stats.invalidations);
+        cache.record(key, Delta::Delete);
     }
-    ops
 }
 
 fn pk_of(row: &Row) -> &Value {
@@ -196,9 +139,10 @@ fn pk_of(row: &Row) -> &Value {
 // Main-table events
 // ---------------------------------------------------------------------
 
+/// Returns the cache probes the body made.
 fn fire_main(
-    obj: &ObjectInner,
-    cache: &CacheHandle,
+    obj: &Arc<ObjectInner>,
+    cache: &CacheCluster,
     stats: &GenieStats,
     ctx: &mut TriggerCtx<'_>,
 ) -> Result<u64> {
@@ -211,111 +155,84 @@ fn fire_main(
         if let Some(new) = ctx.new {
             keys.push(obj.key_from_row(new));
         }
-        return Ok(invalidate_keys(cache, stats, &keys));
+        invalidate_keys(cache, &keys);
+        return Ok(0);
     }
     match &obj.def.kind {
-        CacheClassKind::Feature => Ok(fire_feature(obj, cache, stats, ctx)),
-        CacheClassKind::Count => Ok(fire_count(obj, cache, stats, ctx)),
-        CacheClassKind::TopK { .. } => Ok(fire_top_k(obj, cache, stats, ctx)),
-        CacheClassKind::Link { .. } => fire_link_main(obj, cache, stats, ctx),
+        CacheClassKind::Feature => fire_feature(obj, cache, ctx),
+        CacheClassKind::Count => fire_count(obj, cache, stats, ctx),
+        CacheClassKind::TopK { .. } => fire_top_k(obj, cache, ctx),
+        CacheClassKind::Link { .. } => return fire_link_main(obj, cache, stats, ctx),
     }
+    Ok(0)
 }
 
-fn fire_feature(
-    obj: &ObjectInner,
-    cache: &CacheHandle,
-    stats: &GenieStats,
-    ctx: &TriggerCtx<'_>,
-) -> u64 {
+fn fire_feature(obj: &ObjectInner, cache: &CacheCluster, ctx: &TriggerCtx<'_>) {
+    let append = |new: &Row| {
+        let new = new.clone();
+        edit(cache, &obj.key_from_row(&new), false, move |l| {
+            mutation::append(l, std::slice::from_ref(&new))
+        });
+    };
     match ctx.event {
-        TriggerEvent::Insert => {
-            let new = ctx.new.expect("insert has NEW");
-            mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
-                mutation::append(l, std::slice::from_ref(new))
-            })
-        }
+        TriggerEvent::Insert => append(ctx.new.expect("insert has NEW")),
         TriggerEvent::Delete => {
             let old = ctx.old.expect("delete has OLD");
-            mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
-                mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
-            })
+            let pk = pk_of(old).clone();
+            edit(cache, &obj.key_from_row(old), false, move |l| {
+                mutation::remove_pk(l, &pk).map(mutation::keep_if_changed)
+            });
         }
         TriggerEvent::Update => {
             let old = ctx.old.expect("update has OLD");
             let new = ctx.new.expect("update has NEW");
             if obj.key_fields_changed(old, new) {
                 // The row moved between keys: remove then add.
-                let removed = mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
-                    mutation::remove_pk(l, pk_of(old))
-                        .map(|edited| mutation::keep_or_rewrite(edited, l))
+                let pk = pk_of(old).clone();
+                edit(cache, &obj.key_from_row(old), false, move |l| {
+                    mutation::remove_pk(l, &pk).map(|edited| mutation::keep_or_rewrite(edited, l))
                 });
-                removed
-                    + mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
-                        mutation::append(l, std::slice::from_ref(new))
-                    })
+                append(new);
             } else {
-                mutate_key(cache, stats, &obj.key_from_row(new), false, |l| {
-                    mutation::replace_pk_or_append(l, new)
-                })
+                let new = new.clone();
+                edit(cache, &obj.key_from_row(&new), false, move |l| {
+                    mutation::replace_pk_or_append(l, &new)
+                });
             }
         }
     }
 }
 
-fn fire_count(
-    obj: &ObjectInner,
-    cache: &CacheHandle,
-    stats: &GenieStats,
-    ctx: &TriggerCtx<'_>,
-) -> u64 {
-    let bump = |key: &str, delta: i64| -> u64 {
-        match cache.incr(key, delta) {
-            Ok(Some(_)) => {
-                stats.bump(&stats.inplace_updates);
-                1
-            }
-            Ok(None) => {
-                stats.bump(&stats.trigger_noops);
-                1
-            }
-            Err(_) => {
-                cache.delete(key);
-                stats.bump(&stats.invalidations);
-                2
-            }
-        }
-    };
+fn fire_count(obj: &ObjectInner, cache: &CacheCluster, stats: &GenieStats, ctx: &TriggerCtx<'_>) {
+    let bump = |row: &Row, delta: i64| cache.record(&obj.key_from_row(row), Delta::Incr(delta));
     match ctx.event {
-        TriggerEvent::Insert => bump(&obj.key_from_row(ctx.new.expect("NEW")), 1),
-        TriggerEvent::Delete => bump(&obj.key_from_row(ctx.old.expect("OLD")), -1),
+        TriggerEvent::Insert => bump(ctx.new.expect("NEW"), 1),
+        TriggerEvent::Delete => bump(ctx.old.expect("OLD"), -1),
         TriggerEvent::Update => {
             let old = ctx.old.expect("OLD");
             let new = ctx.new.expect("NEW");
             if obj.key_fields_changed(old, new) {
-                bump(&obj.key_from_row(old), -1) + bump(&obj.key_from_row(new), 1)
+                bump(old, -1);
+                bump(new, 1);
             } else {
                 stats.bump(&stats.trigger_noops);
-                0
             }
         }
     }
 }
 
-fn fire_top_k(
-    obj: &ObjectInner,
-    cache: &CacheHandle,
-    stats: &GenieStats,
-    ctx: &TriggerCtx<'_>,
-) -> u64 {
+fn fire_top_k(obj: &Arc<ObjectInner>, cache: &CacheCluster, ctx: &TriggerCtx<'_>) {
     let insert = |new: &Row| {
-        mutate_key(cache, stats, &obj.key_from_row(new), true, |l| {
-            mutation::top_k_insert(obj, l, new).map(mutation::keep_if_changed)
-        })
+        let (o, new) = (Arc::clone(obj), new.clone());
+        edit(cache, &obj.key_from_row(&new), true, move |l| {
+            mutation::top_k_insert(&o, l, &new).map(mutation::keep_if_changed)
+        });
     };
     let remove = |old: &Row| {
-        mutate_key(cache, stats, &obj.key_from_row(old), true, |l| {
-            mutation::top_k_remove(obj, l, pk_of(old))
-        })
+        let (o, pk) = (Arc::clone(obj), pk_of(old).clone());
+        edit(cache, &obj.key_from_row(old), true, move |l| {
+            mutation::top_k_remove(&o, l, &pk)
+        });
     };
     match ctx.event {
         TriggerEvent::Insert => insert(ctx.new.expect("NEW")),
@@ -325,12 +242,14 @@ fn fire_top_k(
             let new = ctx.new.expect("NEW");
             if obj.key_fields_changed(old, new) {
                 // Moved between lists: delete from old, insert into new.
-                remove(old) + insert(new)
+                remove(old);
+                insert(new);
             } else {
                 // Same list: reposition (sort value may have changed).
-                mutate_key(cache, stats, &obj.key_from_row(new), true, |l| {
-                    mutation::top_k_reposition(obj, l, pk_of(old), new)
-                })
+                let (o, pk, new) = (Arc::clone(obj), pk_of(old).clone(), new.clone());
+                edit(cache, &obj.key_from_row(&new), true, move |l| {
+                    mutation::top_k_reposition(&o, l, &pk, &new)
+                });
             }
         }
     }
@@ -352,52 +271,50 @@ fn link_rows_for_base(
     Ok(result.rows)
 }
 
+/// Returns the cache probes the body made.
 fn fire_link_main(
     obj: &ObjectInner,
-    cache: &CacheHandle,
+    cache: &CacheCluster,
     stats: &GenieStats,
     ctx: &mut TriggerCtx<'_>,
 ) -> Result<u64> {
+    // Adds the fresh join image of `new` under `key` if it is cached —
+    // the probe (which names the key, so a miss stays a miss until this
+    // commit publishes) saves the join query when it is not.
+    let append_if_cached = |ctx: &mut TriggerCtx<'_>, key: &str, new: &Row| -> Result<()> {
+        if !cache.probe(key) {
+            stats.bump(&stats.trigger_noops);
+            return Ok(());
+        }
+        let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
+        edit(cache, key, false, move |l| mutation::append(l, &fresh));
+        Ok(())
+    };
     match ctx.event {
         TriggerEvent::Insert => {
             let new = ctx.new.expect("NEW");
-            let key = obj.key_from_row(new);
-            // Probe first: skip the DB work when nothing is cached.
-            if !cache.contains(&key) {
-                stats.bump(&stats.trigger_noops);
-                return Ok(1);
-            }
-            let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
-            Ok(1 + mutate_key(cache, stats, &key, false, |l| mutation::append(l, &fresh)))
+            append_if_cached(ctx, &obj.key_from_row(new), new)?;
+            Ok(1)
         }
         TriggerEvent::Delete => {
             let old = ctx.old.expect("OLD");
-            let key = obj.key_from_row(old);
-            Ok(mutate_key(cache, stats, &key, false, |l| {
-                mutation::remove_pk(l, pk_of(old)).map(mutation::keep_if_changed)
-            }))
+            let pk = pk_of(old).clone();
+            edit(cache, &obj.key_from_row(old), false, move |l| {
+                mutation::remove_pk(l, &pk).map(mutation::keep_if_changed)
+            });
+            Ok(0)
         }
         TriggerEvent::Update => {
             let old = ctx.old.expect("OLD");
             let new = ctx.new.expect("NEW");
-            let new_key = obj.key_from_row(new);
             // Drop the stale combined rows for this base row from the key
             // it was under (the same key, unless a key field moved).
-            let mut ops = mutate_key(cache, stats, &obj.key_from_row(old), false, |l| {
-                mutation::remove_pk(l, pk_of(old))
-                    .map(|edited| mutation::keep_or_rewrite(edited, l))
+            let pk = pk_of(old).clone();
+            edit(cache, &obj.key_from_row(old), false, move |l| {
+                mutation::remove_pk(l, &pk).map(|edited| mutation::keep_or_rewrite(edited, l))
             });
-            // Add the fresh join image under the new key if it is cached.
-            ops += 1;
-            if cache.contains(&new_key) {
-                let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
-                ops += mutate_key(cache, stats, &new_key, false, |l| {
-                    mutation::append(l, &fresh)
-                });
-            } else {
-                stats.bump(&stats.trigger_noops);
-            }
-            Ok(ops)
+            append_if_cached(ctx, &obj.key_from_row(new), new)?;
+            Ok(1)
         }
     }
 }
@@ -407,10 +324,9 @@ fn fire_link_main(
 /// applied in place where possible.
 fn fire_link_target(
     obj: &ObjectInner,
-    cache: &CacheHandle,
-    stats: &GenieStats,
+    cache: &CacheCluster,
     ctx: &mut TriggerCtx<'_>,
-) -> Result<u64> {
+) -> Result<()> {
     let link = obj.link.as_ref().expect("link object");
     let tc = link.target_column_pos;
     let base_arity = obj.base_arity;
@@ -432,15 +348,15 @@ fn fire_link_target(
         if let Some(new) = ctx.new {
             keys.extend(affected_keys(ctx, new.get(tc))?);
         }
-        return Ok(invalidate_keys(cache, stats, &keys));
+        invalidate_keys(cache, &keys);
+        return Ok(());
     }
 
     // A target row joins every base row holding its join value: each of
     // those keys gains `base ++ target` on the tail.
-    let append_joined = |ctx: &mut TriggerCtx<'_>, target: &Row| -> Result<u64> {
+    let append_joined = |ctx: &mut TriggerCtx<'_>, target: &Row| -> Result<()> {
         let bases =
             ctx.query_prepared(&link.reverse_template, std::slice::from_ref(target.get(tc)))?;
-        let mut ops = 0;
         for base in &bases.rows {
             let joined: Vec<Value> = base
                 .values()
@@ -449,24 +365,24 @@ fn fire_link_target(
                 .cloned()
                 .collect();
             let joined = [Row::new(joined)];
-            ops += mutate_key(cache, stats, &obj.key_from_row(base), false, |l| {
+            edit(cache, &obj.key_from_row(base), false, move |l| {
                 mutation::append(l, &joined)
             });
         }
-        Ok(ops)
+        Ok(())
     };
 
-    let mut ops = 0;
     match ctx.event {
         TriggerEvent::Insert => append_joined(ctx, ctx.new.expect("NEW")),
         TriggerEvent::Delete => {
             let old = ctx.old.expect("OLD");
             for key in affected_keys(ctx, old.get(tc))? {
-                ops += mutate_key(cache, stats, &key, false, |l| {
-                    mutation::remove_target(l, base_arity, old).map(mutation::keep_if_changed)
+                let old = old.clone();
+                edit(cache, &key, false, move |l| {
+                    mutation::remove_target(l, base_arity, &old).map(mutation::keep_if_changed)
                 });
             }
-            Ok(ops)
+            Ok(())
         }
         TriggerEvent::Update => {
             let old = ctx.old.expect("OLD");
@@ -475,21 +391,23 @@ fn fire_link_target(
                 // The join column moved: old joiners lose the row, new
                 // joiners gain it.
                 for key in affected_keys(ctx, old.get(tc))? {
-                    ops += mutate_key(cache, stats, &key, false, |l| {
-                        mutation::remove_target(l, base_arity, old)
+                    let old = old.clone();
+                    edit(cache, &key, false, move |l| {
+                        mutation::remove_target(l, base_arity, &old)
                             .map(|edited| mutation::keep_or_rewrite(edited, l))
                     });
                 }
-                Ok(ops + append_joined(ctx, new)?)
+                append_joined(ctx, new)
             } else {
                 // In-place: replace the target portion of matching rows.
                 for key in affected_keys(ctx, new.get(tc))? {
-                    ops += mutate_key(cache, stats, &key, false, |l| {
-                        mutation::replace_target(l, base_arity, old, new)
+                    let (old, new) = (old.clone(), new.clone());
+                    edit(cache, &key, false, move |l| {
+                        mutation::replace_target(l, base_arity, &old, &new)
                             .map(mutation::keep_if_changed)
                     });
                 }
-                Ok(ops)
+                Ok(())
             }
         }
     }
@@ -731,9 +649,8 @@ mod tests {
             .unwrap(),
         );
         let cluster = genie_cache::CacheCluster::new(Default::default());
-        let handle = cluster.handle(genie_cache::CacheOrigin::Trigger);
         let stats = Arc::new(GenieStats::new());
-        let triggers = build_triggers(&obj, &handle, &stats, &GenieConfig::default());
+        let triggers = build_triggers(&obj, &cluster, &stats, &GenieConfig::default());
         assert!(triggers.is_empty());
     }
 
@@ -741,9 +658,8 @@ mod tests {
     fn non_link_objects_get_three_triggers() {
         let obj = Arc::new(top_k_obj());
         let cluster = genie_cache::CacheCluster::new(Default::default());
-        let handle = cluster.handle(genie_cache::CacheOrigin::Trigger);
         let stats = Arc::new(GenieStats::new());
-        let triggers = build_triggers(&obj, &handle, &stats, &GenieConfig::default());
+        let triggers = build_triggers(&obj, &cluster, &stats, &GenieConfig::default());
         assert_eq!(triggers.len(), 3);
         assert!(triggers.iter().all(|t| t.table == "wall"));
         assert!(triggers.iter().all(|t| t.source.is_some()));

@@ -17,11 +17,18 @@
 //! includes the commit and the fill is fresh. Either way a fill built
 //! from an old snapshot can never overwrite a newer publish. These
 //! tests pin both orderings deterministically.
+//!
+//! On a durable database a third ordering exists: the lease is taken
+//! *after* the commit fired its triggers but *before* its log sync made
+//! the epoch visible. The commit's triggers named the key — fencing it
+//! until publication — so that fill is refused even for a key the commit
+//! found uncached.
 
 use cachegenie::{CacheGenie, CacheableDef, GenieConfig};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
 use genie_orm::{FieldDef, ModelDef, ModelRegistry, OrmSession};
-use genie_storage::{Database, Value, ValueType};
+use genie_storage::wal::WalConfig;
+use genie_storage::{Database, DbConfig, Value, ValueType};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -33,6 +40,10 @@ struct Env {
 }
 
 fn env() -> Env {
+    env_on(Database::default())
+}
+
+fn env_on(db: Database) -> Env {
     let mut reg = ModelRegistry::new();
     reg.register(
         ModelDef::builder("User", "users")
@@ -48,7 +59,6 @@ fn env() -> Env {
     )
     .unwrap();
     let reg = Arc::new(reg);
-    let db = Database::default();
     reg.sync(&db).unwrap();
     let session = OrmSession::new(db.clone(), Arc::clone(&reg));
     let cluster = CacheCluster::new(ClusterConfig::default());
@@ -59,6 +69,9 @@ fn env() -> Env {
         .unwrap();
     genie
         .cacheable(CacheableDef::count("wall_count", "WallPost").where_fields(&["user_id"]))
+        .unwrap();
+    genie
+        .cacheable(CacheableDef::feature("wall_posts", "WallPost").where_fields(&["user_id"]))
         .unwrap();
     Env {
         db,
@@ -175,4 +188,75 @@ fn fill_after_publish_reads_the_new_epoch_and_lands() {
         .genie
         .verify_coherence("wall_count", &[Value::Int(1)])
         .unwrap());
+}
+
+/// A durable database whose every log sync takes `sync_delay_us`.
+fn durable_env(name: &str, sync_delay_us: u64) -> (Env, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("genie-mvcc-fill-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = WalConfig {
+        sync_delay_us,
+        ..WalConfig::default()
+    };
+    let db = Database::create_durable(&dir, DbConfig::default(), wal).unwrap();
+    (env_on(db), dir)
+}
+
+/// Fill-during-sync: a writer autocommits a post for a user whose
+/// `object` key is not cached, and a read-through of that key runs while
+/// the commit's log record syncs — after its triggers fired, before its
+/// epoch is visible. The read's snapshot predates the post; the commit
+/// fenced the key, so the fill is refused, and after the writer finishes
+/// the cache agrees with the database.
+fn fill_during_log_sync_is_refused(name: &str, object: &str) {
+    let (e, dir) = durable_env(name, 400_000);
+    let records = || e.db.wal_stats().unwrap().records;
+    let before = records();
+    let sess_w = e.session.clone();
+    let writer = std::thread::spawn(move || {
+        sess_w
+            .create(
+                "WallPost",
+                &[
+                    ("user_id", Value::Int(1)),
+                    ("date_posted", Value::Timestamp(100)),
+                ],
+            )
+            .unwrap();
+    });
+    // The record is enqueued under the commit's latch, after its
+    // triggers fired; the epoch becomes visible only after the sync.
+    while records() == before {
+        std::thread::yield_now();
+    }
+    let epoch = e.db.commit_epoch();
+    let read = e.genie.evaluate(object, &[Value::Int(1)]).unwrap();
+    assert!(!read.from_cache);
+    assert_eq!(
+        e.genie.stats().fills_dropped,
+        1,
+        "the fence refused the fill"
+    );
+    assert_eq!(
+        e.db.commit_epoch(),
+        epoch,
+        "the read ran inside the writer's log sync"
+    );
+    writer.join().unwrap();
+    assert!(
+        e.genie.verify_coherence(object, &[Value::Int(1)]).unwrap(),
+        "a fill from the pre-commit snapshot was cached"
+    );
+    drop(e);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn count_fill_during_durable_commit_sync_is_refused() {
+    fill_during_log_sync_is_refused("count", "wall_count");
+}
+
+#[test]
+fn feature_fill_during_durable_commit_sync_is_refused() {
+    fill_during_log_sync_is_refused("feature", "wall_posts");
 }

@@ -117,8 +117,10 @@ use txn::TxnTable;
 /// Deferred cache-publication step returned by [`CommitHook::commit_apply`].
 /// The engine runs it after releasing its latches (but before releasing
 /// the transaction's row locks), so slow external effects never
-/// serialize unrelated statements.
-pub type DeferredPublish = Option<Box<dyn FnOnce() + Send>>;
+/// serialize unrelated statements. It returns the cache operations it
+/// performed for the commit's [`CostReport::trigger_cache_ops`]; the
+/// engine drops it unrun when the commit fails after sealing.
+pub type DeferredPublish = Option<Box<dyn FnOnce() -> u64 + Send>>;
 
 /// Observer of the commit-time effect pipeline. Registered by middleware
 /// (CacheGenie) that turns trigger work into external cache effects: the

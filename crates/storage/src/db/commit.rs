@@ -241,7 +241,7 @@ impl Database {
             None => Ok(()),
         };
         if let (Ok(()), Some(publish)) = (&durable, done.publish) {
-            publish();
+            cost.trigger_cache_ops += publish();
         }
         release_locks();
         durable?;
