@@ -1,9 +1,10 @@
 //! Criterion micro-bench: raw engine speed of database point lookups vs
-//! cache gets (the real-time counterpart of the §5.3 modelled numbers).
+//! cache gets (the real-time counterpart of the §5.3 modelled numbers),
+//! and of an index scan returning a wall's worth of rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
-use genie_storage::{Database, Value};
+use genie_storage::{Database, Statement, Value};
 use std::hint::black_box;
 
 fn bench_lookups(c: &mut Criterion) {
@@ -47,5 +48,57 @@ fn bench_lookups(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookups);
+/// `wall_posts`-shaped rows, one text column each.
+const WALL_POSTS: i64 = 25_000;
+/// Posts per sender: what one `sender_id` probe returns.
+const POSTS_PER_SENDER: i64 = 84;
+
+fn bench_index_scan(c: &mut Criterion) {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE wall_posts (id INT PRIMARY KEY, user_id INT NOT NULL, \
+         sender_id INT NOT NULL, content TEXT, date_posted TIMESTAMP NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql(
+        "CREATE INDEX wall_posts_sender ON wall_posts (sender_id)",
+        &[],
+    )
+    .unwrap();
+    for id in 0..WALL_POSTS {
+        db.execute_sql(
+            "INSERT INTO wall_posts VALUES ($1, $2, $3, $4, $5)",
+            &[
+                Value::Int(id),
+                Value::Int(id % 997),
+                Value::Int(id / POSTS_PER_SENDER),
+                Value::Text(format!("wall post {id}: hello there")),
+                Value::Timestamp(1_000 + id),
+            ],
+        )
+        .unwrap();
+    }
+    let senders = WALL_POSTS / POSTS_PER_SENDER;
+    // Prepared once, as the ORM runs a page query.
+    let Statement::Select(select) =
+        genie_storage::sql::parse("SELECT * FROM wall_posts WHERE sender_id = $1").unwrap()
+    else {
+        unreachable!("a SELECT parses to a SELECT")
+    };
+    let by_sender = db.prepare(&select);
+
+    let mut group = c.benchmark_group("index_scan");
+    group.bench_function("wall_posts_by_sender_84_rows", |b| {
+        let mut s = 0i64;
+        b.iter(|| {
+            s = (s + 7) % senders;
+            let out = db.execute_prepared(&by_sender, &[Value::Int(s)]).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_lookups, bench_index_scan);
 criterion_main!(benches);

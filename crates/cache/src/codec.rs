@@ -82,11 +82,21 @@ impl Payload {
     /// frame per row (or the single count/raw frame).
     pub fn encode(&self) -> Bytes {
         match self {
-            Payload::Rows(rows) => encode_list(false, false, rows),
-            Payload::TopK { rows, complete } => encode_list(true, *complete, rows),
+            Payload::Rows(rows) => Payload::encode_rows(rows),
+            Payload::TopK { rows, complete } => Payload::encode_top_k(rows, *complete),
             Payload::Count(n) => encode_scalar(TAG_COUNT, 8, |b| b.put_i64_le(*n)),
             Payload::Raw(bytes) => encode_scalar(TAG_RAW, bytes.len(), |b| b.put_slice(bytes)),
         }
+    }
+
+    /// Encodes `Payload::Rows(rows)` from borrowed rows.
+    pub fn encode_rows(rows: &[Row]) -> Bytes {
+        encode_list(false, false, rows)
+    }
+
+    /// Encodes `Payload::TopK { rows, complete }` from borrowed rows.
+    pub fn encode_top_k(rows: &[Row], complete: bool) -> Bytes {
+        encode_list(true, complete, rows)
     }
 
     /// Decodes a payload previously produced by [`Payload::encode`] or an
@@ -346,6 +356,38 @@ impl RowView<'_> {
     /// [`CacheError::Codec`] if the row has fewer than `from` columns or
     /// its bytes are malformed.
     pub fn values_from(&self, from: usize) -> Result<Vec<Value>> {
+        let (n, mut buf) = self.skip_to(from)?;
+        let mut vals = Vec::with_capacity(n);
+        for _ in 0..n {
+            vals.push(decode_value(&mut buf)?);
+        }
+        end_of_row(buf)?;
+        Ok(vals)
+    }
+
+    /// Materialises the whole row, decoding straight into its one shared
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if the row's bytes are malformed.
+    pub fn to_row(&self) -> Result<Row> {
+        let (n, mut buf) = self.skip_to(0)?;
+        let row = Row::try_build(n, |vals| {
+            for v in vals {
+                *v = decode_value(&mut buf)?;
+            }
+            Ok(())
+        })?;
+        end_of_row(buf)?;
+        Ok(row)
+    }
+
+    /// Skips the first `from` values: the number of values after them and
+    /// the bytes that hold those values. The count is checked against the
+    /// bytes left (every value takes at least its tag byte), so a corrupt
+    /// arity cannot size an allocation.
+    fn skip_to(&self, from: usize) -> Result<(usize, &[u8])> {
         let mut buf = self.body;
         let arity = checked_u32(&mut buf, "row arity")? as usize;
         if from > arity {
@@ -354,23 +396,10 @@ impl RowView<'_> {
         for _ in 0..from {
             skip_value(&mut buf)?;
         }
-        let mut vals = Vec::with_capacity((arity - from).min(1 << 12));
-        for _ in from..arity {
-            vals.push(decode_value(&mut buf)?);
+        if arity - from > buf.len() {
+            return Err(codec_err("row arity exceeds its frame"));
         }
-        if !buf.is_empty() {
-            return Err(codec_err("frame is longer than its row"));
-        }
-        Ok(vals)
-    }
-
-    /// Materialises the whole row.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::Codec`] if the row's bytes are malformed.
-    pub fn to_row(&self) -> Result<Row> {
-        Ok(Row::new(self.values_from(0)?))
+        Ok((arity - from, buf))
     }
 }
 
@@ -615,6 +644,16 @@ impl ListWriter {
 // ---------------------------------------------------------------------
 // Rows and values
 // ---------------------------------------------------------------------
+
+/// The bytes left once a row's last value is read: none, or the frame
+/// is malformed.
+fn end_of_row(buf: &[u8]) -> Result<()> {
+    if buf.is_empty() {
+        Ok(())
+    } else {
+        Err(codec_err("frame is longer than its row"))
+    }
+}
 
 fn checked_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
     if buf.remaining() < 4 {

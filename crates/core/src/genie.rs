@@ -696,9 +696,9 @@ impl GenieShared {
                 let out =
                     self.lease_read(&key, lease, self.db.execute_prepared(&obj.template, params))?;
                 cache_ops += 1;
-                self.record_fill(self.app_cache.fill_payload(
+                self.record_fill(self.app_cache.fill(
                     &key,
-                    &Payload::Rows(out.result.rows.clone()),
+                    Payload::encode_rows(&out.result.rows),
                     obj.fill_ttl(),
                     lease,
                 ));
@@ -746,12 +746,9 @@ impl GenieShared {
         let rows = out.result.rows;
         let complete = rows.len() < obj.capacity;
         cache_ops += 1;
-        self.record_fill(self.app_cache.fill_payload(
+        self.record_fill(self.app_cache.fill(
             key,
-            &Payload::TopK {
-                rows: rows.clone(),
-                complete,
-            },
+            Payload::encode_top_k(&rows, complete),
             obj.fill_ttl(),
             lease,
         ));

@@ -90,10 +90,10 @@ pub(crate) fn replace_target(
         if !joins_target(&joined, base_arity, old)? {
             return Ok(Edit::Keep);
         }
-        let mut vals = joined.to_row()?.into_values();
-        vals.truncate(base_arity);
-        vals.extend(new.values().iter().cloned());
-        Ok(Edit::Replace(Row::new(vals)))
+        let base = joined.values_from(0)?.into_iter().take(base_arity);
+        Ok(Edit::Replace(
+            base.chain(new.values().iter().cloned()).collect(),
+        ))
     })
 }
 
@@ -277,9 +277,11 @@ pub(crate) mod tests {
                     let mut touched = false;
                     for r in &mut rows {
                         if r.values()[base_arity..] == *old.values() {
-                            let mut vals = r.values()[..base_arity].to_vec();
-                            vals.extend(new.values().iter().cloned());
-                            *r = Row::new(vals);
+                            *r = r.values()[..base_arity]
+                                .iter()
+                                .chain(new.values())
+                                .cloned()
+                                .collect();
                             touched = true;
                         }
                     }

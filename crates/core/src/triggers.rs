@@ -358,13 +358,12 @@ fn fire_link_target(
         let bases =
             ctx.query_prepared(&link.reverse_template, std::slice::from_ref(target.get(tc)))?;
         for base in &bases.rows {
-            let joined: Vec<Value> = base
+            let joined = [base
                 .values()
                 .iter()
                 .chain(target.values())
                 .cloned()
-                .collect();
-            let joined = [Row::new(joined)];
+                .collect()];
             edit(cache, &obj.key_from_row(base), false, move |l| {
                 mutation::append(l, &joined)
             });

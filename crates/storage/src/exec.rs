@@ -672,10 +672,7 @@ fn join_step(
         let Some(r) = examine(jt, cand, pool, cost, snap) else {
             continue;
         };
-        let mut combined = Vec::with_capacity(left.arity() + r.arity());
-        combined.extend_from_slice(left.values());
-        combined.extend_from_slice(r.values());
-        let combined = Row::new(combined);
+        let combined: Row = left.values().iter().chain(r.values()).cloned().collect();
         let mut ok = true;
         for on in &step.on {
             if !on.matches(&combined, params)? {
@@ -689,10 +686,8 @@ fn join_step(
         }
     }
     if !matched && step.kind == JoinKind::Left {
-        let mut combined = Vec::with_capacity(left.arity() + jt.schema().arity());
-        combined.extend_from_slice(left.values());
-        combined.extend(std::iter::repeat_n(Value::Null, jt.schema().arity()));
-        out.push(Row::new(combined));
+        let nulls = std::iter::repeat_n(Value::Null, jt.schema().arity());
+        out.push(left.values().iter().cloned().chain(nulls).collect());
     }
     Ok(())
 }
@@ -819,7 +814,7 @@ pub(crate) fn run_prepared(
             }
             for row in batch {
                 let row = match &plan.perm {
-                    Some(p) => Row::new(p.iter().map(|&i| row.get(i).clone()).collect()),
+                    Some(p) => p.iter().map(|&i| row.get(i).clone()).collect(),
                     None => row,
                 };
                 let keep = match &bound.pred {
@@ -894,7 +889,7 @@ pub(crate) fn run_prepared(
 
     // --- projection ---
     let rows = match &bound.output {
-        Output::Exprs(outs) => project(outs, bound.columns.len(), current, params)?,
+        Output::Exprs(outs) => project(outs, current, params)?,
         Output::Star | Output::Aggregate { .. } => current,
     };
     cost.rows_returned += rows.len() as u64;
@@ -1064,9 +1059,8 @@ impl<'a> RowBatch<'a> {
         cost: &mut CostReport,
         snap: &Snapshot,
     ) -> RowBatch<'a> {
-        let rows: Vec<&'a Row> = candidates
-            .filter_map(|cand| examine(table, cand, pool, cost, snap))
-            .collect();
+        let mut rows: Vec<&'a Row> = Vec::with_capacity(candidates.size_hint().0);
+        rows.extend(candidates.filter_map(|cand| examine(table, cand, pool, cost, snap)));
         let n = rows.len();
         RowBatch {
             rows,
@@ -1396,17 +1390,32 @@ fn run_count_only(base: &Table, path: &AccessPath, cost: &mut CostReport, snap: 
     }
 }
 
-fn project(outs: &[Out], width: usize, input: Vec<Row>, params: &[Value]) -> Result<Vec<Row>> {
+fn project(outs: &[Out], input: Vec<Row>, params: &[Value]) -> Result<Vec<Row>> {
     let mut rows = Vec::with_capacity(input.len());
     for r in input {
-        let mut vals = Vec::with_capacity(width);
-        for out in outs {
-            match out {
-                Out::All => vals.extend_from_slice(r.values()),
-                Out::Expr(e) => vals.push(e.eval(&r, params)?),
+        let width = outs
+            .iter()
+            .map(|out| match out {
+                Out::All => r.arity(),
+                Out::Expr(_) => 1,
+            })
+            .sum();
+        rows.push(Row::try_build(width, |slots| {
+            let mut at = 0;
+            for out in outs {
+                match out {
+                    Out::All => {
+                        slots[at..at + r.arity()].clone_from_slice(r.values());
+                        at += r.arity();
+                    }
+                    Out::Expr(e) => {
+                        slots[at] = e.eval(&r, params)?;
+                        at += 1;
+                    }
+                }
             }
-        }
-        rows.push(Row::new(vals));
+            Ok(())
+        })?);
     }
     Ok(rows)
 }
@@ -1562,11 +1571,12 @@ pub(crate) fn run_insert(
                     got: format!("{} values", exprs.len()),
                 });
             }
-            let vals = exprs
-                .iter()
-                .map(|e| eval_const(e, params))
-                .collect::<Result<Vec<_>>>()?;
-            Row::new(vals)
+            Row::try_build(exprs.len(), |slots| {
+                for (slot, e) in slots.iter_mut().zip(exprs) {
+                    *slot = eval_const(e, params)?;
+                }
+                Ok(())
+            })?
         } else {
             if exprs.len() != ins.columns.len() {
                 return Err(StorageError::TypeMismatch {
@@ -1575,12 +1585,12 @@ pub(crate) fn run_insert(
                     got: format!("{} values", exprs.len()),
                 });
             }
-            let mut vals = vec![Value::Null; schema.arity()];
-            for (col, e) in ins.columns.iter().zip(exprs) {
-                let pos = schema.require_column(col)?;
-                vals[pos] = eval_const(e, params)?;
-            }
-            Row::new(vals)
+            Row::try_build(schema.arity(), |slots| {
+                for (col, e) in ins.columns.iter().zip(exprs) {
+                    slots[schema.require_column(col)?] = eval_const(e, params)?;
+                }
+                Ok(())
+            })?
         };
         full_rows.push(row);
     }

@@ -2,6 +2,7 @@
 
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// Internal identity of a stored row (heap slot number).
 ///
@@ -17,15 +18,41 @@ impl fmt::Display for RowId {
 }
 
 /// A single tuple: one value per schema column, in declaration order.
+///
+/// Rows are immutable and shared. The values live in one reference-counted
+/// allocation, so `clone` is a count increment: a SELECT hands out the
+/// heap's own row versions, and a cache fill encodes the very rows the
+/// query returned. No row is ever mutated in place — [`Row::values_mut`]
+/// copies the values first unless this handle is the only one, so a held
+/// result row keeps the values it was read with whatever later writes do
+/// to the heap.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Row {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Row {
-    /// Creates a row from its column values.
+    /// Creates a row from its column values (one copy into the shared
+    /// allocation; collecting an iterator builds the row in place).
     pub fn new(values: Vec<Value>) -> Self {
-        Row { values }
+        Row {
+            values: values.into(),
+        }
+    }
+
+    /// Builds a row of `arity` columns in its one shared allocation: every
+    /// slot starts NULL and `fill` writes them, stopping at its first error.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fill` returns.
+    pub fn try_build<E>(
+        arity: usize,
+        fill: impl FnOnce(&mut [Value]) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let mut values: Arc<[Value]> = std::iter::repeat_n(Value::Null, arity).collect();
+        fill(Arc::get_mut(&mut values).expect("a row being built is unshared"))?;
+        Ok(Row { values })
     }
 
     /// The values, in column order.
@@ -33,9 +60,12 @@ impl Row {
         &self.values
     }
 
-    /// Mutable access to the values (used by UPDATE execution).
+    /// Mutable access to this handle's values (used by UPDATE execution
+    /// to build the new image). Copy-on-write: while the allocation is
+    /// shared — with the heap or any other handle — the values are copied
+    /// first, so no other holder sees the change.
     pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
+        Arc::make_mut(&mut self.values)
     }
 
     /// The value at column position `i`, or NULL if out of range.
@@ -58,11 +88,6 @@ impl Row {
         self.values.is_empty()
     }
 
-    /// Consumes the row, returning its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Approximate in-memory footprint, used by the buffer-pool model and
     /// the cache's memory accounting.
     pub fn byte_size(&self) -> usize {
@@ -76,9 +101,14 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+/// Collects straight into the shared allocation when the iterator knows
+/// its exact length (a slice's `iter().cloned()`, `map`, `chain`,
+/// `repeat_n`, ...).
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row::new(iter.into_iter().collect())
+        Row {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -105,7 +135,9 @@ impl fmt::Display for Row {
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        $crate::Row::new(vec![$($crate::Value::from($v)),*])
+        <$crate::Row as ::std::iter::FromIterator<$crate::Value>>::from_iter(
+            [$($crate::Value::from($v)),*]
+        )
     };
 }
 
@@ -144,5 +176,25 @@ mod tests {
     fn from_iterator_collects() {
         let r: Row = (0..3).map(Value::Int).collect();
         assert_eq!(r.arity(), 3);
+    }
+
+    #[test]
+    fn clone_shares_and_values_mut_copies_on_write() {
+        let a = row![1i64, "x"];
+        let mut b = a.clone();
+        assert!(std::ptr::eq(a.values(), b.values()));
+        b.values_mut()[0] = Value::Int(2);
+        assert_eq!(a, row![1i64, "x"]);
+        assert_eq!(b, row![2i64, "x"]);
+    }
+
+    #[test]
+    fn try_build_fills_or_fails() {
+        let r = Row::try_build(2, |v| {
+            v[1] = Value::Int(7);
+            Ok::<_, ()>(())
+        });
+        assert_eq!(r, Ok(row![Value::Null, 7i64]));
+        assert_eq!(Row::try_build(3, |_| Err("bad")), Err("bad"));
     }
 }

@@ -377,31 +377,29 @@ impl Table {
                 got: format!("{} columns", row.arity()),
             });
         }
-        let mut out = Vec::with_capacity(row.arity());
-        for (col, v) in self.schema.columns().iter().zip(row.values()) {
-            if v.is_null() {
-                if col.not_null {
-                    return Err(StorageError::NullViolation(format!(
-                        "{}.{}",
-                        self.schema.name(),
-                        col.name
-                    )));
+        Row::try_build(row.arity(), |out| {
+            let columns = self.schema.columns().iter().zip(row.values());
+            for (slot, (col, v)) in out.iter_mut().zip(columns) {
+                if v.is_null() {
+                    if col.not_null {
+                        return Err(StorageError::NullViolation(format!(
+                            "{}.{}",
+                            self.schema.name(),
+                            col.name
+                        )));
+                    }
+                    continue;
                 }
-                out.push(Value::Null);
-                continue;
-            }
-            match v.coerce_to(col.ty) {
-                Some(cv) => out.push(cv),
-                None => {
-                    return Err(StorageError::TypeMismatch {
+                *slot = v
+                    .coerce_to(col.ty)
+                    .ok_or_else(|| StorageError::TypeMismatch {
                         column: format!("{}.{}", self.schema.name(), col.name),
                         expected: col.ty.to_string(),
                         got: format!("{v}"),
-                    })
-                }
+                    })?;
             }
-        }
-        Ok(Row::new(out))
+            Ok(())
+        })
     }
 
     /// The live (heap-current) row id carrying `pk`, if any. Stale
@@ -1474,10 +1472,14 @@ impl Table {
         key: &[Value],
         keep: &dyn Fn(&[Value], RowId) -> Option<T>,
     ) -> Vec<T> {
-        idx.map
-            .get(key)
-            .map(|s| s.iter().filter_map(|&rid| keep(key, rid)).collect())
-            .unwrap_or_default()
+        let Some(rids) = idx.map.get(key) else {
+            return Vec::new();
+        };
+        // Sized for every entry up front: one allocation however many
+        // rows the key carries.
+        let mut out = Vec::with_capacity(rids.len());
+        out.extend(rids.iter().filter_map(|&rid| keep(key, rid)));
+        out
     }
 
     /// Row ids whose primary key falls in `[from, to]`, in key order

@@ -286,14 +286,17 @@ impl<'a> Cur<'a> {
 
     fn row(&mut self) -> Result<Row> {
         let n = self.u32()? as usize;
-        if n > MAX_RECORD_BYTES {
+        // Every value takes at least its tag byte, so a corrupt arity
+        // cannot size the row's allocation.
+        if n > self.buf.len() - self.pos {
             return Err(bad("implausible row arity"));
         }
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.value()?);
-        }
-        Ok(Row::new(vals))
+        Row::try_build(n, |vals| {
+            for v in vals {
+                *v = self.value()?;
+            }
+            Ok(())
+        })
     }
 
     fn opt_row(&mut self) -> Result<Option<Row>> {
