@@ -1,6 +1,7 @@
 //! Criterion micro-bench: raw engine speed of database point lookups vs
 //! cache gets (the real-time counterpart of the §5.3 modelled numbers),
-//! and of an index scan returning a wall's worth of rows.
+//! of an index scan returning a wall's worth of rows, and of resolving
+//! scattered index entries to their heap rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
@@ -100,5 +101,74 @@ fn bench_index_scan(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookups, bench_index_scan);
+/// `friendships`-shaped rows: enough that the heap is large and the rows
+/// one key names lie far apart in it.
+const FRIENDSHIPS: i64 = 100_000;
+/// Distinct `friend_id` values; each names `FRIENDSHIPS / FRIENDS` rows.
+const FRIENDS: i64 = 5_000;
+
+fn bench_entry_resolution(c: &mut Criterion) {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE friendships (id INT PRIMARY KEY, user_id INT NOT NULL, \
+         friend_id INT NOT NULL, added TIMESTAMP NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql(
+        "CREATE INDEX friendships_friend ON friendships (friend_id)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql("BEGIN", &[]).unwrap();
+    for id in 0..FRIENDSHIPS {
+        // Rows are inserted user by user, as the seed does; a friend's
+        // rows are spread across the whole heap, one every FRIENDS ids.
+        db.execute_sql(
+            "INSERT INTO friendships VALUES ($1, $2, $3, $4)",
+            &[
+                Value::Int(id),
+                Value::Int(id / (FRIENDSHIPS / FRIENDS)),
+                Value::Int(id * 7_919 % FRIENDS),
+                Value::Timestamp(1_000 + id),
+            ],
+        )
+        .unwrap();
+    }
+    db.execute_sql("COMMIT", &[]).unwrap();
+    let prepare = |sql: &str| {
+        let Statement::Select(select) = genie_storage::sql::parse(sql).unwrap() else {
+            unreachable!("a SELECT parses to a SELECT")
+        };
+        db.prepare(&select)
+    };
+    let rows = prepare("SELECT * FROM friendships WHERE friend_id = $1");
+    let count = prepare("SELECT COUNT(*) FROM friendships WHERE friend_id = $1");
+
+    let mut group = c.benchmark_group("entry_resolution");
+    group.bench_function("friendships_by_friend_20_rows", |b| {
+        let mut f = 0i64;
+        b.iter(|| {
+            f = (f + 7) % FRIENDS;
+            let out = db.execute_prepared(&rows, &[Value::Int(f)]).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.bench_function("friendships_count_by_friend_20_rows", |b| {
+        let mut f = 0i64;
+        b.iter(|| {
+            f = (f + 7) % FRIENDS;
+            let out = db.execute_prepared(&count, &[Value::Int(f)]).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lookups,
+    bench_index_scan,
+    bench_entry_resolution
+);
 criterion_main!(benches);

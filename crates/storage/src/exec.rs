@@ -712,8 +712,9 @@ pub(crate) fn run_prepared(
     let path = plan.base_path(params);
 
     // COUNT(*) pushdown: the planner proved the path yields exactly the
-    // matching rows, so answer from pk-map / posting-list sizes without
-    // touching the heap (entries resolve against the snapshot).
+    // matching rows, so count the pk-map / posting-list entries instead
+    // of building rows. Each entry is still checked against the
+    // snapshot in the heap (one slot lookup, no page read, no copy).
     if qplan.count_only {
         let n = run_count_only(base, &path, cost, snap);
         cost.rows_returned += 1;

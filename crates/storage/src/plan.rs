@@ -1320,8 +1320,9 @@ pub struct QueryPlan {
     pub fetch_limit: Option<u64>,
     /// True when the statement is a single-table `SELECT COUNT(*)` whose
     /// WHERE clause is exactly absorbed by the access path's key — the
-    /// executor answers from the primary-key map / index posting lists
-    /// without touching the heap (aggregate pushdown).
+    /// executor counts the primary-key map / index posting-list entries
+    /// visible to the snapshot instead of building rows (aggregate
+    /// pushdown).
     pub count_only: bool,
     /// Estimated output rows before the final WHERE residue.
     pub estimated_rows: f64,

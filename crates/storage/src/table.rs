@@ -1,8 +1,10 @@
 //! Heap tables with B-tree secondary indexes and multi-version rows.
 //!
-//! Rows are stored in a `BTreeMap<RowId, Row>` heap ordered by insertion;
-//! every table has an implicit unique index on its primary key plus any
-//! number of secondary indexes (`BTreeMap<Vec<Value>, BTreeSet<RowId>>`).
+//! Rows are stored in a heap that is a slot vector: a row id is an index
+//! into it, so resolving the row an index entry names is one array
+//! access, not a search. Every table has an implicit unique index on its
+//! primary key plus any number of secondary indexes
+//! (`BTreeMap<Vec<Value>, BTreeSet<RowId>>`).
 //! All index maintenance happens inside the write methods, so the
 //! executor can never leave an index stale.
 //!
@@ -206,13 +208,88 @@ fn range_is_empty(lo: &std::ops::Bound<Value>, hi: &std::ops::Bound<Value>) -> b
     }
 }
 
+/// The newest image of every row, in a slot vector indexed by
+/// `rid - base`. Row ids are allocated densely from the table's
+/// `next_rid` and never reused, so a lookup is one bounds-checked array
+/// index and iteration is in row-id order. A delete (or an undone
+/// insert) frees its `Row` but keeps the 16-byte `None` slot — the id
+/// stays retired. `truncate` moves `base` up to `next_rid`, so the old
+/// ids leave no slots behind.
+#[derive(Debug, Clone, Default)]
+struct Heap {
+    /// Row id of `slots[0]`.
+    base: u64,
+    slots: Vec<Option<Row>>,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl Heap {
+    fn get(&self, rid: RowId) -> Option<&Row> {
+        let i = rid.0.checked_sub(self.base)?;
+        self.slots.get(usize::try_from(i).ok()?)?.as_ref()
+    }
+
+    fn contains(&self, rid: RowId) -> bool {
+        self.get(rid).is_some()
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Stores `row` at `rid`, returning the image it replaced.
+    fn insert(&mut self, rid: RowId, row: Row) -> Option<Row> {
+        if rid.0 < self.base {
+            // Only the test-only `restore` reaches below `base`.
+            let grow = (self.base - rid.0) as usize;
+            self.slots.splice(0..0, std::iter::repeat_n(None, grow));
+            self.base = rid.0;
+        }
+        let i = (rid.0 - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let old = self.slots[i].replace(row);
+        if old.is_none() {
+            self.live += 1;
+        }
+        old
+    }
+
+    /// Empties `rid`'s slot (the slot itself stays), returning its row.
+    fn remove(&mut self, rid: RowId) -> Option<Row> {
+        let i = usize::try_from(rid.0.checked_sub(self.base)?).ok()?;
+        let old = self.slots.get_mut(i)?.take();
+        if old.is_some() {
+            self.live -= 1;
+        }
+        old
+    }
+
+    /// Occupied slots in row-id order.
+    fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
+        let base = self.base;
+        (base..)
+            .zip(&self.slots)
+            .filter_map(|(rid, slot)| Some((RowId(rid), slot.as_ref()?)))
+    }
+
+    /// Drops every row; the next slot is `next_rid`.
+    fn clear(&mut self, next_rid: u64) {
+        self.slots = Vec::new();
+        self.base = next_rid;
+        self.live = 0;
+    }
+}
+
 /// A heap table plus its indexes.
 #[derive(Debug)]
 pub struct Table {
     schema: TableSchema,
     /// Dense id assigned by the catalog; keys buffer-pool pages.
     id: u32,
-    rows: BTreeMap<RowId, Row>,
+    rows: Heap,
     next_rid: u64,
     /// Implicit unique index: pk value -> row ids that ever carried it
     /// (newest last). At most one is *live* at any snapshot; stale ids
@@ -269,7 +346,7 @@ impl Table {
         Table {
             schema,
             id,
-            rows: BTreeMap::new(),
+            rows: Heap::default(),
             next_rid: 0,
             pk_index: BTreeMap::new(),
             indexes: Vec::new(),
@@ -354,7 +431,7 @@ impl Table {
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len() == 0
     }
 
     /// The heap page number a row lives on (model; see [`crate::bufferpool`]).
@@ -412,7 +489,7 @@ impl Table {
             .iter()
             .rev()
             .copied()
-            .find(|rid| self.rows.get(rid).is_some_and(|r| r.get(pos) == pk))
+            .find(|&rid| self.rows.get(rid).is_some_and(|r| r.get(pos) == pk))
     }
 
     /// True when a *live* row other than `exclude` carries `key` on the
@@ -422,7 +499,7 @@ impl Table {
         idx.map.get(key).is_some_and(|set| {
             set.iter().any(|&r| {
                 Some(r) != exclude
-                    && self.rows.get(&r).is_some_and(|row| {
+                    && self.rows.get(r).is_some_and(|row| {
                         idx.key_pos.iter().zip(key).all(|(&p, kv)| row.get(p) == kv)
                     })
             })
@@ -553,7 +630,7 @@ impl Table {
                 // transaction: the collision is unresolved — retry.
                 let live_carries = self
                     .rows
-                    .get(&rid)
+                    .get(rid)
                     .is_some_and(|r| idx.key_pos.iter().zip(&key).all(|(&p, kv)| r.get(p) == kv));
                 if live_carries {
                     if let Some(m) = self.meta.get(&rid) {
@@ -627,7 +704,7 @@ impl Table {
     /// Fetches the *newest* image of a row by heap id, committed or not.
     /// Snapshot readers use [`Table::visible`] instead.
     pub fn get(&self, rid: RowId) -> Option<&Row> {
-        self.rows.get(&rid)
+        self.rows.get(rid)
     }
 
     /// Looks up the live (newest-version) row id by primary-key value.
@@ -647,7 +724,7 @@ impl Table {
         let new_row = self.validate(&new_row)?;
         let old_row = self
             .rows
-            .get(&rid)
+            .get(rid)
             .cloned()
             .ok_or_else(|| StorageError::Eval(format!("update of missing row {rid}")))?;
         self.check_update_constraints(rid, &old_row, &new_row)?;
@@ -719,7 +796,7 @@ impl Table {
     /// the row vanishes for every snapshot; the engine uses
     /// [`Table::delete_txn`] instead.
     pub fn delete(&mut self, rid: RowId) -> Option<Row> {
-        let row = self.rows.remove(&rid)?;
+        let row = self.rows.remove(rid)?;
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_remove(&pk, rid);
         self.index_entries_remove(rid, &row);
@@ -730,7 +807,7 @@ impl Table {
 
     /// Iterates over `(RowId, &Row)` in heap order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows.iter().map(|(r, row)| (*r, row))
+        self.rows.iter()
     }
 
     // ----- MVCC: snapshot reads -----
@@ -742,7 +819,7 @@ impl Table {
     /// version is visible (row did not exist yet, or was deleted before
     /// the snapshot).
     pub fn visible(&self, rid: RowId, snap: &Snapshot) -> Option<&Row> {
-        if let Some(r) = self.rows.get(&rid) {
+        if let Some(r) = self.rows.get(rid) {
             match self.meta.get(&rid) {
                 None => return Some(r), // settled committed row
                 Some(m) => match m.writer {
@@ -786,7 +863,7 @@ impl Table {
         let mut visible = None;
         let mut live = false;
         for &rid in rids.iter().rev() {
-            if !live && self.rows.get(&rid).is_some_and(|r| r.get(pos) == pk) {
+            if !live && self.rows.get(rid).is_some_and(|r| r.get(pos) == pk) {
                 live = true;
             }
             if visible.is_none() && self.visible(rid, snap).is_some_and(|r| r.get(pos) == pk) {
@@ -824,33 +901,35 @@ impl Table {
     /// would pay the visibility predicate twice per row.
     pub fn scan_rids(&self) -> Vec<RowId> {
         if self.history.is_empty() {
-            return self.rows.keys().copied().collect();
+            return self.rows.iter().map(|(rid, _)| rid).collect();
         }
-        let mut rids: Vec<RowId> = self.rows.keys().copied().collect();
+        let mut rids: Vec<RowId> = self.rows.iter().map(|(rid, _)| rid).collect();
         rids.extend(
             self.history
                 .keys()
                 .copied()
-                .filter(|r| !self.rows.contains_key(r)),
+                .filter(|&r| !self.rows.contains(r)),
         );
         rids.sort_unstable();
         rids
     }
 
-    /// Number of rows visible to `snap` (exact; used by the COUNT(*)
-    /// pushdown so counts honor the snapshot without touching the heap).
+    /// Number of rows visible to `snap` (exact; the COUNT(*) pushdown's
+    /// answer for an unfiltered count). A settled table answers from its
+    /// live-row count; only rows with version metadata or history are
+    /// resolved against the snapshot.
     pub fn visible_len(&self, snap: &Snapshot) -> usize {
         if self.meta.is_empty() && self.history.is_empty() {
             return self.rows.len();
         }
         let mut n = self.rows.len();
         for rid in self.meta.keys() {
-            if self.rows.contains_key(rid) && self.visible(*rid, snap).is_none() {
+            if self.rows.contains(*rid) && self.visible(*rid, snap).is_none() {
                 n -= 1;
             }
         }
         for rid in self.history.keys() {
-            if !self.rows.contains_key(rid) && self.visible(*rid, snap).is_some() {
+            if !self.rows.contains(*rid) && self.visible(*rid, snap).is_some() {
                 n += 1;
             }
         }
@@ -955,7 +1034,7 @@ impl Table {
         let pos = self.schema.primary_key_pos();
         let key = self
             .rows
-            .get(&rid)
+            .get(rid)
             .map(|r| r.get(pos).to_string())
             .unwrap_or_else(|| format!("{rid}"));
         StorageError::WriteConflict {
@@ -1044,7 +1123,7 @@ impl Table {
     ) -> Result<(Row, bool)> {
         let new_row = self.validate(&new_row)?;
         let in_place = self.write_gate(rid, tid, snap)?;
-        let old_row = match self.rows.get(&rid) {
+        let old_row = match self.rows.get(rid) {
             Some(r) => r.clone(),
             // No newest image but the snapshot matched the row: a newer
             // committed transaction deleted it — first-updater-wins,
@@ -1127,7 +1206,7 @@ impl Table {
     /// [`StorageError::WriteConflict`] per the write gate.
     pub fn delete_txn(&mut self, rid: RowId, tid: TxnId, snap: &Snapshot) -> Result<(Row, bool)> {
         let in_place = self.write_gate(rid, tid, snap)?;
-        let row = match self.rows.remove(&rid) {
+        let row = match self.rows.remove(rid) {
             Some(r) => r,
             // Deleted by a newer committed transaction (see update_txn).
             None if self.history.contains_key(&rid) => return Err(self.write_conflict(rid)),
@@ -1179,7 +1258,7 @@ impl Table {
     /// Rolls back an uncommitted [`Table::insert_txn`]: the row never
     /// existed for anyone, so its entries are removed physically.
     pub(crate) fn undo_insert(&mut self, rid: RowId) {
-        let Some(row) = self.rows.remove(&rid) else {
+        let Some(row) = self.rows.remove(rid) else {
             return;
         };
         self.meta.remove(&rid);
@@ -1275,7 +1354,7 @@ impl Table {
     ) {
         self.version += 1;
         let hist = self.history.get(&rid);
-        let heap = if keep_heap { self.rows.get(&rid) } else { None };
+        let heap = if keep_heap { self.rows.get(rid) } else { None };
         let also_keep = also_keep.or(heap);
         let pk_pos = self.schema.primary_key_pos();
         let gone_pk = gone.get(pk_pos).clone();
@@ -1382,7 +1461,7 @@ impl Table {
             key_pos,
             map: BTreeMap::new(),
         };
-        for (rid, row) in &self.rows {
+        for (rid, row) in self.rows.iter() {
             let key = idx.key_of(row);
             let set = idx.map.entry(key.clone()).or_default();
             if idx.def.unique && !set.is_empty() && !key.iter().any(Value::is_null) {
@@ -1391,7 +1470,7 @@ impl Table {
                     key: format!("{key:?}"),
                 });
             }
-            set.insert(*rid);
+            set.insert(rid);
         }
         // Backfill retained history versions too, so index scans by a
         // snapshot older than the newest images still find their rows
@@ -1493,7 +1572,7 @@ impl Table {
         let pos = self.schema.primary_key_pos();
         self.pk_range_scan_impl(from, to, reverse, &|pk, rid| {
             self.rows
-                .get(&rid)
+                .get(rid)
                 .is_some_and(|r| r.get(pos) == pk)
                 .then_some(rid)
         })
@@ -1807,7 +1886,7 @@ impl Table {
     /// but emptied, and row ids are *not* reused.
     pub fn truncate(&mut self) {
         self.version += 1;
-        self.rows.clear();
+        self.rows.clear(self.next_rid);
         self.pk_index.clear();
         self.meta.clear();
         self.history.clear();
@@ -2292,5 +2371,287 @@ mod tests {
         assert!(t.is_empty());
         let rid = t.insert(row![1i64, "a", "a@x", 1i64]).unwrap();
         assert!(rid.0 >= 1, "row ids are not reused after truncate");
+    }
+
+    /// Differential test of the slot-vector heap: random write sequences
+    /// drive a [`Table`] and a `BTreeMap<RowId, Row>` reference model
+    /// side by side, and every read the heap serves must agree after
+    /// every step.
+    mod heap_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Unversioned writes (no transaction open).
+            Insert(i64, i64),
+            Update(usize, i64),
+            Delete(usize),
+            /// Versioned writes; the first one opens a transaction.
+            TxnInsert(i64, i64),
+            TxnUpdate(usize, i64),
+            TxnDelete(usize),
+            Commit,
+            Undo,
+            /// Vacuum at a horizon between the oldest checked snapshot
+            /// and the newest epoch.
+            Vacuum(u64),
+            Truncate,
+            /// Restores a fresh row at a retired row id.
+            Restore(usize, i64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0..8i64, 0..4i64).prop_map(|(pk, v)| Op::Insert(pk, v)),
+                (0..16usize, 0..4i64).prop_map(|(slot, v)| Op::Update(slot, v)),
+                (0..16usize).prop_map(Op::Delete),
+                (0..8i64, 0..4i64).prop_map(|(pk, v)| Op::TxnInsert(pk, v)),
+                (0..16usize, 0..4i64).prop_map(|(slot, v)| Op::TxnUpdate(slot, v)),
+                (0..16usize).prop_map(Op::TxnDelete),
+                Just(Op::Commit),
+                Just(Op::Undo),
+                (0..4u64).prop_map(Op::Vacuum),
+                Just(Op::Truncate),
+                (0..16usize, 0..4i64).prop_map(|(slot, v)| Op::Restore(slot, v)),
+            ]
+        }
+
+        enum UndoEntry {
+            Insert(RowId),
+            Update(RowId, Row, bool),
+            Delete(RowId, Row, bool),
+        }
+
+        type Rows = BTreeMap<RowId, Row>;
+
+        struct Model {
+            /// Newest image of every row (what `get` and `iter` serve).
+            heap: Rows,
+            /// What a snapshot at each epoch sees; epochs below `floor`
+            /// are no longer checked (vacuumed, or rewritten by an
+            /// unversioned write every snapshot sees).
+            views: Vec<Rows>,
+            floor: u64,
+            next_rid: u64,
+            /// The open transaction's undo log.
+            txn: Option<Vec<UndoEntry>>,
+        }
+
+        const TID: TxnId = 1;
+
+        impl Model {
+            fn now(&self) -> u64 {
+                self.views.len() as u64 - 1
+            }
+
+            fn nth_row(&self, slot: usize) -> Option<(RowId, Row)> {
+                let n = self.heap.len();
+                (n > 0).then(|| {
+                    let (rid, row) = self.heap.iter().nth(slot % n).unwrap();
+                    (*rid, row.clone())
+                })
+            }
+
+            fn pk_live(&self, pk: i64) -> bool {
+                self.heap.values().any(|r| r.get(0) == &Value::Int(pk))
+            }
+
+            /// An unversioned write every snapshot sees at once.
+            fn write_through(&mut self) {
+                *self.views.last_mut().unwrap() = self.heap.clone();
+                self.floor = self.now();
+            }
+
+            fn inserted(&mut self, rid: RowId, row: Row) {
+                assert!(rid.0 >= self.next_rid, "row ids are never reused");
+                self.next_rid = rid.0 + 1;
+                self.heap.insert(rid, row);
+            }
+        }
+
+        fn table() -> Table {
+            let schema = TableSchema::builder("h")
+                .pk("id")
+                .column(ColumnDef::new("v", ValueType::Int))
+                .build()
+                .unwrap();
+            let mut t = Table::new(schema, 1);
+            t.create_index(IndexDef {
+                name: "h_v".into(),
+                columns: vec!["v".into()],
+                unique: false,
+            })
+            .unwrap();
+            t
+        }
+
+        fn apply(t: &mut Table, m: &mut Model, op: &Op) {
+            let now = m.now();
+            let own = snap_w(now, TID);
+            if matches!(op, Op::TxnInsert(..) | Op::TxnUpdate(..) | Op::TxnDelete(_)) {
+                m.txn.get_or_insert_with(Vec::new);
+            }
+            let idle = m.txn.is_none();
+            match *op {
+                Op::Insert(pk, v) if idle => {
+                    let res = t.insert(row![pk, v]);
+                    if m.pk_live(pk) {
+                        assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                    } else {
+                        m.inserted(res.unwrap(), row![pk, v]);
+                        m.write_through();
+                    }
+                }
+                Op::Update(slot, v) if idle => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let new = row![old.get(0).clone(), v];
+                        assert_eq!(t.update(rid, new.clone()).unwrap(), old);
+                        m.heap.insert(rid, new);
+                        m.write_through();
+                    }
+                }
+                Op::Delete(slot) if idle => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        assert_eq!(t.delete(rid), Some(old));
+                        m.heap.remove(&rid);
+                        m.write_through();
+                    }
+                }
+                Op::TxnInsert(pk, v) => {
+                    let res = t.insert_txn(row![pk, v], TID, &own);
+                    if m.pk_live(pk) {
+                        assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                    } else {
+                        let rid = res.unwrap();
+                        m.inserted(rid, row![pk, v]);
+                        m.txn.as_mut().unwrap().push(UndoEntry::Insert(rid));
+                    }
+                }
+                Op::TxnUpdate(slot, v) => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let new = row![old.get(0).clone(), v];
+                        let (before, pushed) = t.update_txn(rid, new.clone(), TID, &own).unwrap();
+                        assert_eq!(before, old);
+                        m.heap.insert(rid, new);
+                        let undo = UndoEntry::Update(rid, before, pushed);
+                        m.txn.as_mut().unwrap().push(undo);
+                    }
+                }
+                Op::TxnDelete(slot) => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let (row, pushed) = t.delete_txn(rid, TID, &own).unwrap();
+                        assert_eq!(row, old);
+                        m.heap.remove(&rid);
+                        let undo = UndoEntry::Delete(rid, row, pushed);
+                        m.txn.as_mut().unwrap().push(undo);
+                    }
+                }
+                Op::Commit => {
+                    if let Some(log) = m.txn.take() {
+                        let rids = log.iter().map(|u| match u {
+                            UndoEntry::Insert(rid)
+                            | UndoEntry::Update(rid, ..)
+                            | UndoEntry::Delete(rid, ..) => *rid,
+                        });
+                        t.commit_rows(rids, TID, now + 1);
+                        m.views.push(m.heap.clone());
+                    }
+                }
+                Op::Undo => {
+                    for entry in m.txn.take().into_iter().flatten().rev() {
+                        match entry {
+                            UndoEntry::Insert(rid) => t.undo_insert(rid),
+                            UndoEntry::Update(rid, before, pushed) => {
+                                t.undo_update(rid, before, pushed, TID)
+                            }
+                            UndoEntry::Delete(rid, row, pushed) => {
+                                t.undo_delete(rid, row, pushed, TID)
+                            }
+                        }
+                    }
+                    m.heap = m.views[now as usize].clone();
+                }
+                Op::Vacuum(k) => {
+                    let horizon = m.floor + k % (now - m.floor + 1);
+                    t.vacuum(horizon);
+                    m.floor = horizon;
+                }
+                Op::Truncate if idle => {
+                    t.truncate();
+                    m.heap.clear();
+                    m.write_through();
+                }
+                Op::Restore(slot, v) if idle => {
+                    let gaps: Vec<u64> = (0..m.next_rid)
+                        .filter(|&r| !m.heap.contains_key(&RowId(r)))
+                        .collect();
+                    if !gaps.is_empty() {
+                        let rid = RowId(gaps[slot % gaps.len()]);
+                        // A primary key no live row carries.
+                        let row = row![100 + rid.0 as i64, v];
+                        t.restore(rid, row.clone());
+                        m.heap.insert(rid, row);
+                        m.write_through();
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn check(t: &Table, m: &Model) {
+            let heap: Vec<(RowId, Row)> = t.iter().map(|(r, row)| (r, row.clone())).collect();
+            let model: Vec<(RowId, Row)> =
+                m.heap.iter().map(|(r, row)| (*r, row.clone())).collect();
+            assert_eq!(heap, model, "iter");
+            assert_eq!(t.len(), m.heap.len(), "len");
+            assert_eq!(t.is_empty(), m.heap.is_empty(), "is_empty");
+            let scan = t.scan_rids();
+            assert!(scan.windows(2).all(|w| w[0] < w[1]), "scan_rids order");
+            assert!(m.heap.keys().all(|r| scan.contains(r)), "scan_rids covers");
+            for rid in (0..m.next_rid + 2).map(RowId) {
+                assert_eq!(t.get(rid), m.heap.get(&rid), "get({rid})");
+            }
+            let mut snaps: Vec<(Snapshot, &Rows)> = (m.floor..=m.now())
+                .map(|e| (snap(e), &m.views[e as usize]))
+                .collect();
+            if m.txn.is_some() {
+                snaps.push((snap_w(m.now(), TID), &m.heap));
+            }
+            for (s, view) in snaps {
+                for rid in (0..m.next_rid + 2).map(RowId) {
+                    assert_eq!(t.visible(rid, &s), view.get(&rid), "visible({rid}, {s:?})");
+                }
+                let seen: Vec<RowId> = scan
+                    .iter()
+                    .copied()
+                    .filter(|&r| t.visible(r, &s).is_some())
+                    .collect();
+                assert!(seen.iter().eq(view.keys()), "scan_rids at {s:?}");
+                assert_eq!(t.visible_len(&s), view.len(), "visible_len at {s:?}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn slot_heap_matches_a_btreemap_model(
+                ops in proptest::collection::vec(op(), 0..80)
+            ) {
+                let mut t = table();
+                let mut m = Model {
+                    heap: Rows::new(),
+                    views: vec![Rows::new()],
+                    floor: 0,
+                    next_rid: 0,
+                    txn: None,
+                };
+                for op in &ops {
+                    apply(&mut t, &mut m, op);
+                    check(&t, &m);
+                }
+            }
+        }
     }
 }

@@ -62,7 +62,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Bytes of frame header preceding every record payload.
@@ -600,7 +600,10 @@ struct Counters {
 // ---------------------------------------------------------------------------
 
 struct WalInner {
-    file: File,
+    /// The open segment. Shared so a leader writes through its own
+    /// handle outside the mutex without a `dup`; `rotate` swaps in the
+    /// next segment once no leader is in flight.
+    file: Arc<File>,
     segment_seq: u64,
     /// Framed records awaiting the next leader, in seq order.
     pending: VecDeque<(u64, Vec<u8>)>,
@@ -722,7 +725,7 @@ impl Wal {
             dir,
             cfg,
             inner: Mutex::new(WalInner {
-                file,
+                file: Arc::new(file),
                 segment_seq: seq,
                 pending: VecDeque::new(),
                 next_seq: 1,
@@ -805,17 +808,14 @@ impl Wal {
                 self.flushed_cv.notify_all();
                 continue;
             };
-            let file = match inner.file.try_clone() {
-                Ok(f) => f,
-                Err(e) => return Err(self.poison(inner, format!("clone log handle: {e}"))),
-            };
+            let file = Arc::clone(&inner.file);
             drop(inner);
 
             let mut buf = Vec::with_capacity(batch.iter().map(|(_, b)| b.len()).sum());
             for (_, b) in &batch {
                 buf.extend_from_slice(b);
             }
-            let io = (&file).write_all(&buf).and_then(|()| file.sync_data());
+            let io = (&*file).write_all(&buf).and_then(|()| file.sync_data());
             if self.cfg.sync_delay_us > 0 {
                 std::thread::sleep(Duration::from_micros(self.cfg.sync_delay_us));
             }
@@ -879,7 +879,7 @@ impl Wal {
             Ok(f) => f,
             Err(e) => return Err(self.poison(inner, e.to_string())),
         };
-        inner.file = file;
+        inner.file = Arc::new(file);
         inner.segment_seq = seq;
         drop(inner);
         sync_dir(&self.dir)?;
@@ -1231,7 +1231,6 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
 
     static TMP_SEQ: AtomicU32 = AtomicU32::new(0);
 

@@ -66,13 +66,18 @@ fn count_where_grp(db: &Database, grp: i64) -> i64 {
 
 /// CREATE TABLE and CREATE INDEX storms racing scans and writers on
 /// *other* tables: everything must run to completion (no catalog↔table
-/// latch deadlock), with zero statement errors on either side.
+/// latch deadlock), with zero statement errors on either side. The storm
+/// keeps going until every worker has finished a round, so each worker
+/// overlaps it by construction rather than by the scheduler's grace.
 #[test]
 fn ddl_races_scans_and_writers_on_other_tables() {
+    const WORKERS: u64 = 4;
     let db = db_with_tables();
     let done = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(5));
+    let barrier = Arc::new(Barrier::new(WORKERS as usize + 1));
     let scan_errors = Arc::new(AtomicU64::new(0));
+    // Workers that have completed their first round.
+    let started = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
 
     // Two scanner threads: full-table aggregates over `scans`.
@@ -81,6 +86,7 @@ fn ddl_races_scans_and_writers_on_other_tables() {
         let done = Arc::clone(&done);
         let barrier = Arc::clone(&barrier);
         let errs = Arc::clone(&scan_errors);
+        let started = Arc::clone(&started);
         handles.push(thread::spawn(move || {
             barrier.wait();
             let mut reads = 0u64;
@@ -95,6 +101,9 @@ fn ddl_races_scans_and_writers_on_other_tables() {
                     errs.fetch_add(1, Ordering::Relaxed);
                 }
                 reads += 1;
+                if reads == 1 {
+                    started.fetch_add(1, Ordering::Relaxed);
+                }
             }
             reads
         }));
@@ -105,6 +114,7 @@ fn ddl_races_scans_and_writers_on_other_tables() {
         let done = Arc::clone(&done);
         let barrier = Arc::clone(&barrier);
         let errs = Arc::clone(&scan_errors);
+        let started = Arc::clone(&started);
         handles.push(thread::spawn(move || {
             barrier.wait();
             let mut seq = 0i64;
@@ -120,15 +130,20 @@ fn ddl_races_scans_and_writers_on_other_tables() {
                 {
                     errs.fetch_add(1, Ordering::Relaxed);
                 }
+                if seq == 1 {
+                    started.fetch_add(1, Ordering::Relaxed);
+                }
             }
             seq as u64
         }));
     }
 
     // DDL storm on this thread: new tables and new indexes, never
-    // touching `scans`/`writes` rows.
+    // touching `scans`/`writes` rows. It runs at least 30 rounds and
+    // ends only once every worker has completed one of its own.
     barrier.wait();
-    for i in 0..30 {
+    let mut i = 0;
+    while i < 30 || started.load(Ordering::Relaxed) < WORKERS {
         db.execute_sql(
             &format!("CREATE TABLE ddl_{i} (id INT PRIMARY KEY, v INT)"),
             &[],
@@ -141,13 +156,13 @@ fn ddl_races_scans_and_writers_on_other_tables() {
         .unwrap();
         db.execute_sql(&format!("CREATE INDEX ddl_{i}_v ON ddl_{i} (v)"), &[])
             .unwrap();
+        i += 1;
     }
     done.store(true, Ordering::Relaxed);
-    let mut progressed = 0u64;
     for h in handles {
-        progressed += h.join().expect("worker thread panicked");
+        let rounds = h.join().expect("worker thread panicked");
+        assert!(rounds >= 1, "every scan/writer thread ran during DDL");
     }
-    assert!(progressed > 0, "scans/writers made progress during DDL");
     assert_eq!(
         scan_errors.load(Ordering::Relaxed),
         0,

@@ -6,8 +6,44 @@
 use genie_storage::{Database, Snapshot, StorageError, Value};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::time::Duration;
+
+/// Counts threads that have completed a first round, so the threads they
+/// race can wait for them: overlap by construction, not by scheduling.
+#[derive(Default)]
+struct FirstRounds {
+    done: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl FirstRounds {
+    /// Runs in [`Arrival`]'s `Drop`, so it must not panic; a count behind
+    /// a poisoned lock is still a valid count.
+    fn arrive(&self) {
+        *self.done.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.cv.notify_all();
+    }
+
+    /// Parks until `n` threads have arrived.
+    fn wait_for(&self, n: usize) {
+        let _done = self
+            .cv
+            .wait_while(self.done.lock().unwrap(), |done| *done < n)
+            .unwrap();
+    }
+}
+
+/// Arrives at a [`FirstRounds`] when dropped: after the thread's first
+/// round, or while it unwinds from a panic before one, so a failed
+/// assertion fails the test instead of parking the threads waiting on it.
+struct Arrival<'a>(&'a FirstRounds);
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        self.0.arrive();
+    }
+}
 
 fn counters(n: i64) -> Database {
     let db = Database::default();
@@ -340,10 +376,12 @@ proptest! {
         db.execute_sql("CREATE TABLE log (seq INT PRIMARY KEY)", &[]).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let barrier = Arc::new(Barrier::new(writers + readers));
+        let first_rounds = Arc::new(FirstRounds::default());
 
         let writer_handles: Vec<_> = (0..writers).map(|w| {
             let db = db.clone();
             let barrier = Arc::clone(&barrier);
+            let first_rounds = Arc::clone(&first_rounds);
             std::thread::spawn(move || {
                 barrier.wait();
                 for i in 1..=per_writer as i64 {
@@ -353,6 +391,9 @@ proptest! {
                         Ok(())
                     }).unwrap();
                 }
+                // Writers finish only once every reader has completed a
+                // round while they were still running.
+                first_rounds.wait_for(readers);
             })
         }).collect();
 
@@ -360,8 +401,10 @@ proptest! {
             let db = db.clone();
             let stop = Arc::clone(&stop);
             let barrier = Arc::clone(&barrier);
+            let first_rounds = Arc::clone(&first_rounds);
             std::thread::spawn(move || {
                 barrier.wait();
+                let mut arrival = Some(Arrival(&first_rounds));
                 let mut last_total = 0i64;
                 let mut checks = 0u64;
                 let observe = |db: &Database| -> Vec<(i64, i64)> {
@@ -395,6 +438,7 @@ proptest! {
                     assert!(total >= last_total, "snapshot went backwards");
                     last_total = total;
                     checks += 1;
+                    drop(arrival.take());
                 }
                 checks
             })
@@ -402,9 +446,9 @@ proptest! {
 
         for h in writer_handles { h.join().unwrap(); }
         stop.store(true, Ordering::Relaxed);
-        let mut total_checks = 0;
-        for h in reader_handles { total_checks += h.join().unwrap(); }
-        prop_assert!(total_checks > 0, "readers made progress");
+        for h in reader_handles {
+            prop_assert!(h.join().unwrap() >= 1, "every reader completed a round");
+        }
         // Final state: the full serial history.
         let total = (writers * per_writer) as i64;
         let final_count = db.execute_sql("SELECT COUNT(*) FROM log", &[])
