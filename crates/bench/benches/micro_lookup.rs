@@ -1,7 +1,8 @@
 //! Criterion micro-bench: raw engine speed of database point lookups vs
 //! cache gets (the real-time counterpart of the §5.3 modelled numbers),
-//! of an index scan returning a wall's worth of rows, and of resolving
-//! scattered index entries to their heap rows.
+//! of an index scan returning a wall's worth of rows, of resolving
+//! scattered index entries to their heap rows, and of descending an
+//! index of many small keys (a probe, and the insert of a new key).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
@@ -165,10 +166,73 @@ fn bench_entry_resolution(c: &mut Criterion) {
     group.finish();
 }
 
+/// `friendships`-shaped rows for the descent bench: `USERS` keys of
+/// `FRIENDS_PER_USER` rows each.
+const USERS: i64 = 5_000;
+const FRIENDS_PER_USER: i64 = 9;
+
+fn bench_index_probe(c: &mut Criterion) {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE friendships (id INT PRIMARY KEY, user_id INT NOT NULL, \
+         friend_id INT NOT NULL, added TIMESTAMP NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql(
+        "CREATE INDEX friendships_user ON friendships (user_id)",
+        &[],
+    )
+    .unwrap();
+    let insert = "INSERT INTO friendships VALUES ($1, $2, $3, $4)";
+    let row = |id: i64, user: i64| {
+        [
+            Value::Int(id),
+            Value::Int(user),
+            Value::Int(id * 7_919 % USERS),
+            Value::Timestamp(1_000 + id),
+        ]
+    };
+    db.execute_sql("BEGIN", &[]).unwrap();
+    for id in 0..USERS * FRIENDS_PER_USER {
+        db.execute_sql(insert, &row(id, id / FRIENDS_PER_USER))
+            .unwrap();
+    }
+    db.execute_sql("COMMIT", &[]).unwrap();
+    let Statement::Select(select) =
+        genie_storage::sql::parse("SELECT * FROM friendships WHERE user_id = $1").unwrap()
+    else {
+        unreachable!("a SELECT parses to a SELECT")
+    };
+    let by_user = db.prepare(&select);
+
+    let mut group = c.benchmark_group("index_probe");
+    group.bench_function("friendships_by_user_9_rows", |b| {
+        // A stride coprime to USERS visits every key in scrambled order,
+        // so consecutive probes descend to far-apart leaves.
+        let mut u = 0i64;
+        b.iter(|| {
+            u = (u + 2_919) % USERS;
+            let out = db.execute_prepared(&by_user, &[Value::Int(u)]).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.bench_function("friendships_insert_new_user", |b| {
+        let mut id = USERS * FRIENDS_PER_USER;
+        b.iter(|| {
+            id += 1;
+            let out = db.execute_sql(insert, &row(id, id)).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lookups,
     bench_index_scan,
-    bench_entry_resolution
+    bench_entry_resolution,
+    bench_index_probe
 );
 criterion_main!(benches);

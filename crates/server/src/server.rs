@@ -24,7 +24,7 @@
 //! [`Server::shutdown`] returns its report.
 
 use crate::metrics::ServerMetrics;
-use crate::middleware::{Admission, RateLimiter};
+use crate::middleware::{Admission, InflightGuard, RateLimiter};
 use crate::pool::{PoolSnapshot, SessionPool};
 use crate::proto::{
     parse_request, AdminCmd, Page, Request, Response, BAD_REQUEST, INTERNAL, MAX_LINE, RETRY, SHED,
@@ -208,6 +208,15 @@ impl Server {
     /// Server-side metrics (live).
     pub fn metrics(&self) -> &ServerMetrics {
         &self.shared.metrics
+    }
+
+    /// Takes one admission slot, as a page request would, and holds it
+    /// until the guard drops; `None` when the gate is full. While it is
+    /// held under `max_inflight = 1`, every page is refused with a
+    /// retryable `503`, so a load generator can make shedding certain
+    /// instead of a matter of timing.
+    pub fn hold_admission_slot(&self) -> Option<InflightGuard> {
+        self.shared.admission.try_enter()
     }
 
     /// Session-pool accounting (live).

@@ -454,17 +454,20 @@ pub(crate) fn coerce_for_column(table: &Table, column: &str, v: &Value) -> Optio
 
 /// [`coerce_for_column`] on the column's type alone.
 fn coerce_for_type(ty: ValueType, v: &Value) -> Option<Value> {
-    if let Some(cv) = v.coerce_to(ty) {
-        return Some(cv);
-    }
-    // Numerics interleave in the storage total order, so an uncoercible
-    // float bound (e.g. `int_col > 10.5`) still ranges correctly raw.
-    let numeric_col = matches!(ty, ValueType::Int | ValueType::Float);
-    let numeric_val = matches!(v, Value::Int(_) | Value::Float(_));
-    if numeric_col && numeric_val {
-        return Some(v.clone());
-    }
-    None
+    v.coerce_to(ty)
+        .or_else(|| raw_numeric(ty, v).then(|| v.clone()))
+}
+
+/// True when [`coerce_for_type`] would return a value, decided without
+/// building it (`coerce_to` succeeds exactly on compatible values).
+fn coercible_for_type(ty: ValueType, v: &Value) -> bool {
+    v.compatible_with(ty) || raw_numeric(ty, v)
+}
+
+/// Numerics interleave in the storage total order, so an uncoercible
+/// float bound (e.g. `int_col > 10.5`) still ranges correctly raw.
+fn raw_numeric(ty: ValueType, v: &Value) -> bool {
+    matches!(ty, ValueType::Int | ValueType::Float) && matches!(v, Value::Int(_) | Value::Float(_))
 }
 
 /// True when `cref` constrains `binding`'s table (qualified with the
@@ -667,7 +670,7 @@ impl KeyGuard {
     pub(crate) fn holds(&self, params: &[Value]) -> bool {
         params
             .get(self.param)
-            .is_some_and(|v| !v.is_null() && coerce_for_type(self.ty, v).is_some())
+            .is_some_and(|v| !v.is_null() && coercible_for_type(self.ty, v))
     }
 }
 
@@ -2101,4 +2104,37 @@ fn plan_one_order(
         estimated_rows: rows,
         estimated_cost: cost,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_guard_coercibility_matches_the_coerced_key() {
+        let values = [
+            Value::Null,
+            Value::Int(3),
+            Value::Float(2.5),
+            Value::Text("u".into()),
+            Value::Bool(true),
+            Value::Timestamp(7),
+        ];
+        let types = [
+            ValueType::Int,
+            ValueType::Float,
+            ValueType::Text,
+            ValueType::Bool,
+            ValueType::Timestamp,
+        ];
+        for v in &values {
+            for ty in types {
+                assert_eq!(
+                    coercible_for_type(ty, v),
+                    coerce_for_type(ty, v).is_some(),
+                    "{v:?} as {ty}"
+                );
+            }
+        }
+    }
 }

@@ -3,8 +3,14 @@
 //! Rows are stored in a heap that is a slot vector: a row id is an index
 //! into it, so resolving the row an index entry names is one array
 //! access, not a search. Every table has an implicit unique index on its
-//! primary key plus any number of secondary indexes
-//! (`BTreeMap<Vec<Value>, BTreeSet<RowId>>`).
+//! primary key plus any number of secondary indexes. Both are B-trees
+//! compact enough that the common entry costs no heap block of its own:
+//! a secondary key of one or two columns is stored inline in the node
+//! (`IndexKey`; longer keys fall back to a boxed slice), and a key's
+//! *postings* — the row ids it names, in rid order — hold a single row
+//! id inline and more as one sorted vector (`Postings`). A lookup reads
+//! its row id from the same leaf where it found the key, and probes and
+//! range bounds stay borrowed `&[Value]`, so a lookup allocates nothing.
 //! All index maintenance happens inside the write methods, so the
 //! executor can never leave an index stale.
 //!
@@ -43,7 +49,8 @@ use crate::schema::{IndexDef, TableSchema};
 use crate::stats::ColumnStats;
 use crate::value::Value;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// A point-in-time read view: every read resolves the newest version
 /// whose begin epoch is `<= epoch` and that was not yet superseded at
@@ -151,13 +158,151 @@ impl TableStats {
     }
 }
 
+/// A secondary-index key. Keys of one or two columns — every index of
+/// the social schema — are stored inline in the B-tree node; longer keys
+/// fall back to a boxed slice. It orders, compares and borrows as the
+/// `[Value]` it holds, so probes and range bounds stay borrowed
+/// `&[Value]`.
+#[derive(Clone)]
+enum IndexKey {
+    One([Value; 1]),
+    Two([Value; 2]),
+    Wide(Box<[Value]>),
+}
+
+impl std::ops::Deref for IndexKey {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            IndexKey::One(k) => k,
+            IndexKey::Two(k) => k,
+            IndexKey::Wide(k) => k,
+        }
+    }
+}
+
+impl std::borrow::Borrow<[Value]> for IndexKey {
+    fn borrow(&self) -> &[Value] {
+        self
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl PartialOrd for IndexKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for IndexKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::fmt::Debug for IndexKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+/// The row ids one index key names, in rid order: the common single row
+/// inline, more as one sorted vector (never fewer than two — a removal
+/// that leaves one collapses back). Row ids are never reused, so most
+/// inserts land at the end and append.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(rid) => std::slice::from_ref(rid),
+            Postings::Many(rids) => rids,
+        }
+    }
+
+    fn iter(&self) -> impl DoubleEndedIterator<Item = RowId> + '_ {
+        self.as_slice().iter().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Adds `rid` (a no-op when present).
+    fn insert(&mut self, rid: RowId) {
+        match self {
+            Postings::One(r) if *r == rid => {}
+            Postings::One(r) => {
+                let r = *r;
+                *self = Postings::Many(if r < rid { vec![r, rid] } else { vec![rid, r] });
+            }
+            Postings::Many(rids) => {
+                if rids.last().is_some_and(|&last| last < rid) {
+                    rids.push(rid);
+                } else if let Err(at) = rids.binary_search(&rid) {
+                    rids.insert(at, rid);
+                }
+            }
+        }
+    }
+
+    /// Removes `rid`; true when no row id is left, so the key goes too.
+    fn remove(&mut self, rid: RowId) -> bool {
+        match self {
+            Postings::One(r) => *r == rid,
+            Postings::Many(rids) => {
+                if let Ok(at) = rids.binary_search(&rid) {
+                    rids.remove(at);
+                }
+                if let [only] = rids[..] {
+                    *self = Postings::One(only);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Adds `rid` under `key`.
+fn posting_add<K: Ord>(map: &mut BTreeMap<K, Postings>, key: K, rid: RowId) {
+    match map.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(Postings::One(rid));
+        }
+        Entry::Occupied(mut e) => e.get_mut().insert(rid),
+    }
+}
+
+/// Removes `rid` from `key`'s postings, and the key with its last row id.
+fn posting_remove<K, Q>(map: &mut BTreeMap<K, Postings>, key: &Q, rid: RowId)
+where
+    K: Ord + std::borrow::Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    if map.get_mut(key).is_some_and(|p| p.remove(rid)) {
+        map.remove(key);
+    }
+}
+
 /// A live secondary index.
 #[derive(Debug, Clone)]
 pub struct Index {
     def: IndexDef,
     /// Column positions of the key, precomputed from the schema.
     key_pos: Vec<usize>,
-    map: BTreeMap<Vec<Value>, BTreeSet<RowId>>,
+    map: BTreeMap<IndexKey, Postings>,
 }
 
 impl Index {
@@ -171,8 +316,12 @@ impl Index {
         self.map.len()
     }
 
-    fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.key_pos.iter().map(|&p| row.get(p).clone()).collect()
+    fn key_of(&self, row: &Row) -> IndexKey {
+        match self.key_pos[..] {
+            [a] => IndexKey::One([row.get(a).clone()]),
+            [a, b] => IndexKey::Two([row.get(a).clone(), row.get(b).clone()]),
+            _ => IndexKey::Wide(self.key_pos.iter().map(|&p| row.get(p).clone()).collect()),
+        }
     }
 }
 
@@ -291,11 +440,17 @@ pub struct Table {
     id: u32,
     rows: Heap,
     next_rid: u64,
-    /// Implicit unique index: pk value -> row ids that ever carried it
-    /// (newest last). At most one is *live* at any snapshot; stale ids
-    /// linger until [`Table::vacuum`] so older snapshots can still probe
-    /// deleted or moved rows by primary key.
-    pk_index: BTreeMap<Value, Vec<RowId>>,
+    /// Implicit unique index: pk value -> row ids that ever carried it,
+    /// in rid order. Stale ids linger until [`Table::vacuum`] so older
+    /// snapshots can still probe deleted or moved rows by primary key.
+    ///
+    /// The pk probes below rely on one invariant, not on the posting
+    /// order: at most one version carrying a given pk is *live* (the
+    /// heap), and at most one is *visible* to any one snapshot. Uniqueness
+    /// checks and first-updater-wins enforce it. Each probe walks the
+    /// postings newest rid first and stops at the first match, so which
+    /// id it finds never depends on the order the ids were added in.
+    pk_index: BTreeMap<Value, Postings>,
     indexes: Vec<Index>,
     /// Version metadata for heap rows written since the last vacuum
     /// horizon; rows absent here are committed-at-epoch-0.
@@ -481,14 +636,14 @@ impl Table {
 
     /// The live (heap-current) row id carrying `pk`, if any. Stale
     /// entries from version churn are skipped by re-checking the heap
-    /// image actually has that key.
+    /// image actually has that key; at most one id can pass (see
+    /// `pk_index`).
     fn live_pk(&self, pk: &Value) -> Option<RowId> {
         let pos = self.schema.primary_key_pos();
         self.pk_index
             .get(pk)?
             .iter()
             .rev()
-            .copied()
             .find(|&rid| self.rows.get(rid).is_some_and(|r| r.get(pos) == pk))
     }
 
@@ -497,7 +652,7 @@ impl Table {
     /// where entries may reference dead versions.
     fn live_unique_conflict(&self, idx: &Index, key: &[Value], exclude: Option<RowId>) -> bool {
         idx.map.get(key).is_some_and(|set| {
-            set.iter().any(|&r| {
+            set.iter().any(|r| {
                 Some(r) != exclude
                     && self.rows.get(r).is_some_and(|row| {
                         idx.key_pos.iter().zip(key).all(|(&p, kv)| row.get(p) == kv)
@@ -510,40 +665,27 @@ impl Table {
         if pk.is_null() {
             return;
         }
-        let v = self.pk_index.entry(pk.clone()).or_default();
-        if !v.contains(&rid) {
-            v.push(rid);
-        }
+        posting_add(&mut self.pk_index, pk.clone(), rid);
     }
 
     fn pk_entry_remove(&mut self, pk: &Value, rid: RowId) {
         if pk.is_null() {
             return;
         }
-        if let Some(v) = self.pk_index.get_mut(pk) {
-            v.retain(|&r| r != rid);
-            if v.is_empty() {
-                self.pk_index.remove(pk);
-            }
-        }
+        posting_remove(&mut self.pk_index, pk, rid);
     }
 
     fn index_entries_add(&mut self, rid: RowId, row: &Row) {
         for idx in &mut self.indexes {
             let key = idx.key_of(row);
-            idx.map.entry(key).or_default().insert(rid);
+            posting_add(&mut idx.map, key, rid);
         }
     }
 
     fn index_entries_remove(&mut self, rid: RowId, row: &Row) {
         for idx in &mut self.indexes {
             let key = idx.key_of(row);
-            if let Some(set) = idx.map.get_mut(&key) {
-                set.remove(&rid);
-                if set.is_empty() {
-                    idx.map.remove(&key);
-                }
-            }
+            posting_remove(&mut idx.map, &key[..], rid);
         }
     }
 
@@ -618,7 +760,7 @@ impl Table {
             let Some(set) = idx.map.get(&key) else {
                 continue;
             };
-            for &rid in set {
+            for rid in set.iter() {
                 if Some(rid) == exclude {
                     continue;
                 }
@@ -628,10 +770,12 @@ impl Table {
                 };
                 // Live image carrying the key, uncommitted by another
                 // transaction: the collision is unresolved — retry.
-                let live_carries = self
-                    .rows
-                    .get(rid)
-                    .is_some_and(|r| idx.key_pos.iter().zip(&key).all(|(&p, kv)| r.get(p) == kv));
+                let live_carries = self.rows.get(rid).is_some_and(|r| {
+                    idx.key_pos
+                        .iter()
+                        .zip(key.iter())
+                        .all(|(&p, kv)| r.get(p) == kv)
+                });
                 if live_carries {
                     if let Some(m) = self.meta.get(&rid) {
                         if m.writer.is_some_and(|w| w != tid) {
@@ -647,7 +791,7 @@ impl Table {
                     let carries = idx
                         .key_pos
                         .iter()
-                        .zip(&key)
+                        .zip(key.iter())
                         .all(|(&p, kv)| v.row.get(p) == kv);
                     if !carries {
                         continue;
@@ -781,13 +925,8 @@ impl Table {
             let old_key = idx.key_of(old_row);
             let new_key = idx.key_of(new_row);
             if old_key != new_key {
-                if let Some(set) = idx.map.get_mut(&old_key) {
-                    set.remove(&rid);
-                    if set.is_empty() {
-                        idx.map.remove(&old_key);
-                    }
-                }
-                idx.map.entry(new_key).or_default().insert(rid);
+                posting_remove(&mut idx.map, &old_key[..], rid);
+                posting_add(&mut idx.map, new_key, rid);
             }
         }
     }
@@ -855,6 +994,8 @@ impl Table {
     /// One-pass foreign-key probe: resolves `pk` against `snap` and
     /// reports whether a live heap row also carries it — the two facts
     /// the FK check needs, from a single walk of the key's entry list.
+    /// Each fact has at most one witness (see `pk_index`), so the walk
+    /// may stop at the first of each.
     pub fn fk_probe(&self, pk: &Value, snap: &Snapshot) -> (Option<RowId>, bool) {
         let pos = self.schema.primary_key_pos();
         let Some(rids) = self.pk_index.get(pk) else {
@@ -862,7 +1003,7 @@ impl Table {
         };
         let mut visible = None;
         let mut live = false;
-        for &rid in rids.iter().rev() {
+        for rid in rids.iter().rev() {
             if !live && self.rows.get(rid).is_some_and(|r| r.get(pos) == pk) {
                 live = true;
             }
@@ -883,10 +1024,11 @@ impl Table {
     }
 
     /// [`Table::find_pk_visible`] returning the resolved version too, so
-    /// the executor does not resolve the same row id a second time.
+    /// the executor does not resolve the same row id a second time. The
+    /// first visible match is the only one (see `pk_index`).
     pub fn find_pk_visible_row(&self, pk: &Value, snap: &Snapshot) -> Option<RowRef<'_>> {
         let pos = self.schema.primary_key_pos();
-        self.pk_index.get(pk)?.iter().rev().find_map(|&rid| {
+        self.pk_index.get(pk)?.iter().rev().find_map(|rid| {
             self.visible(rid, snap)
                 .filter(|r| r.get(pos) == pk)
                 .map(|r| (rid, r))
@@ -1363,21 +1505,24 @@ impl Table {
         // Decide every removal first (immutable borrows of history and
         // indexes), then apply (mutable) — and compare key columns in
         // place rather than materializing history row clones.
-        let retired: Vec<Option<Vec<Value>>> = self
+        let retired: Vec<Option<IndexKey>> = self
             .indexes
             .iter()
             .map(|idx| {
                 let key = idx.key_of(gone);
-                let kept = also_keep
-                    .is_some_and(|r| idx.key_pos.iter().zip(&key).all(|(&p, kv)| r.get(p) == kv))
-                    || hist.is_some_and(|c| {
-                        c.iter().any(|v| {
-                            idx.key_pos
-                                .iter()
-                                .zip(&key)
-                                .all(|(&p, kv)| v.row.get(p) == kv)
-                        })
-                    });
+                let kept = also_keep.is_some_and(|r| {
+                    idx.key_pos
+                        .iter()
+                        .zip(key.iter())
+                        .all(|(&p, kv)| r.get(p) == kv)
+                }) || hist.is_some_and(|c| {
+                    c.iter().any(|v| {
+                        idx.key_pos
+                            .iter()
+                            .zip(key.iter())
+                            .all(|(&p, kv)| v.row.get(p) == kv)
+                    })
+                });
                 (!kept).then_some(key)
             })
             .collect();
@@ -1386,12 +1531,7 @@ impl Table {
         }
         for (idx, key) in self.indexes.iter_mut().zip(retired) {
             if let Some(key) = key {
-                if let Some(set) = idx.map.get_mut(&key) {
-                    set.remove(&rid);
-                    if set.is_empty() {
-                        idx.map.remove(&key);
-                    }
-                }
+                posting_remove(&mut idx.map, &key[..], rid);
             }
         }
     }
@@ -1463,14 +1603,13 @@ impl Table {
         };
         for (rid, row) in self.rows.iter() {
             let key = idx.key_of(row);
-            let set = idx.map.entry(key.clone()).or_default();
-            if idx.def.unique && !set.is_empty() && !key.iter().any(Value::is_null) {
+            if idx.def.unique && !key.iter().any(Value::is_null) && idx.map.contains_key(&key) {
                 return Err(StorageError::UniqueViolation {
                     index: idx.def.name.clone(),
                     key: format!("{key:?}"),
                 });
             }
-            set.insert(rid);
+            posting_add(&mut idx.map, key, rid);
         }
         // Backfill retained history versions too, so index scans by a
         // snapshot older than the newest images still find their rows
@@ -1480,7 +1619,7 @@ impl Table {
         for (rid, chain) in &self.history {
             for v in chain {
                 let key = idx.key_of(&v.row);
-                idx.map.entry(key).or_default().insert(*rid);
+                posting_add(&mut idx.map, key, *rid);
             }
         }
         self.indexes.push(idx);
@@ -1557,7 +1696,7 @@ impl Table {
         // Sized for every entry up front: one allocation however many
         // rows the key carries.
         let mut out = Vec::with_capacity(rids.len());
-        out.extend(rids.iter().filter_map(|&rid| keep(key, rid)));
+        out.extend(rids.iter().filter_map(|rid| keep(key, rid)));
         out
     }
 
@@ -1617,9 +1756,10 @@ impl Table {
         }
         let mut out: Vec<T> = Vec::new();
         // At most one id per key can match its entry: the live one (no
-        // snapshot) or the one whose visible version carries the key.
+        // snapshot) or the one whose visible version carries the key (the
+        // `pk_index` invariant), so the first match is the answer.
         for (pk, rids) in self.pk_index.range((lo, hi)) {
-            out.extend(rids.iter().rev().find_map(|&rid| keep(pk, rid)));
+            out.extend(rids.iter().rev().find_map(|rid| keep(pk, rid)));
         }
         if reverse {
             out.reverse();
@@ -1673,22 +1813,17 @@ impl Table {
         // bare endpoint key, so Included over the extended prefix is a
         // correct lower bound for Excluded endpoints too (the equal run
         // is skipped below).
-        let start: B<Vec<Value>> = match from {
-            crate::plan::Bound::Unbounded => {
-                if p == 0 {
-                    B::Unbounded
-                } else {
-                    B::Included(eq_prefix.to_vec())
-                }
-            }
+        let endpoint: Vec<Value>;
+        let start: B<&[Value]> = match from {
+            crate::plan::Bound::Unbounded if p == 0 => B::Unbounded,
+            crate::plan::Bound::Unbounded => B::Included(eq_prefix),
             crate::plan::Bound::Included(v) | crate::plan::Bound::Excluded(v) => {
-                let mut k = eq_prefix.to_vec();
-                k.push(v.clone());
-                B::Included(k)
+                endpoint = eq_prefix.iter().chain([v]).cloned().collect();
+                B::Included(&endpoint)
             }
         };
         let mut blocks: Vec<Vec<T>> = Vec::new();
-        for (key, rids) in idx.map.range((start, B::Unbounded)) {
+        for (key, rids) in idx.map.range::<[Value], _>((start, B::Unbounded)) {
             if key.len() <= p || key[..p] != eq_prefix[..] {
                 break;
             }
@@ -1711,7 +1846,7 @@ impl Table {
                 }
                 crate::plan::Bound::Unbounded => {}
             }
-            blocks.push(rids.iter().filter_map(|&rid| keep(key, rid)).collect());
+            blocks.push(rids.iter().filter_map(|rid| keep(key, rid)).collect());
         }
         flatten_key_blocks(blocks, reverse)
     }
@@ -1744,17 +1879,17 @@ impl Table {
     ) -> Vec<T> {
         use std::ops::Bound as B;
         let p = prefix.len();
-        let start: B<Vec<Value>> = if p == 0 {
+        let start: B<&[Value]> = if p == 0 {
             B::Unbounded
         } else {
-            B::Included(prefix.to_vec())
+            B::Included(prefix)
         };
         let mut blocks: Vec<Vec<T>> = Vec::new();
-        for (key, rids) in idx.map.range((start, B::Unbounded)) {
+        for (key, rids) in idx.map.range::<[Value], _>((start, B::Unbounded)) {
             if key.len() < p || key[..p] != prefix[..] {
                 break;
             }
-            blocks.push(rids.iter().filter_map(|&rid| keep(key, rid)).collect());
+            blocks.push(rids.iter().filter_map(|rid| keep(key, rid)).collect());
         }
         flatten_key_blocks(blocks, reverse)
     }
@@ -1798,7 +1933,7 @@ impl Table {
             for key in ordered_keys {
                 let key = std::slice::from_ref(key);
                 if let Some(set) = idx.map.get(key) {
-                    out.extend(set.iter().filter_map(|&rid| keep(key, rid)));
+                    out.extend(set.iter().filter_map(|rid| keep(key, rid)));
                 }
             }
         } else {
@@ -1866,9 +2001,9 @@ impl Table {
             probe.extend_from_slice(eq_prefix);
             probe.push((*k).clone());
             if full {
-                if let Some(set) = idx.map.get(&probe) {
+                if let Some(set) = idx.map.get(&probe[..]) {
                     // Postings stay in rid (heap) order within one key.
-                    out.extend(set.iter().filter_map(|&rid| keep(&probe, rid)));
+                    out.extend(set.iter().filter_map(|rid| keep(&probe, rid)));
                 }
             } else {
                 out.extend(self.index_prefix_scan_impl(idx, &probe, reverse, keep));
@@ -2645,6 +2780,652 @@ mod tests {
                     views: vec![Rows::new()],
                     floor: 0,
                     next_rid: 0,
+                    txn: None,
+                };
+                for op in &ops {
+                    apply(&mut t, &mut m, op);
+                    check(&t, &m);
+                }
+            }
+        }
+    }
+
+    /// Differential test of the compact index layout: random write
+    /// sequences drive a [`Table`] with a one-column Int index, a
+    /// two-column index, a three-column index (the boxed-slice key) and,
+    /// once created mid-run, a Text index, and every
+    /// index and pk read must agree with `BTreeMap<Vec<Value>,
+    /// BTreeSet<RowId>>` models after every step — one model per checked
+    /// snapshot for the snapshot reads, and one over the index's own
+    /// entries for the newest-version reads.
+    mod index_model {
+        use super::*;
+        use crate::plan::Bound as PB;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Unversioned writes (no transaction open). An update moves
+            /// the row's keys, and its pk when the pk is `Some`.
+            Insert(i64, i64, i64, usize),
+            Update(usize, Option<i64>, i64, i64, usize),
+            Delete(usize),
+            /// Versioned writes; the first one opens a transaction.
+            TxnInsert(i64, i64, i64, usize),
+            TxnUpdate(usize, Option<i64>, i64, i64, usize),
+            TxnDelete(usize),
+            Commit,
+            Undo,
+            Vacuum(u64),
+            Truncate,
+            /// Creates the Text index over live rows and history.
+            CreateTextIndex,
+        }
+
+        const TEXTS: [&str; 4] = ["", "m", "mm", "n"];
+
+        fn op() -> impl Strategy<Value = Op> {
+            let pk = 0..8i64;
+            let k = 0..4i64;
+            let s = 0..4usize;
+            prop_oneof![
+                (pk.clone(), k.clone(), k.clone(), s.clone())
+                    .prop_map(|(p, a, b, s)| Op::Insert(p, a, b, s)),
+                (
+                    0..16usize,
+                    proptest::option::of(pk.clone()),
+                    k.clone(),
+                    k.clone(),
+                    s.clone()
+                )
+                    .prop_map(|(r, p, a, b, s)| Op::Update(r, p, a, b, s)),
+                (0..16usize).prop_map(Op::Delete),
+                (pk.clone(), k.clone(), k.clone(), s.clone())
+                    .prop_map(|(p, a, b, s)| Op::TxnInsert(p, a, b, s)),
+                (0..16usize, proptest::option::of(pk), k.clone(), k, s)
+                    .prop_map(|(r, p, a, b, s)| Op::TxnUpdate(r, p, a, b, s)),
+                (0..16usize).prop_map(Op::TxnDelete),
+                Just(Op::Commit),
+                Just(Op::Undo),
+                (0..4u64).prop_map(Op::Vacuum),
+                Just(Op::Truncate),
+                Just(Op::CreateTextIndex),
+            ]
+        }
+
+        fn image(pk: i64, a: i64, b: i64, s: usize) -> Row {
+            row![pk, a, b, TEXTS[s]]
+        }
+
+        enum UndoEntry {
+            Insert(RowId),
+            Update(RowId, Row, bool),
+            Delete(RowId, Row, bool),
+        }
+
+        type Rows = BTreeMap<RowId, Row>;
+        type Entries = BTreeMap<Vec<Value>, BTreeSet<RowId>>;
+
+        struct Model {
+            /// Newest image of every row.
+            heap: Rows,
+            /// What a snapshot at each epoch sees; epochs below `floor`
+            /// are no longer checked.
+            views: Vec<Rows>,
+            floor: u64,
+            txn: Option<Vec<UndoEntry>>,
+        }
+
+        const TID: TxnId = 1;
+
+        impl Model {
+            fn now(&self) -> u64 {
+                self.views.len() as u64 - 1
+            }
+
+            fn nth_row(&self, slot: usize) -> Option<(RowId, Row)> {
+                let n = self.heap.len();
+                (n > 0).then(|| {
+                    let (rid, row) = self.heap.iter().nth(slot % n).unwrap();
+                    (*rid, row.clone())
+                })
+            }
+
+            /// The live row other than `except` carrying `pk`.
+            fn pk_taken(&self, pk: &Value, except: Option<RowId>) -> bool {
+                self.heap
+                    .iter()
+                    .any(|(rid, r)| Some(*rid) != except && r.get(0) == pk)
+            }
+
+            fn write_through(&mut self) {
+                *self.views.last_mut().unwrap() = self.heap.clone();
+                self.floor = self.now();
+            }
+        }
+
+        fn table() -> Table {
+            let schema = TableSchema::builder("ix")
+                .pk("id")
+                .column(ColumnDef::new("a", ValueType::Int))
+                .column(ColumnDef::new("b", ValueType::Int))
+                .column(ColumnDef::new("s", ValueType::Text))
+                .build()
+                .unwrap();
+            let mut t = Table::new(schema, 1);
+            let indexes = [
+                ("ix_a", vec!["a"]),
+                ("ix_ab", vec!["a", "b"]),
+                ("ix_abs", vec!["a", "b", "s"]),
+            ];
+            for (name, cols) in indexes {
+                t.create_index(IndexDef {
+                    name: name.into(),
+                    columns: cols.into_iter().map(String::from).collect(),
+                    unique: false,
+                })
+                .unwrap();
+            }
+            t
+        }
+
+        /// The row with `slot`'s pk replaced when `pk` is set and the
+        /// other columns from the op.
+        fn moved(old: &Row, pk: Option<i64>, a: i64, b: i64, s: usize) -> Row {
+            let pk = pk.unwrap_or_else(|| old.get(0).as_int().unwrap());
+            image(pk, a, b, s)
+        }
+
+        fn apply(t: &mut Table, m: &mut Model, op: &Op) {
+            let now = m.now();
+            let own = snap_w(now, TID);
+            if matches!(op, Op::TxnInsert(..) | Op::TxnUpdate(..) | Op::TxnDelete(_)) {
+                m.txn.get_or_insert_with(Vec::new);
+            }
+            let idle = m.txn.is_none();
+            match *op {
+                Op::Insert(pk, a, b, s) if idle => {
+                    let row = image(pk, a, b, s);
+                    let res = t.insert(row.clone());
+                    if m.pk_taken(row.get(0), None) {
+                        assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                    } else {
+                        m.heap.insert(res.unwrap(), row);
+                        m.write_through();
+                    }
+                }
+                Op::Update(slot, pk, a, b, s) if idle => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let new = moved(&old, pk, a, b, s);
+                        let res = t.update(rid, new.clone());
+                        if m.pk_taken(new.get(0), Some(rid)) {
+                            assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                        } else {
+                            assert_eq!(res.unwrap(), old);
+                            m.heap.insert(rid, new);
+                            m.write_through();
+                        }
+                    }
+                }
+                Op::Delete(slot) if idle => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        assert_eq!(t.delete(rid), Some(old));
+                        m.heap.remove(&rid);
+                        m.write_through();
+                    }
+                }
+                Op::TxnInsert(pk, a, b, s) => {
+                    let row = image(pk, a, b, s);
+                    let res = t.insert_txn(row.clone(), TID, &own);
+                    if m.pk_taken(row.get(0), None) {
+                        assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                    } else {
+                        let rid = res.unwrap();
+                        m.heap.insert(rid, row);
+                        m.txn.as_mut().unwrap().push(UndoEntry::Insert(rid));
+                    }
+                }
+                Op::TxnUpdate(slot, pk, a, b, s) => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let new = moved(&old, pk, a, b, s);
+                        let res = t.update_txn(rid, new.clone(), TID, &own);
+                        if m.pk_taken(new.get(0), Some(rid)) {
+                            assert!(matches!(res, Err(StorageError::UniqueViolation { .. })));
+                        } else {
+                            let (before, pushed) = res.unwrap();
+                            assert_eq!(before, old);
+                            m.heap.insert(rid, new);
+                            let undo = UndoEntry::Update(rid, before, pushed);
+                            m.txn.as_mut().unwrap().push(undo);
+                        }
+                    }
+                }
+                Op::TxnDelete(slot) => {
+                    if let Some((rid, old)) = m.nth_row(slot) {
+                        let (row, pushed) = t.delete_txn(rid, TID, &own).unwrap();
+                        assert_eq!(row, old);
+                        m.heap.remove(&rid);
+                        let undo = UndoEntry::Delete(rid, row, pushed);
+                        m.txn.as_mut().unwrap().push(undo);
+                    }
+                }
+                Op::Commit => {
+                    if let Some(log) = m.txn.take() {
+                        let rids = log.iter().map(|u| match u {
+                            UndoEntry::Insert(rid)
+                            | UndoEntry::Update(rid, ..)
+                            | UndoEntry::Delete(rid, ..) => *rid,
+                        });
+                        t.commit_rows(rids, TID, now + 1);
+                        m.views.push(m.heap.clone());
+                    }
+                }
+                Op::Undo => {
+                    for entry in m.txn.take().into_iter().flatten().rev() {
+                        match entry {
+                            UndoEntry::Insert(rid) => t.undo_insert(rid),
+                            UndoEntry::Update(rid, before, pushed) => {
+                                t.undo_update(rid, before, pushed, TID)
+                            }
+                            UndoEntry::Delete(rid, row, pushed) => {
+                                t.undo_delete(rid, row, pushed, TID)
+                            }
+                        }
+                    }
+                    m.heap = m.views[now as usize].clone();
+                }
+                Op::Vacuum(k) => {
+                    let horizon = m.floor + k % (now - m.floor + 1);
+                    t.vacuum(horizon);
+                    m.floor = horizon;
+                }
+                Op::Truncate if idle => {
+                    t.truncate();
+                    m.heap.clear();
+                    m.write_through();
+                }
+                Op::CreateTextIndex if t.index_by_name("ix_s").is_none() => {
+                    t.create_index(IndexDef {
+                        name: "ix_s".into(),
+                        columns: vec!["s".into()],
+                        unique: false,
+                    })
+                    .unwrap();
+                }
+                _ => {}
+            }
+        }
+
+        /// One index scan, in the shape of the `Table` method it calls.
+        #[derive(Debug)]
+        enum Scan {
+            Lookup(Vec<Value>),
+            Range(Vec<Value>, PB, PB, bool),
+            Prefix(Vec<Value>, bool),
+            Multi(Vec<Value>, bool),
+            In(Vec<Value>, Vec<Value>, bool),
+        }
+
+        fn bounds(vals: &[Value]) -> Vec<(PB, PB)> {
+            let (lo, hi) = (vals[1].clone(), vals[2].clone());
+            vec![
+                (PB::Unbounded, PB::Unbounded),
+                (PB::Included(lo.clone()), PB::Included(hi.clone())),
+                (PB::Excluded(lo.clone()), PB::Included(hi.clone())),
+                (PB::Included(lo.clone()), PB::Excluded(hi.clone())),
+                (PB::Excluded(lo.clone()), PB::Excluded(hi.clone())),
+                (PB::Included(hi.clone()), PB::Included(lo.clone())),
+                (PB::Unbounded, PB::Excluded(hi)),
+                (PB::Excluded(lo), PB::Unbounded),
+            ]
+        }
+
+        /// The values column `col` takes in the ops, and one it never
+        /// takes, in storage order.
+        fn domain(col: &str) -> (Vec<Value>, Value) {
+            if col == "s" {
+                let texts = TEXTS.iter().map(|&s| Value::Text(s.into())).collect();
+                (texts, Value::Text("z".into()))
+            } else {
+                ((0..4).map(Value::Int).collect(), Value::Int(9))
+            }
+        }
+
+        fn extended(prefix: &[Value], v: &Value) -> Vec<Value> {
+            prefix.iter().chain([v]).cloned().collect()
+        }
+
+        /// The scans checked on each index, in both directions: on every
+        /// proper key prefix of a few values, ranges, prefix scans and IN
+        /// lists over the next column; multi-key lookups on the first
+        /// column; and exact keys of the domain plus misses.
+        fn scans(idx: &Index) -> Vec<Scan> {
+            let doms: Vec<(Vec<Value>, Value)> =
+                idx.def.columns.iter().map(|c| domain(c)).collect();
+            let mut prefixes: Vec<Vec<Value>> = vec![Vec::new()];
+            for depth in 1..doms.len() {
+                let take = if depth == 1 { 4 } else { 2 };
+                let longer: Vec<Vec<Value>> = prefixes
+                    .iter()
+                    .filter(|p| p.len() == depth - 1)
+                    .take(take)
+                    .flat_map(|p| doms[depth - 1].0.iter().take(take).map(|v| extended(p, v)))
+                    .collect();
+                prefixes.extend(longer);
+            }
+            let mut out = Vec::new();
+            for rev in [false, true] {
+                for p in &prefixes {
+                    let (dom, miss) = &doms[p.len()];
+                    for (from, to) in bounds(dom) {
+                        out.push(Scan::Range(p.clone(), from, to, rev));
+                    }
+                    out.push(Scan::Prefix(p.clone(), rev));
+                    out.push(Scan::In(
+                        p.clone(),
+                        vec![dom[0].clone(), dom[2].clone()],
+                        rev,
+                    ));
+                    let with_miss = vec![dom[1].clone(), dom[3].clone(), miss.clone()];
+                    out.push(Scan::In(p.clone(), with_miss, rev));
+                }
+                let (dom, miss) = &doms[0];
+                out.push(Scan::Multi(vec![dom[0].clone(), dom[2].clone()], rev));
+                let with_miss = vec![dom[1].clone(), dom[3].clone(), miss.clone()];
+                out.push(Scan::Multi(with_miss, rev));
+            }
+            // Every key of the domain (two values of a third column),
+            // and a miss in the last column.
+            let mut keys: Vec<Vec<Value>> = vec![Vec::new()];
+            for (depth, (dom, _)) in doms.iter().enumerate() {
+                let take = if depth < 2 { dom.len() } else { 2 };
+                keys = keys
+                    .iter()
+                    .flat_map(|k| dom.iter().take(take).map(|v| extended(k, v)))
+                    .collect();
+            }
+            let (_, miss) = doms.last().unwrap();
+            keys.push(extended(&keys[0][..doms.len() - 1], miss));
+            out.extend(keys.into_iter().map(Scan::Lookup));
+            out
+        }
+
+        fn within(v: &Value, from: &PB, to: &PB) -> bool {
+            let lo = match from {
+                PB::Unbounded => true,
+                PB::Included(b) => v >= b,
+                PB::Excluded(b) => v > b,
+            };
+            let hi = match to {
+                PB::Unbounded => true,
+                PB::Included(b) => v <= b,
+                PB::Excluded(b) => v < b,
+            };
+            lo && hi
+        }
+
+        /// True when `scan` selects the index key `key`.
+        fn hits(scan: &Scan, key: &[Value]) -> bool {
+            match scan {
+                Scan::Lookup(k) => key == &k[..],
+                Scan::Range(p, from, to, _) => {
+                    key.starts_with(p) && key.len() > p.len() && within(&key[p.len()], from, to)
+                }
+                Scan::Prefix(p, _) => key.starts_with(p),
+                Scan::Multi(keys, _) => keys.contains(&key[0]),
+                Scan::In(p, keys, _) => key.starts_with(p) && keys.contains(&key[p.len()]),
+            }
+        }
+
+        /// What `scan` returns over `entries`: the matching keys in key
+        /// order (reversed when asked), each key's row ids ascending.
+        fn expected(entries: &Entries, scan: &Scan) -> Vec<RowId> {
+            let reverse = match scan {
+                Scan::Lookup(_) => false,
+                Scan::Range(.., r) | Scan::Prefix(_, r) | Scan::Multi(_, r) | Scan::In(.., r) => *r,
+            };
+            let mut blocks: Vec<&BTreeSet<RowId>> = entries
+                .iter()
+                .filter(|(k, _)| hits(scan, k))
+                .map(|(_, rids)| rids)
+                .collect();
+            if reverse {
+                blocks.reverse();
+            }
+            blocks.into_iter().flatten().copied().collect()
+        }
+
+        fn run_raw(t: &Table, idx: &Index, scan: &Scan) -> Vec<RowId> {
+            match scan {
+                Scan::Lookup(k) => t.index_lookup(idx, k),
+                Scan::Range(p, f, to, r) => t.index_range_scan(idx, p, f, to, *r),
+                Scan::Prefix(p, r) => t.index_prefix_scan(idx, p, *r),
+                Scan::Multi(keys, r) => t.index_multi_lookup(idx, keys, *r),
+                Scan::In(p, keys, r) => t.index_in_scan(idx, p, keys, *r),
+            }
+        }
+
+        fn run_visible<'a>(
+            t: &'a Table,
+            idx: &Index,
+            scan: &Scan,
+            s: &Snapshot,
+        ) -> Vec<RowRef<'a>> {
+            match scan {
+                Scan::Lookup(k) => t.index_lookup_visible(idx, k, s),
+                Scan::Range(p, f, to, r) => t.index_range_scan_visible(idx, p, f, to, *r, s),
+                Scan::Prefix(p, r) => t.index_prefix_scan_visible(idx, p, *r, s),
+                Scan::Multi(keys, r) => t.index_multi_lookup_visible(idx, keys, *r, s),
+                Scan::In(p, keys, r) => t.index_in_scan_visible(idx, p, keys, *r, s),
+            }
+        }
+
+        fn entries_of<'a>(
+            idx: &Index,
+            rows: impl IntoIterator<Item = (RowId, &'a Row)>,
+        ) -> Entries {
+            let mut out = Entries::new();
+            for (rid, row) in rows {
+                let key = idx.key_pos.iter().map(|&p| row.get(p).clone()).collect();
+                out.entry(key).or_default().insert(rid);
+            }
+            out
+        }
+
+        fn contains_all(big: &Entries, small: &Entries) -> bool {
+            small
+                .iter()
+                .all(|(k, rids)| big.get(k).is_some_and(|b| rids.is_subset(b)))
+        }
+
+        /// Every version the table still holds, newest images and history.
+        fn retained(t: &Table) -> Vec<(RowId, &Row)> {
+            let history = t
+                .history
+                .iter()
+                .flat_map(|(rid, chain)| chain.iter().map(move |v| (*rid, &v.row)));
+            t.rows.iter().chain(history).collect()
+        }
+
+        fn check(t: &Table, m: &Model) {
+            let mut snaps: Vec<(Snapshot, &Rows)> = (m.floor..=m.now())
+                .map(|e| (snap(e), &m.views[e as usize]))
+                .collect();
+            if m.txn.is_some() {
+                snaps.push((snap_w(m.now(), TID), &m.heap));
+            }
+            let settled = t.history_versions() == 0;
+            let retained = retained(t);
+            for idx in t.indexes() {
+                // The index's own entries: rid-ordered postings, none
+                // empty, every live row's key present, and nothing a
+                // retained version does not carry.
+                let mut own = Entries::new();
+                for (key, postings) in &idx.map {
+                    let rids = postings.as_slice();
+                    assert!(
+                        !rids.is_empty(),
+                        "{}: empty postings under {key:?}",
+                        idx.def.name
+                    );
+                    assert!(
+                        rids.windows(2).all(|w| w[0] < w[1]),
+                        "{}: postings order",
+                        idx.def.name
+                    );
+                    assert_eq!(key.len(), idx.key_pos.len());
+                    own.insert(key.to_vec(), rids.iter().copied().collect());
+                }
+                let live = entries_of(idx, m.heap.iter().map(|(r, row)| (*r, row)));
+                let held = entries_of(idx, retained.iter().copied());
+                assert!(
+                    contains_all(&own, &live),
+                    "{}: a live entry is missing",
+                    idx.def.name
+                );
+                assert!(
+                    contains_all(&held, &own),
+                    "{}: an entry no version carries",
+                    idx.def.name
+                );
+                if settled {
+                    assert_eq!(own, live, "{}: settled entries", idx.def.name);
+                }
+                assert_eq!(
+                    idx.distinct_keys(),
+                    own.len(),
+                    "{}: distinct_keys",
+                    idx.def.name
+                );
+                let scans = scans(idx);
+                for scan in &scans {
+                    assert_eq!(
+                        run_raw(t, idx, scan),
+                        expected(&own, scan),
+                        "{}: {scan:?}",
+                        idx.def.name
+                    );
+                }
+                for (s, view) in &snaps {
+                    let visible = entries_of(idx, view.iter().map(|(r, row)| (*r, row)));
+                    for scan in &scans {
+                        let got = run_visible(t, idx, scan, s);
+                        let rids: Vec<RowId> = got.iter().map(|(rid, _)| *rid).collect();
+                        assert_eq!(
+                            rids,
+                            expected(&visible, scan),
+                            "{}: {scan:?} at {s:?}",
+                            idx.def.name
+                        );
+                        for (rid, row) in got {
+                            assert_eq!(
+                                Some(row),
+                                view.get(&rid),
+                                "{}: resolved version",
+                                idx.def.name
+                            );
+                        }
+                    }
+                }
+            }
+            // The pk index: same bracket, then every probe per snapshot.
+            let pk_entries = |rows: &mut dyn Iterator<Item = (RowId, &Row)>| {
+                let mut out: BTreeMap<Value, BTreeSet<RowId>> = BTreeMap::new();
+                for (rid, row) in rows {
+                    out.entry(row.get(0).clone()).or_default().insert(rid);
+                }
+                out
+            };
+            let own: BTreeMap<Value, BTreeSet<RowId>> = t
+                .pk_index
+                .iter()
+                .map(|(pk, p)| (pk.clone(), p.iter().collect()))
+                .collect();
+            let live = pk_entries(&mut m.heap.iter().map(|(r, row)| (*r, row)));
+            let held = pk_entries(&mut retained.iter().copied());
+            for (pk, rids) in &live {
+                assert!(
+                    own.get(pk).is_some_and(|o| rids.is_subset(o)),
+                    "pk {pk} missing"
+                );
+            }
+            for (pk, rids) in &own {
+                assert!(
+                    held.get(pk).is_some_and(|h| rids.is_subset(h)),
+                    "pk {pk} stale"
+                );
+            }
+            if settled {
+                assert_eq!(own, live, "settled pk entries");
+            }
+            let pk_bounds = bounds(&[Value::Int(0), Value::Int(2), Value::Int(5)]);
+            let in_range = |rows: &Rows, from: &PB, to: &PB, rev: bool| {
+                let mut hits: Vec<(Value, RowId)> = rows
+                    .iter()
+                    .filter(|(_, r)| within(r.get(0), from, to))
+                    .map(|(rid, r)| (r.get(0).clone(), *rid))
+                    .collect();
+                hits.sort();
+                if rev {
+                    hits.reverse();
+                }
+                hits.into_iter().map(|(_, rid)| rid).collect::<Vec<_>>()
+            };
+            let holder = |rows: &Rows, pk: &Value| {
+                rows.iter()
+                    .find(|(_, r)| r.get(0) == pk)
+                    .map(|(rid, _)| *rid)
+            };
+            for pk in (-1..9).map(Value::Int) {
+                assert_eq!(t.find_pk(&pk), holder(&m.heap, &pk), "find_pk({pk})");
+            }
+            for (from, to) in &pk_bounds {
+                for rev in [false, true] {
+                    let want = in_range(&m.heap, from, to, rev);
+                    assert_eq!(
+                        t.pk_range_scan(from, to, rev),
+                        want,
+                        "pk range {from:?}..{to:?}"
+                    );
+                }
+            }
+            for (s, view) in &snaps {
+                for pk in (-1..9).map(Value::Int) {
+                    let want = holder(view, &pk);
+                    assert_eq!(
+                        t.find_pk_visible(&pk, s),
+                        want,
+                        "find_pk_visible({pk}, {s:?})"
+                    );
+                    let live = holder(&m.heap, &pk).is_some();
+                    assert_eq!(t.fk_probe(&pk, s), (want, live), "fk_probe({pk}, {s:?})");
+                }
+                for (from, to) in &pk_bounds {
+                    for rev in [false, true] {
+                        let got: Vec<RowId> = t
+                            .pk_range_scan_visible(from, to, rev, s)
+                            .into_iter()
+                            .map(|(rid, _)| rid)
+                            .collect();
+                        assert_eq!(got, in_range(view, from, to, rev), "pk range at {s:?}");
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn compact_indexes_match_a_btreemap_model(
+                ops in proptest::collection::vec(op(), 0..60)
+            ) {
+                let mut t = table();
+                let mut m = Model {
+                    heap: Rows::new(),
+                    views: vec![Rows::new()],
+                    floor: 0,
                     txn: None,
                 };
                 for op in &ops {

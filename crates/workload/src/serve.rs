@@ -13,6 +13,7 @@ use genie_social::{build_app, AppConfig, SeedConfig};
 use genie_storage::{Result, StorageError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration for one over-the-wire serving run.
@@ -35,6 +36,12 @@ pub struct ServeConfig {
     /// Every Nth request per client is a `snapshot` MVCC probe instead
     /// of a mix page; 0 disables.
     pub snapshot_every: usize,
+    /// `run_serve` holds the server's admission slot until every client
+    /// has sent its first page, then releases it. Under
+    /// `server.max_inflight = 1` each first page (the login) is refused
+    /// with a retryable `503`: shedding happens by construction, not by
+    /// clients happening to collide.
+    pub shed_first_page: bool,
     /// Seed-data scale.
     pub seed: SeedConfig,
     /// Driver RNG seed.
@@ -55,6 +62,7 @@ impl Default for ServeConfig {
                 ..PageMix::default()
             },
             snapshot_every: 10,
+            shed_first_page: false,
             seed: SeedConfig::tiny(),
             rng_seed: 7,
             server: ServerConfig::default(),
@@ -180,10 +188,25 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeResult> {
         Duration::ZERO
     };
     let mix_total = cfg.mix.total().max(1);
+    // With `shed_first_page`, this thread holds the admission slot and
+    // the write half of `released` until every client has reported its
+    // first answer on `answered`. Each client hangs up once it has
+    // reported, and one that dies hangs up unreported, so this thread
+    // never waits on a client that is gone.
+    let slot = if cfg.shed_first_page {
+        server.hold_admission_slot()
+    } else {
+        None
+    };
+    let released = Arc::new(RwLock::new(()));
+    let held = slot.as_ref().map(|_| released.write().expect("fresh lock"));
+    let (answered, first_answers) = mpsc::channel::<()>();
     let start = Instant::now();
     let handles: Vec<std::thread::JoinHandle<std::io::Result<ClientTally>>> = (0..clients)
         .map(|t| {
             let cfg = cfg.clone();
+            let answered = answered.clone();
+            let released = Arc::clone(&released);
             std::thread::spawn(move || -> std::io::Result<ClientTally> {
                 let mut rng = StdRng::seed_from_u64(cfg.rng_seed.wrapping_add(t as u64 * 7919));
                 let zipf = Zipf::new(users, cfg.zipf_a.max(0.01));
@@ -199,7 +222,16 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeResult> {
                 // Session bookends: the latency table measures the mix,
                 // login/logout just have to succeed.
                 let me = (t % users) as i64 + 1;
-                c.page(Page::Login, me, None)?;
+                let login = c.page(Page::Login, me, None)?;
+                if cfg.shed_first_page {
+                    if let Response::Err { code, .. } = login {
+                        assert!(genie_server::retryable(code), "fatal login error {code}");
+                        tally.retryable += 1;
+                    }
+                    let _ = answered.send(());
+                    drop(answered);
+                    drop(released.read());
+                }
                 for n in 0..cfg.requests_per_client {
                     // Open-loop pacing to the aggregate target: each
                     // client owns every `clients`-th send slot.
@@ -251,6 +283,13 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeResult> {
             })
         })
         .collect();
+    drop(answered);
+    if held.is_some() {
+        // Every client has been answered (or is gone): open the gate.
+        for () in first_answers {}
+        drop(slot);
+        drop(held);
+    }
     let mut result = ServeResult {
         target_qps: cfg.target_qps,
         ..Default::default()
