@@ -1,8 +1,10 @@
 //! Criterion micro-bench: raw engine speed of database point lookups vs
 //! cache gets (the real-time counterpart of the §5.3 modelled numbers),
 //! of an index scan returning a wall's worth of rows, of resolving
-//! scattered index entries to their heap rows, and of descending an
-//! index of many small keys (a probe, and the insert of a new key).
+//! scattered index entries to their heap rows, of descending an index
+//! of many small keys (a probe, and the insert of a new key), and of
+//! prepared `IN` lists on the primary key and under an equality prefix
+//! of a composite index.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
@@ -228,11 +230,76 @@ fn bench_index_probe(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows of the IN-list bench: `GROUPS` values of `a`, `PER_GROUP` values
+/// of `b` under each.
+const GROUPS: i64 = 1_000;
+const PER_GROUP: i64 = 20;
+
+fn bench_in_lists(c: &mut Criterion) {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE pairs (id INT PRIMARY KEY, a INT NOT NULL, b INT NOT NULL, v TEXT)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql("CREATE INDEX pairs_a_b ON pairs (a, b)", &[])
+        .unwrap();
+    let rows = GROUPS * PER_GROUP;
+    db.execute_sql("BEGIN", &[]).unwrap();
+    for id in 0..rows {
+        db.execute_sql(
+            "INSERT INTO pairs VALUES ($1, $2, $3, 'value')",
+            &[
+                Value::Int(id),
+                Value::Int(id / PER_GROUP),
+                Value::Int(id % PER_GROUP),
+            ],
+        )
+        .unwrap();
+    }
+    db.execute_sql("COMMIT", &[]).unwrap();
+    let prepare = |sql: &str| {
+        let Statement::Select(select) = genie_storage::sql::parse(sql).unwrap() else {
+            unreachable!("a SELECT parses to a SELECT")
+        };
+        db.prepare(&select)
+    };
+    let by_ids = prepare("SELECT * FROM pairs WHERE id IN ($1, $2, $3, $4, $5)");
+    let by_a_bs = prepare("SELECT * FROM pairs WHERE a = $1 AND b IN ($2, $3, $4)");
+
+    let mut group = c.benchmark_group("in_list");
+    group.bench_function("pk_in_5_keys", |b| {
+        let mut i = 0i64;
+        b.iter(|| {
+            i = (i + 2_919) % rows;
+            let keys: Vec<Value> = (0..5).map(|k| Value::Int((i + k * 977) % rows)).collect();
+            let out = db.execute_prepared(&by_ids, &keys).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.bench_function("composite_eq_in_3_keys", |b| {
+        let mut g = 0i64;
+        b.iter(|| {
+            g = (g + 7) % GROUPS;
+            let params = [
+                Value::Int(g),
+                Value::Int(g % PER_GROUP),
+                Value::Int((g + 5) % PER_GROUP),
+                Value::Int((g + 11) % PER_GROUP),
+            ];
+            let out = db.execute_prepared(&by_a_bs, &params).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lookups,
     bench_index_scan,
     bench_entry_resolution,
-    bench_index_probe
+    bench_index_probe,
+    bench_in_lists
 );
 criterion_main!(benches);

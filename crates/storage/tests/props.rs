@@ -17,15 +17,17 @@ fn fresh_db(indexed: bool) -> Database {
     )
     .unwrap();
     if indexed {
-        db.create_index(
-            "t",
-            IndexDef {
-                name: "t_k".into(),
-                columns: vec!["k".into()],
-                unique: false,
-            },
-        )
-        .unwrap();
+        for (name, columns) in [("t_k", vec!["k"]), ("t_k_v", vec!["k", "v"])] {
+            db.create_index(
+                "t",
+                IndexDef {
+                    name: name.into(),
+                    columns: columns.into_iter().map(String::from).collect(),
+                    unique: false,
+                },
+            )
+            .unwrap();
+        }
     }
     db
 }
@@ -42,7 +44,7 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..40i64, 0..8i64, 0..100i64).prop_map(|(id, k, v)| Op::Insert { id, k, v }),
+        (0..40i64, 0..8i64, 0..16i64).prop_map(|(id, k, v)| Op::Insert { id, k, v }),
         (0..40i64, 0..8i64).prop_map(|(id, k)| Op::Update { id, k }),
         (0..40i64).prop_map(|id| Op::Delete { id }),
     ]
@@ -83,18 +85,27 @@ fn rows_for_k(db: &Database, k: i64) -> Vec<(i64, i64)> {
         .collect()
 }
 
-/// Rows matching `sql` as `(id, v)` pairs sorted by id — the comparison
-/// key for the planner-path consistency properties below.
-fn rows_for_sql(db: &Database, sql: &str) -> Vec<(i64, i64)> {
+/// Rows `sql` returns as `(id, v)` pairs, in the order it returns them.
+fn rows_in_order(db: &Database, sql: &str) -> Vec<(i64, i64)> {
     let out = db.execute_sql(sql, &[]).unwrap();
-    let mut rows: Vec<(i64, i64)> = out
-        .result
+    out.result
         .rows
         .iter()
         .map(|r| (r.get(0).as_int().unwrap(), r.get(2).as_int().unwrap()))
-        .collect();
+        .collect()
+}
+
+/// Rows matching `sql` as `(id, v)` pairs sorted by id — the comparison
+/// key for the planner-path consistency properties below.
+fn rows_for_sql(db: &Database, sql: &str) -> Vec<(i64, i64)> {
+    let mut rows = rows_in_order(db, sql);
     rows.sort_unstable();
     rows
+}
+
+fn count_for_sql(db: &Database, sql: &str) -> i64 {
+    let out = db.execute_sql(sql, &[]).unwrap();
+    out.result.scalar().unwrap().as_int().unwrap()
 }
 
 proptest! {
@@ -114,10 +125,13 @@ proptest! {
     }
 
     /// After any UPDATE/DELETE mix, every planner access path — equality,
-    /// range, BETWEEN, IN — answers identically on an indexed and an
-    /// unindexed table: secondary-index maintenance in `Table::update` /
-    /// `Table::delete` must keep index postings exactly in sync with the
-    /// heap the full scan reads.
+    /// range, BETWEEN, IN, on the primary key, a one-column and a
+    /// two-column index, forward and reversed — answers identically on an
+    /// indexed and an unindexed table, and so does `COUNT(*)` with the
+    /// same WHERE (count pushdown where the path absorbs it): secondary-
+    /// index maintenance in `Table::update` / `Table::delete` must keep
+    /// index postings exactly in sync with the heap the full scan reads.
+    /// Ordered queries compare in order, ties included.
     #[test]
     fn planner_paths_survive_update_delete(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let indexed = fresh_db(true);
@@ -126,21 +140,42 @@ proptest! {
             apply(&indexed, op);
             apply(&plain, op);
         }
+        // (WHERE clause, ORDER BY / LIMIT tail).
         let queries = [
-            "SELECT * FROM t WHERE k = 3".to_string(),
-            "SELECT * FROM t WHERE k > 2".to_string(),
-            "SELECT * FROM t WHERE k >= 1 AND k < 5".to_string(),
-            "SELECT * FROM t WHERE k BETWEEN 2 AND 6".to_string(),
-            "SELECT * FROM t WHERE k IN (0, 3, 7)".to_string(),
-            "SELECT * FROM t WHERE k = 1 OR k = 4".to_string(),
-            "SELECT * FROM t WHERE id BETWEEN 5 AND 25".to_string(),
+            ("k = 3", ""),
+            ("k > 2", ""),
+            ("k >= 1 AND k < 5", ""),
+            ("k BETWEEN 2 AND 6", ""),
+            ("k IN (0, 3, 7)", ""),
+            ("k IN (0, 3, 7)", " ORDER BY k DESC"),
+            ("k = 1 OR k = 4", ""),
+            ("id BETWEEN 5 AND 25", ""),
+            ("id BETWEEN 5 AND 25", " ORDER BY id DESC"),
+            ("id IN (4, 17, 9, 33, 17)", ""),
+            ("id IN (4, 17, 9, 33)", " ORDER BY id DESC"),
+            ("k = 2 AND v IN (7)", ""),
+            ("k = 2 AND v IN (2, 10)", ""),
+            ("k = 2 AND v IN (2, 10)", " ORDER BY v DESC"),
+            ("k = 3 AND v IN (1, 5, 9, 13)", " ORDER BY v DESC"),
+            ("k = 5 AND v > 6", ""),
+            ("k = 5 AND v > 6", " ORDER BY v DESC"),
+            ("k = 1", " ORDER BY v DESC LIMIT 3"),
+            ("k = 6", " ORDER BY v LIMIT 2"),
         ];
-        for sql in &queries {
+        for (pred, tail) in queries {
+            let sql = format!("SELECT * FROM t WHERE {pred}{tail}");
+            let (got, want) = if tail.is_empty() {
+                (rows_for_sql(&indexed, &sql), rows_for_sql(&plain, &sql))
+            } else {
+                (rows_in_order(&indexed, &sql), rows_in_order(&plain, &sql))
+            };
+            prop_assert_eq!(got, want, "{} diverged between index scan and full scan", sql);
+            let count = format!("SELECT COUNT(*) FROM t WHERE {pred}");
             prop_assert_eq!(
-                rows_for_sql(&indexed, sql),
-                rows_for_sql(&plain, sql),
+                count_for_sql(&indexed, &count),
+                count_for_sql(&plain, &count),
                 "{} diverged between index scan and full scan",
-                sql
+                count
             );
         }
     }
