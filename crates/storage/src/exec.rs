@@ -40,14 +40,13 @@ use crate::error::{Result, StorageError};
 use crate::expr::{CmpOp, ColumnRef, Expr};
 use crate::latch::TableSet;
 use crate::lockmgr::TxnId;
-use crate::plan::{eval_const, AccessPath, JoinMethod, KeyGuard, QueryPlan};
+use crate::plan::{eval_const, AccessPath, JoinMethod, KeyGuard, QueryPlan, WHOLE_RANGE};
 use crate::prepared::PreparedSelect;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
 use crate::row::{Row, RowId};
-use crate::table::{RowRef, Snapshot, Table};
+use crate::table::{IndexKey, RowRef, Snapshot, Table};
 use crate::trigger::TriggerEvent;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The read/write view a statement executes under: `snap` is the
@@ -245,15 +244,15 @@ fn plan_write_rids(
     snap: &Snapshot,
 ) -> Result<Option<Vec<RowId>>> {
     let plan = crate::plan::plan_access(table, binding, pred, &[], params)?;
-    Ok(
-        crate::plan::execute_path(table, &plan.path, plan.reverse, cost, snap).map(|rows| {
-            // Writes process rows in heap order whatever path found them, so
-            // trigger firing order matches the pre-planner engine.
-            let mut rids: Vec<RowId> = rows.into_iter().map(|(rid, _)| rid).collect();
-            rids.sort_unstable();
-            rids
-        }),
-    )
+    let eq = plan.path.eq_values();
+    let rows = crate::plan::execute_path(table, &plan.path, eq, plan.reverse, cost, snap);
+    Ok(rows.map(|rows| {
+        // Writes process rows in heap order whatever path found them, so
+        // trigger firing order matches the pre-planner engine.
+        let mut rids: Vec<RowId> = rows.into_iter().map(|(rid, _)| rid).collect();
+        rids.sort_unstable();
+        rids
+    }))
 }
 
 fn coerce_for(table: &Table, column: &str, v: &Value) -> Value {
@@ -551,20 +550,25 @@ impl ExecPlan {
         })
     }
 
-    /// The driving table's access path with this call's key values.
-    fn base_path(&self, params: &[Value]) -> Cow<'_, AccessPath> {
+    /// The driving table's equality key values rebound from `params`, or
+    /// `None` when the kept path's own are this call's. Inline for keys
+    /// of one or two values, so a rebind allocates no more than the
+    /// coerced values themselves.
+    fn rebound_eq(&self, params: &[Value]) -> Option<IndexKey> {
         if self.key_sources.iter().all(Option::is_none) {
-            return Cow::Borrowed(&self.qplan.base.path);
+            return None;
         }
-        let mut path = self.qplan.base.path.clone();
-        crate::plan::rebind_keys(&mut path, &self.key_sources, params);
-        Cow::Owned(path)
+        let mut eq = IndexKey::from_slice(self.qplan.base.path.eq_values());
+        crate::plan::rebind_keys(&mut eq, &self.key_sources, params);
+        Some(eq)
     }
 
     /// The plan as the planner would report it for `params`.
     pub fn query_plan(&self, params: &[Value]) -> QueryPlan {
         let mut qplan = self.qplan.clone();
-        crate::plan::rebind_keys(&mut qplan.base.path, &self.key_sources, params);
+        if let AccessPath::IndexScan { eq, .. } = &mut qplan.base.path {
+            crate::plan::rebind_keys(eq, &self.key_sources, params);
+        }
         qplan
     }
 }
@@ -644,7 +648,7 @@ fn join_step(
                 Vec::new()
             } else {
                 let v = coerce_for(jt, jt.schema().primary_key(), &v);
-                jt.find_pk_visible_row(&v, snap).into_iter().collect()
+                jt.index_scan(None, std::slice::from_ref(&v), WHOLE_RANGE, false, snap)
             })
         }
         BoundMethod::Index(pos, outers) => {
@@ -662,7 +666,7 @@ fn join_step(
             Candidates::Resolved(if key.len() < outers.len() {
                 Vec::new()
             } else {
-                jt.index_lookup_visible(idx, &key, snap)
+                jt.index_scan(Some(idx), &key, WHOLE_RANGE, false, snap)
             })
         }
         BoundMethod::Scan => Candidates::heap(jt),
@@ -709,14 +713,14 @@ pub(crate) fn run_prepared(
     let sel = prepared.select();
     let qplan = &plan.qplan;
     let base = tables.table(&qplan.base.table)?;
-    let path = plan.base_path(params);
+    let path = &qplan.base.path;
+    let rebound = plan.rebound_eq(params);
+    let eq = rebound.as_deref().unwrap_or(path.eq_values());
 
     // COUNT(*) pushdown: the planner proved the path yields exactly the
-    // matching rows, so count the pk-map / posting-list entries instead
-    // of building rows. Each entry is still checked against the
-    // snapshot in the heap (one slot lookup, no page read, no copy).
+    // matching rows, so count them instead of building rows.
     if qplan.count_only {
-        let n = run_count_only(base, &path, cost, snap);
+        let n = run_count_only(base, path, eq, cost, snap);
         cost.rows_returned += 1;
         return Ok(count_result(&bound, n));
     }
@@ -728,7 +732,8 @@ pub(crate) fn run_prepared(
         .collect::<Result<Vec<_>>>()?;
 
     // --- base scan + pipeline ---
-    let candidates = match crate::plan::execute_path(base, &path, qplan.base.reverse, cost, snap) {
+    let candidates = match crate::plan::execute_path(base, path, eq, qplan.base.reverse, cost, snap)
+    {
         Some(mut rows) => {
             if !qplan.order_satisfied {
                 // Path order only matters when the executor keeps it
@@ -1379,13 +1384,20 @@ impl<'k> TopK<'k> {
     }
 }
 
-/// Answers a planner-approved `SELECT COUNT(*)` from index metadata: the
-/// pk map for `PkEq`, posting lists for `IndexEq`/`IndexPrefixRange`, and
-/// the visible row count for a predicate-free scan. No heap page is
-/// touched; entries resolve against the snapshot so counts agree with
-/// what a full scan at the same snapshot would return.
-fn run_count_only(base: &Table, path: &AccessPath, cost: &mut CostReport, snap: &Snapshot) -> i64 {
-    match crate::plan::execute_path(base, path, false, cost, snap) {
+/// Answers a planner-approved `SELECT COUNT(*)` without building a row:
+/// the number of entries the access path yields, or the visible row count
+/// for a predicate-free scan. Every entry is still resolved against the
+/// snapshot through its heap slot, so counts agree with what a full scan
+/// at the same snapshot would return, but no buffer-pool page is touched
+/// and no row is copied.
+fn run_count_only(
+    base: &Table,
+    path: &AccessPath,
+    eq: &[Value],
+    cost: &mut CostReport,
+    snap: &Snapshot,
+) -> i64 {
+    match crate::plan::execute_path(base, path, eq, false, cost, snap) {
         Some(rows) => rows.len() as i64,
         None => base.visible_len(snap) as i64,
     }

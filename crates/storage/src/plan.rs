@@ -28,19 +28,24 @@
 //! [`crate::value`]) for range scans without re-deriving SQL comparison
 //! semantics.
 //!
-//! Access paths (the shapes a Django-style ORM emits):
+//! Access paths: every keyed read is one shape, [`AccessPath::IndexScan`]
+//! — equality on the leading key columns of one ordered index (the
+//! primary key counts as one), then one probe per range over the next key
+//! column — and [`AccessPath::TableScan`] is the fallback. The shapes a
+//! Django-style ORM emits map onto it:
 //!
-//! * [`AccessPath::PkEq`] / [`AccessPath::IndexEq`] — point lookups;
-//! * [`AccessPath::PkRange`] / [`AccessPath::IndexRange`] — `<', `<=`,
-//!   `>`, `>=`, `BETWEEN` over an indexed column, optionally under an
-//!   equality prefix of a composite index;
-//! * [`AccessPath::IndexPrefixRange`] — equality on a proper prefix of a
-//!   composite index;
-//! * [`AccessPath::IndexOr`] — `IN (...)` lists and same-column `OR`
-//!   equality chains as sorted multi-key lookups;
-//! * [`AccessPath::IndexInList`] — `a = ? AND b IN (...)` as a
-//!   multi-range scan of an `(a, b, ...)` index;
-//! * [`AccessPath::TableScan`] — the fallback.
+//! * point lookups: `eq` is the whole key, one whole range;
+//! * `<`, `<=`, `>`, `>=`, `BETWEEN`: one range, under an equality prefix
+//!   of a composite index or not;
+//! * equality on a proper prefix of a composite index: `eq` is the
+//!   prefix, one whole range;
+//! * `IN (...)` lists and same-column `OR` equality chains, alone or
+//!   under an equality prefix (`a = ? AND b IN (...)`): one `[k, k]`
+//!   range per sorted key.
+//!
+//! EXPLAIN names the shape from the fields ([`Plan::kind`]: `PkEq`,
+//! `PkOr`, `PkRange`, `IndexEq`, `IndexOr`, `IndexInList`,
+//! `IndexPrefixRange`, `IndexRange`, `TableScan`).
 //!
 //! Index scans yield rows in index-key order, so the planner also decides
 //! whether the chosen path already satisfies `ORDER BY` (possibly by
@@ -84,133 +89,76 @@ impl Bound {
     }
 }
 
+/// The range over all values: a probe that leaves its column free.
+pub(crate) const WHOLE_RANGE: &[(Bound, Bound)] = &[(Bound::Unbounded, Bound::Unbounded)];
+
+/// `[v, v]`: the range holding exactly `v`.
+fn point(v: &Value) -> (Bound, Bound) {
+    (Bound::Included(v.clone()), Bound::Included(v.clone()))
+}
+
+/// The value a `[v, v]` range holds, if the range is one.
+pub(crate) fn point_value(range: &(Bound, Bound)) -> Option<&Value> {
+    match range {
+        (Bound::Included(a), Bound::Included(b)) if a == b => Some(a),
+        _ => None,
+    }
+}
+
 /// How the executor reads the base table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
     /// Visit every row in heap order.
     TableScan,
-    /// Primary-key point lookup.
-    PkEq {
-        /// The key value.
-        key: Value,
-    },
-    /// Multi-key primary-key lookup (`pk IN (...)` / OR chains on the
-    /// primary key); keys are deduplicated and sorted.
-    PkOr {
-        /// Key values, sorted ascending, no duplicates.
-        keys: Vec<Value>,
-    },
-    /// Ordered scan of a primary-key range.
-    PkRange {
-        /// Lower end.
-        from: Bound,
-        /// Upper end.
-        to: Bound,
-    },
-    /// Exact-key secondary-index lookup (all key columns constrained).
-    IndexEq {
-        /// Index name.
-        index: String,
-        /// Full-width key, in index column order.
-        key: Vec<Value>,
-    },
-    /// Ordered scan of an index range: equality on the first
-    /// `eq_prefix.len()` key columns, a range on the next one.
-    IndexRange {
-        /// Index name.
-        index: String,
-        /// Values for the leading equality-constrained key columns.
-        eq_prefix: Vec<Value>,
-        /// Lower end on the first unconstrained key column.
-        from: Bound,
-        /// Upper end on the first unconstrained key column.
-        to: Bound,
-    },
-    /// Equality on a proper prefix of a composite index's key columns.
-    IndexPrefixRange {
-        /// Index name.
-        index: String,
-        /// Values for the leading key columns.
-        prefix: Vec<Value>,
-    },
-    /// Multi-key lookup for `IN (...)` / same-column `OR` chains; keys
-    /// are deduplicated and sorted, so the scan yields key order.
-    IndexOr {
-        /// Index name.
-        index: String,
-        /// First-key-column values, sorted ascending, no duplicates.
-        keys: Vec<Value>,
-    },
-    /// Multi-range scan: equality on the leading key columns plus
-    /// `IN (...)` on the next one (`a = ? AND b IN (...)` over an
-    /// `(a, b, ...)` index). Sorted keys keep the scan in key order.
-    IndexInList {
-        /// Index name.
-        index: String,
-        /// Values for the leading equality-constrained key columns.
-        eq_prefix: Vec<Value>,
-        /// IN-list values for the next key column, sorted ascending, no
-        /// duplicates.
-        keys: Vec<Value>,
+    /// Equality on the leading key columns of one ordered index, then one
+    /// probe per range over the next key column. Every keyed read has
+    /// this shape: a point lookup pins the whole key with `eq` (and one
+    /// whole range), an `IN` list or same-column `OR` chain is one
+    /// `[k, k]` range per key, a range scan one range, and an equality
+    /// prefix scan `eq` plus one whole range.
+    IndexScan {
+        /// Index name; `None` is the primary key.
+        index: Option<String>,
+        /// Values for the leading key columns, in index column order.
+        eq: Vec<Value>,
+        /// Ranges over the next key column, in key order (an `IN` list's
+        /// keys sorted, no duplicates). Empty reads nothing.
+        ranges: Vec<(Bound, Bound)>,
     },
 }
 
 impl AccessPath {
-    /// Short tag for diagnostics (`EXPLAIN` output, bench labels).
-    pub fn kind(&self) -> &'static str {
+    /// The path's equality key values, one per leading key column.
+    pub(crate) fn eq_values(&self) -> &[Value] {
         match self {
-            AccessPath::TableScan => "TableScan",
-            AccessPath::PkEq { .. } => "PkEq",
-            AccessPath::PkOr { .. } => "PkOr",
-            AccessPath::PkRange { .. } => "PkRange",
-            AccessPath::IndexEq { .. } => "IndexEq",
-            AccessPath::IndexRange { .. } => "IndexRange",
-            AccessPath::IndexPrefixRange { .. } => "IndexPrefixRange",
-            AccessPath::IndexOr { .. } => "IndexOr",
-            AccessPath::IndexInList { .. } => "IndexInList",
-        }
-    }
-
-    /// The path's equality key values — the point-lookup key, or the
-    /// equality prefix of a prefix / range / IN scan — one per leading
-    /// key column.
-    fn eq_values(&self) -> &[Value] {
-        match self {
-            AccessPath::PkEq { key } => std::slice::from_ref(key),
-            AccessPath::IndexEq { key, .. } => key,
-            AccessPath::IndexPrefixRange { prefix, .. } => prefix,
-            AccessPath::IndexRange { eq_prefix, .. }
-            | AccessPath::IndexInList { eq_prefix, .. } => eq_prefix,
-            AccessPath::TableScan
-            | AccessPath::PkOr { .. }
-            | AccessPath::PkRange { .. }
-            | AccessPath::IndexOr { .. } => &[],
-        }
-    }
-
-    fn eq_values_mut(&mut self) -> &mut [Value] {
-        match self {
-            AccessPath::PkEq { key } => std::slice::from_mut(key),
-            AccessPath::IndexEq { key, .. } => key,
-            AccessPath::IndexPrefixRange { prefix, .. } => prefix,
-            AccessPath::IndexRange { eq_prefix, .. }
-            | AccessPath::IndexInList { eq_prefix, .. } => eq_prefix,
-            AccessPath::TableScan
-            | AccessPath::PkOr { .. }
-            | AccessPath::PkRange { .. }
-            | AccessPath::IndexOr { .. } => &mut [],
+            AccessPath::IndexScan { eq, .. } => eq,
+            AccessPath::TableScan => &[],
         }
     }
 
     /// The secondary index the path scans, if any.
     pub fn index_name(&self) -> Option<&str> {
         match self {
-            AccessPath::IndexEq { index, .. }
-            | AccessPath::IndexRange { index, .. }
-            | AccessPath::IndexPrefixRange { index, .. }
-            | AccessPath::IndexOr { index, .. }
-            | AccessPath::IndexInList { index, .. } => Some(index),
-            _ => None,
+            AccessPath::IndexScan { index, .. } => index.as_deref(),
+            AccessPath::TableScan => None,
+        }
+    }
+}
+
+/// The key columns `path` scans, in key order: the index's, or the
+/// primary key alone; none for a table scan.
+fn key_columns<'t>(table: &'t Table, path: &AccessPath) -> &'t [String] {
+    let schema = table.schema();
+    match path {
+        AccessPath::TableScan => &[],
+        AccessPath::IndexScan { index: None, .. } => {
+            std::slice::from_ref(&schema.columns()[schema.primary_key_pos()].name)
+        }
+        AccessPath::IndexScan {
+            index: Some(name), ..
+        } => {
+            let idx = table.index_by_name(name).expect("planned index exists");
+            &idx.def().columns
         }
     }
 }
@@ -222,6 +170,9 @@ pub struct Plan {
     pub table: String,
     /// Chosen access path.
     pub path: AccessPath,
+    /// Key columns of the index the path scans (1 for the primary key, 0
+    /// for a table scan); with the path, it names the scan's shape.
+    pub key_width: usize,
     /// Estimated rows the path yields (before residual filtering).
     pub estimated_rows: f64,
     /// Estimated physical cost in row-visit units.
@@ -234,45 +185,87 @@ pub struct Plan {
     pub reverse: bool,
 }
 
+/// What an index scan's fields make it, for EXPLAIN.
+#[derive(PartialEq)]
+enum Shape {
+    /// `eq` covers the whole key.
+    Eq,
+    /// Every range is a point (or there is none), under no equality.
+    Keys,
+    /// Every range is a point (or there is none), under an equality prefix.
+    InList,
+    /// An equality prefix and one whole range.
+    Prefix,
+    /// Anything else: one range, under an equality prefix or not.
+    Range,
+}
+
+impl Plan {
+    fn shape(&self) -> Option<Shape> {
+        let AccessPath::IndexScan { eq, ranges, .. } = &self.path else {
+            return None;
+        };
+        Some(if eq.len() == self.key_width {
+            Shape::Eq
+        } else if ranges.iter().all(|r| point_value(r).is_some()) {
+            if eq.is_empty() {
+                Shape::Keys
+            } else {
+                Shape::InList
+            }
+        } else if !eq.is_empty() && ranges[..] == *WHOLE_RANGE {
+            Shape::Prefix
+        } else {
+            Shape::Range
+        })
+    }
+
+    /// Short tag for diagnostics (`EXPLAIN` output, bench labels), derived
+    /// from the path's fields.
+    pub fn kind(&self) -> &'static str {
+        let pk = self.path.index_name().is_none();
+        match self.shape() {
+            None => "TableScan",
+            Some(Shape::Eq) if pk => "PkEq",
+            Some(Shape::Eq) => "IndexEq",
+            Some(Shape::Keys) if pk => "PkOr",
+            Some(Shape::Keys) => "IndexOr",
+            Some(Shape::InList) => "IndexInList",
+            Some(Shape::Prefix) => "IndexPrefixRange",
+            Some(Shape::Range) if pk => "PkRange",
+            Some(Shape::Range) => "IndexRange",
+        }
+    }
+}
+
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}({}", self.path.kind(), self.table)?;
-        match &self.path {
-            AccessPath::TableScan => {}
-            AccessPath::PkEq { key } => write!(f, " pk={key}")?,
-            AccessPath::PkOr { keys } => write!(f, " pk in [{}]", ValuesFmt(keys))?,
-            AccessPath::PkRange { from, to } => write!(f, " pk in {}", RangeFmt(from, to))?,
-            AccessPath::IndexEq { index, key } => {
-                write!(f, " via {index} key=[{}]", ValuesFmt(key))?
+        write!(f, "{}({}", self.kind(), self.table)?;
+        if let (Some(shape), AccessPath::IndexScan { index, eq, ranges }) =
+            (self.shape(), &self.path)
+        {
+            let keys: Vec<&Value> = ranges.iter().filter_map(point_value).collect();
+            match index {
+                None => f.write_str(" pk")?,
+                Some(index) => write!(f, " via {index}")?,
             }
-            AccessPath::IndexRange {
-                index,
-                eq_prefix,
-                from,
-                to,
-            } => {
-                write!(f, " via {index}")?;
-                if !eq_prefix.is_empty() {
-                    write!(f, " prefix=[{}]", ValuesFmt(eq_prefix))?;
+            match shape {
+                Shape::Eq if index.is_none() => write!(f, "={}", eq[0])?,
+                Shape::Eq => write!(f, " key=[{}]", ValuesFmt(eq))?,
+                Shape::Keys if index.is_none() => write!(f, " in [{}]", ValuesFmt(&keys))?,
+                Shape::Keys => write!(f, " keys=[{}]", ValuesFmt(&keys))?,
+                Shape::InList => {
+                    write!(f, " prefix=[{}] in=[{}]", ValuesFmt(eq), ValuesFmt(&keys))?
                 }
-                write!(f, " range {}", RangeFmt(from, to))?;
+                Shape::Prefix => write!(f, " prefix=[{}]", ValuesFmt(eq))?,
+                Shape::Range if index.is_none() => write!(f, " in {}", RangeFmt(&ranges[0]))?,
+                Shape::Range => {
+                    if !eq.is_empty() {
+                        write!(f, " prefix=[{}]", ValuesFmt(eq))?;
+                    }
+                    write!(f, " range {}", RangeFmt(&ranges[0]))?;
+                }
             }
-            AccessPath::IndexPrefixRange { index, prefix } => {
-                write!(f, " via {index} prefix=[{}]", ValuesFmt(prefix))?
-            }
-            AccessPath::IndexOr { index, keys } => {
-                write!(f, " via {index} keys=[{}]", ValuesFmt(keys))?
-            }
-            AccessPath::IndexInList {
-                index,
-                eq_prefix,
-                keys,
-            } => write!(
-                f,
-                " via {index} prefix=[{}] in=[{}]",
-                ValuesFmt(eq_prefix),
-                ValuesFmt(keys)
-            )?,
         }
         write!(
             f,
@@ -285,9 +278,9 @@ impl fmt::Display for Plan {
     }
 }
 
-struct ValuesFmt<'a>(&'a [Value]);
+struct ValuesFmt<'a, T>(&'a [T]);
 
-impl fmt::Display for ValuesFmt<'_> {
+impl<T: fmt::Display> fmt::Display for ValuesFmt<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, v) in self.0.iter().enumerate() {
             if i > 0 {
@@ -299,17 +292,17 @@ impl fmt::Display for ValuesFmt<'_> {
     }
 }
 
-struct RangeFmt<'a>(&'a Bound, &'a Bound);
+struct RangeFmt<'a>(&'a (Bound, Bound));
 
 impl fmt::Display for RangeFmt<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
+        match &self.0 .0 {
             Bound::Unbounded => f.write_str("(")?,
             Bound::Included(v) => write!(f, "[{v}")?,
             Bound::Excluded(v) => write!(f, "({v}")?,
         }
         f.write_str("..")?;
-        match self.1 {
+        match &self.0 .1 {
             Bound::Unbounded => f.write_str(")"),
             Bound::Included(v) => write!(f, "{v}]"),
             Bound::Excluded(v) => write!(f, "{v})"),
@@ -387,6 +380,15 @@ struct ColumnConstraint {
     upper: Option<Bound>,
     /// Sorted, deduplicated `IN` / OR-equality key set.
     in_keys: Option<Vec<Value>>,
+}
+
+impl ColumnConstraint {
+    /// The range the column's comparisons bound, when either end is.
+    fn range(&self) -> Option<(Bound, Bound)> {
+        let from = self.lower.clone().unwrap_or(Bound::Unbounded);
+        let to = self.upper.clone().unwrap_or(Bound::Unbounded);
+        (from.is_bounded() || to.is_bounded()).then_some((from, to))
+    }
 }
 
 /// Per-column constraints extracted from a predicate for one binding.
@@ -716,15 +718,8 @@ pub(crate) fn key_sources(
         return Ok(Vec::new());
     }
     let cons = extract_constraints(pred, binding, table, params)?;
-    let columns: Vec<&str> = match path.index_name() {
-        Some(index) => {
-            let idx = table.index_by_name(index).expect("planned index exists");
-            idx.def().columns[..n].iter().map(String::as_str).collect()
-        }
-        None => vec![table.schema().primary_key()],
-    };
-    Ok(columns
-        .into_iter()
+    Ok(key_columns(table, path)[..n]
+        .iter()
         .map(|col| {
             let param = cons.get(col)?.eq_param?;
             let ty = table.schema().column(col)?.ty;
@@ -733,11 +728,11 @@ pub(crate) fn key_sources(
         .collect())
 }
 
-/// Rewrites `path`'s equality values from `params` — the cached plan's
+/// Rewrites a path's equality values from `params` — the cached plan's
 /// keys become the keys the planner would have extracted from this
 /// parameter vector. Every source must pass its guard.
-pub(crate) fn rebind_keys(path: &mut AccessPath, sources: &[Option<KeyGuard>], params: &[Value]) {
-    for (slot, source) in path.eq_values_mut().iter_mut().zip(sources) {
+pub(crate) fn rebind_keys(eq: &mut [Value], sources: &[Option<KeyGuard>], params: &[Value]) {
+    for (slot, source) in eq.iter_mut().zip(sources) {
         if let Some(s) = source {
             *slot = coerce_for_type(s.ty, &params[s.param]).expect("key guard held");
         }
@@ -855,8 +850,7 @@ fn plan_access_impl(
             let absorbing = count_mode
                 && path_absorbs_predicate(table, binding, pred, &path, params).unwrap_or(false);
             let mut cost = if absorbing {
-                // Count-only execution reads posting-block sizes; no
-                // heap rows are ever materialized.
+                // Count-only execution builds no row (see `run_count_only`).
                 scan_cost(0.0, probes, rpp)
             } else {
                 scan_cost(rows, probes, rpp)
@@ -866,6 +860,7 @@ fn plan_access_impl(
             }
             let cand = Plan {
                 table: table.schema().name().to_owned(),
+                key_width: key_columns(table, &path).len(),
                 path,
                 estimated_rows: rows,
                 estimated_cost: cost,
@@ -884,37 +879,44 @@ fn plan_access_impl(
                 best = Some((cand, tie_rank));
             }
         };
+    let scan = |index: Option<&crate::table::Index>, eq, ranges| AccessPath::IndexScan {
+        index: index.map(|i| i.def().name.clone()),
+        eq,
+        ranges,
+    };
+    let points = |keys: &[Value]| keys.iter().map(point).collect::<Vec<_>>();
 
+    // 1. The primary key: a point lookup (at most one row, trivially
+    // ordered), `pk IN (...)` (sorted keys yield pk order), or a range.
     let pk = table.schema().primary_key();
-
-    // 1. Primary-key point lookup: at most one row, trivially ordered.
-    if let Some(v) = cons.eq_value(pk) {
-        consider(
-            AccessPath::PkEq { key: v.clone() },
-            1.0,
-            1.0,
-            true,
-            false,
-            100.0,
-        );
-    } else if let Some(keys) = cons.get(pk).and_then(|c| c.in_keys.clone()) {
-        // 2. Multi-key primary-key lookup: `pk IN (...)`. Sorted keys
-        // yield pk order.
-        let k = keys.len() as f64;
+    if let Some(c) = cons.get(pk) {
         let (sat, rev) = order_match(&order, &cons, &[pk.to_owned()]);
-        consider(AccessPath::PkOr { keys }, k, k, sat, rev, 90.0);
-    } else if let Some(c) = cons.get(pk) {
-        // 3. Primary-key range scan.
-        let from = c.lower.clone().unwrap_or(Bound::Unbounded);
-        let to = c.upper.clone().unwrap_or(Bound::Unbounded);
-        if from.is_bounded() || to.is_bounded() {
-            let rows = n * range_selectivity(table, pk, &from, &to);
-            let (sat, rev) = order_match(&order, &cons, &[pk.to_owned()]);
-            consider(AccessPath::PkRange { from, to }, rows, 1.0, sat, rev, 15.0);
+        let cand = if let Some(v) = &c.eq {
+            Some((
+                vec![v.clone()],
+                WHOLE_RANGE.to_vec(),
+                1.0,
+                1.0,
+                true,
+                false,
+                100.0,
+            ))
+        } else if let Some(keys) = &c.in_keys {
+            let k = keys.len() as f64;
+            Some((Vec::new(), points(keys), k, k, sat, rev, 90.0))
+        } else {
+            c.range().map(|(from, to)| {
+                let rows = n * range_selectivity(table, pk, &from, &to);
+                (Vec::new(), vec![(from, to)], rows, 1.0, sat, rev, 15.0)
+            })
+        };
+        if let Some((eq, ranges, rows, probes, sat, rev, rank)) = cand {
+            consider(scan(None, eq, ranges), rows, probes, sat, rev, rank);
         }
     }
 
-    // 4. Secondary indexes: equality / prefix / range / IN-OR shapes.
+    // 2. Secondary indexes: equality on the longest constrained key
+    // prefix, then an IN list, a range or nothing on the next column.
     for idx in table.indexes() {
         let columns = &idx.def().columns;
         let width = columns.len() as f64;
@@ -954,29 +956,18 @@ fn plan_access_impl(
             (1.0 / distinct).powf(p / width)
         };
 
-        let mut eq_prefix = Vec::new();
-        for col in columns {
-            match cons.eq_value(col) {
-                Some(v) => eq_prefix.push(v.clone()),
-                None => break,
-            }
-        }
-        let p = eq_prefix.len();
-
+        let eq: Vec<Value> = columns
+            .iter()
+            .map_while(|col| cons.eq_value(col).cloned())
+            .collect();
+        let p = eq.len();
         if p == columns.len() {
             let rows = (n * prefix_sel(width)).max(1.0);
             // A unique full-key match yields at most one row, which is
             // trivially ordered.
-            let (sat, _) = if idx.def().unique {
-                (true, false)
-            } else {
-                order_match(&order, &cons, &[])
-            };
+            let sat = idx.def().unique || order_match(&order, &cons, &[]).0;
             consider(
-                AccessPath::IndexEq {
-                    index: idx.def().name.clone(),
-                    key: eq_prefix,
-                },
+                scan(Some(idx), eq, WHOLE_RANGE.to_vec()),
                 rows,
                 1.0,
                 sat,
@@ -987,132 +978,24 @@ fn plan_access_impl(
         }
 
         let remaining = &columns[p..];
-        let next_col = &remaining[0];
+        let next = cons.get(&remaining[0]);
+        let range = next.and_then(ColumnConstraint::range);
+        // Sorted keys scanned in order yield (prefix, next column,
+        // trailing...) lexicographic order, so order_match treats an IN
+        // column like the leading remaining key column; its full-coverage
+        // rule keeps a first-column IN list's claim to single-column
+        // indexes (a wider index orders same-key ties by its trailing
+        // columns).
+        let (sat, rev) = order_match(&order, &cons, remaining);
 
-        // Equality prefix plus IN (...) on the next key column: a
-        // multi-range scan probing each (prefix, key) combination
-        // (previously the plan degraded to the equality prefix alone).
-        if p > 0 {
-            if let Some(keys) = cons.get(next_col).and_then(|c| c.in_keys.clone()) {
-                if keys.is_empty() {
-                    // Every IN item was NULL: nothing can match.
-                    consider(
-                        AccessPath::IndexInList {
-                            index: idx.def().name.clone(),
-                            eq_prefix: eq_prefix.clone(),
-                            keys,
-                        },
-                        0.0,
-                        0.0,
-                        true,
-                        false,
-                        200.0,
-                    );
-                    continue;
-                }
-                let k = keys.len() as f64;
-                // Containment bound: the multi-range scan reads a subset
-                // of the bare equality-prefix block.
-                let rows = (k * n * prefix_sel(p as f64 + 1.0))
-                    .min(n * prefix_sel(p as f64))
-                    .min(n)
-                    .max(1.0);
-                // Sorted keys scanned in order yield (prefix, in-col,
-                // trailing...) lexicographic order, so order_match treats
-                // the IN column like the leading remaining key column.
-                let (sat, rev) = order_match(&order, &cons, remaining);
+        // IN (...) / OR-equality chain on the next key column: one probe
+        // per key. On the first key column a range wins instead.
+        let in_keys = next.and_then(|c| c.in_keys.as_deref());
+        if let Some(keys) = in_keys.filter(|_| p > 0 || range.is_none()) {
+            if keys.is_empty() {
+                // Every IN item was NULL: nothing can match.
                 consider(
-                    AccessPath::IndexInList {
-                        index: idx.def().name.clone(),
-                        eq_prefix: eq_prefix.clone(),
-                        keys,
-                    },
-                    rows,
-                    k,
-                    sat,
-                    rev,
-                    p as f64 * 10.0 + 6.0,
-                );
-                // Fall through: a huge IN list costs one probe per key,
-                // so the single-probe range/prefix scans of the same
-                // index must stay in the running and win on cost.
-            }
-        }
-
-        let range = cons.get(next_col).and_then(|c| {
-            let from = c.lower.clone().unwrap_or(Bound::Unbounded);
-            let to = c.upper.clone().unwrap_or(Bound::Unbounded);
-            (from.is_bounded() || to.is_bounded()).then_some((from, to))
-        });
-
-        if let Some((from, to)) = range {
-            // Equality prefix plus a range on the next key column.
-            let rows = (n * prefix_sel(p as f64) * range_selectivity(table, next_col, &from, &to))
-                .max(1.0);
-            let (sat, rev) = order_match(&order, &cons, remaining);
-            consider(
-                AccessPath::IndexRange {
-                    index: idx.def().name.clone(),
-                    eq_prefix: eq_prefix.clone(),
-                    from,
-                    to,
-                },
-                rows,
-                1.0,
-                sat,
-                rev,
-                p as f64 * 10.0 + 5.0,
-            );
-            continue;
-        }
-
-        if p > 0 {
-            let rows = (n * prefix_sel(p as f64)).max(1.0);
-            let (sat, rev) = order_match(&order, &cons, remaining);
-            consider(
-                AccessPath::IndexPrefixRange {
-                    index: idx.def().name.clone(),
-                    prefix: eq_prefix,
-                },
-                rows,
-                1.0,
-                sat,
-                rev,
-                p as f64 * 10.0,
-            );
-            continue;
-        }
-
-        // IN (...) / OR-equality chain on the first key column.
-        if let Some(keys) = cons.get(&columns[0]).and_then(|c| c.in_keys.clone()) {
-            if !keys.is_empty() {
-                let k = keys.len() as f64;
-                let rows = (k * n * prefix_sel(1.0)).min(n).max(1.0);
-                // Sorted distinct keys yield key order; order_match's
-                // full-coverage rule keeps the claim to single-column
-                // indexes (a wider index would order same-first-column
-                // ties by its trailing columns).
-                let (sat, rev) = order_match(&order, &cons, columns);
-                consider(
-                    AccessPath::IndexOr {
-                        index: idx.def().name.clone(),
-                        keys,
-                    },
-                    rows,
-                    k,
-                    sat,
-                    rev,
-                    5.0,
-                );
-                continue;
-            } else {
-                // Every IN item was NULL: nothing can match; an empty
-                // multi-key lookup reads zero rows.
-                consider(
-                    AccessPath::IndexOr {
-                        index: idx.def().name.clone(),
-                        keys,
-                    },
+                    scan(Some(idx), eq, Vec::new()),
                     0.0,
                     0.0,
                     true,
@@ -1121,29 +1004,50 @@ fn plan_access_impl(
                 );
                 continue;
             }
+            let k = keys.len() as f64;
+            // Containment bound: the probes read a subset of the bare
+            // equality-prefix block.
+            let rows = (k * n * prefix_sel(p as f64 + 1.0))
+                .min(n * prefix_sel(p as f64))
+                .min(n)
+                .max(1.0);
+            let rank = if p > 0 { p as f64 * 10.0 + 6.0 } else { 5.0 };
+            consider(
+                scan(Some(idx), eq.clone(), points(keys)),
+                rows,
+                k,
+                sat,
+                rev,
+                rank,
+            );
+            if p == 0 {
+                continue;
+            }
+            // Fall through: a huge IN list costs one probe per key, so
+            // the single-probe range/prefix scans of the same index must
+            // stay in the running and win on cost.
         }
 
-        // No usable predicate — but a full ordered index scan can still
-        // beat scan+sort when it satisfies the ORDER BY.
-        let (sat, rev) = order_match(&order, &cons, columns);
-        if sat && has_order {
-            consider(
-                AccessPath::IndexRange {
-                    index: idx.def().name.clone(),
-                    eq_prefix: Vec::new(),
-                    from: Bound::Unbounded,
-                    to: Bound::Unbounded,
-                },
-                n,
-                1.0,
-                true,
-                rev,
-                1.0,
-            );
-        }
+        // One probe: a range on the next key column, the bare equality
+        // prefix, or — with neither — the whole index, when its order
+        // beats scan+sort for the ORDER BY.
+        let (ranges, rows, rank) = match range {
+            Some((from, to)) => {
+                let rows =
+                    n * prefix_sel(p as f64) * range_selectivity(table, &remaining[0], &from, &to);
+                (vec![(from, to)], rows.max(1.0), p as f64 * 10.0 + 5.0)
+            }
+            None if p > 0 => {
+                let rows = (n * prefix_sel(p as f64)).max(1.0);
+                (WHOLE_RANGE.to_vec(), rows, p as f64 * 10.0)
+            }
+            None if sat && has_order => (WHOLE_RANGE.to_vec(), n, 1.0),
+            None => continue,
+        };
+        consider(scan(Some(idx), eq, ranges), rows, 1.0, sat, rev, rank);
     }
 
-    // 5. Fallback: full scan. Charged one probe-equivalent of setup so
+    // 3. Fallback: full scan. Charged one probe-equivalent of setup so
     // that an index path with the same row estimate always beats it (an
     // index bounds the result set even if the table grows; and the FK
     // probes the benchmark cost model prices must stay index probes).
@@ -1161,75 +1065,29 @@ fn plan_access_impl(
         .expect("TableScan is always a candidate"))
 }
 
-/// Executes an access path against the read `snap`shot, returning the
-/// candidate rows in path order (`None` means full heap scan — the
-/// executor drives it via [`Table::scan_rids`]). Charges probes to
-/// `cost`. Every id returned comes with the version visible at the
-/// snapshot, which actually carries the probed key — consumers use that
-/// row instead of resolving the id again.
+/// Executes an access path against the read `snap`shot with `eq` as its
+/// equality values (the path's own, or a kept plan's rebound for this
+/// call), returning the candidate rows in path order (`None` means full
+/// heap scan — the executor drives it via [`Table::scan_rids`]). Charges
+/// one probe per range to `cost`. Every id returned comes with the
+/// version visible at the snapshot, which actually carries the probed key
+/// — consumers use that row instead of resolving the id again.
 pub(crate) fn execute_path<'t>(
     table: &'t Table,
     path: &AccessPath,
+    eq: &[Value],
     reverse: bool,
     cost: &mut CostReport,
     snap: &crate::table::Snapshot,
 ) -> Option<Vec<RowRef<'t>>> {
-    match path {
-        AccessPath::TableScan => None,
-        AccessPath::PkEq { key } => {
-            cost.index_probes += 1;
-            Some(table.find_pk_visible_row(key, snap).into_iter().collect())
-        }
-        AccessPath::PkOr { keys } => {
-            cost.index_probes += keys.len() as u64;
-            let mut rows: Vec<RowRef<'t>> = keys
-                .iter()
-                .filter_map(|k| table.find_pk_visible_row(k, snap))
-                .collect();
-            if reverse {
-                rows.reverse();
-            }
-            Some(rows)
-        }
-        AccessPath::PkRange { from, to } => {
-            cost.index_probes += 1;
-            Some(table.pk_range_scan_visible(from, to, reverse, snap))
-        }
-        AccessPath::IndexEq { index, key } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_lookup_visible(idx, key, snap))
-        }
-        AccessPath::IndexRange {
-            index,
-            eq_prefix,
-            from,
-            to,
-        } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_range_scan_visible(idx, eq_prefix, from, to, reverse, snap))
-        }
-        AccessPath::IndexPrefixRange { index, prefix } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_prefix_scan_visible(idx, prefix, reverse, snap))
-        }
-        AccessPath::IndexOr { index, keys } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_multi_lookup_visible(idx, keys, reverse, snap))
-        }
-        AccessPath::IndexInList {
-            index,
-            eq_prefix,
-            keys,
-        } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_in_scan_visible(idx, eq_prefix, keys, reverse, snap))
-        }
-    }
+    let AccessPath::IndexScan { index, ranges, .. } = path else {
+        return None;
+    };
+    cost.index_probes += ranges.len() as u64;
+    let idx = index
+        .as_deref()
+        .map(|name| table.index_by_name(name).expect("planned index exists"));
+    Some(table.index_scan(idx, eq, ranges, reverse, snap))
 }
 
 // ---------------------------------------------------------------------
@@ -1362,8 +1220,8 @@ impl QueryPlan {
     /// stable across data-size changes, for regression baselines.
     pub fn shape(&self) -> String {
         let mut s = match self.base.path.index_name() {
-            Some(idx) => format!("{}({} via {idx})", self.base.path.kind(), self.base.table),
-            None => format!("{}({})", self.base.path.kind(), self.base.table),
+            Some(idx) => format!("{}({} via {idx})", self.base.kind(), self.base.table),
+            None => format!("{}({})", self.base.kind(), self.base.table),
         };
         if self.base.reverse {
             s.push_str("[rev]");
@@ -1490,7 +1348,7 @@ pub(crate) fn plan_query(
         let count_only = count_pushdown_eligible(sel, base_table, &base_binding, &base, params)?;
         let (mut estimated_rows, mut estimated_cost) = (base.estimated_rows, base.estimated_cost);
         if count_only {
-            // One posting-list length read; no heap rows are visited.
+            // One probe; no row is built (see `run_count_only`).
             estimated_rows = 1.0;
             estimated_cost = PROBE_COST;
         }
@@ -1606,10 +1464,11 @@ pub(crate) fn plan_query(
 }
 
 /// What a path guarantees about one column of every row it yields: a
-/// single value, membership in a sorted key set, or a range.
+/// single value, membership in a sorted key set (point ranges), or a
+/// range.
 enum ColSpec<'a> {
     EqV(&'a Value),
-    Set(&'a [Value]),
+    Set(&'a [(Bound, Bound)]),
     Range(&'a Bound, &'a Bound),
 }
 
@@ -1619,7 +1478,7 @@ impl ColSpec<'_> {
         let one = |k: &Value| op.holds(k.cmp(v));
         match self {
             ColSpec::EqV(k) => one(k),
-            ColSpec::Set(keys) => keys.iter().all(one),
+            ColSpec::Set(keys) => keys.iter().filter_map(point_value).all(one),
             ColSpec::Range(from, to) => match op {
                 // A lower endpoint proves `> v` when it is itself above v
                 // (or at v but excluded); dually for upper endpoints.
@@ -1650,7 +1509,10 @@ impl ColSpec<'_> {
     fn implies_in(&self, values: &BTreeSet<Value>) -> bool {
         match self {
             ColSpec::EqV(k) => values.contains(k),
-            ColSpec::Set(keys) => keys.iter().all(|k| values.contains(k)),
+            ColSpec::Set(keys) => keys
+                .iter()
+                .filter_map(point_value)
+                .all(|k| values.contains(k)),
             ColSpec::Range(..) => false,
         }
     }
@@ -1678,8 +1540,8 @@ pub(crate) fn is_count_star_shape(sel: &Select) -> bool {
 /// conjunct is *implied by* the chosen access path — equalities folded
 /// into exact keys, range comparisons subsumed by the path's bounds,
 /// IN-lists covering the path's key set. Such a path yields exactly the
-/// matching rows, so the count is the sum of posting-block sizes (or the
-/// table's row count with no predicate at all) — no heap access needed.
+/// matching rows, so the executor counts them without building any
+/// (`run_count_only`).
 fn count_pushdown_eligible(
     sel: &Select,
     table: &Table,
@@ -1703,64 +1565,29 @@ fn path_absorbs_predicate(
     path: &AccessPath,
     params: &[Value],
 ) -> Result<bool> {
-    // Per-column guarantees the path provides.
-    let pk = table.schema().primary_key().to_owned();
-    let index_cols = |name: &str| -> Vec<String> {
-        table
-            .index_by_name(name)
-            .expect("planned index exists")
-            .def()
-            .columns
-            .clone()
+    let AccessPath::IndexScan { eq, ranges, .. } = path else {
+        return Ok(pred.is_none());
     };
-    let specs: Vec<(String, ColSpec<'_>)> = match path {
-        AccessPath::TableScan => {
-            return Ok(pred.is_none());
+    // Per-column guarantees the path provides: each `eq` value pins its
+    // column; the ranges bound the next one — to a key set when every
+    // range is a point — unless one whole range leaves it free.
+    let cols = key_columns(table, path);
+    let mut specs: Vec<(&str, ColSpec<'_>)> = cols
+        .iter()
+        .map(String::as_str)
+        .zip(eq.iter().map(ColSpec::EqV))
+        .collect();
+    if let Some(next) = cols.get(eq.len()) {
+        match &ranges[..] {
+            rs if *rs == *WHOLE_RANGE => {}
+            rs if rs.iter().all(|r| point_value(r).is_some()) => {
+                specs.push((next, ColSpec::Set(rs)))
+            }
+            [(from, to)] => specs.push((next, ColSpec::Range(from, to))),
+            // Several ranges that are not all points: never planned.
+            _ => return Ok(false),
         }
-        AccessPath::PkEq { key } => vec![(pk, ColSpec::EqV(key))],
-        AccessPath::PkOr { keys } => vec![(pk, ColSpec::Set(keys))],
-        AccessPath::PkRange { from, to } => vec![(pk, ColSpec::Range(from, to))],
-        AccessPath::IndexEq { index, key } => index_cols(index)
-            .into_iter()
-            .zip(key.iter().map(ColSpec::EqV))
-            .collect(),
-        AccessPath::IndexPrefixRange { index, prefix } => index_cols(index)
-            .into_iter()
-            .zip(prefix.iter().map(ColSpec::EqV))
-            .collect(),
-        AccessPath::IndexRange {
-            index,
-            eq_prefix,
-            from,
-            to,
-        } => {
-            let cols = index_cols(index);
-            let mut specs: Vec<(String, ColSpec<'_>)> = cols
-                .iter()
-                .cloned()
-                .zip(eq_prefix.iter().map(ColSpec::EqV))
-                .collect();
-            specs.push((cols[eq_prefix.len()].clone(), ColSpec::Range(from, to)));
-            specs
-        }
-        AccessPath::IndexOr { index, keys } => {
-            vec![(index_cols(index)[0].clone(), ColSpec::Set(keys))]
-        }
-        AccessPath::IndexInList {
-            index,
-            eq_prefix,
-            keys,
-        } => {
-            let cols = index_cols(index);
-            let mut specs: Vec<(String, ColSpec<'_>)> = cols
-                .iter()
-                .cloned()
-                .zip(eq_prefix.iter().map(ColSpec::EqV))
-                .collect();
-            specs.push((cols[eq_prefix.len()].clone(), ColSpec::Set(keys)));
-            specs
-        }
-    };
+    }
     for (col, spec) in &specs {
         match spec {
             // SQL equality never matches NULL; leave it to the executor.

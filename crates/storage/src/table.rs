@@ -11,8 +11,10 @@
 //! id inline and more as one sorted vector (`Postings`). A lookup reads
 //! its row id from the same leaf where it found the key, and probes and
 //! range bounds stay borrowed `&[Value]`, so a lookup allocates nothing.
-//! All index maintenance happens inside the write methods, so the
-//! executor can never leave an index stale.
+//! One scan core reads both kinds of index ([`Table::index_scan`]):
+//! equality on the leading key columns, then one probe per range over the
+//! next one. All index maintenance happens inside the write methods, so
+//! the executor can never leave an index stale.
 //!
 //! # Versioning (MVCC)
 //!
@@ -164,16 +166,37 @@ impl TableStats {
 /// `[Value]` it holds, so probes and range bounds stay borrowed
 /// `&[Value]`.
 #[derive(Clone)]
-enum IndexKey {
+pub(crate) enum IndexKey {
     One([Value; 1]),
     Two([Value; 2]),
     Wide(Box<[Value]>),
+}
+
+impl IndexKey {
+    /// A copy of `key`, inline when it has one or two values.
+    pub(crate) fn from_slice(key: &[Value]) -> Self {
+        match key {
+            [a] => IndexKey::One([a.clone()]),
+            [a, b] => IndexKey::Two([a.clone(), b.clone()]),
+            _ => IndexKey::Wide(key.into()),
+        }
+    }
 }
 
 impl std::ops::Deref for IndexKey {
     type Target = [Value];
 
     fn deref(&self) -> &[Value] {
+        match self {
+            IndexKey::One(k) => k,
+            IndexKey::Two(k) => k,
+            IndexKey::Wide(k) => k,
+        }
+    }
+}
+
+impl std::ops::DerefMut for IndexKey {
+    fn deref_mut(&mut self) -> &mut [Value] {
         match self {
             IndexKey::One(k) => k,
             IndexKey::Two(k) => k,
@@ -325,36 +348,33 @@ impl Index {
     }
 }
 
-/// Flattens per-key posting blocks into one rid list. `reverse` flips
-/// the *key* order only: rows sharing an index key stay in rid (heap)
-/// order, which is the tie order the executor's stable sort produces —
-/// so ordered index scans and scan+sort return identical row sequences,
-/// with or without the index.
-fn flatten_key_blocks<T>(blocks: Vec<Vec<T>>, reverse: bool) -> Vec<T> {
-    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-    if reverse {
-        for block in blocks.into_iter().rev() {
-            out.extend(block);
-        }
-    } else {
-        for block in blocks {
-            out.extend(block);
-        }
-    }
-    out
+/// One ordered map a scan walks — the primary key's or a secondary
+/// index's — as `(key, postings)` entries with the key as a slice.
+enum Entries<'a> {
+    Pk(std::collections::btree_map::Range<'a, Value, Postings>),
+    Index(std::collections::btree_map::Range<'a, IndexKey, Postings>),
 }
 
-/// True when a `(lo, hi)` pair describes an empty interval —
-/// `BTreeMap::range` panics on inverted bounds instead of yielding
-/// nothing.
-fn range_is_empty(lo: &std::ops::Bound<Value>, hi: &std::ops::Bound<Value>) -> bool {
-    use std::ops::Bound as B;
-    match (lo, hi) {
-        (B::Included(a), B::Included(b)) => a > b,
-        (B::Included(a), B::Excluded(b)) | (B::Excluded(a), B::Included(b)) => a >= b,
-        (B::Excluded(a), B::Excluded(b)) => a >= b,
-        (B::Unbounded, _) | (_, B::Unbounded) => false,
+impl<'a> Iterator for Entries<'a> {
+    type Item = (&'a [Value], &'a Postings);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Entries::Pk(r) => r.next().map(|(k, p)| (std::slice::from_ref(k), p)),
+            Entries::Index(r) => r.next().map(|(k, p)| (&**k, p)),
+        }
     }
+}
+
+/// `prefix` extended by `v`, built in `buf` unless the prefix is empty.
+fn extended<'a>(buf: &'a mut Vec<Value>, prefix: &'a [Value], v: &'a Value) -> &'a [Value] {
+    if prefix.is_empty() {
+        return std::slice::from_ref(v);
+    }
+    buf.clear();
+    buf.extend_from_slice(prefix);
+    buf.push(v.clone());
+    buf
 }
 
 /// The newest image of every row, in a slot vector indexed by
@@ -1018,21 +1038,15 @@ impl Table {
     }
 
     /// Snapshot-aware primary-key probe: the row id whose visible
-    /// version carries `pk`, if any (at most one can).
+    /// version carries `pk`, if any. The first visible match is the only
+    /// one (see `pk_index`).
     pub fn find_pk_visible(&self, pk: &Value, snap: &Snapshot) -> Option<RowId> {
-        self.find_pk_visible_row(pk, snap).map(|(rid, _)| rid)
-    }
-
-    /// [`Table::find_pk_visible`] returning the resolved version too, so
-    /// the executor does not resolve the same row id a second time. The
-    /// first visible match is the only one (see `pk_index`).
-    pub fn find_pk_visible_row(&self, pk: &Value, snap: &Snapshot) -> Option<RowRef<'_>> {
         let pos = self.schema.primary_key_pos();
-        self.pk_index.get(pk)?.iter().rev().find_map(|rid| {
-            self.visible(rid, snap)
-                .filter(|r| r.get(pos) == pk)
-                .map(|r| (rid, r))
-        })
+        self.pk_index
+            .get(pk)?
+            .iter()
+            .rev()
+            .find(|&rid| self.visible(rid, snap).is_some_and(|r| r.get(pos) == pk))
     }
 
     /// Candidate row ids for a snapshot full scan, in heap (row-id)
@@ -1132,24 +1146,6 @@ impl Table {
                 self.schema.name()
             ))
         })
-    }
-
-    /// Entry filter of the snapshot scan variants: the version of `rid`
-    /// visible to `snap`, kept only when it actually carries the index
-    /// `key` the entry promised. This drops stale entries (the version
-    /// moved away from the key, or is invisible to the snapshot) and
-    /// guarantees a row is returned at most once per scan. The resolved
-    /// row travels with the id: the consumer never resolves it again.
-    fn vis_row_idx<'a>(
-        &'a self,
-        snap: &Snapshot,
-        idx: &Index,
-        key: &[Value],
-        rid: RowId,
-    ) -> Option<RowRef<'a>> {
-        self.visible(rid, snap)
-            .filter(|r| idx.key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv))
-            .map(|r| (rid, r))
     }
 
     // ----- MVCC: versioned writes (engine path) -----
@@ -1664,102 +1660,108 @@ impl Table {
             })
     }
 
-    /// Row ids matching an exact key on `idx` (newest-version view).
-    pub fn index_lookup(&self, idx: &Index, key: &[Value]) -> Vec<RowId> {
-        self.index_lookup_impl(idx, key, &|_, rid| Some(rid))
+    /// The postings under exactly `key` in the primary key (`idx` is
+    /// `None`; a one-value key) or in `idx`.
+    fn postings<'a>(&'a self, idx: Option<&'a Index>, key: &[Value]) -> Option<&'a Postings> {
+        match idx {
+            None => self.pk_index.get(&key[0]),
+            Some(idx) => idx.map.get(key),
+        }
     }
 
-    /// Snapshot-aware [`Table::index_lookup`]: only rows whose version
-    /// visible to `snap` carries `key`, each with that version.
-    pub fn index_lookup_visible(
-        &self,
-        idx: &Index,
-        key: &[Value],
-        snap: &Snapshot,
-    ) -> Vec<RowRef<'_>> {
-        self.index_lookup_impl(idx, key, &|k, rid| self.vis_row_idx(snap, idx, k, rid))
+    /// The primary key's or `idx`'s entries from the first key `>= start`
+    /// on, in key order.
+    fn entries_from<'a>(&'a self, idx: Option<&'a Index>, start: &[Value]) -> Entries<'a> {
+        use std::ops::Bound as B;
+        match idx {
+            None => {
+                let lo = start.first().map_or(B::Unbounded, B::Included);
+                Entries::Pk(self.pk_index.range::<Value, _>((lo, B::Unbounded)))
+            }
+            Some(idx) => Entries::Index(
+                idx.map
+                    .range::<[Value], _>((B::Included(start), B::Unbounded)),
+            ),
+        }
     }
 
-    /// The scan cores below are generic over what one index entry
-    /// becomes: `keep(key, rid)` maps the entry to an output item or
-    /// drops it. The newest-version view keeps every id; the snapshot
-    /// view resolves the visible version ([`Table::vis_row_idx`]).
-    fn index_lookup_impl<T>(
+    /// The one scan core, over the primary key (`idx` is `None`) or a
+    /// secondary index: equality on the leading key columns (`eq`), then
+    /// one probe per range over the next key column, ranges in key order.
+    /// A probe that pins every key column is one map lookup; any other
+    /// walks the map from its lower end. `keep(key, rid)` maps each entry
+    /// to an output item or drops it; under a primary key it yields at
+    /// most one item per key, the first match newest id first (see
+    /// `pk_index`).
+    ///
+    /// Key blocks come back in key order, reversed when `reverse`; each
+    /// key's row ids stay in rid (heap) order either way, which is the tie
+    /// order the executor's stable sort produces — so ordered index scans
+    /// and scan+sort return identical row sequences, with or without the
+    /// index.
+    pub(crate) fn index_scan_with<T>(
         &self,
-        idx: &Index,
-        key: &[Value],
+        idx: Option<&Index>,
+        eq: &[Value],
+        ranges: &[(crate::plan::Bound, crate::plan::Bound)],
+        reverse: bool,
         keep: &dyn Fn(&[Value], RowId) -> Option<T>,
     ) -> Vec<T> {
-        let Some(rids) = idx.map.get(key) else {
-            return Vec::new();
+        use crate::plan::Bound;
+        let width = idx.map_or(1, |idx| idx.key_pos.len());
+        let p = eq.len();
+        let mut out = Vec::new();
+        // A reversed scan takes each block backwards, so one reversal at
+        // the end flips the key order and restores rid order within keys.
+        let block = |key: &[Value], rids: &Postings, out: &mut Vec<T>| {
+            out.reserve(rids.len());
+            if idx.is_none() {
+                out.extend(rids.iter().rev().find_map(|rid| keep(key, rid)));
+            } else if reverse {
+                out.extend(rids.iter().rev().filter_map(|rid| keep(key, rid)));
+            } else {
+                out.extend(rids.iter().filter_map(|rid| keep(key, rid)));
+            }
         };
-        // Sized for every entry up front: one allocation however many
-        // rows the key carries.
-        let mut out = Vec::with_capacity(rids.len());
-        out.extend(rids.iter().filter_map(|rid| keep(key, rid)));
-        out
-    }
-
-    /// Row ids whose primary key falls in `[from, to]`, in key order
-    /// (reversed when `reverse`).
-    pub fn pk_range_scan(
-        &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-    ) -> Vec<RowId> {
-        let pos = self.schema.primary_key_pos();
-        self.pk_range_scan_impl(from, to, reverse, &|pk, rid| {
-            self.rows
-                .get(rid)
-                .is_some_and(|r| r.get(pos) == pk)
-                .then_some(rid)
-        })
-    }
-
-    /// Snapshot-aware [`Table::pk_range_scan`].
-    pub fn pk_range_scan_visible(
-        &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowRef<'_>> {
-        let pos = self.schema.primary_key_pos();
-        self.pk_range_scan_impl(from, to, reverse, &|pk, rid| {
-            self.visible(rid, snap)
-                .filter(|r| r.get(pos) == pk)
-                .map(|r| (rid, r))
-        })
-    }
-
-    fn pk_range_scan_impl<T>(
-        &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        keep: &dyn Fn(&Value, RowId) -> Option<T>,
-    ) -> Vec<T> {
-        use std::ops::Bound as B;
-        let lo = match from {
-            crate::plan::Bound::Unbounded => B::Unbounded,
-            crate::plan::Bound::Included(v) => B::Included(v.clone()),
-            crate::plan::Bound::Excluded(v) => B::Excluded(v.clone()),
-        };
-        let hi = match to {
-            crate::plan::Bound::Unbounded => B::Unbounded,
-            crate::plan::Bound::Included(v) => B::Included(v.clone()),
-            crate::plan::Bound::Excluded(v) => B::Excluded(v.clone()),
-        };
-        if range_is_empty(&lo, &hi) {
-            return Vec::new();
-        }
-        let mut out: Vec<T> = Vec::new();
-        // At most one id per key can match its entry: the live one (no
-        // snapshot) or the one whose visible version carries the key (the
-        // `pk_index` invariant), so the first match is the answer.
-        for (pk, rids) in self.pk_index.range((lo, hi)) {
-            out.extend(rids.iter().rev().find_map(|rid| keep(pk, rid)));
+        let mut buf = Vec::new();
+        for range @ (from, to) in ranges {
+            let point = crate::plan::point_value(range);
+            if p == width || (p + 1 == width && point.is_some()) {
+                let key = match point {
+                    Some(v) if p < width => extended(&mut buf, eq, v),
+                    _ => eq,
+                };
+                if let Some(rids) = self.postings(idx, key) {
+                    block(key, rids, &mut out);
+                }
+                continue;
+            }
+            // Start at the first key >= eq + lower endpoint; keys sharing
+            // the endpoint value but carrying longer suffixes sort after
+            // the bare endpoint key, so this is the right start for an
+            // excluded endpoint too (the equal run is skipped below).
+            let start = match from.value() {
+                Some(v) => extended(&mut buf, eq, v),
+                None => eq,
+            };
+            for (key, rids) in self.entries_from(idx, start) {
+                if key[..p] != *eq {
+                    break;
+                }
+                let kv = &key[p];
+                if matches!(from, Bound::Excluded(v) if kv == v) {
+                    continue;
+                }
+                let past = match to {
+                    Bound::Included(v) => kv > v,
+                    Bound::Excluded(v) => kv >= v,
+                    Bound::Unbounded => false,
+                };
+                if past {
+                    break;
+                }
+                block(key, rids, &mut out);
+            }
         }
         if reverse {
             out.reverse();
@@ -1767,249 +1769,27 @@ impl Table {
         out
     }
 
-    /// Row ids from `idx` whose key starts with `eq_prefix` and whose
-    /// next key column lies within `[from, to]`, in full key order
-    /// (reversed when `reverse`).
-    pub fn index_range_scan(
+    /// The scan core (`index_scan_with`) read at `snap`: each entry resolves to
+    /// the version of its row `snap` sees, kept only when that version
+    /// carries the entry's key. This drops stale entries (the version
+    /// moved away from the key, or is invisible to the snapshot) and
+    /// returns a row at most once per scan. The resolved row travels with
+    /// the id: the consumer never resolves it again.
+    pub fn index_scan(
         &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-    ) -> Vec<RowId> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, &|_, rid| Some(rid))
-    }
-
-    /// Snapshot-aware [`Table::index_range_scan`].
-    pub fn index_range_scan_visible(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
+        idx: Option<&Index>,
+        eq: &[Value],
+        ranges: &[(crate::plan::Bound, crate::plan::Bound)],
         reverse: bool,
         snap: &Snapshot,
     ) -> Vec<RowRef<'_>> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, &|k, rid| {
-            self.vis_row_idx(snap, idx, k, rid)
+        let pk_pos = [self.schema.primary_key_pos()];
+        let key_pos = idx.map_or(&pk_pos[..], |idx| &idx.key_pos);
+        self.index_scan_with(idx, eq, ranges, reverse, &|key, rid| {
+            self.visible(rid, snap)
+                .filter(|r| key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv))
+                .map(|r| (rid, r))
         })
-    }
-
-    fn index_range_scan_impl<T>(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
-    ) -> Vec<T> {
-        use std::ops::Bound as B;
-        let p = eq_prefix.len();
-        debug_assert!(p < idx.def.columns.len(), "range column must exist");
-        // Start at the first key >= prefix + lower endpoint; keys sharing
-        // the endpoint value but carrying longer suffixes sort after the
-        // bare endpoint key, so Included over the extended prefix is a
-        // correct lower bound for Excluded endpoints too (the equal run
-        // is skipped below).
-        let endpoint: Vec<Value>;
-        let start: B<&[Value]> = match from {
-            crate::plan::Bound::Unbounded if p == 0 => B::Unbounded,
-            crate::plan::Bound::Unbounded => B::Included(eq_prefix),
-            crate::plan::Bound::Included(v) | crate::plan::Bound::Excluded(v) => {
-                endpoint = eq_prefix.iter().chain([v]).cloned().collect();
-                B::Included(&endpoint)
-            }
-        };
-        let mut blocks: Vec<Vec<T>> = Vec::new();
-        for (key, rids) in idx.map.range::<[Value], _>((start, B::Unbounded)) {
-            if key.len() <= p || key[..p] != eq_prefix[..] {
-                break;
-            }
-            let kv = &key[p];
-            if let crate::plan::Bound::Excluded(v) = from {
-                if kv == v {
-                    continue;
-                }
-            }
-            match to {
-                crate::plan::Bound::Included(v) => {
-                    if kv > v {
-                        break;
-                    }
-                }
-                crate::plan::Bound::Excluded(v) => {
-                    if kv >= v {
-                        break;
-                    }
-                }
-                crate::plan::Bound::Unbounded => {}
-            }
-            blocks.push(rids.iter().filter_map(|rid| keep(key, rid)).collect());
-        }
-        flatten_key_blocks(blocks, reverse)
-    }
-
-    /// Row ids from `idx` whose key starts with `prefix` (a proper prefix
-    /// of the key columns), in full key order (reversed when `reverse`).
-    pub fn index_prefix_scan(&self, idx: &Index, prefix: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, &|_, rid| Some(rid))
-    }
-
-    /// Snapshot-aware [`Table::index_prefix_scan`].
-    pub fn index_prefix_scan_visible(
-        &self,
-        idx: &Index,
-        prefix: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowRef<'_>> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, &|k, rid| {
-            self.vis_row_idx(snap, idx, k, rid)
-        })
-    }
-
-    fn index_prefix_scan_impl<T>(
-        &self,
-        idx: &Index,
-        prefix: &[Value],
-        reverse: bool,
-        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
-    ) -> Vec<T> {
-        use std::ops::Bound as B;
-        let p = prefix.len();
-        let start: B<&[Value]> = if p == 0 {
-            B::Unbounded
-        } else {
-            B::Included(prefix)
-        };
-        let mut blocks: Vec<Vec<T>> = Vec::new();
-        for (key, rids) in idx.map.range::<[Value], _>((start, B::Unbounded)) {
-            if key.len() < p || key[..p] != prefix[..] {
-                break;
-            }
-            blocks.push(rids.iter().filter_map(|rid| keep(key, rid)).collect());
-        }
-        flatten_key_blocks(blocks, reverse)
-    }
-
-    /// Row ids matching any of `keys` on `idx`'s first key column, in
-    /// key order (`keys` must be sorted; reversed when `reverse`). Used
-    /// for `IN (...)` and OR-equality chains.
-    pub fn index_multi_lookup(&self, idx: &Index, keys: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_multi_lookup_impl(idx, keys, reverse, &|_, rid| Some(rid))
-    }
-
-    /// Snapshot-aware [`Table::index_multi_lookup`].
-    pub fn index_multi_lookup_visible(
-        &self,
-        idx: &Index,
-        keys: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowRef<'_>> {
-        self.index_multi_lookup_impl(idx, keys, reverse, &|k, rid| {
-            self.vis_row_idx(snap, idx, k, rid)
-        })
-    }
-
-    fn index_multi_lookup_impl<T>(
-        &self,
-        idx: &Index,
-        keys: &[Value],
-        reverse: bool,
-        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
-    ) -> Vec<T> {
-        let mut out = Vec::new();
-        let ordered_keys: Vec<&Value> = if reverse {
-            keys.iter().rev().collect()
-        } else {
-            keys.iter().collect()
-        };
-        if idx.def.columns.len() == 1 {
-            // Within one key, postings stay in rid (heap) order even when
-            // the key order is reversed — see flatten_key_blocks.
-            for key in ordered_keys {
-                let key = std::slice::from_ref(key);
-                if let Some(set) = idx.map.get(key) {
-                    out.extend(set.iter().filter_map(|rid| keep(key, rid)));
-                }
-            }
-        } else {
-            for key in ordered_keys {
-                out.extend(self.index_prefix_scan_impl(
-                    idx,
-                    std::slice::from_ref(key),
-                    reverse,
-                    keep,
-                ));
-            }
-        }
-        out
-    }
-
-    /// Row ids from `idx` whose key starts with `eq_prefix` and whose
-    /// next key column equals any of `keys` — the multi-range scan behind
-    /// `a = ? AND b IN (...)` on an `(a, b, ...)` index. `keys` must be
-    /// sorted; key blocks come back in full key order (reversed when
-    /// `reverse`), so the result is index-key ordered.
-    pub fn index_in_scan(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-    ) -> Vec<RowId> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, &|_, rid| Some(rid))
-    }
-
-    /// Snapshot-aware [`Table::index_in_scan`].
-    pub fn index_in_scan_visible(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowRef<'_>> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, &|k, rid| {
-            self.vis_row_idx(snap, idx, k, rid)
-        })
-    }
-
-    fn index_in_scan_impl<T>(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-        keep: &dyn Fn(&[Value], RowId) -> Option<T>,
-    ) -> Vec<T> {
-        let p = eq_prefix.len();
-        debug_assert!(p < idx.def.columns.len(), "IN column must exist");
-        let full = p + 1 == idx.def.columns.len();
-        let ordered_keys: Vec<&Value> = if reverse {
-            keys.iter().rev().collect()
-        } else {
-            keys.iter().collect()
-        };
-        let mut out = Vec::new();
-        let mut probe: Vec<Value> = Vec::with_capacity(p + 1);
-        for k in ordered_keys {
-            probe.clear();
-            probe.extend_from_slice(eq_prefix);
-            probe.push((*k).clone());
-            if full {
-                if let Some(set) = idx.map.get(&probe[..]) {
-                    // Postings stay in rid (heap) order within one key.
-                    out.extend(set.iter().filter_map(|rid| keep(&probe, rid)));
-                }
-            } else {
-                out.extend(self.index_prefix_scan_impl(idx, &probe, reverse, keep));
-            }
-        }
-        out
     }
 
     /// All secondary indexes.
@@ -2039,9 +1819,15 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::WHOLE_RANGE;
     use crate::row;
     use crate::schema::{ColumnDef, TableSchema};
     use crate::value::ValueType;
+
+    /// Every entry under exactly `key` in `idx`, stale or not.
+    fn lookup(t: &Table, idx: &Index, key: &[Value]) -> Vec<RowId> {
+        t.index_scan_with(Some(idx), key, WHOLE_RANGE, false, &|_, rid| Some(rid))
+    }
 
     fn users_table() -> Table {
         let schema = TableSchema::builder("users")
@@ -2133,12 +1919,12 @@ mod tests {
         let rid = t.insert(row![1i64, "a", "a@x", 30i64]).unwrap();
         t.insert(row![2i64, "b", "b@x", 30i64]).unwrap();
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]).len(), 2);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)]).len(), 2);
         let old = t.update(rid, row![1i64, "a", "a@x", 31i64]).unwrap();
         assert_eq!(old.get(3), &Value::Int(30));
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]).len(), 1);
-        assert_eq!(t.index_lookup(idx, &[Value::Int(31)]).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)]).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Int(31)]).len(), 1);
     }
 
     #[test]
@@ -2150,7 +1936,7 @@ mod tests {
         assert!(matches!(err, StorageError::UniqueViolation { .. }));
         // Old index entries intact.
         let idx = t.index_on(&["email".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Text("a@x".into())]).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Text("a@x".into())]).len(), 1);
     }
 
     #[test]
@@ -2171,7 +1957,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.find_pk(&Value::Int(1)), None);
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert!(t.index_lookup(idx, &[Value::Int(30)]).is_empty());
+        assert!(lookup(&t, idx, &[Value::Int(30)]).is_empty());
         assert!(t.delete(rid).is_none(), "double delete returns None");
     }
 
@@ -2183,7 +1969,7 @@ mod tests {
         t.restore(rid, row);
         assert_eq!(t.find_pk(&Value::Int(1)), Some(rid));
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]), vec![rid]);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)]), vec![rid]);
     }
 
     #[test]
@@ -2198,7 +1984,7 @@ mod tests {
         })
         .unwrap();
         let idx = t.index_on(&["name".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Text("a".into())]).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Text("a".into())]).len(), 1);
     }
 
     #[test]
@@ -2396,10 +2182,10 @@ mod tests {
         let idx_name = "users_age".to_owned();
         let idx = t.index_by_name(&idx_name).unwrap();
         assert!(t
-            .index_lookup_visible(idx, &[Value::Int(30)], &snap(1))
+            .index_scan(Some(idx), &[Value::Int(30)], WHOLE_RANGE, false, &snap(1))
             .is_empty());
         let idx = t.index_by_name(&idx_name).unwrap();
-        let hits = t.index_lookup_visible(idx, &[Value::Int(30)], &snap(0));
+        let hits = t.index_scan(Some(idx), &[Value::Int(30)], WHOLE_RANGE, false, &snap(0));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, rid);
         assert_eq!(hits[0].1.get(3), &Value::Int(30), "the snapshot's version");
@@ -3057,7 +2843,7 @@ mod tests {
             }
         }
 
-        /// One index scan, in the shape of the `Table` method it calls.
+        /// One index scan, in the shape the planner builds it.
         #[derive(Debug)]
         enum Scan {
             Lookup(Vec<Value>),
@@ -3196,14 +2982,28 @@ mod tests {
             blocks.into_iter().flatten().copied().collect()
         }
 
-        fn run_raw(t: &Table, idx: &Index, scan: &Scan) -> Vec<RowId> {
+        fn points(keys: &[Value]) -> Vec<(PB, PB)> {
+            keys.iter()
+                .map(|k| (PB::Included(k.clone()), PB::Included(k.clone())))
+                .collect()
+        }
+
+        /// `scan` as the scan core takes it: equality values, ranges over
+        /// the next column, direction.
+        fn args(scan: &Scan) -> (&[Value], Vec<(PB, PB)>, bool) {
             match scan {
-                Scan::Lookup(k) => t.index_lookup(idx, k),
-                Scan::Range(p, f, to, r) => t.index_range_scan(idx, p, f, to, *r),
-                Scan::Prefix(p, r) => t.index_prefix_scan(idx, p, *r),
-                Scan::Multi(keys, r) => t.index_multi_lookup(idx, keys, *r),
-                Scan::In(p, keys, r) => t.index_in_scan(idx, p, keys, *r),
+                Scan::Lookup(k) => (k, WHOLE_RANGE.to_vec(), false),
+                Scan::Range(p, f, to, r) => (p, vec![(f.clone(), to.clone())], *r),
+                Scan::Prefix(p, r) => (p, WHOLE_RANGE.to_vec(), *r),
+                Scan::Multi(keys, r) => (&[], points(keys), *r),
+                Scan::In(p, keys, r) => (p, points(keys), *r),
             }
+        }
+
+        /// The index's own entries the scan selects, stale or not.
+        fn run_raw(t: &Table, idx: &Index, scan: &Scan) -> Vec<RowId> {
+            let (eq, ranges, rev) = args(scan);
+            t.index_scan_with(Some(idx), eq, &ranges, rev, &|_, rid| Some(rid))
         }
 
         fn run_visible<'a>(
@@ -3212,13 +3012,8 @@ mod tests {
             scan: &Scan,
             s: &Snapshot,
         ) -> Vec<RowRef<'a>> {
-            match scan {
-                Scan::Lookup(k) => t.index_lookup_visible(idx, k, s),
-                Scan::Range(p, f, to, r) => t.index_range_scan_visible(idx, p, f, to, *r, s),
-                Scan::Prefix(p, r) => t.index_prefix_scan_visible(idx, p, *r, s),
-                Scan::Multi(keys, r) => t.index_multi_lookup_visible(idx, keys, *r, s),
-                Scan::In(p, keys, r) => t.index_in_scan_visible(idx, p, keys, *r, s),
-            }
+            let (eq, ranges, rev) = args(scan);
+            t.index_scan(Some(idx), eq, &ranges, rev, s)
         }
 
         fn entries_of<'a>(
@@ -3380,16 +3175,34 @@ mod tests {
             for pk in (-1..9).map(Value::Int) {
                 assert_eq!(t.find_pk(&pk), holder(&m.heap, &pk), "find_pk({pk})");
             }
+            // The newest-version view keeps the id whose live row carries
+            // the key.
+            let live_pk = |pk: &[Value], rid: RowId| {
+                t.rows
+                    .get(rid)
+                    .is_some_and(|r| r.get(0) == &pk[0])
+                    .then_some(rid)
+            };
             for (from, to) in &pk_bounds {
                 for rev in [false, true] {
                     let want = in_range(&m.heap, from, to, rev);
+                    let range = [(from.clone(), to.clone())];
                     assert_eq!(
-                        t.pk_range_scan(from, to, rev),
+                        t.index_scan_with(None, &[], &range, rev, &live_pk),
                         want,
                         "pk range {from:?}..{to:?}"
                     );
                 }
             }
+            let pk_keys: Vec<Value> = [-1, 2, 5, 7].into_iter().map(Value::Int).collect();
+            let in_keys = |rows: &Rows, rev: bool| {
+                let mut hits: Vec<RowId> =
+                    pk_keys.iter().filter_map(|pk| holder(rows, pk)).collect();
+                if rev {
+                    hits.reverse();
+                }
+                hits
+            };
             for (s, view) in &snaps {
                 for pk in (-1..9).map(Value::Int) {
                     let want = holder(view, &pk);
@@ -3400,16 +3213,21 @@ mod tests {
                     );
                     let live = holder(&m.heap, &pk).is_some();
                     assert_eq!(t.fk_probe(&pk, s), (want, live), "fk_probe({pk}, {s:?})");
+                    let got = t.index_scan(None, std::slice::from_ref(&pk), WHOLE_RANGE, false, s);
+                    let got: Vec<RowId> = got.into_iter().map(|(rid, _)| rid).collect();
+                    assert_eq!(got, Vec::from_iter(want), "pk point {pk} at {s:?}");
                 }
-                for (from, to) in &pk_bounds {
-                    for rev in [false, true] {
-                        let got: Vec<RowId> = t
-                            .pk_range_scan_visible(from, to, rev, s)
-                            .into_iter()
-                            .map(|(rid, _)| rid)
-                            .collect();
+                let rids = |rows: Vec<RowRef<'_>>| -> Vec<RowId> {
+                    rows.into_iter().map(|(rid, _)| rid).collect()
+                };
+                for rev in [false, true] {
+                    for (from, to) in &pk_bounds {
+                        let range = [(from.clone(), to.clone())];
+                        let got = rids(t.index_scan(None, &[], &range, rev, s));
                         assert_eq!(got, in_range(view, from, to, rev), "pk range at {s:?}");
                     }
+                    let got = rids(t.index_scan(None, &[], &points(&pk_keys), rev, s));
+                    assert_eq!(got, in_keys(view, rev), "pk keys at {s:?}");
                 }
             }
         }

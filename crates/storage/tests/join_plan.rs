@@ -4,7 +4,7 @@
 //! estimates — plus property tests that every join order returns row-sets
 //! identical to the index-free nested-loop baseline.
 
-use genie_storage::plan::AccessPath;
+use genie_storage::plan::{AccessPath, Bound};
 use genie_storage::{
     ColumnDef, Database, Expr, IndexDef, Row, Select, TableRef, TableSchema, Value, ValueType,
 };
@@ -70,7 +70,11 @@ fn join_order_rotates_to_the_selective_table() {
     assert_eq!(plan.base.table, "posts", "driving table rotated: {plan}");
     assert_eq!(
         plan.base.path,
-        AccessPath::PkEq { key: Value::Int(5) },
+        AccessPath::IndexScan {
+            index: None,
+            eq: vec![Value::Int(5)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
+        },
         "{plan}"
     );
     assert_eq!(plan.joins.len(), 1);
@@ -248,10 +252,19 @@ fn eq_prefix_plus_in_uses_multi_range_scan() {
     let plan = db.explain_sql(sql, &[]).unwrap();
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexInList {
-            index: "ev_user_kind".into(),
-            eq_prefix: vec![Value::Int(11)],
-            keys: vec![Value::Int(1), Value::Int(7)],
+        AccessPath::IndexScan {
+            index: Some("ev_user_kind".into()),
+            eq: vec![Value::Int(11)],
+            ranges: vec![
+                (
+                    Bound::Included(Value::Int(1)),
+                    Bound::Included(Value::Int(1))
+                ),
+                (
+                    Bound::Included(Value::Int(7)),
+                    Bound::Included(Value::Int(7))
+                ),
+            ],
         },
         "{plan}"
     );
@@ -303,9 +316,10 @@ fn wide_in_list_falls_back_to_single_probe_prefix_scan() {
     let plan = db.explain_sql(sql, &[]).unwrap();
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexPrefixRange {
-            index: "ev_user_kind".into(),
-            prefix: vec![Value::Int(11)],
+        AccessPath::IndexScan {
+            index: Some("ev_user_kind".into()),
+            eq: vec![Value::Int(11)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         },
         "{plan}"
     );
@@ -374,9 +388,10 @@ fn prefix_cardinality_uses_distinct_stats_not_geometric_guess() {
     let plan = db.explain_sql("SELECT * FROM g WHERE a = 3", &[]).unwrap();
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexPrefixRange {
-            index: "g_ab".into(),
-            prefix: vec![Value::Int(3)],
+        AccessPath::IndexScan {
+            index: Some("g_ab".into()),
+            eq: vec![Value::Int(3)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
     assert!(

@@ -60,7 +60,14 @@ fn explain(db: &Database, sql: &str, params: &[Value]) -> genie_storage::QueryPl
 fn equality_on_pk_uses_pk_probe() {
     let db = wall_db(100);
     let plan = explain(&db, "SELECT * FROM wall WHERE post_id = 7", &[]);
-    assert_eq!(plan.base.path, AccessPath::PkEq { key: Value::Int(7) });
+    assert_eq!(
+        plan.base.path,
+        AccessPath::IndexScan {
+            index: None,
+            eq: vec![Value::Int(7)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
+        }
+    );
 }
 
 #[test]
@@ -68,13 +75,21 @@ fn reversed_equality_extracts_too() {
     let db = wall_db(100);
     // `7 = post_id` must plan identically to `post_id = 7`.
     let plan = explain(&db, "SELECT * FROM wall WHERE 7 = post_id", &[]);
-    assert_eq!(plan.base.path, AccessPath::PkEq { key: Value::Int(7) });
+    assert_eq!(
+        plan.base.path,
+        AccessPath::IndexScan {
+            index: None,
+            eq: vec![Value::Int(7)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
+        }
+    );
     let plan = explain(&db, "SELECT * FROM wall WHERE 3 > post_id", &[]);
     assert_eq!(
         plan.base.path,
-        AccessPath::PkRange {
-            from: Bound::Unbounded,
-            to: Bound::Excluded(Value::Int(3)),
+        AccessPath::IndexScan {
+            index: None,
+            eq: vec![],
+            ranges: vec![(Bound::Unbounded, Bound::Excluded(Value::Int(3)))],
         }
     );
 }
@@ -89,9 +104,10 @@ fn and_conjuncts_build_composite_index_key() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexEq {
-            index: "wall_user_date".into(),
-            key: vec![Value::Int(5), Value::Timestamp(1005)],
+        AccessPath::IndexScan {
+            index: Some("wall_user_date".into()),
+            eq: vec![Value::Int(5), Value::Timestamp(1005)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
 }
@@ -106,11 +122,13 @@ fn range_bounds_merge_into_one_scan() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexRange {
-            index: "wall_user_date".into(),
-            eq_prefix: vec![Value::Int(3)],
-            from: Bound::Excluded(Value::Timestamp(1010)),
-            to: Bound::Included(Value::Timestamp(1050)),
+        AccessPath::IndexScan {
+            index: Some("wall_user_date".into()),
+            eq: vec![Value::Int(3)],
+            ranges: vec![(
+                Bound::Excluded(Value::Timestamp(1010)),
+                Bound::Included(Value::Timestamp(1050)),
+            )],
         }
     );
     // Conflicting bounds keep the tightest pair.
@@ -121,11 +139,10 @@ fn range_bounds_merge_into_one_scan() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexRange {
-            index: "wall_user_date".into(),
-            eq_prefix: vec![Value::Int(3)],
-            from: Bound::Included(Value::Timestamp(1020)),
-            to: Bound::Unbounded,
+        AccessPath::IndexScan {
+            index: Some("wall_user_date".into()),
+            eq: vec![Value::Int(3)],
+            ranges: vec![(Bound::Included(Value::Timestamp(1020)), Bound::Unbounded)],
         }
     );
 }
@@ -140,11 +157,13 @@ fn between_desugars_to_range() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexRange {
-            index: "wall_user_date".into(),
-            eq_prefix: vec![Value::Int(2)],
-            from: Bound::Included(Value::Timestamp(1004)),
-            to: Bound::Included(Value::Timestamp(1040)),
+        AccessPath::IndexScan {
+            index: Some("wall_user_date".into()),
+            eq: vec![Value::Int(2)],
+            ranges: vec![(
+                Bound::Included(Value::Timestamp(1004)),
+                Bound::Included(Value::Timestamp(1040)),
+            )],
         }
     );
 }
@@ -155,9 +174,10 @@ fn prefix_equality_scans_composite_index() {
     let plan = explain(&db, "SELECT * FROM wall WHERE user_id = 4", &[]);
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexPrefixRange {
-            index: "wall_user_date".into(),
-            prefix: vec![Value::Int(4)],
+        AccessPath::IndexScan {
+            index: Some("wall_user_date".into()),
+            eq: vec![Value::Int(4)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
 }
@@ -172,9 +192,19 @@ fn in_list_dedups_and_sorts_keys() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexOr {
-            index: "wall_status".into(),
-            keys: vec![Value::Int(0), Value::Int(2)],
+        AccessPath::IndexScan {
+            index: Some("wall_status".into()),
+            eq: vec![],
+            ranges: vec![
+                (
+                    Bound::Included(Value::Int(0)),
+                    Bound::Included(Value::Int(0))
+                ),
+                (
+                    Bound::Included(Value::Int(2)),
+                    Bound::Included(Value::Int(2))
+                ),
+            ],
         }
     );
 }
@@ -189,9 +219,19 @@ fn or_equality_chain_plans_like_in() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexOr {
-            index: "wall_status".into(),
-            keys: vec![Value::Int(0), Value::Int(2)],
+        AccessPath::IndexScan {
+            index: Some("wall_status".into()),
+            eq: vec![],
+            ranges: vec![
+                (
+                    Bound::Included(Value::Int(0)),
+                    Bound::Included(Value::Int(0))
+                ),
+                (
+                    Bound::Included(Value::Int(2)),
+                    Bound::Included(Value::Int(2))
+                ),
+            ],
         }
     );
     // Mixed-column OR is not a multi-key lookup.
@@ -210,8 +250,23 @@ fn pk_in_list_probes_instead_of_scanning() {
     let plan = explain(&db, sql, &[]);
     assert_eq!(
         plan.base.path,
-        AccessPath::PkOr {
-            keys: vec![Value::Int(5), Value::Int(13), Value::Int(40)],
+        AccessPath::IndexScan {
+            index: None,
+            eq: vec![],
+            ranges: vec![
+                (
+                    Bound::Included(Value::Int(5)),
+                    Bound::Included(Value::Int(5))
+                ),
+                (
+                    Bound::Included(Value::Int(13)),
+                    Bound::Included(Value::Int(13))
+                ),
+                (
+                    Bound::Included(Value::Int(40)),
+                    Bound::Included(Value::Int(40))
+                ),
+            ],
         }
     );
     assert!(plan.order_satisfied, "sorted pk keys give pk order");
@@ -257,9 +312,10 @@ fn composite_index_wins_selectivity_ties() {
     );
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexEq {
-            index: "inv_user_status".into(),
-            key: vec![Value::Int(3), Value::Int(0)],
+        AccessPath::IndexScan {
+            index: Some("inv_user_status".into()),
+            eq: vec![Value::Int(3), Value::Int(0)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
 }
@@ -500,9 +556,10 @@ fn unique_index_equality_is_point_lookup() {
     let plan = db.explain(&sel, &[]).unwrap();
     assert_eq!(
         plan.base.path,
-        AccessPath::IndexEq {
-            index: "users_email_key".into(),
-            key: vec![Value::Text("u7@x".into())],
+        AccessPath::IndexScan {
+            index: Some("users_email_key".into()),
+            eq: vec![Value::Text("u7@x".into())],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
     let out = db.select(&sel, &[]).unwrap();

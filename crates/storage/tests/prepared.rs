@@ -11,8 +11,8 @@
 
 use genie_storage::prepared::SHAPE_CACHE_CAPACITY;
 use genie_storage::{
-    AccessPath, Database, DbConfig, ExecOutcome, PreparedSelect, QueryPlan, Select, Statement,
-    Value,
+    AccessPath, Bound, Database, DbConfig, ExecOutcome, PreparedSelect, QueryPlan, Select,
+    Statement, Value,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -89,9 +89,10 @@ fn create_index_after_first_execution_changes_the_next_plan() {
     let other = assert_as_fresh(&db, &kept, &[Value::Int(8)]);
     assert_eq!(
         other.base.path,
-        AccessPath::IndexEq {
-            index: "events_owner".into(),
-            key: vec![Value::Int(8)],
+        AccessPath::IndexScan {
+            index: Some("events_owner".into()),
+            eq: vec![Value::Int(8)],
+            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
         }
     );
 }

@@ -10,6 +10,10 @@ cargo fmt --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> serving benchmark: cargo fmt --check + clippy (its own workspace, outside the two above)"
+cargo fmt --check --manifest-path benchmark/Cargo.toml
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo build --release"
 cargo build --release
 
