@@ -92,11 +92,6 @@ impl Bound {
 /// The range over all values: a probe that leaves its column free.
 pub(crate) const WHOLE_RANGE: &[(Bound, Bound)] = &[(Bound::Unbounded, Bound::Unbounded)];
 
-/// `[v, v]`: the range holding exactly `v`.
-fn point(v: &Value) -> (Bound, Bound) {
-    (Bound::Included(v.clone()), Bound::Included(v.clone()))
-}
-
 /// The value a `[v, v]` range holds, if the range is one.
 pub(crate) fn point_value(range: &(Bound, Bound)) -> Option<&Value> {
     match range {
@@ -186,7 +181,6 @@ pub struct Plan {
 }
 
 /// What an index scan's fields make it, for EXPLAIN.
-#[derive(PartialEq)]
 enum Shape {
     /// `eq` covers the whole key.
     Eq,
@@ -884,7 +878,12 @@ fn plan_access_impl(
         eq,
         ranges,
     };
-    let points = |keys: &[Value]| keys.iter().map(point).collect::<Vec<_>>();
+    // One `[k, k]` range per key.
+    let points = |keys: &[Value]| -> Vec<(Bound, Bound)> {
+        keys.iter()
+            .map(|k| (Bound::Included(k.clone()), Bound::Included(k.clone())))
+            .collect()
+    };
 
     // 1. The primary key: a point lookup (at most one row, trivially
     // ordered), `pk IN (...)` (sorted keys yield pk order), or a range.

@@ -1699,7 +1699,7 @@ impl Table {
     /// order the executor's stable sort produces — so ordered index scans
     /// and scan+sort return identical row sequences, with or without the
     /// index.
-    pub(crate) fn index_scan_with<T>(
+    fn index_scan_with<T>(
         &self,
         idx: Option<&Index>,
         eq: &[Value],
