@@ -890,27 +890,16 @@ fn plan_access_impl(
     let pk = table.schema().primary_key();
     if let Some(c) = cons.get(pk) {
         let (sat, rev) = order_match(&order, &cons, &[pk.to_owned()]);
-        let cand = if let Some(v) = &c.eq {
-            Some((
-                vec![v.clone()],
-                WHOLE_RANGE.to_vec(),
-                1.0,
-                1.0,
-                true,
-                false,
-                100.0,
-            ))
+        if let Some(v) = &c.eq {
+            let path = scan(None, vec![v.clone()], WHOLE_RANGE.to_vec());
+            consider(path, 1.0, 1.0, true, false, 100.0);
         } else if let Some(keys) = &c.in_keys {
             let k = keys.len() as f64;
-            Some((Vec::new(), points(keys), k, k, sat, rev, 90.0))
-        } else {
-            c.range().map(|(from, to)| {
-                let rows = n * range_selectivity(table, pk, &from, &to);
-                (Vec::new(), vec![(from, to)], rows, 1.0, sat, rev, 15.0)
-            })
-        };
-        if let Some((eq, ranges, rows, probes, sat, rev, rank)) = cand {
-            consider(scan(None, eq, ranges), rows, probes, sat, rev, rank);
+            consider(scan(None, Vec::new(), points(keys)), k, k, sat, rev, 90.0);
+        } else if let Some((from, to)) = c.range() {
+            let rows = n * range_selectivity(table, pk, &from, &to);
+            let path = scan(None, Vec::new(), vec![(from, to)]);
+            consider(path, rows, 1.0, sat, rev, 15.0);
         }
     }
 
