@@ -1,7 +1,8 @@
 //! Criterion micro-bench: raw engine speed of database point lookups vs
 //! cache gets (the real-time counterpart of the §5.3 modelled numbers),
 //! of an index scan returning a wall's worth of rows, of resolving
-//! scattered index entries to their heap rows, of descending an index
+//! scattered index entries to their heap rows (before and after vacuum
+//! settles their version state), of descending an index
 //! of many small keys (a probe, and the insert of a new key), and of
 //! prepared `IN` lists on the primary key and under an equality prefix
 //! of a composite index.
@@ -162,6 +163,18 @@ fn bench_entry_resolution(c: &mut Criterion) {
         b.iter(|| {
             f = (f + 7) % FRIENDS;
             let out = db.execute_prepared(&count, &[Value::Int(f)]).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    // The cases above read rows the seed transaction left unsettled;
+    // this one reads them after vacuum has settled every slot.
+    db.vacuum();
+    assert_eq!(db.version_stats().versioned_rows, 0);
+    group.bench_function("settled_by_friend_20_rows", |b| {
+        let mut f = 0i64;
+        b.iter(|| {
+            f = (f + 7) % FRIENDS;
+            let out = db.execute_prepared(&rows, &[Value::Int(f)]).unwrap();
             black_box(out.result.rows.len())
         })
     });

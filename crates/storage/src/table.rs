@@ -20,16 +20,15 @@
 //!
 //! The heap always holds the *newest* version of each row — committed,
 //! or uncommitted by exactly one writer (writers serialize per row via
-//! the engine's 2PL row locks). Two side structures carry history:
-//!
-//! * `meta`: the newest version's begin epoch and, while uncommitted,
-//!   its writer transaction. A row with no entry is an ancient
-//!   committed row (begin epoch 0) — vacuum collapses settled rows
-//!   back to this zero-cost state.
-//! * `history`: superseded committed versions, each valid over a
-//!   half-open epoch interval `[begin, end)`; the interval end stays
-//!   pending (attributed to the superseding writer) until that writer
-//!   commits.
+//! the engine's 2PL row locks). The row's heap slot also carries its
+//! version state, as an optional boxed `Versions`: the newest version's
+//! begin epoch and, while uncommitted, its writer transaction, plus the
+//! superseded committed versions, each valid over a half-open epoch
+//! interval `[begin, end)` whose end stays pending (attributed to the
+//! superseding writer) until that writer commits. A slot without a
+//! `Versions` holds an ancient committed row (begin epoch 0), so a
+//! settled row resolves with one slot read. Vacuum walks the heap's
+//! list of slots carrying a `Versions` and drops the settled ones'.
 //!
 //! Index and pk entries are **append-only with respect to version
 //! churn**: a versioned update/delete adds entries for the new image but
@@ -101,14 +100,71 @@ struct OldVersion {
     row: Row,
 }
 
-/// Version metadata for the newest (heap) image of a row. Absent meta
-/// means "committed at epoch 0".
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    /// Commit epoch of the heap image; meaningless while `writer` is set.
+/// A heap slot's version state. `Versions::default()` (begin 0, no
+/// writer, no old versions) means the same as no `Versions` at all: a
+/// row committed at epoch 0.
+#[derive(Debug, Clone, Default)]
+struct Versions {
+    /// Commit epoch of the slot's row; meaningless while `writer` is set
+    /// and 0 while the slot holds no row.
     begin: u64,
-    /// The transaction whose uncommitted write the heap image is.
+    /// The transaction whose uncommitted write the slot's row is.
     writer: Option<TxnId>,
+    /// Superseded committed versions, oldest first.
+    old: Vec<OldVersion>,
+}
+
+/// One row id's place in the heap: its newest image, if any, and its
+/// version state until vacuum settles it.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    row: Option<Row>,
+    versions: Option<Box<Versions>>,
+}
+
+/// The slot of a row id the heap never allocated.
+static EMPTY_SLOT: Slot = Slot {
+    row: None,
+    versions: None,
+};
+
+impl Slot {
+    /// The version `snap` sees (see [`Table::visible`]).
+    fn visible(&self, snap: &Snapshot) -> Option<&Row> {
+        let Some(v) = self.versions.as_deref() else {
+            return self.row.as_ref(); // settled committed row
+        };
+        let current = match v.writer {
+            Some(w) => snap.owns(w),
+            None => v.begin <= snap.epoch,
+        };
+        if current && self.row.is_some() {
+            return self.row.as_ref();
+        }
+        // Newest version with begin <= snap decides: if it ended for
+        // this snapshot, every older version ended even earlier.
+        let old = v.old.iter().rev().find(|o| o.begin <= snap.epoch)?;
+        let ended = match old.end {
+            VersionEnd::At(e) => e <= snap.epoch,
+            VersionEnd::Pending(t) => snap.owns(t),
+        };
+        (!ended).then_some(&old.row)
+    }
+
+    /// True when the slot's row is a version that transaction `tid`,
+    /// reading at `snap`, did not see: another transaction's uncommitted
+    /// write, or one committed after the snapshot.
+    fn newer_than(&self, tid: TxnId, snap: &Snapshot) -> bool {
+        self.versions.as_deref().is_some_and(|v| match v.writer {
+            Some(w) => w != tid,
+            None => v.begin > snap.epoch,
+        })
+    }
+
+    /// The superseded versions the slot still holds, oldest first.
+    fn old(&self) -> &[OldVersion] {
+        self.versions.as_deref().map_or(&[], |v| &v.old)
+    }
 }
 
 /// Pending statistics deltas applied in a batch once this many queue
@@ -346,6 +402,14 @@ impl Index {
             _ => IndexKey::Wide(self.key_pos.iter().map(|&p| row.get(p).clone()).collect()),
         }
     }
+
+    /// True when `row` carries `key` in this index's key columns.
+    fn carries(&self, row: &Row, key: &[Value]) -> bool {
+        self.key_pos
+            .iter()
+            .zip(key)
+            .all(|(&p, kv)| row.get(p) == kv)
+    }
 }
 
 /// One ordered map a scan walks — the primary key's or a secondary
@@ -381,26 +445,49 @@ fn extended<'a>(buf: &'a mut Vec<Value>, prefix: &'a [Value], v: &'a Value) -> &
 /// `rid - base`. Row ids are allocated densely from the table's
 /// `next_rid` and never reused, so a lookup is one bounds-checked array
 /// index and iteration is in row-id order. A delete (or an undone
-/// insert) frees its `Row` but keeps the 16-byte `None` slot — the id
-/// stays retired. `truncate` moves `base` up to `next_rid`, so the old
-/// ids leave no slots behind.
+/// insert) frees its `Row` but keeps the 24-byte slot — the id stays
+/// retired, and the slot keeps the old versions snapshots may still
+/// read. `truncate` moves `base` up to `next_rid`, so the old ids leave
+/// no slots behind.
 #[derive(Debug, Clone, Default)]
 struct Heap {
     /// Row id of `slots[0]`.
     base: u64,
-    slots: Vec<Option<Row>>,
+    slots: Vec<Slot>,
     /// Occupied slots.
     live: usize,
+    /// The row ids whose slots carry a `Versions`, each once, in no
+    /// particular order.
+    dirty: Vec<RowId>,
 }
 
 impl Heap {
-    fn get(&self, rid: RowId) -> Option<&Row> {
-        let i = rid.0.checked_sub(self.base)?;
-        self.slots.get(usize::try_from(i).ok()?)?.as_ref()
+    fn slot(&self, rid: RowId) -> &Slot {
+        rid.0
+            .checked_sub(self.base)
+            .and_then(|i| self.slots.get(usize::try_from(i).ok()?))
+            .unwrap_or(&EMPTY_SLOT)
     }
 
-    fn contains(&self, rid: RowId) -> bool {
-        self.get(rid).is_some()
+    /// The index of `rid`'s slot, allocating it (and any gap before it)
+    /// if needed.
+    fn slot_index(&mut self, rid: RowId) -> usize {
+        if rid.0 < self.base {
+            // Only the test-only `restore` reaches below `base`.
+            let grow = (self.base - rid.0) as usize;
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Slot::default(), grow));
+            self.base = rid.0;
+        }
+        let i = (rid.0 - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::default());
+        }
+        i
+    }
+
+    fn get(&self, rid: RowId) -> Option<&Row> {
+        self.slot(rid).row.as_ref()
     }
 
     fn len(&self) -> usize {
@@ -409,17 +496,8 @@ impl Heap {
 
     /// Stores `row` at `rid`, returning the image it replaced.
     fn insert(&mut self, rid: RowId, row: Row) -> Option<Row> {
-        if rid.0 < self.base {
-            // Only the test-only `restore` reaches below `base`.
-            let grow = (self.base - rid.0) as usize;
-            self.slots.splice(0..0, std::iter::repeat_n(None, grow));
-            self.base = rid.0;
-        }
-        let i = (rid.0 - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, None);
-        }
-        let old = self.slots[i].replace(row);
+        let i = self.slot_index(rid);
+        let old = self.slots[i].row.replace(row);
         if old.is_none() {
             self.live += 1;
         }
@@ -427,13 +505,40 @@ impl Heap {
     }
 
     /// Empties `rid`'s slot (the slot itself stays), returning its row.
+    /// A slot without a row carries no newest-version stamp, so the
+    /// stamp resets; the old versions stay.
     fn remove(&mut self, rid: RowId) -> Option<Row> {
         let i = usize::try_from(rid.0.checked_sub(self.base)?).ok()?;
-        let old = self.slots.get_mut(i)?.take();
-        if old.is_some() {
-            self.live -= 1;
+        let slot = self.slots.get_mut(i)?;
+        let old = slot.row.take()?;
+        if let Some(v) = slot.versions.as_deref_mut() {
+            v.begin = 0;
+            v.writer = None;
         }
-        old
+        self.live -= 1;
+        Some(old)
+    }
+
+    /// `rid`'s version state, if its slot carries one.
+    fn versions_mut(&mut self, rid: RowId) -> Option<&mut Versions> {
+        let i = usize::try_from(rid.0.checked_sub(self.base)?).ok()?;
+        self.slots.get_mut(i)?.versions.as_deref_mut()
+    }
+
+    /// `rid`'s version state, created settled (and `rid` listed in
+    /// `dirty`) when its slot carries none.
+    fn versions_entry(&mut self, rid: RowId) -> &mut Versions {
+        let i = self.slot_index(rid);
+        let dirty = &mut self.dirty;
+        self.slots[i].versions.get_or_insert_with(|| {
+            dirty.push(rid);
+            Box::default()
+        })
+    }
+
+    /// The slots carrying a `Versions`, each once.
+    fn unsettled(&self) -> impl Iterator<Item = (RowId, &Slot)> {
+        self.dirty.iter().map(|&rid| (rid, self.slot(rid)))
     }
 
     /// Occupied slots in row-id order.
@@ -441,12 +546,13 @@ impl Heap {
         let base = self.base;
         (base..)
             .zip(&self.slots)
-            .filter_map(|(rid, slot)| Some((RowId(rid), slot.as_ref()?)))
+            .filter_map(|(rid, slot)| Some((RowId(rid), slot.row.as_ref()?)))
     }
 
-    /// Drops every row; the next slot is `next_rid`.
+    /// Drops every row and version; the next slot is `next_rid`.
     fn clear(&mut self, next_rid: u64) {
         self.slots = Vec::new();
+        self.dirty = Vec::new();
         self.base = next_rid;
         self.live = 0;
     }
@@ -472,11 +578,6 @@ pub struct Table {
     /// id it finds never depends on the order the ids were added in.
     pk_index: BTreeMap<Value, Postings>,
     indexes: Vec<Index>,
-    /// Version metadata for heap rows written since the last vacuum
-    /// horizon; rows absent here are committed-at-epoch-0.
-    meta: BTreeMap<RowId, RowMeta>,
-    /// Superseded committed versions, oldest first per row.
-    history: BTreeMap<RowId, Vec<OldVersion>>,
     /// Per-column statistics, parallel to the schema's column list. Row
     /// mutations queue deltas; the sketches/histograms refresh in epochs
     /// (queue overflow, statement/commit boundaries, planner reads)
@@ -496,8 +597,6 @@ impl Clone for Table {
             next_rid: self.next_rid,
             pk_index: self.pk_index.clone(),
             indexes: self.indexes.clone(),
-            meta: self.meta.clone(),
-            history: self.history.clone(),
             stats: Mutex::new({
                 let s = self.stats.lock();
                 TableStats {
@@ -525,8 +624,6 @@ impl Table {
             next_rid: 0,
             pk_index: BTreeMap::new(),
             indexes: Vec::new(),
-            meta: BTreeMap::new(),
-            history: BTreeMap::new(),
             stats: Mutex::new(TableStats {
                 cols,
                 pending: Vec::new(),
@@ -673,10 +770,7 @@ impl Table {
     fn live_unique_conflict(&self, idx: &Index, key: &[Value], exclude: Option<RowId>) -> bool {
         idx.map.get(key).is_some_and(|set| {
             set.iter().any(|r| {
-                Some(r) != exclude
-                    && self.rows.get(r).is_some_and(|row| {
-                        idx.key_pos.iter().zip(key).all(|(&p, kv)| row.get(p) == kv)
-                    })
+                Some(r) != exclude && self.rows.get(r).is_some_and(|row| idx.carries(row, key))
             })
         })
     }
@@ -745,9 +839,11 @@ impl Table {
     /// duplicates stay with the plain checks — for key collisions whose
     /// outcome depends on a concurrent transaction or snapshot:
     ///
-    /// * a **live** row carrying the key that is another transaction's
-    ///   uncommitted write (it may roll back, so aborting with a
-    ///   permanent `UniqueViolation` would be spurious);
+    /// * a **live** row carrying the key that is newer than the snapshot:
+    ///   another transaction's uncommitted write (it may roll back, so
+    ///   aborting with a permanent `UniqueViolation` would be spurious)
+    ///   or a commit after the snapshot (first-updater-wins, as for a
+    ///   primary key);
     /// * a not-yet-vacuumed **version** carrying the key that is either
     ///   pending supersession/deletion by another transaction (whose
     ///   rollback would bring the key back alongside ours) or still
@@ -788,32 +884,17 @@ impl Table {
                     table: self.schema.name().to_owned(),
                     key: format!("{key:?}"),
                 };
-                // Live image carrying the key, uncommitted by another
-                // transaction: the collision is unresolved — retry.
-                let live_carries = self.rows.get(rid).is_some_and(|r| {
-                    idx.key_pos
-                        .iter()
-                        .zip(key.iter())
-                        .all(|(&p, kv)| r.get(p) == kv)
-                });
-                if live_carries {
-                    if let Some(m) = self.meta.get(&rid) {
-                        if m.writer.is_some_and(|w| w != tid) {
-                            return Err(conflict);
-                        }
+                // Live image carrying the key, newer than the snapshot:
+                // the collision is a race, not a duplicate — retry.
+                let slot = self.rows.slot(rid);
+                if slot.row.as_ref().is_some_and(|r| idx.carries(r, &key)) {
+                    if slot.newer_than(tid, snap) {
+                        return Err(conflict);
                     }
-                    continue; // committed or own: the plain checks decide
+                    continue; // visible committed or own: the plain checks decide
                 }
-                let Some(chain) = self.history.get(&rid) else {
-                    continue;
-                };
-                for v in chain.iter().rev() {
-                    let carries = idx
-                        .key_pos
-                        .iter()
-                        .zip(key.iter())
-                        .all(|(&p, kv)| v.row.get(p) == kv);
-                    if !carries {
+                for v in slot.old().iter().rev() {
+                    if !idx.carries(&v.row, &key) {
                         continue;
                     }
                     let blocked = match v.end {
@@ -959,7 +1040,6 @@ impl Table {
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_remove(&pk, rid);
         self.index_entries_remove(rid, &row);
-        self.meta.remove(&rid);
         self.stats_remove(&row);
         Some(row)
     }
@@ -973,42 +1053,12 @@ impl Table {
 
     /// Resolves the version of `rid` visible to `snap`: the heap image
     /// when it is the snapshot's own uncommitted write or committed at
-    /// `snap.epoch` or earlier; otherwise the newest history version
-    /// whose `[begin, end)` interval covers the snapshot. `None` when no
+    /// `snap.epoch` or earlier; otherwise the newest old version whose
+    /// `[begin, end)` interval covers the snapshot. `None` when no
     /// version is visible (row did not exist yet, or was deleted before
-    /// the snapshot).
+    /// the snapshot). One slot read.
     pub fn visible(&self, rid: RowId, snap: &Snapshot) -> Option<&Row> {
-        if let Some(r) = self.rows.get(rid) {
-            match self.meta.get(&rid) {
-                None => return Some(r), // settled committed row
-                Some(m) => match m.writer {
-                    Some(w) => {
-                        if snap.owns(w) {
-                            return Some(r);
-                        }
-                    }
-                    None => {
-                        if m.begin <= snap.epoch {
-                            return Some(r);
-                        }
-                    }
-                },
-            }
-        }
-        // Newest version with begin <= snap decides: if it ended for
-        // this snapshot, every older version ended even earlier.
-        let chain = self.history.get(&rid)?;
-        for v in chain.iter().rev() {
-            if v.begin > snap.epoch {
-                continue;
-            }
-            let ended = match v.end {
-                VersionEnd::At(e) => e <= snap.epoch,
-                VersionEnd::Pending(t) => snap.owns(t),
-            };
-            return if ended { None } else { Some(&v.row) };
-        }
-        None
+        self.rows.slot(rid).visible(snap)
     }
 
     /// One-pass foreign-key probe: resolves `pk` against `snap` and
@@ -1050,43 +1100,30 @@ impl Table {
     }
 
     /// Candidate row ids for a snapshot full scan, in heap (row-id)
-    /// order: every heap row plus rows whose only remaining versions are
-    /// not-yet-vacuumed history (e.g. pending deletes older snapshots
-    /// still see). May include ids with no visible version — callers
-    /// resolve each through [`Table::visible`] anyway, so filtering here
-    /// would pay the visibility predicate twice per row.
+    /// order: every slot holding a row or not-yet-vacuumed old versions
+    /// (e.g. pending deletes older snapshots still see). May include ids
+    /// with no visible version — callers resolve each through
+    /// [`Table::visible`] anyway, so filtering here would pay the
+    /// visibility predicate twice per row.
     pub fn scan_rids(&self) -> Vec<RowId> {
-        if self.history.is_empty() {
-            return self.rows.iter().map(|(rid, _)| rid).collect();
-        }
-        let mut rids: Vec<RowId> = self.rows.iter().map(|(rid, _)| rid).collect();
-        rids.extend(
-            self.history
-                .keys()
-                .copied()
-                .filter(|&r| !self.rows.contains(r)),
-        );
-        rids.sort_unstable();
-        rids
+        let heap = &self.rows;
+        (heap.base..)
+            .zip(&heap.slots)
+            .filter(|(_, slot)| slot.row.is_some() || !slot.old().is_empty())
+            .map(|(rid, _)| RowId(rid))
+            .collect()
     }
 
     /// Number of rows visible to `snap` (exact; the COUNT(*) pushdown's
-    /// answer for an unfiltered count). A settled table answers from its
-    /// live-row count; only rows with version metadata or history are
-    /// resolved against the snapshot.
+    /// answer for an unfiltered count): the live-row count, corrected
+    /// by resolving only the slots that carry version state.
     pub fn visible_len(&self, snap: &Snapshot) -> usize {
-        if self.meta.is_empty() && self.history.is_empty() {
-            return self.rows.len();
-        }
         let mut n = self.rows.len();
-        for rid in self.meta.keys() {
-            if self.rows.contains(*rid) && self.visible(*rid, snap).is_none() {
-                n -= 1;
-            }
-        }
-        for rid in self.history.keys() {
-            if !self.rows.contains(*rid) && self.visible(*rid, snap).is_some() {
-                n += 1;
+        for (_, slot) in self.rows.unsettled() {
+            match (slot.row.is_some(), slot.visible(snap).is_some()) {
+                (true, false) => n -= 1,
+                (false, true) => n += 1,
+                _ => {}
             }
         }
         n
@@ -1157,15 +1194,14 @@ impl Table {
     /// version), [`StorageError::WriteConflict`] when a version the
     /// snapshot cannot see already superseded the one it read.
     fn write_gate(&self, rid: RowId, tid: TxnId, snap: &Snapshot) -> Result<bool> {
-        match self.meta.get(&rid) {
-            None => Ok(false),
-            Some(m) => match m.writer {
-                Some(w) if w == tid => Ok(true),
-                Some(_) => Err(self.write_conflict(rid)),
-                None if m.begin > snap.epoch => Err(self.write_conflict(rid)),
-                None => Ok(false),
-            },
+        let slot = self.rows.slot(rid);
+        if slot.newer_than(tid, snap) {
+            return Err(self.write_conflict(rid));
         }
+        Ok(slot
+            .versions
+            .as_ref()
+            .is_some_and(|v| v.writer == Some(tid)))
     }
 
     fn write_conflict(&self, rid: RowId) -> StorageError {
@@ -1196,14 +1232,7 @@ impl Table {
         let pk = row.get(self.schema.primary_key_pos()).clone();
         if !pk.is_null() {
             if let Some(holder) = self.live_pk(&pk) {
-                let newer_version = match self.meta.get(&holder) {
-                    Some(m) => match m.writer {
-                        Some(w) => w != tid,
-                        None => m.begin > snap.epoch,
-                    },
-                    None => false,
-                };
-                return Err(if newer_version {
+                return Err(if self.rows.slot(holder).newer_than(tid, snap) {
                     self.write_conflict(holder)
                 } else {
                     StorageError::UniqueViolation {
@@ -1228,17 +1257,11 @@ impl Table {
         self.check_unique_secondary(&row, None)?;
         let rid = RowId(self.next_rid);
         self.next_rid += 1;
-        self.meta.insert(
-            rid,
-            RowMeta {
-                begin: 0,
-                writer: Some(tid),
-            },
-        );
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
         self.stats_add(&row);
         self.rows.insert(rid, row);
+        self.rows.versions_entry(rid).writer = Some(tid);
         Ok(rid)
     }
 
@@ -1266,7 +1289,7 @@ impl Table {
             // No newest image but the snapshot matched the row: a newer
             // committed transaction deleted it — first-updater-wins,
             // same as an update racing an update.
-            None if self.history.contains_key(&rid) => return Err(self.write_conflict(rid)),
+            None if !self.rows.slot(rid).old().is_empty() => return Err(self.write_conflict(rid)),
             None => return Err(StorageError::Eval(format!("update of missing row {rid}"))),
         };
         // Versioned gates first (retryable conflicts), then the plain
@@ -1282,19 +1305,10 @@ impl Table {
         // committed (ghost).
         if new_pk != *old_row.get(pk_pos) && !new_pk.is_null() {
             if let Some(holder) = self.live_pk(&new_pk) {
-                if holder != rid {
-                    let newer_version = match self.meta.get(&holder) {
-                        Some(m) => match m.writer {
-                            Some(w) => w != tid,
-                            None => m.begin > snap.epoch,
-                        },
-                        None => false,
-                    };
-                    if newer_version {
-                        return Err(self.write_conflict(holder));
-                    }
-                    // Committed-and-visible holder: fall through to
-                    // check_update_constraints' UniqueViolation.
+                // A committed-and-visible holder falls through to
+                // check_update_constraints' UniqueViolation.
+                if holder != rid && self.rows.slot(holder).newer_than(tid, snap) {
+                    return Err(self.write_conflict(holder));
                 }
             } else if let Some(ghost) = self.find_pk_visible(&new_pk, snap) {
                 if ghost != rid {
@@ -1305,24 +1319,19 @@ impl Table {
         self.check_update_constraints(rid, &old_row, &new_row)?;
         if in_place {
             // Own uncommitted image: nobody else can see it, so move its
-            // entries physically — except keys a committed history
+            // entries physically — except keys a committed old
             // version still needs.
             self.retire_version_entries(rid, &old_row, false, Some(&new_row));
         } else {
-            let begin = self.meta.get(&rid).map(|m| m.begin).unwrap_or(0);
-            self.history.entry(rid).or_default().push(OldVersion {
-                begin,
+            let v = self.rows.versions_entry(rid);
+            v.old.push(OldVersion {
+                begin: v.begin,
                 end: VersionEnd::Pending(tid),
                 row: old_row.clone(),
             });
-            self.meta.insert(
-                rid,
-                RowMeta {
-                    begin: 0,
-                    writer: Some(tid),
-                },
-            );
-            // Old entries stay: they serve the history version until
+            v.begin = 0;
+            v.writer = Some(tid);
+            // Old entries stay: they serve the old version until
             // vacuum. New entries are appended below.
         }
         self.pk_entry_add(&new_pk, rid);
@@ -1344,26 +1353,24 @@ impl Table {
     /// [`StorageError::WriteConflict`] per the write gate.
     pub fn delete_txn(&mut self, rid: RowId, tid: TxnId, snap: &Snapshot) -> Result<(Row, bool)> {
         let in_place = self.write_gate(rid, tid, snap)?;
+        let begin = self.rows.slot(rid).versions.as_ref().map_or(0, |v| v.begin);
         let row = match self.rows.remove(rid) {
             Some(r) => r,
             // Deleted by a newer committed transaction (see update_txn).
-            None if self.history.contains_key(&rid) => return Err(self.write_conflict(rid)),
+            None if !self.rows.slot(rid).old().is_empty() => return Err(self.write_conflict(rid)),
             None => return Err(StorageError::Eval(format!("delete of missing row {rid}"))),
         };
         self.stats_remove(&row);
         if in_place {
-            self.meta.remove(&rid);
             self.retire_version_entries(rid, &row, false, None);
             Ok((row, false))
         } else {
-            let begin = self.meta.get(&rid).map(|m| m.begin).unwrap_or(0);
-            self.history.entry(rid).or_default().push(OldVersion {
+            self.rows.versions_entry(rid).old.push(OldVersion {
                 begin,
                 end: VersionEnd::Pending(tid),
                 row: row.clone(),
             });
-            self.meta.remove(&rid);
-            // pk and index entries stay for the history version.
+            // pk and index entries stay for the old version.
             Ok((row, true))
         }
     }
@@ -1375,19 +1382,16 @@ impl Table {
     /// published, so the flip is atomic for readers of this table.
     pub fn commit_rows<I: IntoIterator<Item = RowId>>(&mut self, rids: I, tid: TxnId, epoch: u64) {
         for rid in rids {
-            if let Some(m) = self.meta.get_mut(&rid) {
-                if m.writer == Some(tid) {
-                    *m = RowMeta {
-                        begin: epoch,
-                        writer: None,
-                    };
-                }
+            let Some(v) = self.rows.versions_mut(rid) else {
+                continue;
+            };
+            if v.writer == Some(tid) {
+                v.begin = epoch;
+                v.writer = None;
             }
-            if let Some(chain) = self.history.get_mut(&rid) {
-                for v in chain.iter_mut() {
-                    if v.end == VersionEnd::Pending(tid) {
-                        v.end = VersionEnd::At(epoch);
-                    }
+            for old in &mut v.old {
+                if old.end == VersionEnd::Pending(tid) {
+                    old.end = VersionEnd::At(epoch);
                 }
             }
         }
@@ -1399,7 +1403,6 @@ impl Table {
         let Some(row) = self.rows.remove(rid) else {
             return;
         };
-        self.meta.remove(&rid);
         self.stats_remove(&row);
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_remove(&pk, rid);
@@ -1407,8 +1410,8 @@ impl Table {
     }
 
     /// Rolls back an uncommitted [`Table::update_txn`]: restores the
-    /// pre-image and (when the update pushed a history version) pops it
-    /// back into the heap's metadata.
+    /// pre-image and (when the update pushed an old version) pops its
+    /// stamp back into the slot.
     pub(crate) fn undo_update(&mut self, rid: RowId, before: Row, pushed: bool, tid: TxnId) {
         let replaced = self.rows.insert(rid, before.clone());
         if let Some(new_image) = &replaced {
@@ -1429,58 +1432,40 @@ impl Table {
     /// Rolls back an uncommitted [`Table::delete_txn`].
     pub(crate) fn undo_delete(&mut self, rid: RowId, row: Row, pushed: bool, tid: TxnId) {
         self.stats_add(&row);
-        if pushed {
-            self.pop_pending_version(rid, tid);
-        } else {
-            self.meta.insert(
-                rid,
-                RowMeta {
-                    begin: 0,
-                    writer: Some(tid),
-                },
-            );
-        }
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
         self.rows.insert(rid, row);
+        if pushed {
+            self.pop_pending_version(rid, tid);
+        } else {
+            // `remove` reset the stamp; the row is `tid`'s again.
+            self.rows.versions_entry(rid).writer = Some(tid);
+        }
     }
 
-    /// Pops the history version `tid` left pending on `rid` back into
-    /// the heap metadata (rollback of the superseding write).
+    /// Pops the old version `tid` left pending on `rid` back into the
+    /// slot's stamp (rollback of the superseding write).
     fn pop_pending_version(&mut self, rid: RowId, tid: TxnId) {
-        let Some(chain) = self.history.get_mut(&rid) else {
+        let Some(v) = self.rows.versions_mut(rid) else {
             debug_assert!(false, "undo expected a pushed version for {rid}");
             return;
         };
-        let Some(pos) = chain
+        let Some(pos) = v
+            .old
             .iter()
-            .rposition(|v| v.end == VersionEnd::Pending(tid))
+            .rposition(|o| o.end == VersionEnd::Pending(tid))
         else {
             debug_assert!(false, "undo expected a pending version for {rid}");
             return;
         };
-        let popped = chain.remove(pos);
-        if chain.is_empty() {
-            self.history.remove(&rid);
-        }
-        if popped.begin == 0 {
-            // Absent meta *means* committed-at-0: restore the implicit
-            // state rather than an equivalent explicit entry.
-            self.meta.remove(&rid);
-        } else {
-            self.meta.insert(
-                rid,
-                RowMeta {
-                    begin: popped.begin,
-                    writer: None,
-                },
-            );
-        }
+        let popped = v.old.remove(pos);
+        v.begin = popped.begin;
+        v.writer = None;
     }
 
     /// Removes `gone`'s pk and index entries for `rid` — except keys
-    /// that a retained history version, the current heap image (when
+    /// that a retained old version, the current heap image (when
     /// `keep_heap`), or `also_keep` still carries, which snapshot
     /// readers still need to find.
     fn retire_version_entries(
@@ -1491,34 +1476,24 @@ impl Table {
         also_keep: Option<&Row>,
     ) {
         self.version += 1;
-        let hist = self.history.get(&rid);
-        let heap = if keep_heap { self.rows.get(rid) } else { None };
+        let slot = self.rows.slot(rid);
+        let old = slot.old();
+        let heap = if keep_heap { slot.row.as_ref() } else { None };
         let also_keep = also_keep.or(heap);
         let pk_pos = self.schema.primary_key_pos();
         let gone_pk = gone.get(pk_pos).clone();
         let pk_kept = also_keep.is_some_and(|r| r.get(pk_pos) == &gone_pk)
-            || hist.is_some_and(|c| c.iter().any(|v| v.row.get(pk_pos) == &gone_pk));
-        // Decide every removal first (immutable borrows of history and
+            || old.iter().any(|v| v.row.get(pk_pos) == &gone_pk);
+        // Decide every removal first (immutable borrows of the slot and
         // indexes), then apply (mutable) — and compare key columns in
-        // place rather than materializing history row clones.
+        // place rather than materializing old row clones.
         let retired: Vec<Option<IndexKey>> = self
             .indexes
             .iter()
             .map(|idx| {
                 let key = idx.key_of(gone);
-                let kept = also_keep.is_some_and(|r| {
-                    idx.key_pos
-                        .iter()
-                        .zip(key.iter())
-                        .all(|(&p, kv)| r.get(p) == kv)
-                }) || hist.is_some_and(|c| {
-                    c.iter().any(|v| {
-                        idx.key_pos
-                            .iter()
-                            .zip(key.iter())
-                            .all(|(&p, kv)| v.row.get(p) == kv)
-                    })
-                });
+                let kept = also_keep.is_some_and(|r| idx.carries(r, &key))
+                    || old.iter().any(|v| idx.carries(&v.row, &key));
                 (!kept).then_some(key)
             })
             .collect();
@@ -1534,45 +1509,59 @@ impl Table {
 
     // ----- MVCC: vacuum -----
 
-    /// Prunes history versions no snapshot at or after `horizon` can
-    /// see (their end epoch is `<= horizon`), removes the index/pk
-    /// entries that served only those versions, and collapses settled
-    /// row metadata back to the implicit committed state. Uncommitted
-    /// versions and versions still visible at the horizon are never
-    /// touched. Returns the number of versions pruned.
+    /// Prunes old versions no snapshot at or after `horizon` can see
+    /// (their end epoch is `<= horizon`), removes the index/pk entries
+    /// that served only those versions, and collapses settled slots back
+    /// to the zero-cost state without a `Versions`. Uncommitted versions
+    /// and versions still visible at the horizon are never touched.
+    /// Returns the number of versions pruned.
     pub fn vacuum(&mut self, horizon: u64) -> u64 {
         let mut pruned = 0u64;
-        let rids: Vec<RowId> = self.history.keys().copied().collect();
-        for rid in rids {
-            let mut chain = self.history.remove(&rid).unwrap_or_default();
-            let (dead, live): (Vec<OldVersion>, Vec<OldVersion>) = chain
-                .drain(..)
-                .partition(|v| matches!(v.end, VersionEnd::At(e) if e <= horizon));
-            if !live.is_empty() {
-                self.history.insert(rid, live);
-            }
+        for rid in std::mem::take(&mut self.rows.dirty) {
+            let v = self
+                .rows
+                .versions_mut(rid)
+                .expect("a dirty slot carries versions");
+            let (dead, live): (Vec<OldVersion>, Vec<OldVersion>) = std::mem::take(&mut v.old)
+                .into_iter()
+                .partition(|o| matches!(o.end, VersionEnd::At(e) if e <= horizon));
+            v.old = live;
+            // A committed row at or below the horizon with no old
+            // versions left is settled: the slot drops its `Versions`.
+            let settled = v.writer.is_none() && v.begin <= horizon && v.old.is_empty();
             pruned += dead.len() as u64;
-            for v in dead {
-                self.retire_version_entries(rid, &v.row, true, None);
+            for o in dead {
+                self.retire_version_entries(rid, &o.row, true, None);
+            }
+            let i = self.rows.slot_index(rid);
+            if settled {
+                self.rows.slots[i].versions = None;
+            } else {
+                self.rows.dirty.push(rid);
             }
         }
-        // Settled committed rows (begin at or below the horizon, no
-        // remaining history) revert to the zero-cost implicit state.
-        let Table { meta, history, .. } = self;
-        meta.retain(|rid, m| m.writer.is_some() || m.begin > horizon || history.contains_key(rid));
         pruned
     }
 
     /// Superseded versions currently retained (diagnostics and tests).
     pub fn history_versions(&self) -> usize {
-        self.history.values().map(Vec::len).sum()
+        self.rows
+            .unsettled()
+            .map(|(_, slot)| slot.old().len())
+            .sum()
     }
 
-    /// Heap rows carrying explicit version metadata — uncommitted
-    /// writes plus committed rows vacuum has not yet settled
-    /// (diagnostics and tests).
+    /// Heap rows carrying an explicit version stamp — uncommitted writes
+    /// plus committed rows vacuum has not yet settled (diagnostics and
+    /// tests).
     pub fn versioned_rows(&self) -> usize {
-        self.meta.len()
+        self.rows
+            .unsettled()
+            .filter(|(_, slot)| {
+                let v = slot.versions.as_deref();
+                slot.row.is_some() && v.is_some_and(|v| v.writer.is_some() || v.begin > 0)
+            })
+            .count()
     }
 
     /// Creates a secondary index, backfilling existing rows.
@@ -1607,15 +1596,15 @@ impl Table {
             }
             posting_add(&mut idx.map, key, rid);
         }
-        // Backfill retained history versions too, so index scans by a
+        // Backfill retained old versions too, so index scans by a
         // snapshot older than the newest images still find their rows
         // (dead versions never count toward uniqueness — every unique
         // check is liveness-aware; vacuum reclaims these entries with
         // their versions).
-        for (rid, chain) in &self.history {
-            for v in chain {
+        for (rid, slot) in self.rows.unsettled() {
+            for v in slot.old() {
                 let key = idx.key_of(&v.row);
-                posting_add(&mut idx.map, key, *rid);
+                posting_add(&mut idx.map, key, rid);
             }
         }
         self.indexes.push(idx);
@@ -1803,8 +1792,6 @@ impl Table {
         self.version += 1;
         self.rows.clear(self.next_rid);
         self.pk_index.clear();
-        self.meta.clear();
-        self.history.clear();
         for idx in &mut self.indexes {
             idx.map.clear();
         }
@@ -2497,6 +2484,11 @@ mod tests {
                     let horizon = m.floor + k % (now - m.floor + 1);
                     t.vacuum(horizon);
                     m.floor = horizon;
+                    if horizon == now && idle {
+                        assert_eq!(t.versioned_rows(), 0, "settled at now");
+                        assert_eq!(t.history_versions(), 0, "pruned at now");
+                        assert!(t.rows.dirty.is_empty(), "no versions left at now");
+                    }
                 }
                 Op::Truncate if idle => {
                     t.truncate();
@@ -2527,6 +2519,16 @@ mod tests {
             assert_eq!(heap, model, "iter");
             assert_eq!(t.len(), m.heap.len(), "len");
             assert_eq!(t.is_empty(), m.heap.is_empty(), "is_empty");
+            // The slots carrying versions are exactly the dirty list,
+            // each once.
+            let mut dirty = t.rows.dirty.clone();
+            dirty.sort_unstable();
+            let carrying: Vec<RowId> = (t.rows.base..)
+                .zip(&t.rows.slots)
+                .filter(|(_, slot)| slot.versions.is_some())
+                .map(|(rid, _)| RowId(rid))
+                .collect();
+            assert_eq!(dirty, carrying, "dirty lists the slots with versions");
             let scan = t.scan_rids();
             assert!(scan.windows(2).all(|w| w[0] < w[1]), "scan_rids order");
             assert!(m.heap.keys().all(|r| scan.contains(r)), "scan_rids covers");
@@ -3034,13 +3036,16 @@ mod tests {
                 .all(|(k, rids)| big.get(k).is_some_and(|b| rids.is_subset(b)))
         }
 
-        /// Every version the table still holds, newest images and history.
+        /// Every version the table still holds, newest images and old
+        /// versions, read slot by slot.
         fn retained(t: &Table) -> Vec<(RowId, &Row)> {
-            let history = t
-                .history
-                .iter()
-                .flat_map(|(rid, chain)| chain.iter().map(move |v| (*rid, &v.row)));
-            t.rows.iter().chain(history).collect()
+            (t.rows.base..)
+                .zip(&t.rows.slots)
+                .flat_map(|(rid, slot)| {
+                    let old = slot.old().iter().map(|v| &v.row);
+                    slot.row.iter().chain(old).map(move |row| (RowId(rid), row))
+                })
+                .collect()
         }
 
         fn check(t: &Table, m: &Model) {

@@ -807,6 +807,54 @@ fn pk_move_onto_newer_committed_key_is_retryable() {
     );
 }
 
+/// The unique-secondary-key analogue: a key another session committed
+/// after this snapshot is a retryable WriteConflict, whether an INSERT
+/// or an UPDATE reaches for it. With a fresh snapshot both are genuine
+/// duplicates.
+#[test]
+fn unique_key_taken_after_the_snapshot_is_retryable() {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE u (id INT PRIMARY KEY, email TEXT UNIQUE)",
+        &[],
+    )
+    .unwrap();
+    db.execute_sql("INSERT INTO u VALUES (1, 'a@x')", &[])
+        .unwrap();
+    let statements = [
+        "INSERT INTO u VALUES (3, 'race@x')",
+        "UPDATE u SET email = 'race@x' WHERE id = 1",
+    ];
+    for sql in statements {
+        db.execute_sql("BEGIN", &[]).unwrap();
+        let seen = db.execute_sql("SELECT id FROM u", &[]).unwrap();
+        assert_eq!(seen.result.rows.len(), 1); // snapshot pinned first
+        let db2 = db.clone();
+        std::thread::spawn(move || {
+            db2.execute_sql("INSERT INTO u VALUES (2, 'race@x')", &[])
+                .unwrap();
+        })
+        .join()
+        .unwrap();
+        let r = db.execute_sql(sql, &[]);
+        assert!(
+            matches!(r, Err(StorageError::WriteConflict { .. })),
+            "{sql}: a stale snapshot must retry, not report a permanent duplicate: {r:?}"
+        );
+        db.execute_sql("ROLLBACK", &[]).unwrap();
+        db.execute_sql("DELETE FROM u WHERE id = 2", &[]).unwrap();
+    }
+    db.execute_sql("INSERT INTO u VALUES (2, 'race@x')", &[])
+        .unwrap();
+    for sql in statements {
+        let dup = db.execute_sql(sql, &[]);
+        assert!(
+            matches!(dup, Err(StorageError::UniqueViolation { .. })),
+            "{sql}: {dup:?}"
+        );
+    }
+}
+
 /// An index created while an older snapshot is live also backfills the
 /// retained history versions, so that snapshot's scans through the new
 /// index agree with a full scan.
