@@ -5,11 +5,12 @@
 //! settles their version state), of descending an index
 //! of many small keys (a probe, and the insert of a new key), and of
 //! prepared `IN` lists on the primary key and under an equality prefix
-//! of a composite index.
+//! of a composite index, and of serial full scans that no index serves
+//! (a predicated `COUNT(*)` and a filtered top-k).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
-use genie_storage::{Database, Statement, Value};
+use genie_storage::{Database, DbConfig, Statement, Value};
 use std::hint::black_box;
 
 fn bench_lookups(c: &mut Criterion) {
@@ -307,12 +308,75 @@ fn bench_in_lists(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows of the full-scan table: every query walks all of them.
+const SCAN_ROWS: i64 = 60_000;
+
+fn bench_full_scan(c: &mut Criterion) {
+    let db = Database::new(DbConfig {
+        buffer_pool_bytes: 8 * 1024 * 1024,
+    });
+    db.execute_sql(
+        "CREATE TABLE scan_t (id INT PRIMARY KEY, grp INT NOT NULL, val INT NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    // xorshift: `grp` has 100 values, `val` is spread over 0..1_000_000;
+    // neither is indexed.
+    let mut state: i64 = 88172645463325252;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.rem_euclid(1_000_000)
+    };
+    for start in (1..=SCAN_ROWS).step_by(2_000) {
+        db.execute_sql("BEGIN", &[]).unwrap();
+        for id in start..(start + 2_000).min(SCAN_ROWS + 1) {
+            db.execute_sql(
+                "INSERT INTO scan_t (id, grp, val) VALUES ($1, $2, $3)",
+                &[Value::Int(id), Value::Int(next() % 100), Value::Int(next())],
+            )
+            .unwrap();
+        }
+        db.execute_sql("COMMIT", &[]).unwrap();
+    }
+    let prepare = |sql: &str| {
+        let Statement::Select(select) = genie_storage::sql::parse(sql).unwrap() else {
+            unreachable!("a SELECT parses to a SELECT")
+        };
+        db.prepare(&select)
+    };
+    let count = prepare("SELECT COUNT(*) FROM scan_t WHERE val < $1");
+    let topk = prepare("SELECT id, val FROM scan_t WHERE grp < $1 ORDER BY val DESC LIMIT 10");
+    let half = [Value::Int(500_000)];
+    let half_grps = [Value::Int(50)];
+    let scanned = db.execute_prepared(&topk, &half_grps).unwrap();
+    assert_eq!(scanned.result.rows.len(), 10);
+    assert_eq!(scanned.cost.rows_scanned, SCAN_ROWS as u64);
+
+    let mut group = c.benchmark_group("full_scan");
+    group.bench_function("count_where_60k_rows", |b| {
+        b.iter(|| {
+            let out = db.execute_prepared(&count, &half).unwrap();
+            black_box(out.result.rows[0].get(0).as_int())
+        })
+    });
+    group.bench_function("topk_where_60k_rows", |b| {
+        b.iter(|| {
+            let out = db.execute_prepared(&topk, &half_grps).unwrap();
+            black_box(out.result.rows.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lookups,
     bench_index_scan,
     bench_entry_resolution,
     bench_index_probe,
-    bench_in_lists
+    bench_in_lists,
+    bench_full_scan
 );
 criterion_main!(benches);

@@ -110,7 +110,7 @@ use crate::wal::{self, Wal};
 use locks::{plan_locks, AutoRelease};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txn::TxnTable;
 
@@ -263,9 +263,6 @@ struct Engine {
     /// below every other latch, held only for the stamp-and-publish
     /// instant.
     epoch_mutex: Mutex<()>,
-    /// Worker threads for morsel-driven parallel scans (1 = serial; the
-    /// setter keeps it at least 1).
-    scan_workers: AtomicUsize,
     /// Prepared form of every SELECT that arrived as a bare statement.
     statements: StatementCache,
 }
@@ -415,7 +412,6 @@ impl Database {
                 counters: DbCounters::default(),
                 latches: LatchCounters::default(),
                 epoch_mutex: Mutex::new(()),
-                scan_workers: AtomicUsize::new(1),
                 statements: StatementCache::default(),
             }),
             shared: Arc::new(EngineShared {
@@ -549,17 +545,6 @@ impl Database {
     /// triggers (the paper's §5.2 metric).
     pub fn trigger_source_lines(&self) -> usize {
         self.engine.triggers.read().generated_source_lines()
-    }
-
-    // ----- execution tuning knobs -----
-
-    /// Sets the number of worker threads morsel-driven parallel scans
-    /// may use (1 = serial; values above 1 only engage on scans large
-    /// enough to amortize thread startup).
-    pub fn set_scan_workers(&self, workers: usize) {
-        self.engine
-            .scan_workers
-            .store(workers.max(1), Ordering::Relaxed);
     }
 
     /// Latch contention counters since the last [`Database::reset_stats`].
@@ -705,15 +690,7 @@ impl Database {
             },
         };
         let mut cost = CostReport::new();
-        let result = exec::run_prepared(
-            &tables,
-            &engine.pool,
-            prepared,
-            params,
-            &mut cost,
-            &snap,
-            engine.scan_workers.load(Ordering::Relaxed),
-        )?;
+        let result = exec::run_prepared(&tables, &engine.pool, prepared, params, &mut cost, &snap)?;
         Ok(ExecOutcome { result, cost })
     }
 

@@ -395,8 +395,7 @@ impl Database {
     /// the latest committed state plus the committing transaction's own
     /// writes — never another transaction's uncommitted rows. Runs only
     /// on the exclusive-latch path, where `tables` covers every table a
-    /// trigger query might read; trigger queries run serially (no
-    /// vectorized parallel scans inside a commit).
+    /// trigger query might read.
     fn fire_triggers(
         &self,
         tables: &TableSet<'_>,
@@ -428,7 +427,6 @@ impl Database {
                             params,
                             &mut query_cost,
                             trigger_snap,
-                            1, // trigger-body queries already run inside a commit: serial
                         )
                     };
                     let mut ctx = TriggerCtx {

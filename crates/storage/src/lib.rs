@@ -10,8 +10,7 @@
 //!   a Django-style ORM emits — point lookups, index scans, inner/left
 //!   joins, aggregates, `ORDER BY ... LIMIT` ([`sql`], [`Select`]) —
 //!   with scan-shaped plans executed vectorized (~1024-row batches over
-//!   a compiled predicate, optionally morsel-parallel across worker
-//!   threads; [`Database::set_scan_workers`]);
+//!   a compiled predicate);
 //! * **row-level AFTER triggers** fired synchronously inside write
 //!   statements — the primitive CacheGenie uses to keep the cache
 //!   consistent ([`Trigger`], [`TriggerCtx`]);

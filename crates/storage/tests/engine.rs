@@ -89,6 +89,72 @@ fn full_scan_when_no_index_applies() {
     assert_eq!(out.cost.index_probes, 0);
 }
 
+/// `scan_t(id, grp, val)` with 10 000 rows, so every unindexed scan
+/// crosses ten 1024-row morsels: `grp` has 100 distinct values (many
+/// ties), `val` is spread over 0..1_000_000.
+fn scan_db() -> Database {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE scan_t (id INT PRIMARY KEY, grp INT NOT NULL, val INT NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    let mut state: i64 = 88172645463325252;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state.rem_euclid(1_000_000)
+    };
+    db.execute_sql("BEGIN", &[]).unwrap();
+    for id in 1..=10_000 {
+        db.execute_sql(
+            "INSERT INTO scan_t (id, grp, val) VALUES ($1, $2, $3)",
+            &[Value::Int(id), Value::Int(next() % 100), Value::Int(next())],
+        )
+        .unwrap();
+    }
+    db.execute_sql("COMMIT", &[]).unwrap();
+    db
+}
+
+#[test]
+fn morsel_scans_count_filter_and_break_ties_in_heap_order() {
+    let db = scan_db();
+    let half = [Value::Int(500_000)];
+    let rows = |sql: &str| db.execute_sql(sql, &half).unwrap().result.rows;
+
+    // COUNT(*) with a residual predicate counts batch survivors.
+    let n = rows("SELECT COUNT(*) FROM scan_t WHERE val < $1")[0]
+        .get(0)
+        .as_int()
+        .unwrap();
+    assert!(
+        (4_000..6_000).contains(&n),
+        "about half the rows match: {n}"
+    );
+
+    // Filtered scan, no ORDER BY: survivors come back in heap order.
+    let scan = rows("SELECT id, grp, val FROM scan_t WHERE val < $1");
+    assert_eq!(scan.len() as i64, n, "scan and COUNT(*) agree");
+    assert!(
+        scan.windows(2).all(|w| w[0].get(0) < w[1].get(0)),
+        "unordered scan returns heap (insertion) order"
+    );
+
+    // Top-k over a non-indexed column with many ties.
+    let top = rows("SELECT id, grp FROM scan_t WHERE val < $1 ORDER BY grp DESC LIMIT 25");
+    assert_eq!(top.len(), 25);
+    assert!(
+        top.iter().all(|r| r.get(1) == top[0].get(1)),
+        "the limit cuts inside one tie group, so arrival order decides"
+    );
+    assert!(
+        top.windows(2).all(|w| w[0].get(0) < w[1].get(0)),
+        "ties come out in heap order"
+    );
+}
+
 #[test]
 fn top_k_query_shape() {
     let db = social_db();

@@ -38,9 +38,6 @@ cargo run --release -q -p genie-bench --bin trigger_audit -- --check > /dev/null
 echo "==> concurrency_audit --check (multi-writer thread sweep + MVCC reader gate + disjoint-table latch gate + cache-tier kill/rejoin gate: no livelock, abort/conflict ceilings, zero reader blocking, zero table-latch waits, cache coherence through node failure)"
 cargo run --release -q -p genie-bench --bin concurrency_audit -- --check > /dev/null
 
-echo "==> exp_parallel_scan --check (morsel-parallel scans: x4 workers not slower than x1 on >= 4-thread hosts)"
-cargo run --release -q -p genie-bench --bin exp_parallel_scan -- --check --quick > /dev/null
-
 echo "==> exp_cache_scale --check (cache tier: near-flat p99 across 1-8 servers, zero violations through node kill/rejoin)"
 cargo run --release -q -p genie-bench --bin exp_cache_scale -- --check --quick > /dev/null
 
