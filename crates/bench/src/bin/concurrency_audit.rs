@@ -257,20 +257,19 @@ fn main() {
         Err(e) => failures.push(format!("disjoint-table latch mix: run failed: {e}")),
     }
 
-    // Cache-tier gate: the cache-heavy mix with hot-key replication
-    // runs through a node kill and rejoin. The post-run sweep must find
-    // zero coherence violations, the schedule must actually execute,
-    // and the hot keys must have served reads from replica copies.
+    // Cache-tier gate: the cache-heavy mix on four servers runs through
+    // a node kill and rejoin. The schedule must actually execute, and
+    // the post-run sweep must find zero coherence violations.
     let cache_cfg = ConcurrencyConfig {
         threads: 4,
         txns_per_thread: 90,
-        read_every: 1,    // a cached read after every transaction
-        hot_read_pct: 80, // skewed onto users 1-4 to trip promotion
+        read_every: 1, // a cached read after every transaction
+        // Skewed onto users 1-4: traffic concentrates on the keys the
+        // kill moves.
+        hot_read_pct: 80,
         node_kill: true,
         cluster: genie_cache::ClusterConfig {
             servers: 4,
-            hot_key_replicas: 2,
-            hot_key_threshold: 8,
             ..Default::default()
         },
         seed: SeedConfig {
@@ -305,16 +304,6 @@ fn main() {
                      through a node kill",
                     r.coherence_violations, r.checked_objects
                 ));
-            }
-            if r.cache_hot_promotions == 0 {
-                failures.push(
-                    "cache tier kill/rejoin: the skewed mix never promoted a hot key".to_owned(),
-                );
-            }
-            if r.cache_replica_reads == 0 {
-                failures.push(
-                    "cache tier kill/rejoin: no read was served by a hot-key replica".to_owned(),
-                );
             }
             if r.errors + r.read_errors > 0 {
                 failures.push(format!(

@@ -1,20 +1,20 @@
-//! Cache-tier scale-out experiment: sharded lock-striped stores, hot-key
-//! replication, and node failure/rejoin.
+//! Cache-tier scale-out experiment: sharded lock-striped stores and
+//! node failure/rejoin.
 //!
 //! Three legs; under `--check` every leg must run clean and legs 2 and 3
 //! are gated:
 //!
 //! 1. **Thread sweep** (one server): aggregate cache-op throughput of the
 //!    sharded CLOCK store at 1–8 client threads under a Zipf hot-key
-//!    mix — reported, and checked for zero value/coherence violations.
+//!    mix — reported, and checked for zero value violations.
 //! 2. **Server sweep** (fixed load): p99 GET latency as the ring grows
 //!    1→8 servers must stay near-flat (within [`P99_FLAT_FACTOR`]× of
 //!    the single-server p99) — per-key work must not grow with cluster
 //!    size.
 //! 3. **Kill/rejoin** (full stack): the transactional cache-heavy mix
-//!    with hot-key replication runs through a node kill and revive;
-//!    the post-run sweep must find zero coherence violations and the
-//!    hot keys must actually have served reads from replicas.
+//!    runs on four servers through a node kill and revive; the schedule
+//!    must execute, and the post-run sweep must find zero coherence
+//!    violations and no txn or read errors.
 //!
 //! ```text
 //! cargo run --release -p genie-bench --bin exp_cache_scale
@@ -62,7 +62,7 @@ fn main() {
         let mut best_tp = 0.0f64;
         for _ in 0..reps {
             let r = run_cache_scale(&cfg);
-            if r.value_violations + r.coherence_violations > 0 {
+            if r.value_violations > 0 {
                 failures.push(format!("thread sweep at {t} threads was not clean: {r:?}"));
             }
             best_tp = best_tp.max(r.ops_per_sec);
@@ -82,7 +82,7 @@ fn main() {
     let mut p99s = Vec::new();
     for &s in &servers_sweep {
         let r = run_cache_scale(&sharded(4, s, ops));
-        if r.value_violations + r.coherence_violations > 0 {
+        if r.value_violations > 0 {
             failures.push(format!("server sweep at {s} servers was not clean: {r:?}"));
         }
         p99_table.row(vec![
@@ -103,30 +103,27 @@ fn main() {
         ));
     }
 
-    // Leg 3: full-stack kill/rejoin with hot-key replication.
+    // Leg 3: full-stack kill/rejoin on four servers.
     let kill = run_concurrent(&ConcurrencyConfig {
         threads: 4,
         txns_per_thread: if quick { 40 } else { 90 },
         read_every: 1,
+        // Skewed onto users 1-4: traffic concentrates on the keys the
+        // kill moves.
         hot_read_pct: 80,
         node_kill: true,
         cluster: ClusterConfig {
             servers: 4,
-            hot_key_replicas: 2,
-            hot_key_threshold: 8,
             ..Default::default()
         },
         ..Default::default()
     })
     .expect("kill/rejoin run failed to deploy");
     println!(
-        "kill/rejoin: {} committed, {} kills, {} revives, {} hot promotions, \
-         {} replica reads, {} checked, {} violations",
+        "kill/rejoin: {} committed, {} kills, {} revives, {} checked, {} violations",
         kill.committed,
         kill.node_kills,
         kill.node_revives,
-        kill.cache_hot_promotions,
-        kill.cache_replica_reads,
         kill.checked_objects,
         kill.coherence_violations
     );
@@ -148,12 +145,6 @@ fn main() {
             kill.coherence_violations
         ));
     }
-    if kill.cache_hot_promotions == 0 {
-        failures.push("hot-key detector never promoted a key".into());
-    }
-    if kill.cache_replica_reads == 0 {
-        failures.push("no read was ever served by a hot-key replica".into());
-    }
 
     write_result(
         "exp_cache_scale.csv",
@@ -173,8 +164,6 @@ fn main() {
         .nums("get_p99_us_by_servers", &p99s)
         .num("p99_ratio_8_vs_1", p99_ratio)
         .int("kill_committed", kill.committed)
-        .int("kill_hot_promotions", kill.cache_hot_promotions)
-        .int("kill_replica_reads", kill.cache_replica_reads)
         .int("kill_checked_objects", kill.checked_objects)
         .int("kill_coherence_violations", kill.coherence_violations);
     json.write();

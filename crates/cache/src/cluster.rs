@@ -10,8 +10,6 @@
 use crate::codec::{hash_key, Payload};
 use crate::delta::{fold, Applied, Delta};
 use crate::error::Result;
-use crate::hotkey::{HotKeyConfig, HotKeyDetector};
-use crate::replica::ReplicaTable;
 use crate::shard::{split_capacity, ShardedStore};
 use crate::store::{CacheOrigin, CacheStore, StoreStats, ValueWithCas};
 use bytes::Bytes;
@@ -32,8 +30,6 @@ pub struct ClusterConfig {
     /// remainder distributed over the first servers so no byte is lost
     /// (the paper's Experiment 4 sweeps this from 64 MB to 512 MB).
     pub capacity_bytes: usize,
-    /// Per-item size limit.
-    pub item_limit_bytes: usize,
     /// Whether trigger-originated reads refresh LRU recency. Unmodified
     /// memcached bumps on every touch (`true`); §4 of the paper proposes a
     /// modified policy (`false`) which we expose for the ablation bench.
@@ -41,12 +37,6 @@ pub struct ClusterConfig {
     /// Lock stripes per server (rounded up to a power of two). With 1,
     /// a server is a single store behind one mutex.
     pub shards_per_server: usize,
-    /// Copies of each hot key, counting the primary. `1` disables
-    /// hot-key replication entirely.
-    pub hot_key_replicas: usize,
-    /// Estimated access count at which a key is promoted to replicated
-    /// (fed to the count-min [`HotKeyDetector`]).
-    pub hot_key_threshold: u64,
 }
 
 impl Default for ClusterConfig {
@@ -54,11 +44,8 @@ impl Default for ClusterConfig {
         ClusterConfig {
             servers: 1,
             capacity_bytes: 512 * 1024 * 1024,
-            item_limit_bytes: 1024 * 1024,
             bump_lru_on_trigger: true,
             shards_per_server: 8,
-            hot_key_replicas: 1,
-            hot_key_threshold: 64,
         }
     }
 }
@@ -72,12 +59,6 @@ pub struct ClusterStats {
     pub bytes_used: usize,
     /// Total live items.
     pub items: usize,
-    /// Reads of replicated keys served by a non-primary copy.
-    pub replica_reads: u64,
-    /// Keys promoted to replicated by the hot-key detector.
-    pub hot_key_promotions: u64,
-    /// Keys currently holding a replica set.
-    pub replicated_keys: usize,
     /// Servers currently marked dead.
     pub dead_nodes: usize,
 }
@@ -137,16 +118,6 @@ struct ClusterInner {
     /// every lease shard, so a token minted for one key can never
     /// validate a fill routed through another shard.
     next_lease: AtomicU64,
-    /// Copies of each hot key, counting the primary (1 = off).
-    replica_count: usize,
-    /// Hot-key frequency sketch feeding promotion.
-    hot: HotKeyDetector,
-    /// key -> replica server set, primary first.
-    replicas: ReplicaTable,
-    /// Reads of replicated keys served by a non-primary copy.
-    replica_reads: AtomicU64,
-    /// Keys promoted to replicated.
-    promotions: AtomicU64,
 }
 
 /// Number of lease-table shards (keys hash to one; ordering arguments
@@ -274,7 +245,7 @@ impl CacheCluster {
         let servers: Vec<ServerNode> = caps
             .into_iter()
             .map(|cap| ServerNode {
-                store: ShardedStore::new(cap, config.item_limit_bytes, config.shards_per_server),
+                store: ShardedStore::new(cap, config.shards_per_server),
                 alive: AtomicBool::new(true),
             })
             .collect();
@@ -296,14 +267,6 @@ impl CacheCluster {
                     .map(|_| Mutex::new(LeaseTable::default()))
                     .collect(),
                 next_lease: AtomicU64::new(0),
-                replica_count: config.hot_key_replicas.max(1),
-                hot: HotKeyDetector::new(&HotKeyConfig {
-                    threshold: config.hot_key_threshold,
-                    ..HotKeyConfig::default()
-                }),
-                replicas: ReplicaTable::new(),
-                replica_reads: AtomicU64::new(0),
-                promotions: AtomicU64::new(0),
             }),
         }
     }
@@ -369,7 +332,7 @@ impl CacheCluster {
         if let Some(batch) = self.inner.batch.lock().as_mut() {
             batch.named(&self.inner, key);
         }
-        self.inner.with_primary(key, |s, now| s.contains(key, now))
+        self.inner.with_store(key, |s, now| s.contains(key, now))
     }
 
     /// Applies the open batch immediately; a zero summary without one.
@@ -466,9 +429,6 @@ impl CacheCluster {
                 agg.dead_nodes += 1;
             }
         }
-        agg.replica_reads = self.inner.replica_reads.load(Ordering::Relaxed);
-        agg.hot_key_promotions = self.inner.promotions.load(Ordering::Relaxed);
-        agg.replicated_keys = self.inner.replicas.len();
         agg
     }
 
@@ -489,14 +449,11 @@ impl CacheCluster {
     }
 
     /// Zeroes all server counters (between warm-up and measurement).
-    /// Keeps stored data, the replica table, and the hot-key sketch:
-    /// hotness learned during warm-up stays learned.
+    /// Keeps stored data.
     pub fn reset_stats(&self) {
         for node in &self.inner.servers {
             node.store.reset_stats();
         }
-        self.inner.replica_reads.store(0, Ordering::Relaxed);
-        self.inner.promotions.store(0, Ordering::Relaxed);
     }
 
     /// Empties every server.
@@ -517,9 +474,9 @@ impl CacheCluster {
     }
 
     /// Marks a node dead: its memory is wiped (a real node crash loses
-    /// RAM), keys it owned rehash to ring successors as misses, and hot
-    /// keys it carried are re-replicated from surviving copies. Returns
-    /// false if the node is already dead or is the last one alive.
+    /// RAM) and keys it owned rehash to ring successors as misses.
+    /// Returns false if the node is already dead or is the last one
+    /// alive.
     pub fn kill_node(&self, idx: usize) -> bool {
         let inner = &self.inner;
         if idx >= inner.servers.len() {
@@ -537,7 +494,6 @@ impl CacheCluster {
             return false;
         }
         inner.servers[idx].store.flush_all();
-        inner.rebalance_replicas();
         true
     }
 
@@ -557,7 +513,6 @@ impl CacheCluster {
         inner.servers[idx].store.flush_all();
         inner.servers[idx].alive.store(true, Ordering::SeqCst);
         inner.drop_rehashed_keys(idx);
-        inner.rebalance_replicas();
         true
     }
 
@@ -573,39 +528,6 @@ impl CacheCluster {
             .iter()
             .filter(|n| n.alive.load(Ordering::Relaxed))
             .count()
-    }
-
-    /// The replica set for `key` (primary first), if it was promoted.
-    pub fn replica_set(&self, key: &str) -> Option<Vec<usize>> {
-        self.inner.replicas.get(key).map(|s| s.to_vec())
-    }
-
-    /// True when every *present* copy of `key` across its replica set
-    /// holds byte-identical data (an evicted/missing copy is coherent:
-    /// it refills on next read). Keys without a replica set are
-    /// trivially coherent.
-    pub fn replicas_coherent(&self, key: &str) -> bool {
-        let Some(set) = self.inner.replicas.get(key) else {
-            return true;
-        };
-        let now = self.inner.now.load(Ordering::Relaxed);
-        let mut first: Option<Bytes> = None;
-        for &m in set.iter() {
-            if !self.inner.alive(m) {
-                continue;
-            }
-            let copy = self.inner.servers[m]
-                .store
-                .with(key, |s| s.peek(key, now).map(|(d, _)| d));
-            if let Some(d) = copy {
-                match &first {
-                    None => first = Some(d),
-                    Some(f) if *f != d => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        true
     }
 }
 
@@ -650,12 +572,11 @@ impl PreparedEffectBatch {
         }
     }
 
-    /// Publishes: for each key, under its lease shard, reads the primary
+    /// Publishes: for each key, under its lease shard, reads the owner's
     /// copy once, folds the key's deltas over it in record order, writes
-    /// every alive replica once (or deletes the key), then lifts the
-    /// key's fence. Callers publish batches touching one key in commit
-    /// order, so each key's deltas land on the value its previous
-    /// commit left.
+    /// it back once (or deletes the key), then lifts the key's fence.
+    /// Callers publish batches touching one key in commit order, so each
+    /// key's deltas land on the value its previous commit left.
     ///
     /// Ownership rule: keys a commit pipeline maintains belong to the
     /// pipeline — application code must reach them only through
@@ -708,38 +629,31 @@ impl ClusterInner {
     }
 
     /// Applies one key's deltas where the value lives, atomically with
-    /// respect to fills, other writers and replica-set changes (all of
-    /// them hold the key's lease shard): one untracked read of the
-    /// primary copy, the fold, one write per alive replica or a delete,
-    /// and the key's fence lifted. The rewritten value keeps the entry's
-    /// remaining TTL.
+    /// respect to fills and other writers (all of them hold the key's
+    /// lease shard): one untracked read of the owner's copy, the fold,
+    /// one write or a delete, and the key's fence lifted. The rewritten
+    /// value keeps the entry's remaining TTL.
     fn apply(&self, key: &str, deltas: Vec<Delta>, applied: &mut Applied) {
         let mut shard = self.lease_shard(key).lock();
         if !deltas.is_empty() {
-            let now = self.now();
-            let targets = self.write_targets(key);
-            let current = self.servers[targets[0]]
-                .store
-                .with(key, |s| s.read_for_update(key, now, self.bump_on_trigger));
+            let current = self.with_store(key, |s, now| {
+                s.read_for_update(key, now, self.bump_on_trigger)
+            });
             let ttl = current.as_ref().and_then(|(_, ttl)| *ttl);
-            let evicted = current.is_none();
             match fold(current.map(|(data, _)| data), deltas, applied) {
-                // The primary's copy is gone, so the deltas were no-ops;
-                // a replica's copy would miss them and must not be served.
-                None if evicted => {
-                    self.delete_on(&targets[1..], key);
-                }
                 None => {}
                 Some(Some(data)) => {
-                    let fits = self.set_on(&targets, key, data, ttl).is_ok();
+                    let fits = self
+                        .with_store(key, |s, now| s.set(key, data, ttl, now))
+                        .is_ok();
                     if !fits {
                         // Oversized: invalidate rather than leave staleness.
                         applied.invalidations += 1;
-                        self.delete_on(&targets, key);
+                        self.with_store(key, |s, _| s.delete(key));
                     }
                 }
                 Some(None) => {
-                    self.delete_on(&targets, key);
+                    self.with_store(key, |s, _| s.delete(key));
                 }
             }
         }
@@ -788,298 +702,36 @@ impl ClusterInner {
         self.ring[start].1
     }
 
-    /// The first `replica_count` distinct alive servers on `key`'s ring
-    /// walk, primary first.
-    fn replica_members(&self, key: &str) -> Vec<usize> {
-        let start = self.ring_start(key);
-        let n = self.ring.len();
-        let mut out = Vec::with_capacity(self.replica_count);
-        for off in 0..n {
-            let (_, s) = self.ring[(start + off) % n];
-            if self.alive(s) && !out.contains(&s) {
-                out.push(s);
-                if out.len() == self.replica_count {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Every server a write to `key` must land on: the whole alive
-    /// replica set for hot keys, else just the primary.
-    fn write_targets(&self, key: &str) -> Vec<usize> {
-        if let Some(set) = self.replicas.get(key) {
-            let live: Vec<usize> = set.iter().copied().filter(|&s| self.alive(s)).collect();
-            if !live.is_empty() {
-                return live;
-            }
-        }
-        vec![self.server_for(key)]
-    }
-
-    /// Which server serves a read of `key`: round-robin over alive
-    /// replicas for hot keys, else the primary.
-    fn read_server_for(&self, key: &str) -> usize {
-        // With replication off the table is permanently empty; skip the
-        // per-read lock + probe entirely (the common fast path).
-        if self.replica_count > 1 {
-            if let Some(set) = self.replicas.get(key) {
-                let pick = self.replicas.pick(&set, |s| self.alive(s));
-                if pick != set[0] {
-                    self.replica_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                return pick;
-            }
-        }
-        self.server_for(key)
-    }
-
-    /// Runs `f` against `key`'s primary store shard (CAS-token reads and
-    /// presence probes need the authoritative copy).
-    fn with_primary<T>(&self, key: &str, f: impl FnOnce(&mut CacheStore, u64) -> T) -> T {
+    /// Runs `f` against the store shard of `key`'s alive ring owner.
+    fn with_store<T>(&self, key: &str, f: impl FnOnce(&mut CacheStore, u64) -> T) -> T {
         let idx = self.server_for(key);
         let now = self.now();
         self.servers[idx].store.with(key, |s| f(s, now))
     }
 
-    /// Runs `f` against whichever store shard serves reads of `key`.
-    fn with_read<T>(&self, key: &str, f: impl FnOnce(&mut CacheStore, u64) -> T) -> T {
-        let idx = self.read_server_for(key);
-        let now = self.now();
-        self.servers[idx].store.with(key, |s| f(s, now))
-    }
-
-    // ----- multi-replica mutations -----
-    //
-    // Every mutation of a key holds the key's lease-shard mutex across
-    // the lease revocation AND all replica store writes. Fills and the
-    // promotion/rebalance copies hold the same mutex, so for any one
-    // key, multi-copy updates are atomic with respect to each other:
-    // no interleaving can leave two replicas with values from two
-    // different writers. Lock order is always lease shard -> one store
-    // shard at a time, never the reverse, so no deadlock is possible.
-
-    /// Unconditional store of `data` on every replica of `key`.
-    fn store_set(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
+    /// Runs the mutation `f` on `key`'s store shard. Every mutation
+    /// holds the key's lease-shard mutex across the lease revocation
+    /// and the store write, as fills do, so for any one key a fill and
+    /// a mutation are ordered and a later mutation wins. Lock order is
+    /// always lease shard -> store shard, never the reverse, so no
+    /// deadlock is possible.
+    fn mutate<T>(&self, key: &str, f: impl FnOnce(&mut CacheStore, u64) -> T) -> T {
         let mut shard = self.lease_shard(key).lock();
         shard.outstanding.remove(key);
-        self.set_on(&self.write_targets(key), key, data, ttl)
-    }
-
-    /// Deletes `key` from every replica; returns whether the primary
-    /// copy existed.
-    fn store_delete(&self, key: &str) -> bool {
-        let mut shard = self.lease_shard(key).lock();
-        shard.outstanding.remove(key);
-        self.delete_on(&self.write_targets(key), key)
-    }
-
-    /// Stores `data` on each of `targets` (primary first) and returns the
-    /// primary's result. The caller holds `key`'s lease shard.
-    fn set_on(&self, targets: &[usize], key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        let now = self.now();
-        let mut first = None;
-        for &idx in targets {
-            let r = self.servers[idx]
-                .store
-                .with(key, |s| s.set(key, data.clone(), ttl, now));
-            first.get_or_insert(r);
-        }
-        first.unwrap_or(Ok(()))
-    }
-
-    /// Deletes `key` from each of `targets` (primary first); returns
-    /// whether the primary's copy existed. The caller holds `key`'s
-    /// lease shard.
-    fn delete_on(&self, targets: &[usize], key: &str) -> bool {
-        let mut first = None;
-        for &idx in targets {
-            let r = self.servers[idx].store.with(key, |s| s.delete(key));
-            first.get_or_insert(r);
-        }
-        first.unwrap_or(false)
-    }
-
-    /// Add on the primary; on success the value is mirrored to the
-    /// other replicas (plain set — add's only-if-absent contract is
-    /// decided by the authoritative copy).
-    fn store_add(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        let mut shard = self.lease_shard(key).lock();
-        shard.outstanding.remove(key);
-        let now = self.now();
-        let targets = self.write_targets(key);
-        let primary = targets[0];
-        self.servers[primary]
-            .store
-            .with(key, |s| s.add(key, data.clone(), ttl, now))?;
-        for &idx in &targets[1..] {
-            let _ = self.servers[idx]
-                .store
-                .with(key, |s| s.set(key, data.clone(), ttl, now));
-        }
-        Ok(())
-    }
-
-    /// CAS on the primary; on success the new value is mirrored to the
-    /// other replicas.
-    fn store_cas(&self, key: &str, data: Bytes, token: u64, ttl: Option<u64>) -> Result<()> {
-        let mut shard = self.lease_shard(key).lock();
-        shard.outstanding.remove(key);
-        let now = self.now();
-        let targets = self.write_targets(key);
-        let primary = targets[0];
-        self.servers[primary]
-            .store
-            .with(key, |s| s.cas(key, data.clone(), token, ttl, now))?;
-        for &idx in &targets[1..] {
-            let _ = self.servers[idx]
-                .store
-                .with(key, |s| s.set(key, data.clone(), ttl, now));
-        }
-        Ok(())
-    }
-
-    /// Increment on the primary; the resulting count is mirrored to the
-    /// other replicas with its remaining TTL.
-    fn store_incr(&self, key: &str, delta: i64) -> Result<Option<i64>> {
-        let mut shard = self.lease_shard(key).lock();
-        shard.outstanding.remove(key);
-        let now = self.now();
-        let targets = self.write_targets(key);
-        let primary = targets[0];
-        let new = self.servers[primary]
-            .store
-            .with(key, |s| s.incr(key, delta, now))?;
-        if let Some(n) = new {
-            let ttl = self.servers[primary]
-                .store
-                .with(key, |s| s.peek(key, now).and_then(|(_, ttl)| ttl));
-            let data = Payload::Count(n).encode();
-            for &idx in &targets[1..] {
-                let _ = self.servers[idx]
-                    .store
-                    .with(key, |s| s.set(key, data.clone(), ttl, now));
-            }
-        }
-        Ok(new)
-    }
-
-    // ----- hot-key replication -----
-
-    /// Feeds the hot-key sketch from an application read and promotes
-    /// the key once it crosses the threshold.
-    fn record_access(&self, key: &str) {
-        if self.replica_count <= 1 {
-            return;
-        }
-        if self.hot.record(key) && self.replicas.get(key).is_none() {
-            self.promote(key);
-        }
-    }
-
-    /// Installs a replica set for a newly hot key and copies its
-    /// current value to the secondaries, atomically with respect to
-    /// writers of the key (same lease-shard mutex).
-    fn promote(&self, key: &str) {
-        let _shard = self.lease_shard(key).lock();
-        if self.replicas.get(key).is_some() {
-            return;
-        }
-        let members = self.replica_members(key);
-        if members.len() < 2 {
-            return;
-        }
-        let now = self.now();
-        let value = self.servers[members[0]]
-            .store
-            .with(key, |s| s.peek(key, now));
-        if let Some((data, ttl)) = value {
-            for &m in &members[1..] {
-                let _ = self.servers[m]
-                    .store
-                    .with(key, |s| s.set(key, data.clone(), ttl, now));
-            }
-        }
-        self.replicas.insert(key, members);
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Recomputes every hot key's replica set after a membership change,
-    /// copying the surviving value onto new members and dropping copies
-    /// from members that left the set. Runs per key under that key's
-    /// lease-shard mutex, so it serializes with writers and fills.
-    fn rebalance_replicas(&self) {
-        for key in self.replicas.keys() {
-            let _shard = self.lease_shard(&key).lock();
-            let Some(old) = self.replicas.get(&key) else {
-                continue;
-            };
-            let members = self.replica_members(&key);
-            if members.len() < 2 {
-                // Not enough alive nodes to replicate: demote. Stray
-                // copies (if any) are on the sole alive node anyway.
-                self.replicas.remove(&key);
-                continue;
-            }
-            let now = self.now();
-            // Any alive holder has a maintained (fresh) copy: writes go
-            // to all alive members, and a revived node rejoins flushed.
-            let mut value = None;
-            for &m in old.iter().chain(members.iter()) {
-                if !self.alive(m) {
-                    continue;
-                }
-                if let Some(v) = self.servers[m].store.with(&key, |s| s.peek(&key, now)) {
-                    value = Some(v);
-                    break;
-                }
-            }
-            if let Some((data, ttl)) = value {
-                for &m in &members {
-                    let missing = self.servers[m]
-                        .store
-                        .with(&key, |s| s.peek(&key, now).is_none());
-                    if missing {
-                        let _ = self.servers[m]
-                            .store
-                            .with(&key, |s| s.set(&key, data.clone(), ttl, now));
-                    }
-                }
-            }
-            // Members that left the set must not keep a copy a later
-            // failover could serve stale.
-            for &m in old.iter() {
-                if self.alive(m) && !members.contains(&m) {
-                    self.servers[m].store.with(&key, |s| {
-                        s.delete(&key);
-                    });
-                }
-            }
-            self.replicas.insert(&key, members);
-        }
+        self.with_store(key, f)
     }
 
     /// After `revived` rejoins: every entry another server holds for a
     /// key whose arc now belongs to `revived` is unreachable via normal
     /// routing — drop it so a later failover cannot resurrect it stale.
-    /// (Replica-set members keep their copies; the replica table routes
-    /// to them explicitly and `rebalance_replicas` prunes those.)
     fn drop_rehashed_keys(&self, revived: usize) {
         for (i, node) in self.servers.iter().enumerate() {
             if i == revived || !node.alive.load(Ordering::Relaxed) {
                 continue;
             }
             for key in node.store.keys() {
-                if self.server_for(&key) != revived {
-                    continue;
-                }
-                let kept_by_replica_set =
-                    self.replicas.get(&key).is_some_and(|set| set.contains(&i));
-                if !kept_by_replica_set {
-                    node.store.with(&key, |s| {
-                        s.delete(&key);
-                    });
+                if self.server_for(&key) == revived {
+                    node.store.with(&key, |s| s.delete(&key));
                 }
             }
         }
@@ -1104,20 +756,16 @@ impl std::fmt::Debug for CacheHandle {
 }
 
 impl CacheHandle {
-    /// Fetches raw bytes. Reads feed the hot-key sketch and may be
-    /// served by any replica of a hot key.
+    /// Fetches raw bytes.
     pub fn get(&self, key: &str) -> Option<Bytes> {
-        self.inner.record_access(key);
         self.inner
-            .with_read(key, |s, now| s.get_as(key, now, self.bump, self.origin))
+            .with_store(key, |s, now| s.get_as(key, now, self.bump, self.origin))
     }
 
-    /// Fetches raw bytes plus the CAS token (memcached `gets`). CAS
-    /// tokens are per-store, so this reads the primary, where the token
-    /// validates.
+    /// Fetches raw bytes plus the CAS token (memcached `gets`).
     pub fn gets(&self, key: &str) -> Option<ValueWithCas> {
         self.inner
-            .with_primary(key, |s, now| s.gets_as(key, now, self.bump, self.origin))
+            .with_store(key, |s, now| s.gets_as(key, now, self.bump, self.origin))
     }
 
     /// Stores raw bytes.
@@ -1126,7 +774,7 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::ValueTooLarge`] for oversized values.
     pub fn set(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        self.inner.store_set(key, data, ttl)
+        self.inner.mutate(key, |s, now| s.set(key, data, ttl, now))
     }
 
     /// Stores only if absent.
@@ -1135,7 +783,7 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::AlreadyStored`] if present.
     pub fn add(&self, key: &str, data: Bytes, ttl: Option<u64>) -> Result<()> {
-        self.inner.store_add(key, data, ttl)
+        self.inner.mutate(key, |s, now| s.add(key, data, ttl, now))
     }
 
     /// Compare-and-swap store.
@@ -1144,12 +792,13 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::CasConflict`] when the token is stale.
     pub fn cas(&self, key: &str, data: Bytes, token: u64, ttl: Option<u64>) -> Result<()> {
-        self.inner.store_cas(key, data, token, ttl)
+        self.inner
+            .mutate(key, |s, now| s.cas(key, data, token, ttl, now))
     }
 
     /// Deletes a key; returns whether it existed.
     pub fn delete(&self, key: &str) -> bool {
-        self.inner.store_delete(key)
+        self.inner.mutate(key, |s, _| s.delete(key))
     }
 
     /// Increments a count payload; `None` on miss.
@@ -1158,12 +807,12 @@ impl CacheHandle {
     ///
     /// [`crate::CacheError::Codec`] if the entry is not a count.
     pub fn incr(&self, key: &str, delta: i64) -> Result<Option<i64>> {
-        self.inner.store_incr(key, delta)
+        self.inner.mutate(key, |s, now| s.incr(key, delta, now))
     }
 
     /// True if the key currently holds a live entry.
     pub fn contains(&self, key: &str) -> bool {
-        self.inner.with_primary(key, |s, now| s.contains(key, now))
+        self.inner.with_store(key, |s, now| s.contains(key, now))
     }
 
     /// Fetches and decodes a typed payload.
@@ -1221,13 +870,12 @@ impl CacheHandle {
             // database read behind this fill may predate it.
             return Ok(false);
         }
-        // The store writes happen under the key's lease-shard lock: a
+        // The store write happens under the key's lease-shard lock: a
         // mutation of this key arriving later must first revoke (waiting
-        // on the same shard), so its store writes are ordered after this
-        // fill and win. Hot keys fill every alive replica, so a replica
-        // read after the fill cannot miss what the primary has.
+        // on the same shard), so its store write is ordered after this
+        // fill and wins.
         self.inner
-            .set_on(&self.inner.write_targets(key), key, data, ttl)?;
+            .with_store(key, |s, now| s.set(key, data, ttl, now))?;
         Ok(true)
     }
 
@@ -1365,11 +1013,9 @@ mod tests {
         let c = CacheCluster::new(ClusterConfig {
             servers: 1,
             capacity_bytes: 230,
-            item_limit_bytes: 1024,
             bump_lru_on_trigger: false,
             // One stripe: all three keys share one eviction domain.
             shards_per_server: 1,
-            ..Default::default()
         });
         let app = c.handle(CacheOrigin::Application);
         let trig = c.handle(CacheOrigin::Trigger);
@@ -1703,7 +1349,6 @@ mod tests {
     fn refused_and_oversized_results_delete_the_key() {
         let c = CacheCluster::new(ClusterConfig {
             servers: 1,
-            item_limit_bytes: 64,
             ..Default::default()
         });
         let app = c.handle(CacheOrigin::Application);
@@ -1717,7 +1362,8 @@ mod tests {
             .unwrap();
         c.begin_effect_batch();
         c.record("count", Delta::Incr(1));
-        c.record("big", append(row![2i64, "x".repeat(64)]));
+        // Past the 1 MiB item limit once appended.
+        c.record("big", append(row![2i64, "x".repeat(1024 * 1024)]));
         c.record("shape", Delta::edit(true, |_| Ok(Mutation::Noop)));
         c.record("junk", append(row![1i64]));
         let summary = c.commit_effect_batch();
@@ -1726,31 +1372,6 @@ mod tests {
         }
         assert_eq!(summary.applied.drops, 1);
         assert_eq!(summary.applied.invalidations, 3);
-    }
-
-    /// A hot key whose primary copy was evicted: the deltas are no-ops,
-    /// and the replicas' copies, which they cannot reach, are dropped.
-    #[test]
-    fn apply_drops_replicas_when_the_primary_copy_is_gone() {
-        let c = CacheCluster::new(ClusterConfig {
-            servers: 3,
-            hot_key_replicas: 3,
-            hot_key_threshold: 4,
-            ..Default::default()
-        });
-        let app = c.handle(CacheOrigin::Application);
-        app.set_payload("hot", &Payload::Count(1), None).unwrap();
-        for _ in 0..10 {
-            app.get("hot");
-        }
-        let set = c.replica_set("hot").expect("promoted");
-        c.inner.servers[set[0]]
-            .store
-            .with("hot", |s| s.delete("hot"));
-        c.record("hot", Delta::Incr(1));
-        for _ in 0..6 {
-            assert!(app.get("hot").is_none(), "a replica served a stale count");
-        }
     }
 
     #[test]

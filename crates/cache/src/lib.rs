@@ -8,9 +8,10 @@
 //!   expiry ([`CacheStore`]);
 //! * `get`/`gets`/`set`/`add`/`cas`/`delete`/`incr`;
 //! * a consistent-hash **cluster** presenting one logical cache across
-//!   servers ([`CacheCluster`]), with distinct application/trigger origins
-//!   so the "triggers bump LRU" behaviour called out in §4 of the paper
-//!   can be toggled;
+//!   servers ([`CacheCluster`]): each key has one copy, on its alive ring
+//!   owner, and a killed node's keys rehash to its successors as misses;
+//!   distinct application/trigger origins let the "triggers bump LRU"
+//!   behaviour called out in §4 of the paper be toggled;
 //! * a typed, checksummed, row-framed payload codec ([`Payload`]) whose
 //!   list shapes are spliced in place ([`EncodedList`]), at the cost of
 //!   the rows changed;
@@ -25,9 +26,7 @@ pub mod cluster;
 pub mod codec;
 pub mod delta;
 pub mod error;
-pub mod hotkey;
 pub mod lock;
-pub mod replica;
 pub mod shard;
 pub mod store;
 
@@ -38,8 +37,6 @@ pub use cluster::{
 pub use codec::{hash_key, Edit, EncodedList, Frame, Payload, RowView};
 pub use delta::{Applied, Delta, ListEdit, Mutation};
 pub use error::{CacheError, Result};
-pub use hotkey::{HotKeyConfig, HotKeyDetector};
 pub use lock::{KeyLockTable, LockOutcome, TxnId};
-pub use replica::ReplicaTable;
 pub use shard::{split_capacity, ShardedStore};
 pub use store::{CacheOrigin, CacheStore, StoreConfig, StoreStats, ValueWithCas};

@@ -33,8 +33,9 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Builds a server of `shards` stripes (rounded up to a power of
-    /// two) sharing `capacity_bytes` between them.
-    pub fn new(capacity_bytes: usize, item_limit_bytes: usize, shards: usize) -> Self {
+    /// two) sharing `capacity_bytes` between them, each with memcached's
+    /// default 1 MiB item limit.
+    pub fn new(capacity_bytes: usize, shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         let caps = split_capacity(capacity_bytes, n);
         let shards = caps
@@ -42,7 +43,7 @@ impl ShardedStore {
             .map(|cap| {
                 Mutex::new(CacheStore::new(StoreConfig {
                     capacity_bytes: cap,
-                    item_limit_bytes,
+                    ..StoreConfig::default()
                 }))
             })
             .collect();
@@ -145,7 +146,7 @@ mod tests {
 
     #[test]
     fn sharded_roundtrip_and_totals() {
-        let s = ShardedStore::new(1_000_000, 1024, 8);
+        let s = ShardedStore::new(1_000_000, 8);
         assert_eq!(s.shard_count(), 8);
         assert_eq!(s.capacity_bytes(), 1_000_000);
         for i in 0..100 {
@@ -171,9 +172,9 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        let s = ShardedStore::new(1000, 100, 5);
+        let s = ShardedStore::new(1000, 5);
         assert_eq!(s.shard_count(), 8);
-        let s1 = ShardedStore::new(1000, 100, 0);
+        let s1 = ShardedStore::new(1000, 0);
         assert_eq!(s1.shard_count(), 1);
     }
 }

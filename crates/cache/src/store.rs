@@ -230,17 +230,6 @@ impl CacheStore {
         }
     }
 
-    /// Reads `key` and its remaining TTL without touching stats,
-    /// recency, or expiry bookkeeping. Used by the replication layer to
-    /// copy values between nodes without polluting hit/miss counters.
-    pub fn peek(&self, key: &str, now: u64) -> Option<(Bytes, Option<u64>)> {
-        let e = self.map.get(key)?;
-        if e.expired(now) {
-            return None;
-        }
-        Some((e.data.clone(), e.expires_at.map(|t| t.saturating_sub(now))))
-    }
-
     /// Stores `key`, replacing any existing value. `ttl` is a relative
     /// duration in the caller's time unit; `None` means no expiry.
     ///
@@ -760,14 +749,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_stats_or_recency() {
+    fn read_for_update_counts_no_hit_or_miss() {
         let mut s = small_store(10_000);
         s.set("k", bytes_of("v"), Some(100), 0).unwrap();
         let before = s.stats();
-        assert_eq!(s.peek("k", 0).unwrap().0, bytes_of("v"));
-        assert_eq!(s.peek("k", 0).unwrap().1, Some(100));
-        assert!(s.peek("k", 100).is_none(), "expired for peek");
-        assert!(s.peek("ghost", 0).is_none());
+        assert_eq!(
+            s.read_for_update("k", 0, false),
+            Some((bytes_of("v"), Some(100)))
+        );
+        assert_eq!(s.read_for_update("k", 40, true).unwrap().1, Some(60));
+        assert!(s.read_for_update("ghost", 0, false).is_none());
         assert_eq!(s.stats(), before);
+        assert!(s.read_for_update("k", 100, false).is_none(), "expired");
     }
 }

@@ -1,6 +1,5 @@
 //! Scale-out cache tier tests: capacity split, lease-token audit,
-//! consistent-hash stability properties, hot-key replication, and node
-//! failure/rejoin.
+//! consistent-hash stability properties, and node failure/rejoin.
 
 use bytes::Bytes;
 use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Delta, Payload};
@@ -10,17 +9,6 @@ fn cluster(servers: usize) -> CacheCluster {
     CacheCluster::new(ClusterConfig {
         servers,
         capacity_bytes: 16 * 1024 * 1024,
-        ..Default::default()
-    })
-}
-
-/// A cluster with hot-key replication armed at a low threshold.
-fn hot_cluster(servers: usize, replicas: usize, threshold: u64) -> CacheCluster {
-    CacheCluster::new(ClusterConfig {
-        servers,
-        capacity_bytes: 16 * 1024 * 1024,
-        hot_key_replicas: replicas,
-        hot_key_threshold: threshold,
         ..Default::default()
     })
 }
@@ -147,146 +135,57 @@ proptest! {
     }
 }
 
-// ----- hot-key replication -----
-
-#[test]
-fn hot_key_promotes_and_replicates() {
-    let c = hot_cluster(4, 3, 8);
-    let h = c.handle(CacheOrigin::Application);
-    h.set_payload("celebrity", &Payload::Count(1), None)
-        .unwrap();
-    assert!(c.replica_set("celebrity").is_none());
-    for _ in 0..20 {
-        assert_eq!(
-            h.get_payload("celebrity").unwrap().unwrap().as_count(),
-            Some(1)
-        );
-    }
-    let set = c.replica_set("celebrity").expect("promoted after 20 reads");
-    assert_eq!(set.len(), 3, "three copies requested");
-    assert_eq!(set[0], c.server_for("celebrity"), "primary leads the set");
-    assert!(c.replicas_coherent("celebrity"));
-    assert_eq!(c.stats().hot_key_promotions, 1);
-    assert_eq!(c.stats().replicated_keys, 1);
-
-    // Reads now spread over replicas (round-robin => non-primary serves).
-    for _ in 0..12 {
-        h.get("celebrity");
-    }
-    assert!(
-        c.stats().replica_reads > 0,
-        "no read was served by a non-primary replica"
-    );
-}
-
-#[test]
-fn writes_update_every_replica_atomically() {
-    let c = hot_cluster(4, 3, 4);
-    let h = c.handle(CacheOrigin::Application);
-    h.set_payload("hot", &Payload::Count(0), None).unwrap();
-    for _ in 0..10 {
-        h.get("hot");
-    }
-    assert!(c.replica_set("hot").is_some());
-    // Plain set, CAS, incr, fill, delete: every mutation must leave all
-    // copies identical, and every replica read must see the new value.
-    h.set_payload("hot", &Payload::Count(10), None).unwrap();
-    assert!(c.replicas_coherent("hot"));
-    for _ in 0..8 {
-        assert_eq!(h.get_payload("hot").unwrap().unwrap().as_count(), Some(10));
-    }
-    let (_, tok) = h.gets_payload("hot").unwrap().unwrap();
-    h.cas_payload("hot", &Payload::Count(11), tok, None)
-        .unwrap();
-    assert!(c.replicas_coherent("hot"));
-    assert_eq!(h.incr("hot", 4).unwrap(), Some(15));
-    assert!(c.replicas_coherent("hot"));
-    for _ in 0..8 {
-        assert_eq!(h.get_payload("hot").unwrap().unwrap().as_count(), Some(15));
-    }
-    let lease = c.lease("hot2");
-    h.fill_payload("hot2", &Payload::Count(1), None, lease)
-        .unwrap();
-    assert!(h.delete("hot"));
-    for _ in 0..8 {
-        assert!(
-            h.get("hot").is_none(),
-            "a replica resurrected a deleted key"
-        );
-    }
-}
-
-#[test]
-fn trigger_batch_publish_reaches_every_replica() {
-    let c = hot_cluster(4, 3, 4);
-    let app = c.handle(CacheOrigin::Application);
-    app.set_payload("wall", &Payload::Count(0), None).unwrap();
-    for _ in 0..10 {
-        app.get("wall");
-    }
-    assert!(c.replica_set("wall").is_some());
-    // A commit-pipeline batch: a recorded increment, then publish.
-    c.begin_effect_batch();
-    c.record("wall", Delta::Incr(5));
-    c.commit_effect_batch();
-    assert!(c.replicas_coherent("wall"));
-    for _ in 0..8 {
-        assert_eq!(
-            app.get_payload("wall").unwrap().unwrap().as_count(),
-            Some(5),
-            "a replica served the pre-publish value"
-        );
-    }
-}
-
 // ----- node failure / rejoin -----
 
 #[test]
-fn kill_node_fails_over_hot_keys_and_misses_cold_ones() {
-    let c = hot_cluster(4, 3, 4);
+fn kill_node_misses_the_victims_keys_and_rejoins() {
+    let c = cluster(4);
     let h = c.handle(CacheOrigin::Application);
-    h.set_payload("hot", &Payload::Count(42), None).unwrap();
-    for _ in 0..10 {
-        h.get("hot");
-    }
-    let primary = c.server_for("hot");
-    // Cold keys living on the hot key's primary.
-    let mut cold_on_primary = Vec::new();
+    let victim = c.server_for("cold:0");
+    // A key elsewhere on the ring keeps its value through it all.
+    let kept = (0..)
+        .map(|i| format!("kept:{i}"))
+        .find(|k| c.server_for(k) != victim)
+        .unwrap();
+    h.set_payload(&kept, &Payload::Count(42), None).unwrap();
+    // Keys living on the victim.
+    let mut on_victim = Vec::new();
     for i in 0..200 {
         let k = format!("cold:{i}");
-        if c.server_for(&k) == primary {
+        if c.server_for(&k) == victim {
             h.set_payload(&k, &Payload::Count(i), None).unwrap();
-            cold_on_primary.push(k);
+            on_victim.push(k);
         }
     }
-    assert!(!cold_on_primary.is_empty());
+    assert!(!on_victim.is_empty());
 
-    assert!(c.kill_node(primary));
-    assert!(!c.is_alive(primary));
+    assert!(c.kill_node(victim));
+    assert!(!c.is_alive(victim));
     assert_eq!(c.alive_count(), 3);
     assert_eq!(c.stats().dead_nodes, 1);
 
-    // Hot key survives via replica promotion...
-    assert_eq!(
-        h.get_payload("hot").unwrap().unwrap().as_count(),
-        Some(42),
-        "hot key lost through node kill despite replicas"
-    );
-    let set = c.replica_set("hot").unwrap();
-    assert!(!set.contains(&primary), "dead node still in replica set");
-    assert!(c.replicas_coherent("hot"));
-    // ...cold keys rehash as misses (their only copy died with the node).
-    for k in &cold_on_primary {
-        assert_ne!(c.server_for(k), primary);
-        assert!(h.get(k).is_none(), "cold key {k} survived a node wipe?");
+    assert_eq!(h.get_payload(&kept).unwrap().unwrap().as_count(), Some(42));
+    // The victim's keys rehash as misses (their only copy died with
+    // the node).
+    for k in &on_victim {
+        assert_ne!(c.server_for(k), victim);
+        assert!(h.get(k).is_none(), "key {k} survived a node wipe?");
     }
 
     // Rejoin: the node comes back cold and rejoins the ring.
-    assert!(c.revive_node(primary));
-    assert!(c.is_alive(primary));
+    assert!(c.revive_node(victim));
+    assert!(c.is_alive(victim));
     assert_eq!(c.alive_count(), 4);
-    assert!(c.replicas_coherent("hot"));
-    assert_eq!(h.get_payload("hot").unwrap().unwrap().as_count(), Some(42));
+    assert_eq!(h.get_payload(&kept).unwrap().unwrap().as_count(), Some(42));
+}
+
+/// Completes a lease-checked read-through fill of `key` with count `n`.
+fn fill(c: &CacheCluster, key: &str, n: i64) {
+    let app = c.handle(CacheOrigin::Application);
+    let landed = app
+        .fill_payload(key, &Payload::Count(n), None, c.lease(key))
+        .unwrap();
+    assert!(landed, "fill of {key} refused");
 }
 
 #[test]
@@ -297,34 +196,60 @@ fn rejoin_never_resurrects_stale_values() {
     // that would now be correct — but if the *owner's* pre-kill v1 or
     // the successor's orphaned copy survived wrongly, a failover read
     // would serve stale data. The rejoin sweep must prevent that.
-    let c = cluster(4);
-    let h = c.handle(CacheOrigin::Application);
-    let key = "k:stale";
-    let owner = c.server_for(key);
+    // v2 arrives by each write path the system uses: an application
+    // set, a read-through fill, and a published trigger batch.
+    for path in ["set", "fill", "published incr"] {
+        let c = cluster(4);
+        let h = c.handle(CacheOrigin::Application);
+        let key = "k:stale";
+        let owner = c.server_for(key);
 
-    h.set_payload(key, &Payload::Count(1), None).unwrap();
-    assert!(c.kill_node(owner));
-    // The write during the outage lands on the ring successor.
-    h.set_payload(key, &Payload::Count(2), None).unwrap();
-    let successor = c.server_for(key);
-    assert_ne!(successor, owner);
+        h.set_payload(key, &Payload::Count(1), None).unwrap();
+        assert!(c.kill_node(owner));
+        // The write during the outage lands on the ring successor.
+        let v2 = match path {
+            "set" => {
+                h.set_payload(key, &Payload::Count(2), None).unwrap();
+                2
+            }
+            "fill" => {
+                fill(&c, key, 2);
+                2
+            }
+            _ => {
+                // An increment of the successor's (filled) copy.
+                fill(&c, key, 2);
+                c.begin_effect_batch();
+                c.record(key, Delta::Incr(1));
+                assert_eq!(c.commit_effect_batch().applied.in_place, 1);
+                3
+            }
+        };
+        let successor = c.server_for(key);
+        assert_ne!(successor, owner);
+        assert_eq!(
+            h.get_payload(key).unwrap().unwrap().as_count(),
+            Some(v2),
+            "{path}"
+        );
 
-    assert!(c.revive_node(owner));
-    // Rehash-as-miss: the revived owner is cold, and the successor's
-    // orphaned copy was dropped by the rejoin sweep.
-    assert!(
-        h.get(key).is_none(),
-        "rejoined node served a value it cannot have"
-    );
+        assert!(c.revive_node(owner));
+        // Rehash-as-miss: the revived owner is cold, and the successor's
+        // orphaned copy was dropped by the rejoin sweep.
+        assert!(
+            h.get(key).is_none(),
+            "{path}: rejoined node served a value it cannot have"
+        );
 
-    // Second failover: the successor must NOT serve the orphaned v2
-    // (let alone v1) — the key was swept at rejoin.
-    assert!(c.kill_node(owner));
-    assert!(
-        h.get(key).is_none(),
-        "failover served a stale orphaned copy after rejoin cycle"
-    );
-    assert!(c.revive_node(owner));
+        // Second failover: the successor must NOT serve the orphaned v2
+        // (let alone v1) — the key was swept at rejoin.
+        assert!(c.kill_node(owner));
+        assert!(
+            h.get(key).is_none(),
+            "{path}: failover served a stale orphaned copy after rejoin cycle"
+        );
+        assert!(c.revive_node(owner));
+    }
 }
 
 #[test]
@@ -341,7 +266,7 @@ fn kill_refuses_last_alive_node_and_double_kill() {
 
 #[test]
 fn cluster_works_through_kill_revive_churn() {
-    let c = hot_cluster(3, 2, 6);
+    let c = cluster(3);
     let h = c.handle(CacheOrigin::Application);
     for round in 0..3 {
         for i in 0..60 {

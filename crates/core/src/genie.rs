@@ -485,13 +485,6 @@ impl CacheGenie {
             .cloned()
             .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
         let key = obj.make_key(params);
-        // A hot key replicated across servers must have byte-identical
-        // copies everywhere before the primary's content is even judged
-        // — a diverged replica is a violation regardless of what the
-        // primary says.
-        if !self.shared.cluster.replicas_coherent(&key) {
-            return Ok(false);
-        }
         let cached = match self.shared.app_cache.get_payload(&key) {
             Ok(Some(p)) => p,
             // Absent is always coherent; undecodable bytes are a
@@ -530,8 +523,8 @@ impl CacheGenie {
         }
     }
 
-    /// Point-in-time statistics, with the cache tier's store-level and
-    /// replication counters merged in from the cluster.
+    /// Point-in-time statistics, with the cache tier's store-level
+    /// counters merged in from the cluster.
     pub fn stats(&self) -> GenieStatsSnapshot {
         let mut snap = self.shared.stats.snapshot();
         let cs = self.shared.cluster.stats();
@@ -539,8 +532,6 @@ impl CacheGenie {
         snap.store_app_misses = cs.store.app_misses;
         snap.store_trigger_hits = cs.store.trigger_hits;
         snap.store_trigger_misses = cs.store.trigger_misses;
-        snap.cache_replica_reads = cs.replica_reads;
-        snap.cache_hot_promotions = cs.hot_key_promotions;
         snap
     }
 

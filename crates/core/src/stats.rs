@@ -70,10 +70,6 @@ pub struct GenieStatsSnapshot {
     pub store_trigger_hits: u64,
     /// Store-level misses from trigger-origin reads.
     pub store_trigger_misses: u64,
-    /// Reads of replicated hot keys served by a non-primary copy.
-    pub cache_replica_reads: u64,
-    /// Keys the hot-key detector promoted to replicated.
-    pub cache_hot_promotions: u64,
 }
 
 impl GenieStats {
@@ -98,8 +94,8 @@ impl GenieStats {
             commit_aborts: self.commit_aborts.load(Ordering::Relaxed),
             txn_bypasses: self.txn_bypasses.load(Ordering::Relaxed),
             fills_dropped: self.fills_dropped.load(Ordering::Relaxed),
-            // Store-level and replication counters live in the cache
-            // cluster; CacheGenie::stats() merges them in.
+            // Store-level counters live in the cache cluster;
+            // CacheGenie::stats() merges them in.
             ..GenieStatsSnapshot::default()
         }
     }

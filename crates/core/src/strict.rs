@@ -10,12 +10,6 @@
 //! Blocking is cooperative (the benchmark driver runs in virtual time):
 //! lock attempts retry up to a bound, and exhaustion maps to the paper's
 //! timeout-based deadlock detection — the transaction aborts.
-//!
-//! Hot-key replication (docs/CACHE_TIER.md) does not change this
-//! protocol: locks are taken on *logical* cache keys, and every write to
-//! a replicated key updates all copies under the cluster's per-key lease
-//! shard before the lock is released. A lock on the logical key
-//! therefore covers every physical replica by construction.
 
 use crate::genie::{CacheGenie, EvalOutcome};
 use genie_cache::{KeyLockTable, LockOutcome, TxnId};

@@ -76,14 +76,13 @@ pub struct ConcurrencyConfig {
     /// `poke_pct` / `abort_pct` / `read_every`.
     pub disjoint_tables: bool,
     /// Cache-cluster shape for the deployment (servers, shards per
-    /// server, hot-key replication). The default single-server shape
-    /// keeps the legacy mixes unchanged; the cache-tier scenarios set
-    /// multiple servers plus replication here.
+    /// server). The default single-server shape keeps the legacy mixes
+    /// unchanged; the cache-tier scenarios set multiple servers here.
     pub cluster: ClusterConfig,
     /// Percentage of interleaved cached reads aimed at a small fixed
-    /// hot user set (users 1–4) instead of a uniform target — drives
-    /// the hot-key detector so replication actually engages. 0 keeps
-    /// the uniform legacy behaviour.
+    /// hot user set (users 1–4) instead of a uniform target — it
+    /// concentrates traffic on a few keys, so a node kill that moves
+    /// them is felt. 0 keeps the uniform legacy behaviour.
     pub hot_read_pct: u32,
     /// Kill one cache node when writer thread 0 is a third of the way
     /// through its transactions and revive it at two thirds — the
@@ -194,10 +193,6 @@ pub struct ConcurrencyResult {
     pub node_kills: u64,
     /// Killed nodes revived mid-run.
     pub node_revives: u64,
-    /// Reads of replicated hot keys served by a non-primary copy.
-    pub cache_replica_reads: u64,
-    /// Keys the hot-key detector promoted to replicated during the run.
-    pub cache_hot_promotions: u64,
     /// Redo records appended to the write-ahead log (durable runs only).
     pub wal_records: u64,
     /// Physical log syncs performed. Under group commit this is far
@@ -539,9 +534,8 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                         // anything else failing is a real bug, so tally
                         // instead of swallowing.
                         // Skewing the read target onto a tiny hot set
-                        // pushes those users' cached objects over the
-                        // hot-key threshold, so the run exercises
-                        // replication, not just the primary path.
+                        // concentrates traffic on those users' cached
+                        // objects, the keys a node kill moves.
                         let target = if rng.gen_range(0..100u32) < cfg.hot_read_pct {
                             rng.gen_range(1..=4.min(users) as usize) as i64
                         } else {
@@ -612,9 +606,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
     let latches = env.db.latch_stats();
     result.latch_waits = latches.total_waits();
     result.latch_table_waits = latches.table_waits();
-    let gs = env.genie.stats();
-    result.cache_replica_reads = gs.cache_replica_reads;
-    result.cache_hot_promotions = gs.cache_hot_promotions;
     // If the schedule killed a node and the revive point was never
     // reached (tiny txns_per_thread), bring it back before the sweep:
     // coherence is defined over the fully-alive cluster.
@@ -842,13 +833,13 @@ mod tests {
         let cfg = ConcurrencyConfig {
             threads: 3,
             txns_per_thread: 60,
-            read_every: 1,    // cache-heavy: a cached read after every txn
-            hot_read_pct: 80, // skewed onto users 1-4 to trip promotion
+            read_every: 1, // cache-heavy: a cached read after every txn
+            // Skewed onto users 1-4: traffic concentrates on the keys
+            // the kill moves.
+            hot_read_pct: 80,
             node_kill: true,
             cluster: ClusterConfig {
                 servers: 4,
-                hot_key_replicas: 2,
-                hot_key_threshold: 8,
                 ..Default::default()
             },
             ..Default::default()
@@ -861,10 +852,6 @@ mod tests {
             "schedule killed node 1 exactly once: {r:?}"
         );
         assert_eq!(r.node_revives, 1, "and revived it exactly once: {r:?}");
-        assert!(
-            r.cache_hot_promotions > 0,
-            "the skewed read mix must promote at least one hot key: {r:?}"
-        );
         assert_eq!(
             r.coherence_violations, 0,
             "kill/rejoin must not leave stale cache state: {r:?}"
