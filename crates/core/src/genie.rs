@@ -10,7 +10,7 @@ use genie_cache::{CacheCluster, CacheHandle, CacheOrigin, Payload};
 use genie_orm::{InterceptOutcome, ModelRegistry, OrmSession, PreparedQuery, QueryInterceptor};
 use genie_storage::{
     CommitHook, CostReport, Database, DeferredPublish, QueryResult, Result, Row, Select,
-    ShapeCache, StorageError, Value,
+    StorageError, Value,
 };
 use parking_lot::RwLock;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -54,20 +54,10 @@ struct GenieShared {
     by_name: RwLock<HashMap<String, Arc<ObjectInner>>>,
     /// Tables with at least one cached object (fast reject for Pass).
     tables: RwLock<HashSet<String>>,
-    /// Bumped by every `cacheable()`: the stamp of [`Resolution`]s.
+    /// Process-unique: whose resolutions a [`PreparedQuery`] holds.
+    id: u64,
+    /// Bumped by every `cacheable()`: the stamp of those resolutions.
     generation: AtomicU64,
-    /// What each prepared query of the session resolved to.
-    resolved: ShapeCache<Resolution>,
-}
-
-/// Which cached object (if any) serves one [`PreparedQuery`], as of one
-/// declaration generation — so the SQL text is matched against the
-/// declared templates once per query shape, not once per call.
-#[derive(Clone)]
-struct Resolution {
-    query_id: u64,
-    generation: u64,
-    object: Option<Arc<ObjectInner>>,
 }
 
 /// Per-key flush gate: a committing transaction *reserves* a ticket on
@@ -355,6 +345,7 @@ impl CacheGenie {
             flush_gate: Arc::new(FlushGate::default()),
         });
         db.set_commit_hook(Arc::clone(&pipeline) as Arc<dyn CommitHook>);
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         CacheGenie {
             shared: Arc::new(GenieShared {
                 db,
@@ -367,8 +358,8 @@ impl CacheGenie {
                 by_fingerprint: RwLock::new(HashMap::new()),
                 by_name: RwLock::new(HashMap::new()),
                 tables: RwLock::new(HashSet::new()),
+                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 generation: AtomicU64::new(0),
-                resolved: ShapeCache::default(),
             }),
         }
     }
@@ -452,7 +443,8 @@ impl CacheGenie {
     ///
     /// # Errors
     ///
-    /// Unknown object names.
+    /// Unknown object names, and [`StorageError::Unsupported`] for values
+    /// no key holds (NULL, or not of the key column's type).
     pub fn key_for(&self, name: &str, params: &[Value]) -> Result<String> {
         let obj = self
             .shared
@@ -461,7 +453,8 @@ impl CacheGenie {
             .get(name)
             .cloned()
             .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
-        Ok(obj.make_key(params))
+        obj.make_key(params)
+            .ok_or_else(|| StorageError::Unsupported(format!("no cache key for {params:?}")))
     }
 
     /// Cross-checks one cached object instance against the database: re-
@@ -484,7 +477,9 @@ impl CacheGenie {
             .get(name)
             .cloned()
             .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
-        let key = obj.make_key(params);
+        let Some(key) = obj.make_key(params) else {
+            return Ok(true);
+        };
         let cached = match self.shared.app_cache.get_payload(&key) {
             Ok(Some(p)) => p,
             // Absent is always coherent; undecodable bytes are a
@@ -592,29 +587,18 @@ impl GenieShared {
 
     /// Serves one cached object for concrete key values: cache hit,
     /// read-through fill, or (Top-K) internal over-fetch.
-    fn serve(&self, obj: &Arc<ObjectInner>, params: &[Value]) -> Result<EvalOutcome> {
+    fn serve(&self, obj: &ObjectInner, params: &[Value]) -> Result<EvalOutcome> {
         // While a transaction is open, bypass the cache entirely: a fill
         // would publish uncommitted rows (dirty on rollback), and a hit
         // could hide the transaction's own writes. The commit pipeline
         // publishes the effects when — and only when — the COMMIT lands.
         if self.db.in_transaction() {
             self.stats.bump(&self.stats.txn_bypasses);
-            let out = self.db.execute_prepared(&obj.template, params)?;
-            let result = match &obj.def.kind {
-                CacheClassKind::Count => count_result(
-                    obj,
-                    out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0),
-                ),
-                _ => rows_result(obj, out.result.rows),
-            };
-            return Ok(EvalOutcome {
-                result,
-                from_cache: false,
-                cache_ops: 0,
-                db_cost: out.cost,
-            });
+            return self.read_uncached(obj, params);
         }
-        let key = obj.make_key(params);
+        let Some(key) = obj.make_key(params) else {
+            return self.read_uncached(obj, params);
+        };
         match &obj.def.kind {
             CacheClassKind::TopK { .. } => self.serve_top_k(obj, &key, params),
             CacheClassKind::Count => {
@@ -703,12 +687,25 @@ impl GenieShared {
         }
     }
 
-    fn serve_top_k(
-        &self,
-        obj: &Arc<ObjectInner>,
-        key: &str,
-        params: &[Value],
-    ) -> Result<EvalOutcome> {
+    /// The object's answer straight from the database, cache untouched.
+    fn read_uncached(&self, obj: &ObjectInner, params: &[Value]) -> Result<EvalOutcome> {
+        let out = self.db.execute_prepared(&obj.template, params)?;
+        let result = match &obj.def.kind {
+            CacheClassKind::Count => count_result(
+                obj,
+                out.result.scalar().and_then(|v| v.as_int()).unwrap_or(0),
+            ),
+            _ => rows_result(obj, out.result.rows),
+        };
+        Ok(EvalOutcome {
+            result,
+            from_cache: false,
+            cache_ops: 0,
+            db_cost: out.cost,
+        })
+    }
+
+    fn serve_top_k(&self, obj: &ObjectInner, key: &str, params: &[Value]) -> Result<EvalOutcome> {
         let k = obj.k();
         let mut cache_ops = 1;
         match self.app_cache.get_payload(key) {
@@ -785,8 +782,8 @@ impl GenieShared {
         obj.def.use_transparently.then_some(obj)
     }
 
-    fn intercept(&self, obj: Option<Arc<ObjectInner>>, params: &[Value]) -> InterceptOutcome {
-        match obj.map(|obj| self.serve(&obj, params)) {
+    fn intercept(&self, obj: Option<&ObjectInner>, params: &[Value]) -> InterceptOutcome {
+        match obj.map(|obj| self.serve(obj, params)) {
             Some(Ok(out)) => InterceptOutcome::Served {
                 result: out.result,
                 cache_ops: out.cache_ops,
@@ -804,24 +801,20 @@ impl QueryInterceptor for CacheGenie {
         let obj = self
             .shared
             .object_for(&select.from.table, || select.to_string());
-        self.shared.intercept(obj, params)
+        self.shared.intercept(obj.as_deref(), params)
     }
 
+    /// Matches the query's SQL text against the declared templates once
+    /// per declaration generation, and keeps the answer on the handle.
     fn try_serve_prepared(&self, query: &PreparedQuery, params: &[Value]) -> InterceptOutcome {
         let shared = &*self.shared;
         let generation = shared.generation.load(Ordering::SeqCst);
-        let resolution = shared.resolved.get_or_insert_with(
-            &query.id(),
-            |r| r.query_id == query.id() && r.generation == generation,
-            || Resolution {
-                query_id: query.id(),
-                generation,
-                object: shared.object_for(&query.select().from.table, || {
-                    query.fingerprint().to_owned()
-                }),
-            },
-        );
-        shared.intercept(resolution.object, params)
+        let object = query.resolution(shared.id, generation, || {
+            shared.object_for(&query.select().from.table, || {
+                query.fingerprint().to_owned()
+            })
+        });
+        shared.intercept(object.as_deref(), params)
     }
 
     fn fill(&self, _fill_key: &str, _result: &QueryResult) -> u64 {

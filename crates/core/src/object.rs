@@ -8,7 +8,7 @@
 
 use crate::def::{CacheClassKind, CacheableDef, SortOrder};
 use genie_orm::{ModelRegistry, QuerySet};
-use genie_storage::{PreparedSelect, Result, Row, StorageError, Value};
+use genie_storage::{PreparedSelect, Result, Row, StorageError, Value, ValueType};
 use std::sync::Arc;
 
 /// Link-class compilation products.
@@ -35,6 +35,9 @@ pub(crate) struct ObjectInner {
     pub table: String,
     /// Positions of `where_fields` in the main table's rows.
     pub key_positions: Vec<usize>,
+    /// The declared types of those columns: key values are coerced to
+    /// them, as the engine coerces a stored value.
+    pub key_types: Vec<ValueType>,
     /// Number of columns in the main table.
     pub base_arity: usize,
     /// The canonical query template this object intercepts, prepared:
@@ -78,7 +81,10 @@ impl ObjectInner {
                     })
                 })
                 .collect::<Result<_>>()?;
-        let _ = schema; // validated model shape
+        let key_types = key_positions
+            .iter()
+            .map(|&p| schema.columns()[p].ty)
+            .collect();
 
         // Build the template with dummy parameters through the same
         // QuerySet machinery the application uses, guaranteeing identical
@@ -162,6 +168,7 @@ impl ObjectInner {
         Ok(ObjectInner {
             table: model.table().to_owned(),
             key_positions,
+            key_types,
             base_arity: base_cols.len(),
             template: PreparedSelect::new(template),
             fingerprint,
@@ -174,26 +181,37 @@ impl ObjectInner {
         })
     }
 
-    /// The cache key for concrete key-field values.
-    pub fn make_key(&self, values: &[Value]) -> String {
-        let mut key = String::with_capacity(24 + self.def.name.len());
-        key.push_str("cg:");
-        key.push_str(&self.def.name);
-        for v in values {
+    /// The cache key for concrete key-field values, each coerced to its
+    /// column's type, so a key matches the one its rows render to. `None`
+    /// when a value is NULL (`col = NULL` matches no row, and no key may
+    /// hold the rows triggers file under NULL) or does not coerce.
+    pub fn make_key(&self, values: &[Value]) -> Option<String> {
+        let mut key = self.key_prefix();
+        for (v, &ty) in values.iter().zip(&self.key_types) {
+            let v = v.coerce_to(ty).filter(|v| !v.is_null())?;
             key.push(':');
-            render_key_value(&mut key, v);
+            render_key_value(&mut key, &v);
+        }
+        Some(key)
+    }
+
+    /// The cache key a main-table row belongs to. A NULL key field
+    /// renders as `~`, which no [`ObjectInner::make_key`] key contains, so
+    /// such rows are filed under a key nothing reads.
+    pub fn key_from_row(&self, row: &Row) -> String {
+        let mut key = self.key_prefix();
+        for &p in &self.key_positions {
+            key.push(':');
+            render_key_value(&mut key, row.get(p));
         }
         key
     }
 
-    /// The cache key a main-table row belongs to.
-    pub fn key_from_row(&self, row: &Row) -> String {
-        let vals: Vec<Value> = self
-            .key_positions
-            .iter()
-            .map(|&p| row.get(p).clone())
-            .collect();
-        self.make_key(&vals)
+    fn key_prefix(&self) -> String {
+        let mut key = String::with_capacity(24 + self.def.name.len());
+        key.push_str("cg:");
+        key.push_str(&self.def.name);
+        key
     }
 
     /// Whether an UPDATE moved the row between cache keys.
@@ -240,7 +258,17 @@ fn render_key_value(out: &mut String, v: &Value) {
         Value::Float(f) => {
             let _ = write!(out, "{f}");
         }
-        Value::Text(s) => out.push_str(s),
+        // Escaped so that no text holds the separator or renders as NULL.
+        Value::Text(s) => {
+            for c in s.chars() {
+                match c {
+                    '%' => out.push_str("%25"),
+                    ':' => out.push_str("%3A"),
+                    '~' => out.push_str("%7E"),
+                    c => out.push(c),
+                }
+            }
+        }
         Value::Bool(b) => out.push_str(if *b { "t" } else { "f" }),
         Value::Timestamp(t) => {
             let _ = write!(out, "T{t}");
@@ -281,6 +309,13 @@ mod tests {
         reg.register(
             ModelDef::builder("Group", "groups")
                 .field(FieldDef::new("title", ValueType::Text))
+                .build(),
+        )
+        .unwrap();
+        reg.register(
+            ModelDef::builder("Flag", "flags")
+                .field(FieldDef::new("on", ValueType::Bool))
+                .field(FieldDef::new("weight", ValueType::Float))
                 .build(),
         )
         .unwrap();
@@ -401,7 +436,7 @@ mod tests {
             &reg,
         )
         .unwrap();
-        assert_eq!(obj.make_key(&[Value::Int(42)]), "cg:posts:42");
+        assert_eq!(obj.make_key(&[Value::Int(42)]).unwrap(), "cg:posts:42");
         // wall row: id, user_id, content, date_posted
         let row = row![7i64, 42i64, "hello", Value::Timestamp(5)];
         assert_eq!(obj.key_from_row(&row), "cg:posts:42");
@@ -420,7 +455,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            obj.make_key(&[Value::Int(1), Value::Int(2)]),
+            obj.make_key(&[Value::Int(1), Value::Int(2)]).unwrap(),
             "cg:membership_count:1:2"
         );
     }
@@ -428,15 +463,42 @@ mod tests {
     #[test]
     fn key_renders_all_value_types() {
         let reg = registry();
+        let key = |model: &str, field: &str, v: Value| {
+            ObjectInner::compile(
+                CacheableDef::feature("p", model).where_fields(&[field]),
+                &reg,
+            )
+            .unwrap()
+            .make_key(&[v])
+        };
+        let some = |k: &str| Some(k.to_owned());
+        assert_eq!(key("WallPost", "user_id", Value::Int(42)), some("cg:p:42"));
+        assert_eq!(key("User", "name", "bob".into()), some("cg:p:bob"));
+        assert_eq!(key("User", "name", "a:%~".into()), some("cg:p:a%3A%25%7E"));
+        assert_eq!(key("Flag", "on", Value::Bool(true)), some("cg:p:t"));
+        assert_eq!(key("Flag", "weight", Value::Float(0.5)), some("cg:p:0.5"));
+        // Coerced to the column's type, as the engine stores it.
+        assert_eq!(key("Flag", "weight", Value::Int(2)), some("cg:p:2"));
+        let t9 = some("cg:p:T9");
+        assert_eq!(key("WallPost", "date_posted", Value::Timestamp(9)), t9);
+        assert_eq!(key("WallPost", "date_posted", Value::Int(9)), t9);
+        // NULL and values of another type have no key.
+        assert_eq!(key("User", "name", Value::Null), None);
+        assert_eq!(key("WallPost", "user_id", "42".into()), None);
+        assert_eq!(key("Flag", "on", Value::Int(1)), None);
+    }
+
+    #[test]
+    fn a_null_key_field_files_the_row_under_a_key_nothing_reads() {
+        let reg = registry();
         let obj = ObjectInner::compile(
-            CacheableDef::feature("p", "WallPost").where_fields(&["user_id"]),
+            CacheableDef::feature("p", "WallPost").where_fields(&["content"]),
             &reg,
         )
         .unwrap();
-        assert_eq!(obj.make_key(&[Value::Text("bob".into())]), "cg:p:bob");
-        assert_eq!(obj.make_key(&[Value::Bool(true)]), "cg:p:t");
-        assert_eq!(obj.make_key(&[Value::Null]), "cg:p:~");
-        assert_eq!(obj.make_key(&[Value::Timestamp(9)]), "cg:p:T9");
+        let row = row![7i64, 42i64, Value::Null, Value::Timestamp(5)];
+        assert_eq!(obj.key_from_row(&row), "cg:p:~");
+        assert_eq!(obj.make_key(&["~".into()]).unwrap(), "cg:p:%7E");
     }
 
     #[test]

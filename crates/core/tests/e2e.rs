@@ -825,6 +825,186 @@ fn object_declared_after_its_shape_ran_as_pass_starts_serving_it() {
     assert_eq!((n, out.cache_ops), (1, 0));
 }
 
+/// The same, through one held handle: the resolution it keeps for the
+/// first generations is replaced when a later declaration matches it.
+#[test]
+fn a_held_handle_starts_serving_once_its_object_is_declared() {
+    let e = env();
+    e.session
+        .create("Profile", &[("user_id", 1i64.into()), ("bio", "hi".into())])
+        .unwrap();
+    let qs = e
+        .session
+        .objects("Profile")
+        .unwrap()
+        .filter_eq("user_id", 1i64);
+    let held = e.session.prepare(&qs, false);
+    let run = |user: i64| e.session.run_prepared(&held, &[Value::Int(user)]).unwrap();
+    for _ in 0..3 {
+        let out = run(1);
+        assert!(!out.from_cache);
+        assert_eq!(out.cache_ops, 0, "not intercepted");
+    }
+    e.genie
+        .cacheable(CacheableDef::count("wall_count", "WallPost").where_fields(&["user_id"]))
+        .unwrap();
+    assert_eq!(run(1).cache_ops, 0);
+
+    e.genie.cacheable(profile_def()).unwrap();
+    let miss = run(1);
+    assert!(
+        !miss.from_cache && miss.cache_ops > 0,
+        "fills on first read"
+    );
+    let hit = run(1);
+    assert!(hit.from_cache);
+    assert_eq!(hit.rows, miss.rows);
+    // Other values bind to the same handle and key their own entries.
+    let other = run(2);
+    assert!(!other.from_cache && other.cache_ops > 0);
+    assert!(other.rows.is_empty());
+    assert!(run(2).from_cache);
+}
+
+/// A handle keeps one resolution per genie: run through genies with
+/// different declarations, each serves its own object from its own
+/// cache, or passes, whichever ran it last.
+#[test]
+fn one_handle_through_two_genies_is_served_by_each_ones_declarations() {
+    let reg = registry();
+    let db = Database::default();
+    reg.sync(&db).unwrap();
+    let session = OrmSession::new(db.clone(), Arc::clone(&reg));
+    session
+        .create("User", &[("username", "u1".into())])
+        .unwrap();
+    session
+        .create("Profile", &[("user_id", 1i64.into()), ("bio", "hi".into())])
+        .unwrap();
+    let genie = |object: Option<&str>| {
+        let g = CacheGenie::new(
+            db.clone(),
+            CacheCluster::new(ClusterConfig::default()),
+            Arc::clone(&reg),
+            GenieConfig::default(),
+        );
+        if let Some(name) = object {
+            g.cacheable(CacheableDef::feature(name, "Profile").where_fields(&["user_id"]))
+                .unwrap();
+        }
+        g
+    };
+    let (a, b, none) = (
+        genie(Some("profile_a")),
+        genie(Some("profile_b")),
+        genie(None),
+    );
+    let held = session.prepare(
+        &session
+            .objects("Profile")
+            .unwrap()
+            .filter_eq("user_id", 1i64),
+        false,
+    );
+    let run = |g: &CacheGenie| {
+        g.install(&session);
+        session.run_prepared(&held, &[Value::Int(1)]).unwrap()
+    };
+    for g in [&a, &b] {
+        let miss = run(g);
+        assert!(!miss.from_cache && miss.cache_ops > 0);
+        assert_eq!(miss.rows.len(), 1);
+    }
+    assert_eq!(run(&none).cache_ops, 0, "passes");
+    for g in [&a, &b, &a] {
+        assert!(run(g).from_cache);
+    }
+    let key_a = a.key_for("profile_a", &[Value::Int(1)]).unwrap();
+    let key_b = b.key_for("profile_b", &[Value::Int(1)]).unwrap();
+    let cached = |g: &CacheGenie, key: &str| {
+        let cache = g.cluster().handle(CacheOrigin::Application);
+        cache.get_payload(key).unwrap().is_some()
+    };
+    assert!(cached(&a, &key_a) && cached(&b, &key_b));
+    assert!(!cached(&a, &key_b) && !cached(&b, &key_a));
+    // A declaration on the genie that passed reaches the held handle.
+    none.cacheable(CacheableDef::feature("profile_c", "Profile").where_fields(&["user_id"]))
+        .unwrap();
+    assert!(run(&none).cache_ops > 0);
+    assert!(run(&none).from_cache);
+}
+
+/// Cache keys render each value coerced to its key column's type and
+/// escaped, so no two distinct key tuples share a key: a NULL and the
+/// text `~`, tuples whose texts hold the separator, and an integer
+/// parameter on a timestamp column (whose rows triggers file under the
+/// timestamp's key) each answer exactly as the uncached query does.
+#[test]
+fn cache_keys_never_collide_and_match_the_keys_triggers_maintain() {
+    let mut reg = ModelRegistry::new();
+    reg.register(
+        ModelDef::builder("Tag", "tags")
+            .field(FieldDef::new("a", ValueType::Text))
+            .field(FieldDef::new("b", ValueType::Text))
+            .field(FieldDef::new("t", ValueType::Timestamp))
+            .build(),
+    )
+    .unwrap();
+    let reg = Arc::new(reg);
+    let db = Database::default();
+    reg.sync(&db).unwrap();
+    let session = OrmSession::new(db.clone(), Arc::clone(&reg));
+    let genie = CacheGenie::new(
+        db.clone(),
+        CacheCluster::new(ClusterConfig::default()),
+        Arc::clone(&reg),
+        GenieConfig::default(),
+    );
+    for (name, fields) in [
+        ("by_a", &["a"][..]),
+        ("by_ab", &["a", "b"]),
+        ("by_t", &["t"]),
+    ] {
+        genie
+            .cacheable(CacheableDef::feature(name, "Tag").where_fields(fields))
+            .unwrap();
+    }
+    genie.install(&session);
+    let tag = |a: Value, b: &str, t: i64| {
+        session
+            .create(
+                "Tag",
+                &[("a", a), ("b", b.into()), ("t", Value::Timestamp(t))],
+            )
+            .unwrap();
+    };
+    tag("~".into(), "x", 1);
+    tag(Value::Null, "x", 2);
+    tag("p".into(), "q:r", 3);
+    tag("p:q".into(), "r", 4);
+    let tags = || session.objects("Tag").unwrap();
+    // Twice each — a fill (or a bypass), then a hit — against the
+    // database's own answer.
+    let check = |qs: genie_orm::QuerySet| {
+        let (select, params) = qs.compile();
+        let want = db.select(&select, &params).unwrap().result.rows;
+        for _ in 0..2 {
+            let got: Vec<_> = session.all(&qs).unwrap().rows;
+            let got: Vec<_> = got.iter().map(|r| r.row().clone()).collect();
+            assert_eq!(got, want, "{select} with {params:?}");
+        }
+    };
+    check(tags().filter_eq("a", "~"));
+    check(tags().filter_eq("a", Value::Null));
+    check(tags().filter_eq("a", 1i64));
+    check(tags().filter_eq("a", "p:q").filter_eq("b", "r"));
+    check(tags().filter_eq("a", "p").filter_eq("b", "q:r"));
+    check(tags().filter_eq("t", 5i64));
+    tag("z".into(), "z", 5);
+    check(tags().filter_eq("t", 5i64));
+    assert_eq!(genie.stats().cache_hits, 6, "the keyed reads hit");
+}
+
 #[test]
 fn shape_first_run_inside_begin_bypasses_the_cache_then_and_is_served_after() {
     let e = env();

@@ -10,7 +10,6 @@
 
 use crate::model::ModelDef;
 use genie_storage::{CmpOp, Expr, OrderKey, QueryResult, Row, Select, SelectItem, TableRef, Value};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A filter operator (Django lookup).
@@ -38,7 +37,7 @@ pub enum FilterOp {
 
 /// A filter's structural part. Its values — one for a comparison, the
 /// list for `IN` — live in [`QuerySet::params`], in filter order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 enum Lookup {
     Cmp(CmpOp),
     /// `IN` over this many values (the length is part of the shape).
@@ -48,7 +47,7 @@ enum Lookup {
     IsNull(bool),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct Filter {
     /// Binding (table or alias) the field lives on.
     binding: String,
@@ -56,7 +55,7 @@ struct Filter {
     lookup: Lookup,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 struct RelationJoin {
     /// Table being joined.
     table: String,
@@ -170,29 +169,6 @@ impl QuerySet {
     /// `$n` parameters.
     pub fn params(&self) -> &[Value] {
         &self.params
-    }
-
-    /// Feeds the query set's shape — everything but the filter values —
-    /// to `state`.
-    pub(crate) fn hash_shape<H: Hasher>(&self, state: &mut H) {
-        self.model.table().hash(state);
-        self.filters.hash(state);
-        self.joins.hash(state);
-        self.order.hash(state);
-        self.limit.hash(state);
-        self.offset.hash(state);
-        self.projection.hash(state);
-    }
-
-    /// True when `other` differs from `self` in filter values at most.
-    pub(crate) fn same_shape(&self, other: &QuerySet) -> bool {
-        (Arc::ptr_eq(&self.model, &other.model) || self.model == other.model)
-            && self.filters == other.filters
-            && self.joins == other.joins
-            && self.order == other.order
-            && self.limit == other.limit
-            && self.offset == other.offset
-            && self.projection == other.projection
     }
 
     fn push_filter(&mut self, binding: String, field: String, op: FilterOp, value: Option<Value>) {

@@ -5,14 +5,13 @@
 use crate::model::{ModelDef, ModelRegistry};
 use crate::queryset::{OrmRow, QuerySet};
 use genie_storage::{
-    CostReport, Database, Delete, ExecOutcome, Expr, Insert, PreparedSelect, QueryResult, Result,
-    Select, ShapeCache, Statement, StorageError, Update, Value,
+    CostReport, Database, Delete, Expr, Insert, PreparedSelect, QueryResult, Result, Select,
+    Statement, StorageError, Update, Value,
 };
 use parking_lot::{Mutex, RwLock};
+use std::any::Any;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What an interceptor decided about a read.
 #[derive(Debug)]
@@ -44,45 +43,32 @@ pub enum InterceptOutcome {
     Pass,
 }
 
-/// A query set's shape, compiled once: the parameterized [`Select`], its
-/// canonical SQL text, and the engine's prepared statement for it. The
-/// session memoises one per shape, so running a query set whose shape has
-/// been seen builds no statement, no SQL text and no string.
+/// A query set's shape, compiled: the parameterized [`Select`], its
+/// canonical SQL text, and the engine's prepared statement for it. A
+/// caller that runs one shape many times holds the handle and binds only
+/// values ([`OrmSession::run_prepared`]); interceptors keep what they
+/// resolve the shape to on the handle itself.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    id: u64,
-    /// The query set this was compiled from (its filter values are not
-    /// part of the shape) and whether as a `COUNT(*)`.
-    shape: QuerySet,
-    count: bool,
     fingerprint: String,
     statement: PreparedSelect,
+    resolved: OnceLock<Box<Resolved>>,
+}
+
+/// What one interceptor resolved a [`PreparedQuery`] to under one of its
+/// declaration generations. The entries form a chain that only grows, so
+/// a reader follows `OnceLock`s and writes nothing; a new generation (or
+/// a second interceptor) appends one entry, and declarations happen at
+/// set-up, so a chain stays a link or two long.
+#[derive(Debug)]
+struct Resolved {
+    owner: u64,
+    generation: u64,
+    value: Box<dyn Any + Send + Sync>,
+    next: OnceLock<Box<Resolved>>,
 }
 
 impl PreparedQuery {
-    fn compile(db: &Database, qs: &QuerySet, count: bool) -> PreparedQuery {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let (select, _) = if count {
-            qs.compile_count()
-        } else {
-            qs.compile()
-        };
-        PreparedQuery {
-            // A label, publishing nothing.
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            shape: qs.clone(),
-            count,
-            fingerprint: select.to_string(),
-            statement: db.prepare(&select),
-        }
-    }
-
-    /// Process-unique identity: interceptors key what they resolve per
-    /// query shape by it.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The compiled, parameterized statement.
     pub fn select(&self) -> &Select {
         self.statement.select()
@@ -97,15 +83,36 @@ impl PreparedQuery {
     pub fn statement(&self) -> &PreparedSelect {
         &self.statement
     }
-}
 
-/// The hashed view of a query: its shape and the count flag.
-struct ShapeOf<'a>(&'a QuerySet, bool);
-
-impl Hash for ShapeOf<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash_shape(state);
-        self.1.hash(state);
+    /// What interceptor `owner` resolves this query to under its
+    /// declaration `generation`: `resolve()`'s value, computed on the
+    /// first call for that pair and kept with the query.
+    pub fn resolution<T: Any + Send + Sync>(
+        &self,
+        owner: u64,
+        generation: u64,
+        resolve: impl FnOnce() -> T,
+    ) -> &T {
+        let mut resolve = Some(resolve);
+        let mut slot = &self.resolved;
+        loop {
+            let entry = slot.get_or_init(|| {
+                // Runs at most once per call: the entry it makes matches.
+                let value = resolve.take().expect("resolved once")();
+                Box::new(Resolved {
+                    owner,
+                    generation,
+                    value: Box::new(value),
+                    next: OnceLock::new(),
+                })
+            });
+            if (entry.owner, entry.generation) == (owner, generation) {
+                if let Some(value) = entry.value.downcast_ref() {
+                    return value;
+                }
+            }
+            slot = &entry.next;
+        }
     }
 }
 
@@ -114,11 +121,11 @@ pub trait QueryInterceptor: Send + Sync {
     /// Inspects a compiled query before execution.
     fn try_serve(&self, select: &Select, params: &[Value]) -> InterceptOutcome;
 
-    /// [`QueryInterceptor::try_serve`] for a query the session holds
-    /// prepared — the path every query set takes. An interceptor that
-    /// keeps per-shape state overrides it and keys that state by
-    /// [`PreparedQuery::id`]; the default hands the statement to
-    /// `try_serve`.
+    /// [`QueryInterceptor::try_serve`] for a prepared query — the path
+    /// every query set takes. An interceptor that resolves a shape once
+    /// overrides it and keeps the resolution on the handle
+    /// ([`PreparedQuery::resolution`]); the default hands the statement
+    /// to `try_serve`.
     fn try_serve_prepared(&self, query: &PreparedQuery, params: &[Value]) -> InterceptOutcome {
         self.try_serve(query.select(), params)
     }
@@ -161,8 +168,6 @@ pub struct OrmSession {
     registry: Arc<ModelRegistry>,
     interceptor: Arc<RwLock<Option<Arc<dyn QueryInterceptor>>>>,
     next_ids: Arc<Mutex<HashMap<String, i64>>>,
-    /// One [`PreparedQuery`] per query-set shape seen.
-    prepared: Arc<ShapeCache<Arc<PreparedQuery>>>,
 }
 
 impl std::fmt::Debug for OrmSession {
@@ -181,7 +186,6 @@ impl OrmSession {
             registry,
             interceptor: Arc::new(RwLock::new(None)),
             next_ids: Arc::new(Mutex::new(HashMap::new())),
-            prepared: Arc::new(ShapeCache::default()),
         }
     }
 
@@ -216,27 +220,35 @@ impl OrmSession {
         )))
     }
 
-    /// The prepared form of `qs` (as a `COUNT(*)` when `count`),
-    /// compiled on the first sight of its shape.
-    pub fn prepare(&self, qs: &QuerySet, count: bool) -> Arc<PreparedQuery> {
-        self.prepared.get_or_insert_with(
-            &ShapeOf(qs, count),
-            |hit| hit.count == count && hit.shape.same_shape(qs),
-            || Arc::new(PreparedQuery::compile(&self.db, qs, count)),
-        )
+    /// Compiles `qs` (as a `COUNT(*)` when `count`) into a handle that
+    /// runs with any values for its parameters. The engine keeps one
+    /// prepared statement per shape, so handles of one shape share its
+    /// binding and plans.
+    pub fn prepare(&self, qs: &QuerySet, count: bool) -> PreparedQuery {
+        let (select, _) = if count {
+            qs.compile_count()
+        } else {
+            qs.compile()
+        };
+        PreparedQuery {
+            fingerprint: select.to_string(),
+            statement: self.db.prepare(&select),
+            resolved: OnceLock::new(),
+        }
     }
 
-    /// The read path: the interceptor (if any) serves the query, or the
-    /// database does and a missing interceptor fills from its answer.
-    fn read_through(
-        &self,
-        serve: impl FnOnce(&dyn QueryInterceptor) -> InterceptOutcome,
-        run: impl FnOnce() -> Result<ExecOutcome>,
-    ) -> Result<ReadOutcome> {
+    /// Executes a prepared query through the interception path: the
+    /// interceptor (if any) serves it, or the database does and a missing
+    /// interceptor fills from its answer.
+    ///
+    /// # Errors
+    ///
+    /// Database execution errors.
+    pub fn run_prepared(&self, query: &PreparedQuery, params: &[Value]) -> Result<ReadOutcome> {
         let interceptor = self.interceptor.read();
         let mut fill = None;
         if let Some(ic) = interceptor.as_deref() {
-            match serve(ic) {
+            match ic.try_serve_prepared(query, params) {
                 InterceptOutcome::Served {
                     result,
                     cache_ops,
@@ -257,7 +269,7 @@ impl OrmSession {
                 InterceptOutcome::Pass => {}
             }
         }
-        let out = run()?;
+        let out = self.db.execute_prepared(query.statement(), params)?;
         let cache_ops = match fill {
             Some((ic, fill_key, probe_ops)) => probe_ops + ic.fill(&fill_key, &out.result),
             None => 0,
@@ -270,31 +282,8 @@ impl OrmSession {
         })
     }
 
-    /// Executes a prepared query through the interception path.
-    ///
-    /// # Errors
-    ///
-    /// Database execution errors.
-    pub fn run_prepared(&self, query: &PreparedQuery, params: &[Value]) -> Result<ReadOutcome> {
-        self.read_through(
-            |ic| ic.try_serve_prepared(query, params),
-            || self.db.execute_prepared(query.statement(), params),
-        )
-    }
-
-    /// Executes a compiled select through the interception path.
-    ///
-    /// # Errors
-    ///
-    /// Database execution errors.
-    pub fn run_select(&self, select: &Select, params: &[Value]) -> Result<ReadOutcome> {
-        self.read_through(
-            |ic| ic.try_serve(select, params),
-            || self.db.select(select, params),
-        )
-    }
-
-    /// Runs a query set, returning all rows.
+    /// Runs a query set, returning all rows. It is compiled for this
+    /// call; a shape run many times is better held [prepared](Self::prepare).
     ///
     /// # Errors
     ///
@@ -700,16 +689,19 @@ mod tests {
         use crate::queryset::FilterOp;
         let s = session();
         let users = || s.objects("User").unwrap();
+        let statements = || s.database().statement_cache_len();
+        let before = statements();
         let by_age = s.prepare(&users().filter_eq("age", 1i64), false);
-        assert!(Arc::ptr_eq(
-            &by_age,
-            &s.prepare(&users().filter_eq("age", 99i64), false)
-        ));
         assert_eq!(
             by_age.fingerprint(),
             "SELECT * FROM users WHERE (users.age = $1)"
         );
         assert_eq!(by_age.select().to_string(), by_age.fingerprint());
+        // Another value, through a clone of the session: the same
+        // statement, which the engine prepared once.
+        let again = s.clone().prepare(&users().filter_eq("age", 99i64), false);
+        assert_eq!(again.fingerprint(), by_age.fingerprint());
+        assert_eq!(statements(), before + 1);
         // Everything but the values is shape.
         let in_list =
             |n: i64| users().filter_where("age", FilterOp::In((0..n).map(Value::Int).collect()));
@@ -727,17 +719,42 @@ mod tests {
             ),
         ];
         for (i, q) in different.iter().enumerate() {
-            assert_ne!(q.id(), by_age.id(), "shape {i}");
+            assert_ne!(q.fingerprint(), by_age.fingerprint(), "shape {i}");
             for other in &different[..i] {
-                assert_ne!(q.id(), other.id(), "shape {i}");
+                assert_ne!(q.fingerprint(), other.fingerprint(), "shape {i}");
             }
         }
-        assert!(Arc::ptr_eq(&different[5], &s.prepare(&in_list(2), false)));
-        // Clones of the session share the memo.
-        assert!(Arc::ptr_eq(
-            &by_age,
-            &s.clone().prepare(&users().filter_eq("age", 7i64), false)
-        ));
+        assert_eq!(statements(), before + 1 + different.len());
+        let in_two = s.prepare(&in_list(2), false);
+        assert_eq!(in_two.fingerprint(), different[5].fingerprint());
+        assert_eq!(statements(), before + 1 + different.len());
+    }
+
+    #[test]
+    fn a_handle_keeps_one_resolution_per_owner_and_generation() {
+        let s = session();
+        let q = s.prepare(&s.objects("User").unwrap().filter_eq("id", 1i64), false);
+        let calls = std::cell::Cell::new(0);
+        let resolve = |owner: u64, generation: u64| {
+            q.resolution(owner, generation, || {
+                calls.set(calls.get() + 1);
+                format!("{owner}@{generation}")
+            })
+            .clone()
+        };
+        assert_eq!(resolve(1, 0), "1@0");
+        assert_eq!(resolve(1, 0), "1@0");
+        assert_eq!(calls.get(), 1, "resolved once");
+        // A later generation of the same owner, and a second owner,
+        // each resolve afresh; going back finds the kept entry.
+        assert_eq!(resolve(1, 1), "1@1");
+        assert_eq!(resolve(2, 0), "2@0");
+        assert_eq!(resolve(1, 1), "1@1");
+        assert_eq!(resolve(2, 0), "2@0");
+        assert_eq!(calls.get(), 3);
+        // A fresh handle of the same shape starts with nothing kept.
+        let fresh = s.prepare(&s.objects("User").unwrap().filter_eq("id", 2i64), false);
+        assert_eq!(fresh.resolution(1, 1, || "new".to_owned()), "new");
     }
 
     #[test]

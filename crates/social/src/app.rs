@@ -9,13 +9,19 @@
 //! many queries and write pages issue several reads around their writes.
 //!
 //! Every query goes through the ORM session, where CacheGenie's
-//! interceptor (when installed) serves the cacheable ones.
+//! interceptor (when installed) serves the cacheable ones. The app
+//! compiles each query shape once and a page binds only values.
 
 use crate::models::invitation_status;
-use genie_orm::{OrmSession, QuerySet, ReadOutcome, WriteOutcome};
-use genie_storage::{CostReport, Result, Value};
+use genie_orm::{OrmSession, PreparedQuery, QuerySet, ReadOutcome, WriteOutcome};
+use genie_storage::{CostReport, Result, StorageError, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// The parameters of the pending-invitation shapes for `user`.
+fn pending(user: i64) -> [Value; 2] {
+    [Value::Int(user), Value::Int(invitation_status::PENDING)]
+}
 
 /// Aggregated effects of rendering one page.
 #[derive(Debug, Clone, Copy, Default)]
@@ -71,11 +77,79 @@ pub struct SocialApp {
     /// Logical timestamp source for writes when the caller does not
     /// provide one (monotone; no wall clock).
     clock: Arc<AtomicI64>,
+    /// The page queries, compiled on first use and shared by clones.
+    pages: Arc<OnceLock<Pages>>,
 }
 
 impl std::fmt::Debug for SocialApp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocialApp").finish()
+    }
+}
+
+/// Declares [`Pages`]: one handle per name, and `named()` listing them.
+macro_rules! pages {
+    ($($name:ident)*) => {
+        /// Every query a page issues, compiled once: a page binds only
+        /// values. Each handle is compiled from the builder its shape
+        /// comes from, so the cached shapes are the `*_qs` builders' by
+        /// construction.
+        struct Pages {
+            $($name: PreparedQuery,)*
+        }
+
+        impl Pages {
+            fn named(&self) -> Vec<(&'static str, &PreparedQuery)> {
+                vec![$((stringify!($name), &self.$name)),*]
+            }
+        }
+    };
+}
+
+pages! {
+    user profile friend_count pending_count sent_invitations posts_by_sender
+    posts_by_sender_count membership_check recent_instances reverse_friendships user_fields
+    profile_fields instance_count wall_count user_bookmarks bookmark_saves friends
+    friend_bookmarks bookmark_by_url pending wall user_groups group_members
+}
+
+impl Pages {
+    fn compile(app: &SocialApp) -> Result<Pages> {
+        let s = &app.session;
+        let all = |qs: QuerySet| s.prepare(&qs, false);
+        let count = |qs: QuerySet| s.prepare(&qs, true);
+        // Filter values are not part of a shape: 0 stands for each.
+        let by =
+            |model: &str, field: &str| Ok::<_, StorageError>(app.qs(model)?.filter_eq(field, 0i64));
+        Ok(Pages {
+            user: all(app.user_qs(0)?),
+            profile: all(app.profile_qs(0)?),
+            friend_count: count(app.friends_qs(0)?),
+            pending_count: count(app.pending_invitations_qs(0)?),
+            sent_invitations: all(by("FriendshipInvitation", "from_user_id")?),
+            posts_by_sender: all(by("WallPost", "sender_id")?),
+            posts_by_sender_count: count(by("WallPost", "sender_id")?),
+            membership_check: count(by("GroupMembership", "user_id")?.filter_eq("group_id", 0i64)),
+            recent_instances: all(by("BookmarkInstance", "user_id")?.order_by("-id").limit(3)),
+            reverse_friendships: all(by("Friendship", "friend_id")?),
+            user_fields: all(app
+                .user_qs(0)?
+                .values(&[("users", "username"), ("users", "last_login")])),
+            profile_fields: all(app
+                .profile_qs(0)?
+                .values(&[("profiles", "location"), ("profiles", "website")])),
+            instance_count: count(by("BookmarkInstance", "user_id")?),
+            wall_count: count(by("WallPost", "user_id")?),
+            user_bookmarks: all(app.user_bookmarks_qs(0)?),
+            bookmark_saves: count(by("BookmarkInstance", "bookmark_id")?),
+            friends: all(app.friends_qs(0)?),
+            friend_bookmarks: all(app.friend_bookmarks_qs(0)?),
+            bookmark_by_url: all(by("Bookmark", "url")?),
+            pending: all(app.pending_invitations_qs(0)?),
+            wall: all(app.wall_qs(0)?),
+            user_groups: all(app.user_groups_qs(0)?),
+            group_members: count(by("GroupMembership", "group_id")?),
+        })
     }
 }
 
@@ -86,6 +160,7 @@ impl SocialApp {
         SocialApp {
             session,
             clock: Arc::new(AtomicI64::new(1_000_000)),
+            pages: Arc::default(),
         }
     }
 
@@ -97,6 +172,36 @@ impl SocialApp {
     /// Next logical timestamp.
     pub fn next_ts(&self) -> i64 {
         self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn pages(&self) -> Result<&Pages> {
+        if let Some(pages) = self.pages.get() {
+            return Ok(pages);
+        }
+        let pages = Pages::compile(self)?;
+        Ok(self.pages.get_or_init(|| pages))
+    }
+
+    /// Every page query's handle, by name — for checks that the handles
+    /// run what the builders build.
+    ///
+    /// # Errors
+    ///
+    /// Unknown models (the registry is not the social app's).
+    pub fn page_queries(&self) -> Result<Vec<(&'static str, &PreparedQuery)>> {
+        Ok(self.pages()?.named())
+    }
+
+    /// Runs one page query with `params` bound and books it on `stats`.
+    fn read(
+        &self,
+        stats: &mut PageStats,
+        query: &PreparedQuery,
+        params: &[Value],
+    ) -> Result<ReadOutcome> {
+        let out = self.session.run_prepared(query, params)?;
+        stats.read(&out);
+        Ok(out)
     }
 
     // ---- query-set builders (shapes must match the cached objects) ----
@@ -172,85 +277,37 @@ impl SocialApp {
     /// uncached queries (framework internals, one-off shapes) still hit
     /// the database and keep it the bottleneck — they are why the cached
     /// systems win by 2–2.5×, not by the raw memcached-vs-DB factor.
-    fn chrome(&self, user: i64, stats: &mut PageStats) -> Result<()> {
-        stats.read(&self.session.all(&self.user_qs(user)?)?);
-        stats.read(&self.session.all(&self.profile_qs(user)?)?);
-        let (_, out) = self.session.count(&self.friends_qs(user)?)?;
-        stats.read(&out);
-        let (_, out) = self.session.count(&self.pending_invitations_qs(user)?)?;
-        stats.read(&out);
-        self.uncached_chrome(user, stats)
+    fn chrome(&self, q: &Pages, user: i64, stats: &mut PageStats) -> Result<()> {
+        let u = [Value::Int(user)];
+        self.read(stats, &q.user, &u)?;
+        self.read(stats, &q.profile, &u)?;
+        self.read(stats, &q.friend_count, &u)?;
+        self.read(stats, &q.pending_count, &pending(user))?;
+        self.uncached_chrome(q, user, stats)
     }
 
     /// Framework-style queries with shapes no cached object matches:
     /// sent invitations, outgoing wall posts, a per-(user, group)
     /// membership check, and a recent-activity lookup.
-    fn uncached_chrome(&self, user: i64, stats: &mut PageStats) -> Result<()> {
-        stats.read(
-            &self.session.all(
-                &self
-                    .qs("FriendshipInvitation")?
-                    .filter_eq("from_user_id", user),
-            )?,
-        );
-        stats.read(
-            &self
-                .session
-                .all(&self.qs("WallPost")?.filter_eq("sender_id", user))?,
-        );
-        let (_, out) = self.session.count(
-            &self
-                .qs("GroupMembership")?
-                .filter_eq("user_id", user)
-                .filter_eq("group_id", 1 + user % 3),
-        )?;
-        stats.read(&out);
-        stats.read(
-            &self.session.all(
-                &self
-                    .qs("BookmarkInstance")?
-                    .filter_eq("user_id", user)
-                    .order_by("-id")
-                    .limit(3),
-            )?,
-        );
+    fn uncached_chrome(&self, q: &Pages, user: i64, stats: &mut PageStats) -> Result<()> {
+        let u = [Value::Int(user)];
+        self.read(stats, &q.sent_invitations, &u)?;
+        self.read(stats, &q.posts_by_sender, &u)?;
+        let group = Value::Int(1 + user % 3);
+        self.read(stats, &q.membership_check, &[Value::Int(user), group])?;
+        self.read(stats, &q.recent_instances, &u)?;
         // Reverse-direction friendship check (keyed on friend_id, which no
         // cached object covers).
-        stats.read(
-            &self
-                .session
-                .all(&self.qs("Friendship")?.filter_eq("friend_id", user))?,
-        );
+        self.read(stats, &q.reverse_friendships, &u)?;
         // "People you may know" sidebar: a suggested peer's outgoing posts
         // and activity volume.
-        let peer = user % 17 + 1;
-        stats.read(
-            &self
-                .session
-                .all(&self.qs("WallPost")?.filter_eq("sender_id", peer))?,
-        );
-        let (_, out) = self
-            .session
-            .count(&self.qs("WallPost")?.filter_eq("sender_id", peer))?;
-        stats.read(&out);
+        let peer = [Value::Int(user % 17 + 1)];
+        self.read(stats, &q.posts_by_sender, &peer)?;
+        self.read(stats, &q.posts_by_sender_count, &peer)?;
         // Django-middleware-style per-request queries whose projections
         // differ from any cached template (projection changes the shape).
-        stats.read(
-            &self.session.all(
-                &self
-                    .qs("User")?
-                    .filter_eq("id", user)
-                    .values(&[("users", "username"), ("users", "last_login")]),
-            )?,
-        );
-        stats.read(
-            &self.session.all(
-                &self
-                    .qs("Profile")?
-                    .filter_eq("user_id", user)
-                    .values(&[("profiles", "location"), ("profiles", "website")]),
-            )?,
-        );
+        self.read(stats, &q.user_fields, &u)?;
+        self.read(stats, &q.profile_fields, &u)?;
         Ok(())
     }
 
@@ -262,22 +319,17 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn login(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
         let ts = self.next_ts();
         stats.write(&self.session.update_by_id(
             "User",
             user,
             &[("last_login", Value::Timestamp(ts))],
         )?);
-        let (_, out) = self
-            .session
-            .count(&self.qs("BookmarkInstance")?.filter_eq("user_id", user))?;
-        stats.read(&out);
-        let (_, out) = self
-            .session
-            .count(&self.qs("WallPost")?.filter_eq("user_id", user))?;
-        stats.read(&out);
+        let u = [Value::Int(user)];
+        self.read(&mut stats, &q.instance_count, &u)?;
+        self.read(&mut stats, &q.wall_count, &u)?;
         Ok(stats)
     }
 
@@ -287,10 +339,9 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn logout(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        stats.read(&self.session.all(&self.user_qs(user)?)?);
-        let (_, out) = self.session.count(&self.pending_invitations_qs(user)?)?;
-        stats.read(&out);
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.read(&mut stats, &q.user, &[Value::Int(user)])?;
+        self.read(&mut stats, &q.pending_count, &pending(user))?;
         Ok(stats)
     }
 
@@ -300,25 +351,18 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn lookup_bm(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
-        let list = self.session.all(&self.user_bookmarks_qs(user)?)?;
-        let bookmark_ids: Vec<i64> = list
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
+        let u = [Value::Int(user)];
+        let list = self.read(&mut stats, &q.user_bookmarks, &u)?;
+        self.read(&mut stats, &q.instance_count, &u)?;
+        for b in list
             .rows
             .iter()
             .filter_map(|r| r.get("bookmark_id").as_int())
             .take(5)
-            .collect();
-        stats.read(&list);
-        let (_, out) = self
-            .session
-            .count(&self.qs("BookmarkInstance")?.filter_eq("user_id", user))?;
-        stats.read(&out);
-        for b in bookmark_ids {
-            let (_, out) = self
-                .session
-                .count(&self.qs("BookmarkInstance")?.filter_eq("bookmark_id", b))?;
-            stats.read(&out);
+        {
+            self.read(&mut stats, &q.bookmark_saves, &[Value::Int(b)])?;
         }
         Ok(stats)
     }
@@ -330,24 +374,20 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn lookup_fbm(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
-        let friends = self.session.all(&self.friends_qs(user)?)?;
-        let friend_ids: Vec<i64> = friends
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
+        let u = [Value::Int(user)];
+        let friends = self.read(&mut stats, &q.friends, &u)?;
+        self.read(&mut stats, &q.friend_bookmarks, &u)?;
+        for f in friends
             .rows
             .iter()
             .filter_map(|r| r.get("friend_id").as_int())
             .take(5)
-            .collect();
-        stats.read(&friends);
-        let fbm = self.session.all(&self.friend_bookmarks_qs(user)?)?;
-        stats.read(&fbm);
-        for f in friend_ids {
-            stats.read(&self.session.all(&self.profile_qs(f)?)?);
-            let (_, out) = self
-                .session
-                .count(&self.qs("BookmarkInstance")?.filter_eq("user_id", f))?;
-            stats.read(&out);
+        {
+            let friend = [Value::Int(f)];
+            self.read(&mut stats, &q.profile, &friend)?;
+            self.read(&mut stats, &q.instance_count, &friend)?;
         }
         Ok(stats)
     }
@@ -359,20 +399,14 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn create_bm(&self, user: i64, url: &str) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
         // Find-or-create the unique bookmark (not a cached pattern;
         // passes through).
-        let existing = self
-            .session
-            .all(&self.qs("Bookmark")?.filter_eq("url", url))?;
+        let existing = self.read(&mut stats, &q.bookmark_by_url, &[url.into()])?;
         let bookmark_id = match existing.rows.first() {
-            Some(row) => {
-                stats.read(&existing);
-                row.id()
-            }
+            Some(row) => row.id(),
             None => {
-                stats.read(&existing);
                 let ts = self.next_ts();
                 let w = self.session.create(
                     "Bookmark",
@@ -399,11 +433,9 @@ impl SocialApp {
         )?;
         stats.write(&w);
         // Re-render: the user must see her own write immediately.
-        stats.read(&self.session.all(&self.user_bookmarks_qs(user)?)?);
-        let (_, out) = self
-            .session
-            .count(&self.qs("BookmarkInstance")?.filter_eq("user_id", user))?;
-        stats.read(&out);
+        let u = [Value::Int(user)];
+        self.read(&mut stats, &q.user_bookmarks, &u)?;
+        self.read(&mut stats, &q.instance_count, &u)?;
         Ok(stats)
     }
 
@@ -414,14 +446,13 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn accept_fr(&self, user: i64, fallback_peer: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
-        let pending = self.session.all(&self.pending_invitations_qs(user)?)?;
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
+        let pending = self.read(&mut stats, &q.pending, &pending(user))?;
         let first = pending
             .rows
             .first()
             .map(|r| (r.id(), r.get("from_user_id").as_int().expect("fk is int")));
-        stats.read(&pending);
         match first {
             Some((invitation_id, from_user)) => {
                 stats.write(&self.session.update_by_id(
@@ -467,9 +498,9 @@ impl SocialApp {
             }
         }
         // Re-render the friends box.
-        stats.read(&self.session.all(&self.friends_qs(user)?)?);
-        let (_, out) = self.session.count(&self.friends_qs(user)?)?;
-        stats.read(&out);
+        let u = [Value::Int(user)];
+        self.read(&mut stats, &q.friends, &u)?;
+        self.read(&mut stats, &q.friend_count, &u)?;
         Ok(stats)
     }
 
@@ -479,13 +510,11 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn view_wall(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
-        stats.read(&self.session.all(&self.wall_qs(user)?)?);
-        let (_, out) = self
-            .session
-            .count(&self.qs("WallPost")?.filter_eq("user_id", user))?;
-        stats.read(&out);
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
+        let u = [Value::Int(user)];
+        self.read(&mut stats, &q.wall, &u)?;
+        self.read(&mut stats, &q.wall_count, &u)?;
         Ok(stats)
     }
 
@@ -495,7 +524,7 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn post_wall(&self, wall_owner: i64, sender: i64, content: &str) -> Result<PageStats> {
-        let mut stats = PageStats::default();
+        let (q, mut stats) = (self.pages()?, PageStats::default());
         let ts = self.next_ts();
         stats.write(&self.session.create(
             "WallPost",
@@ -506,7 +535,7 @@ impl SocialApp {
                 ("date_posted", Value::Timestamp(ts)),
             ],
         )?);
-        stats.read(&self.session.all(&self.wall_qs(wall_owner)?)?);
+        self.read(&mut stats, &q.wall, &[Value::Int(wall_owner)])?;
         Ok(stats)
     }
 
@@ -546,7 +575,7 @@ impl SocialApp {
         abort: bool,
         pace: &dyn Fn(),
     ) -> Result<PageStats> {
-        let mut stats = PageStats::default();
+        let (q, mut stats) = (self.pages()?, PageStats::default());
         let db = self.session.database();
         db.execute_sql("BEGIN", &[])?;
         for i in 0..posts.max(1) {
@@ -580,7 +609,7 @@ impl SocialApp {
         }
         // Re-render the wall: after COMMIT the burst is visible, after
         // ROLLBACK the pre-transaction wall is.
-        stats.read(&self.session.all(&self.wall_qs(wall_owner)?)?);
+        self.read(&mut stats, &q.wall, &[Value::Int(wall_owner)])?;
         Ok(stats)
     }
 
@@ -590,21 +619,16 @@ impl SocialApp {
     ///
     /// Database errors.
     pub fn view_groups(&self, user: i64) -> Result<PageStats> {
-        let mut stats = PageStats::default();
-        self.chrome(user, &mut stats)?;
-        let memberships = self.session.all(&self.user_groups_qs(user)?)?;
-        let group_ids: Vec<i64> = memberships
+        let (q, mut stats) = (self.pages()?, PageStats::default());
+        self.chrome(q, user, &mut stats)?;
+        let memberships = self.read(&mut stats, &q.user_groups, &[Value::Int(user)])?;
+        for g in memberships
             .rows
             .iter()
             .filter_map(|r| r.get("group_id").as_int())
             .take(5)
-            .collect();
-        stats.read(&memberships);
-        for g in group_ids {
-            let (_, out) = self
-                .session
-                .count(&self.qs("GroupMembership")?.filter_eq("group_id", g))?;
-            stats.read(&out);
+        {
+            self.read(&mut stats, &q.group_members, &[Value::Int(g)])?;
         }
         Ok(stats)
     }

@@ -1,87 +1,182 @@
 //! Differential test of the prepare-once read path.
 //!
 //! Two identical deployments run the same sequence of statements. On the
-//! first, every query set goes through the session: its shape's memoised
-//! [`genie_orm::PreparedQuery`], the engine's kept binding and — while
-//! the data allows — kept plan. On the second, every statement runs on a
-//! [`PreparedSelect`] made for that one call, so it is bound and planned
-//! from scratch with exactly the call's parameters. Results, physical
-//! cost (both buffer pools see the same page touches in the same order)
-//! and reported plans must be equal, for every statement shape the social
-//! app issues, as `all` and as `count`, over 200 seeded users, with write
-//! pages in between that invalidate what is kept.
+//! first, every query runs through the app's own page handle
+//! ([`SocialApp::page_queries`]): its engine statement's kept binding
+//! and — while the data allows — kept plan. On the second, every
+//! statement runs on a [`PreparedSelect`] made for that one call, so it
+//! is bound and planned from scratch with exactly the call's parameters.
+//! Results, physical cost (both buffer pools see the same page touches
+//! in the same order) and reported plans must be equal, for every page
+//! handle, over 200 seeded users, with write pages in between that
+//! invalidate what is kept. Each handle must also be exactly the
+//! statement of the query set it is named for, so the `*_qs` builders
+//! (and the copies of the uncached shapes elsewhere) cannot drift from
+//! what the pages run.
 
 use genie_orm::QuerySet;
 use genie_social::{build_app, AppConfig, AppEnv, SeedConfig, SocialApp};
 use genie_storage::{PreparedSelect, Value};
+use std::collections::BTreeMap;
 
 const USERS: i64 = 200;
 
-type Shape = (&'static str, fn(&SocialApp, i64) -> QuerySet);
+/// A page handle's query set for a user, and whether it runs as a
+/// `COUNT(*)`.
+type Shape = (fn(&SocialApp, i64) -> QuerySet, bool);
 
 fn objects(app: &SocialApp, model: &str) -> QuerySet {
     app.session().objects(model).unwrap()
 }
 
-/// Every query-set shape `genie_social::app` builds.
-fn shapes() -> Vec<Shape> {
-    vec![
-        ("user_by_id", |a, u| a.user_qs(u).unwrap()),
-        ("profile_by_user", |a, u| a.profile_qs(u).unwrap()),
-        ("friends_of_user", |a, u| a.friends_qs(u).unwrap()),
-        ("pending_invitations", |a, u| {
-            a.pending_invitations_qs(u).unwrap()
-        }),
-        ("user_bookmarks", |a, u| a.user_bookmarks_qs(u).unwrap()),
-        ("friend_bookmarks", |a, u| a.friend_bookmarks_qs(u).unwrap()),
-        ("latest_wall_posts", |a, u| a.wall_qs(u).unwrap()),
-        ("user_groups", |a, u| a.user_groups_qs(u).unwrap()),
-        ("sent_invitations", |a, u| {
-            objects(a, "FriendshipInvitation").filter_eq("from_user_id", u)
-        }),
-        ("posts_by_sender", |a, u| {
-            objects(a, "WallPost").filter_eq("sender_id", u)
-        }),
-        ("membership_check", |a, u| {
-            objects(a, "GroupMembership")
-                .filter_eq("user_id", u)
-                .filter_eq("group_id", 1 + u % 3)
-        }),
-        ("recent_instances", |a, u| {
-            objects(a, "BookmarkInstance")
-                .filter_eq("user_id", u)
-                .order_by("-id")
-                .limit(3)
-        }),
-        ("reverse_friendships", |a, u| {
-            objects(a, "Friendship").filter_eq("friend_id", u)
-        }),
-        ("user_fields", |a, u| {
-            objects(a, "User")
-                .filter_eq("id", u)
-                .values(&[("users", "username"), ("users", "last_login")])
-        }),
-        ("profile_fields", |a, u| {
-            objects(a, "Profile")
-                .filter_eq("user_id", u)
-                .values(&[("profiles", "location"), ("profiles", "website")])
-        }),
-        ("instances_of_user", |a, u| {
-            objects(a, "BookmarkInstance").filter_eq("user_id", u)
-        }),
-        ("instances_of_bookmark", |a, u| {
-            objects(a, "BookmarkInstance").filter_eq("bookmark_id", 1 + u % 40)
-        }),
-        ("wall_of_user", |a, u| {
-            objects(a, "WallPost").filter_eq("user_id", u)
-        }),
-        ("members_of_group", |a, u| {
-            objects(a, "GroupMembership").filter_eq("group_id", 1 + u % 6)
-        }),
-        ("bookmark_by_url", |a, u| {
-            objects(a, "Bookmark").filter_eq("url", format!("http://site{}.example/page", u % 40))
-        }),
-    ]
+/// The query set behind every page handle, by handle name.
+fn shapes() -> BTreeMap<&'static str, Shape> {
+    let shapes: [(&str, Shape); 23] = [
+        ("user", (|a, u| a.user_qs(u).unwrap(), false)),
+        ("profile", (|a, u| a.profile_qs(u).unwrap(), false)),
+        ("friend_count", (|a, u| a.friends_qs(u).unwrap(), true)),
+        (
+            "pending_count",
+            (|a, u| a.pending_invitations_qs(u).unwrap(), true),
+        ),
+        (
+            "user_bookmarks",
+            (|a, u| a.user_bookmarks_qs(u).unwrap(), false),
+        ),
+        ("friends", (|a, u| a.friends_qs(u).unwrap(), false)),
+        (
+            "friend_bookmarks",
+            (|a, u| a.friend_bookmarks_qs(u).unwrap(), false),
+        ),
+        (
+            "pending",
+            (|a, u| a.pending_invitations_qs(u).unwrap(), false),
+        ),
+        ("wall", (|a, u| a.wall_qs(u).unwrap(), false)),
+        ("user_groups", (|a, u| a.user_groups_qs(u).unwrap(), false)),
+        (
+            "sent_invitations",
+            (
+                |a, u| objects(a, "FriendshipInvitation").filter_eq("from_user_id", u),
+                false,
+            ),
+        ),
+        (
+            "posts_by_sender",
+            (
+                |a, u| objects(a, "WallPost").filter_eq("sender_id", u),
+                false,
+            ),
+        ),
+        (
+            "posts_by_sender_count",
+            (
+                |a, u| objects(a, "WallPost").filter_eq("sender_id", u),
+                true,
+            ),
+        ),
+        (
+            "membership_check",
+            (
+                |a, u| {
+                    objects(a, "GroupMembership")
+                        .filter_eq("user_id", u)
+                        .filter_eq("group_id", 1 + u % 3)
+                },
+                true,
+            ),
+        ),
+        (
+            "recent_instances",
+            (
+                |a, u| {
+                    objects(a, "BookmarkInstance")
+                        .filter_eq("user_id", u)
+                        .order_by("-id")
+                        .limit(3)
+                },
+                false,
+            ),
+        ),
+        (
+            "reverse_friendships",
+            (
+                |a, u| objects(a, "Friendship").filter_eq("friend_id", u),
+                false,
+            ),
+        ),
+        (
+            "user_fields",
+            (
+                |a, u| {
+                    objects(a, "User")
+                        .filter_eq("id", u)
+                        .values(&[("users", "username"), ("users", "last_login")])
+                },
+                false,
+            ),
+        ),
+        (
+            "profile_fields",
+            (
+                |a, u| {
+                    objects(a, "Profile")
+                        .filter_eq("user_id", u)
+                        .values(&[("profiles", "location"), ("profiles", "website")])
+                },
+                false,
+            ),
+        ),
+        (
+            "instance_count",
+            (
+                |a, u| objects(a, "BookmarkInstance").filter_eq("user_id", u),
+                true,
+            ),
+        ),
+        (
+            "wall_count",
+            (|a, u| objects(a, "WallPost").filter_eq("user_id", u), true),
+        ),
+        (
+            "bookmark_saves",
+            (
+                |a, u| objects(a, "BookmarkInstance").filter_eq("bookmark_id", 1 + u % 40),
+                true,
+            ),
+        ),
+        (
+            "group_members",
+            (
+                |a, u| objects(a, "GroupMembership").filter_eq("group_id", 1 + u % 6),
+                true,
+            ),
+        ),
+        (
+            "bookmark_by_url",
+            (
+                |a, u| {
+                    objects(a, "Bookmark")
+                        .filter_eq("url", format!("http://site{}.example/page", u % 40))
+                },
+                false,
+            ),
+        ),
+    ];
+    shapes.into_iter().collect()
+}
+
+fn compile(
+    (build, count): Shape,
+    app: &SocialApp,
+    user: i64,
+) -> (genie_storage::Select, Vec<Value>) {
+    let qs = build(app, user);
+    if count {
+        qs.compile_count()
+    } else {
+        qs.compile()
+    }
 }
 
 fn deployment() -> AppEnv {
@@ -101,54 +196,63 @@ fn deployment() -> AppEnv {
 }
 
 #[test]
+fn each_page_handle_is_the_statement_of_its_query_set() {
+    let env = deployment();
+    let shapes = shapes();
+    let handles = env.app.page_queries().unwrap();
+    let names: Vec<&str> = handles.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names.len(), shapes.len(), "{names:?}");
+    for (name, handle) in handles {
+        let shape = *shapes
+            .get(name)
+            .unwrap_or_else(|| panic!("no query set for {name}"));
+        let (select, _) = compile(shape, &env.app, 7);
+        assert_eq!(handle.fingerprint(), select.to_string(), "{name}");
+        assert_eq!(handle.select(), &select, "{name}");
+    }
+}
+
+#[test]
 fn kept_plans_equal_fresh_ones_for_every_app_shape() {
     let (kept, fresh) = (deployment(), deployment());
     let shapes = shapes();
+    let handles = kept.app.page_queries().unwrap();
+    let session = kept.app.session();
     let mut compared = 0u64;
     for user in 1..=USERS {
-        for (name, build) in &shapes {
-            for count in [false, true] {
-                let qs = build(&kept.app, user);
-                let (select, params) = if count {
-                    qs.compile_count()
-                } else {
-                    qs.compile()
-                };
-                let what = format!("{name} count={count} user={user}");
+        for (name, handle) in &handles {
+            let (select, params) = compile(shapes[name], &kept.app, user);
+            let what = format!("{name} user={user}");
 
-                let once = PreparedSelect::new(select.clone());
+            let once = PreparedSelect::new(select.clone());
+            assert_eq!(
+                kept.db
+                    .explain_prepared(handle.statement(), &params)
+                    .unwrap(),
+                fresh.db.explain_prepared(&once, &params).unwrap(),
+                "plan: {what}"
+            );
+
+            let through_handle = session.run_prepared(handle, &params).unwrap();
+            let from_scratch = fresh
+                .db
+                .execute_prepared(&PreparedSelect::new(select), &params)
+                .unwrap();
+            let rows: Vec<_> = through_handle
+                .rows
+                .iter()
+                .map(|r| r.row().clone())
+                .collect();
+            assert_eq!(rows, from_scratch.result.rows, "rows: {what}");
+            if let Some(first) = through_handle.rows.first() {
                 assert_eq!(
-                    kept.db.explain(&select, &params).unwrap(),
-                    fresh.db.explain_prepared(&once, &params).unwrap(),
-                    "plan: {what}"
+                    first.columns(),
+                    &from_scratch.result.columns[..],
+                    "columns: {what}"
                 );
-
-                let session = kept.app.session();
-                let through_session = if count {
-                    session.count(&qs).unwrap().1
-                } else {
-                    session.all(&qs).unwrap()
-                };
-                let from_scratch = fresh
-                    .db
-                    .execute_prepared(&PreparedSelect::new(select), &params)
-                    .unwrap();
-                let rows: Vec<_> = through_session
-                    .rows
-                    .iter()
-                    .map(|r| r.row().clone())
-                    .collect();
-                assert_eq!(rows, from_scratch.result.rows, "rows: {what}");
-                if let Some(first) = through_session.rows.first() {
-                    assert_eq!(
-                        first.columns(),
-                        &from_scratch.result.columns[..],
-                        "columns: {what}"
-                    );
-                }
-                assert_eq!(through_session.db_cost, from_scratch.cost, "cost: {what}");
-                compared += 1;
             }
+            assert_eq!(through_handle.db_cost, from_scratch.cost, "cost: {what}");
+            compared += 1;
         }
         // Writes between users invalidate kept plans on the tables they
         // touch; both deployments apply the same ones.
@@ -162,7 +266,7 @@ fn kept_plans_equal_fresh_ones_for_every_app_shape() {
             }
         }
     }
-    assert_eq!(compared, USERS as u64 * shapes.len() as u64 * 2);
+    assert_eq!(compared, USERS as u64 * shapes.len() as u64);
     assert_eq!(
         kept.db.content_digest(),
         fresh.db.content_digest(),

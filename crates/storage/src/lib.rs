@@ -90,7 +90,7 @@ pub use error::{Result, StorageError};
 pub use expr::{ArithOp, CmpOp, ColumnRef, Expr};
 pub use lockmgr::{LatchStats, LockManager, LockMode, LockStats, TxnId};
 pub use plan::{AccessPath, Bound, JoinMethod, JoinPlan, Plan, QueryPlan};
-pub use prepared::{PreparedSelect, ShapeCache};
+pub use prepared::PreparedSelect;
 pub use query::{
     AggFunc, Delete, Insert, Join, JoinKind, OrderKey, QueryResult, Select, SelectItem, Statement,
     TableRef, Update,

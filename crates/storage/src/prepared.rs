@@ -24,7 +24,7 @@
 //!
 //! Statements that arrive as a bare [`Select`] (`Database::select`,
 //! parsed SQL, trigger-body queries) reach their prepared form through
-//! the engine's statement cache, a [`ShapeCache`].
+//! the engine's statement cache (`StatementCache`).
 
 use crate::error::Result;
 use crate::exec::{BoundSelect, ExecPlan};
@@ -36,7 +36,7 @@ use crate::value::Value;
 use parking_lot::RwLock;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// A SELECT prepared for repeated execution; see the module docs.
@@ -200,76 +200,47 @@ fn same_statement(a: &Select, b: &Select) -> bool {
     a == b && exprs(a).zip(exprs(b)).all(|(x, y)| same_repr(x, y))
 }
 
-/// How many entries a [`ShapeCache`] holds before it is emptied. The page
-/// queries of an application are a few dozen shapes; what can grow
-/// without bound is ad-hoc SQL with inlined literals, every distinct
-/// literal a distinct statement — which is why a full cache is cleared
-/// instead of growing.
+/// How many statements the engine's statement cache holds before it is
+/// emptied. An application's prepared queries are a few dozen shapes;
+/// what can grow without bound is ad-hoc SQL with inlined literals,
+/// every distinct literal a distinct statement — which is why a full
+/// cache is cleared instead of growing.
 pub const SHAPE_CACHE_CAPACITY: usize = 1024;
 
-/// A bounded memo of values derived from a key's *shape*, keyed by the
-/// shape's hash alone: one entry per hash, and an entry that turns out
-/// not to be the caller's (`is_mine` — a hash collision, or a value that
-/// has gone stale) is recomputed and replaced. Lookups take a read lock
-/// and build nothing.
-pub struct ShapeCache<V> {
+/// The engine's statement cache: [`Select`] → its [`PreparedSelect`],
+/// keyed by the statement's hash alone. An entry that turns out not to
+/// be the caller's statement (a hash collision) is replaced. Lookups
+/// take a read lock and build nothing.
+#[derive(Default)]
+pub(crate) struct StatementCache {
     hasher: RandomState,
-    entries: RwLock<HashMap<u64, V>>,
+    entries: RwLock<HashMap<u64, PreparedSelect>>,
 }
-
-impl<V> Default for ShapeCache<V> {
-    fn default() -> Self {
-        ShapeCache {
-            hasher: RandomState::new(),
-            entries: RwLock::new(HashMap::new()),
-        }
-    }
-}
-
-impl<V: Clone> ShapeCache<V> {
-    /// The value cached under `shape`'s hash if `is_mine` accepts it,
-    /// else `make()`'s, which takes its place.
-    pub fn get_or_insert_with<K: Hash + ?Sized>(
-        &self,
-        shape: &K,
-        is_mine: impl Fn(&V) -> bool,
-        make: impl FnOnce() -> V,
-    ) -> V {
-        let key = self.hasher.hash_one(shape);
-        if let Some(hit) = self.entries.read().get(&key).filter(|v| is_mine(v)) {
-            return hit.clone();
-        }
-        let value = make();
-        let mut entries = self.entries.write();
-        if entries.len() >= SHAPE_CACHE_CAPACITY {
-            entries.clear();
-        }
-        entries.insert(key, value.clone());
-        value
-    }
-
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The engine's statement cache: [`Select`] → its [`PreparedSelect`].
-pub(crate) type StatementCache = ShapeCache<PreparedSelect>;
 
 impl StatementCache {
     /// The prepared form of `select`, preparing it on first sight.
     pub(crate) fn get(&self, select: &Select) -> PreparedSelect {
-        self.get_or_insert_with(
-            select,
-            |hit| same_statement(hit.select(), select),
-            || PreparedSelect::new(select.clone()),
-        )
+        let key = self.hasher.hash_one(select);
+        if let Some(hit) = self
+            .entries
+            .read()
+            .get(&key)
+            .filter(|hit| same_statement(hit.select(), select))
+        {
+            return hit.clone();
+        }
+        let prepared = PreparedSelect::new(select.clone());
+        let mut entries = self.entries.write();
+        if entries.len() >= SHAPE_CACHE_CAPACITY {
+            entries.clear();
+        }
+        entries.insert(key, prepared.clone());
+        prepared
+    }
+
+    /// Statements currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.read().len()
     }
 }
 

@@ -17,6 +17,11 @@ cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D 
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (each runs to exit 0 against the public ORM and CacheGenie API)"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
