@@ -427,14 +427,15 @@ impl CacheGenie {
     ///
     /// Unknown object names and database errors.
     pub fn evaluate(&self, name: &str, params: &[Value]) -> Result<EvalOutcome> {
-        let obj = self
-            .shared
-            .by_name
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
+        let obj = self.object(name)?;
         self.shared.serve(&obj, params)
+    }
+
+    /// The declared object named `name`.
+    fn object(&self, name: &str) -> Result<Arc<ObjectInner>> {
+        let objects = self.shared.by_name.read();
+        let obj = objects.get(name).cloned();
+        obj.ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))
     }
 
     /// The cache key a cached object uses for concrete key values —
@@ -443,18 +444,24 @@ impl CacheGenie {
     ///
     /// # Errors
     ///
-    /// Unknown object names, and [`StorageError::Unsupported`] for values
-    /// no key holds (NULL, or not of the key column's type).
+    /// Unknown object names, a count of values other than the object's
+    /// key fields, and [`StorageError::Unsupported`] for values no key
+    /// holds (NULL, or not of the key column's type).
     pub fn key_for(&self, name: &str, params: &[Value]) -> Result<String> {
-        let obj = self
-            .shared
-            .by_name
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
-        obj.make_key(params)
+        self.key_of(name, params)?
             .ok_or_else(|| StorageError::Unsupported(format!("no cache key for {params:?}")))
+    }
+
+    /// [`CacheGenie::key_for`], with `None` for values no key holds: a
+    /// read of them goes to the database, and no trigger maintains them.
+    pub(crate) fn key_of(&self, name: &str, params: &[Value]) -> Result<Option<String>> {
+        let obj = self.object(name)?;
+        if params.len() != obj.key_types.len() {
+            let want = obj.key_types.len();
+            let msg = format!("cached object {name} takes {want} key values, got {params:?}");
+            return Err(StorageError::Unsupported(msg));
+        }
+        Ok(obj.make_key(params))
     }
 
     /// Cross-checks one cached object instance against the database: re-
@@ -470,13 +477,7 @@ impl CacheGenie {
     ///
     /// Unknown object names and database errors.
     pub fn verify_coherence(&self, name: &str, params: &[Value]) -> Result<bool> {
-        let obj = self
-            .shared
-            .by_name
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownIndex(format!("cached object {name}")))?;
+        let obj = self.object(name)?;
         let Some(key) = obj.make_key(params) else {
             return Ok(true);
         };

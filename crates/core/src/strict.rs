@@ -141,21 +141,27 @@ impl StrictTxn {
     /// within the attempt budget (deadlock-by-timeout) — the caller should
     /// [`StrictTxn::abort`]. Also unknown-object and database errors.
     pub fn read(&mut self, object: &str, params: &[Value]) -> Result<EvalOutcome> {
-        let key = self.genie.key_for(object, params)?;
-        self.acquire(&key, false)?;
+        // Values no key holds (NULL) are read from the database, past the
+        // cache: there is nothing to lock.
+        if let Some(key) = self.genie.key_of(object, params)? {
+            self.acquire(&key, false)?;
+        }
         self.genie.evaluate(object, params)
     }
 
     /// Acquires a write lock on the cache key a database write is about
-    /// to touch. Call before the write statement.
+    /// to touch. Call before the write statement. A row whose key field
+    /// is NULL is filed under a key nothing reads, so its write locks
+    /// nothing.
     ///
     /// # Errors
     ///
     /// [`StorageError::LockTimeout`] on lock-budget exhaustion.
     pub fn write_lock(&mut self, object: &str, params: &[Value]) -> Result<()> {
-        let key = self.genie.key_for(object, params)?;
-        self.acquire(&key, true)?;
-        self.written.push(key);
+        if let Some(key) = self.genie.key_of(object, params)? {
+            self.acquire(&key, true)?;
+            self.written.push(key);
+        }
         Ok(())
     }
 

@@ -782,6 +782,32 @@ fn dropped_txn_releases_locks() {
     assert_eq!(mgr.locked_keys(), 0);
 }
 
+#[test]
+fn strict_txn_locks_nothing_for_a_null_key_value() {
+    let e = env();
+    e.genie.cacheable(profile_def().manual_only()).unwrap();
+    e.session
+        .create("Profile", &[("user_id", 1i64.into()), ("bio", "x".into())])
+        .unwrap();
+    let mgr = StrictTxnManager::new();
+    let mut t = mgr.begin(&e.genie);
+    // `user_id = NULL` matches no row and names no key: the read goes to
+    // the database, and a write to a row keyed NULL locks nothing.
+    let read = t.read("cached_user_profile", &[Value::Null]).unwrap();
+    assert!(read.result.rows.is_empty());
+    assert!(!read.from_cache);
+    t.write_lock("cached_user_profile", &[Value::Null]).unwrap();
+    assert_eq!(mgr.locked_keys(), 0);
+    // The wrong number of key values is an error, not a shortened key.
+    let two = [Value::Int(1), Value::Int(2)];
+    assert!(t.read("cached_user_profile", &two).is_err());
+    assert!(t.write_lock("cached_user_profile", &two).is_err());
+    assert!(e.genie.key_for("cached_user_profile", &two).is_err());
+    assert!(e.genie.key_for("cached_user_profile", &[]).is_err());
+    assert_eq!(mgr.locked_keys(), 0);
+    assert_eq!(t.commit(), TxnOutcome::Committed);
+}
+
 // ---- prepared queries: what is resolved once must follow declarations
 // and transactions ----
 

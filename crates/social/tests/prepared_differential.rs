@@ -1,29 +1,33 @@
 //! Differential test of the prepare-once read path.
 //!
 //! Two identical deployments run the same sequence of statements. On the
-//! first, every query runs through the app's own page handle
-//! ([`SocialApp::page_queries`]): its engine statement's kept binding
-//! and — while the data allows — kept plan. On the second, every
-//! statement runs on a [`PreparedSelect`] made for that one call, so it
-//! is bound and planned from scratch with exactly the call's parameters.
-//! Results, physical cost (both buffer pools see the same page touches
-//! in the same order) and reported plans must be equal, for every page
-//! handle, over 200 seeded users, with write pages in between that
-//! invalidate what is kept. Each handle must also be exactly the
-//! statement of the query set it is named for, so the `*_qs` builders
-//! (and the copies of the uncached shapes elsewhere) cannot drift from
-//! what the pages run.
+//! first, every query runs twice over: through the app's own page handle
+//! ([`SocialApp::page_queries`]), and — for every distinct query set
+//! behind those handles, as `all` and as `count` — through the session's
+//! ad-hoc [`genie_orm::OrmSession::all`]/[`genie_orm::OrmSession::count`].
+//! Both reach the engine statement's kept binding and — while the data
+//! allows — kept plan. On the second, every statement runs on a
+//! [`PreparedSelect`] made for that one call, so it is bound and planned
+//! from scratch with exactly the call's parameters. Results, physical
+//! cost (both buffer pools see the same page touches in the same order)
+//! and reported plans must be equal, over 200 seeded users, with write
+//! pages in between that invalidate what is kept. Each handle must also
+//! be exactly the statement of the query set it is named for, so the
+//! `*_qs` builders (and the copies of the uncached shapes elsewhere)
+//! cannot drift from what the pages run.
 
-use genie_orm::QuerySet;
+use genie_orm::{QuerySet, ReadOutcome};
 use genie_social::{build_app, AppConfig, AppEnv, SeedConfig, SocialApp};
-use genie_storage::{PreparedSelect, Value};
+use genie_storage::{PreparedSelect, QueryPlan, Select, Value};
 use std::collections::BTreeMap;
 
 const USERS: i64 = 200;
 
-/// A page handle's query set for a user, and whether it runs as a
-/// `COUNT(*)`.
-type Shape = (fn(&SocialApp, i64) -> QuerySet, bool);
+/// Builds a query set for a user.
+type Build = fn(&SocialApp, i64) -> QuerySet;
+
+/// A page handle's query set, and whether it runs as a `COUNT(*)`.
+type Shape = (Build, bool);
 
 fn objects(app: &SocialApp, model: &str) -> QuerySet {
     app.session().objects(model).unwrap()
@@ -166,17 +170,51 @@ fn shapes() -> BTreeMap<&'static str, Shape> {
     shapes.into_iter().collect()
 }
 
-fn compile(
-    (build, count): Shape,
-    app: &SocialApp,
-    user: i64,
-) -> (genie_storage::Select, Vec<Value>) {
+/// Every distinct query set behind the page handles, once each (a handle
+/// and its `COUNT(*)` twin share one).
+fn query_sets(app: &SocialApp) -> Vec<(&'static str, Build)> {
+    let mut seen = std::collections::BTreeSet::new();
+    shapes()
+        .into_iter()
+        .filter(|(_, (build, _))| seen.insert(build(app, 1).compile().0.to_string()))
+        .map(|(name, (build, _))| (name, build))
+        .collect()
+}
+
+fn compile((build, count): Shape, app: &SocialApp, user: i64) -> (Select, Vec<Value>) {
     let qs = build(app, user);
     if count {
         qs.compile_count()
     } else {
         qs.compile()
     }
+}
+
+/// Checks a read on the kept deployment, and the plan it reported,
+/// against `select` bound and planned from scratch on `fresh`.
+fn assert_as_fresh(
+    fresh: &AppEnv,
+    (select, params): (Select, &[Value]),
+    (kept_plan, kept): (QueryPlan, ReadOutcome),
+    what: &str,
+) {
+    let once = PreparedSelect::new(select);
+    assert_eq!(
+        kept_plan,
+        fresh.db.explain_prepared(&once, params).unwrap(),
+        "plan: {what}"
+    );
+    let from_scratch = fresh.db.execute_prepared(&once, params).unwrap();
+    let rows: Vec<_> = kept.rows.iter().map(|r| r.row().clone()).collect();
+    assert_eq!(rows, from_scratch.result.rows, "rows: {what}");
+    if let Some(first) = kept.rows.first() {
+        assert_eq!(
+            first.columns(),
+            &from_scratch.result.columns[..],
+            "columns: {what}"
+        );
+    }
+    assert_eq!(kept.db_cost, from_scratch.cost, "cost: {what}");
 }
 
 fn deployment() -> AppEnv {
@@ -216,43 +254,41 @@ fn each_page_handle_is_the_statement_of_its_query_set() {
 fn kept_plans_equal_fresh_ones_for_every_app_shape() {
     let (kept, fresh) = (deployment(), deployment());
     let shapes = shapes();
+    let query_sets = query_sets(&kept.app);
+    assert_eq!(query_sets.len(), 20);
     let handles = kept.app.page_queries().unwrap();
     let session = kept.app.session();
     let mut compared = 0u64;
     for user in 1..=USERS {
         for (name, handle) in &handles {
             let (select, params) = compile(shapes[name], &kept.app, user);
-            let what = format!("{name} user={user}");
-
-            let once = PreparedSelect::new(select.clone());
-            assert_eq!(
-                kept.db
-                    .explain_prepared(handle.statement(), &params)
-                    .unwrap(),
-                fresh.db.explain_prepared(&once, &params).unwrap(),
-                "plan: {what}"
-            );
-
-            let through_handle = session.run_prepared(handle, &params).unwrap();
-            let from_scratch = fresh
+            let plan = kept
                 .db
-                .execute_prepared(&PreparedSelect::new(select), &params)
+                .explain_prepared(handle.statement(), &params)
                 .unwrap();
-            let rows: Vec<_> = through_handle
-                .rows
-                .iter()
-                .map(|r| r.row().clone())
-                .collect();
-            assert_eq!(rows, from_scratch.result.rows, "rows: {what}");
-            if let Some(first) = through_handle.rows.first() {
-                assert_eq!(
-                    first.columns(),
-                    &from_scratch.result.columns[..],
-                    "columns: {what}"
-                );
-            }
-            assert_eq!(through_handle.db_cost, from_scratch.cost, "cost: {what}");
+            let read = session.run_prepared(handle, &params).unwrap();
+            let what = format!("handle {name} user={user}");
+            assert_as_fresh(&fresh, (select, &params), (plan, read), &what);
             compared += 1;
+        }
+        for (name, build) in &query_sets {
+            for count in [false, true] {
+                let qs = build(&kept.app, user);
+                let (select, params) = if count {
+                    qs.compile_count()
+                } else {
+                    qs.compile()
+                };
+                let plan = kept.db.explain(&select, &params).unwrap();
+                let read = if count {
+                    session.count(&qs).unwrap().1
+                } else {
+                    session.all(&qs).unwrap()
+                };
+                let what = format!("query set {name} count={count} user={user}");
+                assert_as_fresh(&fresh, (select, &params), (plan, read), &what);
+                compared += 1;
+            }
         }
         // Writes between users invalidate kept plans on the tables they
         // touch; both deployments apply the same ones.
@@ -266,7 +302,10 @@ fn kept_plans_equal_fresh_ones_for_every_app_shape() {
             }
         }
     }
-    assert_eq!(compared, USERS as u64 * shapes.len() as u64);
+    assert_eq!(
+        compared,
+        USERS as u64 * (handles.len() + 2 * query_sets.len()) as u64
+    );
     assert_eq!(
         kept.db.content_digest(),
         fresh.db.content_digest(),
