@@ -20,7 +20,7 @@ use crate::mutation;
 use crate::object::ObjectInner;
 use crate::stats::GenieStats;
 use genie_cache::{CacheCluster, Delta, EncodedList, Mutation};
-use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value};
+use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value, ValueType};
 use std::sync::Arc;
 
 /// Builds all triggers for one compiled object (none for `Expire`).
@@ -416,6 +416,28 @@ fn fire_link_target(
 // Source rendering (the paper's generated-code metric)
 // ---------------------------------------------------------------------
 
+/// The listing's expression for the cache key
+/// [`ObjectInner::key_from_row`] files the row named `row` under: `~` for
+/// NULL, `%`, `:` and `~` percent-escaped in text, `T`-prefixed
+/// timestamps and `t`/`f` booleans.
+fn key_expr(obj: &ObjectInner, row: &str) -> String {
+    let mut expr = format!("'cg:{}'", obj.def.name);
+    for (col, ty) in obj.def.where_fields.iter().zip(&obj.key_types) {
+        let v = format!("{row}['{col}']");
+        let part = match ty {
+            ValueType::Int => format!("str({v})"),
+            ValueType::Float => format!("repr({v}).removesuffix('.0')"),
+            ValueType::Text => {
+                format!("{v}.replace('%', '%25').replace(':', '%3A').replace('~', '%7E')")
+            }
+            ValueType::Bool => format!("('t' if {v} else 'f')"),
+            ValueType::Timestamp => format!("'T' + str({v})"),
+        };
+        expr.push_str(&format!(" + ':' + ('~' if {v} is None else {part})"));
+    }
+    expr
+}
+
 /// Renders the trigger body as the Python-like listing CacheGenie would
 /// install into Postgres (cf. the generated trigger in §3.2). The listing
 /// is what [`genie_storage::TriggerManager::generated_source_lines`]
@@ -465,14 +487,11 @@ pub(crate) fn render_source(
         ));
         s.push_str("keys = set()\n");
         s.push_str(&format!(
-            "for base in base_rows:\n    keys.add('cg:{}:' + ':'.join(str(base[c]) for c in key_columns))\n",
-            obj.def.name
+            "for base in base_rows:\n    keys.add({})\n",
+            key_expr(obj, "base")
         ));
     } else {
-        s.push_str(&format!(
-            "cache_key = 'cg:{}:' + ':'.join(str(row[c]) for c in key_columns)\n",
-            obj.def.name
-        ));
+        s.push_str(&format!("cache_key = {}\n", key_expr(obj, "row")));
         s.push_str("keys = [cache_key]\n");
     }
     if obj.def.strategy == ConsistencyStrategy::Invalidate {
@@ -616,6 +635,36 @@ mod tests {
         assert!(src.contains("cas"));
         let del = render_source(&obj, "wall", TriggerEvent::Delete, false);
         assert!(del.contains("reserve exhausted"));
+    }
+
+    #[test]
+    fn rendered_key_line_builds_the_key_the_trigger_writes() {
+        let reg = registry();
+        let by_name = ObjectInner::compile(
+            CacheableDef::feature("by_name", "User").where_fields(&["name"]),
+            &reg,
+        )
+        .unwrap();
+        let src = render_source(&by_name, "users", TriggerEvent::Insert, false);
+        let key_line = src
+            .lines()
+            .find(|l| l.starts_with("cache_key = "))
+            .expect("key line");
+        assert_eq!(
+            key_line,
+            "cache_key = 'cg:by_name' + ':' + ('~' if row['name'] is None else \
+             row['name'].replace('%', '%25').replace(':', '%3A').replace('~', '%7E'))"
+        );
+        let by_date = ObjectInner::compile(
+            CacheableDef::feature("by_date", "WallPost").where_fields(&["date_posted"]),
+            &reg,
+        )
+        .unwrap();
+        let src = render_source(&by_date, "wall", TriggerEvent::Delete, false);
+        assert!(
+            src.contains("('~' if row['date_posted'] is None else 'T' + str(row['date_posted']))"),
+            "{src}"
+        );
     }
 
     #[test]

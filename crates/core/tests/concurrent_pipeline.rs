@@ -1,5 +1,6 @@
 //! The commit-time effect pipeline under real multi-writer interleaving:
-//! a deadlock victim's buffered cache effects vanish byte-for-byte, and
+//! a write-conflict loser's buffered cache effects vanish byte-for-byte,
+//! and
 //! racing committers (plus racing read-through fills) can never leave
 //! the cache disagreeing with the database.
 
@@ -90,14 +91,15 @@ fn cache_bytes(e: &Env, object: &str, user: i64) -> Option<Vec<u8>> {
         .map(|b| b.to_vec())
 }
 
-/// A deadlock victim's transaction had already buffered wall-post cache
-/// effects; the abort must leave every cache key byte-identical and the
-/// surviving (older) transaction must commit normally.
+/// Two transactions cross on two `users` rows. The one that reaches for
+/// the other's row first fails with `WriteConflict` — it had already
+/// buffered wall-post cache effects, and its rollback must leave every
+/// cache key byte-identical — while the other commits normally.
 #[test]
-fn deadlock_victim_publishes_nothing_to_the_cache() {
+fn crossing_loser_publishes_nothing_to_the_cache() {
     let e = env();
     post(&e, 2, 10);
-    // Warm both objects for user 2 so a victim flush would overwrite
+    // Warm both objects for user 2 so a loser's flush would overwrite
     // real bytes, not fill an empty key.
     e.genie.evaluate("wall_topk", &[Value::Int(2)]).unwrap();
     e.genie.evaluate("wall_count", &[Value::Int(2)]).unwrap();
@@ -105,10 +107,9 @@ fn deadlock_victim_publishes_nothing_to_the_cache() {
     let count_before = cache_bytes(&e, "wall_count", 2).expect("warmed");
     let posts_before = e.db.row_count("wall").unwrap();
 
-    let (t2_ready, main_sees) = mpsc::channel::<()>();
-    let (main_ready, t2_sees) = mpsc::channel::<()>();
+    let (t2_done, main_sees) = mpsc::channel::<()>();
 
-    // Older transaction (T1) on the main thread: holds users row 1.
+    // T1 on the main thread: writes users row 1.
     e.db.execute_sql("BEGIN", &[]).unwrap();
     e.db.execute_sql("UPDATE users SET username = 'w' WHERE id = 1", &[])
         .unwrap();
@@ -116,9 +117,9 @@ fn deadlock_victim_publishes_nothing_to_the_cache() {
     let db2 = e.db.clone();
     let session2 = e.session.clone();
     let t2 = std::thread::spawn(move || {
-        // Younger transaction (T2): buffers a wall post for user 2
-        // (cache effects pending at commit), holds users row 2, then
-        // requests row 1 — closing the cycle. Youngest dies.
+        // T2: buffers a wall post for user 2 (cache effects pending at
+        // commit), writes users row 2, then reaches for row 1, which T1
+        // wrote: it fails at once and rolls back.
         db2.execute_sql("BEGIN", &[]).unwrap();
         session2
             .create(
@@ -131,23 +132,37 @@ fn deadlock_victim_publishes_nothing_to_the_cache() {
             .unwrap();
         db2.execute_sql("UPDATE users SET username = 'x' WHERE id = 2", &[])
             .unwrap();
-        t2_ready.send(()).unwrap();
-        t2_sees.recv().unwrap();
         let r = db2.execute_sql("UPDATE users SET username = 'x' WHERE id = 1", &[]);
-        let was_deadlock = matches!(r, Err(StorageError::Deadlock { .. }));
-        let _ = db2.execute_sql("ROLLBACK", &[]);
-        was_deadlock
+        db2.execute_sql("ROLLBACK", &[]).unwrap();
+        t2_done.send(()).unwrap();
+        r
     });
 
+    // T1 reaches for row 2 once the loser has rolled back, and commits.
     main_sees.recv().unwrap();
-    main_ready.send(()).unwrap();
-    // Blocks on users row 2 until the victim aborts.
-    e.db.execute_sql("UPDATE users SET username = 'w' WHERE id = 2", &[])
-        .unwrap();
-    e.db.execute_sql("COMMIT", &[]).unwrap();
-    assert!(t2.join().unwrap(), "T2 must be the deadlock victim");
-
-    assert_eq!(e.db.lock_stats().deadlocks, 1, "exactly one victim");
+    let survivor =
+        e.db.execute_sql("UPDATE users SET username = 'w' WHERE id = 2", &[])
+            .and_then(|_| e.db.execute_sql("COMMIT", &[]));
+    let loser = t2.join().unwrap();
+    assert!(
+        matches!(loser, Err(StorageError::WriteConflict { .. })),
+        "T2 must fail with WriteConflict: {loser:?}"
+    );
+    assert!(survivor.is_ok(), "T1 must commit: {survivor:?}");
+    assert_eq!(e.db.lock_stats().deadlocks, 0);
+    let names =
+        e.db.execute_sql("SELECT username FROM users WHERE id <= 2 ORDER BY id", &[])
+            .unwrap();
+    assert_eq!(
+        names
+            .result
+            .rows
+            .iter()
+            .map(|r| r.get(0).clone())
+            .collect::<Vec<_>>(),
+        vec![Value::Text("w".into()), Value::Text("w".into())],
+        "the survivor's writes landed"
+    );
     assert_eq!(
         e.db.row_count("wall").unwrap(),
         posts_before,
@@ -156,12 +171,12 @@ fn deadlock_victim_publishes_nothing_to_the_cache() {
     assert_eq!(
         cache_bytes(&e, "wall_topk", 2).as_ref(),
         Some(&topk_before),
-        "victim left the top-k cache byte-identical"
+        "loser left the top-k cache byte-identical"
     );
     assert_eq!(
         cache_bytes(&e, "wall_count", 2).as_ref(),
         Some(&count_before),
-        "victim left the count cache byte-identical"
+        "loser left the count cache byte-identical"
     );
     assert!(e
         .genie

@@ -27,8 +27,8 @@
 //!
 //! Error codes follow HTTP semantics so retry behaviour is obvious:
 //! `400` malformed, `404` unknown page kind, `408` request read
-//! timeout, `409` retryable serialization failure (deadlock /
-//! write-conflict / lock timeout), `413` oversized frame, `429` rate
+//! timeout, `409` retryable serialization failure (write conflict /
+//! strict-mode lock timeout / commit abort), `413` oversized frame, `429` rate
 //! limited, `500` internal, `503` shed or draining. `409`, `429` and
 //! `503` are **retryable**: the request was not applied (or is safe to
 //! re-issue) and a client should back off and try again.
@@ -47,8 +47,9 @@ pub const NOT_FOUND: u16 = 404;
 /// The request line did not complete within the read timeout.
 pub const TIMEOUT: u16 = 408;
 /// Retryable serialization failure: the page's transaction was aborted
-/// (deadlock victim, first-updater-wins conflict, strict lock timeout)
-/// and left no effects. Retry on a fresh request.
+/// (first-updater-wins conflict — another writer got to one of its rows
+/// first; strict-mode cache-lock timeout; commit-time abort) and left no
+/// effects. Retry on a fresh request.
 pub const RETRY: u16 = 409;
 /// Request frame exceeded [`MAX_LINE`].
 pub const TOO_LARGE: u16 = 413;

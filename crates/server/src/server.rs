@@ -615,7 +615,7 @@ fn handle_page(
     shared.metrics.record_page(kind, nanos);
     let Ok(result) = result else {
         // A page that panicked between BEGIN and COMMIT would leave this
-        // worker thread's transaction, and its locks, open.
+        // worker thread's transaction, and its uncommitted versions, open.
         if shared.db.in_transaction() {
             let _ = shared.db.execute_sql("ROLLBACK", &[]);
         }
@@ -631,8 +631,7 @@ fn handle_page(
     match result {
         Ok(payload) => Response::Ok(payload),
         Err(
-            e @ (StorageError::Deadlock { .. }
-            | StorageError::WriteConflict { .. }
+            e @ (StorageError::WriteConflict { .. }
             | StorageError::LockTimeout { .. }
             | StorageError::TransactionAborted(_)),
         ) => Response::Err {
@@ -646,9 +645,11 @@ fn handle_page(
     }
 }
 
+/// The `serialization:<class>` suffix of a `409` reason: a
+/// first-updater-wins conflict in the page's transaction, a strict-mode
+/// cache-lock timeout, or a commit-time abort.
 fn error_class(e: &StorageError) -> &'static str {
     match e {
-        StorageError::Deadlock { .. } => "deadlock",
         StorageError::WriteConflict { .. } => "write-conflict",
         StorageError::LockTimeout { .. } => "lock-timeout",
         StorageError::TransactionAborted(_) => "aborted",

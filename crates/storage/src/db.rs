@@ -7,13 +7,12 @@
 //! simulated time.
 //!
 //! This file holds the facade — `Database`, the latched `Engine` core and
-//! the lock-side `EngineShared` state — with the statement API and the
-//! statistics. The rest of the engine sits in submodules, along the write
+//! the `EngineShared` state outside the latches — with the statement API
+//! and the statistics. The rest of the engine sits in submodules, along the write
 //! path's seams:
 //!
 //! * `db/txn.rs` — open transactions, BEGIN and ROLLBACK, and the
 //!   [`ConcurrentTxn`] / [`TxnHandle`] guards;
-//! * `db/locks.rs` — 2PL lock planning and acquisition for writes;
 //! * `db/commit.rs` — the one commit path, shared by COMMIT and every
 //!   autocommitted write: the fire predicate, the latch escalation, the
 //!   latched commit step (trigger bracket, epoch stamp, redo record,
@@ -21,13 +20,13 @@
 //! * `db/recovery.rs` — durable open, log replay, checkpoints and
 //!   [`Database::content_digest`].
 //!
-//! # Concurrency model (latch hierarchy + MVCC + 2PL writers)
+//! # Concurrency model (latch hierarchy + MVCC + one write rule)
 //!
-//! The engine distinguishes **latches** (short-duration protection of
-//! physical structures) from **locks** (transaction-duration 2PL on
-//! logical rows), and **readers from writers** (see `docs/ISOLATION.md`
-//! for the isolation model and `docs/ARCHITECTURE.md` for the full
-//! latch-vs-lock discussion):
+//! The engine protects physical structures with short-duration
+//! **latches** and takes no transaction-duration locks at all: readers
+//! read snapshots, and writers meet each other only at the
+//! first-updater-wins gate (see `docs/ISOLATION.md` for the isolation
+//! model and `docs/ARCHITECTURE.md` for the latch hierarchy):
 //!
 //! * Latches form a three-level hierarchy: a **catalog read-write
 //!   latch** (DDL, vacuum and trigger-firing commits take it
@@ -36,23 +35,24 @@
 //!   statement's planned table set ([`crate::catalog::Catalog`]), and an
 //!   **epoch mutex** serializing commit-epoch allocation. Statements on
 //!   disjoint tables execute fully in parallel. Every thread acquires
-//!   strictly downward in that order and never blocks on a lock-manager
-//!   lock while holding any latch, so the hierarchy cannot deadlock.
+//!   strictly downward in that order and never waits for another
+//!   transaction while holding any latch, so the hierarchy cannot
+//!   deadlock.
 //! * **Reads are lock-free snapshot reads.** Every transaction pins the
 //!   current commit epoch at `BEGIN`; every autocommit statement pins
 //!   the latest committed epoch *after* latching its tables. Scans and
 //!   probes resolve row versions against that snapshot
-//!   ([`crate::Table::visible`]), so readers never take lock-manager
-//!   locks, never wait behind writer transactions, and can never
-//!   deadlock.
-//! * **Writers keep strict 2PL**: write statements take table-level
-//!   intent locks plus per-`(table, pk)` exclusive row locks (escalating
-//!   to a table exclusive lock when the predicate does not pin primary
-//!   keys). Deadlocks among writers are detected on a waits-for graph;
-//!   the youngest cycle member aborts with [`StorageError::Deadlock`].
-//!   Write-write version conflicts resolve first-updater-wins: touching
-//!   a row whose newest committed version postdates the transaction's
-//!   snapshot aborts with [`StorageError::WriteConflict`].
+//!   ([`crate::Table::visible`]), so readers never wait behind writer
+//!   transactions and can never deadlock.
+//! * **One write rule: first-updater-wins.** A write that meets a
+//!   version of its row the writer's snapshot cannot see — another
+//!   transaction's uncommitted write, or a commit after the snapshot —
+//!   fails the statement with [`StorageError::WriteConflict`] at once;
+//!   a transaction's statement never waits, so writers cannot deadlock.
+//!   An autocommitted write has no snapshot to keep: having undone its
+//!   own effects, it waits until some transaction finishes and retries
+//!   at the latest epoch. It holds nothing while it waits, so no wait
+//!   cycle can form.
 //! * Transactions are **thread-scoped**: `BEGIN` binds a transaction to
 //!   the calling thread, and subsequent statements from that thread join
 //!   it, so N threads drive N concurrent transactions through one shared
@@ -66,12 +66,12 @@
 //!   in-flight rows), stamp every written version with the new commit
 //!   epoch under the epoch mutex, publish the epoch, and only then —
 //!   after releasing the latches — run the [`CommitHook`]'s deferred
-//!   cache publication; the hook serializes per-key publication so two
-//!   committing writers can never interleave physical cache operations
-//!   on one key.
+//!   cache publication; the hook orders per-key publication by commit
+//!   order, so two committing writers can never interleave physical cache
+//!   operations on one key.
 //! * Old row versions are reclaimed by [`Database::vacuum`] (also run
 //!   inline every few hundred commits, after the committing statement
-//!   has dropped all latches and locks): only versions invisible to the
+//!   has dropped all latches): only versions invisible to the
 //!   oldest live snapshot are pruned, so a long-running reader pins the
 //!   horizon instead of ever seeing a row disappear.
 //! * **Durability is optional** and changes the commit path's tail: a
@@ -87,19 +87,17 @@
 //!   checkpoint/truncation protocol, and the recovery invariants.
 
 mod commit;
-mod locks;
 mod recovery;
 mod txn;
 
-pub use txn::{ConcurrentTxn, TxnHandle};
+pub use txn::{ConcurrentTxn, TxnHandle, TxnId};
 
 use crate::bufferpool::{BufferPool, PoolStats};
 use crate::catalog::Catalog;
 use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
 use crate::exec::{self, ExecView, WriteEffect};
-use crate::latch::{LatchPlan, TableSet};
-use crate::lockmgr::{LatchCounters, LatchStats, LockManager, LockStats, TxnId};
+use crate::latch::{LatchCounters, LatchPlan, LatchStats, TableSet};
 use crate::prepared::{PreparedSelect, StatementCache};
 use crate::query::{QueryResult, Select, Statement};
 use crate::schema::{IndexDef, TableSchema};
@@ -107,17 +105,16 @@ use crate::table::Snapshot;
 use crate::trigger::{Trigger, TriggerManager};
 use crate::value::Value;
 use crate::wal::{self, Wal};
-use locks::{plan_locks, AutoRelease};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use txn::TxnTable;
 
 /// Deferred cache-publication step returned by [`CommitHook::commit_apply`].
-/// The engine runs it after releasing its latches (but before releasing
-/// the transaction's row locks), so slow external effects never
-/// serialize unrelated statements. It returns the cache operations it
+/// The engine runs it after releasing its latches (but before booking
+/// the commit as finished), so slow external effects never serialize
+/// unrelated statements. It returns the cache operations it
 /// performed for the commit's [`CostReport::trigger_cache_ops`]; the
 /// engine drops it unrun when the commit fails after sealing.
 pub type DeferredPublish = Option<Box<dyn FnOnce() -> u64 + Send>>;
@@ -185,6 +182,19 @@ pub struct DbStats {
     pub commits: u64,
     /// Transactions rolled back.
     pub rollbacks: u64,
+}
+
+/// Write-write waits since the last reset (see [`Database::lock_stats`]).
+/// The engine has no lock manager; the two fields survive for the
+/// benchmark ledger, which reports them (ROADMAP item 2 drops both).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockStats {
+    /// Autocommitted writes that met another transaction's unfinished
+    /// version of their row and waited for a writer to finish.
+    pub waits: u64,
+    /// Always 0: writers never wait inside a transaction, so no wait
+    /// cycle can form.
+    pub deadlocks: u64,
 }
 
 /// Lock-free engine counters. Statements on disjoint tables run fully in
@@ -292,12 +302,12 @@ impl Engine {
     }
 }
 
-/// State shared outside the latches: the lock manager and the
-/// thread-keyed transaction map. Taking these leaf mutexes while holding
-/// a latch is allowed; the reverse order (blocking on a latch while
-/// holding one of them) is not, and no code path does it.
+/// State shared outside the latches: the thread-keyed transaction map,
+/// the epochs and the finished-transaction count. Taking these leaf
+/// mutexes while holding a latch is allowed; the reverse order (blocking
+/// on a latch while holding one of them) is not, and no code path does
+/// it.
 struct EngineShared {
-    locks: LockManager,
     txns: TxnTable,
     next_tid: AtomicU64,
     /// BEGIN/COMMIT/ROLLBACK statements executed — counted outside the
@@ -330,11 +340,40 @@ struct EngineShared {
     live_snaps: Mutex<BTreeMap<u64, u64>>,
     /// Write commits since the last inline vacuum sweep.
     commits_since_vacuum: AtomicU64,
+    /// Transactions finished: committed (epoch published, cache
+    /// publication run) or rolled back. An autocommitted write that met
+    /// a conflicting writer waits on `finished_cv` until this moves past
+    /// the count it read before its attempt.
+    finished: std::sync::Mutex<u64>,
+    finished_cv: Condvar,
+    /// Autocommitted writes that waited (see [`LockStats::waits`]).
+    write_waits: AtomicU64,
 }
 
 impl EngineShared {
     fn alloc_tid(&self) -> TxnId {
         self.next_tid.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The count of finished transactions.
+    fn finished(&self) -> u64 {
+        *self.finished.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Books one finished transaction and wakes every waiting write.
+    fn note_finished(&self) {
+        *self.finished.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.finished_cv.notify_all();
+    }
+
+    /// Parks until a transaction finishes after the count `seen` was
+    /// read.
+    fn await_finished(&self, seen: u64) {
+        let finished = self.finished.lock().unwrap_or_else(PoisonError::into_inner);
+        let _finished = self
+            .finished_cv
+            .wait_while(finished, |n| *n == seen)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -351,8 +390,8 @@ fn write_target(stmt: &Statement) -> Option<&str> {
 /// An embedded relational database with row-level triggers.
 ///
 /// Cloning shares the underlying engine. Statements from different
-/// threads interleave under two-phase row/table locking (see the module
-/// docs); a single thread sees strictly serial behaviour.
+/// threads interleave under table latches and snapshot isolation (see
+/// the module docs); a single thread sees strictly serial behaviour.
 ///
 /// # Example
 ///
@@ -415,7 +454,6 @@ impl Database {
                 statements: StatementCache::default(),
             }),
             shared: Arc::new(EngineShared {
-                locks: LockManager::new(),
                 txns: TxnTable::new(),
                 next_tid: AtomicU64::new(1),
                 ctrl_statements: AtomicU64::new(0),
@@ -424,6 +462,9 @@ impl Database {
                 wal,
                 live_snaps: Mutex::new(BTreeMap::new()),
                 commits_since_vacuum: AtomicU64::new(0),
+                finished: std::sync::Mutex::new(0),
+                finished_cv: Condvar::new(),
+                write_waits: AtomicU64::new(0),
             }),
         }
     }
@@ -557,15 +598,16 @@ impl Database {
     /// Executes any statement with positional parameters (`$1` = index 0).
     ///
     /// Statements join the calling thread's open transaction if one
-    /// exists; otherwise they autocommit (locks held for the statement
-    /// only, triggers fired immediately).
+    /// exists; otherwise they autocommit (triggers fired immediately; a
+    /// write that meets another transaction's unfinished version of its
+    /// row waits for a writer to finish and retries).
     ///
     /// # Errors
     ///
     /// All engine errors; a failing trigger aborts the whole statement and
-    /// (when autocommitted) rolls back its row changes.
-    /// [`StorageError::Deadlock`] means this transaction was chosen as a
-    /// deadlock victim — roll it back and retry it.
+    /// (when autocommitted) rolls back its row changes. Inside a
+    /// transaction, [`StorageError::WriteConflict`] means another writer
+    /// got to a row first — roll the transaction back and retry it.
     pub fn execute(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
         let thread = std::thread::current().id();
         match stmt {
@@ -657,9 +699,8 @@ impl Database {
     /// Executes a prepared SELECT with positional parameters — the one
     /// way a SELECT runs. Joins the calling thread's open transaction if
     /// one exists (reading its pinned snapshot plus its own writes);
-    /// otherwise reads the latest committed epoch. Takes no
-    /// lock-manager locks and, while no transaction is open on the
-    /// engine, no mutex.
+    /// otherwise reads the latest committed epoch. Takes no locks and,
+    /// while no transaction is open on the engine, no mutex.
     ///
     /// # Errors
     ///
@@ -697,8 +738,9 @@ impl Database {
     /// Runs `f` inside a transaction on the calling thread, committing on
     /// `Ok` and rolling back on `Err`. The transaction reads a snapshot
     /// pinned at entry (plus its own writes); writers elsewhere neither
-    /// block its reads nor leak in-flight rows into them, and its own
-    /// writes hold 2PL row locks until commit or rollback.
+    /// block its reads nor leak in-flight rows into them. Its writes
+    /// never wait: a row another transaction got to first fails the
+    /// statement with [`StorageError::WriteConflict`].
     ///
     /// # Example
     ///
@@ -729,12 +771,12 @@ impl Database {
     /// # Errors
     ///
     /// Returns `f`'s error after rollback, or any commit-time error.
-    /// [`StorageError::Deadlock`] and [`StorageError::WriteConflict`]
-    /// mean the transaction lost a race — retry it on a fresh snapshot.
+    /// [`StorageError::WriteConflict`] means the transaction lost a race
+    /// — retry it on a fresh snapshot.
     pub fn transaction<T>(&self, f: impl FnOnce(&mut TxnHandle<'_>) -> Result<T>) -> Result<T> {
         // The guard rolls back when dropped — also when `f` panics, so
-        // the transaction's 2PL locks never outlive it (lock waits have
-        // no timeout).
+        // the transaction's uncommitted versions never outlive it
+        // (autocommitted writes waiting on them have no timeout).
         let txn = self.begin_concurrent()?;
         let result = f(&mut TxnHandle::new(self));
         match result {
@@ -831,9 +873,12 @@ impl Database {
         stats
     }
 
-    /// Lock-manager statistics (immediate grants, waits, deadlocks).
+    /// Write-write wait statistics (see [`LockStats`]).
     pub fn lock_stats(&self) -> LockStats {
-        self.shared.locks.stats()
+        LockStats {
+            waits: self.shared.write_waits.load(Ordering::Relaxed),
+            deadlocks: 0,
+        }
     }
 
     // ----- MVCC introspection & maintenance -----
@@ -855,7 +900,7 @@ impl Database {
 
     /// Reclaims row versions no live snapshot can see. Runs inline every
     /// few hundred commits too (after the triggering statement has
-    /// dropped every latch and lock); call it explicitly after bulk
+    /// dropped every latch); call it explicitly after bulk
     /// churn or in tests. Returns the number of versions pruned.
     ///
     /// Takes the exclusive catalog latch, so it waits out in-flight
@@ -911,13 +956,13 @@ impl Database {
         self.engine.pool.stats()
     }
 
-    /// Resets engine, pool, lock, and latch statistics (between warm-up
+    /// Resets engine, pool, wait, and latch statistics (between warm-up
     /// and measurement).
     pub fn reset_stats(&self) {
         self.engine.counters.reset();
         self.engine.pool.reset_stats();
         self.engine.latches.reset();
-        self.shared.locks.reset_stats();
+        self.shared.write_waits.store(0, Ordering::Relaxed);
         self.shared.ctrl_statements.store(0, Ordering::Relaxed);
     }
 
@@ -950,13 +995,15 @@ impl Database {
 
     // ----- write statements -----
 
-    /// Executes one write statement: plans its lock set and acquires it,
-    /// latches the statement's tables and runs it. Inside a transaction
-    /// the undo records and row changes buffer in its `TxnState` until
-    /// COMMIT. An autocommitted write is a one-statement transaction: it
-    /// commits right here, through the same commit step and epilogue as
-    /// COMMIT (`db/commit.rs`), with its changes as they are and its
-    /// statement-duration locks.
+    /// Executes one write statement: latches the statement's tables and
+    /// runs it. Inside a transaction the undo records and row changes
+    /// buffer in its `TxnState` until COMMIT, and a conflict fails the
+    /// statement at once. An autocommitted write is a one-statement
+    /// transaction: it commits right here, through the same commit step
+    /// and epilogue as COMMIT (`db/commit.rs`). When it meets another
+    /// transaction's unfinished version of its row, it has already
+    /// undone its own effects; it waits until some transaction finishes
+    /// after its attempt began, and retries at the latest epoch.
     fn run_write(&self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
         let mut slot = self.checkout_txn();
         let mut txn = slot.state.as_mut();
@@ -965,49 +1012,61 @@ impl Database {
             Some(t) => t.tid,
             None => self.shared.alloc_tid(),
         };
-        let mut auto_release = AutoRelease {
-            locks: &self.shared.locks,
-            tid,
-            armed: autocommit,
-        };
         let engine = &*self.engine;
-        let catalog = engine.catalog_read();
-        let reqs = plan_locks(&catalog, stmt, params, &engine.latches)?;
-        let catalog = self.acquire_locks(catalog, tid, &reqs, txn.as_deref_mut())?;
         let fire = autocommit && self.fires(write_target(stmt));
-        let mut cost = CostReport::new();
-        let mut affected = 0;
         let plan = |catalog: &Catalog| LatchPlan::for_statement(catalog, stmt, &engine.latches);
-        let committed = self.latched(Some(catalog), fire, plan, |tables| {
-            let snap = txn.as_deref().map(|t| t.snap);
-            let effect = self.execute_write(tables, stmt, params, snap, tid, &mut cost)?;
-            affected = effect.affected;
-            match txn {
-                Some(t) => {
-                    t.undo.extend(effect.undo);
-                    t.changes.extend(effect.changes);
-                    Ok(None)
+        let mut waited = false;
+        loop {
+            let seen = self.shared.finished();
+            let mut cost = CostReport::new();
+            let mut affected = 0;
+            let attempt = self.latched(None, fire, plan, |tables| {
+                let snap = txn.as_deref().map(|t| t.snap);
+                let effect = self.execute_write(tables, stmt, params, snap, tid, &mut cost)?;
+                affected = effect.affected;
+                match txn.as_deref_mut() {
+                    Some(t) => {
+                        t.undo.extend(effect.undo);
+                        t.changes.extend(effect.changes);
+                        Ok(None)
+                    }
+                    None => self
+                        .commit_latched(
+                            tables,
+                            tid,
+                            effect.undo,
+                            &effect.changes,
+                            &mut cost,
+                            false,
+                            fire,
+                        )
+                        .map(Some),
                 }
-                None => self
-                    .commit_latched(
-                        tables,
-                        tid,
-                        effect.undo,
-                        &effect.changes,
-                        &mut cost,
-                        false,
-                        fire,
-                    )
-                    .map(Some),
+            });
+            let committed = match attempt {
+                Err(StorageError::WriteConflict { row: true, .. }) if autocommit => {
+                    // A poisoned log never publishes the commit in the
+                    // way: report the fail-stop error instead of waiting.
+                    if let Some(wal) = &self.shared.wal {
+                        wal.check()?;
+                    }
+                    if !waited {
+                        waited = true;
+                        self.shared.write_waits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.shared.await_finished(seen);
+                    continue;
+                }
+                other => other?,
+            };
+            if let Some(done) = committed {
+                self.finish_commit(done, &mut cost)?;
             }
-        })?;
-        if let Some(done) = committed {
-            self.finish_commit(done, &mut cost, || auto_release.release(&reqs))?;
+            return Ok(ExecOutcome {
+                result: QueryResult::affected(affected),
+                cost,
+            });
         }
-        Ok(ExecOutcome {
-            result: QueryResult::affected(affected),
-            cost,
-        })
     }
 
     /// Runs a write statement's body against its latched `tables`,

@@ -12,15 +12,15 @@
 //!    cadence;
 //! 3. [`Database::finish_commit`], after every latch dropped, waits for
 //!    the redo record, publishes the hook's deferred cache effects,
-//!    releases the committer's locks and runs a due vacuum or
-//!    checkpoint.
+//!    wakes autocommitted writes waiting for a writer to finish and runs
+//!    a due vacuum or checkpoint.
 //!
 //! The two callers differ only in what they hand over: COMMIT coalesces
 //! its buffered changes first and wraps a failure in
 //! [`StorageError::TransactionAborted`]; a write statement passes the
 //! changes it just made and its error as it is.
 
-use super::txn::{written_tables, TxnState};
+use super::txn::{written_tables, TxnId, TxnState};
 use super::{Database, DeferredPublish};
 use crate::catalog::Catalog;
 use crate::coalesce::coalesce_changes;
@@ -28,7 +28,6 @@ use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
 use crate::exec::{self, RowChange, UndoOp};
 use crate::latch::{LatchPlan, TableSet};
-use crate::lockmgr::TxnId;
 use crate::prepared::PreparedSelect;
 use crate::row::RowId;
 use crate::table::Snapshot;
@@ -106,7 +105,6 @@ impl Database {
         let TxnState {
             tid,
             snap,
-            targets,
             undo,
             changes,
         } = self
@@ -128,16 +126,15 @@ impl Database {
             },
         );
         self.release_snapshot(snap);
-        let release = || self.release_txn_locks(tid, &targets);
         match committed {
-            Ok(done) => self.finish_commit(done, &mut cost, release)?,
+            Ok(done) => self.finish_commit(done, &mut cost)?,
             Err(e) => {
                 // The commit step already applied the undo log.
                 self.engine
                     .counters
                     .rollbacks
                     .fetch_add(1, Ordering::Relaxed);
-                release();
+                self.shared.note_finished();
                 return Err(e);
             }
         }
@@ -222,17 +219,13 @@ impl Database {
     /// The post-latch epilogue, run once every latch has dropped — an
     /// fsync or a cache publication must never serialize unrelated
     /// statements. Waits until the redo record is durable (publishing
-    /// the epoch), runs the hook's deferred cache publication, releases
-    /// the committer's locks through `release_locks`, then runs a due
-    /// inline vacuum and a due auto-checkpoint. A log failure still
-    /// releases the locks, so other threads hit the same fail-stop error
-    /// instead of hanging; the commit's epoch stays unpublished.
-    pub(super) fn finish_commit(
-        &self,
-        done: Committed,
-        cost: &mut CostReport,
-        release_locks: impl FnOnce(),
-    ) -> Result<()> {
+    /// the epoch), runs the hook's deferred cache publication, books the
+    /// commit as finished — waking autocommitted writes that wait for a
+    /// conflicting writer — then runs a due inline vacuum and a due
+    /// auto-checkpoint. A log failure still books the finish, so waiting
+    /// writes wake to the same fail-stop error instead of hanging; the
+    /// commit's epoch stays unpublished.
+    pub(super) fn finish_commit(&self, done: Committed, cost: &mut CostReport) -> Result<()> {
         let durable = match &done.ticket {
             Some(t) => self.wait_ticket(t).map(|syncs| {
                 cost.wal_bytes += t.bytes;
@@ -243,7 +236,7 @@ impl Database {
         if let (Ok(()), Some(publish)) = (&durable, done.publish) {
             cost.trigger_cache_ops += publish();
         }
-        release_locks();
+        self.shared.note_finished();
         durable?;
         if done.vacuum_due {
             self.vacuum();
@@ -327,7 +320,7 @@ impl Database {
 
     /// Books one write commit toward the inline-vacuum cadence; true
     /// when the caller should run [`Database::vacuum`] after dropping
-    /// its latches and locks.
+    /// its latches.
     fn note_commit_for_vacuum(&self) -> bool {
         let n = self
             .shared

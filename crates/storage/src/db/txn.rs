@@ -8,7 +8,6 @@ use crate::cost::CostReport;
 use crate::error::{Result, StorageError};
 use crate::exec::{self, RowChange, UndoOp};
 use crate::latch::{LatchPlan, TableSet};
-use crate::lockmgr::TxnId;
 use crate::query::{QueryResult, Statement};
 use crate::value::Value;
 use parking_lot::Mutex;
@@ -17,12 +16,16 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
 
+/// Transaction identifier, allocated monotonically by the engine. It
+/// names the writer of an uncommitted row version
+/// ([`crate::Snapshot::writer`]).
+pub type TxnId = u64;
+
 /// Per-transaction state. Lives in the engine's thread-keyed transaction
 /// map, so each writer thread buffers privately — nothing here is shared
 /// between concurrent transactions.
 pub(super) struct TxnState {
-    /// Lock-manager identity (monotonic; doubles as transaction age for
-    /// youngest-victim deadlock resolution).
+    /// The writer of this transaction's uncommitted versions.
     pub(super) tid: TxnId,
     /// Commit epoch pinned at BEGIN: every read in this transaction
     /// resolves row versions at this snapshot (plus its own writes),
@@ -30,12 +33,6 @@ pub(super) struct TxnState {
     /// `EngineShared::live_snaps` so vacuum never prunes a version this
     /// transaction can still see.
     pub(super) snap: u64,
-    /// Every lock target this transaction's statements requested
-    /// (recorded before acquisition, so an aborted acquisition is still
-    /// covered; deduplicated — statements revisit the same tables and
-    /// rows). Commit/rollback release exactly these resources instead of
-    /// sweeping every lock-manager shard.
-    pub(super) targets: BTreeSet<(String, Option<Value>)>,
     /// Undo records in statement order. Every written row pushes one
     /// beside its [`RowChange`], so the log is non-empty exactly when
     /// the transaction wrote — and only then does COMMIT stamp an epoch
@@ -175,7 +172,6 @@ impl Database {
             TxnState {
                 tid,
                 snap,
-                targets: BTreeSet::new(),
                 undo: Vec::new(),
                 changes: Vec::new(),
             },
@@ -198,8 +194,9 @@ impl Database {
     /// ROLLBACK of `thread`'s transaction — only if it is still `tid`,
     /// when given, so a stale [`ConcurrentTxn`] can never end a later
     /// transaction on its thread: applies the undo log under write
-    /// latches on the written tables, books the rollback, and releases
-    /// the transaction's snapshot and locks.
+    /// latches on the written tables, books the rollback, releases the
+    /// transaction's snapshot and wakes autocommitted writes waiting for
+    /// a writer to finish.
     pub(super) fn rollback_txn_for(&self, thread: ThreadId, tid: Option<TxnId>) -> Result<()> {
         let txn = self
             .shared
@@ -214,7 +211,7 @@ impl Database {
         };
         engine.counters.rollbacks.fetch_add(1, Ordering::Relaxed);
         self.release_snapshot(txn.snap);
-        self.release_txn_locks(txn.tid, &txn.targets);
+        self.shared.note_finished();
         undone
     }
 }
@@ -264,7 +261,7 @@ impl ConcurrentTxn {
     ///
     /// # Errors
     ///
-    /// Engine errors; on [`StorageError::Deadlock`] call
+    /// Engine errors; on [`StorageError::WriteConflict`] call
     /// [`ConcurrentTxn::rollback`] and retry the whole transaction.
     pub fn execute(&mut self, stmt: &Statement, params: &[Value]) -> Result<ExecOutcome> {
         self.db.execute(stmt, params)

@@ -1,11 +1,12 @@
 //! Error types for the storage engine.
 //!
-//! Two variants are *retryable aborts* rather than failures:
-//! [`StorageError::Deadlock`] (the transaction lost a waits-for cycle)
-//! and [`StorageError::WriteConflict`] (first-updater-wins — a
-//! concurrent transaction committed a newer version of a row this
-//! transaction's snapshot had read). Both mean the transaction was
-//! rolled back and should be retried on a fresh snapshot:
+//! One variant is a *retryable abort* rather than a failure:
+//! [`StorageError::WriteConflict`] (first-updater-wins — another
+//! transaction wrote a version of a row this transaction's snapshot
+//! cannot see: an uncommitted write, or a commit after the snapshot).
+//! Writers never wait for each other inside a transaction, so the
+//! conflict is reported at once; roll the transaction back and retry it
+//! on a fresh snapshot:
 //!
 //! ```
 //! use genie_storage::{Database, StorageError, Value};
@@ -26,7 +27,7 @@
 //! loop {
 //!     match transfer(&db, 1, 2) {
 //!         Ok(()) => break,
-//!         Err(StorageError::Deadlock { .. }) | Err(StorageError::WriteConflict { .. }) => {
+//!         Err(StorageError::WriteConflict { .. }) => {
 //!             continue; // rolled back; retry on a fresh snapshot
 //!         }
 //!         Err(e) => return Err(e), // real error
@@ -71,20 +72,28 @@ pub enum StorageError {
     Unsupported(String),
     /// A trigger body returned an error; the statement is aborted.
     TriggerFailed { trigger: String, detail: String },
-    /// The transaction was aborted (deadlock timeout or explicit rollback).
+    /// The transaction was aborted (a failed commit, or a nested BEGIN).
     TransactionAborted(String),
     /// A transactional operation was issued outside a transaction.
     NoTransaction,
-    /// Row-lock acquisition timed out (write-write conflict).
+    /// A strict-mode (§3.3) cache-key lock could not be acquired within
+    /// its attempt budget; the commit was aborted.
     LockTimeout { table: String },
-    /// The transaction was chosen as the victim of a waits-for deadlock
-    /// cycle; the caller must roll it back and may retry it.
-    Deadlock { table: String },
     /// First-updater-wins: the transaction tried to write a row version
-    /// that a concurrent transaction already superseded after this
-    /// transaction's snapshot was taken. Roll the transaction back and
-    /// retry it on a fresh snapshot.
-    WriteConflict { table: String, key: String },
+    /// that another transaction already superseded — with a write not
+    /// yet committed, or committed after this transaction's snapshot was
+    /// taken — or a key another transaction's unfinished write still
+    /// holds. Roll the transaction back and retry it on a fresh
+    /// snapshot. `row` is true when the conflict is on the row or
+    /// primary key the statement writes; an autocommitted statement
+    /// then waits for the other writer to finish and retries itself, so
+    /// only a transaction's statements report it. A unique-secondary-key
+    /// or foreign-key collision (`row == false`) is reported either way.
+    WriteConflict {
+        table: String,
+        key: String,
+        row: bool,
+    },
     /// An arithmetic or evaluation error inside an expression.
     Eval(String),
     /// A write-ahead-log failure: log I/O error (the log is fail-stop —
@@ -129,16 +138,10 @@ impl fmt::Display for StorageError {
             StorageError::LockTimeout { table } => {
                 write!(f, "lock timeout on table {table:?}")
             }
-            StorageError::Deadlock { table } => {
+            StorageError::WriteConflict { table, key, .. } => {
                 write!(
                     f,
-                    "deadlock detected waiting on {table:?}; transaction aborted as victim"
-                )
-            }
-            StorageError::WriteConflict { table, key } => {
-                write!(
-                    f,
-                    "write conflict on {table:?} key {key}: a newer committed version \
+                    "write conflict on {table:?} key {key}: another transaction's version \
                      superseded this transaction's snapshot (first-updater-wins)"
                 )
             }

@@ -34,10 +34,10 @@
 
 use crate::bufferpool::{BufferPool, PageId};
 use crate::cost::CostReport;
+use crate::db::TxnId;
 use crate::error::{Result, StorageError};
 use crate::expr::{CmpOp, ColumnRef, Expr};
 use crate::latch::TableSet;
-use crate::lockmgr::TxnId;
 use crate::plan::{eval_const, AccessPath, JoinMethod, KeyGuard, QueryPlan, WHOLE_RANGE};
 use crate::prepared::PreparedSelect;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
@@ -691,10 +691,9 @@ fn join_step(
     Ok(())
 }
 
-/// Executes a prepared SELECT at the given read snapshot. Never takes or
-/// waits for any lock-manager lock: visibility comes entirely from the
-/// version metadata, so readers proceed while writer transactions hold
-/// row locks.
+/// Executes a prepared SELECT at the given read snapshot. Never waits
+/// for a writer: visibility comes entirely from the version metadata, so
+/// readers proceed while writer transactions hold uncommitted versions.
 pub(crate) fn run_prepared(
     tables: &TableSet<'_>,
     pool: &BufferPool,
@@ -1538,6 +1537,7 @@ fn check_foreign_keys(
                 return Err(StorageError::WriteConflict {
                     table: fk.ref_table.clone(),
                     key: v.to_string(),
+                    row: false,
                 })
             }
             (None, _) => {

@@ -4,10 +4,9 @@
 //! The hierarchy is: **catalog read-write latch** (one per database; DDL
 //! and vacuum take it exclusively, every statement takes it shared) →
 //! **per-table latches** (one [`parking_lot::RwLock`] cell per table,
-//! owned by [`Catalog`]) → the lock manager's logical 2PL locks. A
-//! statement computes the set of tables it can touch ([`LatchPlan`]),
-//! then acquires their latches in canonical (sorted table-name) order
-//! into a [`TableSet`], which is the only way executor code reaches a
+//! owned by [`Catalog`]) → the epoch mutex. A statement computes the
+//! set of tables it can touch ([`LatchPlan`]), then acquires their
+//! latches in canonical (sorted table-name) order into a [`TableSet`], which is the only way executor code reaches a
 //! [`Table`]. Statements on disjoint tables therefore never contend,
 //! while a reader and a writer of the same table exclude each other for
 //! the statement's duration — exactly the protection the old whole-engine
@@ -15,17 +14,106 @@
 //!
 //! Deadlock freedom: every thread acquires in the fixed order *catalog
 //! latch → table latches (sorted by name) → epoch mutex*, never the
-//! reverse, and never blocks on a lock-manager lock while holding any
+//! reverse, and never waits for another transaction while holding any
 //! latch. Exclusive catalog holders ([`TableSet::exclusive`]) reach
 //! tables through `&mut Catalog` and take no table latches at all.
 
 use crate::catalog::Catalog;
 use crate::error::{Result, StorageError};
-use crate::lockmgr::LatchCounters;
 use crate::query::Statement;
 use crate::table::Table;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Point-in-time latch counters. The engine's latch hierarchy is a
+/// catalog read-write latch over per-table read-write latches (see
+/// `docs/ARCHITECTURE.md`); a "wait" here means an acquisition found the
+/// latch held in a conflicting mode and had to block. Statements on
+/// disjoint tables never conflict on table latches, which the
+/// `concurrency_audit` disjoint-mix gate asserts as zero
+/// `table_read_waits + table_write_waits`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatchStats {
+    /// Catalog read-latch acquisitions that blocked (behind DDL, vacuum,
+    /// or an escalated trigger-firing commit).
+    pub catalog_read_waits: u64,
+    /// Catalog write-latch acquisitions that blocked (DDL / vacuum /
+    /// escalated commits waiting for statements to drain).
+    pub catalog_write_waits: u64,
+    /// Per-table read-latch acquisitions that blocked behind a writer.
+    pub table_read_waits: u64,
+    /// Per-table write-latch acquisitions that blocked.
+    pub table_write_waits: u64,
+}
+
+impl LatchStats {
+    /// Total blocked latch acquisitions across both levels.
+    pub fn total_waits(&self) -> u64 {
+        self.catalog_read_waits
+            + self.catalog_write_waits
+            + self.table_read_waits
+            + self.table_write_waits
+    }
+
+    /// Blocked per-table latch acquisitions only — the disjoint-table
+    /// scaling gate (catalog-level waits from vacuum or DDL are counted
+    /// separately and do not indicate cross-table interference).
+    pub fn table_waits(&self) -> u64 {
+        self.table_read_waits + self.table_write_waits
+    }
+}
+
+/// Live atomic counters behind [`LatchStats`]. Independent atomics so
+/// the uncontended latch fast path (a single `try_read`/`try_write`)
+/// never funnels through a statistics mutex.
+#[derive(Debug, Default)]
+pub(crate) struct LatchCounters {
+    catalog_read_waits: AtomicU64,
+    catalog_write_waits: AtomicU64,
+    table_read_waits: AtomicU64,
+    table_write_waits: AtomicU64,
+}
+
+impl LatchCounters {
+    /// Records one blocked catalog read-latch acquisition.
+    pub(crate) fn note_catalog_read_wait(&self) {
+        self.catalog_read_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one blocked catalog write-latch acquisition.
+    pub(crate) fn note_catalog_write_wait(&self) {
+        self.catalog_write_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one blocked table read-latch acquisition.
+    pub(crate) fn note_table_read_wait(&self) {
+        self.table_read_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one blocked table write-latch acquisition.
+    pub(crate) fn note_table_write_wait(&self) {
+        self.table_write_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot of the counters.
+    pub(crate) fn snapshot(&self) -> LatchStats {
+        LatchStats {
+            catalog_read_waits: self.catalog_read_waits.load(Ordering::Relaxed),
+            catalog_write_waits: self.catalog_write_waits.load(Ordering::Relaxed),
+            table_read_waits: self.table_read_waits.load(Ordering::Relaxed),
+            table_write_waits: self.table_write_waits.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Zeroes all counters (between warm-up and measurement).
+    pub(crate) fn reset(&self) {
+        self.catalog_read_waits.store(0, Ordering::Relaxed);
+        self.catalog_write_waits.store(0, Ordering::Relaxed);
+        self.table_read_waits.store(0, Ordering::Relaxed);
+        self.table_write_waits.store(0, Ordering::Relaxed);
+    }
+}
 
 /// The tables a statement may touch, split by access mode. Computed
 /// before execution from the statement shape alone — FROM/JOIN tables

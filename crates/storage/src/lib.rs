@@ -16,12 +16,12 @@
 //!   consistent ([`Trigger`], [`TriggerCtx`]);
 //! * thread-scoped transactions with undo-log rollback: **MVCC snapshot
 //!   reads** (readers never block and never deadlock; see
-//!   [`Table::visible`] and `docs/ISOLATION.md`) over strict two-phase
-//!   row/table write locking with fair FIFO waiter queues,
-//!   wait-for-graph deadlock detection, and first-updater-wins
-//!   write-conflict detection ([`Database::transaction`],
-//!   [`Database::begin_concurrent`], [`lockmgr::LockManager`]), all
-//!   running under a sharded latch hierarchy — catalog read-write latch
+//!   [`Table::visible`] and `docs/ISOLATION.md`) and one write rule,
+//!   first-updater-wins: a write that meets another transaction's
+//!   version of its row fails with [`StorageError::WriteConflict`], and
+//!   writers never wait for each other inside a transaction
+//!   ([`Database::transaction`], [`Database::begin_concurrent`]); all of
+//!   it runs under a sharded latch hierarchy — catalog read-write latch
 //!   over per-table latches — so statements on disjoint tables never
 //!   serialize ([`Database::latch_stats`], `docs/ARCHITECTURE.md`);
 //! * a buffer-pool *model* that classifies page touches as hits or misses
@@ -67,7 +67,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub(crate) mod latch;
-pub mod lockmgr;
 pub mod plan;
 pub mod prepared;
 pub mod query;
@@ -84,11 +83,11 @@ pub use bufferpool::{BufferPool, PageId, PoolStats};
 pub use cost::CostReport;
 pub use db::{
     CommitHook, ConcurrentTxn, Database, DbConfig, DbStats, DeferredPublish, ExecOutcome,
-    TxnHandle, VersionStats,
+    LockStats, TxnHandle, TxnId, VersionStats,
 };
 pub use error::{Result, StorageError};
 pub use expr::{ArithOp, CmpOp, ColumnRef, Expr};
-pub use lockmgr::{LatchStats, LockManager, LockMode, LockStats, TxnId};
+pub use latch::LatchStats;
 pub use plan::{AccessPath, Bound, JoinMethod, JoinPlan, Plan, QueryPlan};
 pub use prepared::PreparedSelect;
 pub use query::{

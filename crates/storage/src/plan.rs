@@ -419,27 +419,6 @@ pub(crate) fn eval_const(e: &Expr, params: &[Value]) -> Result<Value> {
     e.eval(&Row::default(), params)
 }
 
-/// The exact primary-key values a single-table write statement's
-/// predicate pins (`pk = ?` / `pk IN (...)`), or `None` when the
-/// statement may touch rows the text does not name — the engine's lock
-/// planner then escalates to a table-level exclusive lock.
-pub(crate) fn pk_target_keys(
-    table: &Table,
-    binding: &str,
-    pred: Option<&Expr>,
-    params: &[Value],
-) -> Result<Option<Vec<Value>>> {
-    let cons = extract_constraints(pred, binding, table, params)?;
-    let Some(c) = cons.get(table.schema().primary_key()) else {
-        return Ok(None);
-    };
-    if let Some(v) = &c.eq {
-        // An equality dominates: touched rows are a subset of {v}.
-        return Ok(Some(vec![v.clone()]));
-    }
-    Ok(c.in_keys.clone())
-}
-
 /// Coerces a predicate value for use against `column`'s stored
 /// representation. Returns `None` when no index-safe form exists (the
 /// caller then skips the index candidate; the residual filter keeps

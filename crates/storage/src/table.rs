@@ -19,8 +19,8 @@
 //! # Versioning (MVCC)
 //!
 //! The heap always holds the *newest* version of each row — committed,
-//! or uncommitted by exactly one writer (writers serialize per row via
-//! the engine's 2PL row locks). The row's heap slot also carries its
+//! or uncommitted by exactly one writer (the first-updater-wins gate
+//! refuses a second writer of the row). The row's heap slot also carries its
 //! version state, as an optional boxed `Versions`: the newest version's
 //! begin epoch and, while uncommitted, its writer transaction, plus the
 //! superseded committed versions, each valid over a half-open epoch
@@ -43,8 +43,8 @@
 //! they exist for direct single-threaded table use and tests; the engine
 //! itself always goes through the `*_txn` variants.
 
+use crate::db::TxnId;
 use crate::error::{Result, StorageError};
-use crate::lockmgr::TxnId;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, TableSchema};
 use crate::stats::ColumnStats;
@@ -883,6 +883,7 @@ impl Table {
                 let conflict = StorageError::WriteConflict {
                     table: self.schema.name().to_owned(),
                     key: format!("{key:?}"),
+                    row: false,
                 };
                 // Live image carrying the key, newer than the snapshot:
                 // the collision is a race, not a duplicate — retry.
@@ -1204,6 +1205,8 @@ impl Table {
             .is_some_and(|v| v.writer == Some(tid)))
     }
 
+    /// The conflict on the row or primary key a write claims, named by
+    /// the key of `rid`'s newest image.
     fn write_conflict(&self, rid: RowId) -> StorageError {
         let pos = self.schema.primary_key_pos();
         let key = self
@@ -1214,6 +1217,7 @@ impl Table {
         StorageError::WriteConflict {
             table: self.schema.name().to_owned(),
             key,
+            row: true,
         }
     }
 

@@ -744,6 +744,15 @@ impl Wal {
         &self.dir
     }
 
+    /// [`StorageError::Wal`] once the log is poisoned: no commit
+    /// enqueued from then on is ever reported durable.
+    pub(crate) fn check(&self) -> Result<()> {
+        match &self.inner.lock().expect("wal mutex").poisoned {
+            Some(msg) => Err(StorageError::Wal(msg.clone())),
+            None => Ok(()),
+        }
+    }
+
     /// Queues a sealed record (framed + checksummed) for the next
     /// leader. Pure memory — called under the engine's epoch mutex, so
     /// it must never block on I/O. Records with `epoch > 0` count

@@ -1,6 +1,6 @@
-//! Multi-writer engine tests: thread-scoped transactions, strict 2PL
-//! isolation, and wait-for-graph deadlock detection under real OS-thread
-//! interleavings.
+//! Multi-writer engine tests: thread-scoped transactions, serializable
+//! transfers and first-updater-wins between crossing writers under real
+//! OS-thread interleavings.
 
 use genie_storage::{Database, StorageError, Value};
 use proptest::prelude::*;
@@ -86,7 +86,7 @@ proptest! {
     /// conserved, (b) each balance equals opening + committed inflow -
     /// committed outflow (per-account effects commute across any serial
     /// order), and (c) aborted/rolled-back transfers leave no trace.
-    /// Without row locks, lost updates would break (a) and (b).
+    /// Without the write gate, lost updates would break (a) and (b).
     #[test]
     fn concurrent_transfers_are_serializable(
         threads in 2usize..5,
@@ -124,13 +124,11 @@ proptest! {
                                 deltas[to as usize] += amount;
                             }
                             Ok(false) => {}
-                            // Both abort kinds leave no trace: deadlock
-                            // victims, and first-updater-wins losers whose
-                            // snapshot was superseded mid-transaction
+                            // A first-updater-wins loser leaves no trace:
+                            // another writer got to one of its rows first
                             // (without the conflict check the read-compute-
                             // write UPDATE would silently lose an update).
-                            Err(StorageError::Deadlock { .. })
-                            | Err(StorageError::WriteConflict { .. }) => {}
+                            Err(StorageError::WriteConflict { .. }) => {}
                             Err(e) => panic!("unexpected engine error: {e}"),
                         }
                     }
@@ -157,22 +155,25 @@ proptest! {
     }
 }
 
-/// A manufactured waits-for cycle: the older transaction survives, the
-/// younger is chosen as the (single) victim, and its work vanishes.
+/// Two transactions cross: each writes one account, then reaches for
+/// the other's. The first to reach fails with `WriteConflict` at once —
+/// no wait, so no cycle — and rolls back; the other then takes the freed
+/// row and commits. Exactly one of the pair fails, and its work vanishes.
 #[test]
-fn deadlock_aborts_exactly_one_youngest_victim() {
+fn crossing_writers_one_conflicts_one_commits() {
     let db = bank(2, 100);
     let (t2_holds_b, main_sees) = mpsc::channel::<()>();
-    let (main_holds_a, t2_sees) = mpsc::channel::<()>();
+    let (main_done, t2_sees) = mpsc::channel::<()>();
 
-    // Older transaction (T1): lock account 1 first.
+    // T1: write account 1.
     db.execute_sql("BEGIN", &[]).unwrap();
     db.execute_sql("UPDATE accounts SET bal = bal - 10 WHERE id = 1", &[])
         .unwrap();
 
     let db2 = db.clone();
     let t2 = std::thread::spawn(move || {
-        // Younger transaction (T2): lock account 2, then request 1.
+        // T2: write account 2 and an audit row, then reach for account 1
+        // once T1 has lost.
         db2.execute_sql("BEGIN", &[]).unwrap();
         db2.execute_sql("UPDATE accounts SET bal = bal - 99 WHERE id = 2", &[])
             .unwrap();
@@ -180,34 +181,32 @@ fn deadlock_aborts_exactly_one_youngest_victim() {
             .unwrap();
         t2_holds_b.send(()).unwrap();
         t2_sees.recv().unwrap();
-        // T1 is (or will be) waiting for account 2: requesting account 1
-        // closes the cycle and T2, being youngest, must die.
-        let r = db2.execute_sql("UPDATE accounts SET bal = bal + 99 WHERE id = 1", &[]);
-        let verdict = matches!(r, Err(StorageError::Deadlock { .. }));
-        let _ = db2.execute_sql("ROLLBACK", &[]);
-        verdict
+        db2.execute_sql("UPDATE accounts SET bal = bal + 99 WHERE id = 1", &[])?;
+        db2.execute_sql("COMMIT", &[]).map(|_| ())
     });
 
     main_sees.recv().unwrap();
-    main_holds_a.send(()).unwrap();
-    // Blocks on account 2 until the victim aborts, then proceeds.
-    db.execute_sql("UPDATE accounts SET bal = bal + 10 WHERE id = 2", &[])
-        .unwrap();
-    db.execute_sql("COMMIT", &[]).unwrap();
+    // T1 reaches for account 2, which T2 wrote: it fails without waiting.
+    let r = db.execute_sql("UPDATE accounts SET bal = bal + 10 WHERE id = 2", &[]);
+    db.execute_sql("ROLLBACK", &[]).unwrap();
+    main_done.send(()).unwrap();
+    let survivor = t2.join().unwrap();
 
     assert!(
-        t2.join().unwrap(),
-        "T2 must abort with StorageError::Deadlock"
+        matches!(r, Err(StorageError::WriteConflict { .. })),
+        "T1 must fail with WriteConflict: {r:?}"
     );
-    assert_eq!(db.lock_stats().deadlocks, 1, "exactly one victim");
-    // The survivor's transfer landed; the victim's work left no trace.
-    assert_eq!(balance(&db, 1), 90);
-    assert_eq!(balance(&db, 2), 110);
-    assert_eq!(db.row_count("audit").unwrap(), 0, "victim's insert undone");
+    assert!(survivor.is_ok(), "T2 must commit: {survivor:?}");
+    assert_eq!(db.lock_stats().deadlocks, 0);
+    // The survivor's transfer landed; the loser's work left no trace.
+    assert_eq!(balance(&db, 1), 199);
+    assert_eq!(balance(&db, 2), 1);
+    assert_eq!(db.row_count("audit").unwrap(), 1, "survivor's insert kept");
 }
 
-/// A panicking `transaction` closure must roll back on unwind —
-/// leaked 2PL locks would block every later writer forever.
+/// A panicking `transaction` closure must roll back on unwind — a
+/// leaked uncommitted version would make every later writer of the row
+/// wait forever.
 #[test]
 fn panicking_transaction_closure_releases_locks() {
     let db = bank(1, 100);
@@ -220,7 +219,7 @@ fn panicking_transaction_closure_releases_locks() {
     })
     .join();
     assert!(panicked.is_err(), "the closure's panic propagates");
-    // Rolled back and unlocked: state restored, next writer proceeds.
+    // Rolled back: state restored, next writer proceeds.
     assert_eq!(balance(&db, 1), 100);
     db.execute_sql("UPDATE accounts SET bal = 5 WHERE id = 1", &[])
         .unwrap();
@@ -249,8 +248,7 @@ fn transactions_are_thread_scoped() {
     assert_eq!(balance(&db, 2), 0);
 }
 
-/// Scans (table-level shared locks) never observe another transaction's
-/// in-flight rows: a reader thread racing a writer transaction sees the
+/// Snapshot scans never observe another transaction's in-flight rows: a reader thread racing a writer transaction sees the
 /// table either entirely before or entirely after the commit.
 #[test]
 fn scans_never_observe_in_flight_writes() {

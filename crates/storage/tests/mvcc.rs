@@ -67,10 +67,10 @@ fn read_n(db: &Database, id: i64) -> i64 {
 }
 
 /// The headline property: a reader proceeds, with a correct answer,
-/// while another thread's transaction holds an uncommitted write (and
-/// its row locks) on the same table. Under the PR-4 locking scheme the
-/// reader's table-S lock would block behind the writer's IX until
-/// commit; under MVCC it resolves the committed version immediately.
+/// while another thread's transaction holds an uncommitted write on the
+/// same table. A reader taking a table lock would block behind the
+/// writer until commit; under MVCC it resolves the committed version
+/// immediately.
 #[test]
 fn readers_do_not_block_behind_open_writer_transactions() {
     let db = counters(2);
@@ -82,7 +82,7 @@ fn readers_do_not_block_behind_open_writer_transactions() {
         db_w.execute_sql("UPDATE c SET n = 99 WHERE id = 1", &[])
             .unwrap();
         writer_ready_tx.send(()).unwrap();
-        release.recv().unwrap(); // hold the row lock + uncommitted row
+        release.recv().unwrap(); // hold the uncommitted row
         db_w.execute_sql("COMMIT", &[]).unwrap();
     });
     writer_ready.recv().unwrap();
@@ -97,7 +97,7 @@ fn readers_do_not_block_behind_open_writer_transactions() {
     assert_eq!(
         db.lock_stats().waits,
         waits_before,
-        "the reader acquired no locks and waited on none"
+        "the reader waited on nothing"
     );
 }
 
@@ -780,8 +780,8 @@ fn fk_checks_reject_parents_under_pending_pk_moves() {
 /// A pk move whose target key was taken by a transaction that
 /// committed *after* this snapshot is a retryable WriteConflict (the
 /// snapshot is stale); the retry on a fresh snapshot then reports the
-/// genuine duplicate. (An *uncommitted* holder never reaches the check
-/// at all: the mover's destination row lock waits for it.)
+/// genuine duplicate. (An *uncommitted* holder is a conflict too: the
+/// gate refuses any key another transaction's unfinished write holds.)
 #[test]
 fn pk_move_onto_newer_committed_key_is_retryable() {
     let db = counters(1); // row pk=1 exists
@@ -932,9 +932,9 @@ fn inline_vacuum_bounds_history_growth() {
     assert_eq!(read_n(&db, 1), 599);
 }
 
-/// Writers still exclude each other: two concurrent transactions on the
-/// same row serialize via the row lock, and the loser's conflict abort
-/// leaves no trace.
+/// Writers still exclude each other: of two concurrent transactions on
+/// the same row, the second to write fails first-updater-wins, and the
+/// loser's conflict abort leaves no trace.
 #[test]
 fn writer_writer_exclusion_still_holds() {
     let db = counters(1);
@@ -954,7 +954,7 @@ fn writer_writer_exclusion_still_holds() {
                     });
                     match r {
                         Ok(()) => {}
-                        Err(StorageError::WriteConflict { .. } | StorageError::Deadlock { .. }) => {
+                        Err(StorageError::WriteConflict { .. }) => {
                             conflicts.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(e) => panic!("unexpected error: {e}"),
@@ -1048,4 +1048,110 @@ fn checkpoint_and_vacuum_preserve_each_other() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&copy);
+}
+
+/// How long a test waits for a statement that must not block before it
+/// calls the statement stuck (a failed assertion, not a hang).
+const PROMPT: Duration = Duration::from_secs(5);
+
+/// Runs `sql` autocommitted — or, with `txn`, in its own transaction,
+/// rolled back afterwards — on a new thread, and hands its outcome back
+/// on a channel, so the caller can tell a statement that waits from one
+/// that returns.
+fn spawn_write(
+    db: &Database,
+    sql: &'static str,
+    txn: bool,
+) -> (
+    mpsc::Receiver<Result<u64, StorageError>>,
+    std::thread::JoinHandle<()>,
+) {
+    let db = db.clone();
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        if txn {
+            db.execute_sql("BEGIN", &[]).unwrap();
+        }
+        let r = db.execute_sql(sql, &[]).map(|o| o.result.rows_affected);
+        if txn {
+            db.execute_sql("ROLLBACK", &[]).unwrap();
+        }
+        let _ = tx.send(r);
+    });
+    (rx, handle)
+}
+
+/// Writers never wait on each other inside a transaction: a second
+/// transaction's UPDATE of a row an open transaction wrote fails with
+/// `WriteConflict` at once instead of waiting for the holder to finish.
+#[test]
+fn second_transaction_writer_conflicts_without_waiting() {
+    let db = counters(1);
+    db.execute_sql("BEGIN", &[]).unwrap();
+    db.execute_sql("UPDATE c SET n = 1 WHERE id = 1", &[])
+        .unwrap();
+    let (rx, handle) = spawn_write(&db, "UPDATE c SET n = 2 WHERE id = 1", true);
+    let r = rx.recv_timeout(PROMPT);
+    db.execute_sql("COMMIT", &[]).unwrap();
+    handle.join().unwrap();
+    assert!(
+        matches!(r, Ok(Err(StorageError::WriteConflict { .. }))),
+        "the second writer must fail at once, not wait: {r:?}"
+    );
+    assert_eq!(read_n(&db, 1), 1, "the holder's write stands");
+}
+
+/// An autocommitted UPDATE of a row an open transaction wrote waits for
+/// that writer, then applies on top of whatever it left: the holder's
+/// committed value, or — when the holder rolls back — the original.
+#[test]
+fn autocommit_writer_waits_then_applies_on_the_holders_outcome() {
+    let db = counters(1);
+    for (holder_commits, expected) in [(true, 11), (false, 12)] {
+        let before = read_n(&db, 1);
+        db.execute_sql("BEGIN", &[]).unwrap();
+        db.execute_sql("UPDATE c SET n = n + 10 WHERE id = 1", &[])
+            .unwrap();
+        let waits = db.lock_stats().waits;
+        let (rx, handle) = spawn_write(&db, "UPDATE c SET n = n + 1 WHERE id = 1", false);
+        // The autocommitted writer parks behind the open holder.
+        let deadline = std::time::Instant::now() + PROMPT;
+        while db.lock_stats().waits == waits && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let parked = db.lock_stats().waits == waits + 1;
+        let early = rx.try_recv();
+        let end = if holder_commits { "COMMIT" } else { "ROLLBACK" };
+        db.execute_sql(end, &[]).unwrap();
+        let r = rx.recv_timeout(PROMPT);
+        handle.join().unwrap();
+        assert!(parked, "the autocommitted write never waited");
+        assert!(
+            early.is_err(),
+            "it returned before the holder ended: {early:?}"
+        );
+        assert!(matches!(r, Ok(Ok(1))), "{r:?}");
+        assert_eq!(read_n(&db, 1), expected, "after {end} from n = {before}");
+    }
+}
+
+/// An autocommitted UPDATE whose predicate does not pin primary keys
+/// touches only the rows it matches: a different row of a table an open
+/// transaction is writing is no conflict, so it does not wait.
+#[test]
+fn autocommit_non_pk_update_of_another_row_does_not_wait() {
+    let db = counters(3);
+    db.execute_sql("UPDATE c SET n = 2 WHERE id = 2", &[])
+        .unwrap();
+    db.execute_sql("BEGIN", &[]).unwrap();
+    db.execute_sql("UPDATE c SET n = 5 WHERE id = 1", &[])
+        .unwrap();
+    let (rx, handle) = spawn_write(&db, "UPDATE c SET n = 20 WHERE n = 2", false);
+    let r = rx.recv_timeout(PROMPT);
+    db.execute_sql("COMMIT", &[]).unwrap();
+    handle.join().unwrap();
+    assert!(matches!(r, Ok(Ok(1))), "{r:?}");
+    assert_eq!(read_n(&db, 1), 5);
+    assert_eq!(read_n(&db, 2), 20);
+    assert_eq!(db.lock_stats().waits, 0);
 }

@@ -1,22 +1,22 @@
 //! Wall-clock multi-writer (and multi-reader) driver: N OS threads
 //! hammer one shared deployment with the BatchPost transactional mix,
-//! exercising the engine's row-lock concurrency (thread-scoped
-//! transactions, 2PL, deadlock detection, first-updater-wins write
-//! conflicts) and the commit pipeline's per-key flush ordering for real
-//! — no virtual time, no activity scanning.
+//! exercising the engine's multi-writer concurrency (thread-scoped
+//! transactions, first-updater-wins write conflicts) and the commit
+//! pipeline's per-key flush ordering for real — no virtual time, no
+//! activity scanning.
 //!
 //! With `reader_threads > 0` the driver additionally runs a
 //! reader-heavy mixed scenario: dedicated threads open *read-only
 //! transactions* that scan walls and users while the writers churn.
-//! Under MVCC snapshot reads these readers take no locks at all, so
-//! they must never deadlock and never observe a torn state — each
+//! Under MVCC snapshot reads these readers never wait for a writer, so
+//! they must never fail and never observe a torn state — each
 //! reader transaction re-runs its first query at the end and any
 //! difference is counted as a `snapshot_violations` (must stay zero).
 //!
 //! Unlike [`crate::driver::run`] (which measures the paper's saturation
 //! curves deterministically in simulated time), this driver measures the
 //! *engine itself* under true interleaving: throughput is transactions
-//! per wall-clock second, aborts are real deadlock victims, and the
+//! per wall-clock second, aborts are real write conflicts, and the
 //! post-run cross-check re-evaluates every touched cached object against
 //! the database — any mismatch is a coherence violation in the commit
 //! pipeline.
@@ -47,7 +47,7 @@ pub struct ConcurrencyConfig {
     pub abort_pct: u32,
     /// Percentage of transactions that are two-user "poke" transactions
     /// (each updates two `users` rows in random order) instead of
-    /// BatchPosts — the shape that manufactures genuine deadlock cycles.
+    /// BatchPosts — the shape where two writers cross on the same rows.
     pub poke_pct: u32,
     /// Every Nth transaction is followed by an autocommit wall read
     /// (read/write interleaving through the cache); 0 disables.
@@ -58,8 +58,8 @@ pub struct ConcurrencyConfig {
     pub rng_seed: u64,
     /// Simulated application-server time (microseconds) spent between a
     /// transaction's statements — the round-trip window a real web stack
-    /// has while its transaction is open; row locks overlap it across
-    /// clients. 0 disables.
+    /// has while its transaction is open; uncommitted versions overlap
+    /// it across clients. 0 disables.
     pub think_us: u64,
     /// Dedicated reader threads running read-only transactions (wall +
     /// user scans with an intra-transaction repeat-read consistency
@@ -140,16 +140,10 @@ pub struct ConcurrencyResult {
     pub committed: u64,
     /// Transactions that rolled back on purpose (the abort mix).
     pub rolled_back: u64,
-    /// Transactions aborted as deadlock victims.
-    pub deadlock_aborts: u64,
-    /// Transactions aborted by strict-mode lock timeouts or commit-time
-    /// rejections.
-    pub lock_aborts: u64,
-    /// Transactions aborted first-updater-wins: another writer committed
-    /// a newer version of a row this transaction's snapshot had read.
-    /// A correctness feature, not an error — the caller retries on a
-    /// fresh snapshot (the 2PL baseline would instead have silently
-    /// serialized these through lock waits).
+    /// Transactions aborted first-updater-wins: another writer got to a
+    /// row this transaction writes first — its write was uncommitted, or
+    /// committed after this transaction's snapshot. A correctness
+    /// feature, not an error — the caller retries on a fresh snapshot.
     pub write_conflicts: u64,
     /// Any other error (must stay zero).
     pub errors: u64,
@@ -161,17 +155,11 @@ pub struct ConcurrencyResult {
     pub checked_objects: u64,
     /// Instances whose cache content disagreed with the database.
     pub coherence_violations: u64,
-    /// Lock-manager deadlock count (should equal `deadlock_aborts`
-    /// plus `read_deadlocks`).
-    pub lock_stats_deadlocks: u64,
-    /// Lock acquisitions that blocked at least once.
+    /// Autocommitted writes that waited for a conflicting writer to
+    /// finish ([`genie_storage::LockStats::waits`]).
     pub lock_waits: u64,
-    /// Interleaved autocommit reads aborted as deadlock victims (the
-    /// statement fails and is simply skipped; nothing to roll back).
-    /// Zero under MVCC snapshot reads — readers take no locks.
-    pub read_deadlocks: u64,
-    /// Interleaved autocommit reads failing with any other error (must
-    /// stay zero).
+    /// Interleaved autocommit reads and reader transactions failing with
+    /// any error (must stay zero).
     pub read_errors: u64,
     /// Read-only transactions the dedicated reader threads completed.
     pub read_txns: u64,
@@ -280,26 +268,7 @@ fn summarize_ops(samples: [Vec<f64>; 5]) -> Vec<OpLatencySummary> {
 impl ConcurrencyResult {
     /// Transactions that terminated at all (any outcome).
     pub fn attempts(&self) -> u64 {
-        self.committed
-            + self.rolled_back
-            + self.deadlock_aborts
-            + self.lock_aborts
-            + self.write_conflicts
-            + self.errors
-    }
-
-    /// Fraction of attempts aborted by the engine's lock layer
-    /// (deadlock victims + lock timeouts). First-updater-wins conflicts
-    /// are tracked separately in [`ConcurrencyResult::conflict_rate`] —
-    /// they are snapshot-isolation serialization failures, not lock
-    /// thrashing.
-    pub fn abort_rate(&self) -> f64 {
-        let a = self.attempts();
-        if a == 0 {
-            0.0
-        } else {
-            (self.deadlock_aborts + self.lock_aborts) as f64 / a as f64
-        }
+        self.committed + self.rolled_back + self.write_conflicts + self.errors
     }
 
     /// Fraction of attempts aborted first-updater-wins.
@@ -317,11 +286,8 @@ impl ConcurrencyResult {
 struct ThreadTally {
     committed: u64,
     rolled_back: u64,
-    deadlock_aborts: u64,
-    lock_aborts: u64,
     write_conflicts: u64,
     errors: u64,
-    read_deadlocks: u64,
     read_errors: u64,
     node_kills: u64,
     node_revives: u64,
@@ -351,7 +317,6 @@ struct ReaderTally {
     read_txns: u64,
     read_stmts: u64,
     snapshot_violations: u64,
-    read_deadlocks: u64,
     read_errors: u64,
     latencies: Vec<f64>,
 }
@@ -395,7 +360,7 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
     if cfg.disjoint_tables {
         // One scratch table per writer thread, seeded before the clock
         // starts. The measured phase then updates only `shard_<t>` from
-        // thread `t`: per-table latches and row locks are provably
+        // thread `t`: per-table latches and rows are provably
         // uncontended, so any table-latch wait is a sharding bug.
         for t in 0..threads {
             env.db.execute_sql(
@@ -442,7 +407,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                                 tally.snapshot_violations += 1;
                             }
                         }
-                        Err(StorageError::Deadlock { .. }) => tally.read_deadlocks += 1,
                         Err(_) => tally.read_errors += 1,
                     }
                 }
@@ -521,18 +485,13 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                     match outcome {
                         Ok(true) => tally.committed += 1,
                         Ok(false) => tally.rolled_back += 1,
-                        Err(StorageError::Deadlock { .. }) => tally.deadlock_aborts += 1,
                         Err(StorageError::WriteConflict { .. }) => tally.write_conflicts += 1,
-                        Err(StorageError::TransactionAborted(_))
-                        | Err(StorageError::LockTimeout { .. }) => tally.lock_aborts += 1,
                         Err(_) => tally.errors += 1,
                     }
                     if !cfg.disjoint_tables && cfg.read_every > 0 && i % cfg.read_every == 0 {
                         // Autocommit cached read interleaving with other
-                        // threads' open transactions. A multi-table read
-                        // can itself be chosen as a deadlock victim;
-                        // anything else failing is a real bug, so tally
-                        // instead of swallowing.
+                        // threads' open transactions. Any failure is a
+                        // real bug, so tally instead of swallowing.
                         // Skewing the read target onto a tiny hot set
                         // concentrates traffic on those users' cached
                         // objects, the keys a node kill moves.
@@ -546,7 +505,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
                             Ok(_) => tally
                                 .latencies
                                 .push((OP_CACHED_READ, read_start.elapsed().as_secs_f64())),
-                            Err(StorageError::Deadlock { .. }) => tally.read_deadlocks += 1,
                             Err(_) => tally.read_errors += 1,
                         }
                     }
@@ -568,11 +526,8 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
         }
         result.committed += t.committed;
         result.rolled_back += t.rolled_back;
-        result.deadlock_aborts += t.deadlock_aborts;
-        result.lock_aborts += t.lock_aborts;
         result.write_conflicts += t.write_conflicts;
         result.errors += t.errors;
-        result.read_deadlocks += t.read_deadlocks;
         result.read_errors += t.read_errors;
         result.node_kills += t.node_kills;
         result.node_revives += t.node_revives;
@@ -586,7 +541,6 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
         result.read_txns += t.read_txns;
         result.read_stmts += t.read_stmts;
         result.snapshot_violations += t.snapshot_violations;
-        result.read_deadlocks += t.read_deadlocks;
         result.read_errors += t.read_errors;
     }
     let done = result.committed + result.rolled_back;
@@ -600,9 +554,7 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
     } else {
         0.0
     };
-    let locks = env.db.lock_stats();
-    result.lock_stats_deadlocks = locks.deadlocks;
-    result.lock_waits = locks.waits;
+    result.lock_waits = env.db.lock_stats().waits;
     let latches = env.db.latch_stats();
     result.latch_waits = latches.total_waits();
     result.latch_table_waits = latches.table_waits();
@@ -651,8 +603,8 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
 }
 
 /// A two-row "poke" transaction: updates both users' `last_login` in
-/// caller-chosen order. Opposite-order pairs on different threads form
-/// waits-for cycles — the deadlock-detection workload. On any error the
+/// caller-chosen order. Opposite-order pairs on different threads cross
+/// on the same rows — the write-conflict workload. On any error the
 /// transaction is rolled back and the error returned for tallying.
 fn poke_pair(
     db: &genie_storage::Database,
@@ -668,8 +620,8 @@ fn poke_pair(
             &[Value::Timestamp(1_000_000 + seq), Value::Int(a)],
         )?;
         // Application work between the two statements: without this
-        // window the lock-hold time is so short that cycles almost never
-        // form and the deadlock detector sits idle.
+        // window the first write is uncommitted so briefly that pairs
+        // almost never cross.
         pace();
         db.execute_sql(
             "UPDATE users SET last_login = $1 WHERE id = $2",
@@ -694,7 +646,7 @@ fn poke_pair(
 /// between statements. No other thread ever touches this table, so the
 /// only shared structures on the hot path are the catalog read latch
 /// and the commit epoch — the shape that isolates latch-sharding
-/// scaling from row-lock contention. On any error the transaction is
+/// scaling from row contention. On any error the transaction is
 /// rolled back and the error returned for tallying.
 fn disjoint_txn(
     db: &genie_storage::Database,
@@ -782,11 +734,11 @@ mod tests {
     }
 
     #[test]
-    fn deadlocks_are_detected_not_hung() {
+    fn crossing_pokes_conflict_without_waiting() {
         let cfg = ConcurrencyConfig {
             threads: 4,
             txns_per_thread: 60,
-            poke_pct: 100, // all two-row pokes: cycles guaranteed
+            poke_pct: 100, // all two-row pokes: crossing pairs guaranteed
             seed: SeedConfig {
                 users: 4, // tiny key space maximizes collisions
                 ..SeedConfig::tiny()
@@ -797,11 +749,8 @@ mod tests {
         assert_eq!(r.errors, 0, "{r:?}");
         assert!(r.committed > 0, "progress despite contention: {r:?}");
         assert_eq!(r.coherence_violations, 0, "{r:?}");
-        assert_eq!(
-            r.deadlock_aborts + r.read_deadlocks,
-            r.lock_stats_deadlocks,
-            "every lock-manager victim surfaced as one aborted txn or read: {r:?}"
-        );
+        assert_eq!(r.attempts(), 4 * 60, "every poke terminated: {r:?}");
+        assert_eq!(r.lock_waits, 0, "writers in transactions never wait: {r:?}");
     }
 
     #[test]
@@ -824,7 +773,7 @@ mod tests {
             r.latch_table_waits, 0,
             "threads pinned to disjoint tables must never meet on a table latch: {r:?}"
         );
-        assert_eq!(r.lock_stats_deadlocks, 0, "{r:?}");
+        assert_eq!(r.lock_waits, 0, "{r:?}");
         assert_eq!(r.coherence_violations, 0, "{r:?}");
     }
 
@@ -911,17 +860,13 @@ mod tests {
             txns_per_thread: 60,
             reader_threads: 2,
             reads_per_reader_txn: 4,
-            think_us: 50, // writers hold row locks across real time
+            think_us: 50, // writers hold uncommitted versions across real time
             ..Default::default()
         };
         let r = run_concurrent(&cfg).unwrap();
         assert_eq!(r.errors, 0, "{r:?}");
         assert!(r.read_txns > 0, "readers made progress: {r:?}");
-        assert_eq!(
-            r.read_deadlocks, 0,
-            "lock-free readers cannot deadlock: {r:?}"
-        );
-        assert_eq!(r.read_errors, 0, "{r:?}");
+        assert_eq!(r.read_errors, 0, "snapshot readers never fail: {r:?}");
         assert_eq!(
             r.snapshot_violations, 0,
             "repeated reads inside one txn must agree: {r:?}"

@@ -2,8 +2,8 @@
 //! while BatchPost writer threads commit bursts underneath it — the
 //! scan never blocks, never deadlocks, and every read inside it agrees
 //! with the snapshot it pinned at BEGIN, no matter how many commits
-//! land meanwhile. SELECTs take no lock-manager locks, so the scan has
-//! nothing to wait on behind the writers' open transactions.
+//! land meanwhile. SELECTs take no locks, so the scan has nothing to
+//! wait on behind the writers' open transactions.
 //!
 //! Run with: `cargo run --example snapshot_readers`
 
@@ -36,9 +36,9 @@ fn main() -> Result<(), Box<dyn Error>> {
                 while !stop.load(Ordering::Relaxed) {
                     let wall = (w as i64 * 5 + i) % 20 + 1;
                     let sender = (i % 20) + 1;
-                    // Each burst holds its row locks across the pacing
-                    // callback — the window a blocking reader would
-                    // stall in.
+                    // Each burst holds its uncommitted rows across the
+                    // pacing callback — the window a blocking reader
+                    // would stall in.
                     let paced = app.post_wall_batch_paced(wall, sender, 3, false, &|| {
                         std::thread::sleep(Duration::from_micros(200));
                     });
