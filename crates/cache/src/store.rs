@@ -181,14 +181,19 @@ impl CacheStore {
         now: u64,
         bump: bool,
     ) -> Option<(Bytes, Option<u64>)> {
-        if self.purge_if_expired(key, now) {
-            return None;
+        match self.map.get_mut(key) {
+            Some(e) if !e.expired(now) => {
+                if bump {
+                    e.referenced = true;
+                }
+                Some((e.data.clone(), e.expires_at.map(|t| t.saturating_sub(now))))
+            }
+            Some(_) => {
+                self.expire(key);
+                None
+            }
+            None => None,
         }
-        let e = self.map.get_mut(key)?;
-        if bump {
-            e.referenced = true;
-        }
-        Some((e.data.clone(), e.expires_at.map(|t| t.saturating_sub(now))))
     }
 
     /// Like [`CacheStore::get`] but also returns the CAS token.
@@ -205,12 +210,9 @@ impl CacheStore {
         origin: CacheOrigin,
     ) -> Option<ValueWithCas> {
         self.stats.gets += 1;
-        if self.purge_if_expired(key, now) {
-            self.count_miss(origin);
-            return None;
-        }
+        // One probe: an expired entry is found, removed and missed.
         match self.map.get_mut(key) {
-            Some(e) => {
+            Some(e) if !e.expired(now) => {
                 let out = ValueWithCas {
                     data: e.data.clone(),
                     cas: e.cas,
@@ -223,7 +225,10 @@ impl CacheStore {
                 self.count_hit(origin);
                 Some(out)
             }
-            None => {
+            found => {
+                if found.is_some() {
+                    self.expire(key);
+                }
                 self.count_miss(origin);
                 None
             }
@@ -414,10 +419,15 @@ impl CacheStore {
     fn purge_if_expired(&mut self, key: &str, now: u64) -> bool {
         let expired = matches!(self.map.get(key), Some(e) if e.expired(now));
         if expired {
-            self.remove_entry(key);
-            self.stats.expired += 1;
+            self.expire(key);
         }
         expired
+    }
+
+    /// Drops `key`, whose TTL lapsed.
+    fn expire(&mut self, key: &str) {
+        self.remove_entry(key);
+        self.stats.expired += 1;
     }
 
     fn insert_entry(&mut self, key: &str, data: Bytes, ttl: Option<u64>, now: u64) {
@@ -761,5 +771,35 @@ mod tests {
         assert!(s.read_for_update("ghost", 0, false).is_none());
         assert_eq!(s.stats(), before);
         assert!(s.read_for_update("k", 100, false).is_none(), "expired");
+    }
+
+    #[test]
+    fn expired_reads_count_once_and_release_their_bytes() {
+        let mut s = small_store(10_000);
+        s.set("stay", bytes_of("w"), None, 0).unwrap();
+        let stay_bytes = s.bytes_used();
+        s.set("k", bytes_of("v"), Some(100), 0).unwrap();
+        let before = s.stats();
+        assert!(s.gets("k", 100, true).is_none());
+        let after = s.stats();
+        assert_eq!(after.gets, before.gets + 1);
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.app_misses, before.app_misses + 1);
+        assert_eq!(after.expired, before.expired + 1);
+        assert_eq!(after.hits, before.hits);
+        assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
+        assert!(s.gets("k", 100, true).is_none(), "gone, not expired again");
+        assert_eq!(s.stats().expired, after.expired);
+
+        s.set("k", bytes_of("v"), Some(100), 200).unwrap();
+        let before = s.stats();
+        assert!(s.read_for_update("k", 300, false).is_none());
+        let after = s.stats();
+        assert_eq!(after.expired, before.expired + 1);
+        assert_eq!(
+            (after.gets, after.hits, after.misses),
+            (before.gets, before.hits, before.misses)
+        );
+        assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
     }
 }

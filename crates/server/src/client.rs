@@ -14,6 +14,8 @@ use std::time::Duration;
 pub struct ServeClient {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The outgoing frame, reused between requests.
+    frame: Vec<u8>,
 }
 
 impl ServeClient {
@@ -37,19 +39,26 @@ impl ServeClient {
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(ServeClient { stream, reader })
+        Ok(ServeClient {
+            stream,
+            reader,
+            frame: Vec::new(),
+        })
     }
 
-    /// Sends one raw frame (a newline is appended) and reads the
-    /// response — the building block every typed helper uses.
+    /// Sends one raw frame (a newline is appended; line and newline go
+    /// out in one write, so one segment under `TCP_NODELAY`) and reads
+    /// the response — the building block every typed helper uses.
     ///
     /// # Errors
     ///
     /// I/O errors from the socket, `UnexpectedEof` when the server
     /// closed the connection, `InvalidData` on framing violations.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<Response> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.frame.clear();
+        self.frame.extend_from_slice(line.as_bytes());
+        self.frame.push(b'\n');
+        self.stream.write_all(&self.frame)?;
         read_response(&mut self.reader)
     }
 

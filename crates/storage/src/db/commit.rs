@@ -35,7 +35,7 @@ use crate::trigger::TriggerCtx;
 use crate::value::Value;
 use crate::wal::{self, WalTicket};
 use parking_lot::RwLockReadGuard;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::thread::ThreadId;
 
@@ -205,7 +205,6 @@ impl Database {
             }
             vacuum_due = self.note_commit_for_vacuum();
         }
-        flush_stats_for(tables, changes);
         if txn_commit {
             self.engine.counters.commits.fetch_add(1, Ordering::Relaxed);
         }
@@ -449,16 +448,5 @@ impl Database {
             }
         }
         Ok(())
-    }
-}
-
-/// Applies pending (statement/commit-batched) statistics deltas for
-/// every table named in `changes`.
-fn flush_stats_for(tables: &TableSet<'_>, changes: &[RowChange]) {
-    let names: BTreeSet<&str> = changes.iter().map(|c| c.table.as_str()).collect();
-    for t in names {
-        if let Ok(table) = tables.table(t) {
-            table.flush_stats();
-        }
     }
 }

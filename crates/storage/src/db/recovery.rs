@@ -170,11 +170,6 @@ impl Database {
                 }
             }
         }
-        // Planner statistics accumulate deltas during replay; settle them
-        // so the first post-recovery query plans like the pre-crash one.
-        for name in catalog.table_names() {
-            catalog.table_mut(&name)?.flush_stats();
-        }
         drop(catalog);
         self.shared.commit_epoch.store(cursor, Ordering::Release);
         self.shared.next_epoch.store(cursor, Ordering::Release);

@@ -461,9 +461,9 @@ pub(crate) struct ExecPlan {
     perm: Option<Vec<usize>>,
     /// [`BoundSelect::catalog_version`] the steps were bound under.
     pub catalog_version: u64,
-    /// [`Table::version`] of each FROM/JOIN table (in the statement's
+    /// [`Table::band_stamp`] of each FROM/JOIN table (in the statement's
     /// sorted table order) the planner read.
-    pub table_versions: Vec<u64>,
+    pub table_bands: Vec<u64>,
 }
 
 impl ExecPlan {
@@ -531,9 +531,9 @@ impl ExecPlan {
         } else {
             exec_layout.permutation_to(&bound.layout)
         };
-        let table_versions = sorted_tables
+        let table_bands = sorted_tables
             .iter()
-            .map(|t| Ok(tables.table(t)?.version()))
+            .map(|t| Ok(tables.table(t)?.band_stamp()))
             .collect::<Result<_>>()?;
         Ok(ExecPlan {
             qplan,
@@ -541,7 +541,7 @@ impl ExecPlan {
             joins,
             perm,
             catalog_version: bound.catalog_version,
-            table_versions,
+            table_bands,
         })
     }
 

@@ -9,8 +9,10 @@
 //! * a SQL-subset parser and a planner/executor covering the query shapes
 //!   a Django-style ORM emits — point lookups, index scans, inner/left
 //!   joins, aggregates, `ORDER BY ... LIMIT` ([`sql`], [`Select`]) —
-//!   with scan-shaped plans executed vectorized (~1024-row batches over
-//!   a compiled predicate);
+//!   costed from banded row and key counts, so a kept plan survives
+//!   every write that moves no band ([`Table::band_stamp`]), and with
+//!   scan-shaped plans executed vectorized (~1024-row batches over a
+//!   compiled predicate);
 //! * **row-level AFTER triggers** fired synchronously inside write
 //!   statements — the primitive CacheGenie uses to keep the cache
 //!   consistent ([`Trigger`], [`TriggerCtx`]);
@@ -73,7 +75,6 @@ pub mod query;
 pub mod row;
 pub mod schema;
 pub mod sql;
-pub mod stats;
 pub mod table;
 pub mod trigger;
 pub mod value;
@@ -96,7 +97,6 @@ pub use query::{
 };
 pub use row::{Row, RowId};
 pub use schema::{ColumnDef, ForeignKeyDef, IndexDef, TableSchema, TableSchemaBuilder};
-pub use stats::ColumnStats;
 pub use table::{Snapshot, Table};
 pub use trigger::{Trigger, TriggerBody, TriggerCtx, TriggerEvent, TriggerManager};
 pub use value::{Value, ValueType};

@@ -7,11 +7,12 @@
 //!    table's primary key and secondary indexes and picks the cheapest
 //!    [`AccessPath`] under a cost model whose weights mirror the physical
 //!    counters in [`crate::cost::CostReport`] (rows scanned, index probes,
-//!    page touches, sort rows). Selectivities come from the per-column
-//!    statistics the table layer maintains ([`crate::stats`]) — distinct
-//!    counts for equality prefixes, equi-width histograms for ranges —
-//!    falling back to the System-R constants only when a column has no
-//!    usable statistics.
+//!    page touches, sort rows). It reads a table's data only as bands —
+//!    the row count and each index's exact distinct-key and key-prefix
+//!    counts, each rounded to the nearest power of two
+//!    ([`Table::row_band`], [`crate::table::Index::prefix_band`]) — so a
+//!    kept plan stays valid until a write moves a band. Equality prefixes are costed from the
+//!    prefix counts, ranges from the fixed System-R selectivities.
 //! 2. `plan_query` builds a [`QueryPlan`] for a whole SELECT: it
 //!    enumerates cost-ranked left-deep join orders (for the 2–4 table
 //!    inner-join chains a Django-style ORM emits), plans the driving
@@ -57,7 +58,6 @@ use crate::expr::{CmpOp, Expr};
 use crate::latch::TableSet;
 use crate::query::{AggFunc, JoinKind, OrderKey, Select, SelectItem};
 use crate::row::Row;
-use crate::stats::ColumnStats;
 use crate::table::{RowRef, Table};
 use crate::value::{Value, ValueType};
 use std::collections::BTreeSet;
@@ -319,36 +319,17 @@ const PROBE_COST: f64 = 2.0;
 const PAGE_COST: f64 = 0.5;
 const SORT_ROW_COST: f64 = 0.4;
 
-/// Selectivity guesses for range predicates when the column has no
-/// histogram (the classic System-R defaults).
+/// Selectivity guesses for range predicates (the classic System-R
+/// defaults).
 const RANGE_BOTH_BOUNDED_SEL: f64 = 0.25;
 const RANGE_HALF_BOUNDED_SEL: f64 = 0.33;
 
-fn default_range_selectivity(from: &Bound, to: &Bound) -> f64 {
+fn range_selectivity(from: &Bound, to: &Bound) -> f64 {
     match (from.is_bounded(), to.is_bounded()) {
         (true, true) => RANGE_BOTH_BOUNDED_SEL,
         (false, false) => 1.0,
         _ => RANGE_HALF_BOUNDED_SEL,
     }
-}
-
-/// Histogram-driven selectivity of a range on `column`, falling back to
-/// the System-R constants when the column has no usable histogram or the
-/// endpoints are not numeric.
-fn range_selectivity(table: &Table, column: &str, from: &Bound, to: &Bound) -> f64 {
-    let convert = |b: &Bound| -> Option<Option<(f64, bool)>> {
-        match b {
-            Bound::Unbounded => Some(None),
-            Bound::Included(v) => ColumnStats::key_of(v).map(|x| Some((x, true))),
-            Bound::Excluded(v) => ColumnStats::key_of(v).map(|x| Some((x, false))),
-        }
-    };
-    if let (Some(lo), Some(hi)) = (convert(from), convert(to)) {
-        if let Some(Some(sel)) = table.with_column_stats(column, |s| s.range_selectivity(lo, hi)) {
-            return sel;
-        }
-    }
-    default_range_selectivity(from, to)
 }
 
 fn scan_cost(rows: f64, probes: f64, rows_per_page: f64) -> f64 {
@@ -578,13 +559,13 @@ fn tighten_upper(slot: &mut Option<Bound>, candidate: Bound) {
 // A prepared statement keeps the plan the planner chose for one parameter
 // vector and reuses it for the next. That is sound exactly when the
 // planner, run afresh on the new vector, would choose the same plan with
-// the new key values in it. The planner reads parameter values in three
+// the new key values in it. The planner reads parameter values in two
 // places only, all through the sargable conjuncts of the WHERE clause
 // (`col = v`, `col < v` and friends, `col IN (..)`, same-column OR
 // chains): [`extract_constraints`] coerces each value for its column and
-// keeps it as a key or bound, range costing feeds bounds to the
-// histograms, and [`path_absorbs_predicate`] compares values with each
-// other. Equality costing reads distinct counts, never the value.
+// keeps it as a key or bound, and [`path_absorbs_predicate`] compares
+// values with each other. Range costing uses fixed selectivities and
+// equality costing banded prefix counts; neither reads the value.
 
 /// True when parameter values cannot change which plan the planner picks
 /// for a statement with this WHERE clause, as long as every parameter
@@ -807,7 +788,7 @@ fn plan_access_impl(
     let cons = extract_constraints(pred, binding, table, params)?;
     let order = order_columns(order_by, binding, table);
     let has_order = !order_by.is_empty();
-    let n = table.len() as f64;
+    let n = table.row_band() as f64;
     let rpp = table.schema().rows_per_page_hint as f64;
 
     // Near-equal costs are broken by path specificity (a wider matched
@@ -876,7 +857,7 @@ fn plan_access_impl(
             let k = keys.len() as f64;
             consider(scan(None, Vec::new(), points(keys)), k, k, sat, rev, 90.0);
         } else if let Some((from, to)) = c.range() {
-            let rows = n * range_selectivity(table, pk, &from, &to);
+            let rows = n * range_selectivity(&from, &to);
             let path = scan(None, Vec::new(), vec![(from, to)]);
             consider(path, rows, 1.0, sat, rev, 15.0);
         }
@@ -887,40 +868,14 @@ fn plan_access_impl(
     for idx in table.indexes() {
         let columns = &idx.def().columns;
         let width = columns.len() as f64;
-        let distinct = idx.distinct_keys().max(1) as f64;
-        // Selectivity of an equality prefix of `p` of `width` key
-        // columns. Exact when an index covers exactly the prefix columns;
-        // otherwise the per-column distinct-count statistics combine
-        // under the independence assumption (capped by both the full-key
-        // distinct count and the row count — a prefix can never have more
-        // distinct keys than either). Only when a column has no
-        // statistics at all does the old geometric interpolation
-        // `distinct^(p/width)` remain as the last resort.
-        let prefix_sel = |p: f64| {
-            let cols = &columns[..p as usize];
-            if let Some(other) = table
-                .indexes()
-                .iter()
-                .find(|other| other.def().columns == cols)
-            {
-                return 1.0 / other.distinct_keys().max(1) as f64;
+        // Selectivity of an equality prefix of `p` key columns: one over
+        // the band of its distinct values.
+        let prefix_sel = |p: usize| {
+            if p == 0 {
+                1.0
+            } else {
+                1.0 / idx.prefix_band(p).max(1) as f64
             }
-            let mut product = 1.0f64;
-            let mut usable = n > 0.0;
-            for col in cols {
-                match table.with_column_stats(col, ColumnStats::distinct) {
-                    Some(d) if d >= 1.0 => product *= d,
-                    _ => {
-                        usable = false;
-                        break;
-                    }
-                }
-            }
-            if usable {
-                let est = product.min(distinct).min(n.max(1.0)).max(1.0);
-                return 1.0 / est;
-            }
-            (1.0 / distinct).powf(p / width)
         };
 
         let eq: Vec<Value> = columns
@@ -929,7 +884,7 @@ fn plan_access_impl(
             .collect();
         let p = eq.len();
         if p == columns.len() {
-            let rows = (n * prefix_sel(width)).max(1.0);
+            let rows = (n * prefix_sel(p)).max(1.0);
             // A unique full-key match yields at most one row, which is
             // trivially ordered.
             let sat = idx.def().unique || order_match(&order, &cons, &[]).0;
@@ -974,8 +929,8 @@ fn plan_access_impl(
             let k = keys.len() as f64;
             // Containment bound: the probes read a subset of the bare
             // equality-prefix block.
-            let rows = (k * n * prefix_sel(p as f64 + 1.0))
-                .min(n * prefix_sel(p as f64))
+            let rows = (k * n * prefix_sel(p + 1))
+                .min(n * prefix_sel(p))
                 .min(n)
                 .max(1.0);
             let rank = if p > 0 { p as f64 * 10.0 + 6.0 } else { 5.0 };
@@ -1000,12 +955,11 @@ fn plan_access_impl(
         // beats scan+sort for the ORDER BY.
         let (ranges, rows, rank) = match range {
             Some((from, to)) => {
-                let rows =
-                    n * prefix_sel(p as f64) * range_selectivity(table, &remaining[0], &from, &to);
+                let rows = n * prefix_sel(p) * range_selectivity(&from, &to);
                 (vec![(from, to)], rows.max(1.0), p as f64 * 10.0 + 5.0)
             }
             None if p > 0 => {
-                let rows = (n * prefix_sel(p as f64)).max(1.0);
+                let rows = (n * prefix_sel(p)).max(1.0);
                 (WHOLE_RANGE.to_vec(), rows, p as f64 * 10.0)
             }
             None if sat && has_order => (WHOLE_RANGE.to_vec(), n, 1.0),
@@ -1790,7 +1744,7 @@ fn plan_one_order(
             }
         }
 
-        let t_rows = slot.table.len() as f64;
+        let t_rows = slot.table.row_band() as f64;
         let rpp = slot.table.schema().rows_per_page_hint as f64;
         let pk = slot.table.schema().primary_key();
         let (method, single_row, fanout, per_left_cost) =
@@ -1824,7 +1778,7 @@ fn plan_one_order(
                         let fanout = if single {
                             1.0
                         } else {
-                            t_rows / idx.distinct_keys().max(1) as f64
+                            t_rows / idx.prefix_band(idx.def().columns.len()).max(1) as f64
                         };
                         let per_left = PROBE_COST + fanout * (ROW_COST + PAGE_COST / rpp.max(1.0));
                         (
@@ -1838,18 +1792,7 @@ fn plan_one_order(
                         )
                     }
                     None => {
-                        // Equi-conjuncts still shrink the match set even when
-                        // no index serves them — estimate via distinct counts.
-                        let mut sel_est = 1.0f64;
-                        for (col, _) in &key_cols {
-                            if let Some(Some(s)) = slot
-                                .table
-                                .with_column_stats(col, ColumnStats::eq_selectivity)
-                            {
-                                sel_est *= s;
-                            }
-                        }
-                        let fanout = (t_rows * sel_est).min(t_rows);
+                        let fanout = t_rows;
                         let per_left = t_rows * (ROW_COST + PAGE_COST / rpp.max(1.0));
                         (JoinMethod::NestedScan, false, fanout, per_left)
                     }

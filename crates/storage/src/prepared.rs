@@ -10,10 +10,11 @@
 //!   ORDER BY / projection, output names), stamped with the **catalog
 //!   version** — only DDL changes what a column reference resolves to;
 //! * the **plan** (`exec::ExecPlan`: the planner's `QueryPlan`
-//!   with its join steps bound), stamped additionally with the **write
-//!   version of every table it reads** — row counts, index key sets and
-//!   statistics are all the planner looks at, and each changes only with
-//!   a write to that table.
+//!   with its join steps bound), stamped additionally with the **band
+//!   stamp of every table it reads** (`Table::band_stamp`). The planner
+//!   reads a table's data only as bands — its row count and each index's
+//!   key and key-prefix counts, each rounded to the nearest power of two —
+//!   so a write replans a kept statement only when it moves a band.
 //!
 //! A stamped plan is reused for a new parameter vector only when the
 //! statement is *value-independent* (`plan::value_independent`)
@@ -130,8 +131,8 @@ impl PreparedSelect {
                     && inner
                         .tables
                         .iter()
-                        .zip(&plan.table_versions)
-                        .all(|(t, v)| tables.table(t).is_ok_and(|t| t.version() == *v));
+                        .zip(&plan.table_bands)
+                        .all(|(t, b)| tables.table(t).is_ok_and(|t| t.band_stamp() == *b));
                 if current {
                     return Ok((bound, plan));
                 }
@@ -269,6 +270,54 @@ mod tests {
             cache.get(&Select::star("t").filter(Expr::col("a").eq(Expr::lit(i))));
             assert!(cache.len() <= SHAPE_CACHE_CAPACITY);
         }
+    }
+
+    #[test]
+    fn a_kept_plan_outlives_writes_until_one_moves_a_band() {
+        use crate::catalog::Catalog;
+        use crate::schema::{ColumnDef, IndexDef, TableSchema};
+        use crate::value::ValueType;
+        let mut catalog = Catalog::new();
+        let schema = TableSchema::builder("t")
+            .pk("id")
+            .column(ColumnDef::new("a", ValueType::Int))
+            .build()
+            .unwrap();
+        catalog.create_table(schema).unwrap();
+        let index = IndexDef {
+            name: "t_a".into(),
+            columns: vec!["a".into()],
+            unique: false,
+        };
+        catalog.create_index("t", index).unwrap();
+        let mut tables = TableSet::exclusive(&mut catalog);
+        let insert = |tables: &mut TableSet<'_>, id: i64| {
+            let t = tables.table_mut("t").unwrap();
+            t.insert(crate::row![id, id % 2]).unwrap();
+        };
+        for id in 0..8 {
+            insert(&mut tables, id);
+        }
+        let sel = Select::star("t").filter(Expr::col("a").eq(Expr::Param(0)));
+        let prepared = PreparedSelect::new(sel);
+        let plan = |tables: &TableSet<'_>| prepared.resolve(tables, &[Value::Int(1)]).unwrap().1;
+        let kept = plan(&tables);
+
+        // 8 -> 11 rows and an update stay in the row band of 8, and `a`
+        // keeps its two keys.
+        for id in 8..11 {
+            insert(&mut tables, id);
+        }
+        let t = tables.table_mut("t").unwrap();
+        let rid = t.find_pk(&Value::Int(0)).unwrap();
+        t.update(rid, crate::row![0, 1]).unwrap();
+        assert!(Arc::ptr_eq(&kept, &plan(&tables)), "no band moved");
+
+        // The 12th row is past the midpoint between 8 and 16.
+        insert(&mut tables, 11);
+        let replanned = plan(&tables);
+        assert!(!Arc::ptr_eq(&kept, &replanned), "the row band moved");
+        assert!(Arc::ptr_eq(&replanned, &plan(&tables)));
     }
 
     #[test]

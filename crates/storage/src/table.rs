@@ -16,6 +16,18 @@
 //! next one. All index maintenance happens inside the write methods, so
 //! the executor can never leave an index stale.
 //!
+//! # Planner inputs
+//!
+//! The planner reads a table's data only as **bands**: the live-row
+//! count ([`Table::row_band`]) and each index's exact count of distinct
+//! keys and of distinct values of each key prefix
+//! ([`Index::prefix_band`]), each rounded to the nearest power of two. A
+//! composite index keeps its prefix counts as keys enter and leave, by
+//! comparing the key with its two neighbours. The write methods move the
+//! table's [`Table::band_stamp`] whenever a count crosses into another
+//! band, and only then, so a kept plan stamped with it survives every
+//! write that moves no band.
+//!
 //! # Versioning (MVCC)
 //!
 //! The heap always holds the *newest* version of each row — committed,
@@ -47,11 +59,10 @@ use crate::db::TxnId;
 use crate::error::{Result, StorageError};
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, TableSchema};
-use crate::stats::ColumnStats;
 use crate::value::Value;
-use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// A point-in-time read view: every read resolves the newest version
 /// whose begin epoch is `<= epoch` and that was not yet superseded at
@@ -167,51 +178,32 @@ impl Slot {
     }
 }
 
-/// Pending statistics deltas applied in a batch once this many queue
-/// entries accumulate (or earlier: at statement/commit boundaries via
-/// [`Table::flush_stats`], and lazily whenever the planner reads a
-/// selectivity). Bounds both queue memory and estimate staleness.
-const STAT_EPOCH: usize = 256;
-
-/// Per-column statistics plus the epoch queue of not-yet-applied row
-/// deltas. Behind a mutex so planner reads (`&Table`) can refresh lazily;
-/// uncontended in practice — the engine serializes on the database lock.
-#[derive(Debug)]
-struct TableStats {
-    cols: Vec<ColumnStats>,
-    /// (added?, row image). An insert queues `(true, row)`, a delete
-    /// `(false, row)`, an update one of each.
-    pending: Vec<(bool, Row)>,
+/// A planner input rounded to its band: the power of two nearest `n`
+/// (0 stays 0). A count moves its band only when it crosses the midpoint
+/// between two powers, so most writes leave every band where it was.
+fn band(n: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    let down = 1 << n.ilog2();
+    if 2 * n >= 3 * down {
+        2 * down
+    } else {
+        down
+    }
 }
 
-impl TableStats {
-    /// Queues one delta. An exact inverse still in the queue cancels
-    /// instead — a transaction that inserts then rolls back (undo delete),
-    /// or churns the same row, never touches the sketches at all.
-    fn queue(&mut self, add: bool, row: &Row) {
-        if let Some(i) = self
-            .pending
-            .iter()
-            .rposition(|(a, r)| *a != add && r == row)
-        {
-            self.pending.remove(i);
-            return;
-        }
-        self.pending.push((add, row.clone()));
-        if self.pending.len() >= STAT_EPOCH {
-            self.apply_pending();
-        }
-    }
+/// A table's band stamp: it moves whenever one of the counts the planner
+/// reads moves its band, so a plan stamped with it stays the plan the
+/// planner would choose while the stamp holds.
+#[derive(Debug, Clone, Default)]
+struct BandStamp(u64);
 
-    fn apply_pending(&mut self) {
-        for (add, row) in self.pending.drain(..) {
-            for (s, v) in self.cols.iter_mut().zip(row.values()) {
-                if add {
-                    s.add(v);
-                } else {
-                    s.remove(v);
-                }
-            }
+impl BandStamp {
+    /// Notes a planner input that went from `from` to `to`.
+    fn counted(&mut self, from: usize, to: usize) {
+        if band(from) != band(to) {
+            self.0 += 1;
         }
     }
 }
@@ -354,25 +346,9 @@ impl Postings {
     }
 }
 
-/// Adds `rid` under `key`.
-fn posting_add<K: Ord>(map: &mut BTreeMap<K, Postings>, key: K, rid: RowId) {
-    match map.entry(key) {
-        Entry::Vacant(e) => {
-            e.insert(Postings::One(rid));
-        }
-        Entry::Occupied(mut e) => e.get_mut().insert(rid),
-    }
-}
-
-/// Removes `rid` from `key`'s postings, and the key with its last row id.
-fn posting_remove<K, Q>(map: &mut BTreeMap<K, Postings>, key: &Q, rid: RowId)
-where
-    K: Ord + std::borrow::Borrow<Q>,
-    Q: Ord + ?Sized,
-{
-    if map.get_mut(key).is_some_and(|p| p.remove(rid)) {
-        map.remove(key);
-    }
+/// How many leading values `key` shares with `other` (none without one).
+fn shared_prefix(other: Option<&IndexKey>, key: &[Value]) -> usize {
+    other.map_or(0, |k| k.iter().zip(key).take_while(|(a, b)| a == b).count())
 }
 
 /// A live secondary index.
@@ -382,9 +358,21 @@ pub struct Index {
     /// Column positions of the key, precomputed from the schema.
     key_pos: Vec<usize>,
     map: BTreeMap<IndexKey, Postings>,
+    /// `prefixes[p - 1]`: the exact number of distinct values of the
+    /// first `p` key columns, for each proper prefix of a composite key.
+    prefixes: Vec<usize>,
 }
 
 impl Index {
+    fn new(def: IndexDef, key_pos: Vec<usize>) -> Self {
+        Index {
+            prefixes: vec![0; key_pos.len().saturating_sub(1)],
+            def,
+            key_pos,
+            map: BTreeMap::new(),
+        }
+    }
+
     /// The index definition.
     pub fn def(&self) -> &IndexDef {
         &self.def
@@ -393,6 +381,72 @@ impl Index {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
+    }
+
+    /// The band of the number of distinct values of the first `p` key
+    /// columns (the whole key from `p = width` on): what the planner
+    /// reads as the index's cardinality.
+    pub fn prefix_band(&self, p: usize) -> usize {
+        band(match p.checked_sub(1).and_then(|i| self.prefixes.get(i)) {
+            Some(&n) => n,
+            None => self.map.len(),
+        })
+    }
+
+    /// Adds `rid` under `key`.
+    fn add(&mut self, key: IndexKey, rid: RowId, stamp: &mut BandStamp) {
+        if self.prefixes.is_empty() {
+            match self.map.entry(key) {
+                Entry::Occupied(mut e) => return e.get_mut().insert(rid),
+                Entry::Vacant(e) => e.insert(Postings::One(rid)),
+            };
+        } else {
+            // The key, or the one before it when the key is new: one
+            // descent for a key that is already there.
+            let at = (Unbounded, Included(&key[..]));
+            let below = match self.map.range_mut::<[Value], _>(at).next_back() {
+                Some((k, postings)) if *k == key => return postings.insert(rid),
+                below => shared_prefix(below.map(|(k, _)| k), &key),
+            };
+            self.count_prefixes(&key, below, true, stamp);
+            self.map.insert(key, Postings::One(rid));
+        }
+        stamp.counted(self.map.len() - 1, self.map.len());
+    }
+
+    /// Removes `rid` from `key`'s postings, and the key with its last row id.
+    fn remove(&mut self, key: &[Value], rid: RowId, stamp: &mut BandStamp) {
+        if !self.map.get_mut(key).is_some_and(|p| p.remove(rid)) {
+            return;
+        }
+        self.map.remove(key);
+        stamp.counted(self.map.len() + 1, self.map.len());
+        if !self.prefixes.is_empty() {
+            let mut before = self.map.range::<[Value], _>((Unbounded, Excluded(key)));
+            let below = shared_prefix(before.next_back().map(|(k, _)| k), key);
+            self.count_prefixes(key, below, false, stamp);
+        }
+    }
+
+    /// Counts `key`, absent from the map, in or out of every prefix count
+    /// it is alone in. Keys sharing a prefix are adjacent in key order, so
+    /// `key` shares a prefix with some key exactly when it shares it with
+    /// a neighbour: `below` is how many leading values it shares with the
+    /// key before it, and the key after it is looked up here.
+    fn count_prefixes(
+        &mut self,
+        key: &[Value],
+        below: usize,
+        entering: bool,
+        stamp: &mut BandStamp,
+    ) {
+        let mut after = self.map.range::<[Value], _>((Excluded(key), Unbounded));
+        let kept = below.max(shared_prefix(after.next().map(|(k, _)| k), key));
+        for n in self.prefixes.iter_mut().skip(kept) {
+            let from = *n;
+            *n = if entering { from + 1 } else { from - 1 };
+            stamp.counted(from, *n);
+        }
     }
 
     fn key_of(&self, row: &Row) -> IndexKey {
@@ -495,11 +549,12 @@ impl Heap {
     }
 
     /// Stores `row` at `rid`, returning the image it replaced.
-    fn insert(&mut self, rid: RowId, row: Row) -> Option<Row> {
+    fn insert(&mut self, rid: RowId, row: Row, bands: &mut BandStamp) -> Option<Row> {
         let i = self.slot_index(rid);
         let old = self.slots[i].row.replace(row);
         if old.is_none() {
             self.live += 1;
+            bands.counted(self.live - 1, self.live);
         }
         old
     }
@@ -507,7 +562,7 @@ impl Heap {
     /// Empties `rid`'s slot (the slot itself stays), returning its row.
     /// A slot without a row carries no newest-version stamp, so the
     /// stamp resets; the old versions stay.
-    fn remove(&mut self, rid: RowId) -> Option<Row> {
+    fn remove(&mut self, rid: RowId, bands: &mut BandStamp) -> Option<Row> {
         let i = usize::try_from(rid.0.checked_sub(self.base)?).ok()?;
         let slot = self.slots.get_mut(i)?;
         let old = slot.row.take()?;
@@ -516,6 +571,7 @@ impl Heap {
             v.writer = None;
         }
         self.live -= 1;
+        bands.counted(self.live + 1, self.live);
         Some(old)
     }
 
@@ -558,8 +614,8 @@ impl Heap {
     }
 }
 
-/// A heap table plus its indexes.
-#[derive(Debug)]
+/// A heap table plus its indexes and its band stamp.
+#[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
     /// Dense id assigned by the catalog; keys buffer-pool pages.
@@ -578,45 +634,14 @@ pub struct Table {
     /// id it finds never depends on the order the ids were added in.
     pk_index: BTreeMap<Value, Postings>,
     indexes: Vec<Index>,
-    /// Per-column statistics, parallel to the schema's column list. Row
-    /// mutations queue deltas; the sketches/histograms refresh in epochs
-    /// (queue overflow, statement/commit boundaries, planner reads)
-    /// instead of on every row write.
-    stats: Mutex<TableStats>,
-    /// Bumped by every mutation the planner could observe (row count,
-    /// index key sets, statistics): the validity stamp of cached plans.
-    version: u64,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Self {
-        Table {
-            schema: self.schema.clone(),
-            id: self.id,
-            rows: self.rows.clone(),
-            next_rid: self.next_rid,
-            pk_index: self.pk_index.clone(),
-            indexes: self.indexes.clone(),
-            stats: Mutex::new({
-                let s = self.stats.lock();
-                TableStats {
-                    cols: s.cols.clone(),
-                    pending: s.pending.clone(),
-                }
-            }),
-            version: self.version,
-        }
-    }
+    /// Moves whenever the row count or an index's key or prefix count
+    /// moves its band (see [`Table::band_stamp`]).
+    bands: BandStamp,
 }
 
 impl Table {
     /// Creates an empty table with catalog id `id`.
     pub fn new(schema: TableSchema, id: u32) -> Self {
-        let cols = schema
-            .columns()
-            .iter()
-            .map(|c| ColumnStats::new(c.ty))
-            .collect();
         Table {
             schema,
             id,
@@ -624,66 +649,23 @@ impl Table {
             next_rid: 0,
             pk_index: BTreeMap::new(),
             indexes: Vec::new(),
-            stats: Mutex::new(TableStats {
-                cols,
-                pending: Vec::new(),
-            }),
-            version: 0,
+            bands: BandStamp::default(),
         }
     }
 
-    /// Every row that enters or leaves the heap passes through here (or
-    /// [`Table::stats_remove`]), so these two carry the version bump for
-    /// all row-level writes.
-    fn stats_add(&mut self, row: &Row) {
-        self.version += 1;
-        self.stats.get_mut().queue(true, row);
+    /// The table's band stamp. The planner reads this table only through
+    /// its schema and the bands of its counts ([`Table::row_band`],
+    /// [`Index::prefix_band`]), and the stamp moves whenever a band or the
+    /// index list does: a plan built at stamp `s` is exactly what the
+    /// planner would build again while the stamp is still `s`.
+    pub fn band_stamp(&self) -> u64 {
+        self.bands.0
     }
 
-    fn stats_remove(&mut self, row: &Row) {
-        self.version += 1;
-        self.stats.get_mut().queue(false, row);
-    }
-
-    /// The table's write version: changes whenever anything the planner
-    /// reads from this table may have changed — row count, index key
-    /// sets (including vacuum's entry retirement), statistics, the index
-    /// list. A plan built at version `v` is exactly what the planner
-    /// would build again while the version is still `v`.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Applies every queued statistics delta now. The engine calls this at
-    /// statement (autocommit) and commit boundaries, so estimates never
-    /// lag committed data by more than one epoch. Takes `&self` — the
-    /// queue lives behind its own mutex, so concurrent enqueuers (writer
-    /// threads under their table latches) and lazy planner-side flushes
-    /// never race.
-    pub fn flush_stats(&self) {
-        self.stats.lock().apply_pending();
-    }
-
-    /// Reads `column`'s statistics through `f`, refreshing queued deltas
-    /// first (lazy epoch boundary), so the planner always sees numbers
-    /// current as of the last mutation.
-    pub fn with_column_stats<T>(
-        &self,
-        column: &str,
-        f: impl FnOnce(&ColumnStats) -> T,
-    ) -> Option<T> {
-        let pos = self.schema.column_pos(column)?;
-        let mut stats = self.stats.lock();
-        if !stats.pending.is_empty() {
-            stats.apply_pending();
-        }
-        stats.cols.get(pos).map(f)
-    }
-
-    /// Queued statistics deltas not yet folded into the estimators
-    /// (diagnostics and tests).
-    pub fn pending_stat_deltas(&self) -> usize {
-        self.stats.lock().pending.len()
+    /// The band of the live-row count: what the planner reads as the
+    /// table's size.
+    pub fn row_band(&self) -> usize {
+        band(self.rows.len())
     }
 
     /// The table's schema.
@@ -779,27 +761,34 @@ impl Table {
         if pk.is_null() {
             return;
         }
-        posting_add(&mut self.pk_index, pk.clone(), rid);
+        match self.pk_index.entry(pk.clone()) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(rid));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(rid),
+        }
     }
 
     fn pk_entry_remove(&mut self, pk: &Value, rid: RowId) {
         if pk.is_null() {
             return;
         }
-        posting_remove(&mut self.pk_index, pk, rid);
+        if self.pk_index.get_mut(pk).is_some_and(|p| p.remove(rid)) {
+            self.pk_index.remove(pk);
+        }
     }
 
     fn index_entries_add(&mut self, rid: RowId, row: &Row) {
         for idx in &mut self.indexes {
             let key = idx.key_of(row);
-            posting_add(&mut idx.map, key, rid);
+            idx.add(key, rid, &mut self.bands);
         }
     }
 
     fn index_entries_remove(&mut self, rid: RowId, row: &Row) {
         for idx in &mut self.indexes {
             let key = idx.key_of(row);
-            posting_remove(&mut idx.map, &key[..], rid);
+            idx.remove(&key, rid, &mut self.bands);
         }
     }
 
@@ -929,8 +918,7 @@ impl Table {
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
-        self.stats_add(&row);
-        self.rows.insert(rid, row);
+        self.rows.insert(rid, row, &mut self.bands);
         Ok(rid)
     }
 
@@ -943,8 +931,7 @@ impl Table {
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
         self.next_rid = self.next_rid.max(rid.0 + 1);
-        self.stats_add(&row);
-        self.rows.insert(rid, row);
+        self.rows.insert(rid, row, &mut self.bands);
     }
 
     /// Fetches the *newest* image of a row by heap id, committed or not.
@@ -982,9 +969,7 @@ impl Table {
             self.pk_entry_add(&new_pk, rid);
         }
         self.reindex(rid, &old_row, &new_row);
-        self.stats_remove(&old_row);
-        self.stats_add(&new_row);
-        self.rows.insert(rid, new_row);
+        self.rows.insert(rid, new_row, &mut self.bands);
         Ok(old_row)
     }
 
@@ -1027,8 +1012,8 @@ impl Table {
             let old_key = idx.key_of(old_row);
             let new_key = idx.key_of(new_row);
             if old_key != new_key {
-                posting_remove(&mut idx.map, &old_key[..], rid);
-                posting_add(&mut idx.map, new_key, rid);
+                idx.remove(&old_key, rid, &mut self.bands);
+                idx.add(new_key, rid, &mut self.bands);
             }
         }
     }
@@ -1037,11 +1022,10 @@ impl Table {
     /// the row vanishes for every snapshot; the engine uses
     /// [`Table::delete_txn`] instead.
     pub fn delete(&mut self, rid: RowId) -> Option<Row> {
-        let row = self.rows.remove(rid)?;
+        let row = self.rows.remove(rid, &mut self.bands)?;
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_remove(&pk, rid);
         self.index_entries_remove(rid, &row);
-        self.stats_remove(&row);
         Some(row)
     }
 
@@ -1153,7 +1137,7 @@ impl Table {
     /// Physical redo apply (recovery): installs a logged post-image as
     /// an unversioned row (begin epoch 0 — visible to every snapshot,
     /// exactly right for state rebuilt below the recovered
-    /// `commit_epoch`). Full index/statistics maintenance and
+    /// `commit_epoch`). Full index and band-count maintenance and
     /// constraint checks run; replay orders a record's deletes before
     /// its inserts, so constraints are evaluated against the record's
     /// *final* state and committed data always passes.
@@ -1263,8 +1247,7 @@ impl Table {
         self.next_rid += 1;
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
-        self.stats_add(&row);
-        self.rows.insert(rid, row);
+        self.rows.insert(rid, row, &mut self.bands);
         self.rows.versions_entry(rid).writer = Some(tid);
         Ok(rid)
     }
@@ -1340,9 +1323,7 @@ impl Table {
         }
         self.pk_entry_add(&new_pk, rid);
         self.index_entries_add(rid, &new_row);
-        self.stats_remove(&old_row);
-        self.stats_add(&new_row);
-        self.rows.insert(rid, new_row);
+        self.rows.insert(rid, new_row, &mut self.bands);
         Ok((old_row, !in_place))
     }
 
@@ -1358,13 +1339,12 @@ impl Table {
     pub fn delete_txn(&mut self, rid: RowId, tid: TxnId, snap: &Snapshot) -> Result<(Row, bool)> {
         let in_place = self.write_gate(rid, tid, snap)?;
         let begin = self.rows.slot(rid).versions.as_ref().map_or(0, |v| v.begin);
-        let row = match self.rows.remove(rid) {
+        let row = match self.rows.remove(rid, &mut self.bands) {
             Some(r) => r,
             // Deleted by a newer committed transaction (see update_txn).
             None if !self.rows.slot(rid).old().is_empty() => return Err(self.write_conflict(rid)),
             None => return Err(StorageError::Eval(format!("delete of missing row {rid}"))),
         };
-        self.stats_remove(&row);
         if in_place {
             self.retire_version_entries(rid, &row, false, None);
             Ok((row, false))
@@ -1404,10 +1384,9 @@ impl Table {
     /// Rolls back an uncommitted [`Table::insert_txn`]: the row never
     /// existed for anyone, so its entries are removed physically.
     pub(crate) fn undo_insert(&mut self, rid: RowId) {
-        let Some(row) = self.rows.remove(rid) else {
+        let Some(row) = self.rows.remove(rid, &mut self.bands) else {
             return;
         };
-        self.stats_remove(&row);
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_remove(&pk, rid);
         self.index_entries_remove(rid, &row);
@@ -1417,11 +1396,7 @@ impl Table {
     /// pre-image and (when the update pushed an old version) pops its
     /// stamp back into the slot.
     pub(crate) fn undo_update(&mut self, rid: RowId, before: Row, pushed: bool, tid: TxnId) {
-        let replaced = self.rows.insert(rid, before.clone());
-        if let Some(new_image) = &replaced {
-            self.stats_remove(new_image);
-        }
-        self.stats_add(&before);
+        let replaced = self.rows.insert(rid, before.clone(), &mut self.bands);
         if pushed {
             self.pop_pending_version(rid, tid);
         }
@@ -1435,11 +1410,10 @@ impl Table {
 
     /// Rolls back an uncommitted [`Table::delete_txn`].
     pub(crate) fn undo_delete(&mut self, rid: RowId, row: Row, pushed: bool, tid: TxnId) {
-        self.stats_add(&row);
         let pk = row.get(self.schema.primary_key_pos()).clone();
         self.pk_entry_add(&pk, rid);
         self.index_entries_add(rid, &row);
-        self.rows.insert(rid, row);
+        self.rows.insert(rid, row, &mut self.bands);
         if pushed {
             self.pop_pending_version(rid, tid);
         } else {
@@ -1479,7 +1453,6 @@ impl Table {
         keep_heap: bool,
         also_keep: Option<&Row>,
     ) {
-        self.version += 1;
         let slot = self.rows.slot(rid);
         let old = slot.old();
         let heap = if keep_heap { slot.row.as_ref() } else { None };
@@ -1506,7 +1479,7 @@ impl Table {
         }
         for (idx, key) in self.indexes.iter_mut().zip(retired) {
             if let Some(key) = key {
-                posting_remove(&mut idx.map, &key[..], rid);
+                idx.remove(&key, rid, &mut self.bands);
             }
         }
     }
@@ -1585,11 +1558,7 @@ impl Table {
             .iter()
             .map(|c| self.schema.require_column(c))
             .collect::<Result<_>>()?;
-        let mut idx = Index {
-            def,
-            key_pos,
-            map: BTreeMap::new(),
-        };
+        let mut idx = Index::new(def, key_pos);
         for (rid, row) in self.rows.iter() {
             let key = idx.key_of(row);
             if idx.def.unique && !key.iter().any(Value::is_null) && idx.map.contains_key(&key) {
@@ -1598,7 +1567,7 @@ impl Table {
                     key: format!("{key:?}"),
                 });
             }
-            posting_add(&mut idx.map, key, rid);
+            idx.add(key, rid, &mut self.bands);
         }
         // Backfill retained old versions too, so index scans by a
         // snapshot older than the newest images still find their rows
@@ -1608,11 +1577,11 @@ impl Table {
         for (rid, slot) in self.rows.unsettled() {
             for v in slot.old() {
                 let key = idx.key_of(&v.row);
-                posting_add(&mut idx.map, key, rid);
+                idx.add(key, rid, &mut self.bands);
             }
         }
         self.indexes.push(idx);
-        self.version += 1;
+        self.bands.0 += 1;
         Ok(())
     }
 
@@ -1630,7 +1599,7 @@ impl Table {
     /// equality lookup on all its key columns.
     ///
     /// Fully deterministic: prefers the widest covering index, then the
-    /// most selective (most distinct keys) — e.g. for
+    /// most selective (the highest band of distinct keys) — e.g. for
     /// `WHERE to_user_id = ? AND status = ?` the FK index beats the
     /// low-cardinality status index — and finally the lexicographically
     /// smallest index name, so equal-width equal-selectivity candidates
@@ -1647,7 +1616,7 @@ impl Table {
             .max_by_key(|i| {
                 (
                     i.def.columns.len(),
-                    i.distinct_keys(),
+                    i.prefix_band(i.key_pos.len()),
                     std::cmp::Reverse(i.def.name.as_str()),
                 )
             })
@@ -1793,16 +1762,12 @@ impl Table {
     /// Removes every row (used by tests and reseeding); indexes are kept
     /// but emptied, and row ids are *not* reused.
     pub fn truncate(&mut self) {
-        self.version += 1;
+        self.bands.0 += 1;
         self.rows.clear(self.next_rid);
         self.pk_index.clear();
         for idx in &mut self.indexes {
             idx.map.clear();
-        }
-        let stats = self.stats.get_mut();
-        stats.pending.clear();
-        for s in &mut stats.cols {
-            s.clear();
+            idx.prefixes.fill(0);
         }
     }
 }
@@ -1842,6 +1807,12 @@ mod tests {
         })
         .unwrap();
         t
+    }
+
+    #[test]
+    fn bands_round_to_the_nearest_power_of_two() {
+        let got = [0, 1, 2, 3, 5, 6, 11, 12, 40, 400, 1000].map(band);
+        assert_eq!(got, [0, 1, 2, 4, 4, 8, 8, 16, 32, 512, 1024]);
     }
 
     #[test]
@@ -2516,6 +2487,15 @@ mod tests {
             }
         }
 
+        /// Everything the planner reads of the table's data.
+        fn bands(t: &Table) -> Vec<usize> {
+            let prefixes = t
+                .indexes()
+                .iter()
+                .flat_map(|idx| (1..=idx.key_pos.len()).map(|p| idx.prefix_band(p)));
+            std::iter::once(t.row_band()).chain(prefixes).collect()
+        }
+
         fn check(t: &Table, m: &Model) {
             let heap: Vec<(RowId, Row)> = t.iter().map(|(r, row)| (r, row.clone())).collect();
             let model: Vec<(RowId, Row)> =
@@ -2575,8 +2555,12 @@ mod tests {
                     txn: None,
                 };
                 for op in &ops {
+                    let before = (t.band_stamp(), bands(&t));
                     apply(&mut t, &mut m, op);
                     check(&t, &m);
+                    if t.band_stamp() == before.0 {
+                        prop_assert_eq!(bands(&t), before.1, "bands moved under one stamp");
+                    }
                 }
             }
         }
@@ -3052,6 +3036,15 @@ mod tests {
                 .collect()
         }
 
+        /// Everything the planner reads of the table's data.
+        fn bands(t: &Table) -> Vec<usize> {
+            let prefixes = t
+                .indexes()
+                .iter()
+                .flat_map(|idx| (1..=idx.key_pos.len()).map(|p| idx.prefix_band(p)));
+            std::iter::once(t.row_band()).chain(prefixes).collect()
+        }
+
         fn check(t: &Table, m: &Model) {
             let mut snaps: Vec<(Snapshot, &Rows)> = (m.floor..=m.now())
                 .map(|e| (snap(e), &m.views[e as usize]))
@@ -3102,6 +3095,16 @@ mod tests {
                     "{}: distinct_keys",
                     idx.def.name
                 );
+                for (i, &n) in idx.prefixes.iter().enumerate() {
+                    let distinct: BTreeSet<&[Value]> = own.keys().map(|k| &k[..=i]).collect();
+                    assert_eq!(
+                        n,
+                        distinct.len(),
+                        "{}: {}-prefix count",
+                        idx.def.name,
+                        i + 1
+                    );
+                }
                 let scans = scans(idx);
                 for scan in &scans {
                     assert_eq!(
@@ -3256,8 +3259,12 @@ mod tests {
                     txn: None,
                 };
                 for op in &ops {
+                    let before = (t.band_stamp(), bands(&t));
                     apply(&mut t, &mut m, op);
                     check(&t, &m);
+                    if t.band_stamp() == before.0 {
+                        prop_assert_eq!(bands(&t), before.1, "bands moved under one stamp");
+                    }
                 }
             }
         }

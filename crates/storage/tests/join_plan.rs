@@ -1,6 +1,6 @@
 //! Whole-query planner tests: join-order costing, ORDER BY survival
 //! across single-row joins, LIMIT-aware early termination, the
-//! `a = ? AND b IN (...)` multi-range path, and statistics-driven cost
+//! `a = ? AND b IN (...)` multi-range path, and prefix-count cost
 //! estimates — plus property tests that every join order returns row-sets
 //! identical to the index-free nested-loop baseline.
 
@@ -329,48 +329,12 @@ fn wide_in_list_falls_back_to_single_probe_prefix_scan() {
 }
 
 #[test]
-fn histogram_replaces_system_r_range_constants() {
-    let db = Database::default();
-    db.execute_sql(
-        "CREATE TABLE m (id INT PRIMARY KEY, t TIMESTAMP NOT NULL)",
-        &[],
-    )
-    .unwrap();
-    db.execute_sql("CREATE INDEX m_t ON m (t)", &[]).unwrap();
-    for i in 0..1000i64 {
-        db.execute_sql(
-            "INSERT INTO m VALUES ($1, $2)",
-            &[Value::Int(i), Value::Timestamp(i)],
-        )
-        .unwrap();
-    }
-    // A half-bounded range covering ~95% of rows: the System-R constant
-    // would guess 330; the histogram must see ~950.
-    let plan = db
-        .explain_sql("SELECT * FROM m WHERE t > TS(50)", &[])
-        .unwrap();
-    assert!(
-        plan.base.estimated_rows > 800.0,
-        "histogram should estimate ~950 rows, got {}",
-        plan.base.estimated_rows
-    );
-    // A narrow range covering 1%: far below the 250-row constant guess.
-    let plan = db
-        .explain_sql("SELECT * FROM m WHERE t BETWEEN TS(100) AND TS(110)", &[])
-        .unwrap();
-    assert!(
-        plan.base.estimated_rows < 60.0,
-        "histogram should estimate ~10 rows, got {}",
-        plan.base.estimated_rows
-    );
-}
-
-#[test]
-fn prefix_cardinality_uses_distinct_stats_not_geometric_guess() {
+fn prefix_cardinality_uses_exact_prefix_counts_not_geometric_guess() {
     let db = Database::default();
     // Composite (a, b) index where a has 5 distinct values but b has 200:
     // the geometric guess for prefix `a` would be sqrt(1000) ~ 32 keys
-    // (rows ~ 31); per-column distinct stats know it is ~5 (rows ~ 200).
+    // (rows ~ 31); the index's exact prefix count knows it is 5 (rows
+    // ~ 200, read through the bands as 1024 / 4).
     db.execute_sql(
         "CREATE TABLE g (id INT PRIMARY KEY, a INT NOT NULL, b INT NOT NULL)",
         &[],
@@ -396,7 +360,7 @@ fn prefix_cardinality_uses_distinct_stats_not_geometric_guess() {
     );
     assert!(
         (150.0..=260.0).contains(&plan.base.estimated_rows),
-        "distinct-driven estimate ~200, got {}",
+        "prefix-count estimate ~200, got {}",
         plan.base.estimated_rows
     );
 }

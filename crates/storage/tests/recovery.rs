@@ -8,7 +8,7 @@
 //! by corrupting the log bytes directly (torn tail, flipped checksum,
 //! truncated frame header). Recovery must then reconstruct exactly the
 //! committed prefix: every acknowledged commit present, every in-flight
-//! transaction gone, indexes and planner statistics consistent, and
+//! transaction gone, indexes and the planner's banded counts consistent, and
 //! `commit_epoch` equal to the prefix length.
 //!
 //! The crash matrix in `docs/DURABILITY.md` maps each failure mode to the
@@ -289,7 +289,7 @@ fn indexes_and_statistics_survive_recovery() {
         Err(StorageError::AlreadyExists(_)) => {}
         other => panic!("index should have been recovered, got {other:?}"),
     }
-    // ...the planner picks it up (statistics were flushed by replay)...
+    // ...the planner picks it up (replay rebuilt the counts it reads)...
     let plan = recovered
         .explain_sql("SELECT name FROM users WHERE karma = 3", &[])
         .unwrap();

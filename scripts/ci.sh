@@ -25,8 +25,8 @@ done
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --no-fail-fast (every failing test binary is reported, not just the first)"
+cargo test -q --no-fail-fast
 
 echo "==> cargo test --doc (public-API doctests: transactions, snapshots, vacuum)"
 cargo test --doc -q
