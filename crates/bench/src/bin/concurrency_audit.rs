@@ -1,6 +1,7 @@
 //! CI gate for the multi-writer engine: a thread-count sweep over the
 //! transactional mix that must terminate (no livelock), keep the
-//! write-conflict rate under a fixed ceiling, and pass the post-run
+//! write-conflict rate under a fixed ceiling (the all-poke mix is gated
+//! at 4 threads and reported at 2 and 8), and pass the post-run
 //! cache/database coherence cross-check with zero violations.
 //!
 //! The sweep ends with an MVCC readers+writers scenario: dedicated
@@ -41,13 +42,19 @@ fn main() {
         "{:<26} {:>7} {:>9} {:>10} {:>13} {:>9} {:>10}",
         "configuration", "threads", "txn/s", "conflicts", "conflict_rate", "checked", "violations"
     );
-    for (name, threads, poke_pct, users) in [
-        ("batch-post mix", 1, 25, 40),
-        ("batch-post mix", 2, 25, 40),
-        ("batch-post mix", 4, 25, 40),
+    // The last field says whether the row is held to
+    // `CONFLICT_RATE_CEILING`; every row is held to the others.
+    for (name, threads, poke_pct, users, ceiling) in [
+        ("batch-post mix", 1, 25, 40, true),
+        ("batch-post mix", 2, 25, 40, true),
+        ("batch-post mix", 4, 25, 40, true),
         // Adversarial: every transaction updates two hot rows in random
-        // order — maximal first-updater-wins conflict pressure.
-        ("all-poke hot rows", 4, 100, 4),
+        // order — maximal first-updater-wins conflict pressure. The 2-
+        // and 8-thread rows report how the conflict rate moves with the
+        // thread count; only the 4-thread row is held to the ceiling.
+        ("all-poke hot rows", 2, 100, 4, false),
+        ("all-poke hot rows", 4, 100, 4, true),
+        ("all-poke hot rows", 8, 100, 4, false),
     ] {
         let cfg = ConcurrencyConfig {
             threads,
@@ -93,7 +100,7 @@ fn main() {
                 r.coherence_violations, r.checked_objects
             ));
         }
-        if r.conflict_rate() > CONFLICT_RATE_CEILING {
+        if ceiling && r.conflict_rate() > CONFLICT_RATE_CEILING {
             failures.push(format!(
                 "{name} ({threads} threads): write-conflict rate {:.3} above ceiling {CONFLICT_RATE_CEILING}",
                 r.conflict_rate()

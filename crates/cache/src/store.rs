@@ -2,16 +2,32 @@
 //! expiry, CAS, and CLOCK eviction — the feature set memcached 1.4.5
 //! offers the paper, plus the read path the scale-out tier needs.
 //!
+//! Each cached item is one heap block, as memcached keeps an item in one
+//! slab chunk: the key's length, the key and the value side by side in
+//! one refcounted buffer (`Item`). The map is keyed by the item (looked
+//! up through its key bytes), the CLOCK ring holds handles to the same
+//! items, so the key is stored once, and a hit hands out a [`Bytes`] view
+//! of the item's value part. What eviction accounts per item is modelled,
+//! not measured: key + value + `ITEM_OVERHEAD`.
+//!
 //! Eviction is a CLOCK ring with one reference bit per entry. A GET only
 //! sets the bit; it never touches the eviction structure, so concurrent
 //! readers of a sharded store spend no time maintaining global recency
 //! order and allocate nothing. Eviction sweeps the ring, clearing bits
 //! until it finds an unreferenced victim (second-chance LRU
 //! approximation).
+//!
+//! Every operation probes the map once for the key: an expired entry is
+//! found, dropped and counted in that same probe.
 
 use crate::error::{CacheError, Result};
 use bytes::Bytes;
+use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// Per-item bookkeeping overhead we model (hash entry, LRU link, CAS).
 const ITEM_OVERHEAD: usize = 60;
@@ -95,23 +111,96 @@ impl StoreStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One cached item in one heap block: the key's length (LEB128, so any
+/// key fits), the key, then the value. Clones share the block. Hashed
+/// and compared by its key bytes, so the map finds it by `&[u8]`.
+#[derive(Clone)]
+struct Item(Bytes);
+
+impl Item {
+    /// Lays `key` and `value` out in `scratch`, then copies them into
+    /// the item's block: one allocation.
+    fn new(scratch: &mut Vec<u8>, key: &str, value: &[u8]) -> Item {
+        scratch.clear();
+        let mut n = key.len();
+        while n >= 0x80 {
+            scratch.push((n & 0x7f) as u8 | 0x80);
+            n >>= 7;
+        }
+        scratch.push(n as u8);
+        scratch.extend_from_slice(key.as_bytes());
+        scratch.extend_from_slice(value);
+        Item(Bytes::copy_from_slice(scratch))
+    }
+
+    /// Where the key lies in the block.
+    fn key_span(&self) -> Range<usize> {
+        let (mut len, mut shift, mut at) = (0usize, 0, 0);
+        loop {
+            let b = self.0[at];
+            at += 1;
+            len |= usize::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return at..at + len;
+            }
+            shift += 7;
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.0[self.key_span()]
+    }
+
+    /// A view of the value: no copy.
+    fn value(&self) -> Bytes {
+        self.0.slice(self.key_span().end..)
+    }
+
+    /// Bytes accounted against capacity: key + value + modelled overhead.
+    fn size(&self) -> usize {
+        self.0.len() - self.key_span().start + ITEM_OVERHEAD
+    }
+}
+
+impl Borrow<[u8]> for Item {
+    fn borrow(&self) -> &[u8] {
+        self.key()
+    }
+}
+
+impl PartialEq for Item {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Item {}
+
+impl Hash for Item {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl fmt::Debug for Item {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Item({:?})", String::from_utf8_lossy(self.key()))
+    }
+}
+
+#[derive(Debug)]
 struct Entry {
-    data: Bytes,
-    /// Index of this key in the ring vector.
-    ring: usize,
-    /// Second-chance reference bit, set by bumped GETs.
-    referenced: bool,
+    /// Index of this item in the ring vector.
+    ring: u32,
+    /// Second-chance reference bit, set by bumped GETs (through a shared
+    /// borrow, so a hit is one `get_key_value`).
+    referenced: Cell<bool>,
     cas: u64,
     /// Absolute expiry instant (same unit as the caller's `now`), if any.
     expires_at: Option<u64>,
 }
 
 impl Entry {
-    fn size(&self, key: &str) -> usize {
-        key.len() + self.data.len() + ITEM_OVERHEAD
-    }
-
     fn expired(&self, now: u64) -> bool {
         matches!(self.expires_at, Some(t) if now >= t)
     }
@@ -122,13 +211,16 @@ impl Entry {
 #[derive(Debug)]
 pub struct CacheStore {
     config: StoreConfig,
-    map: HashMap<String, Entry>,
-    /// The CLOCK ring of live keys; `hand` is the sweep cursor.
-    ring: Vec<String>,
+    map: HashMap<Item, Entry>,
+    /// The CLOCK ring of live items; `hand` is the sweep cursor.
+    ring: Vec<Item>,
     hand: usize,
     next_cas: u64,
     bytes: usize,
     stats: StoreStats,
+    /// Reused to lay out each new item before it is copied into its own
+    /// block.
+    scratch: Vec<u8>,
 }
 
 /// Result of a `gets`: the value plus its CAS token.
@@ -151,6 +243,7 @@ impl CacheStore {
             next_cas: 1,
             bytes: 0,
             stats: StoreStats::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -181,12 +274,12 @@ impl CacheStore {
         now: u64,
         bump: bool,
     ) -> Option<(Bytes, Option<u64>)> {
-        match self.map.get_mut(key) {
-            Some(e) if !e.expired(now) => {
+        match self.map.get_key_value(key.as_bytes()) {
+            Some((item, e)) if !e.expired(now) => {
                 if bump {
-                    e.referenced = true;
+                    e.referenced.set(true);
                 }
-                Some((e.data.clone(), e.expires_at.map(|t| t.saturating_sub(now))))
+                Some((item.value(), e.expires_at.map(|t| t.saturating_sub(now))))
             }
             Some(_) => {
                 self.expire(key);
@@ -210,18 +303,17 @@ impl CacheStore {
         origin: CacheOrigin,
     ) -> Option<ValueWithCas> {
         self.stats.gets += 1;
-        // One probe: an expired entry is found, removed and missed.
-        match self.map.get_mut(key) {
-            Some(e) if !e.expired(now) => {
-                let out = ValueWithCas {
-                    data: e.data.clone(),
-                    cas: e.cas,
-                };
+        match self.map.get_key_value(key.as_bytes()) {
+            Some((item, e)) if !e.expired(now) => {
                 if bump {
                     // A read only flips the reference bit — no write to
                     // the ring, no allocation.
-                    e.referenced = true;
+                    e.referenced.set(true);
                 }
+                let out = ValueWithCas {
+                    data: item.value(),
+                    cas: e.cas,
+                };
                 self.count_hit(origin);
                 Some(out)
             }
@@ -243,10 +335,7 @@ impl CacheStore {
     /// [`CacheError::ValueTooLarge`] if the value exceeds the item limit.
     pub fn set(&mut self, key: &str, data: Bytes, ttl: Option<u64>, now: u64) -> Result<()> {
         self.check_size(&data)?;
-        self.remove_entry(key);
-        self.insert_entry(key, data, ttl, now);
-        self.stats.sets += 1;
-        self.evict_to_capacity();
+        self.replace(key, &data, ttl, now);
         Ok(())
     }
 
@@ -258,13 +347,12 @@ impl CacheStore {
     /// [`CacheError::ValueTooLarge`] for oversized values.
     pub fn add(&mut self, key: &str, data: Bytes, ttl: Option<u64>, now: u64) -> Result<()> {
         self.check_size(&data)?;
-        self.purge_if_expired(key, now);
-        if self.map.contains_key(key) {
-            return Err(CacheError::AlreadyStored);
+        match self.map.get(key.as_bytes()) {
+            Some(e) if !e.expired(now) => return Err(CacheError::AlreadyStored),
+            Some(_) => self.expire(key),
+            None => {}
         }
-        self.insert_entry(key, data, ttl, now);
-        self.stats.sets += 1;
-        self.evict_to_capacity();
+        self.store(key, &data, ttl, now);
         Ok(())
     }
 
@@ -285,20 +373,19 @@ impl CacheStore {
     ) -> Result<()> {
         self.check_size(&data)?;
         self.stats.cas_ops += 1;
-        self.purge_if_expired(key, now);
-        match self.map.get(key) {
-            Some(e) if e.cas == token => {
-                self.remove_entry(key);
-                self.insert_entry(key, data, ttl, now);
-                self.stats.sets += 1;
-                self.evict_to_capacity();
-                Ok(())
+        let matched = match self.map.get(key.as_bytes()) {
+            Some(e) if e.expired(now) => {
+                self.expire(key);
+                false
             }
-            _ => {
-                self.stats.cas_conflicts += 1;
-                Err(CacheError::CasConflict)
-            }
+            found => found.is_some_and(|e| e.cas == token),
+        };
+        if !matched {
+            self.stats.cas_conflicts += 1;
+            return Err(CacheError::CasConflict);
         }
+        self.replace(key, &data, ttl, now);
+        Ok(())
     }
 
     /// Deletes `key`; returns whether a live entry was removed.
@@ -311,36 +398,43 @@ impl CacheStore {
     }
 
     /// Atomically adds `delta` to a [`crate::Payload::Count`] entry,
-    /// returning the new value, or `None` on a miss.
+    /// returning the new value, or `None` on a miss. Counted as the
+    /// `cas` it amounts to.
     ///
     /// # Errors
     ///
-    /// [`CacheError::Codec`] if the entry is not a count payload.
+    /// [`CacheError::Codec`] if the entry is not a count payload;
+    /// [`CacheError::ValueTooLarge`] if the item limit cannot hold one.
     pub fn incr(&mut self, key: &str, delta: i64, now: u64) -> Result<Option<i64>> {
-        self.purge_if_expired(key, now);
-        let Some(e) = self.map.get(key) else {
-            return Ok(None);
+        let (new, ttl_rest) = match self.map.get_key_value(key.as_bytes()) {
+            None => return Ok(None),
+            Some((_, e)) if e.expired(now) => {
+                self.expire(key);
+                return Ok(None);
+            }
+            Some((item, e)) => {
+                let n = crate::Payload::decode(&item.value())?
+                    .as_count()
+                    .ok_or_else(|| CacheError::Codec("incr target is not a count".into()))?;
+                (n + delta, e.expires_at.map(|t| t.saturating_sub(now)))
+            }
         };
-        let payload = crate::Payload::decode(&e.data)?;
-        let n = payload
-            .as_count()
-            .ok_or_else(|| CacheError::Codec("incr target is not a count".into()))?;
-        let new = n + delta;
-        let ttl_rest = e.expires_at.map(|t| t.saturating_sub(now));
-        let token = e.cas;
-        self.cas(
-            key,
-            crate::Payload::Count(new).encode(),
-            token,
-            ttl_rest,
-            now,
-        )?;
+        let data = crate::Payload::Count(new).encode();
+        self.check_size(&data)?;
+        self.stats.cas_ops += 1;
+        self.replace(key, &data, ttl_rest, now);
         Ok(Some(new))
     }
 
     /// True if a live (unexpired) entry exists; does not touch recency.
     pub fn contains(&mut self, key: &str, now: u64) -> bool {
-        !self.purge_if_expired(key, now) && self.map.contains_key(key)
+        match self.map.get(key.as_bytes()) {
+            Some(e) if e.expired(now) => {
+                self.expire(key);
+                false
+            }
+            found => found.is_some(),
+        }
     }
 
     /// Removes everything (memcached `flush_all`).
@@ -354,7 +448,10 @@ impl CacheStore {
     /// All live keys (cloned). Used by node rejoin to drop entries whose
     /// ownership moved back to the revived node.
     pub fn keys(&self) -> Vec<String> {
-        self.map.keys().cloned().collect()
+        self.map
+            .keys()
+            .map(|item| String::from_utf8_lossy(item.key()).into_owned())
+            .collect()
     }
 
     /// Counter snapshot.
@@ -415,58 +512,63 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Removes `key` if its TTL lapsed; returns true if it was expired.
-    fn purge_if_expired(&mut self, key: &str, now: u64) -> bool {
-        let expired = matches!(self.map.get(key), Some(e) if e.expired(now));
-        if expired {
-            self.expire(key);
-        }
-        expired
-    }
-
     /// Drops `key`, whose TTL lapsed.
     fn expire(&mut self, key: &str) {
         self.remove_entry(key);
         self.stats.expired += 1;
     }
 
-    fn insert_entry(&mut self, key: &str, data: Bytes, ttl: Option<u64>, now: u64) {
+    /// Stores `key` over whatever entry it has: a successful set or cas.
+    fn replace(&mut self, key: &str, data: &[u8], ttl: Option<u64>, now: u64) {
+        self.remove_entry(key);
+        self.store(key, data, ttl, now);
+    }
+
+    /// Stores `key`, known to be absent, and evicts down to capacity.
+    fn store(&mut self, key: &str, data: &[u8], ttl: Option<u64>, now: u64) {
+        let item = Item::new(&mut self.scratch, key, data);
         let cas = self.next_cas;
         self.next_cas += 1;
         let entry = Entry {
-            data,
             // New entries start unreferenced: a key inserted and never
             // read again is the first CLOCK victim, matching LRU for
             // the insert-then-bump test traces.
-            ring: self.ring.len(),
-            referenced: false,
+            ring: u32::try_from(self.ring.len()).expect("a shard holds under 2^32 items"),
+            referenced: Cell::new(false),
             cas,
             expires_at: ttl.map(|d| now.saturating_add(d)),
         };
-        self.bytes += entry.size(key);
-        self.ring.push(key.to_owned());
-        self.map.insert(key.to_owned(), entry);
+        self.bytes += item.size();
+        self.ring.push(item.clone());
+        self.map.insert(item, entry);
+        self.stats.sets += 1;
+        self.evict_to_capacity();
     }
 
     fn remove_entry(&mut self, key: &str) -> bool {
-        if let Some(e) = self.map.remove(key) {
-            self.bytes -= e.size(key);
-            // swap_remove keeps the ring dense; the entry that moved
-            // into the hole needs its index patched.
-            let idx = e.ring;
-            self.ring.swap_remove(idx);
-            if idx < self.ring.len() {
-                let moved = self.ring[idx].clone();
-                if let Some(m) = self.map.get_mut(&moved) {
-                    m.ring = idx;
-                }
+        match self.map.remove_entry(key.as_bytes()) {
+            Some((item, e)) => {
+                self.unlink(&item, e.ring);
+                true
             }
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
+            None => false,
+        }
+    }
+
+    /// Releases a removed item's bytes and its ring slot.
+    fn unlink(&mut self, item: &Item, ring: u32) {
+        self.bytes -= item.size();
+        // swap_remove keeps the ring dense; the entry that moved into the
+        // hole needs its index patched.
+        let idx = ring as usize;
+        self.ring.swap_remove(idx);
+        if let Some(moved) = self.ring.get(idx) {
+            if let Some(m) = self.map.get_mut(moved.key()) {
+                m.ring = ring;
             }
-            true
-        } else {
-            false
+        }
+        if self.hand >= self.ring.len() {
+            self.hand = 0;
         }
     }
 
@@ -477,23 +579,18 @@ impl CacheStore {
                 break;
             }
             let idx = self.hand % self.ring.len();
-            let key = self.ring[idx].clone();
-            let referenced = self
-                .map
-                .get_mut(&key)
-                .map(|e| {
-                    let r = e.referenced;
-                    e.referenced = false;
-                    r
-                })
-                .unwrap_or(false);
-            if referenced {
+            let key = self.ring[idx].key();
+            if self.map[key].referenced.replace(false) {
                 // Second chance: clear the bit and advance the hand.
                 self.hand = (idx + 1) % self.ring.len();
             } else {
-                // Victim. remove_entry swap-fills the hole, so the hand
-                // stays put and examines the entry that moved in.
-                self.remove_entry(&key);
+                // Victim. unlink swap-fills the hole, so the hand stays
+                // put and examines the entry that moved in.
+                let (item, e) = self
+                    .map
+                    .remove_entry(key)
+                    .expect("ring items are in the map");
+                self.unlink(&item, e.ring);
                 self.stats.evictions += 1;
             }
         }
@@ -801,5 +898,70 @@ mod tests {
             (before.gets, before.hits, before.misses)
         );
         assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
+
+        // The writes and `contains` find, drop and count an expired entry
+        // in the same probe, and only once.
+        let expire_then = |s: &mut CacheStore, op: &dyn Fn(&mut CacheStore)| {
+            s.set("k", Payload::Count(1).encode(), Some(100), 400)
+                .unwrap();
+            let before = s.stats();
+            op(s);
+            let after = s.stats();
+            assert_eq!(after.expired, before.expired + 1);
+            (before, after)
+        };
+        let (before, after) = expire_then(&mut s, &|s| {
+            assert!(!s.contains("k", 500));
+            assert!(!s.contains("k", 500), "gone, not expired again");
+        });
+        assert_eq!(
+            StoreStats {
+                expired: before.expired,
+                ..after
+            },
+            before
+        );
+        assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
+
+        let (before, after) = expire_then(&mut s, &|s| {
+            assert_eq!(s.incr("k", 1, 500).unwrap(), None);
+            assert_eq!(s.incr("k", 1, 500).unwrap(), None);
+        });
+        assert_eq!(
+            StoreStats {
+                expired: before.expired,
+                ..after
+            },
+            before
+        );
+        assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
+
+        let (before, after) = expire_then(&mut s, &|s| {
+            let token = s.gets("k", 499, false).unwrap().cas;
+            assert_eq!(
+                s.cas("k", bytes_of("w"), token, None, 500),
+                Err(CacheError::CasConflict)
+            );
+            assert_eq!(
+                s.cas("k", bytes_of("w"), token, None, 500),
+                Err(CacheError::CasConflict)
+            );
+        });
+        assert_eq!(
+            (after.cas_ops, after.cas_conflicts),
+            (before.cas_ops + 2, before.cas_conflicts + 2)
+        );
+        assert_eq!(after.sets, before.sets);
+        assert_eq!((s.len(), s.bytes_used()), (1, stay_bytes));
+
+        let (before, after) = expire_then(&mut s, &|s| {
+            s.add("k", bytes_of("v"), None, 500).unwrap();
+        });
+        assert_eq!(after.sets, before.sets + 1);
+        assert_eq!(
+            (s.len(), s.bytes_used()),
+            (2, stay_bytes + 2 + ITEM_OVERHEAD)
+        );
+        assert_eq!(s.get("k", 10_000, false).unwrap(), bytes_of("v"));
     }
 }
