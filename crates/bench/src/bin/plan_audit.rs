@@ -4,7 +4,7 @@
 //! baseline.
 //!
 //! For every query-set a page load issues, shows the plan the cost-based
-//! planner picks (access path, join order and probe methods, order/limit
+//! planner picks (access path, join probe methods, order/limit
 //! handling) next to the measured `CostReport` of actually running it
 //! (rows scanned, index probes, sorts). Run with:
 //!

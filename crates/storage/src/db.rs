@@ -821,8 +821,8 @@ impl Database {
     // ----- introspection -----
 
     /// EXPLAIN: returns the whole-query [`QueryPlan`](crate::plan::QueryPlan)
-    /// the planner would choose for `select` — driving-table access path,
-    /// join order and probe methods, ORDER BY / LIMIT handling — without
+    /// the planner would choose for `select` — the FROM table's access
+    /// path, each join's probe method, ORDER BY / LIMIT handling — without
     /// executing anything. `params` fills `$n` holes referenced by the
     /// predicate (pass the same vector you would execute with).
     ///

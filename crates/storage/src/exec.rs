@@ -1,10 +1,10 @@
 //! The executor: mechanically walks whatever the planner chose.
 //!
 //! A SELECT runs in prepared form ([`crate::prepared`]): `BoundSelect`
-//! is what the statement resolves to against the catalog (layouts, bound
-//! WHERE / ORDER BY / projection), `ExecPlan` is the planner's
-//! [`QueryPlan`] — driving table access path, join steps in cost-chosen
-//! order, ORDER BY / LIMIT handling — with its join steps bound, and
+//! is what the statement resolves to against the catalog (bound WHERE /
+//! ORDER BY / projection), `ExecPlan` is the planner's [`QueryPlan`] —
+//! the FROM table's access path, one step per join in statement order,
+//! ORDER BY / LIMIT handling — with its join steps bound, and
 //! `run_prepared` walks the plan for one parameter vector. The WHERE
 //! clause is bound once and compiled into a `CompiledPred` of conjunct
 //! atoms, which every path evaluates. Join queries pump base rows one at
@@ -197,32 +197,6 @@ impl Layout {
     fn binder(&self) -> impl Fn(&ColumnRef) -> Result<usize> + '_ {
         move |c| self.resolve(c)
     }
-
-    /// For each column position of `target`, its position in `self` —
-    /// `None` when the layouts already agree. Used to remap combined rows
-    /// from the planner's execution order back to syntactic column order;
-    /// the planner only reorders when bindings are unique.
-    fn permutation_to(&self, target: &Layout) -> Option<Vec<usize>> {
-        if self.entries.len() == target.entries.len()
-            && self
-                .entries
-                .iter()
-                .zip(&target.entries)
-                .all(|(a, b)| a.0 == b.0)
-        {
-            return None;
-        }
-        let mut perm = Vec::with_capacity(target.width);
-        for (binding, cols, _) in &target.entries {
-            let (_, _, off) = self
-                .entries
-                .iter()
-                .find(|(b, _, _)| b == binding)
-                .expect("execution layout covers the same bindings");
-            perm.extend(*off..*off + cols.len());
-        }
-        Some(perm)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -312,9 +286,6 @@ enum Output {
 /// changes a schema), whatever the data and the parameters.
 pub(crate) struct BoundSelect {
     pub catalog_version: u64,
-    /// Syntactic layout: the column namespace WHERE / ORDER BY /
-    /// projection bind against, and the output column order.
-    layout: Layout,
     /// WHERE, as conjunct atoms; every scan and join path evaluates it.
     compiled: CompiledPred,
     order_keys: Vec<(Expr, bool)>,
@@ -419,7 +390,6 @@ impl BoundSelect {
             catalog_version: tables.catalog_version(),
             compiled: CompiledPred::compile(pred.as_ref()),
             guards: crate::plan::key_guards(sel.predicate.as_ref(), &slots),
-            layout,
             order_keys,
             columns: columns.into(),
             output,
@@ -427,13 +397,13 @@ impl BoundSelect {
     }
 }
 
-/// One join step of a plan, bound against the execution-order layout:
-/// the probe expressions read the already-joined prefix, the ON residue
-/// reads the row once this step's table is appended.
+/// One join step of a plan, bound against the statement's layout as far
+/// as the step: the probe expressions read the tables joined before it,
+/// the ON residue reads the row once this step's table is appended.
 struct BoundJoin {
     table: String,
     kind: JoinKind,
-    on: Vec<Expr>,
+    on: Expr,
     method: BoundMethod,
 }
 
@@ -445,20 +415,16 @@ enum BoundMethod {
     Scan,
 }
 
-/// A [`QueryPlan`] made executable: join steps bound, the output
-/// permutation computed, and — when the plan is to be shared between
-/// parameter vectors — where its key values come from. Stamped with what
-/// it was derived from, so a holder can tell when it stops being the plan
-/// the planner would choose.
+/// A [`QueryPlan`] made executable: join steps bound and — when the plan
+/// is to be shared between parameter vectors — where its key values come
+/// from. Stamped with what it was derived from, so a holder can tell when
+/// it stops being the plan the planner would choose.
 pub(crate) struct ExecPlan {
     qplan: QueryPlan,
     /// Parameter sources of `qplan.base.path`'s key values; empty when
     /// the plan is only ever run with the parameters it was planned for.
     key_sources: Vec<Option<KeyGuard>>,
     joins: Vec<BoundJoin>,
-    /// Execution-order → syntactic column order, when the planner rotated
-    /// the join order.
-    perm: Option<Vec<usize>>,
     /// [`BoundSelect::catalog_version`] the steps were bound under.
     pub catalog_version: u64,
     /// [`Table::band_stamp`] of each FROM/JOIN table (in the statement's
@@ -492,15 +458,15 @@ impl ExecPlan {
             Vec::new()
         };
 
-        // Execution-order layout: driving table first, joins in plan
-        // order. Probe expressions bind against the prefix layout; ON
-        // residues bind once the step's table is pushed.
-        let mut exec_layout = Layout::default();
-        exec_layout.push_table(&qplan.base_binding, base);
+        // The statement's layout, one table at a time: probe expressions
+        // bind against the tables joined before their step; ON residues
+        // bind once the step's table is pushed.
+        let mut layout = Layout::default();
+        layout.push_table(&qplan.base_binding, base);
         let mut joins = Vec::with_capacity(qplan.joins.len());
         for jp in &qplan.joins {
             let jt = tables.table(&jp.table)?;
-            let bind = |e: &Expr| e.bind(&exec_layout.binder());
+            let bind = |e: &Expr| e.bind(&layout.binder());
             let method = match &jp.method {
                 JoinMethod::PkProbe { outer } => BoundMethod::Pk(bind(outer)?),
                 JoinMethod::IndexProbe { index, outers } => {
@@ -513,24 +479,14 @@ impl ExecPlan {
                 }
                 JoinMethod::NestedScan => BoundMethod::Scan,
             };
-            exec_layout.push_table(&jp.binding, jt);
-            let on = jp
-                .on
-                .iter()
-                .map(|e| e.bind(&exec_layout.binder()))
-                .collect::<Result<_>>()?;
+            layout.push_table(&jp.binding, jt);
             joins.push(BoundJoin {
                 table: jp.table.clone(),
                 kind: jp.kind,
-                on,
+                on: jp.on.bind(&layout.binder())?,
                 method,
             });
         }
-        let perm = if joins.is_empty() {
-            None
-        } else {
-            exec_layout.permutation_to(&bound.layout)
-        };
         let table_bands = sorted_tables
             .iter()
             .map(|t| Ok(tables.table(t)?.band_stamp()))
@@ -539,7 +495,6 @@ impl ExecPlan {
             qplan,
             key_sources,
             joins,
-            perm,
             catalog_version: bound.catalog_version,
             table_bands,
         })
@@ -672,14 +627,7 @@ fn join_step(
             continue;
         };
         let combined: Row = left.values().iter().chain(r.values()).cloned().collect();
-        let mut ok = true;
-        for on in &step.on {
-            if !on.matches(&combined, params)? {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
+        if step.on.matches(&combined, params)? {
             matched = true;
             out.push(combined);
         }
@@ -802,10 +750,6 @@ pub(crate) fn run_prepared(
                 batch = next;
             }
             for row in batch {
-                let row = match &plan.perm {
-                    Some(p) => p.iter().map(|&i| row.get(i).clone()).collect(),
-                    None => row,
-                };
                 if bound.compiled.matches(&row, params)? {
                     match &mut topk {
                         Some(tk) => tk.offer(row, params)?,

@@ -13,14 +13,15 @@
 //!    ([`Table::row_band`], [`crate::table::Index::prefix_band`]) — so a
 //!    kept plan stays valid until a write moves a band. Equality prefixes are costed from the
 //!    prefix counts, ranges from the fixed System-R selectivities.
-//! 2. `plan_query` builds a [`QueryPlan`] for a whole SELECT: it
-//!    enumerates cost-ranked left-deep join orders (for the 2–4 table
-//!    inner-join chains a Django-style ORM emits), plans the driving
-//!    table through `plan_access`, picks a probe method per join step
-//!    ([`JoinMethod`]), decides whether the chosen pipeline satisfies the
-//!    statement's ORDER BY (index-ordered base scan surviving single-row
-//!    joins), and pushes `LIMIT k` into order-satisfying plans so the
-//!    executor can stop scanning after k output rows.
+//! 2. `plan_query` builds a [`QueryPlan`] for a whole SELECT, left-deep
+//!    in the order the statement gives (a Django-style ORM already puts
+//!    the filtered model in FROM): it plans the FROM table through
+//!    `plan_access`, picks a probe method per join step ([`JoinMethod`])
+//!    from that join's own ON clause, decides whether the pipeline
+//!    satisfies the statement's ORDER BY (index-ordered base scan
+//!    surviving single-row joins), and pushes `LIMIT k` into
+//!    order-satisfying plans so the executor can stop scanning after k
+//!    output rows.
 //!
 //! The executor re-applies the full WHERE clause (and every join's ON
 //! residually) to whatever the chosen paths yield, so every path only has
@@ -56,7 +57,7 @@ use crate::cost::CostReport;
 use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
 use crate::latch::TableSet;
-use crate::query::{AggFunc, JoinKind, OrderKey, Select, SelectItem};
+use crate::query::{AggFunc, Join, JoinKind, OrderKey, Select, SelectItem};
 use crate::row::Row;
 use crate::table::{RowRef, Table};
 use crate::value::{Value, ValueType};
@@ -349,7 +350,7 @@ fn sort_cost(rows: f64) -> f64 {
 struct ColumnConstraint {
     eq: Option<Value>,
     /// The parameter `eq` was read from (`col = $n`); `None` for a
-    /// literal. Lets the join planner keep a folded probe key symbolic.
+    /// literal. Lets a kept plan rebind its keys ([`key_sources`]).
     eq_param: Option<usize>,
     lower: Option<Bound>,
     upper: Option<Bound>,
@@ -1046,19 +1047,19 @@ impl JoinMethod {
     }
 }
 
-/// One step of the join pipeline, in chosen execution order.
+/// One step of the join pipeline: the statement's join in the same
+/// position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     /// Catalog name of the table this step joins.
     pub table: String,
     /// Binding name columns qualify against.
     pub binding: String,
-    /// Join flavour (LEFT joins are never reordered).
+    /// The join's flavour, as written.
     pub kind: JoinKind,
-    /// ON expressions applied (residually) once this step's table is in
-    /// the row — under reordering an ON clause runs at the earliest step
-    /// where every table it references is available.
-    pub on: Vec<Expr>,
+    /// The join's ON clause, applied (residually) once this step's table
+    /// is in the row.
+    pub on: Expr,
     /// Probe strategy.
     pub method: JoinMethod,
     /// True when the probe can match at most one row per left row
@@ -1081,17 +1082,16 @@ impl fmt::Display for JoinPlan {
     }
 }
 
-/// The planner's decision for a whole SELECT: a driving-table access
-/// path, join steps in execution order, order/limit handling.
+/// The planner's decision for a whole SELECT: the FROM table's access
+/// path, one step per join in statement order, order/limit handling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    /// Access plan for the driving table.
+    /// Access plan for the driving (FROM) table.
     pub base: Plan,
-    /// Binding name of the driving table (differs from `base.table` for
-    /// aliased FROMs, and names a *joined* table when the join order was
-    /// rotated).
+    /// Binding name of the FROM table (differs from `base.table` for an
+    /// aliased FROM).
     pub base_binding: String,
-    /// Join steps in execution order (empty for single-table statements).
+    /// Join steps in statement order (empty for single-table statements).
     pub joins: Vec<JoinPlan>,
     /// True when the pipeline yields rows in the statement's ORDER BY
     /// order (ordered base scan surviving single-row joins), so the
@@ -1183,13 +1183,6 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// One FROM/JOIN table in syntactic position.
-struct Slot<'a> {
-    binding: String,
-    table_name: String,
-    table: &'a Table,
-}
-
 /// LIMIT pushdown: legal when the pipeline's output order is already
 /// final — either the statement has no ORDER BY (heap-order rows are the
 /// contract) or the plan satisfies it — and no aggregate consumes the
@@ -1206,38 +1199,18 @@ fn fetch_limit_for(sel: &Select, order_satisfied: bool) -> Option<u64> {
     }
 }
 
-/// All permutations of `0..n` in lexicographic order (identity first, so
-/// cost ties resolve toward the syntactic order). `n` is at most 4.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    fn rec(prefix: &mut Vec<usize>, rest: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if rest.is_empty() {
-            out.push(prefix.clone());
-            return;
-        }
-        for i in 0..rest.len() {
-            let x = rest.remove(i);
-            prefix.push(x);
-            rec(prefix, rest, out);
-            prefix.pop();
-            rest.insert(i, x);
-        }
-    }
-    let mut out = Vec::new();
-    rec(&mut Vec::new(), &mut (0..n).collect(), &mut out);
-    out
-}
-
-/// True when every column `e` references resolves within `slots`
-/// (qualified to one of them, or unqualified and present in one of their
-/// schemas — mirroring the executor's first-match rule).
-fn resolvable_in(e: &Expr, slots: &[&Slot<'_>]) -> bool {
+/// True when every column `e` references resolves within `joined`
+/// (binding name and table of each table joined so far): qualified to
+/// one of them, or unqualified and present in one of their schemas —
+/// mirroring the executor's first-match rule.
+fn resolvable_in(e: &Expr, joined: &[(&str, &Table)]) -> bool {
     let mut cols = Vec::new();
     e.referenced_columns(&mut cols);
     cols.iter().all(|c| match &c.table {
-        Some(t) => slots.iter().any(|s| &s.binding == t),
-        None => slots
+        Some(t) => joined.iter().any(|(b, _)| b == t),
+        None => joined
             .iter()
-            .any(|s| s.table.schema().column_pos(&c.column).is_some()),
+            .any(|(_, tab)| tab.schema().column_pos(&c.column).is_some()),
     })
 }
 
@@ -1249,7 +1222,7 @@ pub(crate) fn plan_query(
     params: &[Value],
 ) -> Result<QueryPlan> {
     let base_table = tables.table(&sel.from.table)?;
-    let base_binding = sel.from.binding_name().to_owned();
+    let base_binding = sel.from.binding_name();
 
     // Single-table fast path: the PR-1 planner plus LIMIT pushdown.
     if sel.joins.is_empty() {
@@ -1257,7 +1230,7 @@ pub(crate) fn plan_query(
         let order: &[OrderKey] = if order_eligible { &sel.order_by } else { &[] };
         let base = plan_access_impl(
             base_table,
-            &base_binding,
+            base_binding,
             sel.predicate.as_ref(),
             order,
             params,
@@ -1266,7 +1239,7 @@ pub(crate) fn plan_query(
         )?;
         let order_satisfied = base.order_satisfied;
         let fetch_limit = fetch_limit_for(sel, order_satisfied);
-        let count_only = count_pushdown_eligible(sel, base_table, &base_binding, &base, params)?;
+        let count_only = count_pushdown_eligible(sel, base_table, base_binding, &base, params)?;
         let (mut estimated_rows, mut estimated_cost) = (base.estimated_rows, base.estimated_cost);
         if count_only {
             // One probe; no row is built (see `run_count_only`).
@@ -1275,7 +1248,7 @@ pub(crate) fn plan_query(
         }
         return Ok(QueryPlan {
             base,
-            base_binding,
+            base_binding: base_binding.to_owned(),
             joins: Vec::new(),
             order_satisfied,
             fetch_limit,
@@ -1285,103 +1258,69 @@ pub(crate) fn plan_query(
         });
     }
 
-    // Slot table in syntactic order: slot 0 = FROM, slot i+1 = joins[i].
-    let mut slots: Vec<Slot<'_>> = vec![Slot {
-        binding: base_binding,
-        table_name: sel.from.table.clone(),
-        table: base_table,
-    }];
-    for j in &sel.joins {
-        slots.push(Slot {
-            binding: j.table.binding_name().to_owned(),
-            table_name: j.table.table.clone(),
-            table: tables.table(&j.table.table)?,
-        });
-    }
-    let n = slots.len();
-
-    // Which slots each ON condition references (when every column ref is
-    // qualified to a known binding — the precondition for reordering).
-    let mut on_refs: Vec<Vec<usize>> = Vec::with_capacity(sel.joins.len());
-    let mut on_fully_qualified = true;
-    for j in &sel.joins {
-        let mut cols = Vec::new();
-        j.on.referenced_columns(&mut cols);
-        let mut refs = BTreeSet::new();
-        for c in &cols {
-            match &c.table {
-                Some(t) => match slots.iter().position(|s| &s.binding == t) {
-                    Some(i) => {
-                        refs.insert(i);
-                    }
-                    None => on_fully_qualified = false,
-                },
-                None => on_fully_qualified = false,
-            }
-        }
-        on_refs.push(refs.into_iter().collect());
-    }
-
-    let bindings_unique = {
-        let set: BTreeSet<&str> = slots.iter().map(|s| s.binding.as_str()).collect();
-        set.len() == n
-    };
-    let all_inner = sel.joins.iter().all(|j| j.kind == JoinKind::Inner);
-    // Reordering needs: inner joins only (LEFT is order-sensitive),
-    // qualified ON references (unqualified first-match resolution depends
-    // on layout order), unique bindings (for the output-column remap),
-    // and a small enough chain to enumerate exhaustively. The WHERE
-    // clause must be fully qualified too: an unqualified column present
-    // in several tables resolves to the *syntactic first match* at
-    // execution time, so attributing it to a rotated driving table or
-    // folding it into a probe key would constrain the wrong table.
-    let where_fully_qualified = match &sel.predicate {
-        None => true,
-        Some(p) => {
-            let mut cols = Vec::new();
-            p.referenced_columns(&mut cols);
-            cols.iter().all(|c| match &c.table {
-                Some(t) => slots.iter().any(|s| &s.binding == t),
-                None => false,
-            })
-        }
-    };
-    let reorderable = all_inner
-        && on_fully_qualified
-        && where_fully_qualified
-        && bindings_unique
-        && sel.joins.len() <= 3;
-
-    // ORDER BY keys usable by an ordered scan: plain columns, all
-    // attributable (syntactic first match, like the executor's binder) to
-    // one slot. Requalified so the access planner sees them regardless of
-    // which slot ends up driving.
+    // Left-deep in statement order: the FROM table drives, and join i is
+    // step i + 1. The sort is charged once, over the joined rows, below.
     let order_eligible = !sel.is_aggregate() && sel.group_by.is_empty() && !sel.order_by.is_empty();
-    let order_slot: Option<(usize, Vec<OrderKey>)> = if order_eligible {
-        attribute_order(&sel.order_by, &slots)
+    let base_order = if order_eligible {
+        attribute_order(&sel.order_by, base_binding, base_table)
     } else {
-        None
+        &[]
     };
+    let base = plan_access_impl(
+        base_table,
+        base_binding,
+        sel.predicate.as_ref(),
+        base_order,
+        params,
+        false,
+        false,
+    )?;
 
-    let orders = if reorderable {
-        permutations(n)
-    } else {
-        vec![(0..n).collect()]
-    };
-
-    const TIE_EPS: f64 = 1e-6;
-    let mut best: Option<QueryPlan> = None;
-    for ord in &orders {
-        let cand = plan_one_order(sel, params, &slots, &on_refs, ord, &order_slot, reorderable)?;
-        let replaces = match &best {
-            None => true,
-            Some(b) => cand.estimated_cost < b.estimated_cost - TIE_EPS,
+    let mut rows = base.estimated_rows;
+    let mut cost = base.estimated_cost;
+    let mut all_single = true;
+    let mut joins = Vec::with_capacity(sel.joins.len());
+    // Binding and table of every table joined so far.
+    let mut joined: Vec<(&str, &Table)> = vec![(base_binding, base_table)];
+    for j in &sel.joins {
+        let table = tables.table(&j.table.table)?;
+        let binding = j.table.binding_name();
+        let (step, per_left_cost) = plan_join_step(j, table, &joined);
+        cost += rows.max(0.0) * per_left_cost;
+        let out_rows = if j.kind == JoinKind::Left {
+            rows * step.fanout.max(1.0)
+        } else {
+            rows * step.fanout
         };
-        if replaces {
-            best = Some(cand);
+        rows = out_rows.max(0.0);
+        all_single &= step.single_row;
+        joins.push(step);
+        joined.push((binding, table));
+    }
+
+    let order_satisfied = order_eligible && base.order_satisfied && all_single;
+    if order_eligible && !order_satisfied {
+        cost += sort_cost(rows);
+    }
+    let fetch_limit = fetch_limit_for(sel, order_satisfied);
+    if let Some(k) = fetch_limit {
+        // An early-terminating pipeline reads roughly k/rows of its input.
+        let k = k as f64;
+        if rows > k && rows > 0.0 {
+            cost *= (k / rows).max(1e-3);
         }
     }
-    Ok(best.expect("at least the syntactic order was planned"))
+
+    Ok(QueryPlan {
+        base,
+        base_binding: base_binding.to_owned(),
+        joins,
+        order_satisfied,
+        fetch_limit,
+        count_only: false,
+        estimated_rows: rows,
+        estimated_cost: cost,
+    })
 }
 
 /// What a path guarantees about one column of every row it yields: a
@@ -1598,249 +1537,125 @@ fn path_absorbs_predicate(
     Ok(true)
 }
 
-/// Rewrites ORDER BY keys as columns qualified to the single slot they
-/// all attribute to (executor first-match rule); `None` when the keys are
-/// not plain columns or span slots.
-fn attribute_order(order_by: &[OrderKey], slots: &[Slot<'_>]) -> Option<(usize, Vec<OrderKey>)> {
-    let mut slot_idx: Option<usize> = None;
-    let mut rewritten = Vec::with_capacity(order_by.len());
-    for key in order_by {
-        let Expr::Column(c) = &key.expr else {
-            return None;
-        };
-        let attributed = match &c.table {
-            Some(t) => slots.iter().position(|s| &s.binding == t)?,
-            None => slots
-                .iter()
-                .position(|s| s.table.schema().column_pos(&c.column).is_some())?,
-        };
-        match slot_idx {
-            None => slot_idx = Some(attributed),
-            Some(prev) if prev == attributed => {}
-            Some(_) => return None,
-        }
-        rewritten.push(OrderKey {
-            expr: Expr::qcol(&slots[attributed].binding, &c.column),
-            desc: key.desc,
-        });
+/// The ORDER BY keys when they all attribute to the FROM table —
+/// qualified with its binding, or unqualified and one of its columns (the
+/// executor's first match) — the only case an ordered base scan can
+/// satisfy; none otherwise.
+fn attribute_order<'a>(order_by: &'a [OrderKey], binding: &str, table: &Table) -> &'a [OrderKey] {
+    let from_table = |key: &OrderKey| match &key.expr {
+        Expr::Column(c) => match &c.table {
+            Some(t) => t == binding,
+            None => table.schema().column_pos(&c.column).is_some(),
+        },
+        _ => false,
+    };
+    if order_by.iter().all(from_table) {
+        order_by
+    } else {
+        &[]
     }
-    slot_idx.map(|i| (i, rewritten))
 }
 
-/// Costs one left-deep join order and builds its `QueryPlan`.
-fn plan_one_order(
-    sel: &Select,
-    params: &[Value],
-    slots: &[Slot<'_>],
-    on_refs: &[Vec<usize>],
-    ord: &[usize],
-    order_slot: &Option<(usize, Vec<OrderKey>)>,
-    reorderable: bool,
-) -> Result<QueryPlan> {
-    let driving = &slots[ord[0]];
-    let base_order: Vec<OrderKey> = match order_slot {
-        Some((slot, keys)) if *slot == ord[0] => keys.clone(),
-        _ => Vec::new(),
-    };
-    let base = plan_access_impl(
-        driving.table,
-        &driving.binding,
-        sel.predicate.as_ref(),
-        &base_order,
-        params,
-        false,
-        false,
-    )?;
-
-    let order_eligible = !sel.is_aggregate() && sel.group_by.is_empty() && !sel.order_by.is_empty();
-    let mut rows = base.estimated_rows;
-    let mut cost = base.estimated_cost;
-    let mut all_single = true;
-    let mut joins = Vec::with_capacity(ord.len() - 1);
-    let mut assigned = vec![false; sel.joins.len()];
-
-    for step in 1..ord.len() {
-        let slot = &slots[ord[step]];
-        let prefix: Vec<&Slot<'_>> = ord[..step].iter().map(|&i| &slots[i]).collect();
-
-        // ON conditions that become fully bound at this step.
-        let mut ons: Vec<Expr> = Vec::new();
-        for (ji, refs) in on_refs.iter().enumerate() {
-            if assigned[ji] {
+/// Plans join `j` onto the tables `joined` so far: its probe method,
+/// from the equi-key conjuncts of its own ON clause, and the estimated
+/// cost per left row.
+fn plan_join_step(j: &Join, table: &Table, joined: &[(&str, &Table)]) -> (JoinPlan, f64) {
+    let binding = j.table.binding_name();
+    // Equi-key extraction: `table.col = expr(joined)` conjuncts.
+    let mut key_cols: Vec<(&str, &Expr)> = Vec::new();
+    for conjunct in j.on.conjuncts() {
+        let Expr::Cmp(a, CmpOp::Eq, b) = conjunct else {
+            continue;
+        };
+        for (side_t, side_o) in [(a, b), (b, a)] {
+            let Expr::Column(c) = side_t.as_ref() else {
                 continue;
-            }
-            let applicable = if reorderable {
-                refs.iter().all(|r| ord[..=step].contains(r))
-            } else {
-                // Syntactic order: each join's ON runs at its own step.
-                ji + 1 == ord[step]
             };
-            if applicable {
-                assigned[ji] = true;
-                ons.push(sel.joins[ji].on.clone());
-            }
-        }
-        let kind = if reorderable {
-            JoinKind::Inner
-        } else {
-            sel.joins[ord[step] - 1].kind
-        };
-
-        // Equi-key extraction: `slot.col = expr(prefix)` conjuncts.
-        let mut key_cols: Vec<(String, Expr)> = Vec::new();
-        for on in &ons {
-            for conjunct in on.conjuncts() {
-                let Expr::Cmp(a, CmpOp::Eq, b) = conjunct else {
-                    continue;
-                };
-                for (side_t, side_o) in [(a, b), (b, a)] {
-                    let Expr::Column(c) = side_t.as_ref() else {
-                        continue;
-                    };
-                    // The executor's binder resolves an unqualified
-                    // column to the *first* layout entry carrying it, so
-                    // it only names this step's table when no earlier
-                    // table in the pipeline has the column — probing on a
-                    // misattributed key would drop matching rows.
-                    let t_ok = match &c.table {
-                        Some(t) => t == &slot.binding,
-                        None => prefix
-                            .iter()
-                            .all(|s| s.table.schema().column_pos(&c.column).is_none()),
-                    };
-                    if t_ok
-                        && slot.table.schema().column_pos(&c.column).is_some()
-                        && resolvable_in(side_o, &prefix)
-                    {
-                        if !key_cols.iter().any(|(kc, _)| kc == &c.column) {
-                            key_cols.push((c.column.clone(), (**side_o).clone()));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        // Inner joins under reordering also fold the WHERE clause's
-        // equality constraints on this table into the probe key: every
-        // surviving row satisfies them, so a tighter probe loses nothing.
-        if reorderable {
-            let cons =
-                extract_constraints(sel.predicate.as_ref(), &slot.binding, slot.table, params)?;
-            for (col, c) in &cons.cols {
-                if let Some(v) = &c.eq {
-                    if !key_cols.iter().any(|(kc, _)| kc == col) {
-                        // A parameter stays a parameter: the probe
-                        // coerces whatever it evaluates to for the key
-                        // column, so the step is the same for every
-                        // parameter vector and a cached plan needs no
-                        // per-call rewrite here.
-                        let outer = match c.eq_param {
-                            Some(i) => Expr::Param(i),
-                            None => Expr::Literal(v.clone()),
-                        };
-                        key_cols.push((col.clone(), outer));
-                    }
-                }
-            }
-        }
-
-        let t_rows = slot.table.row_band() as f64;
-        let rpp = slot.table.schema().rows_per_page_hint as f64;
-        let pk = slot.table.schema().primary_key();
-        let (method, single_row, fanout, per_left_cost) =
-            if let Some((_, outer)) = key_cols.iter().find(|(c, _)| c == pk) {
-                (
-                    JoinMethod::PkProbe {
-                        outer: outer.clone(),
-                    },
-                    true,
-                    1.0,
-                    PROBE_COST + ROW_COST + PAGE_COST / rpp.max(1.0),
-                )
-            } else {
-                let cols: Vec<&str> = key_cols.iter().map(|(c, _)| c.as_str()).collect();
-                match slot.table.best_index_for(&cols) {
-                    Some(idx) => {
-                        let outers: Vec<Expr> = idx
-                            .def()
-                            .columns
-                            .iter()
-                            .map(|c| {
-                                key_cols
-                                    .iter()
-                                    .find(|(kc, _)| kc == c)
-                                    .expect("index columns are a subset of the key columns")
-                                    .1
-                                    .clone()
-                            })
-                            .collect();
-                        let single = idx.def().unique;
-                        let fanout = if single {
-                            1.0
-                        } else {
-                            t_rows / idx.prefix_band(idx.def().columns.len()).max(1) as f64
-                        };
-                        let per_left = PROBE_COST + fanout * (ROW_COST + PAGE_COST / rpp.max(1.0));
-                        (
-                            JoinMethod::IndexProbe {
-                                index: idx.def().name.clone(),
-                                outers,
-                            },
-                            single,
-                            fanout,
-                            per_left,
-                        )
-                    }
-                    None => {
-                        let fanout = t_rows;
-                        let per_left = t_rows * (ROW_COST + PAGE_COST / rpp.max(1.0));
-                        (JoinMethod::NestedScan, false, fanout, per_left)
-                    }
-                }
+            // The executor's binder resolves an unqualified column to the
+            // *first* layout entry carrying it, so it only names this
+            // step's table when no table joined before has the column —
+            // probing on a misattributed key would drop matching rows.
+            let t_ok = match &c.table {
+                Some(t) => t == binding,
+                None => joined
+                    .iter()
+                    .all(|(_, tab)| tab.schema().column_pos(&c.column).is_none()),
             };
-
-        cost += rows.max(0.0) * per_left_cost;
-        let out_rows = if kind == JoinKind::Left {
-            rows * fanout.max(1.0)
-        } else {
-            rows * fanout
-        };
-        rows = out_rows.max(0.0);
-        all_single &= single_row;
-        joins.push(JoinPlan {
-            table: slot.table_name.clone(),
-            binding: slot.binding.clone(),
-            kind,
-            on: ons,
-            method,
-            single_row,
-            fanout,
-        });
-    }
-
-    let order_satisfied = order_eligible && base.order_satisfied && all_single;
-    if order_eligible && !order_satisfied {
-        cost += sort_cost(rows);
-    }
-    let fetch_limit = fetch_limit_for(sel, order_satisfied);
-    if let Some(k) = fetch_limit {
-        // An early-terminating pipeline reads roughly k/rows of its input.
-        let k = k as f64;
-        if rows > k && rows > 0.0 {
-            cost *= (k / rows).max(1e-3);
+            if t_ok
+                && table.schema().column_pos(&c.column).is_some()
+                && resolvable_in(side_o, joined)
+            {
+                if !key_cols.iter().any(|(kc, _)| *kc == c.column) {
+                    key_cols.push((&c.column, side_o));
+                }
+                break;
+            }
         }
     }
 
-    Ok(QueryPlan {
-        base,
-        base_binding: driving.binding.clone(),
-        joins,
-        order_satisfied,
-        fetch_limit,
-        count_only: false,
-        estimated_rows: rows,
-        estimated_cost: cost,
-    })
+    let t_rows = table.row_band() as f64;
+    let rpp = table.schema().rows_per_page_hint as f64;
+    let pk = table.schema().primary_key();
+    let (method, single_row, fanout, per_left_cost) =
+        if let Some((_, outer)) = key_cols.iter().find(|(c, _)| *c == pk) {
+            (
+                JoinMethod::PkProbe {
+                    outer: (*outer).clone(),
+                },
+                true,
+                1.0,
+                PROBE_COST + ROW_COST + PAGE_COST / rpp.max(1.0),
+            )
+        } else {
+            let cols: Vec<&str> = key_cols.iter().map(|(c, _)| *c).collect();
+            match table.best_index_for(&cols) {
+                Some(idx) => {
+                    let outers: Vec<Expr> = idx
+                        .def()
+                        .columns
+                        .iter()
+                        .map(|c| {
+                            let (_, outer) = key_cols
+                                .iter()
+                                .find(|(kc, _)| *kc == c)
+                                .expect("index columns are a subset of the key columns");
+                            (*outer).clone()
+                        })
+                        .collect();
+                    let single = idx.def().unique;
+                    let fanout = if single {
+                        1.0
+                    } else {
+                        t_rows / idx.prefix_band(idx.def().columns.len()).max(1) as f64
+                    };
+                    let per_left = PROBE_COST + fanout * (ROW_COST + PAGE_COST / rpp.max(1.0));
+                    (
+                        JoinMethod::IndexProbe {
+                            index: idx.def().name.clone(),
+                            outers,
+                        },
+                        single,
+                        fanout,
+                        per_left,
+                    )
+                }
+                None => {
+                    let fanout = t_rows;
+                    let per_left = t_rows * (ROW_COST + PAGE_COST / rpp.max(1.0));
+                    (JoinMethod::NestedScan, false, fanout, per_left)
+                }
+            }
+        };
+    let step = JoinPlan {
+        table: j.table.table.clone(),
+        binding: binding.to_owned(),
+        kind: j.kind,
+        on: j.on.clone(),
+        method,
+        single_row,
+        fanout,
+    };
+    (step, per_left_cost)
 }
 
 #[cfg(test)]

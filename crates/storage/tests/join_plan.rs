@@ -1,8 +1,9 @@
-//! Whole-query planner tests: join-order costing, ORDER BY survival
-//! across single-row joins, LIMIT-aware early termination, the
-//! `a = ? AND b IN (...)` multi-range path, and prefix-count cost
-//! estimates — plus property tests that every join order returns row-sets
-//! identical to the index-free nested-loop baseline.
+//! Whole-query planner tests: joins planned in statement order, probe
+//! method choice, ORDER BY survival across single-row joins, LIMIT-aware
+//! early termination, the `a = ? AND b IN (...)` multi-range path, and
+//! prefix-count cost estimates — plus property tests that every planned
+//! join returns row-sets identical to the index-free nested-loop
+//! baseline.
 
 use genie_storage::plan::{AccessPath, Bound};
 use genie_storage::{
@@ -59,51 +60,34 @@ fn sorted_rows(mut rows: Vec<Row>) -> Vec<Row> {
 }
 
 #[test]
-fn join_order_rotates_to_the_selective_table() {
+fn join_is_planned_in_statement_order() {
     let db = blog_db(true);
-    // Syntactically authors drives, but the WHERE pins posts.id: the
-    // cost-ranked order must drive from posts (a pk point lookup) and
-    // pk-probe authors, instead of scanning authors and probing posts.
+    // The WHERE pins posts.id, but the statement puts authors in FROM:
+    // authors drives and posts is the joined step, as written.
     let sql = "SELECT * FROM authors JOIN posts ON posts.author_id = authors.id \
                WHERE posts.id = 5";
     let plan = db.explain_sql(sql, &[]).unwrap();
-    assert_eq!(plan.base.table, "posts", "driving table rotated: {plan}");
-    assert_eq!(
-        plan.base.path,
-        AccessPath::IndexScan {
-            index: None,
-            eq: vec![Value::Int(5)],
-            ranges: vec![(Bound::Unbounded, Bound::Unbounded)],
-        },
-        "{plan}"
-    );
+    assert_eq!(plan.base.table, "authors", "FROM drives: {plan}");
+    assert_eq!(plan.base_binding, "authors", "{plan}");
     assert_eq!(plan.joins.len(), 1);
-    assert_eq!(plan.joins[0].table, "authors");
-    assert!(plan.joins[0].single_row, "pk probe matches at most one row");
+    assert_eq!(plan.joins[0].table, "posts", "{plan}");
 
-    // Execution returns columns in *syntactic* order despite the rotated
-    // pipeline: authors columns first.
+    // The one row comes back with authors columns first.
     let out = db.execute_sql(sql, &[]).unwrap();
     assert_eq!(out.result.rows.len(), 1);
     let row = &out.result.rows[0];
     assert_eq!(row.get(0), &Value::Int(5), "authors.id of post 5's author");
     assert_eq!(row.get(2), &Value::Int(5), "posts.id");
-    // And the rotated pipeline reads 2 rows, not 10 + probes.
-    assert!(
-        out.cost.rows_scanned <= 2,
-        "rotation should touch 2 rows, got {}",
-        out.cost.rows_scanned
-    );
+    let base = blog_db(false).execute_sql(sql, &[]).unwrap();
+    assert_eq!(out.result.rows, base.result.rows);
 }
 
 #[test]
 fn join_order_costing_prefers_filtered_driving_table() {
     let db = blog_db(true);
-    // Equality on posts.author_id (30 rows) vs no constraint on authors
-    // (10 rows): driving from authors would scan all 10 and probe; the
-    // planner must drive from the filtered posts side or authors — either
-    // way the measured plan beats a cartesian scan, and the join method
-    // must be an index or pk probe, never NestedScan.
+    // Equality on posts.author_id (30 rows): posts, in FROM, drives
+    // through its index, so the measured plan beats a cartesian scan, and
+    // the join method must be an index or pk probe, never NestedScan.
     let sql = "SELECT * FROM posts JOIN authors ON authors.id = posts.author_id \
                WHERE posts.author_id = 3";
     let plan = db.explain_sql(sql, &[]).unwrap();
@@ -395,9 +379,8 @@ fn explain_statement_returns_plan_rows() {
 fn unqualified_ambiguous_where_pins_syntactic_resolution() {
     let db = blog_db(true);
     // `id` exists in both tables; the executor resolves it to authors
-    // (syntactic first match), so the planner must not rotate posts into
-    // the driving seat or fold `id = 5` into posts' probe key — author
-    // 5's 30 posts must all come back.
+    // (syntactic first match), so `id = 5` must constrain the driving
+    // authors scan, never posts — author 5's 30 posts must all come back.
     let sql = "SELECT * FROM authors JOIN posts ON posts.author_id = authors.id \
                WHERE id = 5";
     let plan = db.explain_sql(sql, &[]).unwrap();
@@ -457,12 +440,12 @@ fn unqualified_on_column_shared_with_left_table_is_not_a_probe_key() {
 #[test]
 fn left_joins_keep_syntactic_order_and_pad_nulls() {
     let db = blog_db(true);
-    // An author with no posts in score band 99: LEFT JOIN must null-pad,
-    // and the planner must not rotate a LEFT join.
+    // An author with no posts in score band 99: LEFT JOIN must null-pad
+    // every author, which only the written order (authors driving) does.
     let sql = "SELECT * FROM authors LEFT JOIN posts \
                ON posts.author_id = authors.id AND posts.score = 99";
     let plan = db.explain_sql(sql, &[]).unwrap();
-    assert_eq!(plan.base.table, "authors", "LEFT joins never rotate");
+    assert_eq!(plan.base.table, "authors", "the FROM table drives");
     let out = db.execute_sql(sql, &[]).unwrap();
     assert_eq!(out.result.rows.len(), 10, "one padded row per author");
     assert!(out.result.rows.iter().all(|r| r.get(2).is_null()));
@@ -471,7 +454,7 @@ fn left_joins_keep_syntactic_order_and_pad_nulls() {
 }
 
 // ---------------------------------------------------------------------
-// Property tests: every join order/method returns the nested-loop rows.
+// Property tests: every planned join/method returns the nested-loop rows.
 // ---------------------------------------------------------------------
 
 fn two_table_db(indexed: bool, users: &[(i64, i64)], items: &[(i64, i64, i64)]) -> Database {
@@ -546,8 +529,10 @@ fn join_select(filter_grp: i64, filter_v: Option<i64>) -> (Select, Vec<Value>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Whatever join order and probe method the planner picks, the row
-    /// *set* must equal the index-free nested-loop baseline's.
+    /// The join is planned in statement order, and whatever probe method
+    /// the planner picks, the row *set* must equal the index-free
+    /// nested-loop baseline's. With `v`, the WHERE equality `it.v = $2`
+    /// on the joined table is left to the residual filter.
     #[test]
     fn planned_joins_match_nested_loop_baseline(
         users in proptest::collection::vec((0..20i64, 0..4i64), 1..20),
@@ -558,12 +543,18 @@ proptest! {
         let fast = two_table_db(true, &users, &items);
         let slow = two_table_db(false, &users, &items);
         let (sel, params) = join_select(grp, v);
+        let plan = fast.explain(&sel, &params).unwrap();
+        prop_assert_eq!(&plan.base_binding, sel.from.binding_name());
+        prop_assert_eq!(plan.joins.len(), sel.joins.len());
+        for (step, join) in plan.joins.iter().zip(&sel.joins) {
+            prop_assert_eq!(&step.binding, join.table.binding_name());
+        }
         let a = fast.select(&sel, &params).unwrap();
         let b = slow.select(&sel, &params).unwrap();
         prop_assert_eq!(
             sorted_rows(a.result.rows),
             sorted_rows(b.result.rows),
-            "planned join order/method changed the row set"
+            "planned join method changed the row set"
         );
     }
 

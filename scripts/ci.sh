@@ -40,7 +40,7 @@ cargo run --release -q -p genie-bench --bin plan_audit -- --check > /dev/null
 echo "==> trigger_audit --check (commit-pipeline effect-coalescing regressions)"
 cargo run --release -q -p genie-bench --bin trigger_audit -- --check > /dev/null
 
-echo "==> concurrency_audit --check (multi-writer thread sweep + MVCC reader gate + disjoint-table latch gate + cache-tier kill/rejoin gate on 4 unreplicated servers: no livelock, abort/conflict ceilings, zero reader blocking, zero table-latch waits, cache coherence through node failure)"
+echo "==> concurrency_audit --check (multi-writer thread sweep + MVCC reader gate + disjoint-table latch gate + cache-tier kill/rejoin gate on 4 unreplicated servers: no livelock, write-conflict-rate ceiling, zero reader blocking, zero table-latch waits, cache coherence through node failure)"
 cargo run --release -q -p genie-bench --bin concurrency_audit -- --check > /dev/null
 
 echo "==> exp_cache_scale --check (cache tier: near-flat p99 across 1-8 servers, zero violations through node kill/rejoin on 4 unreplicated servers)"
