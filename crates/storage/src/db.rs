@@ -822,7 +822,7 @@ impl Database {
 
     /// EXPLAIN: returns the whole-query [`QueryPlan`](crate::plan::QueryPlan)
     /// the planner would choose for `select` — the FROM table's access
-    /// path, each join's probe method, ORDER BY / LIMIT handling — without
+    /// path, each join's probe key, ORDER BY / LIMIT handling — without
     /// executing anything. `params` fills `$n` holes referenced by the
     /// predicate (pass the same vector you would execute with).
     ///

@@ -38,7 +38,7 @@ use crate::db::TxnId;
 use crate::error::{Result, StorageError};
 use crate::expr::{CmpOp, ColumnRef, Expr};
 use crate::latch::TableSet;
-use crate::plan::{eval_const, AccessPath, JoinMethod, KeyGuard, QueryPlan, WHOLE_RANGE};
+use crate::plan::{eval_const, AccessPath, KeyGuard, QueryPlan, WHOLE_RANGE};
 use crate::prepared::PreparedSelect;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
 use crate::row::{Row, RowId};
@@ -398,21 +398,17 @@ impl BoundSelect {
 }
 
 /// One join step of a plan, bound against the statement's layout as far
-/// as the step: the probe expressions read the tables joined before it,
-/// the ON residue reads the row once this step's table is appended.
+/// as the step: the probe key reads the tables joined before it, the ON
+/// residue reads the row once this step's table is appended.
 struct BoundJoin {
     table: String,
     kind: JoinKind,
     on: Expr,
-    method: BoundMethod,
-}
-
-enum BoundMethod {
-    Pk(Expr),
-    /// Position in [`Table::indexes`] (stable while the catalog version
-    /// holds) and one key expression per index column.
-    Index(usize, Vec<Expr>),
-    Scan,
+    /// Position of the probed index in [`Table::indexes`] (stable while
+    /// the catalog version holds); `None` is the primary key.
+    index: Option<usize>,
+    /// One expression per leading key column; empty means a table scan.
+    keys: Vec<Expr>,
 }
 
 /// A [`QueryPlan`] made executable: join steps bound and — when the plan
@@ -466,25 +462,24 @@ impl ExecPlan {
         let mut joins = Vec::with_capacity(qplan.joins.len());
         for jp in &qplan.joins {
             let jt = tables.table(&jp.table)?;
-            let bind = |e: &Expr| e.bind(&layout.binder());
-            let method = match &jp.method {
-                JoinMethod::PkProbe { outer } => BoundMethod::Pk(bind(outer)?),
-                JoinMethod::IndexProbe { index, outers } => {
-                    let pos = jt
-                        .indexes()
-                        .iter()
-                        .position(|i| &i.def().name == index)
-                        .expect("planned index exists");
-                    BoundMethod::Index(pos, outers.iter().map(bind).collect::<Result<_>>()?)
-                }
-                JoinMethod::NestedScan => BoundMethod::Scan,
-            };
+            let index = jp.index.as_ref().map(|name| {
+                jt.indexes()
+                    .iter()
+                    .position(|i| &i.def().name == name)
+                    .expect("planned index exists")
+            });
+            let keys = jp
+                .keys
+                .iter()
+                .map(|e| e.bind(&layout.binder()))
+                .collect::<Result<_>>()?;
             layout.push_table(&jp.binding, jt);
             joins.push(BoundJoin {
                 table: jp.table.clone(),
                 kind: jp.kind,
                 on: jp.on.bind(&layout.binder())?,
-                method,
+                index,
+                keys,
             });
         }
         let table_bands = sorted_tables
@@ -590,36 +585,30 @@ fn join_step(
     out: &mut Vec<Row>,
     snap: &Snapshot,
 ) -> Result<()> {
-    let candidates = match &step.method {
-        BoundMethod::Pk(outer) => {
-            cost.index_probes += 1;
-            let v = outer.eval(left, params)?;
-            Candidates::Resolved(if v.is_null() {
-                Vec::new()
-            } else {
-                let v = coerce_for(jt, jt.schema().primary_key(), &v);
-                jt.index_scan(None, std::slice::from_ref(&v), WHOLE_RANGE, false, snap)
-            })
-        }
-        BoundMethod::Index(pos, outers) => {
-            cost.index_probes += 1;
-            let idx = &jt.indexes()[*pos];
-            let mut key = Vec::with_capacity(outers.len());
-            for (col, e) in idx.def().columns.iter().zip(outers) {
-                let v = e.eval(left, params)?;
-                if v.is_null() {
-                    // SQL equality never matches NULL.
-                    break;
-                }
-                key.push(coerce_for(jt, col, &v));
+    let candidates = if step.keys.is_empty() {
+        Candidates::heap(jt)
+    } else {
+        cost.index_probes += 1;
+        let idx = step.index.map(|pos| &jt.indexes()[pos]);
+        let column = |i: usize| idx.map_or(jt.schema().primary_key(), |idx| &idx.def().columns[i]);
+        let mut key = Vec::with_capacity(step.keys.len());
+        for (i, e) in step.keys.iter().enumerate() {
+            let v = e.eval(left, params)?;
+            if v.is_null() {
+                // SQL equality never matches NULL.
+                break;
             }
-            Candidates::Resolved(if key.len() < outers.len() {
-                Vec::new()
-            } else {
-                jt.index_scan(Some(idx), &key, WHOLE_RANGE, false, snap)
-            })
+            key.push(coerce_for(jt, column(i), &v));
         }
-        BoundMethod::Scan => Candidates::heap(jt),
+        let mut rows = if key.len() < step.keys.len() {
+            Vec::new()
+        } else {
+            jt.index_scan(idx, &key, WHOLE_RANGE, false, snap)
+        };
+        // A key prefix yields rows in key order; restore heap order, which
+        // the table scan it replaces returns (a whole key already does).
+        rows.sort_unstable_by_key(|&(rid, _)| rid);
+        Candidates::Resolved(rows)
     };
     let mut matched = false;
     for cand in candidates.iter() {

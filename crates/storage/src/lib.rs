@@ -89,7 +89,7 @@ pub use db::{
 pub use error::{Result, StorageError};
 pub use expr::{ArithOp, CmpOp, ColumnRef, Expr};
 pub use latch::LatchStats;
-pub use plan::{AccessPath, Bound, JoinMethod, JoinPlan, Plan, QueryPlan};
+pub use plan::{AccessPath, Bound, JoinPlan, Plan, QueryPlan};
 pub use prepared::PreparedSelect;
 pub use query::{
     AggFunc, Delete, Insert, Join, JoinKind, OrderKey, QueryResult, Select, SelectItem, Statement,

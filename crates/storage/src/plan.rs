@@ -16,12 +16,13 @@
 //! 2. `plan_query` builds a [`QueryPlan`] for a whole SELECT, left-deep
 //!    in the order the statement gives (a Django-style ORM already puts
 //!    the filtered model in FROM): it plans the FROM table through
-//!    `plan_access`, picks a probe method per join step ([`JoinMethod`])
-//!    from that join's own ON clause, decides whether the pipeline
-//!    satisfies the statement's ORDER BY (index-ordered base scan
-//!    surviving single-row joins), and pushes `LIMIT k` into
-//!    order-satisfying plans so the executor can stop scanning after k
-//!    output rows.
+//!    `plan_access`, picks each join step's probe key ([`JoinPlan`]: the
+//!    primary key, or the longest key prefix of one index, that the
+//!    join's own ON clause covers; none means a table scan), decides
+//!    whether the pipeline satisfies the statement's ORDER BY
+//!    (index-ordered base scan surviving single-row joins), and pushes
+//!    `LIMIT k` into order-satisfying plans so the executor can stop
+//!    scanning after k output rows.
 //!
 //! The executor re-applies the full WHERE clause (and every join's ON
 //! residually) to whatever the chosen paths yield, so every path only has
@@ -1016,39 +1017,11 @@ pub(crate) fn execute_path<'t>(
 // Whole-query planning
 // ---------------------------------------------------------------------
 
-/// How one join step probes its table, once per left row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JoinMethod {
-    /// Evaluate `outer` on the left row and look up the primary key.
-    PkProbe {
-        /// Unbound expression over the already-joined tables.
-        outer: Expr,
-    },
-    /// Evaluate `outers` (in index key-column order) on the left row and
-    /// look up the index key exactly.
-    IndexProbe {
-        /// Index name on the probe table.
-        index: String,
-        /// Unbound key expressions, one per index column.
-        outers: Vec<Expr>,
-    },
-    /// No usable key: visit every row of the table per left row.
-    NestedScan,
-}
-
-impl JoinMethod {
-    /// Short tag for diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JoinMethod::PkProbe { .. } => "PkProbe",
-            JoinMethod::IndexProbe { .. } => "IndexProbe",
-            JoinMethod::NestedScan => "NestedScan",
-        }
-    }
-}
-
 /// One step of the join pipeline: the statement's join in the same
-/// position.
+/// position. It reads its table by one equality probe per left row on
+/// the leading columns of the primary key or of one index — the whole key
+/// or a prefix of it, the same [`Table::index_scan`] call a base prefix
+/// scan makes — or, with no usable key, by a scan of the whole table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     /// Catalog name of the table this step joins.
@@ -1060,25 +1033,40 @@ pub struct JoinPlan {
     /// The join's ON clause, applied (residually) once this step's table
     /// is in the row.
     pub on: Expr,
-    /// Probe strategy.
-    pub method: JoinMethod,
+    /// The probed index by name; `None` is the primary key, or no key
+    /// when `keys` is empty.
+    pub index: Option<String>,
+    /// The probe key: unbound expressions over the tables joined so far,
+    /// one per leading key column of `index`. Empty means a table scan.
+    pub keys: Vec<Expr>,
     /// True when the probe can match at most one row per left row
-    /// (primary-key or unique-index full-key probe) — the condition under
+    /// (primary-key or unique-index whole-key probe) — the condition under
     /// which ORDER BY satisfaction survives the join.
     pub single_row: bool,
     /// Estimated matching rows per left row.
     pub fanout: f64,
 }
 
+impl JoinPlan {
+    /// Short tag for diagnostics, derived from the fields (as
+    /// [`Plan::kind`] is for base paths): `PkProbe`, `IndexProbe` (whole
+    /// key or prefix) or `NestedScan`.
+    pub fn method(&self) -> &'static str {
+        match (&self.index, self.keys.is_empty()) {
+            (_, true) => "NestedScan",
+            (None, false) => "PkProbe",
+            (Some(_), false) => "IndexProbe",
+        }
+    }
+}
+
 impl fmt::Display for JoinPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.method {
-            JoinMethod::PkProbe { .. } => write!(f, "PkProbe({})", self.table),
-            JoinMethod::IndexProbe { index, .. } => {
-                write!(f, "IndexProbe({} via {index})", self.table)
-            }
-            JoinMethod::NestedScan => write!(f, "NestedScan({})", self.table),
+        write!(f, "{}({}", self.method(), self.table)?;
+        if let Some(index) = &self.index {
+            write!(f, " via {index}")?;
         }
+        f.write_str(")")
     }
 }
 
@@ -1556,9 +1544,9 @@ fn attribute_order<'a>(order_by: &'a [OrderKey], binding: &str, table: &Table) -
     }
 }
 
-/// Plans join `j` onto the tables `joined` so far: its probe method,
-/// from the equi-key conjuncts of its own ON clause, and the estimated
-/// cost per left row.
+/// Plans join `j` onto the tables `joined` so far: its probe key, from
+/// the equi-key conjuncts of its own ON clause, and the estimated cost
+/// per left row.
 fn plan_join_step(j: &Join, table: &Table, joined: &[(&str, &Table)]) -> (JoinPlan, f64) {
     let binding = j.table.binding_name();
     // Equi-key extraction: `table.col = expr(joined)` conjuncts.
@@ -1593,65 +1581,60 @@ fn plan_join_step(j: &Join, table: &Table, joined: &[(&str, &Table)]) -> (JoinPl
         }
     }
 
-    let t_rows = table.row_band() as f64;
-    let rpp = table.schema().rows_per_page_hint as f64;
-    let pk = table.schema().primary_key();
-    let (method, single_row, fanout, per_left_cost) =
-        if let Some((_, outer)) = key_cols.iter().find(|(c, _)| *c == pk) {
-            (
-                JoinMethod::PkProbe {
-                    outer: (*outer).clone(),
-                },
-                true,
-                1.0,
-                PROBE_COST + ROW_COST + PAGE_COST / rpp.max(1.0),
-            )
-        } else {
-            let cols: Vec<&str> = key_cols.iter().map(|(c, _)| *c).collect();
-            match table.best_index_for(&cols) {
-                Some(idx) => {
-                    let outers: Vec<Expr> = idx
-                        .def()
-                        .columns
-                        .iter()
-                        .map(|c| {
-                            let (_, outer) = key_cols
-                                .iter()
-                                .find(|(kc, _)| *kc == c)
-                                .expect("index columns are a subset of the key columns");
-                            (*outer).clone()
-                        })
-                        .collect();
-                    let single = idx.def().unique;
-                    let fanout = if single {
-                        1.0
-                    } else {
-                        t_rows / idx.prefix_band(idx.def().columns.len()).max(1) as f64
-                    };
-                    let per_left = PROBE_COST + fanout * (ROW_COST + PAGE_COST / rpp.max(1.0));
-                    (
-                        JoinMethod::IndexProbe {
-                            index: idx.def().name.clone(),
-                            outers,
-                        },
-                        single,
-                        fanout,
-                        per_left,
-                    )
-                }
-                None => {
-                    let fanout = t_rows;
-                    let per_left = t_rows * (ROW_COST + PAGE_COST / rpp.max(1.0));
-                    (JoinMethod::NestedScan, false, fanout, per_left)
-                }
+    let key_for = |c: &str| {
+        key_cols
+            .iter()
+            .find(|(kc, _)| *kc == c)
+            .map(|&(_, e)| e.clone())
+    };
+    let rows = table.row_band() as f64;
+    // The primary key when the ON covers it; else the index with the
+    // longest covered key prefix `p` — ties to a whole-key match, then to
+    // the higher band of distinct prefixes, then to the smaller name, so
+    // the choice never flip-flops between runs; else no key.
+    let (index, keys, single_row, fanout) = if let Some(k) = key_for(table.schema().primary_key()) {
+        (None, vec![k], true, 1.0)
+    } else {
+        let best = table
+            .indexes()
+            .iter()
+            .map(|idx| {
+                let keys: Vec<Expr> = idx.def().columns.iter().map_while(|c| key_for(c)).collect();
+                (idx, keys)
+            })
+            .filter(|(_, keys)| !keys.is_empty())
+            .max_by_key(|(idx, keys)| {
+                let p = keys.len();
+                (
+                    p,
+                    p == idx.def().columns.len(),
+                    idx.prefix_band(p),
+                    std::cmp::Reverse(idx.def().name.as_str()),
+                )
+            });
+        match best {
+            Some((idx, keys)) => {
+                let p = keys.len();
+                let single = idx.def().unique && p == idx.def().columns.len();
+                let fanout = if single {
+                    1.0
+                } else {
+                    rows / idx.prefix_band(p).max(1) as f64
+                };
+                (Some(idx.def().name.clone()), keys, single, fanout)
             }
-        };
+            None => (None, Vec::new(), false, rows),
+        }
+    };
+    let probes = if keys.is_empty() { 0.0 } else { 1.0 };
+    let per_left_cost = scan_cost(fanout, probes, table.schema().rows_per_page_hint as f64);
     let step = JoinPlan {
         table: j.table.table.clone(),
         binding: binding.to_owned(),
         kind: j.kind,
         on: j.on.clone(),
-        method,
+        index,
+        keys,
         single_row,
         fanout,
     };

@@ -1595,33 +1595,6 @@ impl Table {
         self.indexes.iter().find(|i| i.def.name == name)
     }
 
-    /// The index whose key is a prefix of `columns` usable for an
-    /// equality lookup on all its key columns.
-    ///
-    /// Fully deterministic: prefers the widest covering index, then the
-    /// most selective (the highest band of distinct keys) — e.g. for
-    /// `WHERE to_user_id = ? AND status = ?` the FK index beats the
-    /// low-cardinality status index — and finally the lexicographically
-    /// smallest index name, so equal-width equal-selectivity candidates
-    /// never flip-flop between runs.
-    pub fn best_index_for(&self, eq_columns: &[&str]) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .filter(|i| {
-                i.def
-                    .columns
-                    .iter()
-                    .all(|c| eq_columns.contains(&c.as_str()))
-            })
-            .max_by_key(|i| {
-                (
-                    i.def.columns.len(),
-                    i.prefix_band(i.key_pos.len()),
-                    std::cmp::Reverse(i.def.name.as_str()),
-                )
-            })
-    }
-
     /// The postings under exactly `key` in the primary key (`idx` is
     /// `None`; a one-value key) or in `idx`.
     fn postings<'a>(&'a self, idx: Option<&'a Index>, key: &[Value]) -> Option<&'a Postings> {
@@ -1975,122 +1948,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, StorageError::UniqueViolation { .. }));
-    }
-
-    #[test]
-    fn best_index_prefers_widest_match() {
-        let schema = TableSchema::builder("t")
-            .pk("id")
-            .column(ColumnDef::new("a", ValueType::Int))
-            .column(ColumnDef::new("b", ValueType::Int))
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema, 3);
-        t.create_index(IndexDef {
-            name: "t_a".into(),
-            columns: vec!["a".into()],
-            unique: false,
-        })
-        .unwrap();
-        t.create_index(IndexDef {
-            name: "t_ab".into(),
-            columns: vec!["a".into(), "b".into()],
-            unique: false,
-        })
-        .unwrap();
-        let best = t.best_index_for(&["a", "b"]).unwrap();
-        assert_eq!(best.def().name, "t_ab");
-        let only_a = t.best_index_for(&["a"]).unwrap();
-        assert_eq!(only_a.def().name, "t_a");
-        assert!(
-            t.best_index_for(&["b"]).is_none()
-                || t.best_index_for(&["b"]).unwrap().def().columns == vec!["b".to_string()]
-        );
-    }
-
-    #[test]
-    fn best_index_breaks_ties_by_selectivity() {
-        let schema = TableSchema::builder("inv")
-            .pk("id")
-            .column(ColumnDef::new("to_user", ValueType::Int))
-            .column(ColumnDef::new("status", ValueType::Int))
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema, 9);
-        t.create_index(IndexDef {
-            name: "inv_status".into(),
-            columns: vec!["status".into()],
-            unique: false,
-        })
-        .unwrap();
-        t.create_index(IndexDef {
-            name: "inv_to_user".into(),
-            columns: vec!["to_user".into()],
-            unique: false,
-        })
-        .unwrap();
-        // Many users, two statuses: the user index is far more selective.
-        for i in 0..100i64 {
-            t.insert(row![i, i % 50, i % 2]).unwrap();
-        }
-        let best = t.best_index_for(&["to_user", "status"]).unwrap();
-        assert_eq!(best.def().name, "inv_to_user");
-    }
-
-    #[test]
-    fn best_index_tie_breaks_by_name() {
-        let schema = TableSchema::builder("t")
-            .pk("id")
-            .column(ColumnDef::new("a", ValueType::Int))
-            .column(ColumnDef::new("b", ValueType::Int))
-            .build()
-            .unwrap();
-        let mut t = Table::new(schema, 7);
-        // Two single-column indexes over columns with identical
-        // cardinality: width and selectivity tie, so the name decides —
-        // deterministically, regardless of creation order.
-        t.create_index(IndexDef {
-            name: "t_zz".into(),
-            columns: vec!["a".into()],
-            unique: false,
-        })
-        .unwrap();
-        t.create_index(IndexDef {
-            name: "t_aa".into(),
-            columns: vec!["b".into()],
-            unique: false,
-        })
-        .unwrap();
-        for i in 0..10i64 {
-            t.insert(row![i, i % 5, i % 5]).unwrap();
-        }
-        assert_eq!(t.best_index_for(&["a", "b"]).unwrap().def().name, "t_aa");
-
-        // Same table with the indexes created in the opposite order
-        // picks the same winner.
-        let schema = TableSchema::builder("t")
-            .pk("id")
-            .column(ColumnDef::new("a", ValueType::Int))
-            .column(ColumnDef::new("b", ValueType::Int))
-            .build()
-            .unwrap();
-        let mut t2 = Table::new(schema, 8);
-        t2.create_index(IndexDef {
-            name: "t_aa".into(),
-            columns: vec!["b".into()],
-            unique: false,
-        })
-        .unwrap();
-        t2.create_index(IndexDef {
-            name: "t_zz".into(),
-            columns: vec!["a".into()],
-            unique: false,
-        })
-        .unwrap();
-        for i in 0..10i64 {
-            t2.insert(row![i, i % 5, i % 5]).unwrap();
-        }
-        assert_eq!(t2.best_index_for(&["a", "b"]).unwrap().def().name, "t_aa");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! index, plus a nullable indexed column; the statements cover forward
 //! and descending scans, count-only and counted `COUNT(*)`, all-NULL `IN`
 //! lists, inverted ranges, NULL keys, raw float bounds on an Int column,
-//! `BETWEEN v AND v`, parameters rebound into a kept plan, and joins
-//! whose driving table is index-scanned.
+//! `BETWEEN v AND v`, parameters rebound into a kept plan, joins whose
+//! driving table is index-scanned, and join steps probing a whole key or
+//! a key prefix.
 //!
 //! After an intended plan change, rewrite the file with
 //! `UPDATE_GOLDEN=1 cargo test -p genie-storage --test explain_golden`
@@ -192,6 +193,12 @@ fn statements() -> Vec<(&'static str, Vec<Value>)> {
         ),
         (
             "SELECT u.name, w.post_id FROM users AS u JOIN wall AS w ON w.sender_id = u.id \
+             WHERE u.id = 3",
+            vec![],
+        ),
+        // A join probing the leading column of a composite index.
+        (
+            "SELECT u.name, w.post_id FROM users AS u JOIN wall AS w ON w.user_id = u.id \
              WHERE u.id = 3",
             vec![],
         ),

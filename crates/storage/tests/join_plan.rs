@@ -1,9 +1,9 @@
 //! Whole-query planner tests: joins planned in statement order, probe
-//! method choice, ORDER BY survival across single-row joins, LIMIT-aware
-//! early termination, the `a = ? AND b IN (...)` multi-range path, and
-//! prefix-count cost estimates — plus property tests that every planned
-//! join returns row-sets identical to the index-free nested-loop
-//! baseline.
+//! key choice (the longest covered key prefix), ORDER BY survival across
+//! single-row joins, LIMIT-aware early termination, the
+//! `a = ? AND b IN (...)` multi-range path, and prefix-count cost
+//! estimates — plus property tests that every planned join returns the
+//! row sequence of the index-free nested-loop baseline.
 
 use genie_storage::plan::{AccessPath, Bound};
 use genie_storage::{
@@ -70,16 +70,183 @@ fn join_is_planned_in_statement_order() {
     assert_eq!(plan.base.table, "authors", "FROM drives: {plan}");
     assert_eq!(plan.base_binding, "authors", "{plan}");
     assert_eq!(plan.joins.len(), 1);
-    assert_eq!(plan.joins[0].table, "posts", "{plan}");
+    // The ON covers the leading column of (author_id, created): each
+    // author probes that prefix instead of scanning every post.
+    assert_eq!(
+        plan.joins[0].to_string(),
+        "IndexProbe(posts via posts_author_created)",
+        "{plan}"
+    );
 
     // The one row comes back with authors columns first.
     let out = db.execute_sql(sql, &[]).unwrap();
-    assert_eq!(out.result.rows.len(), 1);
-    let row = &out.result.rows[0];
-    assert_eq!(row.get(0), &Value::Int(5), "authors.id of post 5's author");
-    assert_eq!(row.get(2), &Value::Int(5), "posts.id");
+    assert_eq!(
+        out.result.rows,
+        vec![Row::new(vec![
+            Value::Int(5),
+            Value::Text("a5".into()),
+            Value::Int(5),
+            Value::Int(5),
+            Value::Timestamp(1005),
+            Value::Int(5),
+        ])]
+    );
+    // 10 authors, then 30 posts per author probe instead of all 300.
+    assert_eq!(out.cost.rows_scanned, 310);
+    assert_eq!(out.cost.index_probes, 10);
     let base = blog_db(false).execute_sql(sql, &[]).unwrap();
     assert_eq!(out.result.rows, base.result.rows);
+}
+
+/// Runs `setup` (which creates table `t` and its indexes and rows) beside
+/// `l (id, x, y)` and returns the index the join step onto `t` probes for
+/// `ON {on}`.
+fn probed_index(setup: &[String], on: &str) -> Option<String> {
+    let db = Database::default();
+    db.execute_sql(
+        "CREATE TABLE l (id INT PRIMARY KEY, x INT NOT NULL, y INT NOT NULL)",
+        &[],
+    )
+    .unwrap();
+    for sql in setup {
+        db.execute_sql(sql, &[]).unwrap();
+    }
+    let sql = format!("SELECT * FROM l JOIN t ON {on}");
+    let plan = db.explain_sql(&sql, &[]).unwrap();
+    plan.joins[0].index.clone()
+}
+
+/// `INSERT INTO t` of `(i, a(i), b(i))` for `i` in `0..n`.
+fn insert_t(n: i64, a: impl Fn(i64) -> i64, b: impl Fn(i64) -> i64) -> String {
+    let rows: Vec<String> = (0..n)
+        .map(|i| format!("({i}, {}, {})", a(i), b(i)))
+        .collect();
+    format!("INSERT INTO t VALUES {}", rows.join(", "))
+}
+
+#[test]
+fn join_probe_prefers_the_widest_covering_index() {
+    let setup = [
+        "CREATE TABLE t (id INT PRIMARY KEY, a INT NOT NULL, b INT NOT NULL)".to_owned(),
+        "CREATE INDEX t_a ON t (a)".to_owned(),
+        "CREATE INDEX t_ab ON t (a, b)".to_owned(),
+    ];
+    let both = probed_index(&setup, "t.a = l.x AND t.b = l.y");
+    assert_eq!(both.as_deref(), Some("t_ab"));
+    // Both cover one column; the whole-key match wins.
+    assert_eq!(probed_index(&setup, "t.a = l.x").as_deref(), Some("t_a"));
+    // No index leads with b.
+    assert_eq!(probed_index(&setup, "t.b = l.y"), None);
+}
+
+#[test]
+fn join_probe_breaks_ties_by_selectivity() {
+    let setup = [
+        "CREATE TABLE t (id INT PRIMARY KEY, to_user INT NOT NULL, status INT NOT NULL)".to_owned(),
+        "CREATE INDEX inv_status ON t (status)".to_owned(),
+        "CREATE INDEX inv_to_user ON t (to_user)".to_owned(),
+        // Many users, two statuses: the user index is far more selective.
+        insert_t(100, |i| i % 50, |i| i % 2),
+    ];
+    let on = "t.to_user = l.x AND t.status = l.y";
+    assert_eq!(probed_index(&setup, on).as_deref(), Some("inv_to_user"));
+}
+
+#[test]
+fn join_probe_tie_breaks_by_name() {
+    // Two single-column indexes over columns with identical cardinality:
+    // width and selectivity tie, so the name decides — deterministically,
+    // whatever the creation order.
+    let table = "CREATE TABLE t (id INT PRIMARY KEY, a INT NOT NULL, b INT NOT NULL)";
+    let zz = "CREATE INDEX t_zz ON t (a)";
+    let aa = "CREATE INDEX t_aa ON t (b)";
+    let rows = insert_t(10, |i| i % 5, |i| i % 5);
+    for indexes in [[zz, aa], [aa, zz]] {
+        let mut setup = vec![table.to_owned()];
+        setup.extend(indexes.map(str::to_owned));
+        setup.push(rows.clone());
+        let on = "t.a = l.x AND t.b = l.y";
+        assert_eq!(probed_index(&setup, on).as_deref(), Some("t_aa"));
+    }
+}
+
+#[test]
+fn join_probe_takes_the_longest_covered_prefix() {
+    // The ON covers (a, b): the two-column prefix of (a, b, c) beats the
+    // whole one-column key (a).
+    let setup = [
+        "CREATE TABLE t (id INT PRIMARY KEY, a INT NOT NULL, b INT NOT NULL, c INT)".to_owned(),
+        "CREATE INDEX t_a ON t (a)".to_owned(),
+        "CREATE INDEX t_abc ON t (a, b, c)".to_owned(),
+    ];
+    let on = "t.a = l.x AND t.b = l.y";
+    assert_eq!(probed_index(&setup, on).as_deref(), Some("t_abc"));
+}
+
+/// readers (4 rows, nullable `fav`) and posts (300 rows) whose `created`
+/// falls as `id` rises, so (author_id, created) key order is the reverse
+/// of heap order within each author.
+fn falling_db(indexed: bool) -> Database {
+    let db = Database::default();
+    for sql in [
+        "CREATE TABLE readers (id INT PRIMARY KEY, fav INT)",
+        "CREATE TABLE posts (id INT PRIMARY KEY, author_id INT NOT NULL, \
+         created TIMESTAMP NOT NULL)",
+        "INSERT INTO readers VALUES (0, 3), (1, NULL), (2, 7), (3, NULL)",
+    ] {
+        db.execute_sql(sql, &[]).unwrap();
+    }
+    if indexed {
+        db.execute_sql(
+            "CREATE INDEX posts_author_created ON posts (author_id, created)",
+            &[],
+        )
+        .unwrap();
+    }
+    for p in 0..300i64 {
+        db.execute_sql(
+            "INSERT INTO posts VALUES ($1, $2, $3)",
+            &[
+                Value::Int(p),
+                Value::Int(p % 10),
+                Value::Timestamp(2000 - p),
+            ],
+        )
+        .unwrap();
+    }
+    db
+}
+
+#[test]
+fn prefix_probe_returns_the_index_free_sequence() {
+    let (fast, slow) = (falling_db(true), falling_db(false));
+    let inner = "SELECT * FROM readers JOIN posts ON posts.author_id = readers.fav \
+                 WHERE readers.id = 0";
+    let left = "SELECT * FROM readers LEFT JOIN posts ON posts.author_id = readers.fav";
+    for sql in [inner, left] {
+        let plan = fast.explain_sql(sql, &[]).unwrap();
+        assert_eq!(
+            plan.joins[0].to_string(),
+            "IndexProbe(posts via posts_author_created)",
+            "{plan}"
+        );
+        let a = fast.execute_sql(sql, &[]).unwrap();
+        let b = slow.execute_sql(sql, &[]).unwrap();
+        assert_eq!(a.result.rows, b.result.rows, "{sql}");
+    }
+    // Heap order: author 3's posts come back 3, 13, 23, …
+    let rows = fast.execute_sql(inner, &[]).unwrap().result.rows;
+    let ids: Vec<i64> = rows.iter().map(|r| r.get(2).as_int().unwrap()).collect();
+    assert_eq!(ids, (0..30).map(|k| 3 + 10 * k).collect::<Vec<_>>());
+    // A NULL key matches nothing: readers 1 and 3 come back padded.
+    let rows = fast.execute_sql(left, &[]).unwrap().result.rows;
+    assert_eq!(rows.len(), 62);
+    let padded: Vec<i64> = rows
+        .iter()
+        .filter(|r| r.get(2).is_null())
+        .map(|r| r.get(0).as_int().unwrap())
+        .collect();
+    assert_eq!(padded, [1, 3]);
 }
 
 #[test]
@@ -92,7 +259,7 @@ fn join_order_costing_prefers_filtered_driving_table() {
                WHERE posts.author_id = 3";
     let plan = db.explain_sql(sql, &[]).unwrap();
     for j in &plan.joins {
-        assert_ne!(j.method.kind(), "NestedScan", "{plan}");
+        assert_ne!(j.method(), "NestedScan", "{plan}");
     }
     let out = db.execute_sql(sql, &[]).unwrap();
     assert_eq!(out.result.rows.len(), 30);
@@ -457,7 +624,9 @@ fn left_joins_keep_syntactic_order_and_pad_nulls() {
 // Property tests: every planned join/method returns the nested-loop rows.
 // ---------------------------------------------------------------------
 
-fn two_table_db(indexed: bool, users: &[(i64, i64)], items: &[(i64, i64, i64)]) -> Database {
+/// `u (id, grp)` and `it (id, uid, v)`; with a non-empty `it_key`, `it`
+/// gets an index on those columns and `u` one on `grp`.
+fn two_table_db(it_key: &[&str], users: &[(i64, i64)], items: &[(i64, i64, i64)]) -> Database {
     let db = Database::default();
     db.create_table(
         TableSchema::builder("u")
@@ -476,12 +645,12 @@ fn two_table_db(indexed: bool, users: &[(i64, i64)], items: &[(i64, i64, i64)]) 
             .unwrap(),
     )
     .unwrap();
-    if indexed {
+    if !it_key.is_empty() {
         db.create_index(
             "it",
             IndexDef {
-                name: "it_uid".into(),
-                columns: vec!["uid".into()],
+                name: "it_key".into(),
+                columns: it_key.iter().map(|c| c.to_string()).collect(),
                 unique: false,
             },
         )
@@ -527,10 +696,11 @@ fn join_select(filter_grp: i64, filter_v: Option<i64>) -> (Select, Vec<Value>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// The join is planned in statement order, and whatever probe method
-    /// the planner picks, the row *set* must equal the index-free
+    /// The join is planned in statement order, and whatever probe the
+    /// planner picks — the whole `(uid)` key or the `uid` prefix of
+    /// `(uid, v)` — the row *sequence* must equal the index-free
     /// nested-loop baseline's. With `v`, the WHERE equality `it.v = $2`
     /// on the joined table is left to the residual filter.
     #[test]
@@ -539,9 +709,11 @@ proptest! {
         items in proptest::collection::vec((0..60i64, 0..25i64, 0..5i64), 0..60),
         grp in 0..4i64,
         v in proptest::option::of(0..5i64),
+        composite in any::<bool>(),
     ) {
-        let fast = two_table_db(true, &users, &items);
-        let slow = two_table_db(false, &users, &items);
+        let it_key: &[&str] = if composite { &["uid", "v"] } else { &["uid"] };
+        let fast = two_table_db(it_key, &users, &items);
+        let slow = two_table_db(&[], &users, &items);
         let (sel, params) = join_select(grp, v);
         let plan = fast.explain(&sel, &params).unwrap();
         prop_assert_eq!(&plan.base_binding, sel.from.binding_name());
@@ -552,9 +724,9 @@ proptest! {
         let a = fast.select(&sel, &params).unwrap();
         let b = slow.select(&sel, &params).unwrap();
         prop_assert_eq!(
-            sorted_rows(a.result.rows),
-            sorted_rows(b.result.rows),
-            "planned join method changed the row set"
+            a.result.rows,
+            b.result.rows,
+            "the planned probe changed the row sequence"
         );
     }
 
@@ -567,8 +739,8 @@ proptest! {
         items in proptest::collection::vec((0..40i64, 0..15i64, 0..4i64), 0..40),
         uid in 0..12i64,
     ) {
-        let fast = two_table_db(true, &users, &items);
-        let slow = two_table_db(false, &users, &items);
+        let fast = two_table_db(&["uid"], &users, &items);
+        let slow = two_table_db(&[], &users, &items);
         // it filtered by uid, ordered by v, pk-joined to u.
         let sql = "SELECT * FROM it JOIN u ON u.id = it.uid \
                    WHERE it.uid = $1 ORDER BY it.v ASC, it.id ASC LIMIT 7";

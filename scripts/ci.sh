@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# With UPDATE_GOLDEN set, the EXPLAIN golden test rewrites its file and
+# passes, so the gate would check nothing: refuse to run.
+if [[ -n "${UPDATE_GOLDEN+set}" ]]; then
+    echo "ci.sh: UPDATE_GOLDEN is set, so the golden tests would rewrite their files instead of checking them; unset it and rerun" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
